@@ -1,7 +1,7 @@
 GO ?= go
 GOFILES := $(shell git ls-files '*.go')
 
-.PHONY: test vet lint race soak-chaos soak-rebalance fuzz-short obs-smoke health-smoke bench-smoke ckpt-smoke index-smoke subscribe-smoke verify
+.PHONY: test vet lint race soak-chaos soak-rebalance fuzz-short obs-smoke health-smoke bench-smoke bench-test ckpt-smoke index-smoke subscribe-smoke verify
 
 # Tier-1: what CI gates on.
 test:
@@ -92,6 +92,13 @@ bench-smoke:
 	$(GO) test ./internal/sql -run '^$$' -bench 'BenchmarkJoinKey' -benchtime 1000x
 	$(GO) test ./internal/kv -run '^$$' -bench 'BenchmarkPut|BenchmarkIndexedPut|BenchmarkUnindexedRowPut' -benchtime 1000x
 
+# The benchmark (BENCHMARK.json, bench/) is its own module that imports
+# internal/ packages, so `go build ./...` here never compiles it: vet it and
+# run its stats tests and smoke run, so an internal/ signature change breaks
+# this target before it breaks a benchmark run.
+bench-test:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
+
 # Index smoke: the access-path parity suite (index results ≡ full-scan
 # results for every plannable shape), index survival across an online
 # rebalance, and the quick mode of the `squery-bench -exp index` harness
@@ -115,4 +122,4 @@ subscribe-smoke:
 	$(GO) test . -run 'TestSubscribe' -race -count=1 -v
 	$(GO) test ./internal/experiments -run 'TestSubscribeExpShape' -count=1 -v
 
-verify: lint race soak-chaos soak-rebalance bench-smoke ckpt-smoke index-smoke health-smoke subscribe-smoke
+verify: lint race soak-chaos soak-rebalance bench-smoke bench-test ckpt-smoke index-smoke health-smoke subscribe-smoke

@@ -26,7 +26,14 @@ import (
 // key. Seq/Epoch carry the kv tap stamps (synthetic reset-diff deltas
 // carry the post-reset snapshot floor).
 type ArrDelta struct {
-	Row       TableRow // Key/Value/Raw set on upserts; Key only on tombstones
+	Row TableRow // Key/Value/Raw set on upserts; Key only on tombstones
+	// Old is the row this delta replaced in the view, valid when HadOld:
+	// always on tombstones, on upserts of a key the view already held, never
+	// on a first insert. Attach's snapshot and the delta stream are a clean
+	// cut, so it is exactly the row a listener last saw for the key —
+	// listeners need no mirror of the view to retract it.
+	Old       TableRow
+	HadOld    bool
 	KeyS      string
 	Part      int
 	Seq       uint64
@@ -151,9 +158,10 @@ func (a *Arrangement) applyEvents(evs []tapEvent) {
 				continue // already covered by a snapshot or reset re-derive
 			}
 			a.appliedSeq[d.Part] = d.Seq
-			ad := ArrDelta{KeyS: d.KeyS, Part: d.Part, Seq: d.Seq, Epoch: d.Epoch}
+			old, had := a.rows[d.KeyS]
+			ad := ArrDelta{Old: old.row, HadOld: had, KeyS: d.KeyS, Part: d.Part, Seq: d.Seq, Epoch: d.Epoch}
 			if d.Tombstone {
-				if _, ok := a.rows[d.KeyS]; !ok {
+				if !had {
 					continue
 				}
 				delete(a.rows, d.KeyS)
@@ -200,7 +208,7 @@ func (a *Arrangement) resetDiffLocked(p int) []ArrDelta {
 		if _, ok := cur[ks]; !ok {
 			delete(a.rows, ks)
 			out = append(out, ArrDelta{
-				Row: TableRow{Key: ar.row.Key}, KeyS: ks, Part: p,
+				Row: TableRow{Key: ar.row.Key}, Old: ar.row, HadOld: true, KeyS: ks, Part: p,
 				Seq: a.appliedSeq[p], Epoch: epoch, Tombstone: true,
 			})
 			a.applied.Add(1)
@@ -208,13 +216,15 @@ func (a *Arrangement) resetDiffLocked(p int) []ArrDelta {
 		}
 	}
 	for ks, e := range cur {
-		if old, ok := a.rows[ks]; ok && reflect.DeepEqual(old.row.Raw, e.Value) {
+		old, had := a.rows[ks]
+		if had && reflect.DeepEqual(old.row.Raw, e.Value) {
 			continue
 		}
 		row := TableRow{Key: e.Key, Value: kv.AsRow(e.Value), Raw: e.Value}
 		a.rows[ks] = arrRow{row: row, part: p}
 		out = append(out, ArrDelta{
-			Row: row, KeyS: ks, Part: p, Seq: a.appliedSeq[p], Epoch: epoch,
+			Row: row, Old: old.row, HadOld: had, KeyS: ks, Part: p,
+			Seq: a.appliedSeq[p], Epoch: epoch,
 		})
 		a.applied.Add(1)
 		a.watermark.Add(1)
@@ -245,18 +255,6 @@ func (a *Arrangement) Detach(id int) {
 	a.mu.Lock()
 	delete(a.listeners, id)
 	a.mu.Unlock()
-}
-
-// Rows returns a point-in-time copy of the maintained view (tests and the
-// degenerate run-to-watermark path).
-func (a *Arrangement) Rows() []TableRow {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	out := make([]TableRow, 0, len(a.rows))
-	for _, ar := range a.rows {
-		out = append(out, ar.row)
-	}
-	return out
 }
 
 // Table returns the live table this arrangement maintains.

@@ -118,17 +118,32 @@ func TestArrangementSnapshotPlusDeltas(t *testing.T) {
 	arrWaitFor(t, "deltas to apply", func() bool {
 		return sameView(sink.fold(base), storeContent(store, "orders"))
 	})
-	var tombs int
-	for _, d := range sink.deltas() {
-		if d.Tombstone {
-			tombs++
-			if d.KeyS != partition.KeyString("o0") {
-				t.Errorf("unexpected tombstone for %q", d.KeyS)
-			}
-		}
+	// Each delta names the row it replaced: none on a first insert, the
+	// previous value on an update or a tombstone (the missing-key delete
+	// must not surface at all).
+	type step struct {
+		key       string
+		val, old  any
+		tombstone bool
 	}
-	if tombs != 1 {
-		t.Fatalf("saw %d tombstones, want 1 (missing-key delete must not surface)", tombs)
+	want := []step{
+		{key: "o3", val: 333, old: 3},
+		{key: "o99", val: 99},
+		{key: "o0", old: 0, tombstone: true},
+		{key: "o99", val: 100, old: 99},
+	}
+	got := sink.deltas()
+	if len(got) != len(want) {
+		t.Fatalf("saw %d deltas, want %d: %+v", len(got), len(want), got)
+	}
+	for i, w := range want {
+		d := got[i]
+		if d.KeyS != partition.KeyString(w.key) || d.Tombstone != w.tombstone || d.Row.Raw != w.val {
+			t.Errorf("delta %d = %+v, want key %s value %v tombstone %v", i, d, w.key, w.val, w.tombstone)
+		}
+		if d.HadOld != (w.old != nil) || d.Old.Raw != w.old {
+			t.Errorf("delta %d (%s) replaced %v (had %v), want %v", i, w.key, d.Old.Raw, d.HadOld, w.old)
+		}
 	}
 }
 
@@ -166,7 +181,7 @@ func TestArrangementSharing(t *testing.T) {
 	}
 	// The view is still maintained for the surviving reader.
 	v.Put(name, "k2", 2)
-	arrWaitFor(t, "surviving reader to apply", func() bool { return len(a2.Rows()) == 2 })
+	arrWaitFor(t, "surviving reader to apply", func() bool { return reg.Infos()[0].Rows == 2 })
 
 	a2.Release()
 	if infos := reg.Infos(); len(infos) != 0 {
@@ -181,7 +196,7 @@ func TestArrangementSharing(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer a3.Release()
-	if got := len(a3.Rows()); got != 2 {
+	if got := reg.Infos()[0].Rows; got != 2 {
 		t.Fatalf("rebuilt arrangement has %d rows, want 2", got)
 	}
 }
@@ -219,17 +234,41 @@ func TestArrangementResetDiff(t *testing.T) {
 		t.Fatalf("no-op resets emitted %d deltas, want 0: %+v", got, sink.deltas())
 	}
 
-	// An emptying reset diffs down to tombstones, one per live row.
+	// A reset whose re-snapshot runs ahead of the buffered deltas (held back
+	// here by the view lock) reports the write itself, naming the row the
+	// view held; the overtaken delta is then skipped as already covered.
+	a.mu.Lock()
+	for p := 0; p < store.Partitioner().Count(); p++ {
+		store.RebuildPartitionIndexes(p)
+	}
+	v.Put(name, "o3", 333)
+	a.mu.Unlock()
+	arrWaitFor(t, "overtaking reset to diff through", func() bool {
+		return sameView(sink.fold(base), storeContent(store, "orders"))
+	})
+	ds := sink.deltas()
+	if len(ds) != 1 || ds[0].KeyS != partition.KeyString("o3") || ds[0].Tombstone ||
+		ds[0].Row.Raw != 333 || !ds[0].HadOld || ds[0].Old.Raw != 3 {
+		t.Fatalf("overtaking reset emitted %+v, want one upsert of o3 = 333 replacing 3", ds)
+	}
+
+	// An emptying reset diffs down to tombstones, one per live row, each
+	// naming the row that went.
 	store.ClearMap(name)
 	arrWaitFor(t, "clear to diff through", func() bool { return len(sink.fold(base)) == 0 })
-	var tombs int
-	for _, d := range sink.deltas() {
-		if d.Tombstone {
-			tombs++
-		}
+	was := map[string]any{}
+	for _, r := range base {
+		was[partition.KeyString(r.Key)] = r.Raw
 	}
-	if tombs != 8 {
-		t.Fatalf("emptying reset emitted %d tombstones, want 8", tombs)
+	was[partition.KeyString("o3")] = 333
+	ds = sink.deltas()[1:]
+	if len(ds) != 8 {
+		t.Fatalf("emptying reset emitted %d deltas, want 8 tombstones: %+v", len(ds), ds)
+	}
+	for _, d := range ds {
+		if !d.Tombstone || !d.HadOld || d.Old.Raw != was[d.KeyS] {
+			t.Errorf("reset-diff delta %+v, want a tombstone replacing %v", d, was[d.KeyS])
+		}
 	}
 }
 

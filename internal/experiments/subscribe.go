@@ -98,7 +98,7 @@ func Subscribe(o Options) SubscribeResult {
 	sw := metrics.StartStopwatch()
 	for i := 0; i < clients; i++ {
 		q := fmt.Sprintf(`SELECT partitionKey, amount FROM orders WHERE deliveryZone = 'z%d'`, i%zones)
-		sq, err := ex.SubscribeQuery(q, sink)
+		sq, err := ex.SubscribeQuery(q, func(*sql.StandingQuery) func(sql.SubEvent) { return sink })
 		if err != nil {
 			panic(fmt.Sprintf("experiments: subscribe: %v", err))
 		}

@@ -82,7 +82,9 @@ func TestQCommerceJobAndPaperQueries(t *testing.T) {
 		Riders:              12,
 		SourceParallelism:   2,
 		OperatorParallelism: 2,
-		Events:              4000,
+		// Long enough that the checkpoint below lands mid-stream even when
+		// the host is loaded and this goroutine is slow to ask for it.
+		Events: 40000,
 	}
 	hist := metrics.NewHistogram()
 	dag := DAG(cfg, dataflow.LatencySinkVertex("sink", 2, hist))
@@ -136,14 +138,16 @@ func TestQCommerceJobAndPaperQueries(t *testing.T) {
 	if stateKeys == 0 {
 		t.Fatal("no orderstate state")
 	}
-	riderKeys := 0
-	view.Scan(core.LiveMapName("riderlocation"), func(e kv.Entry) bool {
-		riderKeys++
-		return true
-	})
-	if riderKeys == 0 {
-		t.Fatal("no rider state")
-	}
+	// Rider updates are the rare event: on a loaded host their first
+	// mirror batch may still be unflushed mid-stream, so poll for it.
+	waitUntil(t, func() bool {
+		riderKeys := 0
+		view.Scan(core.LiveMapName("riderlocation"), func(kv.Entry) bool {
+			riderKeys++
+			return true
+		})
+		return riderKeys > 0
+	}, "rider state")
 
 	// All four production queries run against the snapshot and return
 	// grouped counts.

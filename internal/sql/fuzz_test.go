@@ -150,7 +150,7 @@ func FuzzPlan(f *testing.F) {
 		// executor's arrangement registry refcounts back to zero.
 		if isSub, rest := splitSubscribe(input); isSub {
 			ex := fuzzExecutor()
-			if sq, err := ex.SubscribeQuery(rest, func(SubEvent) {}); err == nil {
+			if sq, err := ex.SubscribeQuery(rest, discardSink); err == nil {
 				sq.Close()
 			}
 			return

@@ -481,6 +481,68 @@ func (ex *Executor) applyResidual(pp *physPlan, rc *runCtx, b *rowBatch) error {
 	return nil
 }
 
+// The three row-level stages of the output side. The one-shot output
+// stages below and the standing query (subscribe.go) both call them, so a
+// row projects, groups and finishes the same way in either drive mode.
+
+// projectRow evaluates the select list for one row. starCols is the
+// (qualifier, column) expansion of *, nil when the list has none.
+func projectRow(ctx *evalCtx, items []SelectItem, starCols [][2]string, r joinedRow) ([]any, error) {
+	vals := make([]any, 0, len(items)+len(starCols))
+	for _, it := range items {
+		if it.Star {
+			for _, sc := range starCols {
+				v, _ := r.Resolve(sc[0], sc[1])
+				vals = append(vals, v)
+			}
+			continue
+		}
+		v, err := ctx.eval(it.Expr, r)
+		if err != nil {
+			return nil, err
+		}
+		vals = append(vals, v)
+	}
+	return vals, nil
+}
+
+// appendRowGroupKey appends the row's GROUP BY key to dst: each grouping
+// expression's value in the self-delimiting binary form, no per-key string
+// building. A statement without GROUP BY has the one empty key.
+func appendRowGroupKey(dst []byte, ctx *evalCtx, groupBy []Expr, r joinedRow) ([]byte, error) {
+	for _, ge := range groupBy {
+		v, err := ctx.eval(ge, r)
+		if err != nil {
+			return nil, err
+		}
+		dst = appendGroupKey(dst, v)
+	}
+	return dst, nil
+}
+
+// finishGroup runs one group's rows through HAVING and the select list.
+// keep is false when HAVING rejects the group.
+func (ex *Executor) finishGroup(ctx *evalCtx, stmt *Select, rows []joinedRow) (vals []any, keep bool, err error) {
+	if stmt.Having != nil {
+		hv, err := ex.evalWithAggs(ctx, stmt.Having, rows)
+		if err != nil {
+			return nil, false, err
+		}
+		if ok, known := truthy(hv); !known || !ok {
+			return nil, false, nil
+		}
+	}
+	vals = make([]any, len(stmt.Items))
+	for i, it := range stmt.Items {
+		v, err := ex.evalWithAggs(ctx, it.Expr, rows)
+		if err != nil {
+			return nil, false, err
+		}
+		vals[i] = v
+	}
+	return vals, true, nil
+}
+
 // projectStream is the non-aggregate output stage: evaluate the select
 // list per row as batches arrive. Unsorted LIMIT queries stop consuming
 // the moment the limit fills and — when the plan allows early stop —
@@ -532,20 +594,10 @@ func (ex *Executor) projectStream(pp *physPlan, in <-chan rowBatch, rc *runCtx) 
 		sortKey []any
 	}
 	evalRow := func(r joinedRow) (outRow, error) {
-		var o outRow
-		for _, it := range stmt.Items {
-			if it.Star {
-				for _, sc := range starCols {
-					v, _ := r.Resolve(sc[0], sc[1])
-					o.vals = append(o.vals, v)
-				}
-				continue
-			}
-			v, err := rc.ctx.eval(it.Expr, r)
-			if err != nil {
-				return o, err
-			}
-			o.vals = append(o.vals, v)
+		vals, err := projectRow(rc.ctx, stmt.Items, starCols, r)
+		o := outRow{vals: vals}
+		if err != nil {
+			return o, err
 		}
 		for _, oi := range stmt.OrderBy {
 			v, err := rc.ctx.eval(oi.Expr, r)
@@ -622,10 +674,9 @@ func (ex *Executor) projectStream(pp *physPlan, in <-chan rowBatch, rc *runCtx) 
 }
 
 // aggregateStream is the aggregate output stage: group rows as batches
-// arrive (GROUP BY keys encode via the self-delimiting binary form, no
-// per-key string building), then evaluate HAVING and the select list per
-// group. Aggregation consumes the whole stream by nature — there is no
-// early stop.
+// arrive, then finish each group through HAVING and the select list.
+// Aggregation consumes the whole stream by nature — there is no early
+// stop.
 func (ex *Executor) aggregateStream(pp *physPlan, in <-chan rowBatch, rc *runCtx) (*Result, error) {
 	stmt := pp.stmt
 	for _, it := range stmt.Items {
@@ -651,14 +702,10 @@ func (ex *Executor) aggregateStream(pp *physPlan, in <-chan rowBatch, rc *runCtx
 		}
 		sw := metrics.StartStopwatch()
 		for _, r := range b.rows {
-			keyBuf = keyBuf[:0]
-			for _, ge := range stmt.GroupBy {
-				v, err := rc.ctx.eval(ge, r)
-				if err != nil {
-					rc.cancel()
-					return nil, err
-				}
-				keyBuf = appendGroupKey(keyBuf, v)
+			var err error
+			if keyBuf, err = appendRowGroupKey(keyBuf[:0], rc.ctx, stmt.GroupBy, r); err != nil {
+				rc.cancel()
+				return nil, err
 			}
 			k := string(keyBuf)
 			g, ok := groups[k]
@@ -691,22 +738,12 @@ func (ex *Executor) aggregateStream(pp *physPlan, in <-chan rowBatch, rc *runCtx
 	outs := make([]outRow, 0, len(order))
 	for _, k := range order {
 		g := groups[k]
-		if stmt.Having != nil {
-			hv, err := ex.evalWithAggs(rc.ctx, stmt.Having, g.rows)
-			if err != nil {
-				return nil, err
-			}
-			if keep, ok := truthy(hv); !ok || !keep {
-				continue
-			}
+		vals, keep, err := ex.finishGroup(rc.ctx, stmt, g.rows)
+		if err != nil {
+			return nil, err
 		}
-		vals := make([]any, len(stmt.Items))
-		for i, it := range stmt.Items {
-			v, err := ex.evalWithAggs(rc.ctx, it.Expr, g.rows)
-			if err != nil {
-				return nil, err
-			}
-			vals[i] = v
+		if !keep {
+			continue
 		}
 		var sortKey []any
 		for _, oi := range stmt.OrderBy {

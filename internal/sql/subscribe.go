@@ -3,6 +3,7 @@ package sql
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -16,12 +17,16 @@ import (
 // joins and aggregates once and exits, a standing query keeps the same
 // logical stages alive and drives them in two modes: an initial snapshot
 // scan over a shared arrangement's maintained view, then incremental delta
-// application as the arrangement streams changes. The one-shot execution
-// is the degenerate case — run the snapshot phase to the current
-// watermark, detach (see QueryStanding). There is one implementation of
-// the filter/project/join/agg logic for both drive modes: the snapshot
-// phase replays the arrangement's rows through exactly the delta-insert
-// path the live phase uses.
+// application as the arrangement streams changes. Both modes run one
+// insert path — the snapshot phase replays the arrangement's rows through
+// exactly what a live upsert takes — and that path projects, groups and
+// finishes rows with the functions the one-shot output stages use
+// (stream.go).
+//
+// A standing query holds no copy of its source tables: the arrangement is
+// the one maintained view, and each delta names the row it replaced. What
+// stays resident per subscriber is its output (matched rows, or groups
+// with their member rows) and, for a join, the join index.
 //
 // The supported dialect is the incremental-maintainable core of the
 // engine's SELECT: single live tables or one inner equi-join, WHERE,
@@ -77,10 +82,16 @@ type matchedRow struct {
 }
 
 // subGroup is one live group of an aggregate standing query: its rendered
-// key and the source rows of every joined row currently in the group.
+// key and every joined row currently in the group, as built at insertion.
 type subGroup struct {
 	disp string
-	rows map[string][]core.TableRow // joined-row id -> per-source rows
+	rows map[string]joinedRow // by joined-row id
+}
+
+// joinEntry is one source row filed under its join key in a join index.
+type joinEntry struct {
+	ks  string // partition-key string
+	row core.TableRow
 }
 
 // pendDeltas is one buffered arrangement delivery, tagged with the source
@@ -136,10 +147,10 @@ type StandingQuery struct {
 	mu        sync.Mutex
 	failed    error
 	watermark uint64
-	// sides mirrors each source's current rows (keyed by partition-key
-	// string); joins probe the opposite mirror through jindex.
-	sides  []map[string]core.TableRow
-	jindex []map[joinKey]map[string]bool
+	// jindex[i] files source i's rows by join key (join mode only) — the
+	// shape the one-shot joins build, kept alive: few rows share a key, so
+	// a short slice beats a map per key.
+	jindex [2]map[joinKey][]joinEntry
 	// matched is the non-aggregate output state; groups/rowGroup/emitted
 	// the aggregate one.
 	matched  map[string]*matchedRow
@@ -149,26 +160,22 @@ type StandingQuery struct {
 }
 
 // SubscribeQuery compiles a statement (with or without the SUBSCRIBE
-// prefix) into a standing query attached to shared arrangements. The sink
-// receives the initial snapshot frame synchronously before SubscribeQuery
-// returns, then ordered delta frames; it must not block (enqueue and
-// return) and must tolerate being called from another goroutine. Close
-// detaches and releases the arrangements.
-func (ex *Executor) SubscribeQuery(query string, sink func(SubEvent)) (*StandingQuery, error) {
-	if _, rest := splitSubscribe(query); true {
-		query = rest
-	}
+// prefix) into a standing query: validate, acquire one shared arrangement
+// per source, seed the standing state through the insert path live deltas
+// take, emit the snapshot frame, start the applier. bind is called once
+// with the standing query, before any event is emitted and before the
+// applier starts, and returns the sink — so a sink that needs the handle
+// (to resync from Snapshot, to Close on a terminal error) has it by the
+// time it first runs. The sink receives the initial snapshot frame
+// synchronously before SubscribeQuery returns, then ordered delta frames;
+// it must not block (enqueue and return) and must tolerate being called
+// from another goroutine. Close detaches and releases the arrangements.
+func (ex *Executor) SubscribeQuery(query string, bind func(*StandingQuery) func(SubEvent)) (*StandingQuery, error) {
+	_, query = splitSubscribe(query)
 	stmt, err := Parse(query)
 	if err != nil {
 		return nil, err
 	}
-	return ex.subscribeStmt(stmt, query, sink)
-}
-
-// subscribeStmt validates, acquires arrangements, seeds the standing
-// state through the delta-insert path, emits the snapshot frame and
-// starts the applier.
-func (ex *Executor) subscribeStmt(stmt *Select, query string, sink func(SubEvent)) (*StandingQuery, error) {
 	if ex.arr == nil {
 		return nil, fmt.Errorf("sql: subscriptions are not enabled (no arrangement registry)")
 	}
@@ -177,7 +184,6 @@ func (ex *Executor) subscribeStmt(stmt *Select, query string, sink func(SubEvent
 		stmt:  stmt,
 		query: query,
 		ctx:   &evalCtx{now: time.Now()},
-		sink:  sink,
 
 		wake:    make(chan struct{}, 1),
 		done:    make(chan struct{}),
@@ -191,20 +197,15 @@ func (ex *Executor) subscribeStmt(stmt *Select, query string, sink func(SubEvent
 	if err := sq.validate(); err != nil {
 		return nil, err
 	}
-	sq.sides = make([]map[string]core.TableRow, len(sq.srcs))
-	sq.jindex = make([]map[joinKey]map[string]bool, len(sq.srcs))
-	for i := range sq.srcs {
-		sq.sides[i] = map[string]core.TableRow{}
-		sq.jindex[i] = map[joinKey]map[string]bool{}
+	sq.sink = bind(sq)
+	if len(sq.srcs) == 2 {
+		sq.jindex = [2]map[joinKey][]joinEntry{{}, {}}
 	}
 
 	// Acquire one shared arrangement per source and attach buffering
 	// listeners. Attach's clean cut plus the pending buffer means deltas
 	// racing the seed below are applied after it, never lost or doubled.
-	type seed struct {
-		rows []core.TableRow
-	}
-	seeds := make([]seed, len(sq.srcs))
+	seeds := make([][]core.TableRow, len(sq.srcs))
 	for i := range sq.srcs {
 		a, err := ex.arr.Acquire(sq.srcs[i].name)
 		if err != nil {
@@ -217,7 +218,7 @@ func (ex *Executor) subscribeStmt(stmt *Select, query string, sink func(SubEvent
 		side := i
 		rows, _, id := a.Attach(func(ds []core.ArrDelta) { sq.enqueue(side, ds) })
 		sq.lisIDs = append(sq.lisIDs, id)
-		seeds[i].rows = rows
+		seeds[i] = rows
 	}
 
 	// Drive mode 1, the snapshot scan: replay the arrangements' current
@@ -227,17 +228,15 @@ func (ex *Executor) subscribeStmt(stmt *Select, query string, sink func(SubEvent
 	if sq.aggMode && len(sq.stmt.GroupBy) == 0 {
 		// A global aggregate emits one row even over an empty input; the
 		// "*" group always exists and the snapshot frame always carries it.
-		sq.globalGroupLocked()
+		sq.groups[""] = &subGroup{disp: "*", rows: map[string]joinedRow{}}
 		eff.dirty[""] = true
 	}
 	for i := range seeds {
-		for _, r := range seeds[i].rows {
+		for _, r := range seeds[i] {
 			if sq.failed != nil {
 				break
 			}
-			ks := partition.KeyString(r.Key)
-			sq.sides[i][ks] = r
-			sq.addSrcRow(i, ks, r, eff)
+			sq.addSrcRow(i, partition.KeyString(r.Key), r, eff)
 		}
 	}
 	deltas := sq.settleLocked(eff)
@@ -252,7 +251,7 @@ func (ex *Executor) subscribeStmt(stmt *Select, query string, sink func(SubEvent
 		sq.Close()
 		return nil, failed
 	}
-	sink(SubEvent{Deltas: deltas, Watermark: wm, Snapshot: true})
+	sq.sink(SubEvent{Deltas: deltas, Watermark: wm, Snapshot: true})
 	go sq.run()
 	return sq, nil
 }
@@ -422,21 +421,18 @@ func (sq *StandingQuery) run() {
 	}
 }
 
-// applyDelta folds one arrangement delta into the mirrors and the derived
-// state. An upsert of an existing key is a remove + insert; batchEff
-// coalesces the pair back into one output delta.
+// applyDelta folds one arrangement delta into the derived state. An
+// upsert of an existing key is a remove of the row the arrangement says it
+// replaced plus an insert; batchEff coalesces the pair back into one
+// output delta.
 func (sq *StandingQuery) applyDelta(side int, d core.ArrDelta, eff *batchEff) {
 	sq.watermark++
-	old, had := sq.sides[side][d.KeyS]
-	if had {
-		sq.removeSrcRow(side, d.KeyS, old, eff)
-		delete(sq.sides[side], d.KeyS)
+	if d.HadOld {
+		sq.removeSrcRow(side, d.KeyS, d.Old, eff)
 	}
-	if d.Tombstone {
-		return
+	if !d.Tombstone {
+		sq.addSrcRow(side, d.KeyS, d.Row, eff)
 	}
-	sq.sides[side][d.KeyS] = d.Row
-	sq.addSrcRow(side, d.KeyS, d.Row, eff)
 }
 
 // addSrcRow enumerates the joined rows a new source row creates and
@@ -450,49 +446,44 @@ func (sq *StandingQuery) addSrcRow(side int, ks string, row core.TableRow, eff *
 	if !ok {
 		return
 	}
-	set := sq.jindex[side][jk]
-	if set == nil {
-		set = map[string]bool{}
-		sq.jindex[side][jk] = set
-	}
-	set[ks] = true
-	other := 1 - side
-	for pks := range sq.jindex[other][jk] {
-		prow, ok := sq.sides[other][pks]
-		if !ok {
-			continue
-		}
-		lks, rks, lrow, rrow := ks, pks, row, prow
+	e := joinEntry{ks: ks, row: row}
+	sq.jindex[side][jk] = append(sq.jindex[side][jk], e)
+	for _, p := range sq.jindex[1-side][jk] {
+		l, r := e, p
 		if side == 1 {
-			lks, rks, lrow, rrow = pks, ks, prow, row
+			l, r = p, e
 		}
-		sq.insertJR(pairID(lks, rks), lks+"|"+rks, []core.TableRow{lrow, rrow}, eff)
+		sq.insertJR(pairID(l.ks, r.ks), l.ks+"|"+r.ks, []core.TableRow{l.row, r.row}, eff)
 	}
 }
 
-// removeSrcRow removes every joined row a departing source row was part of.
+// removeSrcRow removes every joined row a departing source row was part
+// of. row is the departing version: a join unlinks under its key, which an
+// update of the join column has since changed.
 func (sq *StandingQuery) removeSrcRow(side int, ks string, row core.TableRow, eff *batchEff) {
 	if len(sq.srcs) == 1 {
-		sq.removeJR(ks, ks, eff)
+		sq.removeJR(ks, eff)
 		return
 	}
 	jk, ok := sq.joinKeyOf(side, row)
 	if !ok {
 		return
 	}
-	if set := sq.jindex[side][jk]; set != nil {
-		delete(set, ks)
-		if len(set) == 0 {
-			delete(sq.jindex[side], jk)
-		}
+	es := sq.jindex[side][jk]
+	if i := slices.IndexFunc(es, func(e joinEntry) bool { return e.ks == ks }); i >= 0 {
+		es = slices.Delete(es, i, i+1)
 	}
-	other := 1 - side
-	for pks := range sq.jindex[other][jk] {
-		lks, rks := ks, pks
+	if len(es) == 0 {
+		delete(sq.jindex[side], jk)
+	} else {
+		sq.jindex[side][jk] = es
+	}
+	for _, p := range sq.jindex[1-side][jk] {
+		lks, rks := ks, p.ks
 		if side == 1 {
-			lks, rks = pks, ks
+			lks, rks = rks, lks
 		}
-		sq.removeJR(pairID(lks, rks), lks+"|"+rks, eff)
+		sq.removeJR(pairID(lks, rks), eff)
 	}
 }
 
@@ -515,12 +506,17 @@ func pairID(lks, rks string) string {
 }
 
 // insertJR runs one joined row through the standing WHERE and into the
-// output (non-aggregate) or group (aggregate) state.
+// output (non-aggregate) or group (aggregate) state. rows is handed over:
+// an aggregate group keeps the evaluation view built over it.
 func (sq *StandingQuery) insertJR(id, disp string, rows []core.TableRow, eff *batchEff) {
 	if sq.failed != nil {
 		return
 	}
-	jr := sq.joined(rows)
+	tabs := make([]*core.TableRow, len(rows))
+	for i := range rows {
+		tabs[i] = &rows[i]
+	}
+	jr := joinedRow{srcs: sq.srcs, tabs: tabs}
 	if sq.stmt.Where != nil {
 		v, err := sq.ctx.eval(sq.stmt.Where, jr)
 		if err != nil {
@@ -535,24 +531,20 @@ func (sq *StandingQuery) insertJR(id, disp string, rows []core.TableRow, eff *ba
 		}
 	}
 	if sq.aggMode {
-		sq.insertGroupRow(id, jr, rows, eff)
+		sq.insertGroupRow(id, jr, eff)
 		return
 	}
 	sq.touch(id, eff)
-	vals := make([]any, len(sq.stmt.Items))
-	for i, it := range sq.stmt.Items {
-		v, err := sq.ctx.eval(it.Expr, jr)
-		if err != nil {
-			sq.fail(err)
-			return
-		}
-		vals[i] = v
+	vals, err := projectRow(sq.ctx, sq.stmt.Items, nil, jr)
+	if err != nil {
+		sq.fail(err)
+		return
 	}
 	sq.matched[id] = &matchedRow{disp: disp, vals: vals}
 }
 
 // removeJR removes one joined row from the output or its group.
-func (sq *StandingQuery) removeJR(id, disp string, eff *batchEff) {
+func (sq *StandingQuery) removeJR(id string, eff *batchEff) {
 	if sq.failed != nil {
 		return
 	}
@@ -585,40 +577,32 @@ func (sq *StandingQuery) touch(id string, eff *batchEff) {
 
 // insertGroupRow files one matching joined row under its group and marks
 // the group dirty.
-func (sq *StandingQuery) insertGroupRow(id string, jr joinedRow, rows []core.TableRow, eff *batchEff) {
-	var gk string
-	var disp string
-	if len(sq.stmt.GroupBy) == 0 {
-		gk, disp = "", "*"
-	} else {
-		var keyBuf []byte
-		var parts []string
-		for _, ge := range sq.stmt.GroupBy {
+func (sq *StandingQuery) insertGroupRow(id string, jr joinedRow, eff *batchEff) {
+	kb, err := appendRowGroupKey(nil, sq.ctx, sq.stmt.GroupBy, jr)
+	if err != nil {
+		sq.fail(err)
+		return
+	}
+	gk := string(kb)
+	g := sq.groups[gk]
+	if g == nil {
+		// The display key renders the grouping values; the global "*" group
+		// is seeded at subscribe time and never gets here.
+		parts := make([]string, len(sq.stmt.GroupBy))
+		for i, ge := range sq.stmt.GroupBy {
 			v, err := sq.ctx.eval(ge, jr)
 			if err != nil {
 				sq.fail(err)
 				return
 			}
-			keyBuf = appendGroupKey(keyBuf, v)
-			parts = append(parts, fmt.Sprintf("%v", v))
+			parts[i] = fmt.Sprint(v)
 		}
-		gk, disp = string(keyBuf), strings.Join(parts, "|")
-	}
-	g := sq.groups[gk]
-	if g == nil {
-		g = &subGroup{disp: disp, rows: map[string][]core.TableRow{}}
+		g = &subGroup{disp: strings.Join(parts, "|"), rows: map[string]joinedRow{}}
 		sq.groups[gk] = g
 	}
-	g.rows[id] = rows
+	g.rows[id] = jr
 	sq.rowGroup[id] = gk
 	eff.dirty[gk] = true
-}
-
-// globalGroupLocked ensures the "*" group of a global aggregate exists.
-func (sq *StandingQuery) globalGroupLocked() {
-	if sq.groups[""] == nil {
-		sq.groups[""] = &subGroup{disp: "*", rows: map[string][]core.TableRow{}}
-	}
 }
 
 // settleLocked turns a batch's accumulated effects into output deltas:
@@ -653,65 +637,41 @@ func (sq *StandingQuery) settleLocked(eff *batchEff) []SubDelta {
 	return out
 }
 
-// settleGroup recomputes one dirty group through HAVING and the select
-// list, returning the delta it produces (if any).
+// settleGroup recomputes one dirty group from its member rows, returning
+// the delta it produces (if any). A group that emptied (the global one
+// never does) or that HAVING now rejects retracts its emitted row.
 func (sq *StandingQuery) settleGroup(gk string) (SubDelta, bool) {
 	g := sq.groups[gk]
-	global := len(sq.stmt.GroupBy) == 0
-	if g == nil || (len(g.rows) == 0 && !global) {
-		if g != nil {
-			delete(sq.groups, gk)
+	var vals []any
+	keep := false
+	switch {
+	case g == nil:
+	case len(g.rows) == 0 && len(sq.stmt.GroupBy) > 0:
+		delete(sq.groups, gk)
+	default:
+		rows := make([]joinedRow, 0, len(g.rows))
+		for _, jr := range g.rows {
+			rows = append(rows, jr)
 		}
-		if prev, ok := sq.emitted[gk]; ok {
-			delete(sq.emitted, gk)
-			return SubDelta{Key: prev.disp, Delete: true}, true
-		}
-		return SubDelta{}, false
-	}
-	rows := make([]joinedRow, 0, len(g.rows))
-	for _, rs := range g.rows {
-		rows = append(rows, sq.joined(rs))
-	}
-	if sq.stmt.Having != nil {
-		hv, err := sq.ex.evalWithAggs(sq.ctx, sq.stmt.Having, rows)
-		if err != nil {
+		var err error
+		if vals, keep, err = sq.ex.finishGroup(sq.ctx, sq.stmt, rows); err != nil {
 			sq.fail(err)
 			return SubDelta{}, false
 		}
-		if keep, ok := truthy(hv); !ok || !keep {
-			if prev, ok := sq.emitted[gk]; ok {
-				delete(sq.emitted, gk)
-				return SubDelta{Key: prev.disp, Delete: true}, true
-			}
+	}
+	prev, had := sq.emitted[gk]
+	if !keep {
+		if !had {
 			return SubDelta{}, false
 		}
+		delete(sq.emitted, gk)
+		return SubDelta{Key: prev.disp, Delete: true}, true
 	}
-	vals := make([]any, len(sq.stmt.Items))
-	for i, it := range sq.stmt.Items {
-		v, err := sq.ex.evalWithAggs(sq.ctx, it.Expr, rows)
-		if err != nil {
-			sq.fail(err)
-			return SubDelta{}, false
-		}
-		vals[i] = v
-	}
-	if prev, ok := sq.emitted[gk]; ok && reflect.DeepEqual(prev.vals, vals) {
+	if had && reflect.DeepEqual(prev.vals, vals) {
 		return SubDelta{}, false
 	}
 	sq.emitted[gk] = &matchedRow{disp: g.disp, vals: vals}
 	return SubDelta{Key: g.disp, Vals: vals}, true
-}
-
-// joined builds the evaluation view of one joined row. The source rows
-// are copied onto the heap once per insertion; group recomputation reuses
-// the stored copies.
-func (sq *StandingQuery) joined(rows []core.TableRow) joinedRow {
-	tabs := make([]*core.TableRow, len(rows))
-	for i := range rows {
-		r := rows[i]
-		tabs[i] = &r
-	}
-	return joinedRow{srcs: sq.srcs, tabs: tabs}
 }
 
 // fail records the first evaluation error; the standing query stops
@@ -720,31 +680,4 @@ func (sq *StandingQuery) fail(err error) {
 	if sq.failed == nil {
 		sq.failed = err
 	}
-}
-
-// QueryStanding runs a statement through the standing-query pipeline in
-// its degenerate one-shot mode: attach, take the initial snapshot frame at
-// the current watermark, detach. Row order is unspecified. It exists to
-// make "one stage implementation, two drive modes" checkable — the result
-// must equal the streaming executor's (unordered) result for the same
-// statement.
-func (ex *Executor) QueryStanding(query string) (*Result, error) {
-	var first *SubEvent
-	sq, err := ex.SubscribeQuery(query, func(ev SubEvent) {
-		if first == nil {
-			evCopy := ev
-			first = &evCopy
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	defer sq.Close()
-	res := &Result{Columns: sq.Columns()}
-	if first != nil {
-		for _, d := range first.Deltas {
-			res.Rows = append(res.Rows, d.Vals)
-		}
-	}
-	return res, nil
 }

@@ -2,6 +2,7 @@ package squery
 
 import (
 	"fmt"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -107,11 +108,15 @@ func (e *Engine) SubscribeWithOptions(query string, o SubOptions) (*Subscription
 		policy: o.Policy,
 		born:   time.Now(),
 	}
-	sq, err := e.ex.SubscribeQuery(query, s.deliver)
+	// deliver reads s.sq on its shed and terminal-error paths, from the
+	// standing query's applier goroutine: publish it before that starts.
+	_, err := e.ex.SubscribeQuery(query, func(sq *sqlpkg.StandingQuery) func(SubEvent) {
+		s.sq = sq
+		return s.deliver
+	})
 	if err != nil {
 		return nil, err
 	}
-	s.sq = sq
 	e.subMu.Lock()
 	e.subSeq++
 	s.id = e.subSeq
@@ -263,11 +268,7 @@ func (e *Engine) dropSub(id int64) {
 // ordered by id — the programmatic twin of sys.subscriptions.
 func (e *Engine) Subscriptions() []SubStats {
 	e.subMu.Lock()
-	ids := make([]int64, 0, len(e.subs))
-	for id := range e.subs {
-		ids = append(ids, id)
-	}
-	subs := make([]*Subscription, 0, len(ids))
+	subs := make([]*Subscription, 0, len(e.subs))
 	for _, s := range e.subs {
 		subs = append(subs, s)
 	}
@@ -276,11 +277,7 @@ func (e *Engine) Subscriptions() []SubStats {
 	for i, s := range subs {
 		out[i] = s.Stats()
 	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j-1].ID > out[j].ID; j-- {
-			out[j-1], out[j] = out[j], out[j-1]
-		}
-	}
+	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }
 

@@ -90,6 +90,14 @@ var subParityCases = []subParityCase{
 		sub:    `SUBSCRIBE SELECT a.partitionKey, a.total, b.total FROM subtally a JOIN subtally b ON a.partitionKey = b.partitionKey WHERE b.total > 4`,
 		oracle: `SELECT a.partitionKey, a.total, b.total FROM subtally a JOIN subtally b ON a.partitionKey = b.partitionKey WHERE b.total > 4`,
 	},
+	{
+		// The join column is a value every update rewrites, on both sides:
+		// each record moves its row to another join key, where it must
+		// unlink from the partners of the old count and link to the new.
+		name:   "value-join",
+		sub:    `SUBSCRIBE SELECT a.partitionKey, b.partitionKey, a.total, b.total FROM subtally a JOIN subtally b ON a."count" = b."count" WHERE a.total >= b.total`,
+		oracle: `SELECT a.partitionKey, b.partitionKey, a.total, b.total FROM subtally a JOIN subtally b ON a."count" = b."count" WHERE a.total >= b.total`,
+	},
 }
 
 // converge drains a subscription until its maintained view equals the
@@ -119,7 +127,8 @@ func converge(t *testing.T, eng *Engine, s *Subscription, view map[string][]any,
 
 // subTallyRecords builds the three-phase workload: inserts, then updates
 // + deletes + a re-insert (so standing queries see upserts and
-// tombstones), then another update wave.
+// tombstones, and a join sees its join column move and joined rows go),
+// then another update wave.
 func subTallyRecords(keys int) (recs []Record, phase1 int) {
 	for i := 0; i < 3*keys; i++ {
 		recs = append(recs, Record{Key: i % keys, Value: i%5 + 1})
@@ -212,11 +221,11 @@ func runSubscribeParity(t *testing.T, tr transport.Transport) {
 		converge(t, eng, subs[i], views[i], c)
 	}
 
-	// The five standing queries over one table share one arrangement:
-	// 4 single-source + 1 self-join = 6 readers of "subtally".
+	// The six standing queries over one table share one arrangement:
+	// 4 single-source + 2 self-joins = 8 readers of "subtally".
 	arrs := eng.Arrangements()
-	if len(arrs) != 1 || arrs[0].Table != "subtally" || arrs[0].Refs != 6 {
-		t.Fatalf("arrangements = %+v, want one subtally arrangement with 6 refs", arrs)
+	if len(arrs) != 1 || arrs[0].Table != "subtally" || arrs[0].Refs != 8 {
+		t.Fatalf("arrangements = %+v, want one subtally arrangement with 8 refs", arrs)
 	}
 
 	// Phase 2+3: updates, deletes, re-insert, update wave — the deltas.
@@ -230,7 +239,7 @@ func runSubscribeParity(t *testing.T, tr transport.Transport) {
 	if got := strings.Count(subRows, "]"); got != len(subParityCases)+1 {
 		t.Fatalf("sys.subscriptions has %d rows, want %d: %s", got-1, len(subParityCases), subRows)
 	}
-	arrRows := mustQuery(t, eng, `SELECT table, refs FROM sys.arrangements WHERE refs = 6`)
+	arrRows := mustQuery(t, eng, `SELECT table, refs FROM sys.arrangements WHERE refs = 8`)
 	if !strings.Contains(arrRows, "subtally") {
 		t.Fatalf("sys.arrangements missing shared subtally arrangement: %s", arrRows)
 	}
@@ -396,5 +405,36 @@ func TestSubscribeSurvivesRebalance(t *testing.T) {
 	converge(t, eng, s, view, c)
 	if arrs := eng.Arrangements(); len(arrs) != 1 || arrs[0].Resets == 0 {
 		t.Fatalf("rebalance caused no arrangement resets: %+v", arrs)
+	}
+}
+
+// TestSubscribeUnderWrites: subscribing while the table is being written
+// must hand the sink its standing query before the applier can call it.
+// With a one-slot queue nobody reads, the first delta frame overflows
+// behind the snapshot frame and sheds — the path that resyncs from the
+// standing query — possibly before SubscribeWithOptions has returned. Run
+// with -race.
+func TestSubscribeUnderWrites(t *testing.T) {
+	eng := New(Config{Nodes: 2, Partitions: 18})
+	defer eng.Close()
+	gate := make(chan struct{})
+	job, err := eng.SubmitJob(healthJob(gate), JobSpec{Name: "writer", State: StateConfig{Live: true}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer job.Stop()
+	defer close(gate)
+	waitRow(t, eng, `SELECT COUNT(*) FROM average`, func(n int64) bool { return n > 0 }, "the writer's first state")
+
+	for i := 0; i < 25; i++ {
+		s, err := eng.SubscribeWithOptions(`SELECT partitionKey, count FROM average`, SubOptions{Queue: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Poll the counter, not Stats: Stats takes the standing query's
+		// lock, and that would order this goroutine's writes before the
+		// applier's reads whether or not subscribe itself did.
+		waitFor(t, func() bool { return s.resyncs.Load() > 0 }, "an overflow to shed and resync")
+		s.Close()
 	}
 }
