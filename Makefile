@@ -58,14 +58,15 @@ health-smoke:
 	chmod +x scripts/health-smoke.sh
 	./scripts/health-smoke.sh
 
-# Short fuzz wall: 30s per target against the SQL front end. The parser,
-# lexer and planner must be total — errors, never panics — on arbitrary
-# input.
+# Short fuzz wall: 30s per target. The SQL front end (parser, lexer,
+# planner), the wire codec and the delta-chain reader must be total —
+# errors, never panics — on arbitrary input, and the codec canonical.
 fuzz-short:
 	$(GO) test ./internal/sql -fuzz FuzzParse -fuzztime 30s -run '^$$'
 	$(GO) test ./internal/sql -fuzz FuzzLexer -fuzztime 30s -run '^$$'
 	$(GO) test ./internal/sql -fuzz FuzzPlan -fuzztime 30s -run '^$$'
 	$(GO) test ./internal/persist -fuzz FuzzDeltaChain -fuzztime 30s -run '^$$'
+	$(GO) test ./internal/wire -fuzz FuzzWire -fuzztime 30s -run '^$$'
 
 # Incremental-checkpoint smoke: the crash-recovery suite (every crash
 # point of the segment/manifest protocol restores the last committed
@@ -79,14 +80,18 @@ ckpt-smoke:
 	$(GO) test ./internal/experiments -run 'TestCkptScaleShape' -count=1 -v
 
 # Perf smoke over the serialization, join and index hot paths. The
-# allocation guards are hard gates (zero-alloc scalar encode in the wire
-# codec, single-alloc blob snapshot keys, bounded-alloc indexed puts); the
-# short benchmark pass prints codec, joinKey, batched-put and indexed-put
-# numbers so regressions show up in CI logs next to the gate.
+# allocation guards are hard gates (zero-alloc scalar and struct-row encode
+# in the wire codec, one allocation per decoded struct, zero-alloc delta
+# segments and mirror-flush batches, alloc-free key hashing, single-alloc
+# blob snapshot keys, bounded-alloc indexed puts); the short benchmark pass
+# prints codec (scalar, struct row, and the gob path it replaced), joinKey,
+# batched-put and indexed-put numbers so regressions show up in CI logs
+# next to the gate.
 bench-smoke:
-	$(GO) test ./internal/wire ./internal/core -run 'TestZeroAllocScalarEncode|TestBlobKeyAllocs' -count=1 -v
+	$(GO) test ./internal/wire ./internal/core -run 'TestZeroAllocScalarEncode|TestZeroAllocStructEncode|TestStructDecodeAllocs|TestBlobKeyAllocs' -count=1 -v
 	$(GO) test ./internal/persist -run 'TestDeltaEncodeAllocs' -count=1 -v
-	$(GO) test ./internal/kv -run 'TestIndexedPutAllocs' -count=1 -v
+	$(GO) test ./internal/kv -run 'TestIndexedPutAllocs|TestPutBatchAllocs' -count=1 -v
+	$(GO) test ./internal/partition -run 'TestHashAllocs' -count=1 -v
 	$(GO) test ./internal/wire -run '^$$' -bench 'BenchmarkAppendValue|BenchmarkDecodeValue|BenchmarkGobValue' -benchtime 1000x
 	$(GO) test ./internal/persist -run '^$$' -bench 'BenchmarkAppendDeltaSegment' -benchtime 1000x
 	$(GO) test ./internal/sql -run '^$$' -bench 'BenchmarkJoinKey' -benchtime 1000x

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 
@@ -204,15 +205,23 @@ func (m *Manager) Begin() (int64, error) { return m.reg.Begin() }
 // Abort cancels an in-flight checkpoint after a failure.
 func (m *Manager) Abort(ssid int64) { m.reg.Abort(ssid) }
 
+// ErrPruneFailed marks a Commit error raised after publication: the
+// snapshot is committed, durable and queryable, but stable storage could
+// not drop the snapshots it evicted (they are collected by a later prune).
+var ErrPruneFailed = errors.New("core: pruning persisted snapshots failed")
+
 // Commit atomically publishes ssid as the latest committed snapshot
 // (phase 2 of the paper's 2PC) and prunes versions evicted by the
 // retention policy from every registered operator's snapshot state. It
-// returns the evicted ids.
-func (m *Manager) Commit(ssid int64) []int64 {
+// returns the evicted ids. When the durable copy cannot be written the
+// error is returned with nothing published — the caller aborts the id, and
+// the keys the commit would have persisted stay filed for the next one. An
+// error wrapping ErrPruneFailed is the one failure after publication.
+func (m *Manager) Commit(ssid int64) ([]int64, error) {
 	// Stable storage first: once the registry publishes the id, queries
 	// may rely on it, so the durable copy must already exist.
 	if err := m.persistCommitted(ssid); err != nil {
-		panic(fmt.Sprintf("core: persisting snapshot %d: %v", ssid, err))
+		return nil, fmt.Errorf("core: persisting snapshot %d: %w", ssid, err)
 	}
 	evicted := m.reg.Commit(ssid)
 	if len(evicted) > 0 {
@@ -222,11 +231,11 @@ func (m *Manager) Commit(ssid int64) []int64 {
 		m.mu.Unlock()
 		if p != nil {
 			if err := p.Prune(evicted); err != nil {
-				panic(fmt.Sprintf("core: pruning persisted snapshots: %v", err))
+				return evicted, fmt.Errorf("%w: %w", ErrPruneFailed, err)
 			}
 		}
 	}
-	return evicted
+	return evicted, nil
 }
 
 // prune removes evicted snapshot versions. Chains are compacted against

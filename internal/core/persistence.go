@@ -105,7 +105,7 @@ func (m *Manager) LastPersist() PersistInfo {
 // persistCommitted writes the state of every queryable operator at ssid
 // to stable storage — as delta segments where the policy allows — and
 // durably commits the id.
-func (m *Manager) persistCommitted(ssid int64) error {
+func (m *Manager) persistCommitted(ssid int64) (err error) {
 	m.mu.Lock()
 	p := m.persister
 	pol := m.persistPolicy.withDefaults()
@@ -120,6 +120,17 @@ func (m *Manager) persistCommitted(ssid int64) error {
 		m.dropChanged()
 		return nil
 	}
+	// Key sets taken off the changed-key index below are durable only
+	// once the manifest commits: on any failure they are filed back, or
+	// the next successful delta would silently lack them.
+	taken := make(map[string]map[string]partition.Key)
+	defer func() {
+		if err != nil {
+			for op, idx := range taken {
+				m.mergeChanged(op, idx)
+			}
+		}
+	}()
 	statsBefore := p.Stats()
 	lastDurable, err := p.Latest()
 	if err != nil {
@@ -158,6 +169,8 @@ func (m *Manager) persistCommitted(ssid int64) error {
 		live := 0
 		if m.opIndexed(op) {
 			idx := m.takeChanged(op)
+			taken[op] = idx
+			deltas = make([]persist.DeltaEntry, 0, len(idx))
 			carry := make(map[string]partition.Key)
 			assign := m.store.Assignment()
 			for ks, key := range idx {
@@ -215,7 +228,7 @@ func (m *Manager) persistCommitted(ssid int64) error {
 			}
 		}
 		if full {
-			var entries []persist.Entry
+			entries := make([]persist.Entry, 0, snapMap.Size())
 			for part := 0; part < m.store.Partitioner().Count(); part++ {
 				snapMap.ScanPartition(part, func(e kv.Entry) bool {
 					if v, ok := e.Value.(*Chain).At(ssid); ok {

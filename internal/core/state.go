@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"strconv"
 	"strings"
@@ -500,42 +499,21 @@ func blobKey(instance int, ssid int64) string {
 	return string(buf)
 }
 
-// blobState is the gob payload of a Jet-style snapshot blob. Keys keep
-// their original dynamic type: restore routes keys by partition, and the
-// partition of a key depends on its type, not just its string form.
-type blobState struct {
-	Keys   []partition.Key
-	Values []any
-}
-
-func init() {
-	// Scalar key/value types that may travel inside interface slots of a
-	// blob snapshot. Workload packages register their own state structs.
-	gob.Register(int(0))
-	gob.Register(int32(0))
-	gob.Register(int64(0))
-	gob.Register(uint64(0))
-	gob.Register(float64(0))
-	gob.Register("")
-	gob.Register(false)
-	gob.Register(map[string]any{})
-}
-
-// blobMagic prefixes wire-encoded blob snapshots. Payloads without it
-// are pre-refactor gob blobs; restoreBlob still decodes those, so
-// snapshots taken before the codec swap remain restorable.
+// blobMagic prefixes wire-encoded blob snapshots. A blob is one
+// wire.Stream, so it carries the definition of each struct type it holds.
 var blobMagic = []byte("SQWB\x01")
 
 func (b *Backend) prepareBlob(ssid int64) (int, error) {
 	buf := make([]byte, 0, 64+24*len(b.data))
 	buf = append(buf, blobMagic...)
 	buf = wire.AppendUvarint(buf, uint64(len(b.data)))
+	var st wire.Stream
 	var err error
 	for _, e := range b.data {
-		if buf, err = wire.AppendValue(buf, e.key); err != nil {
+		if buf, err = st.AppendValue(buf, e.key); err != nil {
 			return 0, fmt.Errorf("core: encoding blob snapshot of %s/%d: %w", b.op, b.instance, err)
 		}
-		if buf, err = wire.AppendValue(buf, e.value); err != nil {
+		if buf, err = st.AppendValue(buf, e.value); err != nil {
 			return 0, fmt.Errorf("core: encoding blob snapshot of %s/%d: %w", b.op, b.instance, err)
 		}
 	}
@@ -584,7 +562,7 @@ func (b *Backend) restoreBlob(ssid int64, ownsKey func(partition.Key) bool) erro
 	}
 	bs := raw.([]byte)
 	if !bytes.HasPrefix(bs, blobMagic) {
-		return b.restoreGobBlob(bs, ownsKey)
+		return fmt.Errorf("core: decoding blob snapshot of %s/%d: bad magic", b.op, b.instance)
 	}
 	bs = bs[len(blobMagic):]
 	n, used := binary.Uvarint(bs)
@@ -603,21 +581,6 @@ func (b *Backend) restoreBlob(ssid int64, ownsKey func(partition.Key) bool) erro
 		}
 		if ownsKey(k) {
 			b.data[partition.KeyString(k)] = entry{key: k, value: v}
-		}
-	}
-	return nil
-}
-
-// restoreGobBlob decodes a pre-refactor gob blob — the migration path
-// for snapshots persisted before the wire codec existed.
-func (b *Backend) restoreGobBlob(bs []byte, ownsKey func(partition.Key) bool) error {
-	var st blobState
-	if err := gob.NewDecoder(bytes.NewReader(bs)).Decode(&st); err != nil {
-		return fmt.Errorf("core: decoding blob snapshot of %s/%d: %w", b.op, b.instance, err)
-	}
-	for i, k := range st.Keys {
-		if ownsKey(k) {
-			b.data[partition.KeyString(k)] = entry{key: k, value: st.Values[i]}
 		}
 	}
 	return nil

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"encoding/gob"
 	"fmt"
 	"testing"
@@ -359,55 +358,6 @@ func TestLatencySamplingConfigurable(t *testing.T) {
 	_, b := sampled(8, 42, 801)
 	if a != b {
 		t.Fatalf("same seed sampled differently: %d vs %d", a, b)
-	}
-}
-
-// TestBlobGobMigrationRestore proves snapshots persisted before the wire
-// codec existed still restore: a blob hand-encoded in the legacy gob
-// blobState format (no magic prefix) round-trips through Restore, and
-// the next checkpoint re-encodes it in the wire format.
-func TestBlobGobMigrationRestore(t *testing.T) {
-	store := newTestStore()
-	cfg := Config{JetBlob: true}
-	st := blobState{
-		Keys:   []partition.Key{1, "user-7"},
-		Values: []any{avgState{Count: 2, Total: 10}, avgState{Count: 5, Total: 50}},
-	}
-	var legacy bytes.Buffer
-	if err := gob.NewEncoder(&legacy).Encode(st); err != nil {
-		t.Fatal(err)
-	}
-	store.View(0).Put(blobMapName("op"), blobKey(0, 7), legacy.Bytes())
-
-	b := NewBackend("op", 0, store.View(0), cfg)
-	if err := b.Restore(7, ownsAll); err != nil {
-		t.Fatalf("restoring legacy gob blob: %v", err)
-	}
-	if got, ok := b.Get(1); !ok || got.(avgState).Total != 10 {
-		t.Fatalf("key 1 = %v, %v after legacy restore", got, ok)
-	}
-	if got, ok := b.Get("user-7"); !ok || got.(avgState).Count != 5 {
-		t.Fatalf("key user-7 = %v, %v after legacy restore", got, ok)
-	}
-
-	// The next checkpoint of the migrated state is wire-encoded...
-	if _, err := b.SnapshotPrepare(8); err != nil {
-		t.Fatal(err)
-	}
-	raw, ok := store.View(0).Get(blobMapName("op"), blobKey(0, 8))
-	if !ok || !bytes.HasPrefix(raw.([]byte), blobMagic) {
-		t.Fatal("re-snapshot of migrated state is not wire-encoded")
-	}
-	// ...and restores identically.
-	b2 := NewBackend("op", 0, store.View(0), cfg)
-	if err := b2.Restore(8, ownsAll); err != nil {
-		t.Fatal(err)
-	}
-	if got, ok := b2.Get("user-7"); !ok || got.(avgState).Total != 50 {
-		t.Fatalf("key user-7 = %v, %v after wire restore", got, ok)
-	}
-	if b2.Size() != 2 {
-		t.Fatalf("Size = %d after wire restore, want 2", b2.Size())
 	}
 }
 

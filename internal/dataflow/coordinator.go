@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"squery/internal/core"
 	"squery/internal/trace"
 )
 
@@ -86,7 +87,9 @@ func (j *Job) coordinate(tick <-chan time.Time, stop <-chan struct{}) {
 		case <-j.killCh:
 			return
 		case <-tick:
-			if j.checkpointWithRetry(st) == ckptStopped {
+			// A failed commit is in the checkpoints log and the abort
+			// counter; the next tick tries again.
+			if out, _ := j.checkpointWithRetry(st); out == ckptStopped {
 				return
 			}
 		}
@@ -113,10 +116,14 @@ func (j *Job) CheckpointNow() error {
 		j.manualCoord = st
 	}
 	j.mu.Unlock()
-	switch out := j.checkpointWithRetry(st); out {
-	case ckptCommitted:
-		return nil
-	case ckptAborted:
+	switch out, err := j.checkpointWithRetry(st); {
+	case out == ckptCommitted:
+		// Non-nil only when stable storage failed to drop evicted
+		// snapshots after the commit (core.ErrPruneFailed).
+		return err
+	case out == ckptAborted && err != nil:
+		return fmt.Errorf("dataflow: checkpoint aborted: %w", err)
+	case out == ckptAborted:
 		return fmt.Errorf("dataflow: checkpoint aborted: phase-1 deadline %s exceeded %d time(s)",
 			j.cfg.CheckpointTimeout, j.cfg.CheckpointRetries+1)
 	default:
@@ -131,32 +138,36 @@ func (j *Job) CheckpointAborts() int64 { return j.ckptAborts.Load() }
 
 // checkpointWithRetry drives one logical checkpoint: an aborted attempt
 // (phase-1 deadline expired) is retried under a fresh snapshot id with
-// exponential backoff, up to Config.CheckpointRetries times.
-func (j *Job) checkpointWithRetry(st *coordState) ckptOutcome {
+// exponential backoff, up to Config.CheckpointRetries times. The error is
+// the last attempt's commit failure, if that is how it ended.
+func (j *Job) checkpointWithRetry(st *coordState) (ckptOutcome, error) {
 	for attempt := 0; ; attempt++ {
-		out := j.checkpointOnce(st, attempt)
+		out, err := j.checkpointOnce(st, attempt)
 		if out != ckptAborted || attempt >= j.cfg.CheckpointRetries {
-			return out
+			return out, err
 		}
 		j.ckptIns.retries.Inc()
 		backoff := j.cfg.CheckpointBackoff << attempt
 		select {
 		case <-time.After(backoff):
 		case <-j.killCh:
-			return ckptStopped
+			return ckptStopped, nil
 		}
 	}
 }
 
-// checkpointOnce runs one full 2PC checkpoint attempt.
-func (j *Job) checkpointOnce(st *coordState, attempt int) ckptOutcome {
+// checkpointOnce runs one full 2PC checkpoint attempt. A non-nil error is
+// a failed commit: with ckptAborted the durable copy could not be written
+// and the id was rolled back; with ckptCommitted only the pruning of
+// evicted snapshots from stable storage failed.
+func (j *Job) checkpointOnce(st *coordState, attempt int) (ckptOutcome, error) {
 	// Collect retirements that happened since the last checkpoint, and
 	// purge drain acknowledgements left over from aborted rounds.
 	j.drainRetired(st)
 	j.purgeDrains()
 	needed := j.acksNeeded - len(st.retired)
 	if needed <= 0 {
-		return ckptSkipped
+		return ckptSkipped, nil
 	}
 	// Fence the whole 2PC against partition migrations: a migration
 	// committing between the prepares of two instances could move a
@@ -172,7 +183,7 @@ func (j *Job) checkpointOnce(st *coordState, attempt int) ckptOutcome {
 		// coordinator (should not happen) or an in-flight id abandoned by
 		// an injected crash that recovery has not aborted yet. Skip this
 		// tick like Jet does.
-		return ckptSkipped
+		return ckptSkipped, nil
 	}
 
 	// One trace per snapshot id: the root span covers the full 2PC;
@@ -216,15 +227,20 @@ func (j *Job) checkpointOnce(st *coordState, attempt int) ckptOutcome {
 	// noteAbort rolls the in-flight id back and counts the abort; outcome
 	// names why in the checkpoints event log. The trace root is closed as
 	// failed — aborted checkpoints never leave an open span behind.
+	var commitErr error // set before noteAbort when a failed commit is why
 	noteAbort := func(outcome string) {
 		j.mgr.Abort(ssid)
 		j.ckptAborts.Add(1)
 		j.ckptIns.aborts.Inc()
-		j.ckptIns.log.Append(map[string]any{
+		event := map[string]any{
 			"job": j.cfg.Name, "ssid": ssid, "outcome": outcome,
 			"attempt": attempt, "phase1Us": time.Since(start).Microseconds(),
 			"totalUs": time.Since(start).Microseconds(),
-		})
+		}
+		if commitErr != nil {
+			event["error"] = commitErr.Error()
+		}
+		j.ckptIns.log.Append(event)
 		root.Fail(outcome)
 	}
 	abort := func() ckptOutcome {
@@ -257,17 +273,17 @@ func (j *Job) checkpointOnce(st *coordState, attempt int) ckptOutcome {
 					child("barrier_delayed", delayStart, fate.Delay, sw.vertex, sw.instance, false)
 				case <-j.killCh:
 					noteAbort("stopped")
-					return ckptStopped
+					return ckptStopped, nil
 				}
 			}
 		}
 		select {
 		case sw.barrierCh <- ssid:
 		case <-deadline:
-			return abort()
+			return abort(), nil
 		case <-j.killCh:
 			noteAbort("stopped")
-			return ckptStopped
+			return ckptStopped, nil
 		}
 	}
 	child("barrier_inject", injStart, time.Since(injStart), j.cfg.Name, -1, false)
@@ -308,16 +324,16 @@ func (j *Job) checkpointOnce(st *coordState, attempt int) ckptOutcome {
 					// back, so a retry cannot help either: give up on the id.
 					if j.statefulIDs[r.id] {
 						noteAbort("stateful instance retired mid-checkpoint")
-						return ckptSkipped
+						return ckptSkipped, nil
 					}
 					needed--
 				}
 			}
 		case <-deadline:
-			return abort()
+			return abort(), nil
 		case <-j.killCh:
 			noteAbort("stopped")
-			return ckptStopped
+			return ckptStopped, nil
 		}
 	}
 	phase1 := time.Since(start)
@@ -352,10 +368,10 @@ func (j *Job) checkpointOnce(st *coordState, attempt int) ckptOutcome {
 				st.note(r)
 			}
 		case <-deadline:
-			return abort()
+			return abort(), nil
 		case <-j.killCh:
 			noteAbort("stopped")
-			return ckptStopped
+			return ckptStopped, nil
 		}
 	}
 	if drainsExpected > 0 {
@@ -372,7 +388,7 @@ func (j *Job) checkpointOnce(st *coordState, attempt int) ckptOutcome {
 			// /tracez instead of leaving a dangling open span.
 			root.Fail("crashed pre-commit")
 			go j.crashAndRecover(node)
-			return ckptStopped
+			return ckptStopped, nil
 		}
 	}
 
@@ -385,7 +401,16 @@ func (j *Job) checkpointOnce(st *coordState, attempt int) ckptOutcome {
 		}
 	}
 	j.saveOffsets(ssid, offsets)
-	evicted := j.mgr.Commit(ssid)
+	var evicted []int64
+	evicted, commitErr = j.mgr.Commit(ssid)
+	if commitErr != nil && !errors.Is(commitErr, core.ErrPruneFailed) {
+		// Stable storage refused the snapshot: nothing was published. Roll
+		// the id back like a missed deadline would; the job keeps running
+		// and the next attempt persists what this one could not.
+		j.dropOffsets([]int64{ssid})
+		noteAbort("commit failed")
+		return ckptAborted, commitErr
+	}
 	j.dropOffsets(evicted)
 	total := time.Since(start)
 
@@ -414,6 +439,9 @@ func (j *Job) checkpointOnce(st *coordState, attempt int) ckptOutcome {
 		j.ckptIns.compactions.Add(int64(pi.Compactions))
 		j.ckptIns.chainLen.Set(int64(pi.MaxChainLen))
 	}
+	if commitErr != nil {
+		event["pruneError"] = commitErr.Error()
+	}
 	j.ckptIns.log.Append(event)
 	child("phase1", start, phase1, j.cfg.Name, -1, false)
 	if drainDur > 0 {
@@ -421,7 +449,7 @@ func (j *Job) checkpointOnce(st *coordState, attempt int) ckptOutcome {
 	}
 	child("phase2", start.Add(phase1+drainDur), total-phase1-drainDur, j.cfg.Name, -1, false)
 	root.End()
-	return ckptCommitted
+	return ckptCommitted, commitErr
 }
 
 // purgeDrains discards drain acknowledgements queued by rounds that no

@@ -583,6 +583,7 @@ func (j *Job) start(restoreSSID int64, standby bool) {
 				eos:       make(map[producerID]bool),
 				ins:       j.opInstrumentsFor(v.Name, i, node, inboxes[v.Name][i]),
 			}
+			w.emitFn = w.emit
 			if backend != nil && !j.cfg.SyncPhase1 {
 				// Asynchronous phase 1: the worker pins at the barrier and
 				// this drainer ships the pinned delta in the background.

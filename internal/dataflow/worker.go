@@ -32,6 +32,9 @@ type worker struct {
 	drain     *drainer // nil in SyncPhase1 mode (and for stateless workers)
 	killCh    chan struct{}
 	ins       opInstruments
+	// emitFn is w.emit bound once: a method value made at each Process
+	// call is a closure allocation per record.
+	emitFn Emit
 
 	// Barrier alignment state (§IV, Figure 3): producers that already
 	// delivered the current barrier are "aligned"; their subsequent
@@ -113,7 +116,7 @@ func (w *worker) handle(it item) bool {
 		}
 		tr := w.job.cfg.Tracer
 		if tr == nil || !it.rec.Trace.Valid() {
-			w.proc.Process(it.rec, w.emit)
+			w.proc.Process(it.rec, w.emitFn)
 			break
 		}
 		// Traced record: one hop span per operator instance. Queue wait
@@ -125,7 +128,7 @@ func (w *worker) handle(it item) bool {
 			sp.SetQueueWait(time.Since(it.enq))
 		}
 		w.curTrace = sp.Context()
-		w.proc.Process(it.rec, w.emit)
+		w.proc.Process(it.rec, w.emitFn)
 		w.curTrace = trace.SpanContext{}
 		sp.End()
 	case kindBarrier:
@@ -211,7 +214,7 @@ func (w *worker) advanceWatermark() {
 	w.curWM = min
 	w.ins.watermarkUs.Set(min.UnixMicro())
 	if h, ok := w.proc.(WatermarkHandler); ok {
-		h.OnWatermark(min, w.emit)
+		h.OnWatermark(min, w.emitFn)
 	}
 	w.broadcast(item{kind: kindWatermark, wm: min})
 }
@@ -317,7 +320,7 @@ func (w *worker) resetAlignment() bool {
 // finish flushes the processor and propagates end-of-stream.
 func (w *worker) finish() {
 	if f, ok := w.proc.(Flusher); ok {
-		f.Flush(w.emit)
+		f.Flush(w.emitFn)
 	}
 	if w.backend != nil {
 		// Final state the processor's Flush produced must be queryable
@@ -431,8 +434,20 @@ type sourceWorker struct {
 	sinceWM  int
 }
 
+// sourceIdleWait is how long an idle source waits before polling again.
+// The wait it buys is not 20 µs: Go's netpoller rounds a sub-millisecond
+// sleep up to about 1 ms (measured on the benchmark host: p50 1.13 ms, for
+// ≈50 µs of CPU), and that rounded wake-up is the source's pacing. Changing
+// the cadence belongs to the run-to-completion runtime (ROADMAP item 2);
+// what is fixed here is only that each poll built a new timer and channel.
+const sourceIdleWait = 20 * time.Microsecond
+
 func (s *sourceWorker) run() {
 	defer s.job.wg.Done()
+	// One timer for every idle wait. It is armed only inside the idle
+	// branch and always left stopped and drained, so Reset is safe.
+	idle := time.NewTimer(time.Hour)
+	idle.Stop()
 	for {
 		select {
 		case <-s.killCh:
@@ -452,13 +467,23 @@ func (s *sourceWorker) run() {
 			case SourceIdle:
 				// Stay responsive to barriers and shutdown while the
 				// source has nothing to offer.
+				idle.Reset(sourceIdleWait)
 				select {
 				case <-s.killCh:
+					idle.Stop()
 					return
 				case ssid := <-s.barrierCh:
+					if !idle.Stop() {
+						// Fired while the barrier was being picked: take the
+						// tick so the next Reset starts from an empty channel.
+						select {
+						case <-idle.C:
+						default:
+						}
+					}
 					s.job.sendAck(ack{vertex: s.vertex, instance: s.instance, ssid: ssid, offset: s.src.Offset()}, s.node)
 					s.broadcast(item{kind: kindBarrier, ssid: ssid})
-				case <-time.After(20 * time.Microsecond):
+				case <-idle.C:
 				}
 			default:
 				if rec.EventTime.IsZero() {

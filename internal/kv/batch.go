@@ -30,45 +30,89 @@ type group struct {
 	idx []int
 }
 
-// groupByPartition splits n operations (keyed by keyAt) into per-partition
-// groups, ascending by partition so batch application order is
-// deterministic. A counting sort over partition ids — O(n + partitions),
-// stable (within a partition the original order is preserved, so the last
-// write to a key wins), and the groups share one index slice. This runs
-// on every mirror flush, so its constant factor is part of the update
-// path.
-func (s *Store) groupByPartition(n int, keyAt func(int) partition.Key) []group {
-	nparts := s.part.Count()
-	parts := make([]int, n)
-	counts := make([]int, nparts)
-	distinct := 0
+// smallBatch is the largest batch whose scratch (partition ids, sorted
+// indices, key strings) lives in the grouping itself — on the caller's
+// stack — and is ordered by insertion sort. The mirror flush, at most
+// core.Config.MirrorBatch's default of 32 operations, runs once per few
+// records: it must cost nothing in proportion to the partition count and
+// allocate nothing.
+const smallBatch = 32
+
+// grouping splits a batch into per-partition groups, ascending by
+// partition so batch application order is deterministic, and stable:
+// within a partition the original order is preserved, so the last write
+// to a key wins. It also holds the batch's key strings, computed once;
+// groups index into them by op position.
+type grouping struct {
+	n int
+	// Scratch of a small batch. The slices over it are made per call, not
+	// stored here: a struct pointing into itself is moved to the heap.
+	partsBuf, idxBuf [smallBatch]int
+	kssBuf           [smallBatch]string
+	// Scratch of a large one.
+	partsBig, idxBig []int
+	kssBig           []string
+}
+
+// scratch returns parts (parts[i]: partition of op i), idx (op positions,
+// stably sorted by partition once planned) and kss (key strings by op
+// position).
+func (g *grouping) scratch() (parts, idx []int, kss []string) {
+	if g.n <= smallBatch {
+		return g.partsBuf[:g.n], g.idxBuf[:g.n], g.kssBuf[:g.n]
+	}
+	return g.partsBig, g.idxBig, g.kssBig
+}
+
+// plan fills the grouping for n operations keyed by keyAt. A small batch
+// is insertion-sorted in place; a large one is counting-sorted over the
+// partition ids, O(n + partitions).
+func (g *grouping) plan(s *Store, n int, keyAt func(int) partition.Key) {
+	g.n = n
+	if n > smallBatch {
+		g.partsBig, g.idxBig, g.kssBig = make([]int, n), make([]int, n), make([]string, n)
+	}
+	parts, idx, kss := g.scratch()
 	for i := 0; i < n; i++ {
-		p := s.part.Of(keyAt(i))
-		parts[i] = p
-		if counts[p] == 0 {
-			distinct++
+		k := keyAt(i)
+		parts[i] = s.part.Of(k)
+		kss[i] = partition.KeyString(k)
+	}
+	if n <= smallBatch {
+		for i := 0; i < n; i++ {
+			j := i
+			for ; j > 0 && parts[idx[j-1]] > parts[i]; j-- {
+				idx[j] = idx[j-1]
+			}
+			idx[j] = i
 		}
-		counts[p]++
+		return
 	}
-	starts := make([]int, nparts)
-	sum := 0
-	for p := 0; p < nparts; p++ {
-		starts[p] = sum
-		sum += counts[p]
+	starts := make([]int, s.part.Count()+1)
+	for _, p := range parts {
+		starts[p+1]++
 	}
-	idx := make([]int, n)
-	for i := 0; i < n; i++ {
-		p := parts[i]
+	for p := 1; p < len(starts); p++ {
+		starts[p] += starts[p-1]
+	}
+	for i, p := range parts {
 		idx[starts[p]] = i
 		starts[p]++
 	}
-	out := make([]group, 0, distinct)
-	for i := 0; i < n; {
-		p := parts[idx[i]]
-		out = append(out, group{p: p, idx: idx[i : i+counts[p]]})
-		i += counts[p]
+}
+
+// next returns the partition group starting at sorted position lo and
+// the position after it; lo == g.n ends the walk. (An iterator, not a
+// callback: slices handed to a function value are assumed to escape, which
+// would move the scratch to the heap.)
+func (g *grouping) next(lo int) (group, int) {
+	parts, idx, _ := g.scratch()
+	p := parts[idx[lo]]
+	hi := lo + 1
+	for hi < len(idx) && parts[idx[hi]] == p {
+		hi++
 	}
-	return out
+	return group{p: p, idx: idx[lo:hi]}, hi
 }
 
 // stripeSet collects the distinct stripe locks a group needs, in stripe
@@ -115,16 +159,13 @@ func (v NodeView) PutBatch(mapName string, ops []Op) {
 		return
 	}
 	m := v.store.GetMap(mapName)
-	groups := v.store.groupByPartition(len(ops), func(i int) partition.Key { return ops[i].Key })
-	// Key strings are computed once for the whole batch; groups index
-	// into this slice by op position.
-	kss := make([]string, len(ops))
-	for i := range ops {
-		kss[i] = partition.KeyString(ops[i].Key)
-	}
-	for _, g := range groups {
-		g := g
+	var gr grouping
+	gr.plan(v.store, len(ops), func(i int) partition.Key { return ops[i].Key })
+	_, _, kss := gr.scratch()
+	for lo := 0; lo < gr.n; {
+		g, hi := gr.next(lo)
 		v.fenced(func(force bool) error { return m.applyGroup(v, g, ops, kss, force) })
+		lo = hi
 	}
 }
 
@@ -242,15 +283,13 @@ func (v NodeView) ApplyBatch(mapName string, keys []partition.Key, merge func(i 
 		return
 	}
 	m := v.store.GetMap(mapName)
-	s := v.store
-	groups := s.groupByPartition(len(keys), func(i int) partition.Key { return keys[i] })
-	kss := make([]string, len(keys))
-	for i := range keys {
-		kss[i] = partition.KeyString(keys[i])
-	}
-	for _, g := range groups {
-		g := g
+	var gr grouping
+	gr.plan(v.store, len(keys), func(i int) partition.Key { return keys[i] })
+	_, _, kss := gr.scratch()
+	for lo := 0; lo < gr.n; {
+		g, hi := gr.next(lo)
 		v.fenced(func(force bool) error { return m.applyMergeGroup(v, g, keys, kss, merge, force) })
+		lo = hi
 	}
 }
 

@@ -3,8 +3,8 @@ package kv
 import (
 	"reflect"
 	"sort"
-	"strings"
-	"sync"
+
+	"squery/internal/wire"
 )
 
 // Row is the contract a state object fulfils to be queryable by column
@@ -37,56 +37,23 @@ func (m MapRow) Columns() []string {
 	return cols
 }
 
-// structInfo caches the exported-field layout of a struct type.
-type structInfo struct {
-	cols    []string
-	indexOf map[string]int
-}
-
-var structCache sync.Map // reflect.Type -> *structInfo
-
-func infoFor(t reflect.Type) *structInfo {
-	if v, ok := structCache.Load(t); ok {
-		return v.(*structInfo)
-	}
-	info := &structInfo{indexOf: make(map[string]int)}
-	for i := 0; i < t.NumField(); i++ {
-		f := t.Field(i)
-		if !f.IsExported() {
-			continue
-		}
-		name := f.Name
-		if tag := f.Tag.Get("col"); tag != "" {
-			name = tag
-		} else {
-			// Lower-case first rune to match SQL convention
-			// (OrderState -> orderState), as in the paper's queries.
-			name = strings.ToLower(name[:1]) + name[1:]
-		}
-		info.indexOf[name] = i
-		info.cols = append(info.cols, name)
-	}
-	sort.Strings(info.cols)
-	actual, _ := structCache.LoadOrStore(t, info)
-	return actual.(*structInfo)
-}
-
-// structRow adapts a struct value as a Row using reflection, with the
-// per-type layout computed once and cached.
+// structRow adapts a struct value as a Row using reflection over the
+// per-type schema the wire codec also encodes from — one layout, derived
+// once per type.
 type structRow struct {
-	v    reflect.Value
-	info *structInfo
+	v      reflect.Value
+	schema *wire.Schema
 }
 
 func (r structRow) Field(name string) (any, bool) {
-	i, ok := r.info.indexOf[name]
+	i, ok := r.schema.FieldIndex(name)
 	if !ok {
 		return nil, false
 	}
 	return r.v.Field(i).Interface(), true
 }
 
-func (r structRow) Columns() []string { return r.info.cols }
+func (r structRow) Columns() []string { return r.schema.Columns() }
 
 // scalarRow exposes a bare scalar value as a single column named "value".
 type scalarRow struct{ v any }
@@ -121,7 +88,7 @@ func AsRow(v any) Row {
 		rv = rv.Elem()
 	}
 	if rv.Kind() == reflect.Struct {
-		return structRow{v: rv, info: infoFor(rv.Type())}
+		return structRow{v: rv, schema: wire.SchemaOf(rv.Type())}
 	}
 	return scalarRow{v: v}
 }

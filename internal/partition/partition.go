@@ -8,7 +8,6 @@ package partition
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math"
 	"strconv"
 	"sync"
@@ -51,42 +50,56 @@ type Key interface{}
 
 // Hash returns a stable 64-bit FNV-1a hash of the key. Stability across
 // processes matters: snapshots written by one run must hash identically
-// when restored by another.
+// when restored by another. The hash is computed inline — hash/fnv's
+// hasher escapes to the heap, an allocation on every routed record and
+// every state write.
 func Hash(key Key) uint64 {
-	h := fnv.New64a()
 	switch k := key.(type) {
 	case string:
-		h.Write([]byte(k))
+		return hashString(k)
 	case int:
-		writeInt(h, int64(k))
+		return hashInt(int64(k))
 	case int32:
-		writeInt(h, int64(k))
+		return hashInt(int64(k))
 	case int64:
-		writeInt(h, k)
+		return hashInt(k)
 	case uint64:
-		writeInt(h, int64(k))
+		return hashInt(int64(k))
 	case float64:
-		writeInt(h, int64(math.Float64bits(k)))
+		return hashInt(int64(math.Float64bits(k)))
 	case bool:
 		if k {
-			h.Write([]byte{1})
-		} else {
-			h.Write([]byte{0})
+			return hashString("\x01")
 		}
+		return hashString("\x00")
 	case fmt.Stringer:
-		h.Write([]byte(k.String()))
+		return hashString(k.String())
 	default:
-		h.Write([]byte(fmt.Sprintf("%v", k)))
+		return hashString(fmt.Sprintf("%v", k))
 	}
-	return h.Sum64()
 }
 
-func writeInt(h interface{ Write([]byte) (int, error) }, v int64) {
-	var buf [8]byte
-	for i := 0; i < 8; i++ {
-		buf[i] = byte(v >> (8 * i))
+// FNV-1a, 64 bit.
+const (
+	fnvOffset uint64 = 14695981039346656037
+	fnvPrime  uint64 = 1099511628211
+)
+
+func hashString(s string) uint64 {
+	h := fnvOffset
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint64(s[i])) * fnvPrime
 	}
-	h.Write(buf[:])
+	return h
+}
+
+// hashInt hashes v's eight bytes, least significant first.
+func hashInt(v int64) uint64 {
+	h := fnvOffset
+	for i := 0; i < 8; i++ {
+		h = (h ^ uint64(byte(v>>(8*i)))) * fnvPrime
+	}
+	return h
 }
 
 // KeyString renders a key in the canonical form used for map addressing

@@ -1,6 +1,8 @@
 package partition
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"testing"
 	"testing/quick"
@@ -39,6 +41,45 @@ func TestHashIntWideningConsistent(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestHashIsFNV1a pins the inline hash to hash/fnv's FNV-1a over the same
+// bytes: persisted snapshots and partition placement depend on the values,
+// not just on their being stable within one build.
+func TestHashIsFNV1a(t *testing.T) {
+	ref := func(b []byte) uint64 {
+		h := fnv.New64a()
+		h.Write(b)
+		return h.Sum64()
+	}
+	le := func(v int64) []byte { return binary.LittleEndian.AppendUint64(nil, uint64(v)) }
+	str := func(s string) bool { return Hash(s) == ref([]byte(s)) }
+	num := func(v int64) bool {
+		return Hash(v) == ref(le(v)) && Hash(uint64(v)) == ref(le(v)) &&
+			Hash(math.Float64frombits(uint64(v))) == ref(le(v))
+	}
+	if err := quick.Check(str, nil); err != nil {
+		t.Error(err)
+	}
+	if err := quick.Check(num, nil); err != nil {
+		t.Error(err)
+	}
+	if Hash(true) != ref([]byte{1}) || Hash(false) != ref([]byte{0}) {
+		t.Error("bool keys do not hash as one FNV-1a byte")
+	}
+}
+
+// TestHashAllocs gates the record path's most frequent call: routing and
+// every state write hash the key.
+func TestHashAllocs(t *testing.T) {
+	keys := []Key{"order-123456", 42, int64(7), 2.5, true}
+	if a := testing.AllocsPerRun(100, func() {
+		for _, k := range keys {
+			Hash(k)
+		}
+	}); a != 0 {
+		t.Fatalf("Hash allocated %.1f times per run, want 0", a)
 	}
 }
 

@@ -57,6 +57,7 @@ func AppendDeltaSegment(buf []byte, base int64, entries []DeltaEntry) ([]byte, e
 	buf = append(buf, dsegMagic...)
 	buf = wire.AppendUvarint(buf, uint64(base))
 	buf = wire.AppendUvarint(buf, uint64(len(entries)))
+	var st wire.Stream
 	var err error
 	for _, e := range entries {
 		if e.Tombstone {
@@ -64,13 +65,13 @@ func AppendDeltaSegment(buf []byte, base int64, entries []DeltaEntry) ([]byte, e
 		} else {
 			buf = append(buf, 0)
 		}
-		if buf, err = wire.AppendValue(buf, e.Key); err != nil {
+		if buf, err = st.AppendValue(buf, e.Key); err != nil {
 			return nil, fmt.Errorf("persist: encoding delta key: %w", err)
 		}
 		if e.Tombstone {
 			continue
 		}
-		if buf, err = wire.AppendValue(buf, e.Value); err != nil {
+		if buf, err = st.AppendValue(buf, e.Value); err != nil {
 			return nil, fmt.Errorf("persist: encoding delta value: %w", err)
 		}
 	}
@@ -85,16 +86,15 @@ func (s *Store) WriteDeltaSegment(ssid int64, op string, base int64, entries []D
 	if base <= 0 || base >= ssid {
 		return fmt.Errorf("persist: delta segment %s/ss-%d: invalid base %d", op, ssid, base)
 	}
-	buf := make([]byte, 0, 64+32*len(entries))
-	buf, err := AppendDeltaSegment(buf, base, entries)
+	file := op + ".dseg"
+	buf, err := AppendDeltaSegment(s.segmentBuf(file, len(entries)), base, entries)
 	if err != nil {
 		return fmt.Errorf("persist: segment %s/ss-%d: %w", op, ssid, err)
 	}
-	if err := s.publish(ssid, op+".dseg", buf); err != nil {
+	if err := s.publish(ssid, file, buf); err != nil {
 		return err
 	}
-	s.deltaSegs.Add(1)
-	s.bytesWritten.Add(int64(len(buf)))
+	s.noteSegment(&s.deltaSegs, file, len(buf), len(entries))
 	return nil
 }
 
@@ -196,7 +196,7 @@ func (s *Store) ChainLen(ssid int64, op string) (int, error) {
 // ReadState resolves one operator's complete state at snapshot ssid,
 // replaying the delta chain over its full base when ssid was persisted
 // incrementally. Entries come back sorted by key for deterministic
-// restores. A full (or legacy gob) segment at ssid reads directly.
+// restores. A full segment at ssid reads directly.
 func (s *Store) ReadState(ssid int64, op string) ([]Entry, error) {
 	// Walk newest→oldest collecting deltas until a full segment roots the
 	// chain.

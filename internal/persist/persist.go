@@ -12,10 +12,12 @@
 //	  ss-<ssid>/<op>.dseg   delta segment: changes since a base snapshot
 //	                        (see delta.go; ReadState replays the chain)
 //
-// Segments use the compact binary codec from internal/wire. Stores
-// written before the codec swap hold <op>.gob segments instead;
-// ReadSegment and Operators understand both, so pre-refactor checkpoints
-// remain restorable in place.
+// Segments use the compact binary codec from internal/wire. A segment is
+// its magic, a header (the entry count; a delta's base id before it) and
+// the entries as wire values. Each segment is one wire.Stream: the
+// definition of every struct type among its rows travels in-band, once,
+// ahead of the first row of that type, so a process that has never seen
+// the type restores the segment with nothing but its gob.Register call.
 //
 // Writes happen segment by segment; a snapshot id only becomes visible
 // once the manifest rename lands, so readers never observe half-written
@@ -25,7 +27,6 @@ package persist
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io/fs"
@@ -34,13 +35,13 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 
 	"squery/internal/wire"
 )
 
-// segMagic prefixes wire-encoded segment files. A .gob segment (no
-// magic, different suffix) is the legacy format.
+// segMagic prefixes wire-encoded segment files.
 var segMagic = []byte("SQWS\x01")
 
 // Entry is one persisted key-value pair of an operator's state.
@@ -58,6 +59,38 @@ type Store struct {
 	fullSegs     atomic.Int64
 	deltaSegs    atomic.Int64
 	bytesWritten atomic.Int64
+
+	// Encoded bytes per entry of the last segment written under each file
+	// name (<op>.seg, <op>.dseg): the next one's buffer is sized from it,
+	// so encoding a segment is one allocation instead of a chain of
+	// append growths.
+	sizeMu     sync.Mutex
+	entryBytes map[string]int
+}
+
+// segmentBuf returns an empty buffer for n entries of segment file, sized
+// from the bytes per entry its predecessor came to (plus an eighth), or a
+// guess for the first.
+func (s *Store) segmentBuf(file string, n int) []byte {
+	s.sizeMu.Lock()
+	per := s.entryBytes[file]
+	s.sizeMu.Unlock()
+	if per == 0 {
+		per = 64
+	}
+	return make([]byte, 0, 256+n*(per+per/8+1))
+}
+
+// noteSegment records a written segment of n entries in the store's
+// accounting.
+func (s *Store) noteSegment(segs *atomic.Int64, file string, size, n int) {
+	segs.Add(1)
+	s.bytesWritten.Add(int64(size))
+	if n > 0 {
+		s.sizeMu.Lock()
+		s.entryBytes[file] = size / n
+		s.sizeMu.Unlock()
+	}
 }
 
 // Open creates (if needed) and opens a snapshot store rooted at dir.
@@ -65,7 +98,7 @@ func Open(dir string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("persist: creating %s: %w", dir, err)
 	}
-	return &Store{dir: dir}, nil
+	return &Store{dir: dir, entryBytes: make(map[string]int)}, nil
 }
 
 // Dir returns the store's root directory.
@@ -81,23 +114,24 @@ func (s *Store) manifestPath() string { return filepath.Join(s.dir, "MANIFEST") 
 // of the same ssid may be written by concurrent callers for different
 // operators; the snapshot becomes durable only at Commit.
 func (s *Store) WriteSegment(ssid int64, op string, entries []Entry) error {
-	buf := make([]byte, 0, 64+24*len(entries))
+	file := op + ".seg"
+	buf := s.segmentBuf(file, len(entries))
 	buf = append(buf, segMagic...)
 	buf = wire.AppendUvarint(buf, uint64(len(entries)))
+	var st wire.Stream
 	var err error
 	for _, e := range entries {
-		if buf, err = wire.AppendValue(buf, e.Key); err != nil {
+		if buf, err = st.AppendValue(buf, e.Key); err != nil {
 			return fmt.Errorf("persist: encoding segment %s/ss-%d: %w", op, ssid, err)
 		}
-		if buf, err = wire.AppendValue(buf, e.Value); err != nil {
+		if buf, err = st.AppendValue(buf, e.Value); err != nil {
 			return fmt.Errorf("persist: encoding segment %s/ss-%d: %w", op, ssid, err)
 		}
 	}
-	if err := s.publish(ssid, op+".seg", buf); err != nil {
+	if err := s.publish(ssid, file, buf); err != nil {
 		return err
 	}
-	s.fullSegs.Add(1)
-	s.bytesWritten.Add(int64(len(buf)))
+	s.noteSegment(&s.fullSegs, file, len(buf), len(entries))
 	return nil
 }
 
@@ -134,14 +168,9 @@ func (s *Store) publish(ssid int64, file string, buf []byte) error {
 	return nil
 }
 
-// ReadSegment loads one operator's persisted state at ssid. Wire-encoded
-// .seg segments are preferred; a .gob segment from a pre-refactor store
-// is decoded through the legacy path.
+// ReadSegment loads one operator's persisted full segment at ssid.
 func (s *Store) ReadSegment(ssid int64, op string) ([]Entry, error) {
 	raw, err := os.ReadFile(filepath.Join(s.snapshotDir(ssid), op+".seg"))
-	if errors.Is(err, fs.ErrNotExist) {
-		return s.readGobSegment(ssid, op)
-	}
 	if err != nil {
 		return nil, fmt.Errorf("persist: opening segment %s/ss-%d: %w", op, ssid, err)
 	}
@@ -168,23 +197,8 @@ func (s *Store) ReadSegment(ssid int64, op string) ([]Entry, error) {
 	return entries, nil
 }
 
-// readGobSegment is the legacy decode path for stores written before the
-// wire codec existed.
-func (s *Store) readGobSegment(ssid int64, op string) ([]Entry, error) {
-	f, err := os.Open(filepath.Join(s.snapshotDir(ssid), op+".gob"))
-	if err != nil {
-		return nil, fmt.Errorf("persist: opening segment %s/ss-%d: %w", op, ssid, err)
-	}
-	defer f.Close()
-	var entries []Entry
-	if err := gob.NewDecoder(f).Decode(&entries); err != nil {
-		return nil, fmt.Errorf("persist: decoding segment %s/ss-%d: %w", op, ssid, err)
-	}
-	return entries, nil
-}
-
-// Operators lists the operators with a segment in snapshot ssid —
-// wire-encoded full, delta, or legacy gob.
+// Operators lists the operators with a segment in snapshot ssid, full or
+// delta.
 func (s *Store) Operators(ssid int64) ([]string, error) {
 	des, err := os.ReadDir(s.snapshotDir(ssid))
 	if err != nil {
@@ -196,9 +210,6 @@ func (s *Store) Operators(ssid int64) ([]string, error) {
 		name, ok := strings.CutSuffix(de.Name(), ".seg")
 		if !ok {
 			name, ok = strings.CutSuffix(de.Name(), ".dseg")
-		}
-		if !ok {
-			name, ok = strings.CutSuffix(de.Name(), ".gob")
 		}
 		if ok && !seen[name] {
 			seen[name] = true

@@ -1,11 +1,9 @@
 package persist
 
 import (
-	"bytes"
 	"encoding/gob"
 	"os"
 	"path/filepath"
-	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -210,55 +208,5 @@ func TestRoundTripProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Error(err)
-	}
-}
-
-// TestReadLegacyGobSegment proves a store written before the wire codec
-// (segments as <op>.gob) still reads: ReadSegment falls back to the gob
-// path, and Operators lists the legacy segment.
-func TestReadLegacyGobSegment(t *testing.T) {
-	s, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []Entry{{Key: "a", Value: 1}, {Key: "b", Value: 2}}
-	dir := s.snapshotDir(5)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(want); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "window.gob"), buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	got, err := s.ReadSegment(5, "window")
-	if err != nil {
-		t.Fatalf("reading legacy segment: %v", err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("legacy segment = %v, want %v", got, want)
-	}
-	ops, err := s.Operators(5)
-	if err != nil || !reflect.DeepEqual(ops, []string{"window"}) {
-		t.Fatalf("Operators = %v, %v", ops, err)
-	}
-
-	// A rewrite of the same operator upgrades it to the wire format and
-	// shadows the legacy file without listing the operator twice.
-	if err := s.WriteSegment(5, "window", want); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(filepath.Join(dir, "window.seg"))
-	if err != nil || !bytes.HasPrefix(raw, segMagic) {
-		t.Fatalf("rewritten segment not wire-encoded: %v", err)
-	}
-	if ops, _ := s.Operators(5); !reflect.DeepEqual(ops, []string{"window"}) {
-		t.Fatalf("Operators after upgrade = %v", ops)
-	}
-	if got, err := s.ReadSegment(5, "window"); err != nil || !reflect.DeepEqual(got, want) {
-		t.Fatalf("wire segment = %v, %v", got, err)
 	}
 }

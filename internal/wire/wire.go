@@ -14,24 +14,29 @@
 //  2. Self-describing: every value carries a one-byte tag, so a decoder
 //     needs no schema and unknown data fails loudly instead of silently
 //     misparsing.
-//  3. Total compatibility: arbitrary state structs (the complex objects
-//     the paper stores in the IMDG) fall back to an embedded gob blob —
-//     the same registrations workloads already perform keep working, and
-//     pre-refactor gob snapshots remain restorable (see the migration
-//     tests in core and persist).
+//  3. Typed state rows: a flat struct (every field a bool, integer,
+//     float, string, []byte or time.Time) travels as a type reference
+//     plus packed columns, from a schema derived once per Go type — zero
+//     allocations to encode, one for the struct to decode (see
+//     struct.go).
+//  4. Total compatibility: any other value (the complex objects the
+//     paper stores in the IMDG) falls back to an embedded gob blob — the
+//     same registrations workloads already perform keep working.
 //
 // Format, one value:
 //
-//	value  := tag payload
-//	tag    := one of the T* constants below
-//	varint := unsigned LEB128; signed integers are zigzag-encoded
-//	string := varint(len) bytes
-//	map    := varint(n) n*(string value)   keys sorted (canonical form)
-//	slice  := varint(n) n*value
-//	gob    := varint(len) gob-stream bytes
+//	value   := tag payload | typedef value
+//	tag     := one of the T* constants below
+//	varint  := unsigned LEB128; signed integers are zigzag-encoded
+//	string  := varint(len) bytes
+//	map     := varint(n) n*(string value)   keys sorted (canonical form)
+//	slice   := varint(n) n*value
+//	gob     := varint(len) gob-stream bytes
+//	struct, typedef: see struct.go
 //
 // Canonical form matters: encode(decode(b)) == b for every b the decoder
-// accepts without a gob fallback — the FuzzWire round-trip invariant.
+// accepts that holds neither a gob fallback nor a type definition — the
+// FuzzWire round-trip invariant.
 package wire
 
 import (
@@ -59,7 +64,15 @@ const (
 	TMap     byte = 0x0a // map[string]any, keys sorted
 	TSlice   byte = 0x0b // []any
 	TGob     byte = 0x0c // fallback: embedded gob stream of an interface value
+	TStruct  byte = 0x0d // flat struct: type reference + packed columns
+	TTypeDef byte = 0x0e // prefix: a struct type's definition, then a value
 )
+
+func init() {
+	// A gob-fallback value may hold a map in an interface-typed field; the
+	// scalar types gob registers itself.
+	gob.Register(map[string]any{})
+}
 
 // zigzag maps signed to unsigned so small negatives stay small.
 func zigzag(v int64) uint64 { return uint64(v<<1) ^ uint64(v>>63) }
@@ -72,10 +85,18 @@ func AppendUvarint(buf []byte, u uint64) []byte {
 }
 
 // AppendValue appends the wire encoding of v. Scalars (nil, bool, the int
-// family, float64, string, []byte) encode without allocating; maps,
-// slices and fallback structs may allocate for recursion or gob. The
-// error is non-nil only when a gob fallback fails (unregistered type).
+// family, float64, string, []byte) and flat structs encode without
+// allocating; maps, slices and gob-fallback values may allocate. The error
+// is non-nil only for a type gob does not know (unregistered).
+//
+// A bare frame carries no type definition: a struct row decodes only in a
+// process that has encoded the type or loaded its definition. Streams
+// that outlive the process (segments, blobs) encode through a Stream.
 func AppendValue(buf []byte, v any) ([]byte, error) {
+	return appendValue(buf, v, nil)
+}
+
+func appendValue(buf []byte, v any, st *Stream) ([]byte, error) {
 	switch x := v.(type) {
 	case nil:
 		return append(buf, TNil), nil
@@ -119,7 +140,7 @@ func AppendValue(buf []byte, v any) ([]byte, error) {
 		for _, k := range keys {
 			buf = binary.AppendUvarint(buf, uint64(len(k)))
 			buf = append(buf, k...)
-			if buf, err = AppendValue(buf, x[k]); err != nil {
+			if buf, err = appendValue(buf, x[k], st); err != nil {
 				return nil, err
 			}
 		}
@@ -129,13 +150,16 @@ func AppendValue(buf []byte, v any) ([]byte, error) {
 		buf = binary.AppendUvarint(buf, uint64(len(x)))
 		var err error
 		for _, e := range x {
-			if buf, err = AppendValue(buf, e); err != nil {
+			if buf, err = appendValue(buf, e, st); err != nil {
 				return nil, err
 			}
 		}
 		return buf, nil
 	default:
-		// Fallback: arbitrary structs travel as an embedded gob stream.
+		if s := structSchema(v); s != nil {
+			return appendStruct(buf, s, v, st)
+		}
+		// Fallback: anything else travels as an embedded gob stream.
 		// The value is wrapped in an interface slot so gob records the
 		// concrete type name — the same registration contract workloads
 		// already fulfil for blob snapshots.
@@ -188,7 +212,7 @@ func Size(v any) int {
 		}
 		return n
 	default:
-		// Structs gob-encode to tens of bytes typically; the estimate only
+		// Structs encode to tens of bytes typically; the estimate only
 		// feeds accounting, never framing.
 		return 32
 	}
@@ -207,6 +231,11 @@ func uvarintLen(u uint64) int {
 // the remaining bytes. Inputs that are not a valid encoding error out;
 // the decoder never panics (FuzzWire's contract).
 func DecodeValue(buf []byte) (v any, rest []byte, err error) {
+	for len(buf) > 0 && buf[0] == TTypeDef {
+		if buf, err = loadTypeDef(buf[1:]); err != nil {
+			return nil, nil, err
+		}
+	}
 	if len(buf) == 0 {
 		return nil, nil, fmt.Errorf("wire: empty buffer")
 	}
@@ -323,6 +352,8 @@ func DecodeValue(buf []byte) (v any, rest []byte, err error) {
 			return nil, nil, fmt.Errorf("wire: gob fallback: %w", err)
 		}
 		return out, rest, nil
+	case TStruct:
+		return decodeStruct(body)
 	default:
 		return nil, nil, fmt.Errorf("wire: unknown tag 0x%02x", tag)
 	}

@@ -70,14 +70,6 @@ func TestRoundTripComposite(t *testing.T) {
 	}
 }
 
-func TestRoundTripGobFallback(t *testing.T) {
-	v := fuzzStruct{A: 9, B: "state"}
-	got := roundTrip(t, v)
-	if !reflect.DeepEqual(got, v) {
-		t.Errorf("round trip %#v = %#v", v, got)
-	}
-}
-
 func TestEncodeUnregisteredFails(t *testing.T) {
 	type unregistered struct{ X int }
 	if _, err := AppendValue(nil, unregistered{1}); err == nil {
