@@ -79,19 +79,26 @@ ckpt-smoke:
 	$(GO) test . -run 'TestIncrementalRecoveryParity' -race -count=1 -v
 	$(GO) test ./internal/experiments -run 'TestCkptScaleShape' -count=1 -v
 
-# Perf smoke over the serialization, join and index hot paths. The
+# Perf smoke over the serialization, join, index and read hot paths. The
 # allocation guards are hard gates (zero-alloc scalar and struct-row encode
 # in the wire codec, one allocation per decoded struct, zero-alloc delta
 # segments and mirror-flush batches, alloc-free key hashing, single-alloc
-# blob snapshot keys, bounded-alloc indexed puts); the short benchmark pass
-# prints codec (scalar, struct row, and the gob path it replaced), joinKey,
-# batched-put and indexed-put numbers so regressions show up in CI logs
-# next to the gate.
+# blob snapshot keys, bounded-alloc indexed puts, a GetAll that allocates
+# its result only, Query 3 under 0.25 objects per table row, a key-lookup
+# point read under 100 objects that examines one row); the standing-query
+# parity run holds the one accumulator implementation to both of its
+# callers — a standing aggregate folds a group's rows through what the
+# one-shot fragments fold and merge; the short benchmark pass prints codec
+# (scalar, struct row, and the gob path it replaced), joinKey, batched-put
+# and indexed-put numbers so regressions show up in CI logs next to the
+# gate.
 bench-smoke:
 	$(GO) test ./internal/wire ./internal/core -run 'TestZeroAllocScalarEncode|TestZeroAllocStructEncode|TestStructDecodeAllocs|TestBlobKeyAllocs' -count=1 -v
 	$(GO) test ./internal/persist -run 'TestDeltaEncodeAllocs' -count=1 -v
-	$(GO) test ./internal/kv -run 'TestIndexedPutAllocs|TestPutBatchAllocs' -count=1 -v
+	$(GO) test ./internal/kv -run 'TestIndexedPutAllocs|TestPutBatchAllocs|TestGetAllAllocs' -count=1 -v
 	$(GO) test ./internal/partition -run 'TestHashAllocs' -count=1 -v
+	$(GO) test ./internal/sql -run 'TestJoinFoldAllocs|TestKeyLookupAllocs' -count=1 -v
+	$(GO) test . -run 'TestSubscribeParity$$' -count=1 -v
 	$(GO) test ./internal/wire -run '^$$' -bench 'BenchmarkAppendValue|BenchmarkDecodeValue|BenchmarkGobValue' -benchtime 1000x
 	$(GO) test ./internal/persist -run '^$$' -bench 'BenchmarkAppendDeltaSegment' -benchtime 1000x
 	$(GO) test ./internal/sql -run '^$$' -bench 'BenchmarkJoinKey' -benchtime 1000x

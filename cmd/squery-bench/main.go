@@ -227,7 +227,7 @@ func runObs(o experiments.Options) {
 
 func runPushdown(o experiments.Options) {
 	fmt.Println(experiments.PushdownTable(
-		"Scan pushdown — streaming pipeline (pushdown) vs ship-everything (40K keys, 128 partitions, 3 nodes)",
+		"Scan pushdown — partition fragments (pushdown) vs ship-everything (40K keys, 128 partitions, 3 nodes)",
 		experiments.Pushdown(o)))
 }
 

@@ -102,9 +102,20 @@ func TestHealthPlaneAttributesInjectedStall(t *testing.T) {
 	waitRow(t, eng, `SELECT SUM(blockedSends) FROM sys.backpressure WHERE vertex = 'source'`,
 		func(v int64) bool { return v >= 1 }, "blocked sends upstream of stall")
 
-	// Watermark attribution: frozen watermark, growing lag.
-	wm1 := waitRow(t, eng, `SELECT MAX(watermarkUs) FROM sys.watermarks WHERE vertex = 'average'`,
-		func(v int64) bool { return v > 0 }, "stalled watermark read")
+	// Watermark attribution: frozen watermark, growing lag. An instance
+	// stalls on its next *record*; a watermark already in its inbox still
+	// passes. Let the reading settle (two equal reads 20ms apart) before
+	// calling it frozen — a query now returns in tens of microseconds,
+	// well inside that window.
+	var wm1 int64
+	for last := int64(-1); ; last = wm1 {
+		wm1 = waitRow(t, eng, `SELECT MAX(watermarkUs) FROM sys.watermarks WHERE vertex = 'average'`,
+			func(v int64) bool { return v > 0 }, "stalled watermark read")
+		if wm1 == last {
+			break
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
 	lag1 := waitRow(t, eng, `SELECT MAX(lagUs) FROM sys.watermarks WHERE vertex = 'average'`,
 		func(v int64) bool { return v > 0 }, "stalled lag read")
 	time.Sleep(300 * time.Millisecond)

@@ -35,6 +35,11 @@ const (
 	IndexEq
 	// IndexRange walks a B-tree index over an inclusive range.
 	IndexRange
+	// KeyLookup reads the one row stored under the state key Eq — what a
+	// `partitionKey = <literal>` predicate asks for, served by the
+	// partition's own key map instead of a walk over it. Column is
+	// ColPartitionKey.
+	KeyLookup
 )
 
 // AccessPath describes how partition scans of one table source find
@@ -55,9 +60,12 @@ func (a *AccessPath) String() string {
 		return "full scan"
 	}
 	var b strings.Builder
-	if a.Kind == IndexEq {
+	switch a.Kind {
+	case KeyLookup:
+		fmt.Fprintf(&b, "key lookup(%s = %v)", a.Column, a.Eq)
+	case IndexEq:
 		fmt.Fprintf(&b, "index eq(%s = %v)", a.Column, a.Eq)
-	} else {
+	default:
 		fmt.Fprintf(&b, "index range(%s", a.Column)
 		if a.Lo != nil {
 			fmt.Fprintf(&b, " >= %v", a.Lo)
@@ -157,19 +165,31 @@ func (t *TableRef) HasIndex(column string, needRange bool) bool {
 // it. Full scans estimate the table size. The planner compares these to
 // pick the cheapest path.
 func (t *TableRef) EstimatePath(path *AccessPath) (int64, bool) {
+	return t.EstimatePathIn(-1, path)
+}
+
+// EstimatePathIn is EstimatePath over the partitions a scan will visit:
+// partition part alone when the plan pruned to it (one segment lock), the
+// whole table when part is negative.
+func (t *TableRef) EstimatePathIn(part int, path *AccessPath) (int64, bool) {
 	if t.virtual != nil {
 		return 0, false
 	}
-	m := t.mapRef()
-	lk, ok := path.lookup()
-	if !ok {
-		return int64(m.Size()), true
+	if path != nil && path.Kind == KeyLookup {
+		return 1, true
 	}
-	return m.EstimateLookup(lk)
+	if lk, ok := path.lookup(); ok {
+		return t.m.EstimateLookupIn(part, lk)
+	}
+	n, _, _ := t.m.Sample(part, nil)
+	return int64(n), true
 }
 
-// mapRef resolves the kv map backing this (non-virtual) table.
-func (t *TableRef) mapRef() *kv.Map {
+// mapRef returns the kv map backing this (non-virtual) table.
+func (t *TableRef) mapRef() *kv.Map { return t.m }
+
+// backingMap resolves the kv map backing this (non-virtual) table.
+func (t *TableRef) backingMap() *kv.Map {
 	if t.snapshot {
 		return t.store.GetMap(SnapshotMapName(t.op))
 	}

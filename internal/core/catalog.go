@@ -9,6 +9,7 @@ import (
 	"squery/internal/kv"
 	"squery/internal/partition"
 	"squery/internal/snapshot"
+	"squery/internal/wire"
 )
 
 // Pseudo-column names every S-QUERY table exposes in addition to the
@@ -25,12 +26,24 @@ const (
 // snapshot version it came from (0 for live rows) and the state object's
 // columns.
 type TableRow struct {
-	Key   partition.Key
-	SSID  int64
+	Key  partition.Key
+	SSID int64
+	// Value is the by-name column view. Rows read from state tables leave
+	// it nil and adapt Raw on first use by name — a query that reads its
+	// columns through the table's schema never pays for the adapter.
+	// Provider-backed (virtual) and narrowed rows carry it explicitly.
 	Value kv.Row
 	// Raw is the state object itself, before Row adaptation — the direct
 	// object interface hands it back unwrapped.
 	Raw any
+}
+
+// Row returns the by-name column view of the state object.
+func (r TableRow) Row() kv.Row {
+	if r.Value != nil {
+		return r.Value
+	}
+	return kv.AsRow(r.Raw)
 }
 
 // Field implements kv.Row, layering the pseudo-columns over the state
@@ -42,12 +55,15 @@ func (r TableRow) Field(name string) (any, bool) {
 	case ColSSID:
 		return r.SSID, true
 	}
-	return r.Value.Field(name)
+	return r.Row().Field(name)
 }
 
-// Columns implements kv.Row.
+// Columns implements kv.Row. The result is the caller's own: a struct
+// row's column names are one slice shared by every row of the type.
 func (r TableRow) Columns() []string {
-	return append(r.Value.Columns(), ColPartitionKey, ColSSID)
+	cols := r.Row().Columns()
+	out := make([]string, 0, len(cols)+2)
+	return append(append(out, cols...), ColPartitionKey, ColSSID)
 }
 
 // Catalog resolves SQL table names to scannable state tables. A table
@@ -155,14 +171,16 @@ func (c *Catalog) Table(name string) (*TableRef, error) {
 	if !known {
 		return nil, fmt.Errorf("core: unknown table %q: no stateful operator %q", name, op)
 	}
-	return &TableRef{
+	t := &TableRef{
 		name:     name,
 		op:       op,
 		snapshot: isSnap,
 		reg:      reg,
 		store:    c.store,
 		view:     c.store.View(kv.ClientNode),
-	}, nil
+	}
+	t.m = t.backingMap()
+	return t, nil
 }
 
 // TableRef is a resolved, scannable state table.
@@ -173,6 +191,9 @@ type TableRef struct {
 	reg      *snapshot.Registry
 	store    *kv.Store
 	view     kv.NodeView
+	// m is the kv map backing the table, resolved once: a keyed read per
+	// joined row must not pay a name build and a store lookup each.
+	m *kv.Map
 	// virtual, when set, makes this a provider-backed table: a single
 	// pseudo-partition on node 0, no snapshots, no network hops, no
 	// fault surface. All scan paths iterate the provider's row set.
@@ -242,29 +263,35 @@ func (t *TableRef) ResolveSSID(pinned int64) (int64, error) {
 	return pinned, nil
 }
 
-// ScanSpec pushes query-side work into a partition scan: the predicate
-// and the projected column set run on the node owning the partition, and
-// only surviving, narrowed rows pay the client hop. This is the pushdown
-// contract between the SQL planner and the state layer.
+// ScanSpec is the state layer's half of the partition-fragment contract:
+// how one partition of the table is read for a query that runs where the
+// partition lives. The SQL layer's fragment is the callback — it filters,
+// probes the co-partitioned table (Lookup) and folds or projects per row;
+// what the spec fixes is the version read, the access path, cancellation
+// and the scratch the partition copy is taken into.
 type ScanSpec struct {
 	// SSID is the snapshot id to read (from ResolveSSID; ignored live).
 	SSID int64
-	// Filter, when non-nil, is evaluated node-side against every decoded
-	// row; only accepted rows reach fn.
+	// Filter, when non-nil, is evaluated against every decoded row; only
+	// accepted rows reach fn.
 	Filter func(TableRow) bool
-	// Cols, when non-nil, narrows each shipped row's Value to these
-	// columns (pseudo-columns stay available via TableRow itself). The
-	// filter always sees the full row. nil ships all columns.
+	// Cols, when non-nil, narrows each emitted row's Value to these
+	// columns by name (pseudo-columns stay available via TableRow itself)
+	// and drops Raw: the shape of a schemaless row shipped to the client.
+	// The filter always sees the full row. nil emits rows whole.
 	Cols []string
-	// Path, when non-nil, asks the scan to find its candidate rows
-	// through a secondary index instead of iterating the partition. It is
-	// an optimisation only — the Filter remains the truth, and a scan
-	// silently falls back to full iteration when no ready index serves
-	// the path (e.g. after DisableIndexes compiled it away, or on the
-	// backup fallback read, which is never indexed).
+	// Path, when non-nil, asks the scan to find its candidate rows through
+	// a key lookup or a secondary index instead of iterating the
+	// partition. It is an optimisation only — the caller's filter remains
+	// the truth, and a scan silently falls back to full iteration when no
+	// ready index serves the path (e.g. after DisableIndexes compiled it
+	// away, or on the backup fallback read, which is never indexed).
 	Path *AccessPath
 	// Done, when non-nil, cancels the scan once closed.
 	Done <-chan struct{}
+	// Buf, when non-nil, is the scratch the partition's point-in-time copy
+	// is taken into (see kv.ScanOpts.Buf).
+	Buf *[]kv.Entry
 }
 
 // ScanPartition streams the rows of one partition as of snapshot ssid
@@ -274,9 +301,32 @@ func (t *TableRef) ScanPartition(ssid int64, p int, fn func(TableRow) bool) {
 	t.ScanPartitionSpec(p, ScanSpec{SSID: ssid}, fn)
 }
 
-// ScanPartitionSpec is ScanPartition with the spec's filter, projection
-// and cancellation applied where the partition lives.
+// ScanPartitionSpec is ScanPartition under the spec: access path, filter,
+// narrowing and cancellation applied where the partition lives.
 func (t *TableRef) ScanPartitionSpec(p int, spec ScanSpec, fn func(TableRow) bool) {
+	t.scanPartition(p, spec, false, fn)
+}
+
+// decode turns one stored entry into the table row a query sees at ssid;
+// ok is false when a snapshot key did not exist at that version.
+func (t *TableRef) decode(e kv.Entry, ssid int64) (TableRow, bool) {
+	if !t.snapshot {
+		return TableRow{Key: e.Key, Raw: e.Value}, true
+	}
+	v, ok := e.Value.(*Chain).At(ssid)
+	if !ok {
+		return TableRow{}, false
+	}
+	return TableRow{Key: e.Key, SSID: v.SSID, Raw: v.Value}, true
+}
+
+func (t *TableRef) scanPartition(p int, spec ScanSpec, backup bool, fn func(TableRow) bool) {
+	emit := func(r TableRow) bool {
+		if spec.Filter != nil && !spec.Filter(r) {
+			return true
+		}
+		return fn(narrowRow(r, spec.Cols))
+	}
 	if t.virtual != nil {
 		rows := t.virtual()
 		for i, r := range rows {
@@ -287,57 +337,109 @@ func (t *TableRef) ScanPartitionSpec(p int, spec ScanSpec, fn func(TableRow) boo
 				default:
 				}
 			}
-			if spec.Filter != nil && !spec.Filter(r) {
-				continue
-			}
-			if !fn(projectRow(r, spec.Cols)) {
+			if !emit(r) {
 				return
 			}
 		}
 		return
 	}
-	if t.snapshot {
-		m := t.store.GetMap(SnapshotMapName(t.op))
-		decode := func(e kv.Entry) bool {
-			v, ok := e.Value.(*Chain).At(spec.SSID)
-			if !ok {
-				return true
-			}
-			r := TableRow{Key: e.Key, SSID: v.SSID, Value: kv.AsRow(v.Value), Raw: v.Value}
-			if spec.Filter != nil && !spec.Filter(r) {
-				return true
-			}
-			return fn(projectRow(r, spec.Cols))
+	if spec.Path != nil && spec.Path.Kind == KeyLookup {
+		if r, ok := t.lookup(p, partition.KeyString(spec.Path.Eq), spec.SSID, backup); ok {
+			emit(r)
 		}
-		// Index-served snapshot scan: the chain-union index yields every
-		// key whose *any* version could match — a superset for any SSID —
-		// and decode re-resolves At(SSID) exactly like the full scan.
-		if lk, ok := spec.Path.lookup(); ok {
-			if m.ScanPartitionIndexed(p, lk, kv.ScanOpts{Done: spec.Done}, decode) {
-				return
-			}
-		}
-		m.ScanPartitionWith(p, kv.ScanOpts{Done: spec.Done}, decode)
 		return
 	}
-	m := t.store.GetMap(LiveMapName(t.op))
-	opts := kv.ScanOpts{Done: spec.Done}
-	if spec.Filter != nil {
-		// Adapt the filter to kv entries so that rejected rows never
-		// leave the kv layer's iteration.
-		opts.Filter = func(e kv.Entry) bool {
-			return spec.Filter(TableRow{Key: e.Key, Value: kv.AsRow(e.Value), Raw: e.Value})
-		}
+	m := t.mapRef()
+	opts := kv.ScanOpts{Done: spec.Done, Buf: spec.Buf}
+	each := func(e kv.Entry) bool {
+		r, ok := t.decode(e, spec.SSID)
+		return !ok || emit(r)
 	}
-	emit := func(e kv.Entry) bool {
-		return fn(projectRow(TableRow{Key: e.Key, Value: kv.AsRow(e.Value), Raw: e.Value}, spec.Cols))
+	if backup {
+		// The degraded read: the backup replica is never indexed.
+		m.ScanPartitionBackupWith(p, opts, each)
+		return
 	}
+	// Index-served scan. On a snapshot table the chain-union index yields
+	// every key whose *any* version could match — a superset for any SSID
+	// — and decode re-resolves At(SSID) exactly like the full scan.
 	if lk, ok := spec.Path.lookup(); ok {
-		if m.ScanPartitionIndexed(p, lk, opts, emit) {
+		if m.ScanPartitionIndexed(p, lk, opts, each) {
 			return
 		}
 	}
-	m.ScanPartitionWith(p, opts, emit)
+	m.ScanPartitionWith(p, opts, each)
+}
+
+// Lookup is the keyed partition read: the row stored in partition p under
+// the canonical key string ks (partition.KeyString), as of snapshot ssid
+// for a snapshot table. A co-partitioned join probes it with the driving
+// row's key — both sides of a key live in the same partition (§II), so
+// the probe is local to the fragment and holds the segment read-lock no
+// longer than a Get does. Virtual tables have no keyed storage and report
+// nothing.
+func (t *TableRef) Lookup(p int, ks string, ssid int64) (TableRow, bool) {
+	return t.lookup(p, ks, ssid, false)
+}
+
+// LookupFallback is Lookup against the partition's backup replica of the
+// snapshot table — the probe half of a degraded (PolicyFallback) read.
+func (t *TableRef) LookupFallback(p int, ks string, ssid int64) (TableRow, bool) {
+	return t.fallback().lookup(p, ks, ssid, true)
+}
+
+func (t *TableRef) lookup(p int, ks string, ssid int64, backup bool) (TableRow, bool) {
+	if t.virtual != nil {
+		return TableRow{}, false
+	}
+	e, ok := t.mapRef().Lookup(p, ks, backup)
+	if !ok {
+		return TableRow{}, false
+	}
+	return t.decode(e, ssid)
+}
+
+// fallback returns the table's degraded-read view: its snapshot map, the
+// only state a backup replica serves reads from. A live table falls back
+// to the committed id the caller resolved (LatestCommittedSSID).
+func (t *TableRef) fallback() *TableRef {
+	snap := *t
+	snap.snapshot = true
+	snap.m = snap.backingMap()
+	return &snap
+}
+
+// Sample answers the planner's two questions about the partitions a scan
+// will visit — partition part alone when the plan pruned to it, the whole
+// table when part is negative — in one pass over their segments (one lock
+// for a pruned plan): how many rows are there, and what is their schema.
+//
+// The schema is reported when the rows are one flat struct type — what
+// lets the planner bind column references to ordinals once instead of
+// resolving names per row. It is read off one stored row; nil means the
+// table is empty there, or its rows are maps, scalars or structs the codec
+// does not pack, and the query reads them by name. It is a promise about
+// the sampled row only: readers check each row's type (wire.Schema.Ref)
+// and fall back to reading by name on a mismatch. Virtual tables carry no
+// statistics and no schema (ok false).
+func (t *TableRef) Sample(part int) (rows int64, schema *wire.Schema, ok bool) {
+	if t.virtual != nil {
+		return 0, nil, false
+	}
+	var usable func(kv.Entry) bool
+	if t.snapshot {
+		// A chain of tombstones alone says nothing about the rows.
+		usable = func(e kv.Entry) bool { _, live := e.Value.(*Chain).newest(); return live }
+	}
+	n, e, found := t.m.Sample(part, usable)
+	if !found {
+		return int64(n), nil, true
+	}
+	v := e.Value
+	if t.snapshot {
+		v, _ = v.(*Chain).newest()
+	}
+	return int64(n), wire.FlatSchemaOf(v), true
 }
 
 // projectedRow is a Row narrowed to the columns a query ships. Lookups
@@ -361,18 +463,20 @@ func (r projectedRow) Field(name string) (any, bool) {
 // Columns implements kv.Row.
 func (r projectedRow) Columns() []string { return append([]string(nil), r.cols...) }
 
-// projectRow narrows a row's Value to cols (nil = no projection).
-// Columns the underlying row does not have are simply absent from the
-// projection, so an unknown-column reference still fails at evaluation
-// exactly as it would against the full row. Raw is dropped: a projected
-// row is a query-shaped wire row, not the state object.
-func projectRow(r TableRow, cols []string) TableRow {
+// narrowRow narrows a row's Value to cols by name (nil = no narrowing) —
+// the shipped form of a row whose table reports no schema. Columns the
+// underlying row does not have are simply absent from the projection, so
+// an unknown-column reference still fails at evaluation exactly as it
+// would against the full row. Raw is dropped: a narrowed row is a
+// query-shaped wire row, not the state object.
+func narrowRow(r TableRow, cols []string) TableRow {
 	if cols == nil {
 		return r
 	}
+	full := r.Row()
 	pr := projectedRow{cols: make([]string, 0, len(cols)), vals: make([]any, 0, len(cols))}
 	for _, c := range cols {
-		if v, ok := r.Value.Field(c); ok {
+		if v, ok := full.Field(c); ok {
 			pr.cols = append(pr.cols, c)
 			pr.vals = append(pr.vals, v)
 		}
@@ -465,25 +569,14 @@ func (t *TableRef) ScanPartitionFallback(ssid int64, p int, fn func(TableRow) bo
 	t.ScanPartitionFallbackSpec(p, ScanSpec{SSID: ssid}, fn)
 }
 
-// ScanPartitionFallbackSpec is ScanPartitionFallback with the spec's
-// filter, projection and cancellation applied — a degraded read is still
-// a pushdown read.
+// ScanPartitionFallbackSpec is ScanPartitionFallback under the spec — a
+// degraded read is still a fragment read.
 func (t *TableRef) ScanPartitionFallbackSpec(p int, spec ScanSpec, fn func(TableRow) bool) {
 	if t.virtual != nil {
 		t.ScanPartitionSpec(p, spec, fn)
 		return
 	}
-	t.store.GetMap(SnapshotMapName(t.op)).ScanPartitionBackupWith(p, kv.ScanOpts{Done: spec.Done}, func(e kv.Entry) bool {
-		v, ok := e.Value.(*Chain).At(spec.SSID)
-		if !ok {
-			return true
-		}
-		r := TableRow{Key: e.Key, SSID: v.SSID, Value: kv.AsRow(v.Value), Raw: v.Value}
-		if spec.Filter != nil && !spec.Filter(r) {
-			return true
-		}
-		return fn(projectRow(r, spec.Cols))
-	})
+	t.fallback().scanPartition(p, spec, true, fn)
 }
 
 // Scan streams all rows of the table as of snapshot ssid, charging one
@@ -509,13 +602,13 @@ func (t *TableRef) Scan(ssid int64, fn func(TableRow) bool) {
 			if !ok {
 				return true
 			}
-			if !fn(TableRow{Key: e.Key, SSID: v.SSID, Value: kv.AsRow(v.Value), Raw: v.Value}) {
+			if !fn(TableRow{Key: e.Key, SSID: v.SSID, Raw: v.Value}) {
 				stop = true
 				return false
 			}
 			return true
 		}
-		if !fn(TableRow{Key: e.Key, Value: kv.AsRow(e.Value), Raw: e.Value}) {
+		if !fn(TableRow{Key: e.Key, Raw: e.Value}) {
 			stop = true
 			return false
 		}

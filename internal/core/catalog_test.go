@@ -143,3 +143,64 @@ func TestScanPartitionSpecVirtual(t *testing.T) {
 		t.Fatal("virtual projection kept dropped column")
 	}
 }
+
+type sampleRow struct {
+	Zone string
+	N    int64
+}
+
+// TestSampleReportsSizeAndSchema: one pass answers both of the planner's
+// questions, for the whole table or one partition — and a snapshot chain
+// that holds nothing but tombstones is never the sampled row, however many
+// of them surround the one live key.
+func TestSampleReportsSizeAndSchema(t *testing.T) {
+	store := newTestStore()
+	m := NewManager(store, 2)
+	cfg := Config{Live: true, Snapshots: true}
+	if err := m.RegisterOperator(OperatorMeta{Name: "op", Parallelism: 1, Config: cfg}); err != nil {
+		t.Fatal(err)
+	}
+	b := NewBackend("op", 0, store.View(0), cfg)
+	for i := 0; i < 64; i++ {
+		b.Update(i, sampleRow{Zone: "z", N: int64(i)})
+	}
+	checkpoint(t, m, b)
+	for i := 1; i < 64; i++ {
+		b.Delete(i)
+	}
+	checkpoint(t, m, b)
+	cat := NewCatalog(store)
+	if err := cat.RegisterJob(m.Registry(), "op"); err != nil {
+		t.Fatal(err)
+	}
+	for _, table := range []string{"op", "snapshot_op"} {
+		ref, err := cat.Table(table)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 20; i++ { // map iteration order is random: sample repeatedly
+			rows, schema, ok := ref.Sample(-1)
+			if !ok || schema == nil {
+				t.Fatalf("%s: Sample = %d rows, schema %v, ok %v; want the struct's schema", table, rows, schema, ok)
+			}
+			if _, has := schema.FieldIndex("zone"); !has {
+				t.Fatalf("%s: sampled schema lacks the zone column", table)
+			}
+		}
+		p, _ := ref.PartitionOf(0)
+		if rows, schema, ok := ref.Sample(p); !ok || schema == nil || rows < 1 {
+			t.Fatalf("%s: Sample(partition of key 0) = %d, %v, %v", table, rows, schema, ok)
+		}
+	}
+	// Map rows and provider-backed tables report no schema.
+	cat2, _ := specFixture(t, 4)
+	ref, _ := cat2.Table("op")
+	if rows, schema, ok := ref.Sample(-1); !ok || schema != nil || rows != 4 {
+		t.Fatalf("map rows: Sample = %d, %v, %v; want 4 rows and no schema", rows, schema, ok)
+	}
+	cat2.RegisterVirtual("sys.things", func() []TableRow { return nil })
+	vref, _ := cat2.Table("sys.things")
+	if _, _, ok := vref.Sample(-1); ok {
+		t.Fatal("virtual table reported statistics")
+	}
+}

@@ -89,6 +89,20 @@ func (c *Chain) With(v Versioned) *Chain {
 	return &Chain{items: items}
 }
 
+// newest returns the value of the chain's newest version that is not a
+// tombstone; ok is false when it has none.
+func (c *Chain) newest() (value any, ok bool) {
+	if c == nil {
+		return nil, false
+	}
+	for i := len(c.items) - 1; i >= 0; i-- {
+		if !c.items[i].Tombstone {
+			return c.items[i].Value, true
+		}
+	}
+	return nil, false
+}
+
 // At resolves the key's state as of snapshot target: the version with the
 // largest SSID ≤ target. ok is false if the key did not exist at target
 // (no version yet, or the governing version is a tombstone). This walk

@@ -13,8 +13,8 @@ import (
 )
 
 // PushdownRow is one measured configuration of the pushdown experiment:
-// a query executed with the streaming pipeline's scan pushdown on or
-// off, with mean latency and the per-execution row movement counters.
+// a query executed as partition fragments (pushdown on) or at the client
+// (off), with mean latency and the per-execution row movement counters.
 type PushdownRow struct {
 	Query       string
 	Mode        string // "pushdown" or "ship-all"
@@ -24,10 +24,10 @@ type PushdownRow struct {
 	Parts       int64 // partitions scanned, per execution
 }
 
-// Pushdown measures what the streaming physical pipeline saves over the
-// ship-everything execution model: a selective WHERE (~2% match) and a
-// LIMIT 10 run with predicates/projection pushed into the partition
-// scans and LIMIT early-stop enabled, then again with DisablePushdown
+// Pushdown measures what running a plan as partition fragments saves over
+// the ship-everything execution model: a selective WHERE (~2% match) and a
+// LIMIT 10 run with filter, projection and LIMIT early-stop inside the
+// partition reads, then again with DisablePushdown
 // (every row ships to the client, filtering runs there). A
 // co-partitioned join with a selective pushed predicate shows the win
 // compounding with co-location.

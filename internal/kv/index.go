@@ -745,7 +745,7 @@ func (m *Map) ScanPartitionIndexed(p int, lk IndexLookup, o ScanOpts, fn func(En
 	}
 	seg := m.segs[p]
 	seg.mu.RLock()
-	var entries []Entry
+	entries := o.scratch(0)
 	seen := make(map[string]struct{})
 	ix.gatherLocked(p, lk, func(ks string) {
 		if _, dup := seen[ks]; dup {
@@ -761,21 +761,7 @@ func (m *Map) ScanPartitionIndexed(p int, lk IndexLookup, o ScanOpts, fn func(En
 	if st := m.store.statsFor(p); st != nil {
 		st.scans.Inc()
 	}
-	for i, e := range entries {
-		if o.Done != nil && i%doneCheckEvery == 0 {
-			select {
-			case <-o.Done:
-				return true
-			default:
-			}
-		}
-		if o.Filter != nil && !o.Filter(e) {
-			continue
-		}
-		if !fn(e) {
-			return true
-		}
-	}
+	o.iterate(entries, fn)
 	return true
 }
 
@@ -783,14 +769,23 @@ func (m *Map) ScanPartitionIndexed(p int, lk IndexLookup, o ScanOpts, fn func(En
 // the whole map (all partitions), and whether a ready index can serve it.
 // The planner uses it to pick the cheapest access path.
 func (m *Map) EstimateLookup(lk IndexLookup) (int64, bool) {
+	return m.EstimateLookupIn(-1, lk)
+}
+
+// EstimateLookupIn is EstimateLookup over partition p alone (every
+// partition when p is negative) — what a scan pruned to p will examine.
+func (m *Map) EstimateLookupIn(p int, lk IndexLookup) (int64, bool) {
 	ix := m.indexFor(lk)
 	if ix == nil {
 		return 0, false
 	}
 	var n int64
-	for p, seg := range m.segs {
+	for q, seg := range m.segs {
+		if p >= 0 && q != p {
+			continue
+		}
 		seg.mu.RLock()
-		n += ix.estimateLocked(p, lk)
+		n += ix.estimateLocked(q, lk)
 		seg.mu.RUnlock()
 	}
 	return n, true

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"squery/internal/partition"
+	"squery/internal/transport"
 )
 
 // collectIndexed gathers the indexed scan's output across every partition;
@@ -572,6 +573,66 @@ func TestIndexedPutAllocs(t *testing.T) {
 	if avg > base {
 		t.Fatalf("indexed overwrite costs %.1f allocs/op, unindexed %.1f — maintenance must be allocation-free", avg, base)
 	}
+}
+
+// TestGetAllAllocs gates the direct-object read: a GetAll of string keys
+// from the client view — every key remote — allocates its result slice and
+// nothing else. The per-owner message counts live in node-indexed stack
+// arrays and each key is hashed once.
+func TestGetAllAllocs(t *testing.T) {
+	s := testStore()
+	keys := make([]partition.Key, 10)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("rider-%d", i*31)
+		s.View(0).Put("m", keys[i], i)
+	}
+	v := s.View(ClientNode)
+	if got := v.GetAll("m", keys); len(got) != len(keys) || got[3] != 3 {
+		t.Fatalf("GetAll = %v", got)
+	}
+	if a := testing.AllocsPerRun(200, func() { v.GetAll("m", keys) }); a != 1 {
+		t.Fatalf("GetAll of %d string keys allocated %.1f times, want 1 (the result slice)", len(keys), a)
+	}
+}
+
+// TestGetAllChargesInFirstTouchOrder: one message per remote owner, its
+// share of the keys as the op count, owners in the order the keys first
+// touch them — the order the transport's jitter sequence depends on.
+func TestGetAllChargesInFirstTouchOrder(t *testing.T) {
+	s := testStore()
+	rec := &recordingTransport{Transport: s.tr}
+	s.tr = rec
+	keys := make([]partition.Key, 12)
+	var wantOrder []int
+	wantOps := map[int]int{}
+	for i := range keys {
+		keys[i] = fmt.Sprintf("rider-%d", i*17)
+		owner := s.assign.Owner(s.part.Of(keys[i]))
+		if wantOps[owner] == 0 {
+			wantOrder = append(wantOrder, owner)
+		}
+		wantOps[owner]++
+	}
+	s.View(ClientNode).GetAll("m", keys)
+	if len(rec.msgs) != len(wantOrder) {
+		t.Fatalf("GetAll sent %d messages, want one per owner (%d)", len(rec.msgs), len(wantOrder))
+	}
+	for i, m := range rec.msgs {
+		if m.To != wantOrder[i] || m.Ops != wantOps[m.To] || m.From != ClientNode {
+			t.Fatalf("message %d = %+v, want to node %d carrying %d ops", i, m, wantOrder[i], wantOps[wantOrder[i]])
+		}
+	}
+}
+
+// recordingTransport records the messages sent through it.
+type recordingTransport struct {
+	transport.Transport
+	msgs []transport.Msg
+}
+
+func (r *recordingTransport) Send(m transport.Msg) {
+	r.msgs = append(r.msgs, m)
+	r.Transport.Send(m)
 }
 
 // BenchmarkIndexedPut measures the inline index maintenance overhead of

@@ -448,13 +448,57 @@ func (m *Map) delete(v NodeView, key partition.Key, force bool) (present bool, e
 
 // Size returns the total number of entries across all partitions.
 func (m *Map) Size() int {
-	n := 0
-	for _, seg := range m.segs {
+	n, _, _ := m.Sample(-1, nil)
+	return n
+}
+
+// Lookup returns the entry stored in partition p under the canonical key
+// string ks (partition.KeyString of its key) — from the primary copy, or
+// from the backup copy when backup is set. It is the keyed partition read
+// of a query that already runs where the partition lives: no hop is
+// charged, and like GetAll it holds only the segment read-lock, for the
+// map access alone.
+func (m *Map) Lookup(p int, ks string, backup bool) (Entry, bool) {
+	seg := m.segs[p]
+	if backup {
+		if m.backups == nil {
+			return Entry{}, false
+		}
+		seg = m.backups[p]
+	} else if st := m.store.statsFor(p); st != nil {
+		st.gets.Inc()
+	}
+	seg.mu.RLock()
+	e, ok := seg.entries[ks]
+	seg.mu.RUnlock()
+	return e, ok
+}
+
+// Sample returns, in one pass, the number of entries in partition p — in
+// the whole map when p is negative — and one of them that usable accepts
+// (any entry when usable is nil), for callers that need to know how much a
+// scan will visit and what kind of value it will find there. ok is false
+// when there is no such entry. A pruned plan pays one segment read-lock
+// for both answers.
+func (m *Map) Sample(p int, usable func(Entry) bool) (size int, e Entry, ok bool) {
+	segs := m.segs
+	if p >= 0 {
+		segs = segs[p : p+1]
+	}
+	for _, seg := range segs {
 		seg.mu.RLock()
-		n += len(seg.entries)
+		size += len(seg.entries)
+		if !ok {
+			for _, c := range seg.entries {
+				if usable == nil || usable(c) {
+					e, ok = c, true
+					break
+				}
+			}
+		}
 		seg.mu.RUnlock()
 	}
-	return n
+	return size, e, ok
 }
 
 // Clear removes all entries (and their backup copies).
@@ -485,6 +529,41 @@ type ScanOpts struct {
 	// hook for LIMIT queries and failed sibling scans. Checked between
 	// entries, so an in-flight fn call always completes.
 	Done <-chan struct{}
+	// Buf, when non-nil, is scratch the point-in-time copy is taken into
+	// and left in, grown as needed: a goroutine scanning many partitions
+	// hands every scan the same buffer instead of allocating a copy each.
+	Buf *[]Entry
+}
+
+// scratch returns the slice a scan copies n entries into.
+func (o ScanOpts) scratch(n int) []Entry {
+	if o.Buf != nil && cap(*o.Buf) >= n {
+		return (*o.Buf)[:0]
+	}
+	return make([]Entry, 0, n)
+}
+
+// iterate streams a scan's copied entries to fn outside the segment lock,
+// applying the filter and polling Done.
+func (o ScanOpts) iterate(entries []Entry, fn func(Entry) bool) {
+	if o.Buf != nil {
+		*o.Buf = entries
+	}
+	for i, e := range entries {
+		if o.Done != nil && i%doneCheckEvery == 0 {
+			select {
+			case <-o.Done:
+				return
+			default:
+			}
+		}
+		if o.Filter != nil && !o.Filter(e) {
+			continue
+		}
+		if !fn(e) {
+			return
+		}
+	}
 }
 
 // ScanPartition calls fn for a point-in-time copy of every entry in
@@ -527,26 +606,12 @@ const doneCheckEvery = 32
 
 func scanSeg(seg *segment, o ScanOpts, fn func(Entry) bool) {
 	seg.mu.RLock()
-	entries := make([]Entry, 0, len(seg.entries))
+	entries := o.scratch(len(seg.entries))
 	for _, e := range seg.entries {
 		entries = append(entries, e)
 	}
 	seg.mu.RUnlock()
-	for i, e := range entries {
-		if o.Done != nil && i%doneCheckEvery == 0 {
-			select {
-			case <-o.Done:
-				return
-			default:
-			}
-		}
-		if o.Filter != nil && !o.Filter(e) {
-			continue
-		}
-		if !fn(e) {
-			return
-		}
-	}
+	o.iterate(entries, fn)
 }
 
 // NodeView is the handle a specific node (or external client) uses to
@@ -619,28 +684,28 @@ func (v NodeView) Delete(mapName string, key partition.Key) bool {
 // single-key read-modify cycles.)
 func (v NodeView) GetAll(mapName string, keys []partition.Key) []any {
 	m := v.store.GetMap(mapName)
-	// Charge one message per remote node involved, carrying that node's
-	// share of the keys. Nodes are charged in first-touch order so the
+	// One pass, one hash per key: read the key and count it against its
+	// owner. Then charge one message per remote node involved, carrying
+	// that node's share of the keys, in first-touch order so the
 	// transport's jitter sequence stays deterministic for a given key
-	// order.
-	var order []int
-	counts := make(map[int]int)
-	for _, k := range keys {
-		owner := v.store.assign.Owner(v.store.part.Of(k))
-		if owner == v.node {
-			continue
-		}
-		if counts[owner] == 0 {
-			order = append(order, owner)
-		}
-		counts[owner]++
-	}
-	for _, owner := range order {
-		v.store.tr.Send(transport.Msg{From: v.node, To: owner, Ops: counts[owner]})
+	// order. The counts are node-indexed; clusters past the stack arrays'
+	// size pay one allocation for them.
+	var countBuf, orderBuf [getAllStackNodes]int
+	counts, order := countBuf[:], orderBuf[:0]
+	table := v.store.assign.Table()
+	if n := table.Nodes(); n > len(counts) {
+		counts, order = make([]int, n), make([]int, 0, n)
 	}
 	out := make([]any, len(keys))
 	for i, k := range keys {
-		seg := m.segs[v.store.part.Of(k)]
+		p := v.store.part.Of(k)
+		if owner := table.Owner(p); owner != v.node {
+			if counts[owner] == 0 {
+				order = append(order, owner)
+			}
+			counts[owner]++
+		}
+		seg := m.segs[p]
 		seg.mu.RLock()
 		e, ok := seg.entries[partition.KeyString(k)]
 		seg.mu.RUnlock()
@@ -648,8 +713,15 @@ func (v NodeView) GetAll(mapName string, keys []partition.Key) []any {
 			out[i] = e.Value
 		}
 	}
+	for _, owner := range order {
+		v.store.tr.Send(transport.Msg{From: v.node, To: owner, Ops: counts[owner]})
+	}
 	return out
 }
+
+// getAllStackNodes is the cluster size up to which GetAll counts keys per
+// owner on its stack.
+const getAllStackNodes = 16
 
 // Scan streams a point-in-time copy of every entry in the map to fn,
 // partition by partition, charging one network hop per remote node. fn

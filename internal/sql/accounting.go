@@ -3,7 +3,6 @@ package sql
 import (
 	"fmt"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"squery/internal/core"
@@ -12,9 +11,10 @@ import (
 )
 
 // Per-query resource accounting. Every execution tracks, beyond the row
-// counters the executor always kept: the estimated bytes its scans
-// shipped across the client hop, the peak estimated memory held in
-// in-flight pipeline batches, and the per-stage wall breakdown — all
+// counters the executor always kept: the estimated bytes its fragments
+// shipped across the client hop — which the client holds until the merge
+// is done, so they are its peak memory estimate too — and the per-stage
+// wall breakdown — all
 // recorded into the sys.queries event and, past a configurable wall-time
 // threshold, into the bounded sys.slow_queries log. This is the cost
 // signal ROADMAP item 5's admission control will gate on.
@@ -60,50 +60,19 @@ func (ex *Executor) SetMetricsLimits(reg *metrics.Registry, lim MetricsLimits) {
 	ex.setMetrics(reg, lim)
 }
 
-// memAccount tracks the estimated bytes currently held in in-flight
-// pipeline batches of one execution, and the high-water mark.
-type memAccount struct {
-	inflight atomic.Int64
-	peak     atomic.Int64
-}
-
-// grab accounts bytes entering flight (a batch produced).
-func (m *memAccount) grab(n int64) {
-	if n <= 0 {
-		return
-	}
-	cur := m.inflight.Add(n)
-	for {
-		p := m.peak.Load()
-		if cur <= p || m.peak.CompareAndSwap(p, cur) {
-			return
-		}
-	}
-}
-
-// release accounts bytes leaving flight (a batch consumed).
-func (m *memAccount) release(n int64) {
-	if n > 0 {
-		m.inflight.Add(-n)
-	}
-}
-
-// estimateRowBytes approximates the wire/heap footprint of one table row
-// by walking its visible columns. It is an estimate by design: accounting
-// must not cost more than the work it measures, so batches sample one row
-// and extrapolate (see estimateBatchBytes).
-func estimateRowBytes(r *core.TableRow) int64 {
-	if r == nil {
-		return 0
-	}
+// estimateRowBytes approximates the wire footprint of one table row
+// shipped with the given columns (nil = all of them). It is an estimate by
+// design: accounting must not cost more than the work it measures, so
+// batches sample one row and extrapolate (see estimateBatchBytes).
+func estimateRowBytes(r *core.TableRow, cols []string) int64 {
 	n := int64(16) + estimateValueBytes(r.Key) // struct header + key
-	if r.Value == nil {
-		return n
+	row := r.Row()
+	if cols == nil {
+		cols = row.Columns()
 	}
-	for _, c := range r.Value.Columns() {
-		n += int64(len(c))
-		if v, ok := r.Value.Field(c); ok {
-			n += estimateValueBytes(v)
+	for _, c := range cols {
+		if v, ok := row.Field(c); ok {
+			n += int64(len(c)) + estimateValueBytes(v)
 		}
 	}
 	return n
@@ -128,25 +97,13 @@ func estimateValueBytes(v any) int64 {
 	}
 }
 
-// estimateBatchBytes extrapolates a batch's footprint from its first row.
-func estimateBatchBytes(rows []core.TableRow) int64 {
+// estimateBatchBytes extrapolates a shipped row set's footprint from its
+// first row.
+func estimateBatchBytes(rows []core.TableRow, cols []string) int64 {
 	if len(rows) == 0 {
 		return 0
 	}
-	return estimateRowBytes(&rows[0]) * int64(len(rows))
-}
-
-// estimateJoinedBatchBytes extrapolates a joined-row batch's footprint
-// from the first row's populated sides.
-func estimateJoinedBatchBytes(rows []joinedRow) int64 {
-	if len(rows) == 0 {
-		return 0
-	}
-	var per int64
-	for _, t := range rows[0].tabs {
-		per += estimateRowBytes(t)
-	}
-	return (per + 24) * int64(len(rows))
+	return estimateRowBytes(&rows[0], cols) * int64(len(rows))
 }
 
 // stageWallSummary renders the per-stage wall breakdown of an executed

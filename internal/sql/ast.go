@@ -173,6 +173,10 @@ type Agg struct {
 	Arg      Expr // nil for COUNT(*)
 	Star     bool
 	Distinct bool
+	// slot, when non-zero, is 1 + the index of the accumulator a compiled
+	// plan folds this call into (set by the planner's bind step, never by
+	// the parser).
+	slot int
 }
 
 func (Agg) exprNode() {}

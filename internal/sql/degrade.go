@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"sync"
 	"time"
-
-	"squery/internal/core"
 )
 
 // Queries against a partially failed cluster must not hang: a stalled or
@@ -145,15 +143,12 @@ func (d *degrades) add(g Degradation) {
 	d.mu.Unlock()
 }
 
-// gatherPartition reads one partition of source si under the execution's
-// policy, with the plan's pushed predicate and column projection applied
-// inside the scan. examined accumulates the rows the pushed filter
-// inspected (callers own the pointer; a timed-out attempt's abandoned
-// goroutine writes only its own locals). Predicate evaluation errors are
-// query bugs, not faults: they return unwrapped and are never retried or
-// degraded around.
-func (ex *Executor) gatherPartition(pp *physPlan, si, p int, examined *int64, rc *runCtx) ([]core.TableRow, error) {
-	s := &pp.srcs[si]
+// guardPartition runs the pipe's fragment over partition p under the
+// execution's policy. Predicate evaluation errors are query bugs, not
+// faults: they return unwrapped and are never retried or degraded around.
+func (ex *Executor) guardPartition(pi *pipe, p int) error {
+	s := &pi.pp.srcs[pi.src]
+	rc := pi.rc
 	fail := func(err error) error {
 		return &PartitionUnavailableError{
 			Table: s.name, Partition: p, Node: s.ref.PartitionOwner(p), Err: err,
@@ -161,116 +156,101 @@ func (ex *Executor) gatherPartition(pp *physPlan, si, p int, examined *int64, rc
 	}
 	switch rc.opts.Policy {
 	case PolicyFailFast:
-		rows, evalErr, availErr := ex.attemptPartition(pp, si, p, examined, rc)
+		evalErr, availErr := ex.attemptPartition(pi, p)
 		if evalErr != nil {
-			return nil, evalErr
+			return evalErr
 		}
 		if availErr != nil {
-			return nil, fail(availErr)
+			return fail(availErr)
 		}
-		return rows, nil
+		return nil
 
 	case PolicyRetry:
 		deadline := time.Now().Add(rc.opts.RetryDeadline)
 		for {
-			rows, evalErr, availErr := ex.attemptPartition(pp, si, p, examined, rc)
+			evalErr, availErr := ex.attemptPartition(pi, p)
 			if evalErr != nil {
-				return nil, evalErr
+				return evalErr
 			}
 			if availErr == nil {
-				return rows, nil
+				return nil
 			}
 			if time.Now().After(deadline) {
-				return nil, fail(fmt.Errorf("retry deadline %s exhausted: %w", rc.opts.RetryDeadline, availErr))
+				return fail(fmt.Errorf("retry deadline %s exhausted: %w", rc.opts.RetryDeadline, availErr))
 			}
 			time.Sleep(rc.opts.RetryBackoff)
 		}
 
-	case PolicyFallback:
-		rows, evalErr, availErr := ex.attemptPartition(pp, si, p, examined, rc)
+	default: // PolicyFallback
+		evalErr, availErr := ex.attemptPartition(pi, p)
 		if evalErr != nil {
-			return nil, evalErr
+			return evalErr
 		}
 		if availErr == nil {
-			return rows, nil
+			return nil
 		}
 		// Degrade: serve the latest committed snapshot (or, for a snapshot
-		// table, the queried id) from the partition's backup replica. The
-		// pushed filter and projection apply to the fallback scan too.
-		fssid := s.ssid
-		if !s.ref.IsSnapshot() {
-			fssid = s.ref.LatestCommittedSSID()
+		// table, the queried id) from the partition's backup replica —
+		// every table the fragment reads there, the probed side of a
+		// co-partitioned join included. The fragment is the same fragment.
+		reads := []int{pi.src}
+		if pi.whole && pi.pp.coPart {
+			reads = append(reads, 1-pi.src)
 		}
-		if fssid == 0 {
-			return nil, fail(fmt.Errorf("no committed snapshot to fall back to: %w", availErr))
+		fb := make([]int64, len(pi.pp.srcs))
+		for _, si := range reads {
+			t := &pi.pp.srcs[si]
+			fb[si] = t.ssid
+			if !t.ref.IsSnapshot() {
+				fb[si] = t.ref.LatestCommittedSSID()
+			}
+			if fb[si] == 0 {
+				return fail(fmt.Errorf("no committed snapshot to fall back to: %w", availErr))
+			}
 		}
 		if berr := s.ref.CheckBackupPartition(p); berr != nil {
-			return nil, fail(fmt.Errorf("backup replica also unavailable: %w", berr))
+			return fail(fmt.Errorf("backup replica also unavailable: %w", berr))
 		}
-		var out []core.TableRow
-		var fEvalErr error
-		spec := pp.spec(si, rc.ctx, rc.done, examined, &fEvalErr)
-		spec.SSID = fssid
-		s.ref.ScanPartitionFallbackSpec(p, spec, func(r core.TableRow) bool {
-			out = append(out, r)
-			return true
-		})
-		if fEvalErr != nil {
-			return nil, fEvalErr
+		if err := pi.readPartition(p, fb); err != nil {
+			return err
 		}
-		rc.deg.add(Degradation{Table: s.name, Partition: p, FallbackSSID: fssid})
-		return out, nil
-
-	default: // PolicyNone — unguarded
-		var out []core.TableRow
-		var evalErr error
-		spec := pp.spec(si, rc.ctx, rc.done, examined, &evalErr)
-		s.ref.ScanPartitionSpec(p, spec, func(r core.TableRow) bool {
-			out = append(out, r)
-			return true
-		})
-		if evalErr != nil {
-			return nil, evalErr
+		for _, si := range reads {
+			rc.deg.add(Degradation{Table: pi.pp.srcs[si].name, Partition: p, FallbackSSID: fb[si]})
 		}
-		return out, nil
+		return nil
 	}
 }
 
-// attemptPartition makes one timeout-bounded access check + scan of a
-// partition. The scan runs in a goroutine so a stalled access check cannot
-// block the query past PartitionTimeout; an abandoned attempt finishes
-// harmlessly against the immutable partition copy, writing only its own
-// result struct (never the caller's examined counter).
-func (ex *Executor) attemptPartition(pp *physPlan, si, p int, examined *int64, rc *runCtx) ([]core.TableRow, error, error) {
-	s := &pp.srcs[si]
+// attemptPartition makes one timeout-bounded access check + fragment run
+// over a partition. The attempt runs in a goroutine, on a pipe of its own,
+// so a stalled access check cannot block the query past PartitionTimeout;
+// an abandoned attempt finishes harmlessly against the immutable partition
+// copy, writing only its own pipe, which nobody absorbs.
+func (ex *Executor) attemptPartition(pi *pipe, p int) (evalErr, availErr error) {
+	s := &pi.pp.srcs[pi.src]
 	type res struct {
-		rows     []core.TableRow
-		examined int64
-		evalErr  error
-		err      error
+		att     *pipe
+		evalErr error
+		err     error
 	}
 	ch := make(chan res, 1)
 	go func() {
-		var r res
 		if err := s.ref.CheckPartition(p); err != nil {
-			r.err = err
-			ch <- r
+			ch <- res{err: err}
 			return
 		}
-		spec := pp.spec(si, rc.ctx, rc.done, &r.examined, &r.evalErr)
-		s.ref.ScanPartitionSpec(p, spec, func(row core.TableRow) bool {
-			r.rows = append(r.rows, row)
-			return true
-		})
-		ch <- r
+		att := pi.fork()
+		ch <- res{att: att, evalErr: att.readPartition(p, nil)}
 	}()
-	tm := time.NewTimer(rc.opts.PartitionTimeout)
+	tm := time.NewTimer(pi.rc.opts.PartitionTimeout)
 	defer tm.Stop()
 	select {
 	case r := <-ch:
-		*examined += r.examined
-		return r.rows, r.evalErr, r.err
+		if r.att != nil && r.evalErr == nil {
+			r.evalErr = pi.absorbAttempt(r.att)
+		}
+		return r.evalErr, r.err
 	case <-tm.C:
-		return nil, nil, fmt.Errorf("%w after %s", errScanTimeout, rc.opts.PartitionTimeout)
+		return nil, fmt.Errorf("%w after %s", errScanTimeout, pi.rc.opts.PartitionTimeout)
 	}
 }

@@ -17,9 +17,16 @@ type evalCtx struct {
 	now time.Time // LOCALTIMESTAMP, fixed at query start
 }
 
-// eval evaluates an expression against a row. Aggregates must have been
-// rewritten away before eval is called on post-aggregation expressions;
-// encountering one here is a planner bug surfaced as an error.
+// eval evaluates an expression against a row and boxes the result — the
+// form a value takes when it reaches the result set or a scalar function.
+// Aggregates must have been rewritten away before eval is called on
+// post-aggregation expressions; encountering one here is a planner bug
+// surfaced as an error.
+//
+// eval and evalD are one evaluator in two result forms: each operator is
+// implemented once, in the form it computes in — arithmetic, functions and
+// LIKE on boxed values here; column reads, literals, comparisons and
+// three-valued logic on datums in evalD — and the other form converts.
 func (c *evalCtx) eval(e Expr, row Resolver) (any, error) {
 	switch x := e.(type) {
 	case Lit:
@@ -32,17 +39,22 @@ func (c *evalCtx) eval(e Expr, row Resolver) (any, error) {
 			return nil, fmt.Errorf("sql: unknown column %s", x)
 		}
 		return v, nil
+	case *colRef:
+		if jr, ok := row.(*joinedRow); ok {
+			v, ok := jr.value(x)
+			if !ok {
+				return nil, fmt.Errorf("sql: unknown column %s", x.id)
+			}
+			return v, nil
+		}
+		return c.eval(x.id, row)
 	case Unary:
+		if x.Op == "NOT" {
+			break
+		}
 		v, err := c.eval(x.E, row)
 		if err != nil {
 			return nil, err
-		}
-		if x.Op == "NOT" {
-			b, ok := truthy(v)
-			if !ok {
-				return nil, nil // NOT NULL-ish input stays NULL
-			}
-			return !b, nil
 		}
 		f, ok := toFloat(v)
 		if !ok {
@@ -52,56 +64,6 @@ func (c *evalCtx) eval(e Expr, row Resolver) (any, error) {
 			return -i, nil
 		}
 		return -f, nil
-	case IsNull:
-		v, err := c.eval(x.E, row)
-		if err != nil {
-			return nil, err
-		}
-		return (v == nil) != x.Not, nil
-	case InList:
-		v, err := c.eval(x.E, row)
-		if err != nil {
-			return nil, err
-		}
-		if v == nil {
-			return nil, nil
-		}
-		for _, le := range x.List {
-			lv, err := c.eval(le, row)
-			if err != nil {
-				return nil, err
-			}
-			cmp, err := compare(v, lv)
-			if err == nil && cmp == 0 {
-				return !x.Not, nil
-			}
-		}
-		return x.Not, nil
-	case Between:
-		v, err := c.eval(x.E, row)
-		if err != nil {
-			return nil, err
-		}
-		lo, err := c.eval(x.Lo, row)
-		if err != nil {
-			return nil, err
-		}
-		hi, err := c.eval(x.Hi, row)
-		if err != nil {
-			return nil, err
-		}
-		if v == nil || lo == nil || hi == nil {
-			return nil, nil
-		}
-		cl, err := compare(v, lo)
-		if err != nil {
-			return nil, err
-		}
-		ch, err := compare(v, hi)
-		if err != nil {
-			return nil, err
-		}
-		return (cl >= 0 && ch <= 0) != x.Not, nil
 	case Like:
 		v, err := c.eval(x.E, row)
 		if err != nil {
@@ -116,13 +78,147 @@ func (c *evalCtx) eval(e Expr, row Resolver) (any, error) {
 		}
 		return likeMatch(s, x.Pattern) != x.Not, nil
 	case Binary:
-		return c.evalBinary(x, row)
+		switch x.Op {
+		case "+", "-", "*", "/", "%":
+			l, err := c.eval(x.L, row)
+			if err != nil {
+				return nil, err
+			}
+			r, err := c.eval(x.R, row)
+			if err != nil {
+				return nil, err
+			}
+			return arith(x.Op, l, r)
+		}
 	case Func:
 		return c.evalFunc(x, row)
 	case Agg:
 		return nil, fmt.Errorf("sql: aggregate %s used outside an aggregating context", x)
 	}
-	return nil, fmt.Errorf("sql: unhandled expression %T", e)
+	d, err := c.evalD(e, row)
+	return d.box(), err
+}
+
+// evalD evaluates an expression to a typed datum: the form filters, join
+// keys, group keys and aggregate arguments are consumed in. A column the
+// planner bound (colRef) is read by ordinal through its table's schema;
+// an Ident resolves by name through the Resolver. It only dispatches — the
+// operators live in functions of their own, so that the frame a column
+// read or a literal pays for stays small.
+func (c *evalCtx) evalD(e Expr, row Resolver) (datum, error) {
+	switch x := e.(type) {
+	case Lit:
+		return fromAny(x.Val), nil
+	case LocalTimestamp:
+		return timeDatum(&c.now), nil
+	case *colRef:
+		return c.evalCol(x, row)
+	case Ident:
+		v, ok := row.Resolve(x.Table, x.Name)
+		if !ok {
+			return datum{}, fmt.Errorf("sql: unknown column %s", x)
+		}
+		return fromAny(v), nil
+	case Unary:
+		if x.Op == "NOT" {
+			return c.evalNot(x, row)
+		}
+	case IsNull:
+		v, err := c.evalD(x.E, row)
+		return boolDatum((v.k == dNull) != x.Not), err
+	case InList:
+		return c.evalIn(x, row)
+	case Between:
+		return c.evalBetween(x, row)
+	case Binary:
+		switch x.Op {
+		case "AND", "OR":
+			return c.evalLogic(x, row)
+		case "=", "!=", "<", "<=", ">", ">=":
+			return c.evalCompare(x, row)
+		case "+", "-", "*", "/", "%":
+		default:
+			return datum{}, fmt.Errorf("sql: unknown operator %q", x.Op)
+		}
+	case Like, Func, Agg:
+	default:
+		return datum{}, fmt.Errorf("sql: unhandled expression %T", e)
+	}
+	v, err := c.eval(e, row)
+	return fromAny(v), err
+}
+
+// evalCol reads a bound column.
+func (c *evalCtx) evalCol(x *colRef, row Resolver) (datum, error) {
+	jr, ok := row.(*joinedRow)
+	if !ok {
+		return c.evalD(x.id, row)
+	}
+	d, ok := jr.col(x)
+	if !ok {
+		return datum{}, fmt.Errorf("sql: unknown column %s", x.id)
+	}
+	return d, nil
+}
+
+func (c *evalCtx) evalNot(x Unary, row Resolver) (datum, error) {
+	v, err := c.evalD(x.E, row)
+	if err != nil {
+		return datum{}, err
+	}
+	b, ok := v.truthy()
+	if !ok {
+		return datum{}, nil // NOT NULL-ish input stays NULL
+	}
+	return boolDatum(!b), nil
+}
+
+func (c *evalCtx) evalIn(x InList, row Resolver) (datum, error) {
+	v, err := c.evalD(x.E, row)
+	if err != nil {
+		return datum{}, err
+	}
+	if v.k == dNull {
+		return datum{}, nil
+	}
+	for _, le := range x.List {
+		lv, err := c.evalD(le, row)
+		if err != nil {
+			return datum{}, err
+		}
+		cmp, err := compareD(v, lv)
+		if err == nil && cmp == 0 {
+			return boolDatum(!x.Not), nil
+		}
+	}
+	return boolDatum(x.Not), nil
+}
+
+func (c *evalCtx) evalBetween(x Between, row Resolver) (datum, error) {
+	v, err := c.evalD(x.E, row)
+	if err != nil {
+		return datum{}, err
+	}
+	lo, err := c.evalD(x.Lo, row)
+	if err != nil {
+		return datum{}, err
+	}
+	hi, err := c.evalD(x.Hi, row)
+	if err != nil {
+		return datum{}, err
+	}
+	if v.k == dNull || lo.k == dNull || hi.k == dNull {
+		return datum{}, nil
+	}
+	cl, err := compareD(v, lo)
+	if err != nil {
+		return datum{}, err
+	}
+	ch, err := compareD(v, hi)
+	if err != nil {
+		return datum{}, err
+	}
+	return boolDatum((cl >= 0 && ch <= 0) != x.Not), nil
 }
 
 // evalFunc evaluates the scalar functions of the dialect. Except for
@@ -226,81 +322,76 @@ func (c *evalCtx) evalFunc(x Func, row Resolver) (any, error) {
 	return nil, fmt.Errorf("sql: unknown function %s", x.Name)
 }
 
-func (c *evalCtx) evalBinary(x Binary, row Resolver) (any, error) {
-	switch x.Op {
-	case "AND", "OR":
-		l, err := c.eval(x.L, row)
-		if err != nil {
-			return nil, err
-		}
-		lb, lok := truthy(l)
-		// Short-circuit where three-valued logic allows.
-		if x.Op == "AND" && lok && !lb {
-			return false, nil
-		}
-		if x.Op == "OR" && lok && lb {
-			return true, nil
-		}
-		r, err := c.eval(x.R, row)
-		if err != nil {
-			return nil, err
-		}
-		rb, rok := truthy(r)
-		// Three-valued logic: FALSE AND NULL = FALSE, TRUE OR NULL =
-		// TRUE, otherwise a NULL operand makes the result NULL.
-		if x.Op == "AND" {
-			if rok && !rb {
-				return false, nil
-			}
-			if !lok || !rok {
-				return nil, nil
-			}
-			return true, nil
-		}
-		if rok && rb {
-			return true, nil
+// evalLogic evaluates AND / OR under three-valued logic.
+func (c *evalCtx) evalLogic(x Binary, row Resolver) (datum, error) {
+	l, err := c.evalD(x.L, row)
+	if err != nil {
+		return datum{}, err
+	}
+	lb, lok := l.truthy()
+	// Short-circuit where three-valued logic allows.
+	if x.Op == "AND" && lok && !lb {
+		return boolDatum(false), nil
+	}
+	if x.Op == "OR" && lok && lb {
+		return boolDatum(true), nil
+	}
+	r, err := c.evalD(x.R, row)
+	if err != nil {
+		return datum{}, err
+	}
+	rb, rok := r.truthy()
+	// Three-valued logic: FALSE AND NULL = FALSE, TRUE OR NULL = TRUE,
+	// otherwise a NULL operand makes the result NULL.
+	if x.Op == "AND" {
+		if rok && !rb {
+			return boolDatum(false), nil
 		}
 		if !lok || !rok {
-			return nil, nil
+			return datum{}, nil
 		}
-		return false, nil
+		return boolDatum(true), nil
 	}
+	if rok && rb {
+		return boolDatum(true), nil
+	}
+	if !lok || !rok {
+		return datum{}, nil
+	}
+	return boolDatum(false), nil
+}
 
-	l, err := c.eval(x.L, row)
+// evalCompare evaluates = != < <= > >=.
+func (c *evalCtx) evalCompare(x Binary, row Resolver) (datum, error) {
+	l, err := c.evalD(x.L, row)
 	if err != nil {
-		return nil, err
+		return datum{}, err
 	}
-	r, err := c.eval(x.R, row)
+	r, err := c.evalD(x.R, row)
 	if err != nil {
-		return nil, err
+		return datum{}, err
+	}
+	if l.k == dNull || r.k == dNull {
+		return datum{}, nil // comparisons with NULL are NULL
+	}
+	cmp, err := compareD(l, r)
+	if err != nil {
+		return datum{}, err
 	}
 	switch x.Op {
-	case "=", "!=", "<", "<=", ">", ">=":
-		if l == nil || r == nil {
-			return nil, nil // comparisons with NULL are NULL
-		}
-		cmp, err := compare(l, r)
-		if err != nil {
-			return nil, err
-		}
-		switch x.Op {
-		case "=":
-			return cmp == 0, nil
-		case "!=":
-			return cmp != 0, nil
-		case "<":
-			return cmp < 0, nil
-		case "<=":
-			return cmp <= 0, nil
-		case ">":
-			return cmp > 0, nil
-		default:
-			return cmp >= 0, nil
-		}
-	case "+", "-", "*", "/", "%":
-		return arith(x.Op, l, r)
+	case "=":
+		return boolDatum(cmp == 0), nil
+	case "!=":
+		return boolDatum(cmp != 0), nil
+	case "<":
+		return boolDatum(cmp < 0), nil
+	case "<=":
+		return boolDatum(cmp <= 0), nil
+	case ">":
+		return boolDatum(cmp > 0), nil
+	default:
+		return boolDatum(cmp >= 0), nil
 	}
-	return nil, fmt.Errorf("sql: unknown operator %q", x.Op)
 }
 
 // truthy interprets a value as a boolean; ok is false for NULL/non-bool.
@@ -338,59 +429,8 @@ func toFloat(v any) (float64, bool) {
 	return 0, false
 }
 
-// compare orders two values: numerics by value, strings
-// lexicographically, times chronologically, bools false<true. Comparing
-// incompatible types is an error, matching strict SQL engines.
-func compare(a, b any) (int, error) {
-	if ta, ok := a.(time.Time); ok {
-		tb, ok := b.(time.Time)
-		if !ok {
-			return 0, fmt.Errorf("sql: cannot compare timestamp with %T", b)
-		}
-		switch {
-		case ta.Before(tb):
-			return -1, nil
-		case ta.After(tb):
-			return 1, nil
-		default:
-			return 0, nil
-		}
-	}
-	if sa, ok := a.(string); ok {
-		sb, ok := b.(string)
-		if !ok {
-			return 0, fmt.Errorf("sql: cannot compare string with %T", b)
-		}
-		return strings.Compare(sa, sb), nil
-	}
-	if ba, ok := a.(bool); ok {
-		bb, ok := b.(bool)
-		if !ok {
-			return 0, fmt.Errorf("sql: cannot compare bool with %T", b)
-		}
-		switch {
-		case ba == bb:
-			return 0, nil
-		case bb:
-			return -1, nil
-		default:
-			return 1, nil
-		}
-	}
-	fa, aok := toFloat(a)
-	fb, bok := toFloat(b)
-	if aok && bok {
-		switch {
-		case fa < fb:
-			return -1, nil
-		case fa > fb:
-			return 1, nil
-		default:
-			return 0, nil
-		}
-	}
-	return 0, fmt.Errorf("sql: cannot compare %T with %T", a, b)
-}
+// compare orders two boxed values (see compareD).
+func compare(a, b any) (int, error) { return compareD(fromAny(a), fromAny(b)) }
 
 // arith evaluates arithmetic with integer preservation: int op int stays
 // int64 (except /, which divides exactly when possible).

@@ -12,6 +12,7 @@ import (
 	"squery/internal/metrics"
 	"squery/internal/sql/plan"
 	"squery/internal/trace"
+	"squery/internal/wire"
 )
 
 // Executor runs SELECT statements against the state tables of a catalog.
@@ -20,10 +21,11 @@ import (
 // result set.
 //
 // Execution is two-phase: compile lowers the parsed statement into a
-// physPlan (planner.go) — pushdown decisions, pruning, the plan.Node
-// tree — and run (stream.go) executes that plan as a streaming pipeline.
-// EXPLAIN renders the same compiled plan; EXPLAIN ANALYZE renders the
-// exact plan instance an execution ran.
+// physPlan (planner.go) — column binding, pushdown decisions, pruning, the
+// plan.Node tree — and run (fragment.go) executes that plan as partition
+// fragments on the owning nodes plus a client merge. EXPLAIN renders the
+// same compiled plan; EXPLAIN ANALYZE renders the exact plan instance an
+// execution ran.
 type Executor struct {
 	cat *core.Catalog
 	// nodes is the scatter-gather fan-out: the cluster's node count. It
@@ -93,8 +95,9 @@ type partScanIns struct {
 // counters and latency under ("sql", "exec"), per-plan-stage totals under
 // ("sql", "plan"), per-partition scan stats under ("sql", "p<N>"), and
 // the "queries" event log behind sys.queries. rows_scanned counts rows
-// examined on the owning nodes; rows_shipped counts the (possibly
-// filter-reduced) rows that crossed the client hop. Call before serving
+// read on the owning nodes (scanned, or found by a join's key lookup);
+// rows_shipped counts what crossed the client hop — projected rows,
+// partial groups, or a gathered source's rows. Call before serving
 // queries; a nil registry leaves metrics disabled. Log bounds and the
 // slow-query threshold take the MetricsLimits defaults — use
 // SetMetricsLimits to configure them.
@@ -229,53 +232,21 @@ type tableSrc struct {
 	// satisfying the query's `partitionKey = <literal>` predicate; every
 	// other partition is pruned from the scan.
 	partHint int
+	// keyPin is the partitionKey literal behind partHint.
+	keyPin any
 	// path is the planner-chosen access path (nil = full scan). It is an
 	// optimisation hint carried into every partition ScanSpec; the pushed
 	// filter remains the truth, so an unserveable path silently full-scans.
 	path *core.AccessPath
+	// schema is the table's row schema when it reported one: references to
+	// this source bind to field ordinals. nil keeps the by-name accessor.
+	schema *wire.Schema
+	// cols is the column set a gathered source ships to the client (nil =
+	// all columns).
+	cols []string
 	// scan is this source's leaf in the plan tree; its Stats accumulate
 	// the scan counters (shared across the scan goroutines).
 	scan *plan.Scan
-}
-
-// joinedRow is one row of the (possibly joined) working set: one TableRow
-// per source, aligned with the sources slice. A nil entry means the source
-// contributed no row (LEFT JOIN miss).
-type joinedRow struct {
-	srcs []tableSrc
-	tabs []*core.TableRow
-}
-
-// Resolve implements Resolver over the joined row.
-func (r joinedRow) Resolve(table, column string) (any, bool) {
-	if table != "" {
-		for i, s := range r.srcs {
-			if strings.EqualFold(s.alias, table) || strings.EqualFold(s.name, table) {
-				if r.tabs[i] == nil {
-					return nil, true // LEFT JOIN miss: columns are NULL
-				}
-				return r.tabs[i].Field(column)
-			}
-		}
-		return nil, false
-	}
-	hadMiss := false
-	for i := range r.srcs {
-		if r.tabs[i] == nil {
-			hadMiss = true
-			continue
-		}
-		if v, ok := r.tabs[i].Field(column); ok {
-			return v, true
-		}
-	}
-	// With a LEFT JOIN miss the column may belong to the absent side,
-	// whose schema we cannot see — resolve it as NULL. (The cost is that
-	// a typo in such a query yields NULLs instead of an error.)
-	if hadMiss {
-		return nil, true
-	}
-	return nil, false
 }
 
 // Query parses and executes a SELECT statement. EXPLAIN <select> returns
@@ -346,7 +317,6 @@ func (ex *Executor) execTraced(stmt *Select, opts ExecOpts, query string) (*Resu
 	pp.total = sw.Elapsed()
 	pp.degraded = len(rc.deg.list)
 	pp.bytesShipped = rc.shippedBytes.Load()
-	pp.peakMemBytes = rc.mem.peak.Load()
 	if err == nil {
 		pp.returned = len(res.Rows)
 	}
@@ -369,28 +339,29 @@ func (ex *Executor) finishQuery(query string, pp *physPlan, total time.Duration,
 	var bytes, peakMem int64
 	var stages string
 	if pp != nil {
-		bytes = pp.bytesShipped
-		peakMem = pp.peakMemBytes
+		bytes, peakMem = pp.bytesShipped, pp.bytesShipped
 		stages = stageWallSummary(pp.root)
 		for _, sc := range pp.scans {
 			st := sc.Stat()
 			scanned += st.Parts.Load()
-			pruned += sc.PrunedParts
+			if !sc.Probe {
+				pruned += sc.PrunedParts
+			}
 			if sc.Access != "" {
 				indexed += st.Parts.Load()
 			}
 			examined += st.Examined.Load()
-			shipped += st.Rows.Load()
 		}
 		returned = int64(pp.returned)
 		degraded = int64(pp.degraded)
-		if ex.m.planRows != nil {
-			plan.Walk(pp.root, func(n plan.Node) {
-				st := n.Stat()
+		plan.Walk(pp.root, func(n plan.Node) {
+			st := n.Stat()
+			shipped += st.Shipped.Load()
+			if ex.m.planRows != nil {
 				ex.m.planRows[n.Kind()].Add(st.Rows.Load())
 				ex.m.planWall[n.Kind()].Add(st.WallNs.Load())
-			})
-		}
+			}
+		})
 	}
 	ex.m.partsScanned.Add(scanned)
 	ex.m.partsPruned.Add(pruned)
@@ -409,9 +380,9 @@ func (ex *Executor) finishQuery(query string, pp *physPlan, total time.Duration,
 	}
 	if qsp != nil {
 		// Per-stage child spans, synthesized from the plan tree the
-		// execution just ran. Stages of the streaming pipeline overlap in
-		// wall time, so each child starts at the root and Dur is the
-		// stage's own accumulated wall clock.
+		// execution just ran. The nodes' fragments overlap in wall time,
+		// so each child starts at the root and Dur is the stage's own
+		// accumulated wall clock.
 		ctx := qsp.Context()
 		if pp != nil {
 			plan.Walk(pp.root, func(n plan.Node) {
@@ -490,7 +461,7 @@ type queryEvent struct {
 	pruned   int64
 	degraded int64
 	bytes    int64  // estimated bytes shipped across the client hop
-	peakMem  int64  // peak estimated bytes in in-flight pipeline batches
+	peakMem  int64  // peak estimated bytes the client held: all that was shipped
 	stages   string // per-stage wall breakdown ("scan=1.2ms project=80µs")
 	failed   bool
 	traceID  uint64 // joins sys.queries to sys.spans; 0 when untraced
@@ -698,7 +669,7 @@ func applyKeyHints(stmt *Select, srcs []tableSrc, where Expr) {
 			continue
 		}
 		if p, ok := s.ref.PartitionOf(key); ok {
-			s.partHint = p
+			s.partHint, s.keyPin = p, key
 		}
 	}
 }
@@ -723,10 +694,11 @@ func (ex *Executor) ownedPartitions(s tableSrc, node int) []int {
 	return out
 }
 
-// recordPartScan accounts one partition scan on the source's plan leaf
+// recordPartScan accounts one partition read on the source's plan leaf
 // and the per-partition registry instruments. examined counts rows the
-// pushed filter inspected node-side; emitted counts rows that crossed
-// the client hop.
+// pushed filter inspected node-side; emitted counts the rows it kept. The
+// wall time is the whole fragment's: what the rows went on to — probe,
+// fold, projection — runs inside the read.
 func (ex *Executor) recordPartScan(s *tableSrc, p int, examined, emitted int64, d time.Duration) {
 	if s.scan != nil {
 		st := s.scan.Stat()
@@ -743,9 +715,11 @@ func (ex *Executor) recordPartScan(s *tableSrc, p int, examined, emitted int64, 
 	}
 }
 
-func joinKeys(j Join, srcs []tableSrc, si int) (string, string, error) {
+// joinKeys returns the key columns of join j: the one read from the
+// sources to its left, and the one read from the joined source si.
+func joinKeys(j Join, srcs []tableSrc, si int) (left, right Ident, err error) {
 	if j.Using != "" {
-		return j.Using, j.Using, nil
+		return Ident{Name: j.Using}, Ident{Name: j.Using}, nil
 	}
 	// ON a.x = b.y: decide which side belongs to the joined table.
 	matches := func(id Ident) bool {
@@ -753,136 +727,12 @@ func joinKeys(j Join, srcs []tableSrc, si int) (string, string, error) {
 	}
 	switch {
 	case matches(j.OnR):
-		return j.OnL.Name, j.OnR.Name, nil
+		return j.OnL, j.OnR, nil
 	case matches(j.OnL):
-		return j.OnR.Name, j.OnL.Name, nil
+		return j.OnR, j.OnL, nil
 	default:
-		return "", "", fmt.Errorf("sql: ON clause must reference the joined table %q", srcs[si].name)
+		return Ident{}, Ident{}, fmt.Errorf("sql: ON clause must reference the joined table %q", srcs[si].name)
 	}
-}
-
-// evalWithAggs evaluates an expression that may contain aggregates, over
-// the rows of one group. Non-aggregate subexpressions are evaluated
-// against the group's first row (SQL's bare-column-in-GROUP-BY rule).
-func (ex *Executor) evalWithAggs(ctx *evalCtx, e Expr, rows []joinedRow) (any, error) {
-	switch x := e.(type) {
-	case Agg:
-		return ex.evalAggregate(ctx, x, rows)
-	case Binary:
-		if containsAgg(x.L) || containsAgg(x.R) {
-			l, err := ex.evalWithAggs(ctx, x.L, rows)
-			if err != nil {
-				return nil, err
-			}
-			r, err := ex.evalWithAggs(ctx, x.R, rows)
-			if err != nil {
-				return nil, err
-			}
-			return ctx.evalBinary(Binary{Op: x.Op, L: Lit{Val: l}, R: Lit{Val: r}}, nil)
-		}
-	case Func:
-		if containsAgg(x) {
-			args := make([]Expr, len(x.Args))
-			for i, a := range x.Args {
-				v, err := ex.evalWithAggs(ctx, a, rows)
-				if err != nil {
-					return nil, err
-				}
-				args[i] = Lit{Val: v}
-			}
-			return ctx.evalFunc(Func{Name: x.Name, Args: args}, nil)
-		}
-	}
-	if len(rows) == 0 {
-		return nil, nil
-	}
-	return ctx.eval(e, rows[0])
-}
-
-func (ex *Executor) evalAggregate(ctx *evalCtx, a Agg, rows []joinedRow) (any, error) {
-	if a.Star {
-		return int64(len(rows)), nil
-	}
-	var (
-		count   int64
-		sum     float64
-		sumI    int64
-		allInts = true
-		minV    any
-		maxV    any
-		seen    map[joinKey]struct{}
-	)
-	if a.Distinct {
-		seen = map[joinKey]struct{}{}
-	}
-	for _, r := range rows {
-		v, err := ctx.eval(a.Arg, r)
-		if err != nil {
-			return nil, err
-		}
-		if v == nil {
-			continue
-		}
-		if a.Distinct {
-			k := makeJoinKey(v)
-			if _, dup := seen[k]; dup {
-				continue
-			}
-			seen[k] = struct{}{}
-		}
-		count++
-		switch a.Func {
-		case AggSum, AggAvg:
-			f, ok := toFloat(v)
-			if !ok {
-				return nil, fmt.Errorf("sql: %s over non-numeric %T", a.Func, v)
-			}
-			sum += f
-			if i, ok := toInt(v); ok {
-				sumI += i
-			} else {
-				allInts = false
-			}
-		case AggMin:
-			if minV == nil {
-				minV = v
-			} else if c, err := compare(v, minV); err != nil {
-				return nil, err
-			} else if c < 0 {
-				minV = v
-			}
-		case AggMax:
-			if maxV == nil {
-				maxV = v
-			} else if c, err := compare(v, maxV); err != nil {
-				return nil, err
-			} else if c > 0 {
-				maxV = v
-			}
-		}
-	}
-	switch a.Func {
-	case AggCount:
-		return count, nil
-	case AggSum:
-		if count == 0 {
-			return nil, nil
-		}
-		if allInts {
-			return sumI, nil
-		}
-		return sum, nil
-	case AggAvg:
-		if count == 0 {
-			return nil, nil
-		}
-		return sum / float64(count), nil
-	case AggMin:
-		return minV, nil
-	case AggMax:
-		return maxV, nil
-	}
-	return nil, fmt.Errorf("sql: unknown aggregate %q", a.Func)
 }
 
 // sortOutRows sorts rows by the pre-computed ORDER BY keys. NULLs sort

@@ -2,6 +2,7 @@ package sql
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -388,4 +389,46 @@ func TestResultString(t *testing.T) {
 	if s == "" || res.ColumnIndex("nope") != -1 {
 		t.Fatal("String()/ColumnIndex misbehave")
 	}
+}
+
+// sixCols has six columns: its sorted column-name slice grows by doubling
+// to capacity eight, leaving the two spare slots that appending the two
+// pseudo-columns used to write into — one backing array, shared by every
+// row of the type.
+type sixCols struct {
+	A, B, C string
+	D, E, F int64
+}
+
+// TestSelectStarConcurrentSixColumns: concurrent SELECT * over a struct
+// table must not write the schema's shared column slice. Regression
+// (reproduced under -race): TableRow.Columns appended partitionKey and ssid
+// to wire.Schema's own slice.
+func TestSelectStarConcurrentSixColumns(t *testing.T) {
+	f := newFixture(t, 2, liveSnapCfg())
+	six := newBackend(t, f, "sixcols")
+	for i := 0; i < 20; i++ {
+		six.Update(fmt.Sprintf("k-%d", i), sixCols{A: "a", B: "b", C: "c", D: int64(i), E: 2, F: 3})
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				for _, opts := range []ExecOpts{{}, {DisablePushdown: true}} {
+					res, err := f.ex.QueryWithOptions(`SELECT * FROM sixcols`, opts)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if len(res.Columns) != 8 || len(res.Rows) != 20 || res.ColumnIndex(core.ColSSID) != 7 {
+						t.Errorf("SELECT * = %v, %d rows; want 6 columns + partitionKey, ssid and 20 rows", res.Columns, len(res.Rows))
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -37,8 +37,13 @@ func TestExplainCoPartitionedJoin(t *testing.T) {
 	}
 	for _, want := range []string{
 		"snapshot @ ssid 1 (latest committed)",
-		"co-partitioned per-partition hash join",
-		"aggregate GROUP BY deliveryZone",
+		"co-partitioned key-lookup join",
+		// The unqualified orderState is attributed to the one source whose
+		// schema has it, pushed there, and that side — the smaller after
+		// its filter — drives.
+		"scan snapshot_orderstate snapshot @ ssid 1 (latest committed), scatter-gather over 3 nodes, pushed filter (orderState = 'NOTIFIED')",
+		"probe snapshot_orderinfo snapshot @ ssid 1 (latest committed), key lookup by the driving row's partitionKey",
+		"aggregate GROUP BY deliveryZone, folded per node into partial groups, merged at the client",
 	} {
 		if !strings.Contains(plan, want) {
 			t.Errorf("plan missing %q:\n%s", want, plan)

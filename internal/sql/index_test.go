@@ -9,6 +9,15 @@ import (
 	"squery/internal/core"
 )
 
+// paperQueries are Queries 1-4 of §VIII as printed (internal/qcommerce,
+// which this package cannot import, holds the same texts).
+var paperQueries = []string{
+	`SELECT COUNT(*), deliveryZone FROM "snapshot_orderinfo" JOIN "snapshot_orderstate" USING(partitionKey) WHERE (orderState='VENDOR_ACCEPTED' AND lateTimestamp<LOCALTIMESTAMP) GROUP BY deliveryZone;`,
+	`SELECT COUNT(*), vendorCategory FROM "snapshot_orderinfo" JOIN "snapshot_orderstate" USING(partitionKey) WHERE (orderState='NOTIFIED' OR orderState='ACCEPTED') GROUP BY vendorCategory;`,
+	`SELECT COUNT(*), deliveryZone FROM "snapshot_orderinfo" JOIN "snapshot_orderstate" USING(partitionKey) WHERE (orderState='VENDOR_ACCEPTED') GROUP BY deliveryZone;`,
+	`SELECT COUNT(*), deliveryZone FROM "snapshot_orderinfo" JOIN "snapshot_orderstate" USING(partitionKey) WHERE orderState='PICKED_UP' OR orderState='LEFT_PICKUP' OR orderState='NEAR_CUSTOMER' GROUP BY deliveryZone;`,
+}
+
 // indexFixture is newFixture plus secondary indexes on both operators:
 // hash on the string columns, B-tree on the numeric one, covering live
 // and snapshot tables.
@@ -113,6 +122,26 @@ func TestIndexParity(t *testing.T) {
 		`WHERE a.deliveryZone = 'north' AND b.orderState = 'NOTIFIED'`, ExecOpts{})
 	runAB(t, f, `SELECT a.partitionKey, b.orderState FROM orderinfo a JOIN orderstate b ON a.partitionKey = b.partitionKey `+
 		`WHERE a.customerLat > 100 AND b.orderState = 'PICKED_UP'`, ExecOpts{})
+
+	// The paper's four queries, verbatim: every column unqualified, so the
+	// planner attributes each conjunct to the one side that has it and the
+	// fragment probes the other by key.
+	for _, q := range paperQueries {
+		runAB(t, f, q, ExecOpts{})
+	}
+
+	// A pinned key: the key lookup must return what scanning the pruned
+	// partition does, alone and as the driving side of a join.
+	keyed := `SELECT deliveryZone, customerLat FROM orderinfo WHERE partitionKey = 'order-7'`
+	res, _ = runAB(t, f, keyed, ExecOpts{})
+	if len(res.Rows) != 1 {
+		t.Fatalf("key lookup rows = %d, want 1", len(res.Rows))
+	}
+	if text, err := f.ex.Explain(keyed); err != nil || !strings.Contains(text, "access key lookup(partitionKey = order-7)") {
+		t.Fatalf("pinned key did not plan a key lookup: %v\n%s", err, text)
+	}
+	runAB(t, f, `SELECT deliveryZone, orderState FROM "snapshot_orderinfo" JOIN "snapshot_orderstate" USING(partitionKey) WHERE partitionKey = 'order-7'`, ExecOpts{})
+	runAB(t, f, `SELECT deliveryZone FROM orderinfo WHERE partitionKey = 'no-such-order'`, ExecOpts{})
 
 	// LIMIT: early-stop makes the kept subset nondeterministic, so parity
 	// here is count + predicate, not row identity.

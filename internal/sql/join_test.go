@@ -2,7 +2,11 @@ package sql
 
 import (
 	"fmt"
+	"strings"
 	"testing"
+
+	"squery/internal/core"
+	"squery/internal/kv"
 )
 
 // TestThreeTableJoin folds two joins: orderinfo ⋈ orderstate ⋈ riderinfo.
@@ -130,5 +134,34 @@ func TestSelfJoinWithAliases(t *testing.T) {
 	}
 	if res.Rows[0][0] != int64(6) {
 		t.Fatalf("self join = %v", res.Rows[0][0])
+	}
+}
+
+// A provider-backed table has no keyed storage to probe: USING(partitionKey)
+// against one must join through the general path and still find its rows.
+func TestVirtualTableJoinsThroughGeneralPath(t *testing.T) {
+	f := newFixture(t, 8, liveSnapCfg())
+	f.cat.RegisterVirtual("sys.flags", func() []core.TableRow {
+		return []core.TableRow{
+			{Key: "order-2", Value: kv.MapRow{"flag": "hot"}},
+			{Key: "order-5", Value: kv.MapRow{"flag": "cold"}},
+			{Key: "order-99", Value: kv.MapRow{"flag": "gone"}},
+		}
+	})
+	for _, q := range []string{
+		`SELECT f.flag, deliveryZone FROM "sys.flags" f JOIN orderinfo USING(partitionKey) ORDER BY f.flag`,
+		`SELECT f.flag, deliveryZone FROM orderinfo JOIN "sys.flags" f USING(partitionKey) ORDER BY f.flag`,
+	} {
+		res, err := f.ex.Query(q)
+		if err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		if len(res.Rows) != 2 || res.Rows[0][0] != "cold" || res.Rows[1][0] != "hot" || res.Rows[1][1] != "north" {
+			t.Fatalf("%s = %v, want the two flagged orders that exist", q, res.Rows)
+		}
+		text, err := f.ex.Explain(q)
+		if err != nil || !strings.Contains(text, "global hash join") {
+			t.Fatalf("virtual table planned a keyed probe: %v\n%s", err, text)
+		}
 	}
 }

@@ -3,8 +3,6 @@ package sql
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
-	"time"
 )
 
 // joinKey is a comparable, allocation-free key for join hash tables,
@@ -22,50 +20,43 @@ type joinKey struct {
 }
 
 // makeJoinKey builds the key for one join/grouping value.
-func makeJoinKey(v any) joinKey {
-	if v == nil {
+func makeJoinKey(v any) joinKey { return fromAny(v).joinKey() }
+
+// joinKey builds the key of a typed value.
+func (d datum) joinKey() joinKey {
+	switch d.k {
+	case dNull:
 		return joinKey{kind: 'n'}
+	case dInt:
+		return joinKey{kind: 'i', num: d.n}
+	case dFloat:
+		return joinKey{kind: 'f', num: d.n}
+	case dString:
+		return joinKey{kind: 's', str: d.s}
+	case dBool:
+		return joinKey{kind: 'b', num: d.n}
+	case dTime:
+		return joinKey{kind: 't', num: d.time().UnixNano()}
 	}
-	if i, ok := toInt(v); ok {
-		return joinKey{kind: 'i', num: i}
-	}
-	switch x := v.(type) {
-	case float64:
-		return joinKey{kind: 'f', num: int64(math.Float64bits(x))}
-	case float32:
-		return joinKey{kind: 'f', num: int64(math.Float64bits(float64(x)))}
-	case string:
-		return joinKey{kind: 's', str: x}
-	case bool:
-		var n int64
-		if x {
-			n = 1
-		}
-		return joinKey{kind: 'b', num: n}
-	case time.Time:
-		return joinKey{kind: 't', num: x.UnixNano()}
-	}
-	return joinKey{kind: 'o', str: fmt.Sprintf("%T:%v", v, v)}
+	return joinKey{kind: 'o', str: fmt.Sprintf("%T:%v", d.a, d.a)}
 }
 
 // appendGroupKey appends a self-delimiting binary encoding of v to dst —
 // the GROUP BY composite-key builder. Strings are length-prefixed so a
 // composite key can never collide across boundaries, unlike the old
 // separator-joined string form.
-func appendGroupKey(dst []byte, v any) []byte {
-	k := makeJoinKey(v)
+func appendGroupKey(dst []byte, v any) []byte { return fromAny(v).appendGroupKey(dst) }
+
+func (d datum) appendGroupKey(dst []byte) []byte {
+	k := d.joinKey()
 	dst = append(dst, k.kind)
 	switch k.kind {
 	case 's', 'o':
-		var lb [binary.MaxVarintLen64]byte
-		n := binary.PutUvarint(lb[:], uint64(len(k.str)))
-		dst = append(dst, lb[:n]...)
+		dst = binary.AppendUvarint(dst, uint64(len(k.str)))
 		dst = append(dst, k.str...)
 	case 'n':
 	default:
-		var nb [8]byte
-		binary.LittleEndian.PutUint64(nb[:], uint64(k.num))
-		dst = append(dst, nb[:]...)
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(k.num))
 	}
 	return dst
 }

@@ -24,11 +24,18 @@ type Stats struct {
 	// In counts rows entering the node (recorded by Filter).
 	In atomic.Int64
 	// Rows counts rows the node emitted. For Scan this is the rows that
-	// crossed the client hop — after the pushed filter ran node-side.
+	// passed the pushed filter and went on into the fragment; for a probed
+	// Scan, the looked-up rows that did.
 	Rows atomic.Int64
-	// Examined counts rows a Scan's pushed filter inspected on the owning
-	// node (equals Rows when nothing was pushed).
+	// Examined counts rows a Scan read on the owning node for its pushed
+	// filter to inspect (equals Rows when nothing was pushed); for a
+	// probed Scan, the key lookups that hit.
 	Examined atomic.Int64
+	// Shipped counts what the node sent across the client hop: a gathered
+	// Scan's rows, a Project's projected rows, an Aggregate's partial
+	// groups. Zero for everything that ran inside a fragment and fed the
+	// next operator in place.
+	Shipped atomic.Int64
 	// Parts counts partitions a Scan actually read.
 	Parts atomic.Int64
 	// WallNs is the summed wall time spent in this node, nanoseconds.
@@ -67,11 +74,20 @@ const (
 	Virtual
 )
 
-// Scan is a leaf: the scatter-gather read of one table. Pushdown lives
-// here — the pushed predicate and the projected column set both run
-// inside the partition scan on the owning node, before the client hop.
+// Scan is a leaf: the read of one table, partition by partition, on the
+// nodes that own them. Pushdown lives here — the access path and the
+// pushed predicate run where the partition lives. A Scan is one of three
+// things: the driving scan of a fragment (its rows feed the join, fold or
+// projection in place), the probed side of a co-partitioned join (Probe:
+// no scan at all, a key lookup per driving row), or a gathered scan
+// (Gathered: its rows ship to the client, which joins them there).
 type Scan struct {
 	stats Stats
+
+	// Probe marks the probed side of a co-partitioned join.
+	Probe bool
+	// Gathered marks a scan whose rows ship to the client.
+	Gathered bool
 
 	// Table is the table name as written in the query.
 	Table string
@@ -95,10 +111,11 @@ type Scan struct {
 	PrunedParts int64
 	// Filter is the pushed predicate, pre-rendered ("" = none).
 	Filter string
-	// Cols is the projected column set shipped back (nil = all columns).
+	// Cols is the column set a gathered scan ships (nil = all columns).
 	Cols []string
 	// Access is the chosen non-default access path, pre-rendered
-	// ("index eq(zone = 'z1')"); "" means full scan.
+	// ("index eq(zone = 'z1')", "key lookup(partitionKey = k)"); "" means
+	// full scan.
 	Access string
 	// EstRows is the planner's candidate-row estimate for the chosen
 	// path: index selectivity when Access != "", table cardinality for
@@ -120,7 +137,11 @@ func (s *Scan) Stat() *Stats { return &s.stats }
 // Describe implements Node.
 func (s *Scan) Describe() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "scan %s ", s.Table)
+	if s.Probe {
+		fmt.Fprintf(&b, "probe %s ", s.Table)
+	} else {
+		fmt.Fprintf(&b, "scan %s ", s.Table)
+	}
 	switch {
 	case s.Mode == Virtual:
 		b.WriteString("virtual system table, single partition")
@@ -131,9 +152,19 @@ func (s *Scan) Describe() string {
 		if s.Pinned {
 			how = "pinned"
 		}
-		fmt.Fprintf(&b, "snapshot @ ssid %d (%s), scatter-gather over %d nodes", s.SSID, how, s.ClusterNodes)
+		fmt.Fprintf(&b, "snapshot @ ssid %d (%s)", s.SSID, how)
 	default:
-		fmt.Fprintf(&b, "live (read uncommitted), scatter-gather over %d nodes", s.ClusterNodes)
+		b.WriteString("live (read uncommitted)")
+	}
+	if s.Probe {
+		b.WriteString(", key lookup by the driving row's partitionKey in its own partition")
+		if s.Filter != "" {
+			fmt.Fprintf(&b, ", pushed filter %s", s.Filter)
+		}
+		return b.String()
+	}
+	if s.Mode != Virtual && s.Unresolved == "" {
+		fmt.Fprintf(&b, ", scatter-gather over %d nodes", s.ClusterNodes)
 	}
 	if s.PartHint >= 0 && s.Mode != Virtual {
 		fmt.Fprintf(&b, ", pruned to partition %d by partitionKey", s.PartHint)
@@ -147,8 +178,12 @@ func (s *Scan) Describe() string {
 	case s.EstValid:
 		fmt.Fprintf(&b, ", full scan (est≈%d rows)", s.EstRows)
 	}
-	if s.Cols != nil {
-		fmt.Fprintf(&b, ", ship cols (%s)", strings.Join(s.Cols, ", "))
+	if s.Gathered {
+		if s.Cols != nil {
+			fmt.Fprintf(&b, ", ship cols (%s)", strings.Join(s.Cols, ", "))
+		} else {
+			b.WriteString(", ship whole rows")
+		}
 	}
 	return b.String()
 }
@@ -156,50 +191,69 @@ func (s *Scan) Describe() string {
 // Annotate implements Node.
 func (s *Scan) Annotate() string {
 	var b strings.Builder
+	if s.Probe {
+		fmt.Fprintf(&b, "probed %d key(s), %d hit(s)", s.stats.In.Load(), s.stats.Examined.Load())
+		if s.Filter != "" {
+			fmt.Fprintf(&b, ", %d kept", s.stats.Rows.Load())
+		}
+		return b.String()
+	}
 	fmt.Fprintf(&b, "scanned %d/%d partitions (%d pruned), %d rows",
 		s.stats.Parts.Load(), s.Partitions, s.PrunedParts, s.stats.Rows.Load())
-	if s.Filter != "" {
+	if s.Filter != "" || s.Access != "" {
 		if s.Access != "" {
-			fmt.Fprintf(&b, " shipped (of %d examined via %s, est≈%d)",
+			fmt.Fprintf(&b, " kept (of %d examined via %s, est≈%d)",
 				s.stats.Examined.Load(), s.Access, s.EstRows)
 		} else {
-			fmt.Fprintf(&b, " shipped (of %d examined)", s.stats.Examined.Load())
+			fmt.Fprintf(&b, " kept (of %d examined)", s.stats.Examined.Load())
 		}
+	}
+	if s.Gathered {
+		b.WriteString(", shipped")
 	}
 	fmt.Fprintf(&b, ", %s", roundDur(s.stats.WallNs.Load()))
 	return b.String()
 }
 
 // CoJoin is the co-partitioned USING(partitionKey) join: both sides of
-// every partition live on the same node, so the join runs per partition
-// with no shuffle.
+// every key live in the same partition, so the fragment scans one side and
+// looks each surviving row's key up in the other side's copy of the same
+// partition — no hash table, no shuffle.
 type CoJoin struct {
 	stats Stats
 
-	Left, Right Node
+	// Drive is the side the fragment scans, Probe the side it looks each
+	// surviving row's key up in.
+	Drive, Probe Node
+	// DriveEst is the post-filter row estimate that chose the driving
+	// side: the smaller of the two sides'.
+	DriveEst int64
 }
 
 // Kind implements Node.
 func (j *CoJoin) Kind() string { return "cojoin" }
 
 // Inputs implements Node.
-func (j *CoJoin) Inputs() []Node { return []Node{j.Left, j.Right} }
+func (j *CoJoin) Inputs() []Node { return []Node{j.Drive, j.Probe} }
 
 // Stat implements Node.
 func (j *CoJoin) Stat() *Stats { return &j.stats }
 
 // Describe implements Node.
 func (j *CoJoin) Describe() string {
-	return "join USING(partitionKey) co-partitioned per-partition hash join (co-location, no shuffle)"
+	return fmt.Sprintf("join USING(partitionKey) co-partitioned key-lookup join, driven from the side with the smaller estimate after its filter (est≈%d rows), one probe per surviving row (co-location, no shuffle)",
+		j.DriveEst)
 }
 
 // Annotate implements Node.
 func (j *CoJoin) Annotate() string {
-	return fmt.Sprintf("%d rows, %s", j.stats.Rows.Load(), roundDur(j.stats.WallNs.Load()))
+	return fmt.Sprintf("%d rows, ≈%s", j.stats.Rows.Load(), roundDur(j.stats.WallNs.Load()))
 }
 
-// HashJoin is the general equi-join: build a hash table on the right
-// (joined) side, probe with the left stream.
+// HashJoin is the general equi-join: the right (joined) side is gathered
+// to the client and hashed; the left stream probes it — inside the left
+// side's fragment, on the nodes that own it, unless the whole plan runs at
+// the client.
 type HashJoin struct {
 	stats Stats
 
@@ -208,6 +262,9 @@ type HashJoin struct {
 	Cond string
 	// LeftOuter marks a LEFT JOIN (probe misses survive as NULL rows).
 	LeftOuter bool
+	// AtClient: the probe runs at the client (the DisablePushdown
+	// reference) instead of inside the left side's fragment.
+	AtClient bool
 }
 
 // Kind implements Node.
@@ -221,7 +278,11 @@ func (j *HashJoin) Stat() *Stats { return &j.stats }
 
 // Describe implements Node.
 func (j *HashJoin) Describe() string {
-	s := fmt.Sprintf("join %s global hash join (build right, probe left)", j.Cond)
+	where := "on the owning node"
+	if j.AtClient {
+		where = "at the client"
+	}
+	s := fmt.Sprintf("join %s global hash join (build right at the client, probe left %s)", j.Cond, where)
 	if j.LeftOuter {
 		s += ", left outer"
 	}
@@ -230,18 +291,22 @@ func (j *HashJoin) Describe() string {
 
 // Annotate implements Node.
 func (j *HashJoin) Annotate() string {
-	return fmt.Sprintf("%d rows, %s", j.stats.Rows.Load(), roundDur(j.stats.WallNs.Load()))
+	return fmt.Sprintf("%d rows, ≈%s", j.stats.Rows.Load(), roundDur(j.stats.WallNs.Load()))
 }
 
-// Filter is the residual client-side predicate — the conjuncts that
-// could not be pushed into a single scan (multi-table, aggregate-bearing
-// or unattributable). Fully pushed queries have no Filter node at all.
+// Filter is the residual predicate — the conjuncts that need the joined
+// row (multi-table, aggregate-bearing or unattributable). It runs after
+// the joins, inside the fragment unless the plan runs at the client. Fully
+// pushed queries have no Filter node at all.
 type Filter struct {
 	stats Stats
 
 	Input Node
 	// Pred is the residual predicate, pre-rendered.
 	Pred string
+	// AtClient: the filter runs at the client (the DisablePushdown
+	// reference).
+	AtClient bool
 }
 
 // Kind implements Node.
@@ -254,16 +319,23 @@ func (f *Filter) Inputs() []Node { return []Node{f.Input} }
 func (f *Filter) Stat() *Stats { return &f.stats }
 
 // Describe implements Node.
-func (f *Filter) Describe() string { return "filter " + f.Pred }
+func (f *Filter) Describe() string {
+	if f.AtClient {
+		return "filter " + f.Pred + " (at the client)"
+	}
+	return "filter " + f.Pred + " (after the join, on the owning node)"
+}
 
 // Annotate implements Node.
 func (f *Filter) Annotate() string {
-	return fmt.Sprintf("kept %d/%d rows, %s",
-		f.stats.Rows.Load(), f.stats.In.Load(), roundDur(f.stats.WallNs.Load()))
+	return fmt.Sprintf("kept %d/%d rows", f.stats.Rows.Load(), f.stats.In.Load())
 }
 
-// Aggregate groups the stream and evaluates aggregate expressions per
-// group (one global group without GROUP BY).
+// Aggregate groups the rows and evaluates aggregate expressions per group
+// (one global group without GROUP BY). Inside a fragment it folds every
+// row into its group's partial accumulators on the node that owns the
+// row; the partial groups ship and the client merges them, applies HAVING
+// and finishes the select list.
 type Aggregate struct {
 	stats Stats
 
@@ -272,6 +344,8 @@ type Aggregate struct {
 	GroupBy []string
 	// Having is the post-grouping predicate, pre-rendered ("" = none).
 	Having string
+	// AtClient: rows fold at the client (the DisablePushdown reference).
+	AtClient bool
 }
 
 // Kind implements Node.
@@ -291,6 +365,11 @@ func (a *Aggregate) Describe() string {
 	} else {
 		fmt.Fprintf(&b, "aggregate GROUP BY %s", strings.Join(a.GroupBy, ", "))
 	}
+	if a.AtClient {
+		b.WriteString(", folded at the client")
+	} else {
+		b.WriteString(", folded per node into partial groups, merged at the client")
+	}
 	if a.Having != "" {
 		fmt.Fprintf(&b, ", having %s", a.Having)
 	}
@@ -299,16 +378,21 @@ func (a *Aggregate) Describe() string {
 
 // Annotate implements Node.
 func (a *Aggregate) Annotate() string {
-	return fmt.Sprintf("%d group(s), %s", a.stats.Rows.Load(), roundDur(a.stats.WallNs.Load()))
+	return fmt.Sprintf("%d group(s) from %d partial(s) of %d row(s), %s",
+		a.stats.Rows.Load(), a.stats.Shipped.Load(), a.stats.In.Load(), roundDur(a.stats.WallNs.Load()))
 }
 
-// Project evaluates the select list per row.
+// Project evaluates the select list per row — inside the fragment, so
+// only projected values cross the client hop.
 type Project struct {
 	stats Stats
 
 	Input Node
 	// Items holds the select-list items, pre-rendered.
 	Items []string
+	// AtClient: rows project at the client (the DisablePushdown
+	// reference).
+	AtClient bool
 }
 
 // Kind implements Node.
@@ -321,7 +405,13 @@ func (p *Project) Inputs() []Node { return []Node{p.Input} }
 func (p *Project) Stat() *Stats { return &p.stats }
 
 // Describe implements Node.
-func (p *Project) Describe() string { return "project " + strings.Join(p.Items, ", ") }
+func (p *Project) Describe() string {
+	s := "project " + strings.Join(p.Items, ", ")
+	if p.AtClient {
+		s += " (at the client)"
+	}
+	return s
+}
 
 // Annotate implements Node.
 func (p *Project) Annotate() string {

@@ -6,13 +6,15 @@ import (
 	"time"
 )
 
-// tree builds the representative pipeline: limit(sort(project(filter(
-// hashjoin(scan, scan))))), with stats filled as if it had executed.
+// tree builds the representative plan: limit(sort(project(filter(
+// hashjoin(scan, gathered scan))))), with stats filled as if it had
+// executed.
 func tree() Node {
 	left := &Scan{Table: "orders", Mode: Live, ClusterNodes: 3, Partitions: 32,
-		PartHint: -1, Filter: "(total > 5)", Cols: []string{"total", "zone"}}
+		PartHint: -1, Filter: "(total > 5)"}
 	right := &Scan{Table: "snapshot_state", Mode: Snapshot, SSID: 7, Pinned: true,
-		ClusterNodes: 3, Partitions: 32, PartHint: 4, PrunedParts: 31}
+		ClusterNodes: 3, Partitions: 32, PartHint: 4, PrunedParts: 31,
+		Gathered: true, Cols: []string{"total", "zone"}}
 	left.Stat().Parts.Store(32)
 	left.Stat().Examined.Store(1000)
 	left.Stat().Rows.Store(40)
@@ -38,9 +40,9 @@ func TestRenderPlanOnly(t *testing.T) {
 		"sort total DESC",
 		"project zone, total",
 		"filter (zone = 'north')",
-		"join USING(partitionKey) global hash join (build right, probe left)",
-		"scan orders live (read uncommitted), scatter-gather over 3 nodes, pushed filter (total > 5), ship cols (total, zone)",
-		"scan snapshot_state snapshot @ ssid 7 (pinned), scatter-gather over 3 nodes, pruned to partition 4 by partitionKey",
+		"join USING(partitionKey) global hash join (build right at the client, probe left on the owning node)",
+		"scan orders live (read uncommitted), scatter-gather over 3 nodes, pushed filter (total > 5)",
+		"scan snapshot_state snapshot @ ssid 7 (pinned), scatter-gather over 3 nodes, pruned to partition 4 by partitionKey, ship cols (total, zone)",
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("plan missing %q:\n%s", want, out)
@@ -65,8 +67,8 @@ func TestRenderAnalyzed(t *testing.T) {
 		Total: 5 * time.Millisecond, Returned: 3, Degraded: 1,
 	})
 	for _, want := range []string{
-		"scanned 32/32 partitions (0 pruned), 40 rows shipped (of 1000 examined)",
-		"scanned 1/32 partitions (31 pruned), 3 rows",
+		"scanned 32/32 partitions (0 pruned), 40 rows kept (of 1000 examined)",
+		"scanned 1/32 partitions (31 pruned), 3 rows, shipped",
 		"[analyze: 12 rows",
 		"[analyze: kept 5/12 rows",
 		"[analyze: 5 row(s)",
@@ -100,8 +102,27 @@ func TestScanDescribeModes(t *testing.T) {
 		t.Fatalf("early-stop limit: %q", got)
 	}
 	ag := &Aggregate{GroupBy: []string{"zone"}, Having: "(COUNT(*) > 1)"}
-	if got := ag.Describe(); got != "aggregate GROUP BY zone, having (COUNT(*) > 1)" {
+	if got := ag.Describe(); got != "aggregate GROUP BY zone, folded per node into partial groups, merged at the client, having (COUNT(*) > 1)" {
 		t.Fatalf("aggregate describe: %q", got)
+	}
+	ag.AtClient = true
+	if got := ag.Describe(); got != "aggregate GROUP BY zone, folded at the client, having (COUNT(*) > 1)" {
+		t.Fatalf("client-side aggregate describe: %q", got)
+	}
+	cj := &CoJoin{
+		Drive:    &Scan{Table: "snapshot_state", Mode: Snapshot, SSID: 7, PartHint: -1, Filter: "(state = 'x')"},
+		Probe:    &Scan{Table: "snapshot_info", Mode: Snapshot, SSID: 7, PartHint: -1, Probe: true},
+		DriveEst: 12,
+	}
+	if got := cj.Describe(); !strings.Contains(got, "co-partitioned key-lookup join") || !strings.Contains(got, "est≈12 rows") {
+		t.Fatalf("co-partitioned join: %q", got)
+	}
+	if got := cj.Probe.Describe(); !strings.HasPrefix(got, "probe snapshot_info snapshot @ ssid 7") || !strings.Contains(got, "key lookup by the driving row's partitionKey") {
+		t.Fatalf("probed scan: %q", got)
+	}
+	kl := &Scan{Table: "orders", Mode: Live, ClusterNodes: 3, PartHint: 4, Access: "key lookup(partitionKey = k)", EstRows: 1}
+	if got := kl.Describe(); !strings.Contains(got, "access key lookup(partitionKey = k) (est≈1 rows)") {
+		t.Fatalf("key-lookup scan: %q", got)
 	}
 }
 

@@ -9,23 +9,50 @@ import (
 	"squery/internal/sql/plan"
 )
 
-// physPlan is the compiled form of one SELECT: the resolved sources, the
-// per-source pushed predicates, the residual filter, and the plan.Node
-// tree. Execution runs the tree, EXPLAIN renders it, EXPLAIN ANALYZE
-// renders the very instance an execution ran — one derivation, three
-// consumers.
+// physPlan is the compiled form of one SELECT. It is two things: a
+// partition fragment — what runs where a partition lives: the access path,
+// the bound filter, the join probe, and either the projected select list or
+// per-group partial accumulators (fragment.go) — and a client merge that
+// concatenates, sorts and limits rows or merges partials and finishes
+// groups. The plan.Node tree describes both; execution runs the plan,
+// EXPLAIN renders the tree, EXPLAIN ANALYZE renders the very instance an
+// execution ran — one derivation, three consumers.
 type physPlan struct {
 	stmt *Select
-	opts ExecOpts
 	srcs []tableSrc
 	// pushed holds, per source, the AND of the WHERE conjuncts that run
-	// inside that source's partition scans (nil = nothing pushed).
+	// against that source's rows alone, before any join (nil = nothing
+	// pushed).
 	pushed []Expr
-	// residual is what remains of WHERE for the client-side Filter node.
+	// residual is what remains of WHERE: the conjuncts that need the
+	// joined row. It runs after the joins — still inside the fragment.
 	residual Expr
-	// cols is the projected column set shipped from every scan (nil =
-	// all columns; SELECT * or DisablePushdown).
-	cols []string
+
+	// The expressions execution evaluates: the statement's, with every
+	// column reference bound (bind.go). items is aligned with stmt.Items,
+	// nil for a star; aggs holds the aggregate calls in slot order.
+	pushedB   []Expr
+	residualB Expr
+	items     []Expr
+	groupBy   []Expr
+	having    Expr
+	orderBy   []Expr
+	aggs      []Agg
+	// joins holds one step per stmt.Joins entry, the keys bound.
+	joins []joinStep
+	// star expands SELECT * from the first row the query produces.
+	star starExpansion
+
+	// coPart: the one join is USING(partitionKey), so the fragment probes
+	// the other table's same partition by key. drive is the source whose
+	// partitions the fragment reads — 0, or 1 when a co-partitioned join
+	// is driven from its right side.
+	coPart   bool
+	drive    int
+	driveEst int64
+	// clientSide: the DisablePushdown reference. Every source ships whole
+	// to the client, which filters, joins and folds there.
+	clientSide bool
 
 	root   plan.Node
 	scans  []*plan.Scan
@@ -36,7 +63,6 @@ type physPlan struct {
 	hjoins []*plan.HashJoin
 	agg    *plan.Aggregate
 	proj   *plan.Project
-	coPart bool
 	// earlyStop: filling LIMIT cancels all in-flight scans.
 	earlyStop bool
 
@@ -44,11 +70,18 @@ type physPlan struct {
 	total    time.Duration
 	degraded int
 	returned int
-	// Resource accounting, filled by execTraced from the run's memAccount:
-	// estimated bytes shipped across the client hop and peak estimated
-	// bytes held in in-flight pipeline batches.
+	// Resource accounting, filled by execTraced: estimated bytes shipped
+	// across the client hop. The client holds all of it until the merge is
+	// done, so it is also the execution's peak memory estimate.
 	bytesShipped int64
-	peakMemBytes int64
+}
+
+// joinStep is one equi-join of the plan: the key expression over the
+// sources to its left and the key column of the source it joins in.
+type joinStep struct {
+	left  Expr
+	right *colRef
+	outer bool
 }
 
 // render renders the plan tree (shared by EXPLAIN and EXPLAIN ANALYZE).
@@ -67,14 +100,21 @@ func (pp *physPlan) render(nodes int, analyzed bool) string {
 	})
 }
 
+// unknownSelectivity is the share of its candidate rows a pushed filter is
+// assumed to keep when no index measured it — the classic one-third of a
+// predicate nothing is known about. It only ranks the two sides of a
+// co-partitioned join against each other.
+const unknownSelectivity = 3
+
 // compile lowers a parsed SELECT into a physPlan: resolve tables, strip
-// ssid pins, derive partition pruning hints, resolve snapshot ids, split
-// the WHERE clause into pushed and residual parts, compute the shipped
-// column set, and build the plan tree. With planOnly (EXPLAIN) an
-// unresolvable snapshot id is reported on the scan node instead of
-// failing the whole plan.
+// ssid pins, derive partition pruning hints, resolve snapshot ids, ask
+// each table for its rows' schema, split the WHERE clause into pushed and
+// residual parts by attributing every column to a source, choose access
+// paths and the join's driving side, bind the expressions, and build the
+// plan tree. With planOnly (EXPLAIN) an unresolvable snapshot id is
+// reported on the scan node instead of failing the whole plan.
 func (ex *Executor) compile(stmt *Select, opts ExecOpts, planOnly bool) (*physPlan, error) {
-	pp := &physPlan{stmt: stmt, opts: opts}
+	pp := &physPlan{stmt: stmt, clientSide: opts.DisablePushdown}
 
 	pp.srcs = make([]tableSrc, 0, 1+len(stmt.Joins))
 	addSrc := func(t TableName) error {
@@ -93,14 +133,25 @@ func (ex *Executor) compile(stmt *Select, opts ExecOpts, planOnly bool) (*physPl
 			return nil, err
 		}
 	}
+	aggregated := stmt.HasAggregates() || len(stmt.GroupBy) > 0
+	if aggregated {
+		for _, it := range stmt.Items {
+			if it.Star {
+				return nil, fmt.Errorf("sql: SELECT * cannot be combined with aggregation")
+			}
+		}
+	}
 
 	where, pins, err := extractPins(stmt.Where)
 	if err != nil {
 		return nil, err
 	}
 	applyKeyHints(stmt, pp.srcs, where)
-	pp.coPart = len(pp.srcs) == 2 && len(stmt.Joins) == 1 &&
-		stmt.Joins[0].Using == core.ColPartitionKey && !stmt.Joins[0].Left
+	// A co-partitioned join probes keyed storage; a provider-backed table
+	// has none and joins through the general path.
+	pp.coPart = !pp.clientSide && len(pp.srcs) == 2 && len(stmt.Joins) == 1 &&
+		stmt.Joins[0].Using == core.ColPartitionKey && !stmt.Joins[0].Left &&
+		!pp.srcs[0].ref.IsVirtual() && !pp.srcs[1].ref.IsVirtual()
 
 	// One Scan leaf per source, snapshot ids resolved atomically now
 	// (§VI.A): concurrent checkpoints never tear a result set.
@@ -136,41 +187,62 @@ func (ex *Executor) compile(stmt *Select, opts ExecOpts, planOnly bool) (*physPl
 			sc.PartHint = s.partHint
 			sc.PrunedParts = int64(s.ref.Partitions() - 1)
 		}
-		// Full-scan cardinality estimate: every non-virtual scan carries
-		// one, so EXPLAIN shows what the chosen path was weighed against
-		// even when no index wins (chooseAccessPath overrides EstRows with
-		// the winner's selectivity).
-		if !s.ref.IsVirtual() {
-			if est, ok := s.ref.EstimatePath(nil); ok {
-				sc.EstRows, sc.EstValid = est, true
+		// One sample per source, over what the scan will visit — the pruned
+		// partition alone when the plan pruned to one. Its cardinality rides
+		// on every non-virtual scan, so EXPLAIN shows what the chosen path
+		// was weighed against even when no index wins (chooseAccessPath
+		// overrides EstRows with the winner's selectivity); its rows' schema
+		// is what lets references bind to ordinals. The reference mode keeps
+		// every source on the by-name accessor.
+		if est, schema, ok := s.ref.Sample(s.partHint); ok {
+			sc.EstRows, sc.EstValid = est, true
+			if !pp.clientSide {
+				s.schema = schema
 			}
 		}
 		s.scan = sc
 		pp.scans[i] = sc
 	}
 
-	// Pushdown: move single-source conjuncts into their scans, project
-	// the shipped rows to the columns the rest of the query can touch.
+	// Pushdown: attribute every conjunct to the one source it reads, and
+	// give the gathered sources the column set the rest of the query can
+	// touch.
 	pp.pushed = make([]Expr, len(pp.srcs))
 	pp.residual = where
-	if !opts.DisablePushdown {
+	if !pp.clientSide {
 		pp.residual = pp.splitPushdown(where)
 		for i, e := range pp.pushed {
 			if e != nil {
 				pp.scans[i].Filter = e.String()
 			}
 		}
-		pp.cols = pp.neededColumns()
-		for _, sc := range pp.scans {
-			sc.Cols = pp.cols
-		}
-		// Index selection runs over the pushed conjuncts only: a conjunct
-		// that could not be pushed cannot bound a scan either.
+		// Access paths run over the key pin and the pushed conjuncts only:
+		// a conjunct that could not be pushed cannot bound a scan either.
 		if !opts.DisableIndexes {
 			for i := range pp.srcs {
 				pp.chooseAccessPath(i)
 			}
 		}
+	}
+	switch {
+	case pp.coPart:
+		pp.chooseDrivingSide()
+	case pp.clientSide:
+		for _, sc := range pp.scans {
+			sc.Gathered = true
+		}
+	default:
+		// The build sides of a general join ship to the client narrowed to
+		// what the rest of the query can touch.
+		cols := pp.neededColumns()
+		for i := 1; i < len(pp.srcs); i++ {
+			pp.srcs[i].cols = cols
+			pp.scans[i].Cols = cols
+			pp.scans[i].Gathered = true
+		}
+	}
+	if err := pp.bindAll(); err != nil {
+		return nil, err
 	}
 
 	// Assemble the tree bottom-up: scans → joins → filter →
@@ -180,28 +252,29 @@ func (ex *Executor) compile(stmt *Select, opts ExecOpts, planOnly bool) (*physPl
 	case len(pp.srcs) == 1:
 		node = pp.scans[0]
 	case pp.coPart:
-		cj := &plan.CoJoin{Left: pp.scans[0], Right: pp.scans[1]}
+		probe := pp.scans[1-pp.drive]
+		probe.Probe = true
+		cj := &plan.CoJoin{Drive: pp.scans[pp.drive], Probe: probe, DriveEst: pp.driveEst}
 		node, pp.join = cj, cj
 	default:
 		node = pp.scans[0]
 		for ji, j := range stmt.Joins {
-			hj := &plan.HashJoin{Left: node, Right: pp.scans[ji+1], Cond: joinCond(j), LeftOuter: j.Left}
+			hj := &plan.HashJoin{Left: node, Right: pp.scans[ji+1], Cond: joinCond(j), LeftOuter: j.Left, AtClient: pp.clientSide}
 			pp.hjoins = append(pp.hjoins, hj)
 			node = hj
 		}
 		pp.join = node
 	}
 	if pp.residual != nil {
-		pp.filter = &plan.Filter{Input: node, Pred: pp.residual.String()}
+		pp.filter = &plan.Filter{Input: node, Pred: pp.residual.String(), AtClient: pp.clientSide}
 		node = pp.filter
 	}
-	aggregated := stmt.HasAggregates() || len(stmt.GroupBy) > 0
 	if aggregated {
 		groups := make([]string, len(stmt.GroupBy))
 		for i, g := range stmt.GroupBy {
 			groups[i] = g.String()
 		}
-		pp.agg = &plan.Aggregate{Input: node, GroupBy: groups}
+		pp.agg = &plan.Aggregate{Input: node, GroupBy: groups, AtClient: pp.clientSide}
 		if stmt.Having != nil {
 			pp.agg.Having = stmt.Having.String()
 		}
@@ -211,7 +284,7 @@ func (ex *Executor) compile(stmt *Select, opts ExecOpts, planOnly bool) (*physPl
 		for i, it := range stmt.Items {
 			items[i] = it.String()
 		}
-		pp.proj = &plan.Project{Input: node, Items: items}
+		pp.proj = &plan.Project{Input: node, Items: items, AtClient: pp.clientSide}
 		node = pp.proj
 	}
 	if len(stmt.OrderBy) > 0 {
@@ -226,11 +299,97 @@ func (ex *Executor) compile(stmt *Select, opts ExecOpts, planOnly bool) (*physPl
 		node = &plan.Sort{Input: node, Keys: keys}
 	}
 	if stmt.Limit >= 0 {
-		pp.earlyStop = !aggregated && len(stmt.OrderBy) == 0 && !opts.DisablePushdown
+		pp.earlyStop = !aggregated && len(stmt.OrderBy) == 0 && !pp.clientSide
 		node = &plan.Limit{Input: node, N: stmt.Limit, EarlyStop: pp.earlyStop}
 	}
 	pp.root = node
 	return pp, nil
+}
+
+// bindAll binds every expression the plan evaluates. The WHERE parts bind
+// first and their aggregate slots are dropped: an aggregate there is an
+// error the evaluator reports, never a fold.
+func (pp *physPlan) bindAll() error {
+	stmt := pp.stmt
+	pp.pushedB = make([]Expr, len(pp.pushed))
+	for i, e := range pp.pushed {
+		pp.pushedB[i] = pp.bind(e)
+	}
+	pp.residualB = pp.bind(pp.residual)
+	pp.aggs = nil
+	pp.items = make([]Expr, len(stmt.Items))
+	for i, it := range stmt.Items {
+		if it.Star {
+			pp.star.wanted = true
+			continue
+		}
+		pp.items[i] = pp.bind(it.Expr)
+	}
+	pp.groupBy = make([]Expr, len(stmt.GroupBy))
+	for i, g := range stmt.GroupBy {
+		pp.groupBy[i] = pp.bind(g)
+	}
+	pp.having = pp.bind(stmt.Having)
+	pp.orderBy = make([]Expr, len(stmt.OrderBy))
+	for i, oi := range stmt.OrderBy {
+		pp.orderBy[i] = pp.bind(oi.Expr)
+	}
+	pp.joins = make([]joinStep, len(stmt.Joins))
+	for ji, j := range stmt.Joins {
+		si := ji + 1
+		left, right, err := joinKeys(j, pp.srcs, si)
+		if err != nil {
+			return err
+		}
+		pp.joins[ji] = joinStep{
+			left:  bindLeftKey(pp.srcs[:si], left),
+			right: bindTo(pp.srcs, si, right),
+			outer: j.Left,
+		}
+	}
+	return nil
+}
+
+// bindLeftKey binds the left-hand key of a join over the sources to its
+// left: the source a qualifier names, else the first source that has the
+// column. A source with no schema leaves it to run-time resolution.
+func bindLeftKey(left []tableSrc, id Ident) Expr {
+	if id.Table != "" {
+		if si := sourceOf(left, id.Table); si >= 0 {
+			return bindIdent(left, id)
+		}
+		id.Table = ""
+	}
+	if id.Name == core.ColPartitionKey || id.Name == core.ColSSID || len(left) == 1 {
+		return bindTo(left, 0, id)
+	}
+	for i := range left {
+		if left[i].schema == nil {
+			break
+		}
+		if _, ok := left[i].schema.FieldIndex(id.Name); ok {
+			return bindTo(left, i, id)
+		}
+	}
+	return &colRef{id: id, src: -1, ord: ordName}
+}
+
+// chooseDrivingSide picks which side of a co-partitioned join the fragment
+// scans: the one with the smaller post-filter estimate, so the fewer rows
+// pay the probe. Ties drive from the left.
+func (pp *physPlan) chooseDrivingSide() {
+	est := func(i int) int64 {
+		n := pp.scans[i].EstRows
+		if pp.pushed[i] != nil && pp.srcs[i].path == nil {
+			n /= unknownSelectivity
+		}
+		return n
+	}
+	l, r := est(0), est(1)
+	if r < l {
+		pp.drive = 1
+	}
+	pp.driveEst = min(l, r)
 }
 
 // joinCond pre-renders a join condition for the plan tree.
@@ -275,15 +434,16 @@ func (pp *physPlan) splitPushdown(where Expr) Expr {
 	return residual
 }
 
-// pushTarget decides whether one conjunct may run inside a source's
-// partition scans, and which source. Single-source queries push every
-// non-aggregate conjunct. Multi-source queries push a conjunct only when
-// every identifier in it is qualified and names the same source — and
-// that source is not the right side of a LEFT JOIN.
+// pushTarget decides whether one conjunct may run against a single
+// source's rows, before any join, and which source. Single-source queries
+// push every non-aggregate conjunct. Multi-source queries push a conjunct
+// only when every identifier in it is attributed (bind.go: by qualifier,
+// or as the one source whose schema has the column) to the same source —
+// and that source is not the right side of a LEFT JOIN.
 func (pp *physPlan) pushTarget(e Expr) (int, bool) {
 	if containsAgg(e) {
-		// Aggregates in WHERE are an error; leave it for the client-side
-		// evaluator to report as such.
+		// Aggregates in WHERE are an error; leave it for the residual
+		// evaluation to report as such.
 		return 0, false
 	}
 	if len(pp.srcs) == 1 {
@@ -295,18 +455,8 @@ func (pp *physPlan) pushTarget(e Expr) (int, bool) {
 		if !attributable {
 			return
 		}
-		if id.Table == "" {
-			attributable = false
-			return
-		}
-		found := -1
-		for i := range pp.srcs {
-			if strings.EqualFold(id.Table, pp.srcs[i].alias) || strings.EqualFold(id.Table, pp.srcs[i].name) {
-				found = i
-				break
-			}
-		}
-		if found < 0 || (target >= 0 && target != found) {
+		found, ok := attribute(pp.srcs, id)
+		if !ok || (target >= 0 && target != found) {
 			attributable = false
 			return
 		}
@@ -331,8 +481,18 @@ func (pp *physPlan) pushTarget(e Expr) (int, bool) {
 // an unserveable path silently degrades to the full scan at the kv layer.
 func (pp *physPlan) chooseAccessPath(si int) {
 	s := &pp.srcs[si]
+	if s.ref.IsVirtual() {
+		return
+	}
+	// A pinned key beats any index: the partition's own key map serves it.
+	if s.partHint >= 0 {
+		s.path = &core.AccessPath{Kind: core.KeyLookup, Column: core.ColPartitionKey, Eq: s.keyPin}
+		s.scan.Access = s.path.String()
+		s.scan.EstRows = 1
+		return
+	}
 	pushed := pp.pushed[si]
-	if pushed == nil || s.ref.IsVirtual() {
+	if pushed == nil {
 		return
 	}
 	type rng struct{ lo, hi any }
@@ -405,10 +565,9 @@ func (pp *physPlan) chooseAccessPath(si int) {
 			cands = append(cands, &core.AccessPath{Kind: core.IndexRange, Column: col, Lo: r.lo, Hi: r.hi})
 		}
 	}
-	fullEst, _ := s.ref.EstimatePath(nil)
-	best, bestEst := (*core.AccessPath)(nil), fullEst
+	best, bestEst := (*core.AccessPath)(nil), s.scan.EstRows
 	for _, c := range cands {
-		if est, ok := s.ref.EstimatePath(c); ok && est < bestEst {
+		if est, ok := s.ref.EstimatePathIn(s.partHint, c); ok && est < bestEst {
 			best, bestEst = c, est
 		}
 	}
@@ -471,11 +630,11 @@ func litScalar(e Expr) (any, bool) {
 	return l.Val, true
 }
 
-// neededColumns computes the union of column names any client-side stage
-// can touch: select items, the residual filter, grouping, having, order
-// keys and join keys. Pushed predicates are excluded — they run before
-// projection on the owning node. Returns nil (ship everything) when the
-// select list has a star.
+// neededColumns computes the union of column names anything downstream of
+// a gathered source's scan can touch: select items, the residual filter,
+// grouping, having, order keys and join keys. Pushed predicates are
+// excluded — they run against the whole row on the owning node. Returns
+// nil (ship everything) when the select list has a star.
 func (pp *physPlan) neededColumns() []string {
 	stmt := pp.stmt
 	for _, it := range stmt.Items {
@@ -549,46 +708,4 @@ func walkIdents(e Expr, fn func(Ident)) {
 			walkIdents(x.Arg, fn)
 		}
 	}
-}
-
-// srcRow adapts one source's TableRow to the Resolver a pushed predicate
-// evaluates against: qualified references must name this source.
-type srcRow struct {
-	alias, name string
-	row         core.TableRow
-}
-
-// Resolve implements Resolver.
-func (r srcRow) Resolve(table, column string) (any, bool) {
-	if table != "" && !strings.EqualFold(table, r.alias) && !strings.EqualFold(table, r.name) {
-		return nil, false
-	}
-	return r.row.Field(column)
-}
-
-// spec compiles source si's slice of the plan into a core.ScanSpec for
-// one partition attempt. examined counts rows the pushed filter
-// inspected; errp records the first evaluation error (the scan keeps
-// draining its partition copy but drops rows after an error). Both must
-// be owned by the goroutine running the scan.
-func (pp *physPlan) spec(si int, ctx *evalCtx, done <-chan struct{}, examined *int64, errp *error) core.ScanSpec {
-	s := &pp.srcs[si]
-	spec := core.ScanSpec{SSID: s.ssid, Cols: pp.cols, Done: done, Path: s.path}
-	if pushed := pp.pushed[si]; pushed != nil {
-		alias, name := s.alias, s.name
-		spec.Filter = func(r core.TableRow) bool {
-			*examined++
-			if *errp != nil {
-				return false
-			}
-			v, err := ctx.eval(pushed, srcRow{alias: alias, name: name, row: r})
-			if err != nil {
-				*errp = err
-				return false
-			}
-			b, ok := truthy(v)
-			return ok && b
-		}
-	}
-	return spec
 }

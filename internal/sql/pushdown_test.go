@@ -49,10 +49,14 @@ func TestPushdownFilterRunsNodeSide(t *testing.T) {
 	if pp.scans[0].Filter == "" {
 		t.Fatal("scan carries no pushed filter")
 	}
-	// customerLat appears only in the pushed predicate, which runs before
-	// projection on the owning node — so only deliveryZone need ship.
-	if got := pp.scans[0].Cols; len(got) != 1 || got[0] != "deliveryZone" {
-		t.Fatalf("projected cols = %v, want [deliveryZone]", got)
+	// The select list runs inside the fragment, on the owning node — the
+	// scan's rows are not gathered, so only the projected deliveryZone
+	// ships; customerLat is read by the pushed predicate alone.
+	if pp.scans[0].Gathered || pp.proj == nil || pp.proj.AtClient {
+		t.Fatalf("projection did not run node-side: gathered=%v proj=%+v", pp.scans[0].Gathered, pp.proj)
+	}
+	if c, ok := pp.pushedB[0].(Binary).L.(*colRef); !ok || c.src != 0 || c.ord < 0 || c.kind != dFloat {
+		t.Fatalf("pushed predicate's column is not bound to a schema ordinal: %+v", pp.pushedB[0])
 	}
 
 	// Black box: customerLat runs 52..91, so > 90 matches 1 of 40 rows.
@@ -96,6 +100,32 @@ func TestPushdownParityWithDisabled(t *testing.T) {
 		}
 		if !reflect.DeepEqual(got.Columns, want.Columns) || !reflect.DeepEqual(got.Rows, want.Rows) {
 			t.Errorf("%s:\npushdown:    %v %v\nno pushdown: %v %v", q, got.Columns, got.Rows, want.Columns, want.Rows)
+		}
+	}
+	// The paper's queries as printed: no ORDER BY, so groups compare as a
+	// set. Every conjunct is unqualified and must still be pushed.
+	for _, q := range paperQueries {
+		want, err := f.ex.QueryWithOptions(q, ExecOpts{DisablePushdown: true})
+		if err != nil {
+			t.Fatalf("%s (no pushdown): %v", q, err)
+		}
+		got, err := f.ex.Query(q)
+		if err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		if !reflect.DeepEqual(got.Columns, want.Columns) || sortedRows(got) != sortedRows(want) {
+			t.Errorf("%s:\npushdown:    %v %s\nno pushdown: %v %s", q, got.Columns, sortedRows(got), want.Columns, sortedRows(want))
+		}
+		stmt, err := Parse(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pp, err := f.ex.compile(stmt, ExecOpts{}, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pp.residual != nil || pp.pushed[1] == nil || !pp.coPart || pp.drive != 1 {
+			t.Errorf("%s: residual %v, pushed %v, coPart %v, drive %d; want everything pushed to orderstate, which drives", q, pp.residual, pp.pushed, pp.coPart, pp.drive)
 		}
 	}
 }
@@ -196,7 +226,7 @@ func TestExplainAnalyzeRendersExecutedPlanTree(t *testing.T) {
 	}
 	plan := text.String()
 	// customerLat runs 52..75 over 24 rows: 5 rows match (71..75).
-	if !strings.Contains(plan, "5 rows shipped (of 24 examined)") {
+	if !strings.Contains(plan, "5 rows kept (of 24 examined)") {
 		t.Fatalf("plan missing executed scan stats:\n%s", plan)
 	}
 	if !strings.Contains(plan, "pushed filter (customerLat > 70)") {

@@ -19,9 +19,9 @@ import (
 // scan over a shared arrangement's maintained view, then incremental delta
 // application as the arrangement streams changes. Both modes run one
 // insert path — the snapshot phase replays the arrangement's rows through
-// exactly what a live upsert takes — and that path projects, groups and
-// finishes rows with the functions the one-shot output stages use
-// (stream.go).
+// exactly what a live upsert takes — and that path projects rows and
+// finishes groups with the functions the one-shot sinks use (projectRow,
+// finishGroup and the accumulators behind it).
 //
 // A standing query holds no copy of its source tables: the arrangement is
 // the one maintained view, and each delta names the row it replaced. What
@@ -125,6 +125,7 @@ type StandingQuery struct {
 	stmt  *Select
 	query string
 	cols  []string
+	items []Expr   // the select list's expressions, aligned with cols
 	ctx   *evalCtx // LOCALTIMESTAMP is fixed at subscribe time
 	sink  func(SubEvent)
 
@@ -303,10 +304,11 @@ func (sq *StandingQuery) validate() error {
 		if err != nil {
 			return err
 		}
-		sq.joinCols[0], sq.joinCols[1] = lk, rk
+		sq.joinCols[0], sq.joinCols[1] = lk.Name, rk.Name
 	}
 	for _, it := range stmt.Items {
 		sq.cols = append(sq.cols, it.OutputName())
+		sq.items = append(sq.items, it.Expr)
 	}
 	return nil
 }
@@ -518,7 +520,7 @@ func (sq *StandingQuery) insertJR(id, disp string, rows []core.TableRow, eff *ba
 	}
 	jr := joinedRow{srcs: sq.srcs, tabs: tabs}
 	if sq.stmt.Where != nil {
-		v, err := sq.ctx.eval(sq.stmt.Where, jr)
+		v, err := sq.ctx.eval(sq.stmt.Where, &jr)
 		if err != nil {
 			sq.fail(err)
 			return
@@ -535,7 +537,7 @@ func (sq *StandingQuery) insertJR(id, disp string, rows []core.TableRow, eff *ba
 		return
 	}
 	sq.touch(id, eff)
-	vals, err := projectRow(sq.ctx, sq.stmt.Items, nil, jr)
+	vals, err := projectRow(sq.ctx, sq.items, nil, &jr)
 	if err != nil {
 		sq.fail(err)
 		return
@@ -578,10 +580,17 @@ func (sq *StandingQuery) touch(id string, eff *batchEff) {
 // insertGroupRow files one matching joined row under its group and marks
 // the group dirty.
 func (sq *StandingQuery) insertGroupRow(id string, jr joinedRow, eff *batchEff) {
-	kb, err := appendRowGroupKey(nil, sq.ctx, sq.stmt.GroupBy, jr)
-	if err != nil {
-		sq.fail(err)
-		return
+	// The GROUP BY key: each grouping expression's value in the
+	// self-delimiting binary form. A statement without GROUP BY has the one
+	// empty key.
+	var kb []byte
+	for _, ge := range sq.stmt.GroupBy {
+		v, err := sq.ctx.evalD(ge, &jr)
+		if err != nil {
+			sq.fail(err)
+			return
+		}
+		kb = v.appendGroupKey(kb)
 	}
 	gk := string(kb)
 	g := sq.groups[gk]
@@ -590,7 +599,7 @@ func (sq *StandingQuery) insertGroupRow(id string, jr joinedRow, eff *batchEff) 
 		// is seeded at subscribe time and never gets here.
 		parts := make([]string, len(sq.stmt.GroupBy))
 		for i, ge := range sq.stmt.GroupBy {
-			v, err := sq.ctx.eval(ge, jr)
+			v, err := sq.ctx.eval(ge, &jr)
 			if err != nil {
 				sq.fail(err)
 				return
@@ -654,7 +663,7 @@ func (sq *StandingQuery) settleGroup(gk string) (SubDelta, bool) {
 			rows = append(rows, jr)
 		}
 		var err error
-		if vals, keep, err = sq.ex.finishGroup(sq.ctx, sq.stmt, rows); err != nil {
+		if vals, keep, err = finishGroup(sq.ctx, sq.stmt.Having, sq.items, groupRows(rows)); err != nil {
 			sq.fail(err)
 			return SubDelta{}, false
 		}

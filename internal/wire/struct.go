@@ -118,6 +118,9 @@ type field struct {
 	name   string // Go field name
 	kind   byte
 	offset uintptr
+	// plain: the field's type is the predeclared type of its kind (string,
+	// not a named string type), so Value can box it without reflection.
+	plain bool
 }
 
 // Schema is the per-type layout of a state struct, derived once by
@@ -208,7 +211,7 @@ func deriveSchema(t reflect.Type) *Schema {
 		if k == 0 {
 			flat = false
 		}
-		fields = append(fields, field{name: f.Name, kind: k, offset: f.Offset})
+		fields = append(fields, field{name: f.Name, kind: k, offset: f.Offset, plain: f.Type.PkgPath() == "" || f.Type == timeType})
 	}
 	sort.Strings(s.cols)
 	if !flat {
@@ -228,13 +231,142 @@ func deriveSchema(t reflect.Type) *Schema {
 	return s
 }
 
-// Columns returns the SQL column names, sorted.
-func (s *Schema) Columns() []string { return s.cols }
+// Columns returns the SQL column names, sorted. The slice is shared by
+// every row of the type and clipped to its length, so a caller's append
+// copies instead of writing into the schema's backing array.
+func (s *Schema) Columns() []string { return s.cols[:len(s.cols):len(s.cols)] }
 
 // FieldIndex returns the struct field index behind a SQL column name.
 func (s *Schema) FieldIndex(col string) (int, bool) {
 	i, ok := s.index[col]
 	return i, ok
+}
+
+// FlatSchemaOf returns the schema of v's dynamic type when v is a flat
+// struct — the types the column readers below serve — and nil otherwise.
+func FlatSchemaOf(v any) *Schema {
+	if v == nil {
+		return nil
+	}
+	return structSchema(v)
+}
+
+// ColumnType returns the Go type of struct field i, as FieldIndex numbers
+// them.
+func (s *Schema) ColumnType(i int) reflect.Type { return s.typ.Field(i).Type }
+
+// Ref addresses one struct value of a flat schema's type for the column
+// readers. It keeps the value reachable for as long as it is held.
+type Ref struct{ p unsafe.Pointer }
+
+// Ref returns the reader handle of v; ok is false when v is not a value of
+// the schema's struct type (or the schema is not flat), and the caller
+// reads that row by name instead. The check is one pointer comparison.
+func (s *Schema) Ref(v any) (r Ref, ok bool) {
+	e := (*eface)(unsafe.Pointer(&v))
+	if s.fields == nil || e.typ != s.rtype {
+		return Ref{}, false
+	}
+	return Ref{p: e.data}, true
+}
+
+// The column readers read field i of the struct r addresses, through the
+// offsets the codec encodes from. Each is defined for the column kinds its
+// name covers — Int for every int and uint width, Float for both float
+// widths — and the caller picks the reader from ColumnType; a reader
+// called on another kind returns the zero value.
+
+// Int reads an integer column, widened to int64 (a uint64 keeps its bits).
+func (s *Schema) Int(r Ref, i int) int64 {
+	f := &s.fields[i]
+	fp := unsafe.Add(r.p, f.offset)
+	switch f.kind {
+	case kInt:
+		return int64(*(*int)(fp))
+	case kInt8:
+		return int64(*(*int8)(fp))
+	case kInt16:
+		return int64(*(*int16)(fp))
+	case kInt32:
+		return int64(*(*int32)(fp))
+	case kInt64:
+		return *(*int64)(fp)
+	case kUint:
+		return int64(*(*uint)(fp))
+	case kUint8:
+		return int64(*(*uint8)(fp))
+	case kUint16:
+		return int64(*(*uint16)(fp))
+	case kUint32:
+		return int64(*(*uint32)(fp))
+	case kUint64:
+		return int64(*(*uint64)(fp))
+	}
+	return 0
+}
+
+// Float reads a float32 or float64 column.
+func (s *Schema) Float(r Ref, i int) float64 {
+	f := &s.fields[i]
+	fp := unsafe.Add(r.p, f.offset)
+	switch f.kind {
+	case kFloat32:
+		return float64(*(*float32)(fp))
+	case kFloat64:
+		return *(*float64)(fp)
+	}
+	return 0
+}
+
+// Str reads a string column; the result shares the row's bytes.
+func (s *Schema) Str(r Ref, i int) string {
+	if f := &s.fields[i]; f.kind == kString {
+		return *(*string)(unsafe.Add(r.p, f.offset))
+	}
+	return ""
+}
+
+// Bool reads a bool column.
+func (s *Schema) Bool(r Ref, i int) bool {
+	if f := &s.fields[i]; f.kind == kBool {
+		return *(*uint8)(unsafe.Add(r.p, f.offset))&1 == 1
+	}
+	return false
+}
+
+// Time reads a time.Time column in place: the result points into the row
+// and must only be read.
+func (s *Schema) Time(r Ref, i int) *time.Time {
+	if f := &s.fields[i]; f.kind == kTime {
+		return (*time.Time)(unsafe.Add(r.p, f.offset))
+	}
+	return new(time.Time)
+}
+
+// Value boxes column i with the field's own Go type — what reflection's
+// Field(i).Interface() returns, named types included.
+func (s *Schema) Value(r Ref, i int) any {
+	if f := &s.fields[i]; f.plain {
+		switch f.kind {
+		case kInt:
+			return int(s.Int(r, i))
+		case kInt32:
+			return int32(s.Int(r, i))
+		case kInt64:
+			return s.Int(r, i)
+		case kUint64:
+			return uint64(s.Int(r, i))
+		case kFloat64:
+			return s.Float(r, i)
+		case kString:
+			return s.Str(r, i)
+		case kBool:
+			return s.Bool(r, i)
+		case kTime:
+			return *s.Time(r, i)
+		}
+	}
+	return reflect.NewAt(s.typ, r.p).Elem().Field(i).Interface()
 }
 
 func fingerprint(identity []byte) uint64 {
