@@ -71,9 +71,8 @@ fuzz-short:
 # Incremental-checkpoint smoke: the crash-recovery suite (every crash
 # point of the segment/manifest protocol restores the last committed
 # snapshot), the base+delta-chain vs full-restore parity across both
-# transports, and the ckpt-scale harness shape check (delta-async runs
-# write delta segments, the full-sync baseline none, bytes/ckpt track
-# the delta).
+# transports, and the ckpt-scale harness shape check (delta runs write
+# delta segments, the full baseline none, bytes/ckpt track the delta).
 ckpt-smoke:
 	$(GO) test ./internal/persist -run 'TestCrash|FuzzDeltaChain' -count=1 -v
 	$(GO) test . -run 'TestIncrementalRecoveryParity' -race -count=1 -v
@@ -89,9 +88,9 @@ ckpt-smoke:
 # parity run holds the one accumulator implementation to both of its
 # callers — a standing aggregate folds a group's rows through what the
 # one-shot fragments fold and merge; the short benchmark pass prints codec
-# (scalar, struct row, and the gob path it replaced), joinKey, batched-put
-# and indexed-put numbers so regressions show up in CI logs next to the
-# gate.
+# (scalar, struct row, and the gob path it replaced), typed joinKey, unary
+# and batched put and indexed-put numbers so regressions show up in CI logs
+# next to the gate.
 bench-smoke:
 	$(GO) test ./internal/wire ./internal/core -run 'TestZeroAllocScalarEncode|TestZeroAllocStructEncode|TestStructDecodeAllocs|TestBlobKeyAllocs' -count=1 -v
 	$(GO) test ./internal/persist -run 'TestDeltaEncodeAllocs' -count=1 -v

@@ -9,7 +9,7 @@
 //	squery-bench -exp fig10 -quick
 //
 // Experiments: fig8 fig9 fig10 fig11 fig12 fig13 fig14 fig15 queries
-// pushdown obs wire ckpt-scale index subscribe all.
+// pushdown obs ckpt-scale index subscribe all.
 //
 // -metrics additionally runs a short fully-instrumented Q-commerce job on
 // the engine and prints its plain-text metrics dump — every counter,
@@ -62,12 +62,11 @@ func main() {
 		"queries":    runQueries,
 		"pushdown":   runPushdown,
 		"obs":        runObs,
-		"wire":       runWire,
 		"ckpt-scale": runCkptScale,
 		"index":      runIndex,
 		"subscribe":  runSubscribe,
 	}
-	order := []string{"fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15", "queries", "pushdown", "obs", "wire", "ckpt-scale", "index", "subscribe"}
+	order := []string{"fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15", "queries", "pushdown", "obs", "ckpt-scale", "index", "subscribe"}
 
 	switch *exp {
 	case "all":
@@ -231,12 +230,6 @@ func runPushdown(o experiments.Options) {
 		experiments.Pushdown(o)))
 }
 
-func runWire(o experiments.Options) {
-	fmt.Println(experiments.WireTable(
-		"Wire — batched transport + binary codec vs legacy per-record/per-key messages (3 nodes, replicated)",
-		experiments.Wire(o)))
-}
-
 func runIndex(o experiments.Options) {
 	fmt.Println(experiments.IndexTable(
 		"Secondary indexes — selective reads via index vs full-scan access path, and inline-maintenance write cost (128 partitions, 3 nodes)",
@@ -245,7 +238,7 @@ func runIndex(o experiments.Options) {
 
 func runCkptScale(o experiments.Options) {
 	fmt.Println(experiments.CkptScaleTable(
-		"Checkpoint scaling — full+sync vs delta+async persistence at 1x/3x/10x state, fixed hot set (3 nodes)",
+		"Checkpoint scaling — full vs delta snapshots and segments at 1x/3x/10x state, fixed hot set (3 nodes)",
 		experiments.CkptScale(o)))
 }
 

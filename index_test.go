@@ -52,7 +52,7 @@ func TestIndexSurvivesRebalance(t *testing.T) {
 		AddVertex(SinkVertex("sink", 1, func(Record) { sunk.Add(1) })).
 		Connect("source", "zones", EdgePartitioned).
 		Connect("zones", "sink", EdgePartitioned)
-	job, err := eng.SubmitJob(dag, JobSpec{Name: "zones", State: StateConfig{Live: true, Unbatched: true}})
+	job, err := eng.SubmitJob(dag, JobSpec{Name: "zones", State: StateConfig{Live: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestSysIndexesTable(t *testing.T) {
 		AddVertex(SinkVertex("sink", 1, func(Record) { sunk.Add(1) })).
 		Connect("source", "zix", EdgePartitioned).
 		Connect("zix", "sink", EdgePartitioned)
-	job, err := eng.SubmitJob(dag, JobSpec{Name: "zix", State: StateConfig{Live: true, Unbatched: true}})
+	job, err := eng.SubmitJob(dag, JobSpec{Name: "zix", State: StateConfig{Live: true}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,10 +43,11 @@ func TestLiveIndexPathParity(t *testing.T) {
 	if err := cat.CreateIndex("orders", "zone", IndexHash); err != nil {
 		t.Fatal(err)
 	}
-	b := NewBackend("orders", 0, store.View(0), Config{Live: true, Unbatched: true})
+	b := NewBackend("orders", 0, store.View(0), Config{Live: true})
 	for i := 0; i < 300; i++ {
 		b.Update(i, map[string]any{"zone": fmt.Sprintf("z%d", i%3), "amount": i})
 	}
+	b.Flush()
 	ref, err := cat.Table("orders")
 	if err != nil {
 		t.Fatal(err)
@@ -191,8 +192,9 @@ func TestAccessPathMisc(t *testing.T) {
 	if err := cat2.RegisterJob(snapshot.NewRegistry(4), "op"); err != nil {
 		t.Fatal(err)
 	}
-	b := NewBackend("op", 0, store.View(0), Config{Live: true, Unbatched: true})
+	b := NewBackend("op", 0, store.View(0), Config{Live: true})
 	b.Update(1, map[string]any{"zone": "z"})
+	b.Flush()
 	ref, _ := cat2.Table("op")
 	rows := scanWithPath(ref, 0, &AccessPath{Kind: IndexEq, Column: "zone", Eq: "z"}, eqZone("z"))
 	if len(rows) != 1 {

@@ -32,16 +32,13 @@ type Manager struct {
 	persistPolicy PersistPolicy
 	lastPersist   PersistInfo
 
-	// Changed-key index: every snapshot-chain write a wired backend
-	// performs is reported here (see NoteChanged), so commit-time work —
-	// collecting the persisted delta and compacting version chains — can
-	// walk just the keys that changed instead of scanning whole maps.
-	// `changed` holds keys not yet persisted durably; `pruneDue` holds
-	// keys whose chains may still compact further. Operators that never
-	// report (backends created outside the dataflow layer) keep the
-	// original full-scan behaviour via the `indexed` flag.
+	// Changed-key index: every snapshot-chain write of a backend this
+	// manager made (see NewBackend) is reported here, so commit-time work —
+	// collecting the persisted delta and compacting version chains — walks
+	// just the keys that changed, never whole maps. `changed` holds keys
+	// not yet persisted durably; `pruneDue` holds keys whose chains may
+	// still compact further.
 	changeMu sync.Mutex
-	indexed  map[string]bool
 	changed  map[string]map[string]partition.Key
 	pruneDue map[string]map[string]partition.Key
 }
@@ -53,25 +50,31 @@ func NewManager(store *kv.Store, retention int) *Manager {
 		store:    store,
 		reg:      snapshot.NewRegistry(retention),
 		ops:      make(map[string]OperatorMeta),
-		indexed:  make(map[string]bool),
 		changed:  make(map[string]map[string]partition.Key),
 		pruneDue: make(map[string]map[string]partition.Key),
 	}
 }
 
-// NoteChanged records that snapshot-chain versions were written for keys
-// of op. Backends wired through SetChangeNotifier call it on every
-// version write; once an operator reports here, persisted-delta
-// collection and chain pruning visit only reported keys — the commit-side
-// half of O(delta) checkpoints.
-func (m *Manager) NoteChanged(op string, keys []partition.Key) {
+// NewBackend creates the state backend of one instance of an operator
+// whose snapshots this manager commits. It is the one place a backend is
+// tied to the changed-key index: Commit persists and prunes only keys
+// reported to it, so a backend writing snapshot chains under this manager
+// must be made here.
+func (m *Manager) NewBackend(op string, instance int, view kv.NodeView, cfg Config) *Backend {
+	b := NewBackend(op, instance, view, cfg)
+	b.onChange = m.noteChanged
+	return b
+}
+
+// noteChanged records that snapshot-chain versions were written for keys
+// of op — the commit-side half of O(delta) checkpoints.
+func (m *Manager) noteChanged(op string, keys []partition.Key) {
 	if len(keys) == 0 {
 		return
 	}
 	so := sanitize(op)
 	m.changeMu.Lock()
 	defer m.changeMu.Unlock()
-	m.indexed[so] = true
 	cm := m.changed[so]
 	if cm == nil {
 		cm = make(map[string]partition.Key, len(keys))
@@ -87,14 +90,6 @@ func (m *Manager) NoteChanged(op string, keys []partition.Key) {
 		cm[ks] = k
 		pm[ks] = k
 	}
-}
-
-// opIndexed reports whether op's backends report chain writes to the
-// changed-key index.
-func (m *Manager) opIndexed(op string) bool {
-	m.changeMu.Lock()
-	defer m.changeMu.Unlock()
-	return m.indexed[op]
 }
 
 // takeChanged removes and returns op's not-yet-durable key set.
@@ -241,7 +236,8 @@ func (m *Manager) Commit(ssid int64) ([]int64, error) {
 // prune removes evicted snapshot versions. Chains are compacted against
 // the oldest retained id (keeping one base version per key); blob
 // snapshots are deleted outright. All writes are issued from the owning
-// node — pruning, like snapshotting, is local work.
+// node — pruning, like snapshotting, is local work — and the walk is
+// O(delta): it visits the chains the changed-key index filed.
 func (m *Manager) prune(evicted []int64) {
 	oldest := m.reg.OldestRetained()
 	m.mu.Lock()
@@ -270,64 +266,36 @@ func (m *Manager) prune(evicted []int64) {
 		if !m.store.HasMap(name) {
 			continue
 		}
+		// Only chains written since the last prune can have anything left
+		// to compact — untouched chains were already reduced to a stable
+		// base (or hold a single version pruning would keep anyway).
 		op := sanitize(meta.Name)
-		if m.opIndexed(op) {
-			// O(delta) path: only chains written since the last prune can
-			// have anything left to compact — untouched chains were already
-			// reduced to a stable base (or hold a single version pruning
-			// would keep anyway).
-			idx := m.takePruneDue(op)
-			keep := make(map[string]partition.Key)
-			for ks, key := range idx {
-				view := m.store.View(assign.Owner(m.store.Partitioner().Of(key)))
-				cur, ok := view.Get(name, key)
-				if !ok {
-					continue
-				}
-				chain := cur.(*Chain)
-				if pruned := chain.Prune(oldest); pruned != chain {
-					if pruned.Len() == 0 {
-						view.Delete(name, key)
-					} else {
-						view.Put(name, key, pruned)
-					}
-					chain = pruned
-				}
-				// A chain is stable — no future prune changes it — once it
-				// holds just one version at or below the horizon; everything
-				// else stays filed for the next pass.
-				if chain.Len() > 1 {
-					keep[ks] = key
-				} else if nw, ok := chain.Newest(); ok && nw.SSID > oldest {
-					keep[ks] = key
-				}
+		idx := m.takePruneDue(op)
+		keep := make(map[string]partition.Key)
+		for ks, key := range idx {
+			view := m.store.View(assign.Owner(m.store.Partitioner().Of(key)))
+			cur, ok := view.Get(name, key)
+			if !ok {
+				continue
 			}
-			m.mergePruneDue(op, keep)
-			continue
-		}
-		snapMap := m.store.GetMap(name)
-		for p := 0; p < m.store.Partitioner().Count(); p++ {
-			view := m.store.View(assign.Owner(p))
-			type rewrite struct {
-				key   any
-				chain *Chain
-			}
-			var changes []rewrite
-			snapMap.ScanPartition(p, func(e kv.Entry) bool {
-				chain := e.Value.(*Chain)
-				pruned := chain.Prune(oldest)
-				if pruned != chain {
-					changes = append(changes, rewrite{key: e.Key, chain: pruned})
-				}
-				return true
-			})
-			for _, ch := range changes {
-				if ch.chain.Len() == 0 {
-					view.Delete(name, ch.key)
+			chain := cur.(*Chain)
+			if pruned := chain.Prune(oldest); pruned != chain {
+				if pruned.Len() == 0 {
+					view.Delete(name, key)
 				} else {
-					view.Put(name, ch.key, ch.chain)
+					view.Put(name, key, pruned)
 				}
+				chain = pruned
+			}
+			// A chain is stable — no future prune changes it — once it
+			// holds just one version at or below the horizon; everything
+			// else stays filed for the next pass.
+			if chain.Len() > 1 {
+				keep[ks] = key
+			} else if nw, ok := chain.Newest(); ok && nw.SSID > oldest {
+				keep[ks] = key
 			}
 		}
+		m.mergePruneDue(op, keep)
 	}
 }

@@ -49,7 +49,7 @@ func TestManagerCommitPrunesChains(t *testing.T) {
 	if err := m.RegisterOperator(OperatorMeta{Name: "op", Parallelism: 1, Config: cfg}); err != nil {
 		t.Fatal(err)
 	}
-	b := NewBackend("op", 0, store.View(0), cfg)
+	b := m.NewBackend("op", 0, store.View(0), cfg)
 	for i := 0; i < 50; i++ {
 		b.Update(i, i)
 	}
@@ -78,7 +78,7 @@ func TestManagerPruneDropsDeletedKeys(t *testing.T) {
 	m := NewManager(store, 1)
 	cfg := Config{Snapshots: true, Incremental: true}
 	m.RegisterOperator(OperatorMeta{Name: "op", Parallelism: 1, Config: cfg})
-	b := NewBackend("op", 0, store.View(0), cfg)
+	b := m.NewBackend("op", 0, store.View(0), cfg)
 	b.Update("k", 1)
 	checkpoint(t, m, b) // ssid 1: k=1
 	b.Delete("k")
@@ -96,8 +96,8 @@ func TestManagerPrunesBlobSnapshots(t *testing.T) {
 	m := NewManager(store, 2)
 	cfg := Config{JetBlob: true}
 	m.RegisterOperator(OperatorMeta{Name: "op", Parallelism: 2, Config: cfg})
-	b0 := NewBackend("op", 0, store.View(0), cfg)
-	b1 := NewBackend("op", 1, store.View(0), cfg)
+	b0 := m.NewBackend("op", 0, store.View(0), cfg)
+	b1 := m.NewBackend("op", 1, store.View(0), cfg)
 	b0.Update("a", 1)
 	b1.Update("b", 2)
 	for i := 0; i < 4; i++ {

@@ -20,36 +20,28 @@ import (
 // backends' in-memory dirty sets — chains survive aborted checkpoint
 // rounds (a version written at an aborted id still governs later reads),
 // so the durable delta never loses a key to an abort between commits.
-// PersistPolicy bounds the chains: when one would grow past MaxChainLen,
-// or the delta stops being small relative to the live state, the commit
-// folds everything into a fresh full segment instead (compaction) and
-// the chain restarts.
+// The chains are bounded: when one would grow past deltaChainCap, or the
+// delta stops being small relative to the live state (compactRatio), the
+// commit folds everything into a fresh full segment instead (compaction)
+// and the chain restarts.
+
+const (
+	// deltaChainCap is how many delta segments may chain off a full base
+	// before a commit folds them into a new full segment.
+	deltaChainCap = 8
+	// compactRatio folds to a full segment when the delta holds at least
+	// this fraction of the operator's chains — at that size the delta stops
+	// being cheaper than a compacting full write.
+	compactRatio = 0.5
+)
 
 // PersistPolicy tunes the full-vs-delta decision of persisted commits.
 type PersistPolicy struct {
-	// MaxChainLen caps how many delta segments may chain off a full base
-	// before a commit folds them into a new full segment. <1 selects the
-	// default of 8.
-	MaxChainLen int
-	// CompactFraction folds to a full segment when the delta holds at
-	// least this fraction of the operator's live keys — at that size the
-	// delta stops being cheaper than a compacting full write. <=0 selects
-	// the default of 0.5.
-	CompactFraction float64
 	// FullOnly disables delta segments entirely: every persisted commit
-	// writes full segments, the pre-delta behaviour. The A/B baseline for
-	// `squery-bench -exp ckpt-scale`.
+	// writes full segments. It is the reference the incremental path is
+	// held to (TestIncrementalRecoveryParity, `squery-bench -exp
+	// ckpt-scale`'s full arm).
 	FullOnly bool
-}
-
-func (p PersistPolicy) withDefaults() PersistPolicy {
-	if p.MaxChainLen < 1 {
-		p.MaxChainLen = 8
-	}
-	if p.CompactFraction <= 0 {
-		p.CompactFraction = 0.5
-	}
-	return p
 }
 
 // PersistInfo describes what the most recent persisted commit wrote —
@@ -62,7 +54,7 @@ type PersistInfo struct {
 	Bytes       int64  // bytes written by this commit
 	DeltaSegs   int    // delta segments written by this commit
 	FullSegs    int    // full segments written by this commit
-	MaxChainLen int    // longest delta chain after this commit
+	ChainLen    int    // longest delta chain after this commit
 	Compactions int    // chains folded into a full segment by policy
 }
 
@@ -108,7 +100,7 @@ func (m *Manager) LastPersist() PersistInfo {
 func (m *Manager) persistCommitted(ssid int64) (err error) {
 	m.mu.Lock()
 	p := m.persister
-	pol := m.persistPolicy.withDefaults()
+	pol := m.persistPolicy
 	ops := make([]OperatorMeta, 0, len(m.ops))
 	for _, meta := range m.ops {
 		ops = append(ops, meta)
@@ -161,57 +153,31 @@ func (m *Manager) persistCommitted(ssid int64) (err error) {
 		snapMap := m.store.GetMap(name)
 
 		// Collect the delta window (lastDurable, ssid] — every version
-		// minted since the last durable snapshot, tombstones included —
-		// plus a live count for the compaction ratio. With a changed-key
-		// index this walks only the keys written since the last durable
-		// commit; unindexed operators fall back to the full chain scan.
-		var deltas []persist.DeltaEntry
-		live := 0
-		if m.opIndexed(op) {
-			idx := m.takeChanged(op)
-			taken[op] = idx
-			deltas = make([]persist.DeltaEntry, 0, len(idx))
-			carry := make(map[string]partition.Key)
-			assign := m.store.Assignment()
-			for ks, key := range idx {
-				cur, ok := m.store.View(assign.Owner(m.store.Partitioner().Of(key))).Get(name, key)
-				if !ok {
-					continue
-				}
-				chain := cur.(*Chain)
-				// Versions beyond this cut are not made durable here; the
-				// key stays filed for the next commit.
-				if nw, ok := chain.Newest(); ok && nw.SSID > ssid {
-					carry[ks] = key
-				}
-				v, ok := chain.Governing(ssid)
-				if !ok || v.SSID <= lastDurable {
-					continue
-				}
-				deltas = append(deltas, persist.DeltaEntry{Key: key, Value: v.Value, Tombstone: v.Tombstone})
+		// minted since the last durable snapshot, tombstones included — by
+		// walking the keys written since the last durable commit.
+		idx := m.takeChanged(op)
+		taken[op] = idx
+		deltas := make([]persist.DeltaEntry, 0, len(idx))
+		carry := make(map[string]partition.Key)
+		assign := m.store.Assignment()
+		for ks, key := range idx {
+			cur, ok := m.store.View(assign.Owner(m.store.Partitioner().Of(key))).Get(name, key)
+			if !ok {
+				continue
 			}
-			m.mergeChanged(op, carry)
-			// Size counts chains, including pure-tombstone ones — a slight
-			// overcount of the live set that only delays the compaction
-			// trigger marginally.
-			live = snapMap.Size()
-		} else {
-			for part := 0; part < m.store.Partitioner().Count(); part++ {
-				snapMap.ScanPartition(part, func(e kv.Entry) bool {
-					v, ok := e.Value.(*Chain).Governing(ssid)
-					if !ok {
-						return true
-					}
-					if !v.Tombstone {
-						live++
-					}
-					if v.SSID > lastDurable {
-						deltas = append(deltas, persist.DeltaEntry{Key: e.Key, Value: v.Value, Tombstone: v.Tombstone})
-					}
-					return true
-				})
+			chain := cur.(*Chain)
+			// Versions beyond this cut are not made durable here; the
+			// key stays filed for the next commit.
+			if nw, ok := chain.Newest(); ok && nw.SSID > ssid {
+				carry[ks] = key
 			}
+			v, ok := chain.Governing(ssid)
+			if !ok || v.SSID <= lastDurable {
+				continue
+			}
+			deltas = append(deltas, persist.DeltaEntry{Key: key, Value: v.Value, Tombstone: v.Tombstone})
 		}
+		m.mergeChanged(op, carry)
 
 		full := pol.FullOnly || lastDurable == 0 || !baseOps[op]
 		chainLen := 0
@@ -221,8 +187,11 @@ func (m *Manager) persistCommitted(ssid int64) (err error) {
 				return err
 			}
 			// Compaction triggers: the chain is at its length cap, or the
-			// delta is no longer small relative to the live state.
-			if chainLen >= pol.MaxChainLen || float64(len(deltas)) >= pol.CompactFraction*float64(live) {
+			// delta is no longer small relative to the live state. Size
+			// counts chains, including pure-tombstone ones — a slight
+			// overcount of the live set that only delays the trigger
+			// marginally.
+			if chainLen >= deltaChainCap || float64(len(deltas)) >= compactRatio*float64(snapMap.Size()) {
 				full = true
 				info.Compactions++
 			}
@@ -248,8 +217,8 @@ func (m *Manager) persistCommitted(ssid int64) (err error) {
 			}
 			info.DeltaSegs++
 			info.Entries += len(deltas)
-			if chainLen+1 > info.MaxChainLen {
-				info.MaxChainLen = chainLen + 1
+			if chainLen+1 > info.ChainLen {
+				info.ChainLen = chainLen + 1
 			}
 		}
 	}

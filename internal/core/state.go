@@ -48,19 +48,15 @@ type Config struct {
 	// setup the paper describes for raising live queries to the read
 	// committed isolation level.
 	ActiveStandby bool
-	// MirrorBatch caps how many live-map mirror operations buffer before
-	// an automatic flush to the KV store (one partition-grouped batch
-	// instead of one message per record). 0 selects the default of 32;
-	// 1 mirrors per record. The owning worker flushes at inbox
-	// quiescence and checkpoint boundaries regardless, so live queries
-	// see up-to-date state whenever the operator is idle.
-	MirrorBatch int
-	// Unbatched restores the pre-batching wire behaviour — live-state
-	// mirroring per record and snapshot version writes as a Get+Put
-	// round trip per key. It exists as the A/B baseline for
-	// `squery-bench -exp wire`; production paths never set it.
-	Unbatched bool
 }
+
+// mirrorBatch is how many live-map mirror operations buffer before an
+// automatic flush to the KV store — one partition-grouped batch instead of
+// one message per record, and the batch size kv.smallBatch groups on the
+// stack. The owning worker flushes at inbox quiescence and checkpoint
+// boundaries regardless, so live queries see up-to-date state whenever the
+// operator is idle.
+const mirrorBatch = 32
 
 // LiveMapName returns the KV map holding the operator's live state. The
 // convention is the paper's: the map is named after the operator, with
@@ -103,9 +99,8 @@ type Backend struct {
 
 	// pending buffers live-map mirror operations between flushes (order
 	// preserved: a batch applies exactly like the same puts/deletes one
-	// by one). mirrorBatch is the flush threshold; 1 disables buffering.
-	pending     []kv.Op
-	mirrorBatch int
+	// by one); it flushes at mirrorBatch.
+	pending []kv.Op
 
 	// Optional instruments (nil = disabled): update/delete count and
 	// latency, including the mirrored KV writes and their simulated
@@ -119,13 +114,15 @@ type Backend struct {
 	updateSeq   uint64
 	sampleEvery uint64
 
-	// onChange, when set, is told about every snapshot-chain write (see
-	// SetChangeNotifier); the manager's changed-key index hangs off it.
+	// onChange is told about every snapshot-chain write: the changed-key
+	// index of the manager that made this backend (Manager.NewBackend), nil
+	// for a backend that stands alone.
 	onChange func(op string, keys []partition.Key)
 }
 
 // NewBackend creates the state backend for instance `instance` of
-// operator `op`, issuing KV operations from the node of view.
+// operator `op`, issuing KV operations from the node of view. A backend
+// whose snapshots a Manager commits comes from Manager.NewBackend instead.
 func NewBackend(op string, instance int, view kv.NodeView, cfg Config) *Backend {
 	if cfg.JetBlob && cfg.Snapshots {
 		panic("core: JetBlob and Snapshots are mutually exclusive")
@@ -134,21 +131,13 @@ func NewBackend(op string, instance int, view kv.NodeView, cfg Config) *Backend 
 	if cfg.LatencySampleEvery > 0 {
 		every = uint64(cfg.LatencySampleEvery)
 	}
-	mb := cfg.MirrorBatch
-	if mb <= 0 {
-		mb = 32
-	}
-	if cfg.Unbatched {
-		mb = 1
-	}
 	return &Backend{
-		op:          op,
-		instance:    instance,
-		view:        view,
-		cfg:         cfg,
-		data:        make(map[string]entry),
-		dirty:       make(map[string]partition.Key),
-		mirrorBatch: mb,
+		op:       op,
+		instance: instance,
+		view:     view,
+		cfg:      cfg,
+		data:     make(map[string]entry),
+		dirty:    make(map[string]partition.Key),
 		// Seeding offsets the sampling phase deterministically: which
 		// updates get timed depends only on (seed, update index).
 		updateSeq:   uint64(cfg.LatencySampleSeed) % every,
@@ -162,16 +151,6 @@ func NewBackend(op string, instance int, view kv.NodeView, cfg Config) *Backend 
 func (b *Backend) SetInstruments(updates *metrics.Counter, updateLat *metrics.Histogram) {
 	b.updates = updates
 	b.updateLat = updateLat
-}
-
-// SetChangeNotifier installs a callback told about every snapshot-chain
-// write this backend performs (typically Manager.NoteChanged): the keys
-// written at each checkpoint feed the manager's changed-key index, which
-// keeps persisted-delta collection and chain pruning O(delta). Call
-// before the owning worker starts; writes come from the worker or its
-// drainer, never both at once.
-func (b *Backend) SetChangeNotifier(fn func(op string, keys []partition.Key)) {
-	b.onChange = fn
 }
 
 // Op returns the operator name.
@@ -253,19 +232,9 @@ func (b *Backend) del(key partition.Key) {
 }
 
 // mirror queues one live-map operation, flushing when the batch fills.
-// With MirrorBatch 1 (or Unbatched) the operation goes out immediately —
-// the pre-refactor per-record behaviour.
 func (b *Backend) mirror(op kv.Op) {
-	if b.mirrorBatch <= 1 {
-		if op.Delete {
-			b.view.Delete(LiveMapName(b.op), op.Key)
-		} else {
-			b.view.Put(LiveMapName(b.op), op.Key, op.Value)
-		}
-		return
-	}
 	b.pending = append(b.pending, op)
-	if len(b.pending) >= b.mirrorBatch {
+	if len(b.pending) >= mirrorBatch {
 		b.Flush()
 	}
 }
@@ -294,32 +263,18 @@ func (b *Backend) ForEach(fn func(key partition.Key, value any) bool) {
 	}
 }
 
-// SnapshotPrepare is phase 1 of the checkpoint for this instance: it
-// records the instance's state at snapshot id ssid into the state store.
-// Full mode writes every key; incremental mode writes only keys dirtied
-// since the previous checkpoint (including deletions, as tombstones); blob
-// mode serializes the whole state into one opaque entry. It returns the
-// number of entries written.
+// SnapshotPrepare runs phase 1 of the checkpoint for this instance to
+// completion on the caller's goroutine: pin, then drain. It records the
+// instance's state at snapshot id ssid into the state store and returns
+// the number of snapshot entries written (a Jet blob is not one). Full mode
+// writes every key; incremental mode writes only keys dirtied since the
+// previous checkpoint (including deletions, as tombstones).
 func (b *Backend) SnapshotPrepare(ssid int64) (written int, err error) {
-	// The snapshot must include every mirrored update, and a query at
-	// this ssid must not see the live map lag it: flush first.
-	b.Flush()
-	switch {
-	case b.cfg.JetBlob:
-		return b.prepareBlob(ssid)
-	case !b.cfg.Snapshots:
-		return 0, nil
-	case b.cfg.Incremental:
-		written = b.writeVersions(ssid, b.dirtyEntries())
-	default:
-		// A full snapshot rewrites every live key — but keys deleted
-		// since the previous checkpoint still need tombstones, or a
-		// query at this ssid would resolve them through their stale
-		// older version.
-		written = b.writeVersions(ssid, append(b.allEntries(), b.deletedEntries()...))
+	pin, err := b.SnapshotPin(ssid)
+	if pin == nil || err != nil {
+		return 0, err
 	}
-	b.dirty = make(map[string]partition.Key)
-	return written, nil
+	return b.DrainPin(pin), nil
 }
 
 type keyedVersion struct {
@@ -349,19 +304,19 @@ func (p *SnapshotPin) Len() int { return len(p.entries) }
 func (p *SnapshotPin) PinnedAt() time.Time { return p.pinned }
 
 // SnapshotPin captures phase 1 for this instance without shipping the
-// state: mirrors are flushed, the dirty set (or full state) is pinned as
-// a version set, and the dirty tracking resets — all O(delta) map work,
-// no KV writes. The returned pin must later be drained via DrainPin
-// before the checkpoint commits. A nil pin with no error means nothing
-// needs draining: snapshots are off, or the instance runs the JetBlob
-// baseline, whose blob is written synchronously here (measuring that
-// stall is the baseline's purpose).
+// state: mirrors are flushed (the snapshot must include every mirrored
+// update, and a query at this ssid must not see the live map lag it), the
+// dirty set (or full state) is pinned as a version set, and the dirty
+// tracking resets — all O(delta) map work, no KV writes. The returned pin
+// must later be drained via DrainPin before the checkpoint commits. A nil
+// pin with no error means nothing needs draining: snapshots are off, or the
+// instance runs the JetBlob baseline, whose blob is written synchronously
+// here (measuring that stall is the baseline's purpose).
 func (b *Backend) SnapshotPin(ssid int64) (*SnapshotPin, error) {
 	b.Flush()
 	switch {
 	case b.cfg.JetBlob:
-		_, err := b.prepareBlob(ssid)
-		return nil, err
+		return nil, b.prepareBlob(ssid)
 	case !b.cfg.Snapshots:
 		return nil, nil
 	}
@@ -369,6 +324,9 @@ func (b *Backend) SnapshotPin(ssid int64) (*SnapshotPin, error) {
 	if b.cfg.Incremental {
 		entries = b.dirtyEntries()
 	} else {
+		// A full snapshot rewrites every live key — but keys deleted since
+		// the previous checkpoint still need tombstones, or a query at this
+		// ssid would resolve them through their stale older version.
 		entries = append(b.allEntries(), b.deletedEntries()...)
 	}
 	b.dirty = make(map[string]partition.Key)
@@ -376,7 +334,7 @@ func (b *Backend) SnapshotPin(ssid int64) (*SnapshotPin, error) {
 }
 
 // DrainPin serializes and ships a pinned version set into the snapshot
-// store — the deferred half of SnapshotPrepare. Safe to call from a
+// store — the deferred half of phase 1. Safe to call from a
 // drainer goroutine concurrent with the owning worker: the KV store's
 // striped key locks order the writes, pinned values are immutable, and
 // the pin's entries are no longer referenced by the backend.
@@ -456,31 +414,16 @@ func (b *Backend) writeVersions(ssid int64, kvs []keyedVersion) int {
 	for i := range kvs {
 		keys[i] = kvs[i].key
 	}
-	if b.cfg.Unbatched {
-		// Legacy wire shape: one Get and one Put per key — two messages
-		// per remote key per checkpoint. Kept only as the A/B baseline
-		// for `squery-bench -exp wire`.
-		for _, e := range kvs {
-			var chain *Chain
-			if cur, ok := b.view.Get(name, e.key); ok {
-				chain = cur.(*Chain)
-			}
-			chain = chain.With(Versioned{SSID: ssid, Value: e.value, Tombstone: e.tombstone})
-			b.view.Put(name, e.key, chain)
+	// The chain extension runs where the partition lives: one round trip
+	// per remote partition group, not a Get and a Put per key.
+	b.view.ApplyBatch(name, keys, func(i int, _ partition.Key, cur any, ok bool) (any, bool) {
+		var chain *Chain
+		if ok {
+			chain = cur.(*Chain)
 		}
-	} else {
-		// Batched apply: the chain extension runs where the partition
-		// lives, one round trip per remote partition group instead of two
-		// messages per key.
-		b.view.ApplyBatch(name, keys, func(i int, _ partition.Key, cur any, ok bool) (any, bool) {
-			var chain *Chain
-			if ok {
-				chain = cur.(*Chain)
-			}
-			e := kvs[i]
-			return chain.With(Versioned{SSID: ssid, Value: e.value, Tombstone: e.tombstone}), true
-		})
-	}
+		e := kvs[i]
+		return chain.With(Versioned{SSID: ssid, Value: e.value, Tombstone: e.tombstone}), true
+	})
 	if b.onChange != nil {
 		b.onChange(b.op, keys)
 	}
@@ -503,7 +446,7 @@ func blobKey(instance int, ssid int64) string {
 // wire.Stream, so it carries the definition of each struct type it holds.
 var blobMagic = []byte("SQWB\x01")
 
-func (b *Backend) prepareBlob(ssid int64) (int, error) {
+func (b *Backend) prepareBlob(ssid int64) error {
 	buf := make([]byte, 0, 64+24*len(b.data))
 	buf = append(buf, blobMagic...)
 	buf = wire.AppendUvarint(buf, uint64(len(b.data)))
@@ -511,15 +454,15 @@ func (b *Backend) prepareBlob(ssid int64) (int, error) {
 	var err error
 	for _, e := range b.data {
 		if buf, err = st.AppendValue(buf, e.key); err != nil {
-			return 0, fmt.Errorf("core: encoding blob snapshot of %s/%d: %w", b.op, b.instance, err)
+			return fmt.Errorf("core: encoding blob snapshot of %s/%d: %w", b.op, b.instance, err)
 		}
 		if buf, err = st.AppendValue(buf, e.value); err != nil {
-			return 0, fmt.Errorf("core: encoding blob snapshot of %s/%d: %w", b.op, b.instance, err)
+			return fmt.Errorf("core: encoding blob snapshot of %s/%d: %w", b.op, b.instance, err)
 		}
 	}
 	b.view.Put(blobMapName(b.op), blobKey(b.instance, ssid), buf)
 	b.dirty = make(map[string]partition.Key)
-	return 1, nil
+	return nil
 }
 
 // Restore rebuilds the instance's state from snapshot ssid, keeping only

@@ -51,28 +51,30 @@ func TestBackendLiveMirroring(t *testing.T) {
 	}
 }
 
-// TestBackendMirrorBatchFlushes pins the batching contract: updates
-// buffer until MirrorBatch is reached (or Flush is called), then land as
-// one partition-grouped batch; Unbatched restores per-record mirroring.
+// TestBackendMirrorBatchFlushes pins the batching contract and its
+// constant: updates buffer until 32 have queued (or Flush is called), then
+// land as one partition-grouped batch — the size kv groups on the stack.
 func TestBackendMirrorBatchFlushes(t *testing.T) {
 	store := newTestStore()
-	b := NewBackend("op", 0, store.View(0), Config{Live: true, MirrorBatch: 4})
+	b := NewBackend("op", 0, store.View(0), Config{Live: true})
 	name := LiveMapName("op")
-	for i := 0; i < 3; i++ {
+	for i := 0; i < 31; i++ {
 		b.Update(i, i)
 	}
 	if store.HasMap(name) && store.GetMap(name).Size() > 0 {
 		t.Fatal("live map written before the batch filled")
 	}
-	b.Update(3, 3) // fills the batch of 4 — auto-flush
-	if got := store.GetMap(name).Size(); got != 4 {
-		t.Fatalf("live map has %d entries after auto-flush, want 4", got)
+	b.Update(31, 31) // fills the batch of 32 — auto-flush
+	if got := store.GetMap(name).Size(); got != 32 {
+		t.Fatalf("live map has %d entries after auto-flush, want 32", got)
 	}
-
-	un := NewBackend("op2", 0, store.View(0), Config{Live: true, Unbatched: true})
-	un.Update("k", 1)
-	if got, ok := store.View(0).Get(LiveMapName("op2"), "k"); !ok || got != 1 {
-		t.Fatalf("unbatched mirror = %v, %v; want immediate visibility", got, ok)
+	b.Update(32, 32)
+	if got := store.GetMap(name).Size(); got != 32 {
+		t.Fatalf("live map has %d entries with one update buffered, want 32", got)
+	}
+	b.Flush()
+	if got := store.GetMap(name).Size(); got != 33 {
+		t.Fatalf("live map has %d entries after Flush, want 33", got)
 	}
 }
 
@@ -176,8 +178,12 @@ func TestBlobSnapshotAndRestore(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		b.Update(i, avgState{Count: i, Total: i * 2})
 	}
-	if n, err := b.SnapshotPrepare(1); n != 1 || err != nil {
-		t.Fatalf("blob prepare = %d, %v; want 1 blob", n, err)
+	// The blob is written at the pin; it is not a snapshot entry.
+	if n, err := b.SnapshotPrepare(1); n != 0 || err != nil {
+		t.Fatalf("blob prepare = %d, %v; want 0 entries", n, err)
+	}
+	if got := store.GetMap(blobMapName("op")).Size(); got != 1 {
+		t.Fatalf("blob map holds %d entries, want 1 blob", got)
 	}
 	// Blob snapshots are NOT queryable: no snapshot_<op> map appears.
 	if store.HasMap(SnapshotMapName("op")) {
@@ -373,43 +379,37 @@ func TestBlobKeyAllocs(t *testing.T) {
 }
 
 // TestWriteVersionsHopCount pins the checkpoint wire cost via the
-// transport's message counter: the legacy Get+Put loop pays two messages
-// per remote key, the batched apply one message per remote partition
-// group — the regression test for the writeVersions double hop.
+// transport's message counter: one message per remote partition group,
+// where a Get+Put-per-key loop would pay two per remote key — the
+// regression test for the writeVersions double hop.
 func TestWriteVersionsHopCount(t *testing.T) {
 	const parts, nodes, keys = 16, 4, 64
-	run := func(unbatched bool) (msgs uint64, remoteKeys, remoteParts int) {
-		p := partition.New(parts)
-		a := partition.Assign(parts, nodes)
-		tr := transport.NewSim(transport.SimConfig{})
-		store := kv.NewStore(p, a, tr)
-		b := NewBackend("op", 0, store.View(0), Config{Snapshots: true, Unbatched: unbatched})
-		seen := make(map[int]bool)
-		for k := 0; k < keys; k++ {
-			b.Update(k, k)
-			if pt := p.Of(k); a.Owner(pt) != 0 {
-				remoteKeys++
-				if !seen[pt] {
-					seen[pt] = true
-					remoteParts++
-				}
+	p := partition.New(parts)
+	a := partition.Assign(parts, nodes)
+	tr := transport.NewSim(transport.SimConfig{})
+	store := kv.NewStore(p, a, tr)
+	b := NewBackend("op", 0, store.View(0), Config{Snapshots: true})
+	remoteKeys, remoteParts := 0, 0
+	seen := make(map[int]bool)
+	for k := 0; k < keys; k++ {
+		b.Update(k, k)
+		if pt := p.Of(k); a.Owner(pt) != 0 {
+			remoteKeys++
+			if !seen[pt] {
+				seen[pt] = true
+				remoteParts++
 			}
 		}
-		before := tr.Stats().Messages
-		if _, err := b.SnapshotPrepare(1); err != nil {
-			t.Fatal(err)
-		}
-		return tr.Stats().Messages - before, remoteKeys, remoteParts
 	}
-	slow, remoteKeys, _ := run(true)
-	fast, _, remoteParts := run(false)
-	if want := uint64(2 * remoteKeys); slow != want {
-		t.Fatalf("unbatched checkpoint sent %d messages, want %d (Get+Put per remote key)", slow, want)
+	before := tr.Stats().Messages
+	if _, err := b.SnapshotPrepare(1); err != nil {
+		t.Fatal(err)
 	}
-	if want := uint64(remoteParts); fast != want {
-		t.Fatalf("batched checkpoint sent %d messages, want %d (one per remote partition group)", fast, want)
+	sent := tr.Stats().Messages - before
+	if want := uint64(remoteParts); sent != want {
+		t.Fatalf("checkpoint sent %d messages, want %d (one per remote partition group)", sent, want)
 	}
-	if fast*4 > slow {
-		t.Fatalf("batched checkpoint not >=4x cheaper: %d vs %d messages", fast, slow)
+	if perKey := uint64(2 * remoteKeys); sent*4 > perKey {
+		t.Fatalf("checkpoint not >=4x cheaper than Get+Put per key: %d vs %d messages", sent, perKey)
 	}
 }

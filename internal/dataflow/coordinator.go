@@ -187,7 +187,7 @@ func (j *Job) checkpointOnce(st *coordState, attempt int) (ckptOutcome, error) {
 	}
 
 	// One trace per snapshot id: the root span covers the full 2PC;
-	// barrier injection, each worker's alignment wait and prepare, and the
+	// barrier injection, each worker's alignment wait, pin and drain, and the
 	// two commit phases hang off it as children. Checkpoints are rare, so
 	// they bypass head sampling. Everything below is nil-safe when
 	// tracing is off.
@@ -288,7 +288,7 @@ func (j *Job) checkpointOnce(st *coordState, attempt int) (ckptOutcome, error) {
 	}
 	child("barrier_inject", injStart, time.Since(injStart), j.cfg.Name, -1, false)
 
-	// Phase 1: wait for every live instance to prepare (or pin).
+	// Phase 1: wait for every live instance to pin.
 	offsets := map[string]int64{}
 	acked := map[string]bool{}
 	got := 0
@@ -433,11 +433,11 @@ func (j *Job) checkpointOnce(st *coordState, attempt int) (ckptOutcome, error) {
 		event["persistMode"] = pi.Mode
 		event["persistBytes"] = pi.Bytes
 		event["persistEntries"] = pi.Entries
-		event["chainLen"] = pi.MaxChainLen
+		event["chainLen"] = pi.ChainLen
 		j.ckptIns.deltaSegs.Add(int64(pi.DeltaSegs))
 		j.ckptIns.fullSegs.Add(int64(pi.FullSegs))
 		j.ckptIns.compactions.Add(int64(pi.Compactions))
-		j.ckptIns.chainLen.Set(int64(pi.MaxChainLen))
+		j.ckptIns.chainLen.Set(int64(pi.ChainLen))
 	}
 	if commitErr != nil {
 		event["pruneError"] = commitErr.Error()

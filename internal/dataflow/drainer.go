@@ -87,7 +87,7 @@ func (d *drainer) process(pin *core.SnapshotPin) {
 }
 
 // emitSpan attaches the drain as a child span of the checkpoint trace,
-// mirroring the worker-side "prepare" span of the synchronous path.
+// next to the worker-side "pin" span.
 func (d *drainer) emitSpan(ssid int64, start time.Time) {
 	tr := d.job.cfg.Tracer
 	if tr == nil {

@@ -42,13 +42,6 @@ type Config struct {
 	// (zero value selects the defaults; see core.PersistPolicy). Only
 	// meaningful with PersistDir set.
 	Persist core.PersistPolicy
-	// SyncPhase1 restores the synchronous checkpoint prepare: every
-	// stateful instance serializes and ships its snapshot delta inside
-	// the barrier stall, instead of pinning its version set and draining
-	// it in the background while processing resumes. It exists as the A/B
-	// baseline for `squery-bench -exp ckpt-scale`; production paths leave
-	// it off (asynchronous drains, commit gated on drain completion).
-	SyncPhase1 bool
 	// CheckpointTimeout bounds phase 1 of every checkpoint: if the acks of
 	// all live instances have not arrived within it, the checkpoint is
 	// aborted and retried with exponential backoff instead of hanging
@@ -73,8 +66,8 @@ type Config struct {
 	Metrics *metrics.Registry
 	// Tracer, when set, records causal spans: head-sampled record lineage
 	// (source→every hop→sink with queue wait vs process time), one trace
-	// per checkpoint 2PC (barrier injection, per-worker alignment and
-	// prepare, phase-1/phase-2), and chaos annotations. Nil disables
+	// per checkpoint 2PC (barrier injection, per-worker alignment, pin
+	// and drain, phase-1/phase-2), and chaos annotations. Nil disables
 	// tracing (all span operations are no-ops).
 	Tracer *trace.Tracer
 }
@@ -133,7 +126,7 @@ type Job struct {
 	liveOffsets sync.Map // offsetKey -> *atomic.Int64, survives restarts
 
 	// ckptTraces maps in-flight (and recently finished) checkpoint ids to
-	// their root span context so workers can attach align/prepare child
+	// their root span context so workers can attach align/pin/drain child
 	// spans. Bounded: entries older than the last few ids are pruned, so
 	// stragglers from long-aborted rounds drop their spans instead of
 	// leaking map entries.
@@ -518,11 +511,7 @@ func (j *Job) start(restoreSSID int64, standby bool) {
 				// the epoch of the partition table the instance believes in,
 				// so a migration or failover reseating a partition rejects
 				// the instance's stale writes instead of splitting ownership.
-				backend = core.NewBackend(v.Name, i, j.clu.FencedNodeView(node), j.stateConfigFor(v))
-				// Report chain writes into the manager's changed-key index:
-				// this is what lets persisted commits and chain pruning walk
-				// only the checkpoint's delta instead of the whole map.
-				backend.SetChangeNotifier(j.mgr.NoteChanged)
+				backend = j.mgr.NewBackend(v.Name, i, j.clu.FencedNodeView(node), j.stateConfigFor(v))
 				if reg := j.cfg.Metrics; reg != nil {
 					id := fmt.Sprintf("%s/%d", v.Name, i)
 					backend.SetInstruments(
@@ -584,7 +573,7 @@ func (j *Job) start(restoreSSID int64, standby bool) {
 				ins:       j.opInstrumentsFor(v.Name, i, node, inboxes[v.Name][i]),
 			}
 			w.emitFn = w.emit
-			if backend != nil && !j.cfg.SyncPhase1 {
+			if backend != nil {
 				// Asynchronous phase 1: the worker pins at the barrier and
 				// this drainer ships the pinned delta in the background.
 				// Drainers live until the run's kill channel closes (not in

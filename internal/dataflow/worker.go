@@ -29,7 +29,7 @@ type worker struct {
 	outs      []*edgeOut
 	proc      Processor
 	backend   *core.Backend
-	drain     *drainer // nil in SyncPhase1 mode (and for stateless workers)
+	drain     *drainer // ships backend's pins; nil with it (stateless workers)
 	killCh    chan struct{}
 	ins       opInstruments
 	// emitFn is w.emit bound once: a method value made at each Process
@@ -244,32 +244,24 @@ func (w *worker) completeCheckpoint() bool {
 	w.emitCkptSpan("align", w.curSSID, w.barrierStart, false)
 	drains := false
 	if w.backend != nil {
-		prepStart := time.Now()
-		if w.drain != nil {
-			// Asynchronous phase 1: pin the version set (cheap — no
-			// serialization, no KV writes) and hand it to the drainer; the
-			// coordinator gates commit on the drain acknowledgement.
-			pin, err := w.backend.SnapshotPin(w.curSSID)
-			if err != nil {
-				panic("dataflow: snapshot pin failed: " + err.Error())
-			}
-			if pin != nil {
-				select {
-				case w.drain.queue <- pin:
-					drains = true
-				case <-w.killCh:
-					w.killed = true
-					return true
-				}
-			}
-			w.emitCkptSpan("pin", w.curSSID, prepStart, false)
-		} else {
-			if _, err := w.backend.SnapshotPrepare(w.curSSID); err != nil {
-				panic("dataflow: snapshot prepare failed: " + err.Error())
-			}
-			// State serialization (phase-1 prepare work) per instance.
-			w.emitCkptSpan("prepare", w.curSSID, prepStart, false)
+		// Phase 1 is a pin: capture the version set (cheap — no
+		// serialization, no KV writes) and hand it to the drainer; the
+		// coordinator gates commit on the drain acknowledgement.
+		pinStart := time.Now()
+		pin, err := w.backend.SnapshotPin(w.curSSID)
+		if err != nil {
+			panic("dataflow: snapshot pin failed: " + err.Error())
 		}
+		if pin != nil {
+			select {
+			case w.drain.queue <- pin:
+				drains = true
+			case <-w.killCh:
+				w.killed = true
+				return true
+			}
+		}
+		w.emitCkptSpan("pin", w.curSSID, pinStart, false)
 	}
 	w.job.sendAck(ack{vertex: w.vertex, instance: w.instance, ssid: w.curSSID, offset: -1, drains: drains}, w.node)
 	w.broadcast(item{kind: kindBarrier, ssid: w.curSSID})

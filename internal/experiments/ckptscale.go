@@ -13,21 +13,18 @@ import (
 )
 
 // The checkpoint-scaling experiment demonstrates the point of incremental
-// + asynchronous checkpoints: as total state grows ~10x while the
-// per-interval update set stays fixed, the cost of a checkpoint must
-// track the delta, not the state. Two configurations run over the same
-// workload:
+// checkpoints: as total state grows ~10x while the per-interval update
+// set stays fixed, the cost of a checkpoint must track the delta, not the
+// state. Two configurations run over the same workload, both pinned at
+// the barrier and drained off it:
 //
-//   - "full-sync": full snapshots serialized on the barrier path and
-//     persisted as full segments — every checkpoint is O(state).
-//   - "delta-async": incremental in-memory snapshots pinned at the
-//     barrier and drained off the barrier path, persisted as delta
-//     segments with policy-driven compaction — every checkpoint is
-//     O(delta).
+//   - "full": full snapshots persisted as full segments — every
+//     checkpoint is O(state).
+//   - "delta": incremental in-memory snapshots persisted as delta
+//     segments with periodic compaction — every checkpoint is O(delta).
 //
-// Expected shape: full-sync wall time and bytes/checkpoint grow roughly
-// with the key count; delta-async stays near flat (bytes track the fixed
-// hot set) and its barrier stall stays small.
+// Expected shape: full wall time and bytes/checkpoint grow roughly with
+// the key count; delta stays near flat (bytes track the fixed hot set).
 
 // CkptScaleRow is one (mode, state size) point of the sweep.
 type CkptScaleRow struct {
@@ -58,16 +55,15 @@ func CkptScale(o Options) []CkptScaleRow {
 	modes := []struct {
 		label string
 		state core.Config
-		sync  bool
 		pol   core.PersistPolicy
 	}{
-		{"full-sync", core.Config{Snapshots: true}, true, core.PersistPolicy{FullOnly: true}},
-		{"delta-async", core.Config{Snapshots: true, Incremental: true}, false, core.PersistPolicy{}},
+		{"full", core.Config{Snapshots: true}, core.PersistPolicy{FullOnly: true}},
+		{"delta", core.Config{Snapshots: true, Incremental: true}, core.PersistPolicy{}},
 	}
 	var out []CkptScaleRow
 	for _, m := range modes {
 		for _, keys := range sizes {
-			out = append(out, runCkptScale(o, m.label, keys, hot, m.state, m.sync, m.pol))
+			out = append(out, runCkptScale(o, m.label, keys, hot, m.state, m.pol))
 		}
 	}
 	return out
@@ -76,7 +72,7 @@ func CkptScale(o Options) []CkptScaleRow {
 // runCkptScale populates `keys` keys, then keeps updating a fixed hot set
 // of `hot` keys while periodic checkpoints run, and measures the
 // steady-state per-checkpoint cost.
-func runCkptScale(o Options, label string, keys, hot int, state core.Config, sync bool, pol core.PersistPolicy) CkptScaleRow {
+func runCkptScale(o Options, label string, keys, hot int, state core.Config, pol core.PersistPolicy) CkptScaleRow {
 	nodes := 3
 	clu := cluster.New(cluster.Config{Nodes: nodes})
 	dir, err := os.MkdirTemp("", "squery-ckptscale-*")
@@ -114,7 +110,6 @@ func runCkptScale(o Options, label string, keys, hot int, state core.Config, syn
 		SnapshotInterval: o.interval(),
 		PersistDir:       dir,
 		Persist:          pol,
-		SyncPhase1:       sync,
 	})
 	if err != nil {
 		panic(err)

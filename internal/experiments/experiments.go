@@ -67,6 +67,9 @@ func (o Options) keySweeps() []int {
 type Series struct {
 	Label   string
 	Summary metrics.Summary
+	// DeltaKeys is the snapshot entries one steady-state checkpoint wrote
+	// (Fig12 only) — the count the latency follows.
+	DeltaKeys int
 }
 
 // Table renders series as the aligned text table squery-bench prints.
@@ -165,8 +168,12 @@ func runNexmark(o Options, nodes int, state core.Config, rate float64, queryLoad
 type qcommerceRun struct {
 	Phase1   metrics.Summary
 	Total2PC metrics.Summary
-	Query    metrics.Summary
-	Events   uint64
+	// DeltaKeys is the snapshot entries the last committed checkpoint of
+	// the window wrote, as the coordinator summed them from the drain
+	// acknowledgements (runDeltaWorkload only).
+	DeltaKeys int
+	Query     metrics.Summary
+	Events    uint64
 }
 
 // runQCommerce executes the Delivery Hero workload with `keys` unique

@@ -3,7 +3,6 @@ package experiments
 import (
 	"strings"
 	"testing"
-	"time"
 )
 
 // ultraQuick shrinks options beyond Quick for unit testing: these tests
@@ -54,14 +53,20 @@ func TestFig12DeltaOrdering(t *testing.T) {
 	if len(series) != 4 {
 		t.Fatalf("series = %d, want 4", len(series))
 	}
-	byLabel := map[string]time.Duration{}
+	byLabel := map[string]int{}
 	for _, s := range series {
-		byLabel[s.Label] = s.Summary.Quantiles[0.5]
+		if s.Summary.Count == 0 {
+			t.Errorf("%s has no 2PC samples", s.Label)
+		}
+		byLabel[s.Label] = s.DeltaKeys
+		t.Logf("%s: %d snapshot entries in a steady-state round", s.Label, s.DeltaKeys)
 	}
-	// The headline trade-off: a 1% delta snapshot must be cheaper than a
-	// full snapshot.
-	if byLabel["1% delta"] >= byLabel["Full snapshot"] {
-		t.Errorf("1%% delta (%v) not cheaper than full (%v)", byLabel["1% delta"], byLabel["Full snapshot"])
+	// The headline trade-off, in the count the latency follows: a
+	// steady-state 1% delta round writes fewer snapshot entries than a full
+	// snapshot round. The wall-clock medians are the recorded experiment's
+	// to report (EXPERIMENTS.md), not a test's to compare.
+	if d, f := byLabel["1% delta"], byLabel["Full snapshot"]; d == 0 || d >= f {
+		t.Errorf("1%% delta round wrote %d snapshot entries, full round %d; want 0 < delta < full", d, f)
 	}
 }
 
@@ -109,32 +114,32 @@ func TestCkptScaleShape(t *testing.T) {
 		}
 		byMode[r.Mode] = append(byMode[r.Mode], r)
 	}
-	// The delta-async runs must actually exercise the delta path, and the
-	// full-sync baseline must not.
-	for _, r := range byMode["delta-async"] {
+	// The delta runs must actually exercise the delta path, and the full
+	// baseline must not.
+	for _, r := range byMode["delta"] {
 		if r.DeltaSegs == 0 {
-			t.Errorf("delta-async/%d wrote no delta segments", r.Keys)
+			t.Errorf("delta/%d wrote no delta segments", r.Keys)
 		}
 	}
-	for _, r := range byMode["full-sync"] {
+	for _, r := range byMode["full"] {
 		if r.DeltaSegs != 0 {
-			t.Errorf("full-sync/%d wrote %d delta segments, want 0", r.Keys, r.DeltaSegs)
+			t.Errorf("full/%d wrote %d delta segments, want 0", r.Keys, r.DeltaSegs)
 		}
 	}
-	// The headline claim: at 10x state, delta-async bytes/ckpt track the
+	// The headline claim: at 10x state, delta bytes/ckpt track the
 	// fixed hot set, so they must not grow with total keys the way the
 	// full baseline's do. Allow generous slack — this is a shape check,
 	// not a benchmark.
-	da := byMode["delta-async"]
-	fs := byMode["full-sync"]
+	da := byMode["delta"]
+	fs := byMode["full"]
 	if len(da) == 3 && len(fs) == 3 {
 		if da[2].BytesPer > fs[2].BytesPer/2 {
-			t.Errorf("delta-async bytes/ckpt at 10x = %d, not well under full-sync's %d",
+			t.Errorf("delta bytes/ckpt at 10x = %d, not well under full's %d",
 				da[2].BytesPer, fs[2].BytesPer)
 		}
 	}
 	tbl := CkptScaleTable("ckpt-scale", rows)
-	if !strings.Contains(tbl, "delta-async") || !strings.Contains(tbl, "full-sync") {
+	if !strings.Contains(tbl, "delta") || !strings.Contains(tbl, "full") {
 		t.Errorf("table missing modes:\n%s", tbl)
 	}
 }

@@ -170,12 +170,13 @@ func Fig12(o Options) []Series {
 	for _, delta := range []float64{0.01, 0.10, 1.00} {
 		run := runDeltaWorkload(o, keys, delta, core.Config{Snapshots: true, Incremental: true})
 		out = append(out, Series{
-			Label:   fmt.Sprintf("%.0f%% delta", delta*100),
-			Summary: run.Total2PC,
+			Label:     fmt.Sprintf("%.0f%% delta", delta*100),
+			Summary:   run.Total2PC,
+			DeltaKeys: run.DeltaKeys,
 		})
 	}
 	full := runDeltaWorkload(o, keys, 1.0, core.Config{Snapshots: true})
-	out = append(out, Series{Label: "Full snapshot", Summary: full.Total2PC})
+	out = append(out, Series{Label: "Full snapshot", Summary: full.Total2PC, DeltaKeys: full.DeltaKeys})
 	return out
 }
 
@@ -211,11 +212,15 @@ func runDeltaWorkload(o Options, keys int, delta float64, state core.Config) qco
 		AddVertex(dataflow.LatencySinkVertex("sink", nodes, metrics.NewHistogram())).
 		Connect("updates", "deltastate", dataflow.EdgePartitioned).
 		Connect("deltastate", "sink", dataflow.EdgePartitioned)
+	// The registry is here for its "checkpoints" event log: each committed
+	// round records how many snapshot entries its drains wrote.
+	reg := metrics.NewRegistry()
 	job, err := dataflow.Run(dag, dataflow.Config{
 		Name:             "delta",
 		Cluster:          clu,
 		State:            state,
 		SnapshotInterval: o.deltaInterval(),
+		Metrics:          reg,
 	})
 	if err != nil {
 		panic(err)
@@ -243,10 +248,17 @@ func runDeltaWorkload(o Options, keys int, delta float64, state core.Config) qco
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
+	deltaKeys := 0
+	for _, ev := range reg.Log("checkpoints", 0).Events() {
+		if ev.Fields["outcome"] == "committed" && ev.Fields["ssid"].(int64) > c0 {
+			deltaKeys = ev.Fields["deltaKeys"].(int)
+		}
+	}
 	return qcommerceRun{
-		Phase1:   job.SnapshotPhase1().Snapshot(),
-		Total2PC: job.SnapshotTotal().Snapshot(),
-		Events:   job.SourceMeter().Count(),
+		Phase1:    job.SnapshotPhase1().Snapshot(),
+		Total2PC:  job.SnapshotTotal().Snapshot(),
+		DeltaKeys: deltaKeys,
+		Events:    job.SourceMeter().Count(),
 	}
 }
 

@@ -33,9 +33,8 @@ type group struct {
 // smallBatch is the largest batch whose scratch (partition ids, sorted
 // indices, key strings) lives in the grouping itself — on the caller's
 // stack — and is ordered by insertion sort. The mirror flush, at most
-// core.Config.MirrorBatch's default of 32 operations, runs once per few
-// records: it must cost nothing in proportion to the partition count and
-// allocate nothing.
+// core's mirrorBatch of 32 operations, runs once per few records: it must
+// cost nothing in proportion to the partition count and allocate nothing.
 const smallBatch = 32
 
 // grouping splits a batch into per-partition groups, ascending by
@@ -64,19 +63,19 @@ func (g *grouping) scratch() (parts, idx []int, kss []string) {
 	return g.partsBig, g.idxBig, g.kssBig
 }
 
-// plan fills the grouping for n operations keyed by keyAt. A small batch
-// is insertion-sorted in place; a large one is counting-sorted over the
-// partition ids, O(n + partitions).
-func (g *grouping) plan(s *Store, n int, keyAt func(int) partition.Key) {
+// plan fills the grouping for ops. A small batch is insertion-sorted in
+// place; a large one is counting-sorted over the partition ids,
+// O(n + partitions).
+func (g *grouping) plan(s *Store, ops []Op) {
+	n := len(ops)
 	g.n = n
 	if n > smallBatch {
 		g.partsBig, g.idxBig, g.kssBig = make([]int, n), make([]int, n), make([]string, n)
 	}
 	parts, idx, kss := g.scratch()
 	for i := 0; i < n; i++ {
-		k := keyAt(i)
-		parts[i] = s.part.Of(k)
-		kss[i] = partition.KeyString(k)
+		parts[i] = s.part.Of(ops[i].Key)
+		kss[i] = partition.KeyString(ops[i].Key)
 	}
 	if n <= smallBatch {
 		for i := 0; i < n; i++ {
@@ -123,13 +122,7 @@ type stripeSet struct {
 	need [lockStripes]bool
 }
 
-func (ss *stripeSet) add(seg *segment, ks string) {
-	var h uint32
-	for i := 0; i < len(ks); i++ {
-		h = h*31 + uint32(ks[i])
-	}
-	ss.need[h%lockStripes] = true
-}
+func (ss *stripeSet) add(ks string) { ss.need[stripeOf(ks)] = true }
 
 func (ss *stripeSet) lock(seg *segment, st *partStats) {
 	for i := range ss.need {
@@ -155,116 +148,7 @@ func (ss *stripeSet) unlock(seg *segment) {
 // backs off and retries independently of its siblings (a mirror batch
 // spanning a migrated partition re-sends only that partition's slice).
 func (v NodeView) PutBatch(mapName string, ops []Op) {
-	if len(ops) == 0 {
-		return
-	}
-	m := v.store.GetMap(mapName)
-	var gr grouping
-	gr.plan(v.store, len(ops), func(i int) partition.Key { return ops[i].Key })
-	_, _, kss := gr.scratch()
-	for lo := 0; lo < gr.n; {
-		g, hi := gr.next(lo)
-		v.fenced(func(force bool) error { return m.applyGroup(v, g, ops, kss, force) })
-		lo = hi
-	}
-}
-
-// applyGroup applies one partition group of a batch.
-func (m *Map) applyGroup(v NodeView, g group, ops []Op, kss []string, force bool) error {
-	s := m.store
-	node := v.node
-	bytes := 0
-	for _, i := range g.idx {
-		bytes += wire.Size(ops[i].Key)
-		if !ops[i].Delete {
-			bytes += wire.Size(ops[i].Value)
-		}
-	}
-	if owner := v.ownerOf(g.p); node != owner {
-		s.tr.Send(transport.Msg{From: node, To: owner, Ops: len(g.idx), Bytes: bytes})
-	}
-	st := s.statsFor(g.p)
-	seg := m.segs[g.p]
-
-	var ss stripeSet
-	for _, i := range g.idx {
-		ss.add(seg, kss[i])
-	}
-	ss.lock(seg, st)
-	seg.mu.Lock()
-	if !force {
-		if err := s.checkFence(v.fence, g.p); err != nil {
-			seg.mu.Unlock()
-			ss.unlock(seg)
-			return err
-		}
-	}
-	ixs := m.indexSet()
-	taps := m.tapSet()
-	var deltas []Delta
-	var epoch int64
-	if len(taps) > 0 {
-		deltas = make([]Delta, 0, len(g.idx))
-		epoch = s.assign.PartitionEpoch(g.p)
-	}
-	puts, dels := 0, 0
-	for _, i := range g.idx {
-		var old Entry
-		had := false
-		if len(ixs) > 0 || len(taps) > 0 {
-			old, had = seg.entries[kss[i]]
-		}
-		if ops[i].Delete {
-			delete(seg.entries, kss[i])
-			dels++
-			if had {
-				for _, ix := range ixs {
-					ix.update(g.p, kss[i], old.Value, true, nil, false)
-				}
-			}
-			if len(taps) > 0 && had {
-				seg.seq++
-				deltas = append(deltas, Delta{Map: m.name, Part: g.p, Seq: seg.seq,
-					Key: ops[i].Key, KeyS: kss[i], Tombstone: true, Epoch: epoch})
-			}
-		} else {
-			seg.entries[kss[i]] = Entry{Key: ops[i].Key, Value: ops[i].Value}
-			puts++
-			for _, ix := range ixs {
-				ix.update(g.p, kss[i], old.Value, had, ops[i].Value, true)
-			}
-			if len(taps) > 0 {
-				seg.seq++
-				deltas = append(deltas, Delta{Map: m.name, Part: g.p, Seq: seg.seq,
-					Key: ops[i].Key, KeyS: kss[i], Value: ops[i].Value, Epoch: epoch})
-			}
-		}
-	}
-	m.emitDeltas(taps, deltas)
-	seg.mu.Unlock()
-	ss.unlock(seg)
-	if st != nil {
-		if puts > 0 {
-			st.sets.Add(int64(puts))
-		}
-		if dels > 0 {
-			st.deletes.Add(int64(dels))
-		}
-	}
-	if s.replicated {
-		s.backupHop(g.p, len(g.idx), bytes)
-		bak := m.backups[g.p]
-		bak.mu.Lock()
-		for _, i := range g.idx {
-			if ops[i].Delete {
-				delete(bak.entries, kss[i])
-			} else {
-				bak.entries[kss[i]] = Entry{Key: ops[i].Key, Value: ops[i].Value}
-			}
-		}
-		bak.mu.Unlock()
-	}
-	return nil
+	v.applyBatch(mapName, ops, nil)
 }
 
 // ApplyBatch runs a batched read-modify-write over keys: for each key,
@@ -279,53 +163,104 @@ func (m *Map) applyGroup(v NodeView, g group, ops []Op, kss []string, force bool
 // merge runs with the segment locked: it must be pure computation — no
 // calls back into the store, no blocking.
 func (v NodeView) ApplyBatch(mapName string, keys []partition.Key, merge func(i int, key partition.Key, cur any, ok bool) (any, bool)) {
-	if len(keys) == 0 {
+	// The kernel writes each merge's outcome into its op, for the backup
+	// copy to replay: the ops are this call's own.
+	ops := make([]Op, len(keys))
+	for i, k := range keys {
+		ops[i].Key = k
+	}
+	v.applyBatch(mapName, ops, merge)
+}
+
+// applyBatch splits ops into partition groups and runs each through the
+// mutation kernel, retrying a group the epoch fence rejects.
+func (v NodeView) applyBatch(mapName string, ops []Op, merge mergeFn) {
+	if len(ops) == 0 {
 		return
 	}
 	m := v.store.GetMap(mapName)
 	var gr grouping
-	gr.plan(v.store, len(keys), func(i int) partition.Key { return keys[i] })
+	gr.plan(v.store, ops)
 	_, _, kss := gr.scratch()
 	for lo := 0; lo < gr.n; {
 		g, hi := gr.next(lo)
-		v.fenced(func(force bool) error { return m.applyMergeGroup(v, g, keys, kss, merge, force) })
+		v.fenced(func(force bool) error {
+			_, err := m.applyGroup(v, g, ops, kss, merge, force)
+			return err
+		})
 		lo = hi
 	}
 }
 
-// applyMergeGroup runs one partition group of an ApplyBatch, enforcing the
-// epoch fence before any merge runs — a rejected group re-reads current
-// values on retry, so the read-modify-write stays atomic per attempt.
-func (m *Map) applyMergeGroup(v NodeView, g group, keys []partition.Key, kss []string,
-	merge func(i int, key partition.Key, cur any, ok bool) (any, bool), force bool) error {
+// applyOne runs a single operation as a partition group of one and
+// returns the change in the partition's entry count: Put and Delete are
+// the batch path with nothing to amortise.
+func (v NodeView) applyOne(mapName string, op Op) (grew int) {
+	m := v.store.GetMap(mapName)
+	ops, idx := [1]Op{op}, [1]int{0}
+	kss := [1]string{partition.KeyString(op.Key)}
+	g := group{p: v.store.part.Of(op.Key), idx: idx[:]}
+	v.fenced(func(force bool) (err error) {
+		grew, err = m.applyGroup(v, g, ops[:], kss[:], nil, force)
+		return err
+	})
+	return grew
+}
+
+// mergeFn resolves one op of a read-modify-write group from the key's
+// current value (see ApplyBatch).
+type mergeFn = func(i int, key partition.Key, cur any, ok bool) (any, bool)
+
+// shipped is the byte-accounting rule of every kv write message, request
+// and backup hop alike, computed only when a message is actually sent:
+// an op ships its key, and a put its value too. A read-modify-write
+// request ships keys alone — its values are computed at the owner.
+func shipped(ops []Op, idx []int, keysOnly bool) int {
+	n := 0
+	for _, i := range idx {
+		n += wire.Size(ops[i].Key)
+		if !keysOnly && !ops[i].Delete {
+			n += wire.Size(ops[i].Value)
+		}
+	}
+	return n
+}
+
+// applyGroup is the store's mutation kernel: every write to a map — a
+// Put or Delete (a group of one), a PutBatch group, an ApplyBatch group —
+// is one call of it for one partition. Its invariant: a key's entry, its
+// postings in every index, its tap delta and its backup copy move
+// together. The first three change inside one hold of the partition's
+// segment write lock, after the epoch fence has passed and before any
+// reader can look; the backup copy follows in one hop before the call
+// returns.
+//
+// A nil merge is a blind write: each op is applied as given. Otherwise
+// merge resolves each op from the key's current value under the lock —
+// a rejected group re-reads on retry, so the read-modify-write stays
+// atomic per attempt — and its outcome is written into ops, which the
+// caller must own. The old value is looked up only when a merge, an index
+// or a tap needs it. It returns the net change in the partition's entry
+// count.
+func (m *Map) applyGroup(v NodeView, g group, ops []Op, kss []string, merge mergeFn, force bool) (grew int, err error) {
 	s := m.store
 	if owner := v.ownerOf(g.p); v.node != owner {
-		bytes := 0
-		for _, i := range g.idx {
-			bytes += wire.Size(keys[i])
-		}
-		s.tr.Send(transport.Msg{From: v.node, To: owner, Ops: len(g.idx), Bytes: bytes})
+		s.tr.Send(transport.Msg{From: v.node, To: owner, Ops: len(g.idx), Bytes: shipped(ops, g.idx, merge != nil)})
 	}
 	st := s.statsFor(g.p)
 	seg := m.segs[g.p]
 
 	var ss stripeSet
 	for _, i := range g.idx {
-		ss.add(seg, kss[i])
+		ss.add(kss[i])
 	}
-	type bakOp struct {
-		i      int
-		e      Entry
-		delete bool
-	}
-	var bakOps []bakOp
 	ss.lock(seg, st)
 	seg.mu.Lock()
 	if !force {
 		if err := s.checkFence(v.fence, g.p); err != nil {
 			seg.mu.Unlock()
 			ss.unlock(seg)
-			return err
+			return 0, err
 		}
 	}
 	ixs := m.indexSet()
@@ -336,53 +271,52 @@ func (m *Map) applyMergeGroup(v NodeView, g group, keys []partition.Key, kss []s
 		deltas = make([]Delta, 0, len(g.idx))
 		epoch = s.assign.PartitionEpoch(g.p)
 	}
-	puts, dels := 0, 0
+	needOld := merge != nil || len(ixs) > 0 || len(taps) > 0
+	before, dels := len(seg.entries), 0
 	for _, i := range g.idx {
-		cur, ok := seg.entries[kss[i]]
-		var curVal any
-		if ok {
-			curVal = cur.Value
+		ks := kss[i]
+		var old Entry
+		had := false
+		if needOld {
+			old, had = seg.entries[ks]
 		}
-		nv, keep := merge(i, keys[i], curVal, ok)
-		if keep {
-			e := Entry{Key: keys[i], Value: nv}
-			seg.entries[kss[i]] = e
-			puts++
-			for _, ix := range ixs {
-				ix.update(g.p, kss[i], curVal, ok, nv, true)
-			}
-			if len(taps) > 0 {
-				seg.seq++
-				deltas = append(deltas, Delta{Map: m.name, Part: g.p, Seq: seg.seq,
-					Key: keys[i], KeyS: kss[i], Value: nv, Epoch: epoch})
-			}
-			if s.replicated {
-				bakOps = append(bakOps, bakOp{i: i, e: e})
+		if merge != nil {
+			nv, keep := merge(i, ops[i].Key, old.Value, had)
+			ops[i].Value, ops[i].Delete = nv, !keep
+		}
+		op := ops[i]
+		if op.Delete {
+			op.Value = nil
+			delete(seg.entries, ks)
+			dels++
+			if !had {
+				continue // nothing was there: no posting to drop, no tombstone
 			}
 		} else {
-			delete(seg.entries, kss[i])
-			dels++
-			if ok {
-				for _, ix := range ixs {
-					ix.update(g.p, kss[i], curVal, true, nil, false)
-				}
-				if len(taps) > 0 {
-					seg.seq++
-					deltas = append(deltas, Delta{Map: m.name, Part: g.p, Seq: seg.seq,
-						Key: keys[i], KeyS: kss[i], Tombstone: true, Epoch: epoch})
-				}
-			}
-			if s.replicated {
-				bakOps = append(bakOps, bakOp{i: i, delete: true})
-			}
+			seg.entries[ks] = Entry{Key: op.Key, Value: op.Value}
+		}
+		for _, ix := range ixs {
+			ix.update(g.p, ks, old.Value, had, op.Value, !op.Delete)
+		}
+		if len(taps) > 0 {
+			seg.seq++
+			deltas = append(deltas, Delta{Map: m.name, Part: g.p, Seq: seg.seq,
+				Key: op.Key, KeyS: ks, Value: op.Value, Tombstone: op.Delete, Epoch: epoch})
 		}
 	}
-	m.emitDeltas(taps, deltas)
+	if len(deltas) > 0 {
+		for _, t := range taps {
+			t.OnDeltas(deltas)
+		}
+	}
+	grew = len(seg.entries) - before
 	seg.mu.Unlock()
 	ss.unlock(seg)
 	if st != nil {
-		st.gets.Add(int64(len(g.idx)))
-		if puts > 0 {
+		if merge != nil {
+			st.gets.Add(int64(len(g.idx)))
+		}
+		if puts := len(g.idx) - dels; puts > 0 {
 			st.sets.Add(int64(puts))
 		}
 		if dels > 0 {
@@ -390,23 +324,19 @@ func (m *Map) applyMergeGroup(v NodeView, g group, keys []partition.Key, kss []s
 		}
 	}
 	if s.replicated {
-		bytes := 0
-		for _, b := range bakOps {
-			if !b.delete {
-				bytes += wire.Size(b.e.Key) + wire.Size(b.e.Value)
-			}
+		if owner, backup := s.assign.Owner(g.p), s.assign.Backup(g.p); owner != backup {
+			s.tr.Send(transport.Msg{From: owner, To: backup, Ops: len(g.idx), Bytes: shipped(ops, g.idx, false)})
 		}
-		s.backupHop(g.p, len(g.idx), bytes)
 		bak := m.backups[g.p]
 		bak.mu.Lock()
-		for _, b := range bakOps {
-			if b.delete {
-				delete(bak.entries, kss[b.i])
+		for _, i := range g.idx {
+			if ops[i].Delete {
+				delete(bak.entries, kss[i])
 			} else {
-				bak.entries[kss[b.i]] = b.e
+				bak.entries[kss[i]] = Entry{Key: ops[i].Key, Value: ops[i].Value}
 			}
 		}
 		bak.mu.Unlock()
 	}
-	return nil
+	return grew, nil
 }

@@ -3,8 +3,6 @@ package kv
 import (
 	"fmt"
 	"testing"
-
-	"squery/internal/partition"
 )
 
 // TestPutBatchAllocs gates the mirror flush: a batch of up to smallBatch
@@ -37,12 +35,12 @@ func TestPutBatchAllocs(t *testing.T) {
 func TestGroupingStableAscending(t *testing.T) {
 	s := testStore()
 	for _, n := range []int{1, 2, smallBatch, smallBatch + 1, 300} {
-		keys := make([]any, n)
-		for i := range keys {
-			keys[i] = fmt.Sprintf("k%d", (i*7919)%97) // repeats: several ops per key
+		ops := make([]Op, n)
+		for i := range ops {
+			ops[i].Key = fmt.Sprintf("k%d", (i*7919)%97) // repeats: several ops per key
 		}
 		var gr grouping
-		gr.plan(s, n, func(i int) partition.Key { return keys[i] })
+		gr.plan(s, ops)
 		seen, lastP := 0, -1
 		for lo := 0; lo < gr.n; {
 			g, hi := gr.next(lo)
@@ -51,7 +49,7 @@ func TestGroupingStableAscending(t *testing.T) {
 			}
 			lastP = g.p
 			for j, i := range g.idx {
-				if s.part.Of(keys[i]) != g.p {
+				if s.part.Of(ops[i].Key) != g.p {
 					t.Fatalf("n=%d: op %d grouped under partition %d", n, i, g.p)
 				}
 				if j > 0 && g.idx[j-1] >= i {

@@ -791,18 +791,11 @@ func (m *Map) EstimateLookupIn(p int, lk IndexLookup) (int64, bool) {
 	return n, true
 }
 
-// rebuildIndexesLocked rebuilds every index's slice of partition p from
-// the current entries map; the caller holds seg(p)'s write lock.
-func (m *Map) rebuildIndexesLocked(p int, entries map[string]Entry) {
-	for _, ix := range m.indexSet() {
-		ix.rebuildLocked(p, entries)
-	}
-}
-
-// RebuildPartitionIndexes re-derives every map's indexes for partition p
-// from the current entries — the hook membership changes call after a
-// partition's entries were replaced wholesale (migration flip, backup
-// promotion), where inline maintenance never saw the new entries.
+// RebuildPartitionIndexes re-derives every map's indexes and tap
+// consumers for partition p from the current entries — the hook
+// membership changes call after a partition's seat flipped (migration
+// flip, backup promotion), where inline maintenance never saw the entries
+// under their new owner.
 func (s *Store) RebuildPartitionIndexes(p int) {
 	s.mu.RLock()
 	maps := make([]*Map, 0, len(s.maps))
@@ -811,21 +804,9 @@ func (s *Store) RebuildPartitionIndexes(p int) {
 	}
 	s.mu.RUnlock()
 	for _, m := range maps {
-		hasIx, hasTaps := len(m.indexSet()) > 0, len(m.tapSet()) > 0
-		if !hasIx && !hasTaps {
-			continue
-		}
 		seg := m.segs[p]
 		seg.mu.Lock()
-		if hasIx {
-			m.rebuildIndexesLocked(p, seg.entries)
-		}
-		// Arrangements re-derive the same way the indexes do: the seat
-		// may have flipped without inline maintenance seeing the entries.
-		if hasTaps {
-			seg.seq++
-			m.notifyReset(p)
-		}
+		m.resetPartitionLocked(p, seg, seg.entries)
 		seg.mu.Unlock()
 	}
 }

@@ -161,21 +161,8 @@ func (s *Store) ClearMap(name string) {
 	s.mu.RLock()
 	m := s.maps[name]
 	s.mu.RUnlock()
-	if m == nil {
-		return
-	}
-	for p, seg := range m.segs {
-		seg.mu.Lock()
-		seg.entries = make(map[string]Entry)
-		m.rebuildIndexesLocked(p, seg.entries)
-		seg.seq++
-		m.notifyReset(p)
-		seg.mu.Unlock()
-	}
-	for _, seg := range m.backups {
-		seg.mu.Lock()
-		seg.entries = make(map[string]Entry)
-		seg.mu.Unlock()
+	if m != nil {
+		m.Clear()
 	}
 }
 
@@ -285,12 +272,13 @@ type segment struct {
 	seq uint64
 }
 
-func (g *segment) stripe(ks string) *sync.Mutex {
+// stripeOf maps a canonical key string to its lock stripe.
+func stripeOf(ks string) int {
 	var h uint32
 	for i := 0; i < len(ks); i++ {
 		h = h*31 + uint32(ks[i])
 	}
-	return &g.stripes[h%lockStripes]
+	return int(h % lockStripes)
 }
 
 // Map is a named, partitioned key-value map. With replication enabled,
@@ -329,53 +317,6 @@ func (m *Map) Store() *Store { return m.store }
 // PartitionOf returns the partition owning the key.
 func (m *Map) PartitionOf(key partition.Key) int { return m.store.part.Of(key) }
 
-// put stores the entry, charging network cost from the calling node (to
-// the owner the view believes in) and, for fenced views, enforcing the
-// epoch fence under the segment lock. force skips the fence — the final
-// attempt of an exhausted retry loop.
-func (m *Map) put(v NodeView, key partition.Key, value any, force bool) error {
-	p := m.store.part.Of(key)
-	if owner := v.ownerOf(p); v.node != owner {
-		m.store.tr.Send(transport.Msg{From: v.node, To: owner, Ops: 1, Bytes: wire.Size(key) + wire.Size(value)})
-	}
-	st := m.store.statsFor(p)
-	seg := m.segs[p]
-	ks := partition.KeyString(key)
-	lk := seg.stripe(ks)
-	lockWith(lk, st)
-	seg.mu.Lock()
-	if !force {
-		if err := m.store.checkFence(v.fence, p); err != nil {
-			seg.mu.Unlock()
-			lk.Unlock()
-			return err
-		}
-	}
-	e := Entry{Key: key, Value: value}
-	if ixs := m.indexSet(); len(ixs) > 0 {
-		old, had := seg.entries[ks]
-		seg.entries[ks] = e
-		for _, ix := range ixs {
-			ix.update(p, ks, old.Value, had, value, true)
-		}
-	} else {
-		seg.entries[ks] = e
-	}
-	if taps := m.tapSet(); len(taps) > 0 {
-		seg.seq++
-		m.emitDelta(taps, p, seg.seq, ks, key, value, false)
-	}
-	seg.mu.Unlock()
-	lk.Unlock()
-	if st != nil {
-		st.sets.Inc()
-	}
-	if m.store.replicated {
-		m.replicatePut(p, ks, e)
-	}
-	return nil
-}
-
 // get loads the value for key; ok is false if absent. Reads are never
 // fenced: against shared-memory segments a stale-owner read is just a
 // misrouted (and so charged) hop, not a split-brain hazard — only writes
@@ -389,7 +330,7 @@ func (m *Map) get(v NodeView, key partition.Key) (any, bool) {
 	st := m.store.statsFor(p)
 	seg := m.segs[p]
 	ks := partition.KeyString(key)
-	lk := seg.stripe(ks)
+	lk := &seg.stripes[stripeOf(ks)]
 	lockWith(lk, st)
 	seg.mu.RLock()
 	e, ok := seg.entries[ks]
@@ -402,48 +343,6 @@ func (m *Map) get(v NodeView, key partition.Key) (any, bool) {
 		return nil, false
 	}
 	return e.Value, true
-}
-
-// delete removes the key, enforcing the epoch fence like put; present
-// reports whether the key existed (meaningful only when err is nil).
-func (m *Map) delete(v NodeView, key partition.Key, force bool) (present bool, err error) {
-	p := m.store.part.Of(key)
-	if owner := v.ownerOf(p); v.node != owner {
-		m.store.tr.Send(transport.Msg{From: v.node, To: owner, Ops: 1, Bytes: wire.Size(key)})
-	}
-	st := m.store.statsFor(p)
-	seg := m.segs[p]
-	ks := partition.KeyString(key)
-	lk := seg.stripe(ks)
-	lockWith(lk, st)
-	seg.mu.Lock()
-	if !force {
-		if err := m.store.checkFence(v.fence, p); err != nil {
-			seg.mu.Unlock()
-			lk.Unlock()
-			return false, err
-		}
-	}
-	old, ok := seg.entries[ks]
-	delete(seg.entries, ks)
-	if ok {
-		for _, ix := range m.indexSet() {
-			ix.update(p, ks, old.Value, true, nil, false)
-		}
-		if taps := m.tapSet(); len(taps) > 0 {
-			seg.seq++
-			m.emitDelta(taps, p, seg.seq, ks, key, nil, true)
-		}
-	}
-	seg.mu.Unlock()
-	lk.Unlock()
-	if st != nil {
-		st.deletes.Inc()
-	}
-	if m.store.replicated {
-		m.replicateDelete(p, ks)
-	}
-	return ok, nil
 }
 
 // Size returns the total number of entries across all partitions.
@@ -505,16 +404,32 @@ func (m *Map) Sample(p int, usable func(Entry) bool) (size int, e Entry, ok bool
 func (m *Map) Clear() {
 	for p, seg := range m.segs {
 		seg.mu.Lock()
-		seg.entries = make(map[string]Entry)
-		m.rebuildIndexesLocked(p, seg.entries)
-		seg.seq++
-		m.notifyReset(p)
+		m.resetPartitionLocked(p, seg, make(map[string]Entry))
 		seg.mu.Unlock()
 	}
-	for _, seg := range m.backups {
-		seg.mu.Lock()
-		seg.entries = make(map[string]Entry)
-		seg.mu.Unlock()
+	for _, bak := range m.backups {
+		bak.mu.Lock()
+		bak.entries = make(map[string]Entry)
+		bak.mu.Unlock()
+	}
+}
+
+// resetPartitionLocked is the one wholesale-replacement path: partition
+// p's entries become `entries` (its current ones, when a seat flipped
+// under them), and everything derived from them follows under the same
+// hold of the segment write lock the caller owns — every index's postings
+// are rebuilt, the sequence number advances so a re-snapshot still orders
+// against buffered deltas, and every tap is told once to re-derive.
+// Clear, failover promotion and the post-migration rebuild all end here;
+// inline maintenance never saw what they installed.
+func (m *Map) resetPartitionLocked(p int, seg *segment, entries map[string]Entry) {
+	seg.entries = entries
+	for _, ix := range m.indexSet() {
+		ix.rebuildLocked(p, entries)
+	}
+	seg.seq++
+	for _, t := range m.tapSet() {
+		t.OnReset(p)
 	}
 }
 
@@ -650,8 +565,7 @@ func (v NodeView) ChargeBatch(to, ops, bytes int) {
 // Put stores value under key in the named map, retrying through the epoch
 // fence for fenced views.
 func (v NodeView) Put(mapName string, key partition.Key, value any) {
-	m := v.store.GetMap(mapName)
-	v.fenced(func(force bool) error { return m.put(v, key, value, force) })
+	v.applyOne(mapName, Op{Key: key, Value: value})
 }
 
 // Get loads the value under key from the named map.
@@ -662,16 +576,7 @@ func (v NodeView) Get(mapName string, key partition.Key) (any, bool) {
 // Delete removes key from the named map; it reports whether the key was
 // present.
 func (v NodeView) Delete(mapName string, key partition.Key) bool {
-	m := v.store.GetMap(mapName)
-	var present bool
-	v.fenced(func(force bool) error {
-		ok, err := m.delete(v, key, force)
-		if err == nil {
-			present = ok
-		}
-		return err
-	})
-	return present
+	return v.applyOne(mapName, Op{Key: key, Delete: true}) < 0
 }
 
 // GetAll loads the values for all keys, preserving order; missing keys

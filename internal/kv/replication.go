@@ -1,11 +1,6 @@
 package kv
 
-import (
-	"fmt"
-
-	"squery/internal/transport"
-	"squery/internal/wire"
-)
+import "fmt"
 
 // Replication gives each partition a synchronous backup copy, notionally
 // held by the partition's backup node (§V.A of the paper: snapshots are
@@ -52,18 +47,6 @@ func (m *Map) sizeLocked() int {
 	return n
 }
 
-// backupHop charges the synchronous replication message primary→backup:
-// one message carrying ops operations and bytes payload bytes. A batched
-// write replicates its whole partition group in one hop — the mirror of
-// the batching on the primary path.
-func (s *Store) backupHop(p, ops, bytes int) {
-	owner := s.assign.Owner(p)
-	backup := s.assign.Backup(p)
-	if owner != backup {
-		s.tr.Send(transport.Msg{From: owner, To: backup, Ops: ops, Bytes: bytes})
-	}
-}
-
 // FailNode simulates the memory loss of a node: the primary copies of
 // the given partitions vanish. With replication enabled each partition's
 // backup copy is promoted to primary and re-seeded as a fresh backup;
@@ -80,48 +63,26 @@ func (s *Store) FailNode(partitions []int) {
 		for _, p := range partitions {
 			seg := m.segs[p]
 			seg.mu.Lock()
+			var next map[string]Entry
 			if s.replicated {
 				bak := m.backups[p]
 				bak.mu.Lock()
-				seg.entries = bak.entries
+				next = bak.entries
 				// Re-seed the backup with a fresh copy for the next
 				// failure.
-				cp := make(map[string]Entry, len(seg.entries))
-				for k, v := range seg.entries {
+				cp := make(map[string]Entry, len(next))
+				for k, v := range next {
 					cp[k] = v
 				}
 				bak.entries = cp
 				bak.mu.Unlock()
 			} else {
-				seg.entries = make(map[string]Entry)
+				next = make(map[string]Entry)
 			}
-			// The entries map was replaced wholesale — inline maintenance
-			// never saw the promoted (or emptied) contents, so re-derive,
-			// and tell tap consumers to do the same.
-			m.rebuildIndexesLocked(p, seg.entries)
-			seg.seq++
-			m.notifyReset(p)
+			m.resetPartitionLocked(p, seg, next)
 			seg.mu.Unlock()
 		}
 	}
-}
-
-// replicatePut mirrors a write into the backup copy.
-func (m *Map) replicatePut(p int, ks string, e Entry) {
-	m.store.backupHop(p, 1, wire.Size(e.Key)+wire.Size(e.Value))
-	bak := m.backups[p]
-	bak.mu.Lock()
-	bak.entries[ks] = e
-	bak.mu.Unlock()
-}
-
-// replicateDelete mirrors a delete into the backup copy.
-func (m *Map) replicateDelete(p int, ks string) {
-	m.store.backupHop(p, 1, len(ks))
-	bak := m.backups[p]
-	bak.mu.Lock()
-	delete(bak.entries, ks)
-	bak.mu.Unlock()
 }
 
 // BackupSize returns the number of entries in backup copies of the map —

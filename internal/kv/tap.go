@@ -133,42 +133,3 @@ func (m *Map) PartitionSeq(p int) uint64 {
 	seg.mu.RUnlock()
 	return seq
 }
-
-// emitDelta builds and delivers a single-mutation delta group to every
-// attached tap. Caller holds seg(p)'s write lock; seg.seq has already
-// been advanced for this mutation.
-func (m *Map) emitDelta(taps []Tap, p int, seq uint64, ks string, key partition.Key, value any, tombstone bool) {
-	d := Delta{
-		Map:       m.name,
-		Part:      p,
-		Seq:       seq,
-		Key:       key,
-		KeyS:      ks,
-		Value:     value,
-		Tombstone: tombstone,
-		Epoch:     m.store.assign.PartitionEpoch(p),
-	}
-	ds := []Delta{d}
-	for _, t := range taps {
-		t.OnDeltas(ds)
-	}
-}
-
-// emitDeltas delivers an ordered multi-mutation group (one batch group's
-// worth) to every attached tap. Caller holds seg(p)'s write lock.
-func (m *Map) emitDeltas(taps []Tap, ds []Delta) {
-	if len(ds) == 0 {
-		return
-	}
-	for _, t := range taps {
-		t.OnDeltas(ds)
-	}
-}
-
-// notifyReset tells every attached tap that partition p was replaced
-// wholesale. Caller holds seg(p)'s write lock.
-func (m *Map) notifyReset(p int) {
-	for _, t := range m.tapSet() {
-		t.OnReset(p)
-	}
-}

@@ -106,7 +106,7 @@ func newDiffFixture(t *testing.T, seed int64, n int) *diffFixture {
 		if err := mgr.RegisterOperator(core.OperatorMeta{Name: op, Parallelism: 1, Config: cfg}); err != nil {
 			t.Fatal(err)
 		}
-		backends[op] = core.NewBackend(op, 0, store.View(0), cfg)
+		backends[op] = mgr.NewBackend(op, 0, store.View(0), cfg)
 		f.tables[op] = &dTable{op: op, schema: op != "dnote", live: map[string]dRow{}, snaps: map[int64]map[string]dRow{}}
 	}
 	for _, ix := range []struct {

@@ -54,8 +54,8 @@ func newFixture(t testing.TB, n int, cfg core.Config) *fixture {
 		cat:   cat,
 		mgr:   mgr,
 		ex:    NewExecutor(cat, 3),
-		info:  core.NewBackend("orderinfo", 0, store.View(0), cfg),
-		state: core.NewBackend("orderstate", 0, store.View(0), cfg),
+		info:  mgr.NewBackend("orderinfo", 0, store.View(0), cfg),
+		state: mgr.NewBackend("orderstate", 0, store.View(0), cfg),
 	}
 
 	zones := []string{"north", "south"}

@@ -85,8 +85,8 @@ func fuzzExecutor() *Executor {
 		if err := cat.CreateIndex("orderinfo", "customerLat", core.IndexBTree); err != nil {
 			panic(err)
 		}
-		info := core.NewBackend("orderinfo", 0, store.View(0), cfg)
-		state := core.NewBackend("orderstate", 0, store.View(0), cfg)
+		info := mgr.NewBackend("orderinfo", 0, store.View(0), cfg)
+		state := mgr.NewBackend("orderstate", 0, store.View(0), cfg)
 		info.Update("order-0", orderInfo{DeliveryZone: "north", VendorCategory: "food", CustomerLat: 52})
 		state.Update("order-0", orderState{OrderState: "NOTIFIED", LateTimestamp: time.Now()})
 		ssid, err := mgr.Begin()

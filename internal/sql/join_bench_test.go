@@ -1,36 +1,13 @@
 package sql
 
 import (
-	"fmt"
 	"testing"
 	"time"
 )
 
-// legacySprintfKey is the fmt.Sprintf-built string key the join hash
-// tables used before joinKey — kept here as the benchmark baseline so
-// the allocation win stays measured.
-func legacySprintfKey(v any) string {
-	if i, ok := toInt(v); ok {
-		return fmt.Sprintf("i%d", i)
-	}
-	if f, ok := toFloat(v); ok {
-		return fmt.Sprintf("f%g", f)
-	}
-	return fmt.Sprintf("%T:%v", v, v)
-}
-
 var joinKeyInputs = []any{
 	"order-12345", int64(987654321), 52.52, true, int(7),
 	time.Unix(1700000000, 0), "zone-north",
-}
-
-func BenchmarkJoinKeyLegacySprintf(b *testing.B) {
-	b.ReportAllocs()
-	m := make(map[string]int, len(joinKeyInputs))
-	for i := 0; i < b.N; i++ {
-		v := joinKeyInputs[i%len(joinKeyInputs)]
-		m[legacySprintfKey(v)]++
-	}
 }
 
 func BenchmarkJoinKeyTyped(b *testing.B) {

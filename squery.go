@@ -432,10 +432,6 @@ type JobSpec struct {
 	// Persist tunes the full-vs-delta decision of persisted commits
 	// (zero value selects the defaults). Only meaningful with PersistDir.
 	Persist PersistPolicy
-	// SyncPhase1 restores the synchronous checkpoint prepare (state
-	// serialized inside the barrier stall) instead of the asynchronous
-	// pin-and-drain default. The A/B baseline for -exp ckpt-scale.
-	SyncPhase1 bool
 	// CheckpointTimeout bounds phase 1 of every checkpoint; a checkpoint
 	// whose acks do not arrive in time aborts and retries with backoff
 	// instead of hanging. 0 disables the deadline.
@@ -464,7 +460,6 @@ func (e *Engine) SubmitJob(dag *DAG, spec JobSpec) (*Job, error) {
 		ChannelCapacity:   spec.ChannelCapacity,
 		PersistDir:        spec.PersistDir,
 		Persist:           spec.Persist,
-		SyncPhase1:        spec.SyncPhase1,
 		CheckpointTimeout: spec.CheckpointTimeout,
 		CheckpointRetries: spec.CheckpointRetries,
 		CheckpointBackoff: spec.CheckpointBackoff,
