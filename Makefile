@@ -123,12 +123,13 @@ index-smoke:
 # SSE /subscribe endpoint against the running job, checks that
 # sys.subscriptions / sys.arrangements account for the live subscriber
 # and that /metrics carries the squery_sub_* families (promcheck
-# -require), then the arrangement/tap unit suites and subscribe-vs-poll
-# parity under -race.
+# -require), then the tap contract the arrangement relies on (every entry
+# point and every wholesale reset delivers the replaced value, resets as
+# deltas), the arrangement suite and subscribe-vs-poll parity under -race.
 subscribe-smoke:
 	chmod +x scripts/subscribe-smoke.sh
 	./scripts/subscribe-smoke.sh
-	$(GO) test ./internal/kv -run 'TestTap|TestDetachTap' -race -count=1 -v
+	$(GO) test ./internal/kv -run 'TestTap|TestDetachTap|TestEntryPointEquivalence|TestResetPaths' -race -count=1 -v
 	$(GO) test ./internal/core -run 'TestArrangement' -race -count=1 -v
 	$(GO) test . -run 'TestSubscribe' -race -count=1 -v
 	$(GO) test ./internal/experiments -run 'TestSubscribeExpShape' -count=1 -v

@@ -4,14 +4,13 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 
 	"squery/internal/kv"
 	"squery/internal/partition"
 )
 
 // arrSink buffers listener deltas — the only thing a listener is allowed
-// to do, since it runs on the applier with the arrangement lock held.
+// to do, since it runs on the writer under its segment lock.
 type arrSink struct {
 	mu sync.Mutex
 	ds []ArrDelta
@@ -29,14 +28,17 @@ func (s *arrSink) deltas() []ArrDelta {
 	return append([]ArrDelta(nil), s.ds...)
 }
 
-// fold applies the sink's deltas over a base snapshot, returning the
-// resulting key -> raw value view.
-func (s *arrSink) fold(base []TableRow) map[string]any {
+// fold applies the sink's deltas above the attach floors over the attach
+// rows, returning the resulting key -> raw value view.
+func (s *arrSink) fold(base []TableRow, floors []uint64) map[string]any {
 	view := map[string]any{}
 	for _, r := range base {
 		view[partition.KeyString(r.Key)] = r.Raw
 	}
 	for _, d := range s.deltas() {
+		if d.Seq <= floors[d.Part] {
+			continue
+		}
 		if d.Tombstone {
 			delete(view, d.KeyS)
 		} else {
@@ -44,17 +46,6 @@ func (s *arrSink) fold(base []TableRow) map[string]any {
 		}
 	}
 	return view
-}
-
-func arrWaitFor(t *testing.T, what string, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for !cond() {
-		if time.Now().After(deadline) {
-			t.Fatalf("timed out waiting for %s", what)
-		}
-		time.Sleep(time.Millisecond)
-	}
 }
 
 // storeContent reads the live map's current entries directly.
@@ -100,13 +91,10 @@ func TestArrangementSnapshotPlusDeltas(t *testing.T) {
 	defer a.Release()
 
 	sink := &arrSink{}
-	base, wm, id := a.Attach(sink.listen)
+	base, floors, id := a.Attach(sink.listen)
 	defer a.Detach(id)
 	if len(base) != 10 {
 		t.Fatalf("attach snapshot has %d rows, want 10", len(base))
-	}
-	if wm != a.Watermark() {
-		t.Fatalf("attach watermark %d != arrangement watermark %d", wm, a.Watermark())
 	}
 
 	v.Put(name, "o3", 333)  // upsert
@@ -115,9 +103,11 @@ func TestArrangementSnapshotPlusDeltas(t *testing.T) {
 	v.Delete(name, "gone")  // no-op: never existed
 	v.Put(name, "o99", 100) // second upsert of the same key
 
-	arrWaitFor(t, "deltas to apply", func() bool {
-		return sameView(sink.fold(base), storeContent(store, "orders"))
-	})
+	// Fan-out is synchronous: every write has reached the listener when it
+	// returns.
+	if got, want := sink.fold(base, floors), storeContent(store, "orders"); !sameView(got, want) {
+		t.Fatalf("snapshot + deltas = %v, store holds %v", got, want)
+	}
 	// Each delta names the row it replaced: none on a first insert, the
 	// previous value on an update or a tombstone (the missing-key delete
 	// must not surface at all).
@@ -147,8 +137,8 @@ func TestArrangementSnapshotPlusDeltas(t *testing.T) {
 	}
 }
 
-// TestArrangementSharing: N readers share one maintained view — same
-// pointer, one tap on the map, refcounted teardown at zero readers.
+// TestArrangementSharing: N readers share one arrangement — same pointer,
+// one tap on the map, refcounted teardown at zero readers.
 func TestArrangementSharing(t *testing.T) {
 	store := newTestStore()
 	v := store.View(0)
@@ -179,9 +169,12 @@ func TestArrangementSharing(t *testing.T) {
 	if infos := reg.Infos(); len(infos) != 1 || infos[0].Refs != 1 {
 		t.Fatalf("after one release Infos = %+v, want refs=1", infos)
 	}
-	// The view is still maintained for the surviving reader.
+	// The tap still delivers for the surviving reader, listened to or not.
+	handed := reg.Infos()[0].Applied
 	v.Put(name, "k2", 2)
-	arrWaitFor(t, "surviving reader to apply", func() bool { return reg.Infos()[0].Rows == 2 })
+	if info := reg.Infos()[0]; info.Rows != 2 || info.Applied != handed+1 || info.DeltasIn != info.Applied {
+		t.Fatalf("after a write Infos = %+v, want rows=2 and one more delta handed on", info)
+	}
 
 	a2.Release()
 	if infos := reg.Infos(); len(infos) != 0 {
@@ -201,10 +194,10 @@ func TestArrangementSharing(t *testing.T) {
 	}
 }
 
-// TestArrangementResetDiff: a wholesale partition replace makes the
-// arrangement re-derive from a fresh snapshot and emit only genuine
-// differences — a contents-preserving reset (the migration-flip shape)
-// emits nothing, an emptying reset emits exactly the tombstones.
+// TestArrangementResetDiff: a wholesale partition replace reaches the
+// listeners as the difference it made — a contents-preserving reset (the
+// migration-flip shape) emits nothing, an emptying reset emits exactly the
+// tombstones, each naming the row that went.
 func TestArrangementResetDiff(t *testing.T) {
 	store := newTestStore()
 	v := store.View(0)
@@ -219,49 +212,31 @@ func TestArrangementResetDiff(t *testing.T) {
 	}
 	defer a.Release()
 	sink := &arrSink{}
-	base, _, id := a.Attach(sink.listen)
+	base, floors, id := a.Attach(sink.listen)
 	defer a.Detach(id)
 
 	// Contents-preserving resets: index rebuilds replace nothing.
 	for p := 0; p < store.Partitioner().Count(); p++ {
 		store.RebuildPartitionIndexes(p)
 	}
-	arrWaitFor(t, "resets to be re-derived", func() bool {
-		infos := reg.Infos()
-		return len(infos) == 1 && infos[0].Resets >= int64(store.Partitioner().Count())
-	})
+	if infos := reg.Infos(); len(infos) != 1 || infos[0].Resets != int64(store.Partitioner().Count()) {
+		t.Fatalf("Infos = %+v, want one reset counted per rebuilt partition", infos)
+	}
 	if got := len(sink.deltas()); got != 0 {
 		t.Fatalf("no-op resets emitted %d deltas, want 0: %+v", got, sink.deltas())
-	}
-
-	// A reset whose re-snapshot runs ahead of the buffered deltas (held back
-	// here by the view lock) reports the write itself, naming the row the
-	// view held; the overtaken delta is then skipped as already covered.
-	a.mu.Lock()
-	for p := 0; p < store.Partitioner().Count(); p++ {
-		store.RebuildPartitionIndexes(p)
-	}
-	v.Put(name, "o3", 333)
-	a.mu.Unlock()
-	arrWaitFor(t, "overtaking reset to diff through", func() bool {
-		return sameView(sink.fold(base), storeContent(store, "orders"))
-	})
-	ds := sink.deltas()
-	if len(ds) != 1 || ds[0].KeyS != partition.KeyString("o3") || ds[0].Tombstone ||
-		ds[0].Row.Raw != 333 || !ds[0].HadOld || ds[0].Old.Raw != 3 {
-		t.Fatalf("overtaking reset emitted %+v, want one upsert of o3 = 333 replacing 3", ds)
 	}
 
 	// An emptying reset diffs down to tombstones, one per live row, each
 	// naming the row that went.
 	store.ClearMap(name)
-	arrWaitFor(t, "clear to diff through", func() bool { return len(sink.fold(base)) == 0 })
+	if view := sink.fold(base, floors); len(view) != 0 {
+		t.Fatalf("after ClearMap the folded view still holds %v", view)
+	}
 	was := map[string]any{}
 	for _, r := range base {
 		was[partition.KeyString(r.Key)] = r.Raw
 	}
-	was[partition.KeyString("o3")] = 333
-	ds = sink.deltas()[1:]
+	ds := sink.deltas()
 	if len(ds) != 8 {
 		t.Fatalf("emptying reset emitted %d deltas, want 8 tombstones: %+v", len(ds), ds)
 	}
@@ -273,9 +248,9 @@ func TestArrangementResetDiff(t *testing.T) {
 }
 
 // TestArrangementAttachCleanCut: attaching while writes race never loses
-// or duplicates a delta — the snapshot plus the delta stream fold to
-// exactly the final store content, and no (partition, seq) stamp is
-// delivered twice. Run with -race.
+// or duplicates a delta — the attach rows plus the deltas above the
+// returned floors fold to exactly the final store content, and no
+// (partition, seq) stamp is delivered twice. Run with -race.
 func TestArrangementAttachCleanCut(t *testing.T) {
 	store := newTestStore()
 	v := store.View(0)
@@ -300,13 +275,13 @@ func TestArrangementAttachCleanCut(t *testing.T) {
 	}
 	defer a.Release()
 	sink := &arrSink{}
-	base, _, id := a.Attach(sink.listen)
+	base, floors, id := a.Attach(sink.listen)
 	defer a.Detach(id)
 	<-done
 
-	arrWaitFor(t, "racing writes to settle", func() bool {
-		return sameView(sink.fold(base), storeContent(store, "orders"))
-	})
+	if got, want := sink.fold(base, floors), storeContent(store, "orders"); !sameView(got, want) {
+		t.Fatalf("attach rows + deltas above the floors = %v, store holds %v", got, want)
+	}
 	seen := map[[2]uint64]bool{}
 	for _, d := range sink.deltas() {
 		stamp := [2]uint64{uint64(d.Part), d.Seq}

@@ -300,8 +300,8 @@ func (m *Map) applyGroup(v NodeView, g group, ops []Op, kss []string, merge merg
 		}
 		if len(taps) > 0 {
 			seg.seq++
-			deltas = append(deltas, Delta{Map: m.name, Part: g.p, Seq: seg.seq,
-				Key: op.Key, KeyS: ks, Value: op.Value, Tombstone: op.Delete, Epoch: epoch})
+			deltas = append(deltas, Delta{Map: m.name, Part: g.p, Seq: seg.seq, Key: op.Key, KeyS: ks,
+				Value: op.Value, Old: old.Value, HadOld: had, Tombstone: op.Delete, Epoch: epoch})
 		}
 	}
 	if len(deltas) > 0 {

@@ -791,11 +791,11 @@ func (m *Map) EstimateLookupIn(p int, lk IndexLookup) (int64, bool) {
 	return n, true
 }
 
-// RebuildPartitionIndexes re-derives every map's indexes and tap
-// consumers for partition p from the current entries — the hook
-// membership changes call after a partition's seat flipped (migration
-// flip, backup promotion), where inline maintenance never saw the entries
-// under their new owner.
+// RebuildPartitionIndexes re-derives every map's indexes for partition p
+// from the current entries — the hook membership changes call after a
+// partition's seat flipped (migration flip, backup promotion), where
+// inline maintenance never saw the entries under their new owner. The
+// entries themselves do not change, so taps receive nothing.
 func (s *Store) RebuildPartitionIndexes(p int) {
 	s.mu.RLock()
 	maps := make([]*Map, 0, len(s.maps))
@@ -806,7 +806,7 @@ func (s *Store) RebuildPartitionIndexes(p int) {
 	for _, m := range maps {
 		seg := m.segs[p]
 		seg.mu.Lock()
-		m.resetPartitionLocked(p, seg, seg.entries)
+		m.resetPartitionLocked(p, seg, nil)
 		seg.mu.Unlock()
 	}
 }

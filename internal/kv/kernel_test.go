@@ -52,7 +52,7 @@ func newKernelFixture(t *testing.T, replicated bool) *kernelFixture {
 type kernelState struct {
 	Entries, Backup map[string]any
 	Zone, Amount    []string // ScanPartitionIndexed candidates, "p/key"
-	Deltas          []string // per-partition tap order: "p seq key tombstone epoch value"
+	Deltas          []string // per-partition tap order: "p seq key tombstone epoch value old hadOld"
 	Sets, Deletes   [kernelParts]int64
 	Gets            int64
 	BackupOps       uint64 // the transport carries backup hops only: every
@@ -85,11 +85,11 @@ func (f *kernelFixture) state() kernelState {
 	}
 	sort.Strings(st.Zone)
 	sort.Strings(st.Amount)
-	ds, _ := f.tap.snapshot()
+	ds := f.tap.snapshot()
 	for p := 0; p < kernelParts; p++ {
 		for _, d := range ds {
 			if d.Part == p {
-				st.Deltas = append(st.Deltas, fmt.Sprintf("%d %d %s %v %d %v", d.Part, d.Seq, d.KeyS, d.Tombstone, d.Epoch, d.Value))
+				st.Deltas = append(st.Deltas, fmt.Sprintf("%d %d %s %v %d %v %v %v", d.Part, d.Seq, d.KeyS, d.Tombstone, d.Epoch, d.Value, d.Old, d.HadOld))
 			}
 		}
 	}
@@ -137,8 +137,8 @@ func (f *kernelFixture) byOwner(ops []Op) [3][]Op {
 // TestEntryPointEquivalence holds the three ways into the mutation kernel
 // to one outcome: the same op sequence through Put/Delete one by one,
 // through PutBatch and through ApplyBatch leaves the same entries, backup
-// copies, index postings, per-partition tap streams, set/delete counts and
-// backup-hop totals. The one difference is by definition: a merge is handed
+// copies, index postings, per-partition tap streams (the replaced value
+// included), set/delete counts and backup-hop totals. The one difference is by definition: a merge is handed
 // the current value, so ApplyBatch counts a get per key.
 func TestEntryPointEquivalence(t *testing.T) {
 	steps := kernelSteps()
@@ -250,9 +250,10 @@ func TestLocalUnreplicatedWriteSendsNothing(t *testing.T) {
 }
 
 // TestResetPaths drives the four wholesale-replacement entry points and
-// holds each to the reset contract: per partition touched, the sequence
-// number advances by one, postings are rebuilt from the entries now in
-// place, and every tap hears exactly one OnReset.
+// holds each to the reset contract: every tap receives the difference the
+// reset made as ordinary deltas — each naming the value it replaced, the
+// partition's seq advancing by exactly the deltas it emitted — and
+// postings are rebuilt from the entries now in place.
 func TestResetPaths(t *testing.T) {
 	all := make([]int, kernelParts)
 	for p := range all {
@@ -271,7 +272,8 @@ func TestResetPaths(t *testing.T) {
 		parts      []int
 		prepare    func(f *kernelFixture) // before the reset
 		reset      func(f *kernelFixture)
-		wantEmpty  bool
+		wantEmpty  bool   // one tombstone per entry of the touched partitions
+		wantUpsert string // otherwise the one key upserted, "" for no delta at all
 		wantExtra  string // a smuggled key the rebuilt postings must now find
 	}{
 		{name: "Clear", replicated: true, parts: all, wantEmpty: true,
@@ -280,7 +282,8 @@ func TestResetPaths(t *testing.T) {
 			reset: func(f *kernelFixture) { f.s.ClearMap("m") }},
 		{name: "FailNode unreplicated", parts: []int{0, 3, 6}, wantEmpty: true,
 			reset: func(f *kernelFixture) { f.s.FailNode([]int{0, 3, 6}) }},
-		{name: "FailNode promotes the backup", replicated: true, parts: []int{0, 3, 6}, wantExtra: "smuggled",
+		{name: "FailNode promotes the backup", replicated: true, parts: []int{0, 3, 6},
+			wantUpsert: "smuggled", wantExtra: "smuggled",
 			prepare: func(f *kernelFixture) { smuggle(f.m.backups[0], "smuggled") },
 			reset:   func(f *kernelFixture) { f.s.FailNode([]int{0, 3, 6}) }},
 		{name: "RebuildPartitionIndexes", replicated: true, parts: []int{0}, wantExtra: "smuggled",
@@ -296,28 +299,55 @@ func TestResetPaths(t *testing.T) {
 			if c.prepare != nil {
 				c.prepare(f)
 			}
-			var seqBefore [kernelParts]uint64
-			for p := range seqBefore {
-				seqBefore[p] = f.m.PartitionSeq(p)
-			}
-			c.reset(f)
-
-			_, resets := f.tap.snapshot()
-			sort.Ints(resets)
-			if !reflect.DeepEqual(resets, c.parts) {
-				t.Errorf("OnReset fired for %v, want exactly once for each of %v", resets, c.parts)
-			}
 			touched := map[int]bool{}
 			for _, p := range c.parts {
 				touched[p] = true
 			}
-			for p := 0; p < kernelParts; p++ {
-				want := seqBefore[p]
+			before := map[string]any{}
+			var seqBefore [kernelParts]uint64
+			for p := range seqBefore {
+				seqBefore[p] = f.m.PartitionSeq(p)
 				if touched[p] {
-					want++
+					f.m.ScanPartition(p, func(e Entry) bool {
+						before[partition.KeyString(e.Key)] = e.Value
+						return true
+					})
 				}
-				if got := f.m.PartitionSeq(p); got != want {
-					t.Errorf("partition %d: seq %d, want %d", p, got, want)
+			}
+			emitted := len(f.tap.snapshot())
+			c.reset(f)
+
+			ds := f.tap.snapshot()[emitted:]
+			var perPart [kernelParts]uint64
+			for _, d := range ds {
+				perPart[d.Part]++
+				was, had := before[d.KeyS]
+				if !touched[d.Part] || d.HadOld != had || !reflect.DeepEqual(d.Old, was) {
+					t.Errorf("delta %+v: want one of partitions %v, replacing %v (had %v)", d, c.parts, was, had)
+				}
+			}
+			switch {
+			case c.wantEmpty:
+				if len(ds) != len(before) {
+					t.Errorf("emitted %d deltas, want one tombstone per entry (%d)", len(ds), len(before))
+				}
+				for _, d := range ds {
+					if !d.Tombstone {
+						t.Errorf("emptying reset emitted an upsert %+v", d)
+					}
+				}
+			case c.wantUpsert != "":
+				if len(ds) != 1 || ds[0].KeyS != c.wantUpsert || ds[0].Tombstone || ds[0].HadOld {
+					t.Errorf("emitted %+v, want exactly one first insert of %q", ds, c.wantUpsert)
+				}
+			default:
+				if len(ds) != 0 {
+					t.Errorf("contents-preserving reset emitted %+v, want nothing", ds)
+				}
+			}
+			for p := 0; p < kernelParts; p++ {
+				if got, want := f.m.PartitionSeq(p), seqBefore[p]+perPart[p]; got != want {
+					t.Errorf("partition %d: seq %d, want %d (%d deltas emitted)", p, got, want, perPart[p])
 				}
 			}
 			// Postings match the entries now in place: the index finds what

@@ -16,6 +16,7 @@ package kv
 
 import (
 	"fmt"
+	"reflect"
 	"sort"
 	"strconv"
 	"sync"
@@ -264,11 +265,10 @@ type segment struct {
 	mu      sync.RWMutex // guards the entries map structure
 	stripes [lockStripes]sync.Mutex
 	entries map[string]Entry // canonical key string -> entry
-	// seq counts mutations of this segment, advanced under mu's write
-	// lock and never reset — the per-partition watermark of the change
-	// stream tap (see tap.go). A wholesale entry replacement bumps it
-	// too, so a tap consumer that re-snapshots after OnReset can still
-	// order the snapshot against buffered deltas.
+	// seq counts the deltas emitted for this segment, advanced under mu's
+	// write lock and never reset — the per-partition watermark of the
+	// change stream tap (see tap.go). A wholesale entry replacement
+	// advances it once per delta of the difference it emits.
 	seq uint64
 }
 
@@ -291,6 +291,8 @@ type Map struct {
 	backups []*segment
 	mapIndexState
 	mapTapState
+	// resets counts wholesale partition replacements (see Resets).
+	resets atomic.Int64
 }
 
 func newMap(s *Store, name string) *Map {
@@ -415,23 +417,60 @@ func (m *Map) Clear() {
 }
 
 // resetPartitionLocked is the one wholesale-replacement path: partition
-// p's entries become `entries` (its current ones, when a seat flipped
-// under them), and everything derived from them follows under the same
-// hold of the segment write lock the caller owns — every index's postings
-// are rebuilt, the sequence number advances so a re-snapshot still orders
-// against buffered deltas, and every tap is told once to re-derive.
+// p's entries become `entries`, and everything derived from them follows
+// under the same hold of the segment write lock the caller owns — every
+// tap receives the difference as ordinary deltas (a tombstone per entry
+// that went, an upsert per entry that is new or changed, each naming the
+// value it replaced and stamped with its own seq), and every index's
+// postings are rebuilt. A nil `entries` keeps the current ones — a seat
+// flipped under them — so nothing is compared and nothing is emitted.
 // Clear, failover promotion and the post-migration rebuild all end here;
 // inline maintenance never saw what they installed.
 func (m *Map) resetPartitionLocked(p int, seg *segment, entries map[string]Entry) {
-	seg.entries = entries
-	for _, ix := range m.indexSet() {
-		ix.rebuildLocked(p, entries)
+	m.resets.Add(1)
+	if entries != nil {
+		if taps := m.tapSet(); len(taps) > 0 {
+			if ds := m.diffLocked(p, seg, entries); len(ds) > 0 {
+				for _, t := range taps {
+					t.OnDeltas(ds)
+				}
+			}
+		}
+		seg.entries = entries
 	}
-	seg.seq++
-	for _, t := range m.tapSet() {
-		t.OnReset(p)
+	for _, ix := range m.indexSet() {
+		ix.rebuildLocked(p, seg.entries)
 	}
 }
+
+// diffLocked returns the deltas that take partition p from its current
+// entries to next, stamping each with the segment's next seq.
+func (m *Map) diffLocked(p int, seg *segment, next map[string]Entry) []Delta {
+	epoch := m.store.assign.PartitionEpoch(p)
+	var ds []Delta
+	for ks, old := range seg.entries {
+		if _, ok := next[ks]; !ok {
+			seg.seq++
+			ds = append(ds, Delta{Map: m.name, Part: p, Seq: seg.seq, Key: old.Key, KeyS: ks,
+				Old: old.Value, HadOld: true, Tombstone: true, Epoch: epoch})
+		}
+	}
+	for ks, e := range next {
+		old, had := seg.entries[ks]
+		if had && reflect.DeepEqual(old.Value, e.Value) {
+			continue
+		}
+		seg.seq++
+		ds = append(ds, Delta{Map: m.name, Part: p, Seq: seg.seq, Key: e.Key, KeyS: ks,
+			Value: e.Value, Old: old.Value, HadOld: had, Epoch: epoch})
+	}
+	return ds
+}
+
+// Resets returns how many wholesale partition replacements the map has
+// been through — each partition a Clear emptied, each failover promotion
+// and each post-migration rebuild, whether or not it changed an entry.
+func (m *Map) Resets() int64 { return m.resets.Load() }
 
 // ScanOpts tunes a pushdown-aware partition scan.
 type ScanOpts struct {

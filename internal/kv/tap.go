@@ -7,18 +7,19 @@ import (
 	"squery/internal/partition"
 )
 
-// Change stream tap: the first-class form of the PR 7 change-notifier.
-// A Tap attached to a map observes every mutation as an ordered stream of
-// per-partition deltas — upserts and tombstones — stamped with the
-// partition's monotonic sequence number and its current epoch. Deltas are
-// emitted inside the same segment-write-lock critical section that
-// performs the mutation (exactly where inline index maintenance runs), so
-// the stream is totally ordered per partition and can never miss or
-// reorder a write relative to what readers of the map observe. Paths that
-// replace a partition's entries wholesale (failover promotion, migration
-// flip, Clear) instead signal OnReset, and the consumer re-derives from a
-// fresh snapshot — the same contract RebuildPartitionIndexes gives the
-// secondary indexes.
+// Change stream tap. A Tap attached to a map observes every mutation as
+// an ordered stream of per-partition deltas — upserts and tombstones —
+// each naming the value it replaced and stamped with the partition's
+// monotonic sequence number and its current epoch. Deltas are emitted
+// inside the same segment-write-lock critical section that performs the
+// mutation (exactly where inline index maintenance runs), so the stream is
+// totally ordered per partition and can never miss or reorder a write
+// relative to what readers of the map observe. Paths that replace a
+// partition's entries wholesale (failover promotion, Clear) emit the
+// difference between the entries they replace and the ones they install
+// as ordinary deltas, and a rebuild over the entries already in place (a
+// migration flip) emits nothing: what a tap has seen is exactly what the
+// partition holds.
 //
 // This is the substrate the arrangement layer (internal/core) builds
 // standing queries on: attach a tap, snapshot each partition with its
@@ -39,6 +40,11 @@ type Delta struct {
 	KeyS string
 	// Value is the new value for an upsert; nil for a tombstone.
 	Value any
+	// Old is the value the mutation replaced, valid when HadOld: always on
+	// a tombstone, on an upsert of a key the partition held, never on a
+	// first insert.
+	Old    any
+	HadOld bool
 	// Tombstone marks a delete.
 	Tombstone bool
 	// Epoch is the partition's seat epoch at emission time — deltas from
@@ -46,18 +52,12 @@ type Delta struct {
 	Epoch int64
 }
 
-// Tap observes a map's change stream. Both methods are called with the
+// Tap observes a map's change stream. OnDeltas is called with the
 // mutated partition's segment write lock held: implementations must be
-// non-blocking and must not call back into the store (buffer and hand off
-// to a consumer goroutine instead).
+// non-blocking and must not call back into the store.
 type Tap interface {
 	// OnDeltas delivers one ordered group of deltas for one partition.
 	OnDeltas(ds []Delta)
-	// OnReset signals that partition p's entries were replaced wholesale
-	// (failover promotion, migration rebuild, clear): sequence numbers
-	// continue to grow, but the consumer must re-derive its view from a
-	// fresh SnapshotPartition rather than trust incremental history.
-	OnReset(p int)
 }
 
 // mapTapState holds a map's attached taps, published with the same

@@ -13,7 +13,6 @@ import (
 type recTap struct {
 	mu     sync.Mutex
 	deltas []Delta
-	resets []int
 }
 
 func (r *recTap) OnDeltas(ds []Delta) {
@@ -22,21 +21,15 @@ func (r *recTap) OnDeltas(ds []Delta) {
 	r.mu.Unlock()
 }
 
-func (r *recTap) OnReset(p int) {
-	r.mu.Lock()
-	r.resets = append(r.resets, p)
-	r.mu.Unlock()
-}
-
-func (r *recTap) snapshot() ([]Delta, []int) {
+func (r *recTap) snapshot() []Delta {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return append([]Delta(nil), r.deltas...), append([]int(nil), r.resets...)
+	return append([]Delta(nil), r.deltas...)
 }
 
 // TestTapObservesMutationsInOrder: every put, overwrite and delete reaches
-// the tap as a delta with the right payload, and sequence numbers are
-// strictly increasing per partition.
+// the tap as a delta with the right payload and the value it replaced, and
+// sequence numbers are strictly increasing per partition.
 func TestTapObservesMutationsInOrder(t *testing.T) {
 	s := testStore()
 	v := s.View(0)
@@ -54,22 +47,19 @@ func TestTapObservesMutationsInOrder(t *testing.T) {
 	v.Delete("m", "a")
 	v.Delete("m", "missing") // no-op: nothing was removed
 
-	ds, resets := tap.snapshot()
-	if len(resets) != 0 {
-		t.Fatalf("unexpected resets %v", resets)
-	}
+	ds := tap.snapshot()
 	if len(ds) != 4 {
 		t.Fatalf("got %d deltas, want 4 (the missing-key delete is not a mutation): %+v", len(ds), ds)
 	}
 	want := []struct {
-		key       string
-		value     any
-		tombstone bool
+		key        string
+		value, old any
+		tombstone  bool
 	}{
-		{"a", 1, false},
-		{"a", 2, false},
-		{"b", "x", false},
-		{"a", nil, true},
+		{"a", 1, nil, false},
+		{"a", 2, 1, false},
+		{"b", "x", nil, false},
+		{"a", nil, 2, true},
 	}
 	lastSeq := map[int]uint64{}
 	for i, d := range ds {
@@ -81,6 +71,9 @@ func TestTapObservesMutationsInOrder(t *testing.T) {
 		}
 		if d.Value != want[i].value || d.Tombstone != want[i].tombstone {
 			t.Errorf("delta %d = value %v tombstone %v, want %v/%v", i, d.Value, d.Tombstone, want[i].value, want[i].tombstone)
+		}
+		if d.HadOld != (want[i].old != nil) || d.Old != want[i].old {
+			t.Errorf("delta %d replaced %v (had %v), want %v", i, d.Old, d.HadOld, want[i].old)
 		}
 		if last := lastSeq[d.Part]; d.Seq <= last {
 			t.Errorf("delta %d seq %d not increasing after %d in partition %d", i, d.Seq, last, d.Part)
@@ -106,7 +99,7 @@ func TestTapBatchGroups(t *testing.T) {
 	}
 	v.PutBatch("m", ops)
 
-	ds, _ := tap.snapshot()
+	ds := tap.snapshot()
 	if len(ds) != 4 {
 		t.Fatalf("got %d deltas from a 4-op batch, want 4: %+v", len(ds), ds)
 	}
@@ -149,7 +142,7 @@ func TestTapSnapshotFloor(t *testing.T) {
 	before := len(entries)
 
 	v.Put("m", 7, "post-snapshot")
-	ds, _ := tap.snapshot()
+	ds := tap.snapshot()
 	var post []Delta
 	for _, d := range ds {
 		if d.Part == p && d.Seq > floor {
@@ -169,38 +162,43 @@ func TestTapSnapshotFloor(t *testing.T) {
 }
 
 // TestTapResetOnWholesaleReplace: paths that swap a partition's entries
-// without per-key mutations (Clear, ClearMap, index rebuilds) must signal
-// OnReset so consumers re-derive instead of trusting incremental history.
+// without per-key mutations deliver the difference as ordinary deltas —
+// Clear and ClearMap one tombstone per entry, each naming the value that
+// went — and a rebuild over the entries in place delivers nothing.
 func TestTapResetOnWholesaleReplace(t *testing.T) {
 	s := testStore()
 	v := s.View(0)
-	for i := 0; i < 10; i++ {
-		v.Put("m", i, i)
-	}
 	m := s.GetMap("m")
+	fill := func() {
+		for i := 0; i < 10; i++ {
+			v.Put("m", i, i*i)
+		}
+	}
+	for name, clear := range map[string]func(){"Clear": m.Clear, "ClearMap": func() { s.ClearMap("m") }} {
+		fill()
+		tap := &recTap{}
+		m.AttachTap(tap)
+		clear()
+		m.DetachTap(tap)
+		ds := tap.snapshot()
+		if len(ds) != 10 {
+			t.Fatalf("%s delivered %d deltas, want one tombstone per entry (10): %+v", name, len(ds), ds)
+		}
+		for _, d := range ds {
+			k := d.Key.(int)
+			if !d.Tombstone || !d.HadOld || d.Old != k*k {
+				t.Errorf("%s delivered %+v, want a tombstone of %d replacing %d", name, d, k, k*k)
+			}
+		}
+	}
+
+	fill()
 	tap := &recTap{}
 	m.AttachTap(tap)
-
-	m.Clear()
-	_, resets := tap.snapshot()
-	if len(resets) != s.Partitioner().Count() {
-		t.Fatalf("Clear signalled %d resets, want one per partition (%d)", len(resets), s.Partitioner().Count())
-	}
-
-	tap2 := &recTap{}
-	m.AttachTap(tap2)
-	s.ClearMap("m")
-	_, resets2 := tap2.snapshot()
-	if len(resets2) != s.Partitioner().Count() {
-		t.Fatalf("ClearMap signalled %d resets, want %d", len(resets2), s.Partitioner().Count())
-	}
-
-	tap3 := &recTap{}
-	m.AttachTap(tap3)
+	seq := m.PartitionSeq(3)
 	s.RebuildPartitionIndexes(3)
-	_, resets3 := tap3.snapshot()
-	if len(resets3) != 1 || resets3[0] != 3 {
-		t.Fatalf("RebuildPartitionIndexes(3) signalled resets %v, want [3]", resets3)
+	if ds := tap.snapshot(); len(ds) != 0 || m.PartitionSeq(3) != seq {
+		t.Fatalf("RebuildPartitionIndexes(3) delivered %+v and moved seq %d -> %d, want nothing", ds, seq, m.PartitionSeq(3))
 	}
 }
 
@@ -221,8 +219,8 @@ func TestDetachTapStopsDelivery(t *testing.T) {
 	m.DetachTap(a)
 	v.Put("m", "k", 2)
 
-	dsA, _ := a.snapshot()
-	dsB, _ := b.snapshot()
+	dsA := a.snapshot()
+	dsB := b.snapshot()
 	if len(dsA) != 1 {
 		t.Fatalf("detached tap saw %d deltas, want 1", len(dsA))
 	}

@@ -15,16 +15,16 @@ import (
 // SUBSCRIBE <select>: standing queries over live operator state. Where the
 // one-shot path compiles a statement into a pipeline that scans, filters,
 // joins and aggregates once and exits, a standing query keeps the same
-// logical stages alive and drives them in two modes: an initial snapshot
-// scan over a shared arrangement's maintained view, then incremental delta
-// application as the arrangement streams changes. Both modes run one
-// insert path — the snapshot phase replays the arrangement's rows through
-// exactly what a live upsert takes — and that path projects rows and
+// logical stages alive and drives them in two modes: an initial copy of
+// each source table taken through its shared arrangement, then
+// incremental delta application as the arrangement streams changes. Both
+// modes run one insert path — the snapshot phase replays the copied rows
+// through exactly what a live upsert takes — and that path projects rows and
 // finishes groups with the functions the one-shot sinks use (projectRow,
 // finishGroup and the accumulators behind it).
 //
-// A standing query holds no copy of its source tables: the arrangement is
-// the one maintained view, and each delta names the row it replaced. What
+// A standing query holds no copy of its source tables: the kv map is the
+// one copy, and each delta names the row it replaced. What
 // stays resident per subscriber is its output (matched rows, or groups
 // with their member rows) and, for a join, the join index.
 //
@@ -129,15 +129,18 @@ type StandingQuery struct {
 	ctx   *evalCtx // LOCALTIMESTAMP is fixed at subscribe time
 	sink  func(SubEvent)
 
-	srcs    []tableSrc // name/alias only; the expression resolver's view
-	arrs    []*core.Arrangement
-	lisIDs  []int
+	srcs   []tableSrc // name/alias only; the expression resolver's view
+	arrs   []*core.Arrangement
+	lisIDs []int
+	// floors[i] is source i's per-partition sequence floor at attach:
+	// deltas at or below it are already in the seed.
+	floors  [][]uint64
 	aggMode bool
 	// joinCols[i] is source i's equi-join column (join mode only).
 	joinCols [2]string
 
-	// pending buffers arrangement deliveries (which run under the
-	// arrangement's state lock and must not block) for the applier.
+	// pending buffers arrangement deliveries (which run on the writer
+	// under its segment lock and must not block) for the applier.
 	pendMu  sync.Mutex
 	pending []pendDeltas
 	wake    chan struct{}
@@ -204,26 +207,29 @@ func (ex *Executor) SubscribeQuery(query string, bind func(*StandingQuery) func(
 	}
 
 	// Acquire one shared arrangement per source and attach buffering
-	// listeners. Attach's clean cut plus the pending buffer means deltas
-	// racing the seed below are applied after it, never lost or doubled.
+	// listeners. The listener is registered before the table is copied and
+	// the applier drops what the copy's floors cover, so deltas racing the
+	// seed below are applied after it, never lost or doubled.
 	seeds := make([][]core.TableRow, len(sq.srcs))
 	for i := range sq.srcs {
 		a, err := ex.arr.Acquire(sq.srcs[i].name)
 		if err != nil {
-			for _, prev := range sq.arrs {
+			for j, prev := range sq.arrs {
+				prev.Detach(sq.lisIDs[j])
 				prev.Release()
 			}
 			return nil, err
 		}
 		sq.arrs = append(sq.arrs, a)
 		side := i
-		rows, _, id := a.Attach(func(ds []core.ArrDelta) { sq.enqueue(side, ds) })
+		rows, floors, id := a.Attach(func(ds []core.ArrDelta) { sq.enqueue(side, ds) })
 		sq.lisIDs = append(sq.lisIDs, id)
+		sq.floors = append(sq.floors, floors)
 		seeds[i] = rows
 	}
 
-	// Drive mode 1, the snapshot scan: replay the arrangements' current
-	// rows through the same insert path live deltas take.
+	// Drive mode 1, the snapshot scan: replay the copied rows through the
+	// same insert path live deltas take.
 	sq.mu.Lock()
 	eff := newBatchEff()
 	if sq.aggMode && len(sq.stmt.GroupBy) == 0 {
@@ -367,8 +373,8 @@ func (sq *StandingQuery) Close() {
 	})
 }
 
-// enqueue is the arrangement listener: called with the arrangement's state
-// lock held, it buffers and wakes the applier.
+// enqueue is the arrangement listener: called on the writer under its
+// segment lock, it buffers and wakes the applier.
 func (sq *StandingQuery) enqueue(side int, ds []core.ArrDelta) {
 	sq.pendMu.Lock()
 	sq.pending = append(sq.pending, pendDeltas{side: side, ds: ds})
@@ -380,7 +386,8 @@ func (sq *StandingQuery) enqueue(side int, ds []core.ArrDelta) {
 }
 
 // run is drive mode 2, the delta applier: fold buffered arrangement
-// deltas through the standing stages and emit the resulting output deltas.
+// deltas above the attach floors through the standing stages and emit the
+// resulting output deltas, one frame per drained buffer.
 func (sq *StandingQuery) run() {
 	defer close(sq.stopped)
 	for {
@@ -397,27 +404,29 @@ func (sq *StandingQuery) run() {
 			if len(batches) == 0 {
 				break
 			}
-			for _, b := range batches {
-				sq.mu.Lock()
-				if sq.failed != nil {
-					sq.mu.Unlock()
-					return
-				}
-				eff := newBatchEff()
-				for _, d := range b.ds {
-					sq.applyDelta(b.side, d, eff)
-				}
-				deltas := sq.settleLocked(eff)
-				failed := sq.failed
-				wm := sq.watermark
+			sq.mu.Lock()
+			if sq.failed != nil {
 				sq.mu.Unlock()
-				if failed != nil {
-					sq.sink(SubEvent{Err: failed, Watermark: wm})
-					return
+				return
+			}
+			eff := newBatchEff()
+			for _, b := range batches {
+				for _, d := range b.ds {
+					if d.Seq > sq.floors[b.side][d.Part] {
+						sq.applyDelta(b.side, d, eff)
+					}
 				}
-				if len(deltas) > 0 {
-					sq.sink(SubEvent{Deltas: deltas, Watermark: wm})
-				}
+			}
+			deltas := sq.settleLocked(eff)
+			failed := sq.failed
+			wm := sq.watermark
+			sq.mu.Unlock()
+			if failed != nil {
+				sq.sink(SubEvent{Err: failed, Watermark: wm})
+				return
+			}
+			if len(deltas) > 0 {
+				sq.sink(SubEvent{Deltas: deltas, Watermark: wm})
 			}
 		}
 	}

@@ -101,10 +101,11 @@ func (e *Engine) sysSubscriptions() []core.TableRow {
 }
 
 // sysArrangements is one row per shared arrangement: the table it
-// maintains, how many standing queries share it, its current row count,
-// and its delta pipeline accounting — deltas received from the store's
-// tap, deltas applied to the view, and partition resets survived
-// (failovers and migrations that forced a re-snapshot).
+// arranges, how many standing queries share it, the table's current row
+// count, and its delta accounting — deltasIn, applied and watermark all
+// count the deltas handed on from the store's tap (nothing buffers in
+// between) — and the partition replacements (failovers, migrations,
+// clears) the table has been through since the arrangement was built.
 func (e *Engine) sysArrangements() []core.TableRow {
 	infos := e.Arrangements()
 	rows := make([]core.TableRow, 0, len(infos))
@@ -116,7 +117,7 @@ func (e *Engine) sysArrangements() []core.TableRow {
 			"deltasIn":  int64(a.DeltasIn),
 			"applied":   int64(a.Applied),
 			"resets":    int64(a.Resets),
-			"watermark": int64(a.Watermark),
+			"watermark": int64(a.Applied),
 		}})
 	}
 	return rows
@@ -219,9 +220,7 @@ func (e *Engine) sysRebalances() []core.TableRow {
 }
 
 // sysNetwork is the transport's wire accounting: one row with the
-// inter-node message, operation and payload-byte totals. The same
-// counters back the message-reduction numbers of `squery-bench -exp
-// wire`, so the experiment is reproducible from SQL alone.
+// inter-node message, operation and payload-byte totals.
 func (e *Engine) sysNetwork() []core.TableRow {
 	st := e.clu.Transport().Stats()
 	return []core.TableRow{{Key: "transport", Value: kv.MapRow{
@@ -253,11 +252,7 @@ func (e *Engine) sysOperators() []core.TableRow {
 	for _, id := range sorted {
 		v := vals[id]
 		h := hists[id]
-		vertex, inst := id, -1
-		if i := strings.LastIndex(id, "/"); i >= 0 {
-			vertex = id[:i]
-			inst, _ = strconv.Atoi(id[i+1:])
-		}
+		vertex, inst := operatorID(id)
 		rows = append(rows, core.TableRow{Key: id, Value: kv.MapRow{
 			"vertex":           vertex,
 			"instance":         inst,

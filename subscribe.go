@@ -15,8 +15,8 @@ import (
 // maintained result: the subscriber first receives a snapshot frame with
 // the full current result, then ordered delta frames as operator state
 // changes. Subscriptions over the same table share one arrangement (a
-// refcounted maintained view fed by the store's change-stream tap), so N
-// subscriptions cost one tap and one mirror, not N scans — the
+// refcounted change-stream tap on the live map, which stays the one copy
+// of the table), so N subscriptions cost one tap, not N scans — the
 // steady-state economics the -exp subscribe experiment measures against
 // polling.
 

@@ -375,9 +375,10 @@ func TestSubscribeRejections(t *testing.T) {
 }
 
 // TestSubscribeSurvivesRebalance: a subscription keeps exact parity when
-// the cluster rebalances mid-stream — the arrangement re-snapshots the
-// reset partitions, diffs against its view, and forwards only genuine
-// differences, so the subscriber sees no duplicates and misses nothing.
+// the cluster rebalances mid-stream — each reset partition reaches the
+// tap as the difference it made (nothing, for a flip that moved no entry),
+// so the subscriber sees no duplicates and misses nothing, and the
+// arrangement still counts the resets.
 func TestSubscribeSurvivesRebalance(t *testing.T) {
 	eng := New(Config{Nodes: 3, Partitions: 27})
 	defer eng.Close()
