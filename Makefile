@@ -85,9 +85,10 @@ ckpt-smoke:
 # blob snapshot keys, bounded-alloc indexed puts, a GetAll that allocates
 # its result only, Query 3 under 0.25 objects per table row, a key-lookup
 # point read under 100 objects that examines one row); the standing-query
-# parity run holds the one accumulator implementation to both of its
-# callers — a standing aggregate folds a group's rows through what the
-# one-shot fragments fold and merge; the short benchmark pass prints codec
+# parity runs hold the one compiled plan to both drive modes — a standing
+# query folds signed rows through the plan, filters and group form the
+# one-shot fragments run, and TestDifferentialStanding checks its folded
+# views against one-shot results; the short benchmark pass prints codec
 # (scalar, struct row, and the gob path it replaced), typed joinKey, unary
 # and batched put and indexed-put numbers so regressions show up in CI logs
 # next to the gate.
@@ -96,7 +97,7 @@ bench-smoke:
 	$(GO) test ./internal/persist -run 'TestDeltaEncodeAllocs' -count=1 -v
 	$(GO) test ./internal/kv -run 'TestIndexedPutAllocs|TestPutBatchAllocs|TestGetAllAllocs' -count=1 -v
 	$(GO) test ./internal/partition -run 'TestHashAllocs' -count=1 -v
-	$(GO) test ./internal/sql -run 'TestJoinFoldAllocs|TestKeyLookupAllocs' -count=1 -v
+	$(GO) test ./internal/sql -run 'TestJoinFoldAllocs|TestKeyLookupAllocs|TestDifferentialStanding' -count=1 -v
 	$(GO) test . -run 'TestSubscribeParity$$' -count=1 -v
 	$(GO) test ./internal/wire -run '^$$' -bench 'BenchmarkAppendValue|BenchmarkDecodeValue|BenchmarkGobValue' -benchtime 1000x
 	$(GO) test ./internal/persist -run '^$$' -bench 'BenchmarkAppendDeltaSegment' -benchtime 1000x
@@ -125,12 +126,15 @@ index-smoke:
 # and that /metrics carries the squery_sub_* families (promcheck
 # -require), then the tap contract the arrangement relies on (every entry
 # point and every wholesale reset delivers the replaced value, resets as
-# deltas), the arrangement suite and subscribe-vs-poll parity under -race.
+# deltas), the arrangement suite, the standing query's own suite with the
+# standing arm of the differential oracle, and subscribe-vs-poll parity,
+# all under -race.
 subscribe-smoke:
 	chmod +x scripts/subscribe-smoke.sh
 	./scripts/subscribe-smoke.sh
 	$(GO) test ./internal/kv -run 'TestTap|TestDetachTap|TestEntryPointEquivalence|TestResetPaths' -race -count=1 -v
 	$(GO) test ./internal/core -run 'TestArrangement' -race -count=1 -v
+	$(GO) test ./internal/sql -run 'TestDifferentialStanding|TestSubscribe|TestStandingQuery' -race -count=1 -v
 	$(GO) test . -run 'TestSubscribe' -race -count=1 -v
 	$(GO) test ./internal/experiments -run 'TestSubscribeExpShape' -count=1 -v
 

@@ -14,24 +14,25 @@ import (
 // The arrangement keeps no copy of the table — the kv map is the one copy,
 // and its change stream names on every delta the value the mutation
 // replaced, wholesale replacements (rebalance, failover, clear) included,
-// which kv delivers as the difference they made. So the arrangement adapts
+// which kv delivers as the difference they made. So the arrangement wraps
 // each tap group once and hands it to its listeners on the writer's
-// goroutine. A reader attaches by registering its listener, then copying
-// the map partition by partition with each partition's sequence floor.
-// The first reader's Acquire attaches the tap; the last reader's release
-// detaches it.
+// goroutine. It hands rows as their state objects: a row's by-name view is
+// adapted only on first use by name (TableRow.Row), which a reader whose
+// columns are bound to the table's schema never makes. A reader attaches
+// by registering its listener, then copying the map partition by partition
+// with each partition's sequence floor. The first reader's Acquire
+// attaches the tap; the last reader's release detaches it.
 
 // ArrDelta is one change an arrangement delivers to its listeners: an
 // upsert carrying the new row, or a tombstone for a removed key. Seq/Epoch
 // carry the kv tap stamps.
 type ArrDelta struct {
-	Row TableRow // Key/Value/Raw set on upserts; Key only on tombstones
+	Row TableRow // Key/Raw set on upserts; Key only on tombstones
 	// Old is the row this delta replaced, valid when HadOld: always on
 	// tombstones, on upserts of a key the table already held, never on a
 	// first insert. A listener that seeded from Attach and folds only the
 	// deltas above its floors last saw exactly this row for the key, so it
-	// needs no mirror of the table to retract it. Old's by-name view is
-	// adapted on first use: only a join reads a column of it.
+	// needs no mirror of the table to retract it.
 	Old       TableRow
 	HadOld    bool
 	KeyS      string
@@ -67,7 +68,7 @@ type Arrangement struct {
 }
 
 // OnDeltas implements kv.Tap: called under the segment write lock, it
-// adapts the group once and hands it to every listener.
+// wraps the group once and hands it to every listener.
 func (a *Arrangement) OnDeltas(ds []kv.Delta) {
 	a.handed.Add(int64(len(ds)))
 	a.lisMu.RLock()
@@ -80,7 +81,7 @@ func (a *Arrangement) OnDeltas(ds []kv.Delta) {
 		out[i] = ArrDelta{Row: TableRow{Key: d.Key}, HadOld: d.HadOld, KeyS: d.KeyS,
 			Part: d.Part, Seq: d.Seq, Epoch: d.Epoch, Tombstone: d.Tombstone}
 		if !d.Tombstone {
-			out[i].Row.Value, out[i].Row.Raw = kv.AsRow(d.Value), d.Value
+			out[i].Row.Raw = d.Value
 		}
 		if d.HadOld {
 			out[i].Old = TableRow{Key: d.Key, Raw: d.Old}
@@ -110,7 +111,7 @@ func (a *Arrangement) Attach(fn ArrListener) (rows []TableRow, floors []uint64, 
 		var entries []kv.Entry
 		entries, floors[p] = a.m.SnapshotPartition(p)
 		for _, e := range entries {
-			rows = append(rows, TableRow{Key: e.Key, Value: kv.AsRow(e.Value), Raw: e.Value})
+			rows = append(rows, TableRow{Key: e.Key, Raw: e.Value})
 		}
 	}
 	return rows, floors, id

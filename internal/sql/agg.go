@@ -6,13 +6,13 @@ import (
 	"squery/internal/core"
 )
 
-// Aggregation. One accumulator implementation serves both drive modes: a
-// one-shot query folds every row into its group's accumulators where the
-// row lives and ships the partial groups, which the client merges and
-// finishes; a standing query (subscribe.go) folds a dirty group's member
-// rows through the same accumulators when it settles. No group ever holds
-// its rows in the one-shot path — a group is its accumulators plus the
-// first row it saw, kept for the select list's bare columns.
+// Aggregation. One group form serves both drive modes: a partialGroup is
+// a group's accumulators plus the first row it saw, kept for the select
+// list's bare columns. A one-shot query folds every row into its group
+// where the row lives and ships the partial groups, which the client
+// merges and finishes; a standing query (subscribe.go) keeps a dirty
+// group's member rows and, when it settles, folds them into a fresh
+// partialGroup and finishes that the same way.
 
 // aggAcc is the running state of one aggregate call: foldable one value
 // at a time, mergeable with the state another node folded.
@@ -132,45 +132,7 @@ func (a *aggAcc) result() (any, error) {
 	return nil, fmt.Errorf("sql: unknown aggregate %q", a.fn)
 }
 
-// groupView is what finishing a group reads: its aggregates' results, and
-// the row bare (non-aggregate) expressions evaluate against — SQL's
-// bare-column-in-GROUP-BY rule takes the group's first row.
-type groupView interface {
-	aggregate(ctx *evalCtx, a Agg) (any, error)
-	first() Resolver // nil when the group is empty
-}
-
-// groupRows is a group held as its member rows: the standing query's form.
-type groupRows []joinedRow
-
-func (g groupRows) first() Resolver {
-	if len(g) == 0 {
-		return nil
-	}
-	return &g[0]
-}
-
-// aggregate folds the group's rows through a fresh accumulator.
-func (g groupRows) aggregate(ctx *evalCtx, a Agg) (any, error) {
-	acc := newAggAcc(a)
-	for i := range g {
-		if a.Star {
-			acc.count++
-			continue
-		}
-		v, err := ctx.evalD(a.Arg, &g[i])
-		if err != nil {
-			return nil, err
-		}
-		if err := acc.add(v); err != nil {
-			return nil, err
-		}
-	}
-	return acc.result()
-}
-
-// partialGroup is a group held as accumulators: the one-shot query's form,
-// built where the rows live and merged at the client.
+// partialGroup is a group held as accumulators.
 type partialGroup struct {
 	key  string
 	accs []aggAcc
@@ -179,21 +141,23 @@ type partialGroup struct {
 	rows []core.TableRow
 }
 
-func (g *partialGroup) first() Resolver {
-	if g.rows == nil {
-		return nil // the global group of an empty input
+func newPartialGroup(key string, aggs []Agg) *partialGroup {
+	g := &partialGroup{key: key, accs: make([]aggAcc, len(aggs))}
+	for i, a := range aggs {
+		g.accs[i] = newAggAcc(a)
 	}
-	return &g.head
+	return g
 }
 
-func (g *partialGroup) aggregate(_ *evalCtx, a Agg) (any, error) {
+// aggregate finishes one aggregate call of the group.
+func (g *partialGroup) aggregate(a Agg) (any, error) {
 	if a.slot == 0 {
 		return nil, fmt.Errorf("sql: aggregate %s was not planned", a)
 	}
 	return g.accs[a.slot-1].result()
 }
 
-// keepHead copies jr as the group's first row: the fragment reuses the
+// keepHead copies jr as the group's first row: the caller reuses the
 // storage jr points into for the next row.
 func (g *partialGroup) keepHead(jr *joinedRow) {
 	g.rows = make([]core.TableRow, len(jr.tabs))
@@ -204,6 +168,25 @@ func (g *partialGroup) keepHead(jr *joinedRow) {
 			g.head.tabs[i] = &g.rows[i]
 		}
 	}
+}
+
+// fold folds one working-set row into the group's accumulators.
+func (g *partialGroup) fold(ctx *evalCtx, aggs []Agg, jr *joinedRow) error {
+	for i := range g.accs {
+		a := &aggs[i]
+		if a.Star {
+			g.accs[i].count++
+			continue
+		}
+		v, err := ctx.evalD(a.Arg, jr)
+		if err != nil {
+			return err
+		}
+		if err := g.accs[i].add(v); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // groupTable is the aggregate sink: the partial groups one goroutine has
@@ -226,10 +209,7 @@ func (gt *groupTable) group(key []byte) (g *partialGroup, created bool) {
 	if g = gt.groups[string(key)]; g != nil {
 		return g, false
 	}
-	g = &partialGroup{key: string(key), accs: make([]aggAcc, len(gt.pp.aggs))}
-	for i, a := range gt.pp.aggs {
-		g.accs[i] = newAggAcc(a)
-	}
+	g = newPartialGroup(string(key), gt.pp.aggs)
 	gt.groups[g.key] = g
 	gt.order = append(gt.order, g)
 	return g, true
@@ -250,19 +230,8 @@ func (gt *groupTable) add(jr *joinedRow) (bool, error) {
 		g.keepHead(jr)
 	}
 	gt.in++
-	for i := range g.accs {
-		a := &gt.pp.aggs[i]
-		if a.Star {
-			g.accs[i].count++
-			continue
-		}
-		v, err := gt.ctx.evalD(a.Arg, jr)
-		if err != nil {
-			return false, err
-		}
-		if err := g.accs[i].add(v); err != nil {
-			return false, err
-		}
+	if err := g.fold(gt.ctx, gt.pp.aggs, jr); err != nil {
+		return false, err
 	}
 	return true, nil
 }
@@ -289,10 +258,10 @@ func (gt *groupTable) absorb(s sink) error {
 // evalWithAggs evaluates an expression that may contain aggregates, over
 // one group. Non-aggregate subexpressions are evaluated against the
 // group's first row (SQL's bare-column-in-GROUP-BY rule).
-func evalWithAggs(ctx *evalCtx, e Expr, g groupView) (any, error) {
+func evalWithAggs(ctx *evalCtx, e Expr, g *partialGroup) (any, error) {
 	switch x := e.(type) {
 	case Agg:
-		return g.aggregate(ctx, x)
+		return g.aggregate(x)
 	case Binary:
 		if containsAgg(x.L) || containsAgg(x.R) {
 			l, err := evalWithAggs(ctx, x.L, g)
@@ -318,16 +287,15 @@ func evalWithAggs(ctx *evalCtx, e Expr, g groupView) (any, error) {
 			return ctx.evalFunc(Func{Name: x.Name, Args: args}, nil)
 		}
 	}
-	row := g.first()
-	if row == nil {
-		return nil, nil
+	if g.rows == nil {
+		return nil, nil // the global group of an empty input
 	}
-	return ctx.eval(e, row)
+	return ctx.eval(e, &g.head)
 }
 
 // finishGroup runs one group through HAVING and the select list. keep is
 // false when HAVING rejects the group.
-func finishGroup(ctx *evalCtx, having Expr, items []Expr, g groupView) (vals []any, keep bool, err error) {
+func finishGroup(ctx *evalCtx, having Expr, items []Expr, g *partialGroup) (vals []any, keep bool, err error) {
 	if having != nil {
 		hv, err := evalWithAggs(ctx, having, g)
 		if err != nil {

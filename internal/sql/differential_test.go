@@ -65,9 +65,18 @@ var (
 
 type diffFixture struct {
 	ex     *Executor
+	store  *kv.Store
 	tables map[string]*dTable
 	keys   []string
+	// rng draws the rows every write wave writes through backends.
+	rng      *rand.Rand
+	backends map[string]*core.Backend
+	// liveOnly makes generate read live tables only, which is what a
+	// standing query can subscribe to.
+	liveOnly bool
 }
+
+var dOps = []string{"dorder", "dstate", "dnote"}
 
 func rowOf(key string, v any) dRow {
 	r := dRow{core.ColPartitionKey: key}
@@ -90,23 +99,21 @@ func rowOf(key string, v any) dRow {
 // rows, checkpoints again (ssid 2), then moves live state once more.
 func newDiffFixture(t *testing.T, seed int64, n int) *diffFixture {
 	t.Helper()
-	rng := rand.New(rand.NewSource(seed))
 	p := partition.New(16)
 	store := kv.NewStore(p, partition.Assign(16, 3), nil)
 	mgr := core.NewManager(store, 4)
 	cat := core.NewCatalog(store)
 	cfg := liveSnapCfg()
-	ops := []string{"dorder", "dstate", "dnote"}
-	if err := cat.RegisterJob(mgr.Registry(), ops...); err != nil {
+	if err := cat.RegisterJob(mgr.Registry(), dOps...); err != nil {
 		t.Fatal(err)
 	}
-	backends := map[string]*core.Backend{}
-	f := &diffFixture{ex: NewExecutor(cat, 3), tables: map[string]*dTable{}}
-	for _, op := range ops {
+	f := &diffFixture{ex: NewExecutor(cat, 3), store: store, tables: map[string]*dTable{},
+		rng: rand.New(rand.NewSource(seed)), backends: map[string]*core.Backend{}}
+	for _, op := range dOps {
 		if err := mgr.RegisterOperator(core.OperatorMeta{Name: op, Parallelism: 1, Config: cfg}); err != nil {
 			t.Fatal(err)
 		}
-		backends[op] = mgr.NewBackend(op, 0, store.View(0), cfg)
+		f.backends[op] = mgr.NewBackend(op, 0, store.View(0), cfg)
 		f.tables[op] = &dTable{op: op, schema: op != "dnote", live: map[string]dRow{}, snaps: map[int64]map[string]dRow{}}
 	}
 	for _, ix := range []struct {
@@ -125,47 +132,13 @@ func newDiffFixture(t *testing.T, seed int64, n int) *diffFixture {
 	for i := 0; i < n; i++ {
 		f.keys = append(f.keys, fmt.Sprintf("k-%d", i))
 	}
-	late := func() time.Time {
-		if rng.Intn(2) == 0 {
-			return dPast
-		}
-		return dFuture
-	}
-	gen := func(op string, i int) any {
-		switch op {
-		case "dorder":
-			return dOrder{Zone: dZones[rng.Intn(len(dZones))], Amount: int64(rng.Intn(20)),
-				Price: float64(rng.Intn(40)) / 2, Open: rng.Intn(2) == 0, Late: late(),
-				StampNs: int64(rng.Intn(1000)), Seq: int64(i)}
-		case "dstate":
-			return dState{State: dStates[rng.Intn(len(dStates))], Rider: fmt.Sprintf("r%d", rng.Intn(5)),
-				Late: late(), StampNs: int64(rng.Intn(1000)), Seq: int64(i + 1000)}
-		}
-		return map[string]any{"note": fmt.Sprintf("n%d", rng.Intn(6)), "weight": int64(rng.Intn(9)), "zone": dZones[rng.Intn(len(dZones))]}
-	}
-	write := func(share int) {
-		for _, op := range ops {
-			for i, k := range f.keys {
-				switch r := rng.Intn(100); {
-				case r < share:
-					v := gen(op, i)
-					backends[op].Update(k, v)
-					f.tables[op].live[k] = rowOf(k, v)
-				case r < share+8:
-					backends[op].Delete(k)
-					delete(f.tables[op].live, k)
-				}
-			}
-			backends[op].Flush()
-		}
-	}
 	checkpoint := func() {
 		ssid, err := mgr.Begin()
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, op := range ops {
-			if _, err := backends[op].SnapshotPrepare(ssid); err != nil {
+		for _, op := range dOps {
+			if _, err := f.backends[op].SnapshotPrepare(ssid); err != nil {
 				t.Fatal(err)
 			}
 			snap := map[string]dRow{}
@@ -178,12 +151,53 @@ func newDiffFixture(t *testing.T, seed int64, n int) *diffFixture {
 			t.Fatal(err)
 		}
 	}
-	write(80)
+	f.write(80)
 	checkpoint()
-	write(30)
+	f.write(30)
 	checkpoint()
-	write(20)
+	f.write(20)
 	return f
+}
+
+// gen draws a random row of op for the i-th key.
+func (f *diffFixture) gen(op string, i int) any {
+	rng := f.rng
+	late := func() time.Time {
+		if rng.Intn(2) == 0 {
+			return dPast
+		}
+		return dFuture
+	}
+	switch op {
+	case "dorder":
+		return dOrder{Zone: dZones[rng.Intn(len(dZones))], Amount: int64(rng.Intn(20)),
+			Price: float64(rng.Intn(40)) / 2, Open: rng.Intn(2) == 0, Late: late(),
+			StampNs: int64(rng.Intn(1000)), Seq: int64(i)}
+	case "dstate":
+		return dState{State: dStates[rng.Intn(len(dStates))], Rider: fmt.Sprintf("r%d", rng.Intn(5)),
+			Late: late(), StampNs: int64(rng.Intn(1000)), Seq: int64(i + 1000)}
+	}
+	return map[string]any{"note": fmt.Sprintf("n%d", rng.Intn(6)), "weight": int64(rng.Intn(9)), "zone": dZones[rng.Intn(len(dZones))]}
+}
+
+// write is one wave of writes to the live tables and the naive model: each
+// key of each table is rewritten with a fresh random row (share %) —
+// inserted again if an earlier wave deleted it — or deleted (8 %).
+func (f *diffFixture) write(share int) {
+	for _, op := range dOps {
+		for i, k := range f.keys {
+			switch r := f.rng.Intn(100); {
+			case r < share:
+				v := f.gen(op, i)
+				f.backends[op].Update(k, v)
+				f.tables[op].live[k] = rowOf(k, v)
+			case r < share+8:
+				f.backends[op].Delete(k)
+				delete(f.tables[op].live, k)
+			}
+		}
+		f.backends[op].Flush()
+	}
 }
 
 // dSource is one FROM/JOIN entry of a generated query.
@@ -208,17 +222,24 @@ func (f *diffFixture) source(rng *rand.Rand, op, alias string, qualifyPin bool) 
 	tb := f.tables[op]
 	s := dSource{alias: alias, schema: tb.schema}
 	pin := ""
-	switch rng.Intn(3) {
-	case 0:
+	switch v := rng.Intn(3); {
+	case f.liveOnly:
+		// A live table has no snapshot to select: the planner strips an ssid
+		// pin on it, so the pin changes nothing.
 		s.sql, s.rows = op, tb.live
-	case 1:
+		if v > 0 {
+			pin = fmt.Sprintf("ssid = %d", v)
+		}
+	case v == 0:
+		s.sql, s.rows = op, tb.live
+	case v == 1:
 		s.sql, s.rows = `"snapshot_`+op+`"`, tb.snaps[2]
 	default:
 		s.sql, s.rows = `"snapshot_`+op+`"`, tb.snaps[1]
 		pin = "ssid = 1"
-		if qualifyPin {
-			pin = s.ref() + ".ssid = 1"
-		}
+	}
+	if pin != "" && qualifyPin {
+		pin = s.ref() + "." + pin
 	}
 	s.cols = map[string]bool{core.ColPartitionKey: true}
 	for _, r := range s.rows {
@@ -937,4 +958,57 @@ func TestPushdownSoundnessRules(t *testing.T) {
 			t.Fatalf("qualified conjuncts were not pushed: %v (residual %v)", pp.pushed, pp.residual)
 		}
 	})
+}
+
+// TestDifferentialStanding is the standing arm of the oracle: every
+// generated query the SUBSCRIBE dialect accepts is subscribed, its snapshot
+// frame must equal the naive answer, and after one more wave of writes —
+// updates, deletes, re-inserts, join-column changes — its folded view must
+// equal the one-shot result of the same query, which TestDifferentialParity
+// holds against the naive evaluation.
+func TestDifferentialStanding(t *testing.T) {
+	const perSeed = 150
+	for seed := int64(1); seed <= 4; seed++ {
+		f := newDiffFixture(t, seed, 60)
+		f.liveOnly = true
+		f.ex.SetArrangements(core.NewArrangeRegistry(f.store))
+		rng := rand.New(rand.NewSource(seed * 7919))
+		type standing struct {
+			sql  string
+			sq   *StandingQuery
+			view *foldedView
+		}
+		var subs []standing
+		for i := 0; i < perSeed; i++ {
+			q := f.generate(rng)
+			v := newFoldedView()
+			sq, err := f.ex.SubscribeQuery(q.sql, v.sink)
+			if err != nil {
+				if !strings.Contains(err.Error(), "SUBSCRIBE") {
+					t.Fatalf("seed %d query %d: %v\n%s", seed, i, err, q.sql)
+				}
+				continue // outside the standing dialect
+			}
+			if got, want := v.canon(), canon(q.want, false); !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d query %d: snapshot frame disagrees with the naive evaluation\n%s\n got  %v\n want %v", seed, i, q.sql, got, want)
+			}
+			subs = append(subs, standing{q.sql, sq, v})
+		}
+		if 3*len(subs) < perSeed {
+			t.Fatalf("seed %d: the dialect accepted %d of %d generated queries, want at least a third", seed, len(subs), perSeed)
+		}
+		t.Logf("seed %d: %d of %d generated queries subscribed", seed, len(subs), perSeed)
+		f.write(40)
+		for i, s := range subs {
+			waitFolded(t, s.sq, s.view, handed(f.ex, s.sq))
+			res, err := f.ex.Query(s.sql)
+			if err != nil {
+				t.Fatalf("seed %d: %v\n%s", seed, err, s.sql)
+			}
+			if got, want := s.view.canon(), canon(res.Rows, false); !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d subscription %d: folded view disagrees with the one-shot result\n%s\n got  %v\n want %v", seed, i, s.sql, got, want)
+			}
+			s.sq.Close()
+		}
+	}
 }

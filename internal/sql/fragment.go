@@ -161,13 +161,14 @@ func (pi *pipe) fork() *pipe {
 	return att
 }
 
-// test evaluates a bound predicate against the working-set row; a nil
-// predicate keeps everything.
-func (pi *pipe) test(pred Expr) (bool, error) {
+// holds evaluates a bound predicate against a working-set row; a nil
+// predicate keeps everything. The fragments and the standing query
+// (subscribe.go) both filter through it.
+func holds(ctx *evalCtx, pred Expr, jr *joinedRow) (bool, error) {
 	if pred == nil {
 		return true, nil
 	}
-	v, err := pi.rc.ctx.evalD(pred, &pi.jr)
+	v, err := ctx.evalD(pred, jr)
 	if err != nil {
 		return false, err
 	}
@@ -183,7 +184,7 @@ func (pi *pipe) keep(row core.TableRow) bool {
 	}
 	pi.st.examined++
 	pi.slots[pi.src] = row
-	keep, err := pi.test(pi.pp.pushedB[pi.src])
+	keep, err := holds(pi.rc.ctx, pi.pp.pushedB[pi.src], &pi.jr)
 	pi.err = err
 	return keep && err == nil
 }
@@ -265,7 +266,7 @@ func (pi *pipe) coProbe() (bool, error) {
 	pi.st.hits++
 	pi.slots[o] = r
 	pi.jr.tabs[o] = &pi.slots[o]
-	keep, err := pi.test(pi.pp.pushedB[o])
+	keep, err := holds(pi.rc.ctx, pi.pp.pushedB[o], &pi.jr)
 	if err != nil || !keep {
 		return true, err
 	}
@@ -314,7 +315,7 @@ func (pi *pipe) join(k int) (bool, error) {
 func (pi *pipe) emit() (bool, error) {
 	if pi.pp.residualB != nil {
 		pi.st.residIn++
-		keep, err := pi.test(pi.pp.residualB)
+		keep, err := holds(pi.rc.ctx, pi.pp.residualB, &pi.jr)
 		if err != nil || !keep {
 			return true, err
 		}
@@ -661,11 +662,12 @@ func (s *starExpansion) of(jr *joinedRow) [][2]string {
 	return s.cols
 }
 
-// projectRow evaluates the select list for one row. items holds the
-// select expressions, nil for a star; starCols is the (qualifier, column)
-// expansion of *. The one-shot project sink and the standing query
-// (subscribe.go) both call it, so a row projects the same way in either
-// drive mode.
+// projectRow evaluates a plan's bound select list for one row. items holds
+// the select expressions, nil for a star; starCols is the (qualifier,
+// column) expansion of *. The one-shot project sink and the standing query
+// (subscribe.go) both call it with the compiled plan's items, so a row
+// projects the same way, through the same bound columns, in either drive
+// mode.
 func projectRow(ctx *evalCtx, items []Expr, starCols [][2]string, r *joinedRow) ([]any, error) {
 	vals := make([]any, 0, len(items)+len(starCols))
 	for _, e := range items {

@@ -12,21 +12,31 @@ import (
 	"squery/internal/partition"
 )
 
-// SUBSCRIBE <select>: standing queries over live operator state. Where the
-// one-shot path compiles a statement into a pipeline that scans, filters,
-// joins and aggregates once and exits, a standing query keeps the same
-// logical stages alive and drives them in two modes: an initial copy of
-// each source table taken through its shared arrangement, then
-// incremental delta application as the arrangement streams changes. Both
-// modes run one insert path — the snapshot phase replays the copied rows
-// through exactly what a live upsert takes — and that path projects rows and
-// finishes groups with the functions the one-shot sinks use (projectRow,
-// finishGroup and the accumulators behind it).
+// SUBSCRIBE <select>: standing queries over live operator state. A
+// standing query is the statement's compiled plan — the physPlan compile
+// builds for a one-shot query, with its bound columns, pushed and residual
+// filters and bound join key — fed signed rows instead of a scan. One fold
+// runs a source row through the plan's stages as an insert or as a
+// retraction: the source's pushed filter, then for a join the join index
+// and the partner rows it enumerates, the residual filter, and last the
+// select list (projectRow, as the one-shot project sink calls it) or the
+// row's group. Two drive modes feed it: the attach copy of each source
+// table, taken through its shared arrangement, folds in as inserts; then
+// every arrangement delta folds in as the retraction of the row it replaced
+// followed by the insert of its new row.
+//
+// A retraction needs no record of what its row produced. A delta's Old is
+// exactly the row this query inserted for the key, and evaluation is
+// deterministic (LOCALTIMESTAMP is fixed at subscribe time), so the old row
+// fails the same filters, joins under the same key and lands in the same
+// group as it did on insert.
 //
 // A standing query holds no copy of its source tables: the kv map is the
-// one copy, and each delta names the row it replaced. What
-// stays resident per subscriber is its output (matched rows, or groups
-// with their member rows) and, for a join, the join index.
+// one copy. What stays resident per subscriber is its output — matched
+// rows, or groups with their member rows — and, for a join, the join index
+// of the rows that passed their side's pushed filter. A dirty group settles
+// through the one-shot group form: its members fold into a fresh
+// partialGroup, which finishGroup runs through HAVING and the select list.
 //
 // The supported dialect is the incremental-maintainable core of the
 // engine's SELECT: single live tables or one inner equi-join, WHERE,
@@ -82,10 +92,12 @@ type matchedRow struct {
 }
 
 // subGroup is one live group of an aggregate standing query: its rendered
-// key and every joined row currently in the group, as built at insertion.
+// key, the source rows of every joined row currently in the group (by
+// joined-row id), and the output row it last emitted (nil when none).
 type subGroup struct {
 	disp string
-	rows map[string]joinedRow // by joined-row id
+	rows map[string][]core.TableRow
+	out  []any
 }
 
 // joinEntry is one source row filed under its join key in a join index.
@@ -121,23 +133,16 @@ func newBatchEff() *batchEff {
 // sink in order — the initial snapshot frame synchronously during
 // subscription, delta frames from the standing query's applier goroutine.
 type StandingQuery struct {
-	ex    *Executor
-	stmt  *Select
+	pp    *physPlan
 	query string
-	cols  []string
-	items []Expr   // the select list's expressions, aligned with cols
 	ctx   *evalCtx // LOCALTIMESTAMP is fixed at subscribe time
 	sink  func(SubEvent)
 
-	srcs   []tableSrc // name/alias only; the expression resolver's view
 	arrs   []*core.Arrangement
 	lisIDs []int
 	// floors[i] is source i's per-partition sequence floor at attach:
 	// deltas at or below it are already in the seed.
-	floors  [][]uint64
-	aggMode bool
-	// joinCols[i] is source i's equi-join column (join mode only).
-	joinCols [2]string
+	floors [][]uint64
 
 	// pending buffers arrangement deliveries (which run on the writer
 	// under its segment lock and must not block) for the applier.
@@ -151,29 +156,33 @@ type StandingQuery struct {
 	mu        sync.Mutex
 	failed    error
 	watermark uint64
-	// jindex[i] files source i's rows by join key (join mode only) — the
-	// shape the one-shot joins build, kept alive: few rows share a key, so
-	// a short slice beats a map per key.
+	// jr is the working row fold evaluates the plan against, one slot per
+	// source; a slot is nil until the fold reaches that source.
+	jr joinedRow
+	// jindex[i] files source i's rows that passed its pushed filter by join
+	// key (join mode only) — the shape the one-shot hash joins build, kept
+	// alive: few rows share a key, so a short slice beats a map per key.
 	jindex [2]map[joinKey][]joinEntry
-	// matched is the non-aggregate output state; groups/rowGroup/emitted
-	// the aggregate one.
-	matched  map[string]*matchedRow
-	groups   map[string]*subGroup
-	rowGroup map[string]string
-	emitted  map[string]*matchedRow
+	// matched is the non-aggregate output state, groups the aggregate one.
+	matched map[string]*matchedRow
+	groups  map[string]*subGroup
+	// keyBuf and keyVals are the scratch of one group-key pass.
+	keyBuf  []byte
+	keyVals []datum
 }
 
 // SubscribeQuery compiles a statement (with or without the SUBSCRIBE
-// prefix) into a standing query: validate, acquire one shared arrangement
-// per source, seed the standing state through the insert path live deltas
-// take, emit the snapshot frame, start the applier. bind is called once
-// with the standing query, before any event is emitted and before the
-// applier starts, and returns the sink — so a sink that needs the handle
-// (to resync from Snapshot, to Close on a terminal error) has it by the
-// time it first runs. The sink receives the initial snapshot frame
-// synchronously before SubscribeQuery returns, then ordered delta frames;
-// it must not block (enqueue and return) and must tolerate being called
-// from another goroutine. Close detaches and releases the arrangements.
+// prefix) into a standing query: check the dialect, compile the plan,
+// acquire one shared arrangement per source, seed the standing state by
+// folding in the attach copy as inserts, emit the snapshot frame, start
+// the applier. bind is called once with the standing query, before any
+// event is emitted and before the applier starts, and returns the sink — so
+// a sink that needs the handle (to resync from Snapshot, to Close on a
+// terminal error) has it by the time it first runs. The sink receives the
+// initial snapshot frame synchronously before SubscribeQuery returns, then
+// ordered delta frames; it must not block (enqueue and return) and must
+// tolerate being called from another goroutine. Close detaches and releases
+// the arrangements.
 func (ex *Executor) SubscribeQuery(query string, bind func(*StandingQuery) func(SubEvent)) (*StandingQuery, error) {
 	_, query = splitSubscribe(query)
 	stmt, err := Parse(query)
@@ -183,9 +192,23 @@ func (ex *Executor) SubscribeQuery(query string, bind func(*StandingQuery) func(
 	if ex.arr == nil {
 		return nil, fmt.Errorf("sql: subscriptions are not enabled (no arrangement registry)")
 	}
+	if err := validate(stmt); err != nil {
+		return nil, err
+	}
+	pp, err := ex.compile(stmt, ExecOpts{}, false)
+	if err != nil {
+		return nil, err
+	}
+	for _, s := range pp.srcs {
+		if s.ref.IsVirtual() {
+			return nil, fmt.Errorf("sql: cannot SUBSCRIBE to virtual table %q (no change stream — poll it)", s.name)
+		}
+		if s.ref.IsSnapshot() {
+			return nil, fmt.Errorf("sql: cannot SUBSCRIBE to snapshot table %q (snapshots are immutable — query it once)", s.name)
+		}
+	}
 	sq := &StandingQuery{
-		ex:    ex,
-		stmt:  stmt,
+		pp:    pp,
 		query: query,
 		ctx:   &evalCtx{now: time.Now()},
 
@@ -193,16 +216,12 @@ func (ex *Executor) SubscribeQuery(query string, bind func(*StandingQuery) func(
 		done:    make(chan struct{}),
 		stopped: make(chan struct{}),
 
-		matched:  map[string]*matchedRow{},
-		groups:   map[string]*subGroup{},
-		rowGroup: map[string]string{},
-		emitted:  map[string]*matchedRow{},
-	}
-	if err := sq.validate(); err != nil {
-		return nil, err
+		jr:      joinedRow{srcs: pp.srcs, tabs: make([]*core.TableRow, len(pp.srcs))},
+		matched: map[string]*matchedRow{},
+		groups:  map[string]*subGroup{},
 	}
 	sq.sink = bind(sq)
-	if len(sq.srcs) == 2 {
+	if len(pp.srcs) == 2 {
 		sq.jindex = [2]map[joinKey][]joinEntry{{}, {}}
 	}
 
@@ -210,9 +229,9 @@ func (ex *Executor) SubscribeQuery(query string, bind func(*StandingQuery) func(
 	// listeners. The listener is registered before the table is copied and
 	// the applier drops what the copy's floors cover, so deltas racing the
 	// seed below are applied after it, never lost or doubled.
-	seeds := make([][]core.TableRow, len(sq.srcs))
-	for i := range sq.srcs {
-		a, err := ex.arr.Acquire(sq.srcs[i].name)
+	seeds := make([][]core.TableRow, len(pp.srcs))
+	for i := range pp.srcs {
+		a, err := ex.arr.Acquire(pp.srcs[i].name)
 		if err != nil {
 			for j, prev := range sq.arrs {
 				prev.Detach(sq.lisIDs[j])
@@ -228,24 +247,22 @@ func (ex *Executor) SubscribeQuery(query string, bind func(*StandingQuery) func(
 		seeds[i] = rows
 	}
 
-	// Drive mode 1, the snapshot scan: replay the copied rows through the
-	// same insert path live deltas take.
+	// Drive mode 1, the snapshot scan: fold the copied rows in as inserts.
 	sq.mu.Lock()
 	eff := newBatchEff()
-	if sq.aggMode && len(sq.stmt.GroupBy) == 0 {
+	if pp.agg != nil && len(pp.groupBy) == 0 {
 		// A global aggregate emits one row even over an empty input; the
 		// "*" group always exists and the snapshot frame always carries it.
-		sq.groups[""] = &subGroup{disp: "*", rows: map[string]joinedRow{}}
+		sq.groups[""] = &subGroup{disp: "*", rows: map[string][]core.TableRow{}}
 		eff.dirty[""] = true
 	}
 	for i := range seeds {
-		for _, r := range seeds[i] {
-			if sq.failed != nil {
-				break
-			}
-			sq.addSrcRow(i, partition.KeyString(r.Key), r, eff)
+		for j := range seeds[i] {
+			r := &seeds[i][j]
+			sq.fold(i, partition.KeyString(r.Key), r, true, eff)
 		}
 	}
+	clear(sq.jr.tabs) // the attach copy must not stay reachable through it
 	deltas := sq.settleLocked(eff)
 	failed := sq.failed
 	wm := sq.watermark
@@ -263,10 +280,9 @@ func (ex *Executor) SubscribeQuery(query string, bind func(*StandingQuery) func(
 	return sq, nil
 }
 
-// validate checks the statement against the incremental dialect and
-// resolves sources and join columns.
-func (sq *StandingQuery) validate() error {
-	stmt := sq.stmt
+// validate checks what of the incremental dialect the statement's syntax
+// decides; compile and the source check after it decide the rest.
+func validate(stmt *Select) error {
 	if len(stmt.OrderBy) > 0 {
 		return fmt.Errorf("sql: SUBSCRIBE does not support ORDER BY (standing results have no stable order)")
 	}
@@ -284,51 +300,25 @@ func (sq *StandingQuery) validate() error {
 	if len(stmt.Joins) == 1 && stmt.Joins[0].Left {
 		return fmt.Errorf("sql: SUBSCRIBE does not support LEFT JOIN")
 	}
-	tables := []TableName{stmt.From}
-	if len(stmt.Joins) == 1 {
-		tables = append(tables, stmt.Joins[0].Table)
-	}
-	for _, t := range tables {
-		ref, err := sq.ex.cat.Table(t.Name)
-		if err != nil {
-			return err
-		}
-		if ref.IsVirtual() {
-			return fmt.Errorf("sql: cannot SUBSCRIBE to virtual table %q (no change stream — poll it)", t.Name)
-		}
-		if ref.IsSnapshot() {
-			return fmt.Errorf("sql: cannot SUBSCRIBE to snapshot table %q (snapshots are immutable — query it once)", t.Name)
-		}
-		sq.srcs = append(sq.srcs, tableSrc{name: t.Name, alias: t.Ref(), partHint: -1})
-	}
-	sq.aggMode = stmt.HasAggregates() || len(stmt.GroupBy) > 0
-	if stmt.Having != nil && !sq.aggMode {
-		return fmt.Errorf("sql: HAVING requires aggregation")
-	}
-	if len(sq.srcs) == 2 {
-		lk, rk, err := joinKeys(stmt.Joins[0], sq.srcs, 1)
-		if err != nil {
-			return err
-		}
-		sq.joinCols[0], sq.joinCols[1] = lk.Name, rk.Name
-	}
-	for _, it := range stmt.Items {
-		sq.cols = append(sq.cols, it.OutputName())
-		sq.items = append(sq.items, it.Expr)
-	}
 	return nil
 }
 
 // Columns returns the output column names, aligned with SubDelta.Vals.
-func (sq *StandingQuery) Columns() []string { return append([]string(nil), sq.cols...) }
+func (sq *StandingQuery) Columns() []string {
+	cols := make([]string, len(sq.pp.stmt.Items))
+	for i, it := range sq.pp.stmt.Items {
+		cols[i] = it.OutputName()
+	}
+	return cols
+}
 
 // Query returns the statement text the subscription was created from.
 func (sq *StandingQuery) Query() string { return sq.query }
 
 // Tables returns the source table names, FROM first.
 func (sq *StandingQuery) Tables() []string {
-	out := make([]string, len(sq.srcs))
-	for i, s := range sq.srcs {
+	out := make([]string, len(sq.pp.srcs))
+	for i, s := range sq.pp.srcs {
 		out[i] = s.name
 	}
 	return out
@@ -346,13 +336,17 @@ func (sq *StandingQuery) Watermark() uint64 {
 func (sq *StandingQuery) Snapshot() SubEvent {
 	sq.mu.Lock()
 	defer sq.mu.Unlock()
-	out := sq.matched
-	if sq.aggMode {
-		out = sq.emitted
-	}
-	ds := make([]SubDelta, 0, len(out))
-	for _, m := range out {
-		ds = append(ds, SubDelta{Key: m.disp, Vals: m.vals})
+	var ds []SubDelta
+	if sq.pp.agg != nil {
+		for _, g := range sq.groups {
+			if g.out != nil {
+				ds = append(ds, SubDelta{Key: g.disp, Vals: g.out})
+			}
+		}
+	} else {
+		for _, m := range sq.matched {
+			ds = append(ds, SubDelta{Key: m.disp, Vals: m.vals})
+		}
 	}
 	return SubEvent{Deltas: ds, Watermark: sq.watermark, Snapshot: true}
 }
@@ -411,8 +405,8 @@ func (sq *StandingQuery) run() {
 			}
 			eff := newBatchEff()
 			for _, b := range batches {
-				for _, d := range b.ds {
-					if d.Seq > sq.floors[b.side][d.Part] {
+				for i := range b.ds {
+					if d := &b.ds[i]; d.Seq > sq.floors[b.side][d.Part] {
 						sq.applyDelta(b.side, d, eff)
 					}
 				}
@@ -432,82 +426,72 @@ func (sq *StandingQuery) run() {
 	}
 }
 
-// applyDelta folds one arrangement delta into the derived state. An
-// upsert of an existing key is a remove of the row the arrangement says it
-// replaced plus an insert; batchEff coalesces the pair back into one
-// output delta.
-func (sq *StandingQuery) applyDelta(side int, d core.ArrDelta, eff *batchEff) {
+// applyDelta folds one arrangement delta into the derived state: the
+// retraction of the row it replaced, then the insert of its new row.
+// batchEff coalesces the pair back into one output delta. The delta is
+// shared with every other listener of the arrangement and only read.
+func (sq *StandingQuery) applyDelta(side int, d *core.ArrDelta, eff *batchEff) {
 	sq.watermark++
 	if d.HadOld {
-		sq.removeSrcRow(side, d.KeyS, d.Old, eff)
+		sq.fold(side, d.KeyS, &d.Old, false, eff)
 	}
 	if !d.Tombstone {
-		sq.addSrcRow(side, d.KeyS, d.Row, eff)
+		sq.fold(side, d.KeyS, &d.Row, true, eff)
 	}
 }
 
-// addSrcRow enumerates the joined rows a new source row creates and
-// inserts each into the standing result.
-func (sq *StandingQuery) addSrcRow(side int, ks string, row core.TableRow, eff *batchEff) {
-	if len(sq.srcs) == 1 {
-		sq.insertJR(ks, ks, []core.TableRow{row}, eff)
+// fold runs one source row through the plan as an insert (add) or as the
+// retraction of that row's earlier insert: the source's pushed filter;
+// for a join, linking or unlinking the row in its side's join index under
+// the plan's bound join key, then every partner row the other side files
+// under that key; then output. ks is the row's partition-key string.
+func (sq *StandingQuery) fold(side int, ks string, row *core.TableRow, add bool, eff *batchEff) {
+	if sq.failed != nil {
 		return
 	}
-	jk, ok := sq.joinKeyOf(side, row)
-	if !ok {
+	pp, jr := sq.pp, &sq.jr
+	clear(jr.tabs)
+	jr.tabs[side] = row
+	if !sq.passes(pp.pushedB[side]) {
 		return
 	}
-	e := joinEntry{ks: ks, row: row}
-	sq.jindex[side][jk] = append(sq.jindex[side][jk], e)
-	for _, p := range sq.jindex[1-side][jk] {
-		l, r := e, p
-		if side == 1 {
-			l, r = p, e
-		}
-		sq.insertJR(pairID(l.ks, r.ks), l.ks+"|"+r.ks, []core.TableRow{l.row, r.row}, eff)
-	}
-}
-
-// removeSrcRow removes every joined row a departing source row was part
-// of. row is the departing version: a join unlinks under its key, which an
-// update of the join column has since changed.
-func (sq *StandingQuery) removeSrcRow(side int, ks string, row core.TableRow, eff *batchEff) {
-	if len(sq.srcs) == 1 {
-		sq.removeJR(ks, eff)
+	if len(pp.srcs) == 1 {
+		sq.output(ks, ks, add, eff)
 		return
 	}
-	jk, ok := sq.joinKeyOf(side, row)
-	if !ok {
+	key := Expr(pp.joins[0].left)
+	if side == 1 {
+		key = pp.joins[0].right
+	}
+	v, err := sq.ctx.evalD(key, jr)
+	if err != nil {
+		sq.fail(err)
 		return
 	}
+	jk := v.joinKey()
 	es := sq.jindex[side][jk]
-	if i := slices.IndexFunc(es, func(e joinEntry) bool { return e.ks == ks }); i >= 0 {
-		es = slices.Delete(es, i, i+1)
-	}
-	if len(es) == 0 {
-		delete(sq.jindex[side], jk)
+	if add {
+		sq.jindex[side][jk] = append(es, joinEntry{ks: ks, row: *row})
 	} else {
-		sq.jindex[side][jk] = es
-	}
-	for _, p := range sq.jindex[1-side][jk] {
-		lks, rks := ks, p.ks
-		if side == 1 {
-			lks, rks = rks, lks
+		if i := slices.IndexFunc(es, func(e joinEntry) bool { return e.ks == ks }); i >= 0 {
+			es = slices.Delete(es, i, i+1)
 		}
-		sq.removeJR(pairID(lks, rks), eff)
+		if len(es) == 0 {
+			delete(sq.jindex[side], jk)
+		} else {
+			sq.jindex[side][jk] = es
+		}
 	}
-}
-
-// joinKeyOf extracts a source row's equi-join key. A row missing the join
-// column fails the standing query — the same contract the one-shot hash
-// join enforces.
-func (sq *StandingQuery) joinKeyOf(side int, row core.TableRow) (joinKey, bool) {
-	v, ok := row.Field(sq.joinCols[side])
-	if !ok {
-		sq.fail(fmt.Errorf("sql: join column %q not found in %s", sq.joinCols[side], sq.srcs[side].name))
-		return joinKey{}, false
+	o := 1 - side
+	partners := sq.jindex[o][jk]
+	for i := range partners {
+		jr.tabs[o] = &partners[i].row
+		l, r := ks, partners[i].ks
+		if side == 1 {
+			l, r = r, l
+		}
+		sq.output(pairID(l, r), l+"|"+r, add, eff)
 	}
-	return makeJoinKey(v), true
 }
 
 // pairID encodes a join row's identity collision-free (display keys use
@@ -516,37 +500,36 @@ func pairID(lks, rks string) string {
 	return string(appendGroupKey(appendGroupKey(nil, lks), rks))
 }
 
-// insertJR runs one joined row through the standing WHERE and into the
-// output (non-aggregate) or group (aggregate) state. rows is handed over:
-// an aggregate group keeps the evaluation view built over it.
-func (sq *StandingQuery) insertJR(id, disp string, rows []core.TableRow, eff *batchEff) {
-	if sq.failed != nil {
+// passes tests a bound predicate against the working row; an evaluation
+// error fails the standing query.
+func (sq *StandingQuery) passes(pred Expr) bool {
+	keep, err := holds(sq.ctx, pred, &sq.jr)
+	if err != nil {
+		sq.fail(err)
+	}
+	return keep
+}
+
+// output takes the joined row in the working row past the residual filter
+// into the standing result, or out of it: a non-aggregate query projects
+// it into its matched output under id (displayed as disp); an aggregate
+// one adds it to or removes it from its group.
+func (sq *StandingQuery) output(id, disp string, add bool, eff *batchEff) {
+	if !sq.passes(sq.pp.residualB) {
 		return
 	}
-	tabs := make([]*core.TableRow, len(rows))
-	for i := range rows {
-		tabs[i] = &rows[i]
-	}
-	jr := joinedRow{srcs: sq.srcs, tabs: tabs}
-	if sq.stmt.Where != nil {
-		v, err := sq.ctx.eval(sq.stmt.Where, &jr)
-		if err != nil {
-			sq.fail(err)
-			return
-		}
-		if keep, ok := truthy(v); !ok || !keep {
-			if !sq.aggMode {
-				sq.touch(id, eff) // an update may revoke a previous match
-			}
-			return
-		}
-	}
-	if sq.aggMode {
-		sq.insertGroupRow(id, jr, eff)
+	if sq.pp.agg != nil {
+		sq.member(id, add, eff)
 		return
 	}
-	sq.touch(id, eff)
-	vals, err := projectRow(sq.ctx, sq.items, nil, &jr)
+	if _, seen := eff.before[id]; !seen {
+		eff.before[id] = sq.matched[id]
+	}
+	if !add {
+		delete(sq.matched, id)
+		return
+	}
+	vals, err := projectRow(sq.ctx, sq.pp.items, nil, &sq.jr)
 	if err != nil {
 		sq.fail(err)
 		return
@@ -554,73 +537,47 @@ func (sq *StandingQuery) insertJR(id, disp string, rows []core.TableRow, eff *ba
 	sq.matched[id] = &matchedRow{disp: disp, vals: vals}
 }
 
-// removeJR removes one joined row from the output or its group.
-func (sq *StandingQuery) removeJR(id string, eff *batchEff) {
-	if sq.failed != nil {
-		return
-	}
-	if sq.aggMode {
-		gk, ok := sq.rowGroup[id]
-		if !ok {
-			return
-		}
-		delete(sq.rowGroup, id)
-		if g := sq.groups[gk]; g != nil {
-			delete(g.rows, id)
-		}
-		eff.dirty[gk] = true
-		return
-	}
-	if _, ok := sq.matched[id]; !ok {
-		return
-	}
-	sq.touch(id, eff)
-	delete(sq.matched, id)
-}
-
-// touch records the pre-batch matched state of one non-aggregate output id.
-func (sq *StandingQuery) touch(id string, eff *batchEff) {
-	if _, seen := eff.before[id]; seen {
-		return
-	}
-	eff.before[id] = sq.matched[id]
-}
-
-// insertGroupRow files one matching joined row under its group and marks
-// the group dirty.
-func (sq *StandingQuery) insertGroupRow(id string, jr joinedRow, eff *batchEff) {
-	// The GROUP BY key: each grouping expression's value in the
-	// self-delimiting binary form. A statement without GROUP BY has the one
-	// empty key.
-	var kb []byte
-	for _, ge := range sq.stmt.GroupBy {
-		v, err := sq.ctx.evalD(ge, &jr)
+// member files the joined row in the working row under its group, or
+// removes it, and marks the group dirty. The GROUP BY key is each
+// grouping value in the self-delimiting binary form; a statement without
+// GROUP BY has the one empty key. A new group's display key renders the
+// same values.
+func (sq *StandingQuery) member(id string, add bool, eff *batchEff) {
+	jr := &sq.jr
+	sq.keyBuf, sq.keyVals = sq.keyBuf[:0], sq.keyVals[:0]
+	for _, ge := range sq.pp.groupBy {
+		v, err := sq.ctx.evalD(ge, jr)
 		if err != nil {
 			sq.fail(err)
 			return
 		}
-		kb = v.appendGroupKey(kb)
+		sq.keyBuf = v.appendGroupKey(sq.keyBuf)
+		sq.keyVals = append(sq.keyVals, v)
 	}
-	gk := string(kb)
+	gk := string(sq.keyBuf)
+	eff.dirty[gk] = true
 	g := sq.groups[gk]
-	if g == nil {
-		// The display key renders the grouping values; the global "*" group
-		// is seeded at subscribe time and never gets here.
-		parts := make([]string, len(sq.stmt.GroupBy))
-		for i, ge := range sq.stmt.GroupBy {
-			v, err := sq.ctx.eval(ge, &jr)
-			if err != nil {
-				sq.fail(err)
-				return
-			}
-			parts[i] = fmt.Sprint(v)
+	if !add {
+		if g != nil {
+			delete(g.rows, id)
 		}
-		g = &subGroup{disp: strings.Join(parts, "|"), rows: map[string]joinedRow{}}
+		return
+	}
+	if g == nil {
+		// The global "*" group is seeded at subscribe time and never gets
+		// here.
+		parts := make([]string, len(sq.keyVals))
+		for i, v := range sq.keyVals {
+			parts[i] = fmt.Sprint(v.box())
+		}
+		g = &subGroup{disp: strings.Join(parts, "|"), rows: map[string][]core.TableRow{}}
 		sq.groups[gk] = g
 	}
-	g.rows[id] = jr
-	sq.rowGroup[id] = gk
-	eff.dirty[gk] = true
+	rows := make([]core.TableRow, len(jr.tabs))
+	for i, t := range jr.tabs {
+		rows[i] = *t
+	}
+	g.rows[id] = rows
 }
 
 // settleLocked turns a batch's accumulated effects into output deltas:
@@ -655,40 +612,50 @@ func (sq *StandingQuery) settleLocked(eff *batchEff) []SubDelta {
 	return out
 }
 
-// settleGroup recomputes one dirty group from its member rows, returning
-// the delta it produces (if any). A group that emptied (the global one
-// never does) or that HAVING now rejects retracts its emitted row.
+// settleGroup recomputes one dirty group, returning the delta it produces
+// (if any): its member rows fold into a fresh partialGroup, with a member
+// row as its head, and finishGroup runs it through HAVING and the select
+// list. A group that emptied (the global one never does) or that HAVING
+// now rejects retracts its emitted row.
 func (sq *StandingQuery) settleGroup(gk string) (SubDelta, bool) {
+	pp := sq.pp
 	g := sq.groups[gk]
-	var vals []any
-	keep := false
-	switch {
-	case g == nil:
-	case len(g.rows) == 0 && len(sq.stmt.GroupBy) > 0:
+	if g == nil {
+		return SubDelta{}, false
+	}
+	var vals []any // nil: the group emits no row
+	if len(g.rows) == 0 && len(pp.groupBy) > 0 {
 		delete(sq.groups, gk)
-	default:
-		rows := make([]joinedRow, 0, len(g.rows))
-		for _, jr := range g.rows {
-			rows = append(rows, jr)
+	} else {
+		pg := newPartialGroup(gk, pp.aggs)
+		for _, rows := range g.rows {
+			for i := range rows {
+				sq.jr.tabs[i] = &rows[i]
+			}
+			if pg.rows == nil {
+				pg.keepHead(&sq.jr)
+			}
+			if err := pg.fold(sq.ctx, pp.aggs, &sq.jr); err != nil {
+				sq.fail(err)
+				return SubDelta{}, false
+			}
 		}
 		var err error
-		if vals, keep, err = finishGroup(sq.ctx, sq.stmt.Having, sq.items, groupRows(rows)); err != nil {
+		if vals, _, err = finishGroup(sq.ctx, pp.having, pp.items, pg); err != nil {
 			sq.fail(err)
 			return SubDelta{}, false
 		}
 	}
-	prev, had := sq.emitted[gk]
-	if !keep {
-		if !had {
-			return SubDelta{}, false
-		}
-		delete(sq.emitted, gk)
-		return SubDelta{Key: prev.disp, Delete: true}, true
-	}
-	if had && reflect.DeepEqual(prev.vals, vals) {
+	switch {
+	case vals == nil && g.out == nil:
+		return SubDelta{}, false
+	case vals == nil:
+		g.out = nil
+		return SubDelta{Key: g.disp, Delete: true}, true
+	case reflect.DeepEqual(g.out, vals):
 		return SubDelta{}, false
 	}
-	sq.emitted[gk] = &matchedRow{disp: g.disp, vals: vals}
+	g.out = vals
 	return SubDelta{Key: g.disp, Vals: vals}, true
 }
 

@@ -3,6 +3,7 @@ package sql
 import (
 	"fmt"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -53,17 +54,99 @@ func TestSubscribeSeedFailureReturns(t *testing.T) {
 	}
 }
 
+// foldedView is a subscriber's key → row view, folded from its events the
+// way a consumer maintains it: a snapshot frame replaces the view, a delta
+// frame patches it.
+type foldedView struct {
+	mu   sync.Mutex
+	rows map[string][]any
+	err  error
+}
+
+func newFoldedView() *foldedView { return &foldedView{rows: map[string][]any{}} }
+
+func (v *foldedView) sink(*StandingQuery) func(SubEvent) {
+	return func(ev SubEvent) {
+		v.mu.Lock()
+		defer v.mu.Unlock()
+		if ev.Err != nil {
+			v.err = ev.Err
+			return
+		}
+		if ev.Snapshot {
+			clear(v.rows)
+		}
+		for _, d := range ev.Deltas {
+			if d.Delete {
+				delete(v.rows, d.Key)
+			} else {
+				v.rows[d.Key] = d.Vals
+			}
+		}
+	}
+}
+
+// canon renders the view as canon renders a result.
+func (v *foldedView) canon() []string {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	rows := make([][]any, 0, len(v.rows))
+	for _, r := range v.rows {
+		rows = append(rows, r)
+	}
+	return canon(rows, false)
+}
+
+// handed counts the deltas the arrangements of sq's tables have handed on
+// since they were built. When every subscription attached before the
+// writes began, that is what sq's watermark reaches once it has folded
+// them all.
+func handed(ex *Executor, sq *StandingQuery) uint64 {
+	var n uint64
+	for _, tb := range sq.Tables() {
+		for _, a := range ex.arr.Infos() {
+			if a.Table == core.LiveMapName(tb) {
+				n += uint64(a.DeltasIn)
+			}
+		}
+	}
+	return n
+}
+
+// waitFolded waits until sq has folded want deltas into v.
+func waitFolded(t *testing.T, sq *StandingQuery, v *foldedView, want uint64) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for sq.Watermark() < want {
+		v.mu.Lock()
+		err := v.err
+		v.mu.Unlock()
+		if err != nil {
+			t.Fatalf("%s failed: %v", sq.Query(), err)
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%s folded %d of %d deltas", sq.Query(), sq.Watermark(), want)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // residentEntries counts the entries of every map held in v by value —
-// struct fields, slice and array elements, and map values, not through
-// pointers — which for a StandingQuery is every row or key it keeps
-// resident, under whatever field name.
+// struct fields, slice and array elements, and map values, including what
+// a map value points to — but not through other pointers: for a
+// StandingQuery that is every row or key it keeps resident, under whatever
+// field name, and none of the executor's or the plan's.
 func residentEntries(v reflect.Value) int {
 	n := 0
 	switch v.Kind() {
 	case reflect.Map:
 		n = v.Len()
 		for it := v.MapRange(); it.Next(); {
-			n += residentEntries(it.Value())
+			e := it.Value()
+			if e.Kind() == reflect.Pointer {
+				e = e.Elem()
+			}
+			n += residentEntries(e)
 		}
 	case reflect.Slice, reflect.Array:
 		for i := 0; i < v.Len(); i++ {
@@ -77,36 +160,164 @@ func residentEntries(v reflect.Value) int {
 	return n
 }
 
-// TestStandingQueryHoldsOutputOnly: a single-table standing query keeps
-// its output rows and nothing per source row. A filter matching none of N
-// rows, folded through N updates (each still not matching), leaves the
-// standing query with no resident entry at all — the arrangement is the
-// only copy of the table on the push path.
+// TestStandingQueryHoldsOutputOnly: a standing query keeps its output and,
+// for a join, the join index of the rows that passed their side's pushed
+// filter — nothing else per source row. Each case folds one update of
+// every key of the fixture's tables, then counts what the standing query
+// holds.
 func TestStandingQueryHoldsOutputOnly(t *testing.T) {
 	const n = 24
+	zones := []string{"east", "west"}
+	states := []string{"VENDOR_ACCEPTED", "NOTIFIED", "PICKED_UP"}
+	for _, c := range []struct {
+		name, query string
+		update      func(f *fixture, i int, key string)
+		resident    func(sq *StandingQuery) (got, want int)
+	}{{
+		// A filter matching none of the rows leaves no resident entry at
+		// all: the arrangement is the only copy of the table on the push
+		// path.
+		name:  "empty filter",
+		query: `SELECT partitionKey, customerLat FROM orderinfo WHERE deliveryZone = 'nowhere'`,
+		update: func(f *fixture, i int, key string) {
+			f.info.Update(key, orderInfo{DeliveryZone: "east", CustomerLat: float64(i)})
+		},
+		resident: func(sq *StandingQuery) (int, int) {
+			return residentEntries(reflect.ValueOf(sq).Elem()), 0
+		},
+	}, {
+		// orderState is orderstate's column alone, so the WHERE pushes to
+		// that side: its join index holds the third of the rows in
+		// PICKED_UP, not every order. The other side holds all n, and each
+		// matching pair is one output row.
+		name:   "join pushed to one side",
+		query:  `SELECT i.deliveryZone, s.orderState FROM orderinfo i JOIN orderstate s USING(partitionKey) WHERE orderState = 'PICKED_UP'`,
+		update: func(f *fixture, i int, key string) { f.state.Update(key, orderState{OrderState: states[(i+1)%3]}) },
+		resident: func(sq *StandingQuery) (int, int) {
+			if got := residentEntries(reflect.ValueOf(sq.jindex[1])); got != n/3 {
+				return got, n / 3
+			}
+			return residentEntries(reflect.ValueOf(sq).Elem()), n + n/3 + n/3
+		},
+	}, {
+		// Each member row is one entry and each group one more; there is no
+		// per-member index beside them.
+		name:  "group by",
+		query: `SELECT deliveryZone, COUNT(*), MAX(customerLat) FROM orderinfo WHERE customerLat > 60 GROUP BY deliveryZone`,
+		update: func(f *fixture, i int, key string) {
+			f.info.Update(key, orderInfo{DeliveryZone: zones[i%2], CustomerLat: 52 + float64(i)})
+		},
+		resident: func(sq *StandingQuery) (int, int) {
+			return residentEntries(reflect.ValueOf(sq).Elem()), (n - 9) + len(zones)
+		},
+	}} {
+		t.Run(c.name, func(t *testing.T) {
+			f := newFixture(t, n, liveSnapCfg())
+			f.ex.SetArrangements(core.NewArrangeRegistry(f.store))
+			v := newFoldedView()
+			sq, err := f.ex.SubscribeQuery(c.query, v.sink)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sq.Close()
+			for i := 0; i < n; i++ {
+				c.update(f, i, fmt.Sprintf("order-%d", i))
+			}
+			f.info.Flush()
+			f.state.Flush()
+			waitFolded(t, sq, v, n)
+			res, err := f.ex.Query(c.query)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := v.canon(), canon(res.Rows, false); !reflect.DeepEqual(got, want) {
+				t.Fatalf("folded view %v, one-shot %v", got, want)
+			}
+			sq.mu.Lock()
+			defer sq.mu.Unlock()
+			if got, want := c.resident(sq); got != want {
+				t.Fatalf("standing query holds %d resident entries over %d source rows, want %d", got, n, want)
+			}
+		})
+	}
+}
+
+// TestSubscribeSSIDPinOnLiveTable: an ssid pin selects a snapshot, and a
+// live table has none — the planner strips the pin and reads live state.
+// A standing query compiles through the same planner, so its snapshot
+// frame is the one-shot result, every row.
+func TestSubscribeSSIDPinOnLiveTable(t *testing.T) {
+	const n = 12
 	f := newFixture(t, n, liveSnapCfg())
 	f.ex.SetArrangements(core.NewArrangeRegistry(f.store))
-	sq, err := f.ex.SubscribeQuery(
-		`SELECT partitionKey, customerLat FROM orderinfo WHERE deliveryZone = 'nowhere'`,
-		discardSink)
+	q := fmt.Sprintf(`SELECT partitionKey FROM orderinfo WHERE ssid = %d`, f.checkpoint(t))
+	res, err := f.ex.Query(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := newFoldedView()
+	sq, err := f.ex.SubscribeQuery(q, v.sink)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sq.Close()
-	for i := 0; i < n; i++ {
-		f.info.Update(fmt.Sprintf("order-%d", i), orderInfo{DeliveryZone: "east", CustomerLat: float64(i)})
+	if got, want := v.canon(), canon(res.Rows, false); len(want) != n || !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: snapshot frame has %d rows, one-shot %d (want %d)", q, len(got), len(want), n)
+	}
+}
+
+// TestSubscribeBeforeFirstWrite: a standing query over live tables no row
+// has been written to binds no schema — compile samples nothing — so it
+// evaluates every column by name, adapting each row's by-name view on
+// first use. Through inserts, updates and deletes its folded view still
+// equals the poll.
+func TestSubscribeBeforeFirstWrite(t *testing.T) {
+	f := newFixture(t, 0, liveSnapCfg())
+	f.ex.SetArrangements(core.NewArrangeRegistry(f.store))
+	queries := []string{
+		`SELECT partitionKey, deliveryZone, customerLat FROM orderinfo WHERE customerLat > 55`,
+		`SELECT deliveryZone, COUNT(*), MAX(customerLat) FROM orderinfo GROUP BY deliveryZone HAVING COUNT(*) > 1`,
+		`SELECT i.deliveryZone, s.orderState FROM orderinfo i JOIN orderstate s USING(partitionKey) WHERE orderState = 'NOTIFIED'`,
+	}
+	sqs := make([]*StandingQuery, len(queries))
+	views := make([]*foldedView, len(queries))
+	for i, q := range queries {
+		views[i] = newFoldedView()
+		sq, err := f.ex.SubscribeQuery(q, views[i].sink)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sq.Close()
+		for _, s := range sq.pp.srcs {
+			if s.schema != nil {
+				t.Fatalf("%s: bound %s to a schema before its first write", q, s.name)
+			}
+		}
+		sqs[i] = sq
+	}
+	zones := []string{"north", "south", "east"}
+	states := []string{"VENDOR_ACCEPTED", "NOTIFIED", "PICKED_UP"}
+	for round := 0; round < 2; round++ {
+		for i := 0; i < 12; i++ {
+			key := fmt.Sprintf("order-%d", i)
+			f.info.Update(key, orderInfo{DeliveryZone: zones[(i+round)%3], CustomerLat: 50 + float64(i+round)})
+			f.state.Update(key, orderState{OrderState: states[(i+round)%3]})
+		}
+	}
+	for i := 0; i < 12; i += 4 {
+		f.info.Delete(fmt.Sprintf("order-%d", i))
+		f.state.Delete(fmt.Sprintf("order-%d", i+1))
 	}
 	f.info.Flush()
-	deadline := time.Now().Add(10 * time.Second)
-	for sq.Watermark() < n {
-		if time.Now().After(deadline) {
-			t.Fatalf("standing query folded %d of %d updates", sq.Watermark(), n)
+	f.state.Flush()
+	for i, sq := range sqs {
+		waitFolded(t, sq, views[i], handed(f.ex, sq))
+		res, err := f.ex.Query(queries[i])
+		if err != nil {
+			t.Fatal(err)
 		}
-		time.Sleep(time.Millisecond)
-	}
-	sq.mu.Lock()
-	defer sq.mu.Unlock()
-	if got := residentEntries(reflect.ValueOf(sq).Elem()); got != 0 {
-		t.Fatalf("standing query with an empty result holds %d resident entries over %d source rows, want 0", got, n)
+		if got, want := views[i].canon(), canon(res.Rows, false); len(want) == 0 || !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s\n folded view %v\n poll        %v", queries[i], got, want)
+		}
 	}
 }
