@@ -60,11 +60,14 @@ health-smoke:
 
 # Short fuzz wall: 30s per target. The SQL front end (parser, lexer,
 # planner), the wire codec and the delta-chain reader must be total —
-# errors, never panics — on arbitrary input, and the codec canonical.
+# errors, never panics — on arbitrary input, and the codec canonical;
+# every retractable aggregate accumulator must equal a refold of the
+# values still in after any insert/retract sequence.
 fuzz-short:
 	$(GO) test ./internal/sql -fuzz FuzzParse -fuzztime 30s -run '^$$'
 	$(GO) test ./internal/sql -fuzz FuzzLexer -fuzztime 30s -run '^$$'
 	$(GO) test ./internal/sql -fuzz FuzzPlan -fuzztime 30s -run '^$$'
+	$(GO) test ./internal/sql -fuzz FuzzAggRetract -fuzztime 30s -run '^$$'
 	$(GO) test ./internal/persist -fuzz FuzzDeltaChain -fuzztime 30s -run '^$$'
 	$(GO) test ./internal/wire -fuzz FuzzWire -fuzztime 30s -run '^$$'
 
@@ -84,7 +87,9 @@ ckpt-smoke:
 # segments and mirror-flush batches, alloc-free key hashing, single-alloc
 # blob snapshot keys, bounded-alloc indexed puts, a GetAll that allocates
 # its result only, Query 3 under 0.25 objects per table row, a key-lookup
-# point read under 100 objects that examines one row); the standing-query
+# point read under 100 objects that examines one row, an aggregate
+# standing query's update allocating the same in a group of 100 members as
+# in one of 10 000); the standing-query
 # parity runs hold the one compiled plan to both drive modes — a standing
 # query folds signed rows through the plan, filters and group form the
 # one-shot fragments run, and TestDifferentialStanding checks its folded
@@ -97,7 +102,7 @@ bench-smoke:
 	$(GO) test ./internal/persist -run 'TestDeltaEncodeAllocs' -count=1 -v
 	$(GO) test ./internal/kv -run 'TestIndexedPutAllocs|TestPutBatchAllocs|TestGetAllAllocs' -count=1 -v
 	$(GO) test ./internal/partition -run 'TestHashAllocs' -count=1 -v
-	$(GO) test ./internal/sql -run 'TestJoinFoldAllocs|TestKeyLookupAllocs|TestDifferentialStanding' -count=1 -v
+	$(GO) test ./internal/sql -run 'TestJoinFoldAllocs|TestKeyLookupAllocs|TestStandingAggDeltaAllocs|TestDifferentialStanding' -count=1 -v
 	$(GO) test . -run 'TestSubscribeParity$$' -count=1 -v
 	$(GO) test ./internal/wire -run '^$$' -bench 'BenchmarkAppendValue|BenchmarkDecodeValue|BenchmarkGobValue' -benchtime 1000x
 	$(GO) test ./internal/persist -run '^$$' -bench 'BenchmarkAppendDeltaSegment' -benchtime 1000x

@@ -1,7 +1,11 @@
 package sql
 
 import (
+	"fmt"
+	"slices"
 	"testing"
+
+	"squery/internal/core"
 )
 
 // Allocation gates of the read path (`make bench-smoke`). The fragment
@@ -69,4 +73,64 @@ func TestKeyLookupAllocs(t *testing.T) {
 		t.Fatalf("point read allocated %.0f objects, the gate is 100", allocs)
 	}
 	t.Logf("point read: %.0f allocations", allocs)
+}
+
+// TestStandingAggDeltaAllocs: an aggregate standing query settles a delta
+// by adding to and removing from its group's accumulators, not by
+// refolding the group's members, so one update folded into a group of 100
+// members and into a group of 10 000 allocates the same small number of
+// objects — the batch's bookkeeping and the emitted row, nothing per
+// member. The aggregates are float-valued: boxing an int64 result costs
+// nothing below 256 (the runtime's small-integer cache), which would make
+// a COUNT of 100 look one allocation cheaper than a COUNT of 10 000.
+func TestStandingAggDeltaAllocs(t *testing.T) {
+	const q = `SELECT deliveryZone, MAX(customerLat), SUM(customerLat), AVG(customerLat) FROM orderinfo GROUP BY deliveryZone`
+	perUpdate := func(members int) float64 {
+		f := newFixture(t, 0, liveSnapCfg())
+		f.ex.SetArrangements(core.NewArrangeRegistry(f.store))
+		for i := 0; i < members; i++ {
+			f.info.Update(fmt.Sprintf("order-%d", i), orderInfo{DeliveryZone: "east", CustomerLat: float64(i)})
+		}
+		f.info.Flush()
+		sq, err := f.ex.SubscribeQuery(q, discardSink)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sq.Close()
+		// The update moves the group's MAX member up and back down again,
+		// so every delta changes the group's row.
+		key := fmt.Sprintf("order-%d", members-1)
+		rows, _, id := sq.arrs[0].Attach(func([]core.ArrDelta) {})
+		sq.arrs[0].Detach(id)
+		i := slices.IndexFunc(rows, func(r core.TableRow) bool { return r.Key == key })
+		if i < 0 {
+			t.Fatalf("%s is not in the arrangement", key)
+		}
+		orig, moved := rows[i], rows[i]
+		moved.Raw = orderInfo{DeliveryZone: "east", CustomerLat: float64(members) + 0.5}
+		ds := [2]core.ArrDelta{
+			{Row: moved, Old: orig, HadOld: true, KeyS: key},
+			{Row: orig, Old: moved, HadOld: true, KeyS: key},
+		}
+		n := 0
+		allocs := testing.AllocsPerRun(200, func() {
+			sq.mu.Lock()
+			defer sq.mu.Unlock()
+			eff := newBatchEff()
+			sq.applyDelta(0, &ds[n%2], eff)
+			n++
+			if out := sq.settleLocked(eff); len(out) != 1 || sq.failed != nil {
+				t.Fatalf("one update emitted %v (failed: %v), want one changed group row", out, sq.failed)
+			}
+		})
+		if g := sq.groups[string(fromAny("east").appendGroupKey(nil))]; g == nil || g.members != members {
+			t.Fatalf("the group does not hold %d members after the updates", members)
+		}
+		return allocs
+	}
+	small, large := perUpdate(100), perUpdate(10_000)
+	if small != large || large > 16 {
+		t.Fatalf("one update allocated %.1f objects in a group of 100 and %.1f in a group of 10 000; want the same, at most 16", small, large)
+	}
+	t.Logf("one update: %.0f allocations in a group of 100 and of 10 000", small)
 }

@@ -2,7 +2,6 @@ package sql
 
 import (
 	"fmt"
-	"reflect"
 	"slices"
 	"strings"
 	"sync"
@@ -33,10 +32,15 @@ import (
 //
 // A standing query holds no copy of its source tables: the kv map is the
 // one copy. What stays resident per subscriber is its output — matched
-// rows, or groups with their member rows — and, for a join, the join index
-// of the rows that passed their side's pushed filter. A dirty group settles
-// through the one-shot group form: its members fold into a fresh
-// partialGroup, which finishGroup runs through HAVING and the select list.
+// rows, or groups — and, for a join, the join index of the rows that
+// passed their side's pushed filter. A group is the one-shot group form
+// kept live: a retractable partialGroup whose accumulators each member
+// row's aggregate arguments are added to on insert and removed from on
+// retraction, a member count, and a head row copied from its first insert
+// for the GROUP BY columns (a bare column outside GROUP BY reads that row,
+// which may since have left the group). A dirty group settles by running its live
+// accumulators through HAVING and the select list (finishGroup): no member
+// rows are kept, and none is refolded.
 //
 // The supported dialect is the incremental-maintainable core of the
 // engine's SELECT: single live tables or one inner equi-join, WHERE,
@@ -60,9 +64,12 @@ func splitSubscribe(query string) (bool, string) {
 func (ex *Executor) SetArrangements(r *core.ArrangeRegistry) { ex.arr = r }
 
 // SubDelta is one output-row change of a standing query. Key identifies
-// the output row the delta applies to: the source row's partition-key
-// string for plain standing queries, "left|right" for join rows, the
-// rendered grouping key (or "*" for a global aggregate) for aggregates.
+// the output row the delta applies to, one-to-one within a subscription:
+// the source row's partition-key string for plain standing queries,
+// "left|right" for join rows, the grouping values joined by "|" (or "*"
+// for a global aggregate) for aggregates. In the joined forms each
+// component has its `\` and `|` escaped with a backslash and a NULL
+// grouping value renders as `\N`, so no two output rows share a Key.
 type SubDelta struct {
 	Key    string
 	Vals   []any // output column values; nil on Delete
@@ -84,20 +91,15 @@ type SubEvent struct {
 	Err error
 }
 
-// matchedRow is one currently-matching output row of a non-aggregate
-// standing query: its display key and projected values.
-type matchedRow struct {
-	disp string
-	vals []any
-}
-
 // subGroup is one live group of an aggregate standing query: its rendered
-// key, the source rows of every joined row currently in the group (by
-// joined-row id), and the output row it last emitted (nil when none).
+// key, how many joined rows are in it, its retractable accumulators with
+// the head row (held by value, so the group is one allocation), and the
+// output row it last emitted (nil when none).
 type subGroup struct {
-	disp string
-	rows map[string][]core.TableRow
-	out  []any
+	disp    string
+	members int
+	pg      partialGroup
+	out     []any
 }
 
 // joinEntry is one source row filed under its join key in a join index.
@@ -117,15 +119,15 @@ type pendDeltas struct {
 // update (tombstone + upsert of the same key, or a value change) emits
 // one coalesced delta instead of a delete/insert pair.
 type batchEff struct {
-	// before records, per touched non-aggregate output id, the matched row
-	// at first touch (nil = was not matched).
-	before map[string]*matchedRow
+	// before records, per touched non-aggregate output key, the projected
+	// row at first touch (nil = was not matched).
+	before map[string][]any
 	// dirty records the aggregate groups needing recomputation.
 	dirty map[string]bool
 }
 
 func newBatchEff() *batchEff {
-	return &batchEff{before: map[string]*matchedRow{}, dirty: map[string]bool{}}
+	return &batchEff{before: map[string][]any{}, dirty: map[string]bool{}}
 }
 
 // StandingQuery is one compiled incrementally-maintained query: N of them
@@ -163,8 +165,9 @@ type StandingQuery struct {
 	// key (join mode only) — the shape the one-shot hash joins build, kept
 	// alive: few rows share a key, so a short slice beats a map per key.
 	jindex [2]map[joinKey][]joinEntry
-	// matched is the non-aggregate output state, groups the aggregate one.
-	matched map[string]*matchedRow
+	// matched is the non-aggregate output state — each matching row's
+	// projected values under its SubDelta.Key — groups the aggregate one.
+	matched map[string][]any
 	groups  map[string]*subGroup
 	// keyBuf and keyVals are the scratch of one group-key pass.
 	keyBuf  []byte
@@ -217,7 +220,7 @@ func (ex *Executor) SubscribeQuery(query string, bind func(*StandingQuery) func(
 		stopped: make(chan struct{}),
 
 		jr:      joinedRow{srcs: pp.srcs, tabs: make([]*core.TableRow, len(pp.srcs))},
-		matched: map[string]*matchedRow{},
+		matched: map[string][]any{},
 		groups:  map[string]*subGroup{},
 	}
 	sq.sink = bind(sq)
@@ -253,7 +256,7 @@ func (ex *Executor) SubscribeQuery(query string, bind func(*StandingQuery) func(
 	if pp.agg != nil && len(pp.groupBy) == 0 {
 		// A global aggregate emits one row even over an empty input; the
 		// "*" group always exists and the snapshot frame always carries it.
-		sq.groups[""] = &subGroup{disp: "*", rows: map[string][]core.TableRow{}}
+		sq.groups[""] = &subGroup{disp: "*", pg: *newPartialGroup("", pp.aggs, true)}
 		eff.dirty[""] = true
 	}
 	for i := range seeds {
@@ -344,8 +347,8 @@ func (sq *StandingQuery) Snapshot() SubEvent {
 			}
 		}
 	} else {
-		for _, m := range sq.matched {
-			ds = append(ds, SubDelta{Key: m.disp, Vals: m.vals})
+		for k, vals := range sq.matched {
+			ds = append(ds, SubDelta{Key: k, Vals: vals})
 		}
 	}
 	return SubEvent{Deltas: ds, Watermark: sq.watermark, Snapshot: true}
@@ -456,7 +459,7 @@ func (sq *StandingQuery) fold(side int, ks string, row *core.TableRow, add bool,
 		return
 	}
 	if len(pp.srcs) == 1 {
-		sq.output(ks, ks, add, eff)
+		sq.output(ks, "", add, eff)
 		return
 	}
 	key := Expr(pp.joins[0].left)
@@ -490,14 +493,27 @@ func (sq *StandingQuery) fold(side int, ks string, row *core.TableRow, add bool,
 		if side == 1 {
 			l, r = r, l
 		}
-		sq.output(pairID(l, r), l+"|"+r, add, eff)
+		sq.output(l, r, add, eff)
 	}
 }
 
-// pairID encodes a join row's identity collision-free (display keys use
-// the readable "l|r" form, which may collide and is display-only).
-func pairID(lks, rks string) string {
-	return string(appendGroupKey(appendGroupKey(nil, lks), rks))
+// joinDisp renders a join row's key: "left|right", each partition-key
+// string escaped.
+func joinDisp(lks, rks string) string {
+	return string(appendDisp(append(appendDisp(nil, lks), '|'), rks))
+}
+
+// appendDisp appends one escaped component of a display key: `\` and `|`
+// are preceded by a backslash, so the "|" between components is never
+// ambiguous and no escaped text reads as the NULL token `\N`.
+func appendDisp(dst []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if s[i] == '\\' || s[i] == '|' {
+			dst = append(dst, '\\')
+		}
+		dst = append(dst, s[i])
+	}
+	return dst
 }
 
 // passes tests a bound predicate against the working row; an evaluation
@@ -512,21 +528,26 @@ func (sq *StandingQuery) passes(pred Expr) bool {
 
 // output takes the joined row in the working row past the residual filter
 // into the standing result, or out of it: a non-aggregate query projects
-// it into its matched output under id (displayed as disp); an aggregate
-// one adds it to or removes it from its group.
-func (sq *StandingQuery) output(id, disp string, add bool, eff *batchEff) {
+// it into its matched output; an aggregate one adds it to or removes it
+// from its group. lks and rks are the partition-key strings of the joined
+// row's sources (rks unused for a single source).
+func (sq *StandingQuery) output(lks, rks string, add bool, eff *batchEff) {
 	if !sq.passes(sq.pp.residualB) {
 		return
 	}
 	if sq.pp.agg != nil {
-		sq.member(id, add, eff)
+		sq.member(add, eff)
 		return
 	}
-	if _, seen := eff.before[id]; !seen {
-		eff.before[id] = sq.matched[id]
+	key := lks
+	if len(sq.pp.srcs) == 2 {
+		key = joinDisp(lks, rks)
+	}
+	if _, seen := eff.before[key]; !seen {
+		eff.before[key] = sq.matched[key]
 	}
 	if !add {
-		delete(sq.matched, id)
+		delete(sq.matched, key)
 		return
 	}
 	vals, err := projectRow(sq.ctx, sq.pp.items, nil, &sq.jr)
@@ -534,18 +555,18 @@ func (sq *StandingQuery) output(id, disp string, add bool, eff *batchEff) {
 		sq.fail(err)
 		return
 	}
-	sq.matched[id] = &matchedRow{disp: disp, vals: vals}
+	sq.matched[key] = vals
 }
 
-// member files the joined row in the working row under its group, or
-// removes it, and marks the group dirty. The GROUP BY key is each
-// grouping value in the self-delimiting binary form; a statement without
-// GROUP BY has the one empty key. A new group's display key renders the
-// same values.
-func (sq *StandingQuery) member(id string, add bool, eff *batchEff) {
-	jr := &sq.jr
+// member adds the joined row in the working row to its group's
+// accumulators, or retracts it, and marks the group dirty. The GROUP BY
+// key is each grouping value in the self-delimiting binary form; a
+// statement without GROUP BY has the one empty key. A new group's display
+// key renders the same values, and its first member is copied as its head.
+func (sq *StandingQuery) member(add bool, eff *batchEff) {
+	pp, jr := sq.pp, &sq.jr
 	sq.keyBuf, sq.keyVals = sq.keyBuf[:0], sq.keyVals[:0]
-	for _, ge := range sq.pp.groupBy {
+	for _, ge := range pp.groupBy {
 		v, err := sq.ctx.evalD(ge, jr)
 		if err != nil {
 			sq.fail(err)
@@ -554,50 +575,67 @@ func (sq *StandingQuery) member(id string, add bool, eff *batchEff) {
 		sq.keyBuf = v.appendGroupKey(sq.keyBuf)
 		sq.keyVals = append(sq.keyVals, v)
 	}
-	gk := string(sq.keyBuf)
-	eff.dirty[gk] = true
-	g := sq.groups[gk]
-	if !add {
-		if g != nil {
-			delete(g.rows, id)
-		}
-		return
-	}
+	g := sq.groups[string(sq.keyBuf)]
 	if g == nil {
+		if !add {
+			return
+		}
 		// The global "*" group is seeded at subscribe time and never gets
 		// here.
-		parts := make([]string, len(sq.keyVals))
-		for i, v := range sq.keyVals {
-			parts[i] = fmt.Sprint(v.box())
-		}
-		g = &subGroup{disp: strings.Join(parts, "|"), rows: map[string][]core.TableRow{}}
+		gk := string(sq.keyBuf)
+		g = &subGroup{disp: groupDisp(sq.keyVals), pg: *newPartialGroup(gk, pp.aggs, true)}
 		sq.groups[gk] = g
 	}
-	rows := make([]core.TableRow, len(jr.tabs))
-	for i, t := range jr.tabs {
-		rows[i] = *t
+	eff.dirty[g.pg.key] = true
+	if add && g.members == 0 {
+		g.pg.keepHead(jr)
 	}
-	g.rows[id] = rows
+	if err := g.pg.fold(sq.ctx, pp.aggs, jr, add); err != nil {
+		sq.fail(err)
+		return
+	}
+	if add {
+		g.members++
+	} else if g.members--; g.members == 0 {
+		g.pg.dropHead()
+	}
+}
+
+// groupDisp renders a group's display key: its grouping values, each
+// escaped (NULL as `\N`), joined by "|".
+func groupDisp(vals []datum) string {
+	var b []byte
+	for i, v := range vals {
+		if i > 0 {
+			b = append(b, '|')
+		}
+		if v.k == dNull {
+			b = append(b, `\N`...)
+			continue
+		}
+		b = appendDisp(b, fmt.Sprint(v.box()))
+	}
+	return string(b)
 }
 
 // settleLocked turns a batch's accumulated effects into output deltas:
 // touched non-aggregate rows diff their before/after matched state, dirty
-// groups recompute their aggregates (suppressing no-op upserts).
+// groups finish their accumulators (suppressing no-op upserts).
 func (sq *StandingQuery) settleLocked(eff *batchEff) []SubDelta {
 	if sq.failed != nil {
 		return nil
 	}
 	var out []SubDelta
-	for id, prev := range eff.before {
-		cur := sq.matched[id]
+	for key, prev := range eff.before {
+		cur := sq.matched[key]
 		switch {
 		case cur != nil:
-			if prev != nil && reflect.DeepEqual(prev.vals, cur.vals) {
+			if prev != nil && sameVals(prev, cur) {
 				continue
 			}
-			out = append(out, SubDelta{Key: cur.disp, Vals: cur.vals})
+			out = append(out, SubDelta{Key: key, Vals: cur})
 		case prev != nil:
-			out = append(out, SubDelta{Key: prev.disp, Delete: true})
+			out = append(out, SubDelta{Key: key, Delete: true})
 		}
 	}
 	for gk := range eff.dirty {
@@ -612,11 +650,10 @@ func (sq *StandingQuery) settleLocked(eff *batchEff) []SubDelta {
 	return out
 }
 
-// settleGroup recomputes one dirty group, returning the delta it produces
-// (if any): its member rows fold into a fresh partialGroup, with a member
-// row as its head, and finishGroup runs it through HAVING and the select
-// list. A group that emptied (the global one never does) or that HAVING
-// now rejects retracts its emitted row.
+// settleGroup finishes one dirty group, returning the delta it produces
+// (if any): finishGroup runs its live accumulators through HAVING and the
+// select list. A group that emptied (the global one never does) or that
+// HAVING now rejects retracts its emitted row.
 func (sq *StandingQuery) settleGroup(gk string) (SubDelta, bool) {
 	pp := sq.pp
 	g := sq.groups[gk]
@@ -624,24 +661,11 @@ func (sq *StandingQuery) settleGroup(gk string) (SubDelta, bool) {
 		return SubDelta{}, false
 	}
 	var vals []any // nil: the group emits no row
-	if len(g.rows) == 0 && len(pp.groupBy) > 0 {
+	if g.members == 0 && len(pp.groupBy) > 0 {
 		delete(sq.groups, gk)
 	} else {
-		pg := newPartialGroup(gk, pp.aggs)
-		for _, rows := range g.rows {
-			for i := range rows {
-				sq.jr.tabs[i] = &rows[i]
-			}
-			if pg.rows == nil {
-				pg.keepHead(&sq.jr)
-			}
-			if err := pg.fold(sq.ctx, pp.aggs, &sq.jr); err != nil {
-				sq.fail(err)
-				return SubDelta{}, false
-			}
-		}
 		var err error
-		if vals, _, err = finishGroup(sq.ctx, pp.having, pp.items, pg); err != nil {
+		if vals, _, err = finishGroup(sq.ctx, pp.having, pp.items, &g.pg); err != nil {
 			sq.fail(err)
 			return SubDelta{}, false
 		}
@@ -652,11 +676,40 @@ func (sq *StandingQuery) settleGroup(gk string) (SubDelta, bool) {
 	case vals == nil:
 		g.out = nil
 		return SubDelta{Key: g.disp, Delete: true}, true
-	case reflect.DeepEqual(g.out, vals):
+	case sameVals(g.out, vals):
 		return SubDelta{}, false
 	}
 	g.out = vals
 	return SubDelta{Key: g.disp, Vals: vals}, true
+}
+
+// sameVals reports whether two output rows hold the same values, column
+// by column as typed datums: the same kind and Go type, and the same value
+// — a float by its bits, a time by its instant. A value of no SQL kind
+// never compares equal, so its row is re-emitted rather than wrongly held.
+func sameVals(a, b []any) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		x, y := fromAny(a[i]), fromAny(b[i])
+		if x.k != y.k || x.w != y.w {
+			return false
+		}
+		switch x.k {
+		case dTime:
+			if !x.time().Equal(y.time()) {
+				return false
+			}
+		case dOther:
+			return false
+		default:
+			if x.n != y.n || x.s != y.s {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // fail records the first evaluation error; the standing query stops

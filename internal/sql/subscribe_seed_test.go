@@ -200,15 +200,22 @@ func TestStandingQueryHoldsOutputOnly(t *testing.T) {
 			return residentEntries(reflect.ValueOf(sq).Elem()), n + n/3 + n/3
 		},
 	}, {
-		// Each member row is one entry and each group one more; there is no
-		// per-member index beside them.
+		// A group is its accumulators: one entry per group, plus one per
+		// distinct value in its MAX multiset. The 18 member rows (east holds
+		// 62 six times, west 61 and 63 six times each) leave nothing behind.
 		name:  "group by",
 		query: `SELECT deliveryZone, COUNT(*), MAX(customerLat) FROM orderinfo WHERE customerLat > 60 GROUP BY deliveryZone`,
 		update: func(f *fixture, i int, key string) {
-			f.info.Update(key, orderInfo{DeliveryZone: zones[i%2], CustomerLat: 52 + float64(i)})
+			f.info.Update(key, orderInfo{DeliveryZone: zones[i%2], CustomerLat: 60 + float64(i%4)})
 		},
 		resident: func(sq *StandingQuery) (int, int) {
-			return residentEntries(reflect.ValueOf(sq).Elem()), (n - 9) + len(zones)
+			got := residentEntries(reflect.ValueOf(sq).Elem())
+			for _, g := range sq.groups {
+				for _, a := range g.pg.accs {
+					got += len(a.multi)
+				}
+			}
+			return got, len(zones) + 3
 		},
 	}} {
 		t.Run(c.name, func(t *testing.T) {
@@ -319,5 +326,61 @@ func TestSubscribeBeforeFirstWrite(t *testing.T) {
 		if got, want := views[i].canon(), canon(res.Rows, false); len(want) == 0 || !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s\n folded view %v\n poll        %v", queries[i], got, want)
 		}
+	}
+}
+
+// TestSubscribeKeysAreOneToOne: every output row of a standing query has
+// its own SubDelta.Key, so a consumer's key → row view holds every row.
+// Display keys used to join their components with a bare "|" and render
+// NULL as "<nil>": the groups ('x|y', 'z') and ('x', 'y|z'), a NULL group
+// and the text '<nil>', and the join rows ('a|b', 'c') and ('a', 'b|c')
+// each shared one key, and one row silently replaced the other.
+func TestSubscribeKeysAreOneToOne(t *testing.T) {
+	f := newDiffFixture(t, 1, 0)
+	f.ex.SetArrangements(core.NewArrangeRegistry(f.store))
+	write := func() {
+		for k, r := range map[string][2]any{
+			"g1": {"x|y", "z"}, "g2": {"x", "y|z"},
+			"g3": {nil, "w"}, "g4": {"<nil>", "w"},
+			"g5": {`x\`, "|v"}, "g6": {`x\|`, "v"},
+			"a|b": {"j", "J"}, "a": {"j", "J"},
+		} {
+			f.backends["dnote"].Update(k, map[string]any{"note": r[0], "zone": r[1], "weight": int64(1)})
+		}
+		for _, k := range []string{"c", "b|c"} {
+			f.backends["dorder"].Update(k, dOrder{Zone: "J"})
+		}
+		f.backends["dnote"].Flush()
+		f.backends["dorder"].Flush()
+	}
+	write()
+	for _, c := range []struct {
+		query string
+		rows  int
+	}{
+		{`SELECT note, zone, COUNT(*) FROM dnote GROUP BY note, zone`, 7},
+		{`SELECT n.note, o.zone FROM dnote n JOIN dorder o ON n.zone = o.zone`, 4},
+	} {
+		res, err := f.ex.Query(c.query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Rows) != c.rows {
+			t.Fatalf("%s: one-shot has %d rows, the fixture expects %d", c.query, len(res.Rows), c.rows)
+		}
+		v := newFoldedView()
+		sq, err := f.ex.SubscribeQuery(c.query, v.sink)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := len(v.rows); got != c.rows {
+			t.Fatalf("%s: snapshot frame folds to %d rows, one-shot has %d", c.query, got, c.rows)
+		}
+		write() // rewrite every row: each output row is retracted and re-derived
+		waitFolded(t, sq, v, handed(f.ex, sq))
+		if got, want := v.canon(), canon(res.Rows, false); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s\n folded view %v\n one-shot    %v", c.query, got, want)
+		}
+		sq.Close()
 	}
 }

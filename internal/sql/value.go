@@ -1,6 +1,7 @@
 package sql
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"strings"
@@ -194,4 +195,27 @@ func compareD(a, b datum) (int, error) {
 		return 0, nil
 	}
 	return 0, fmt.Errorf("sql: cannot compare %T with %T", a.box(), b.box())
+}
+
+// orderD is compareD with integers compared exactly: two int64 stamps a
+// few nanoseconds apart round to the same float64, and an aggregate's
+// extreme must tell them apart.
+func orderD(a, b datum) (int, error) {
+	if a.k == dInt && b.k == dInt && (a.w == wUint64) == (b.w == wUint64) {
+		if a.w == wUint64 {
+			return cmp.Compare(uint64(a.n), uint64(b.n)), nil
+		}
+		return cmp.Compare(a.n, b.n), nil
+	}
+	return compareD(a, b)
+}
+
+// owned returns d detached from the row it was read from: a time read
+// through a schema points into its row, and a value an accumulator keeps
+// past the fold must not hold that row alive.
+func (d datum) owned() datum {
+	if p, ok := d.a.(*time.Time); ok {
+		d.a = *p
+	}
+	return d
 }
