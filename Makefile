@@ -118,11 +118,13 @@ bench-test:
 
 # Index smoke: the access-path parity suite (index results ≡ full-scan
 # results for every plannable shape), index survival across an online
-# rebalance, and the quick mode of the `squery-bench -exp index` harness
-# (rows_scanned must drop to the probe's selectivity).
+# rebalance, sys.indexes accounting (repeated: it once depended on whether
+# the source beat CreateIndex), and the quick mode of the `squery-bench
+# -exp index` harness (rows_scanned must drop to the probe's selectivity).
 index-smoke:
 	$(GO) test ./internal/sql -run 'TestIndexParity|TestIndexScanStatsAndAnalyze|TestIndexRangeBoundsMerge' -count=1 -v
-	$(GO) test . -run 'TestIndexSurvivesRebalance|TestSysIndexesTable' -race -count=1 -v
+	$(GO) test . -run 'TestIndexSurvivesRebalance' -race -count=1 -v
+	$(GO) test . -run 'TestSysIndexesTable' -race -count=20
 	$(GO) test ./internal/experiments -run 'TestIndexExpShape' -count=1 -v
 
 # Standing-query smoke: boots the live binary, drives `\watch` and the
@@ -132,8 +134,9 @@ index-smoke:
 # -require), then the tap contract the arrangement relies on (every entry
 # point and every wholesale reset delivers the replaced value, resets as
 # deltas), the arrangement suite, the standing query's own suite with the
-# standing arm of the differential oracle, and subscribe-vs-poll parity,
-# all under -race.
+# standing arm of the differential oracle, and the engine's subscription
+# suite (subscribe-vs-poll parity, and no goroutine per subscription or
+# after Engine.Close), all under -race.
 subscribe-smoke:
 	chmod +x scripts/subscribe-smoke.sh
 	./scripts/subscribe-smoke.sh

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+
+	"squery/internal/dataflow"
 )
 
 // zoneStateFn keys each record's state row by record key with a zone
@@ -122,9 +124,24 @@ func TestSysIndexesTable(t *testing.T) {
 	for i := range recs {
 		recs[i] = Record{Key: i, Value: i + 1}
 	}
+	// The source is held until both indexes exist, so every record is
+	// maintained inline: a record mirrored before CreateIndex is indexed by
+	// the backfill instead, and with all 100 there the zone index would
+	// count no maintenance op.
+	var gate atomic.Int64
+	done := make(chan struct{})
+	close(done)
+	src := &Vertex{
+		Name:        "source",
+		Kind:        KindSource,
+		Parallelism: 1,
+		NewSource: func(int, int) dataflow.SourceInstance {
+			return &phasedParitySource{recs: recs, limit: &gate, done: done}
+		},
+	}
 	var sunk atomic.Int64
 	dag := NewDAG().
-		AddVertex(SliceSource("source", 1, recs)).
+		AddVertex(src).
 		AddVertex(StatefulMapVertex("zix", 2, zoneStateFn)).
 		AddVertex(SinkVertex("sink", 1, func(Record) { sunk.Add(1) })).
 		Connect("source", "zix", EdgePartitioned).
@@ -140,6 +157,7 @@ func TestSysIndexesTable(t *testing.T) {
 	if err := eng.CreateIndex("zix", "amount", IndexBTree); err != nil {
 		t.Fatal(err)
 	}
+	gate.Store(int64(len(recs)))
 	waitFor(t, func() bool { return sunk.Load() >= 100 }, "records sunk")
 	job.Wait()
 

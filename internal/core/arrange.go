@@ -43,9 +43,13 @@ type ArrDelta struct {
 }
 
 // ArrListener receives ordered arrangement delta groups. Listeners run on
-// the writing goroutine with the mutated partition's segment write lock
-// held — the tap's own contract: they must enqueue and return — never
-// block, never call back into the arrangement or the store.
+// the writing goroutine with the mutated partition's segment write lock and
+// the arrangement's listener read lock held — the tap's own contract: a
+// listener does bounded work under its own lock, never blocks on anything
+// a writer can hold, and never calls back into the arrangement (Detach
+// included) or the store. Writers to different partitions call it
+// concurrently. The group is shared with every other listener: read it,
+// never modify it.
 type ArrListener func(ds []ArrDelta)
 
 // Arrangement is one shared tap on a live table. It implements kv.Tap.
@@ -97,8 +101,9 @@ func (a *Arrangement) OnDeltas(ds []kv.Delta) {
 // the copy reflects: every delta at or below a partition's floor is in the
 // rows, every later one reaches the listener. Deltas reach the listener
 // from the moment it is registered — before Attach returns, and at or
-// below a floor too — so the listener buffers and its consumer drops
-// whatever a floor covers. Detach with the returned id.
+// below a floor too — so the listener files what arrives before its
+// reader has used the copy, and the reader drops whatever a floor covers.
+// Detach with the returned id.
 func (a *Arrangement) Attach(fn ArrListener) (rows []TableRow, floors []uint64, id int) {
 	a.lisMu.Lock()
 	id = a.nextLis

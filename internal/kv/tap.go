@@ -52,9 +52,10 @@ type Delta struct {
 	Epoch int64
 }
 
-// Tap observes a map's change stream. OnDeltas is called with the
-// mutated partition's segment write lock held: implementations must be
-// non-blocking and must not call back into the store.
+// Tap observes a map's change stream. OnDeltas is called on the writer
+// with the mutated partition's segment write lock held: an implementation
+// does bounded work under its own lock, never blocks on anything a writer
+// can hold and never calls back into the store.
 type Tap interface {
 	// OnDeltas delivers one ordered group of deltas for one partition.
 	OnDeltas(ds []Delta)

@@ -1000,7 +1000,7 @@ func TestDifferentialStanding(t *testing.T) {
 		t.Logf("seed %d: %d of %d generated queries subscribed", seed, len(subs), perSeed)
 		f.write(40)
 		for i, s := range subs {
-			waitFolded(t, s.sq, s.view, handed(f.ex, s.sq))
+			mustHaveFolded(t, s.sq, s.view, handed(f.ex, s.sq))
 			res, err := f.ex.Query(s.sql)
 			if err != nil {
 				t.Fatalf("seed %d: %v\n%s", seed, err, s.sql)

@@ -22,7 +22,10 @@ import (
 // row's group. Two drive modes feed it: the attach copy of each source
 // table, taken through its shared arrangement, folds in as inserts; then
 // every arrangement delta folds in as the retraction of the row it replaced
-// followed by the insert of its new row.
+// followed by the insert of its new row. Both run under the standing
+// query's lock, the second on the writer that made the change: no
+// goroutine or queue stands between a state write and the frame the sink
+// receives for it.
 //
 // A retraction needs no record of what its row produced. A delta's Old is
 // exactly the row this query inserted for the key, and evaluation is
@@ -108,8 +111,8 @@ type joinEntry struct {
 	row core.TableRow
 }
 
-// pendDeltas is one buffered arrangement delivery, tagged with the source
-// it came from.
+// pendDeltas is one arrangement delivery that reached a standing query
+// before its attach copy was folded, tagged with the source it came from.
 type pendDeltas struct {
 	side int
 	ds   []core.ArrDelta
@@ -132,30 +135,28 @@ func newBatchEff() *batchEff {
 
 // StandingQuery is one compiled incrementally-maintained query: N of them
 // attach to the same shared arrangement per source table. Events reach the
-// sink in order — the initial snapshot frame synchronously during
-// subscription, delta frames from the standing query's applier goroutine.
+// sink in order and under the standing query's lock — the initial snapshot
+// frame during subscription, each delta frame on the writer whose change
+// it folds.
 type StandingQuery struct {
 	pp    *physPlan
 	query string
 	ctx   *evalCtx // LOCALTIMESTAMP is fixed at subscribe time
 	sink  func(SubEvent)
 
-	arrs   []*core.Arrangement
-	lisIDs []int
-	// floors[i] is source i's per-partition sequence floor at attach:
-	// deltas at or below it are already in the seed.
-	floors [][]uint64
-
-	// pending buffers arrangement deliveries (which run on the writer
-	// under its segment lock and must not block) for the applier.
-	pendMu  sync.Mutex
-	pending []pendDeltas
-	wake    chan struct{}
-	done    chan struct{}
-	stopped chan struct{}
+	arrs    []*core.Arrangement
+	lisIDs  []int
 	closing sync.Once
 
-	mu        sync.Mutex
+	mu sync.Mutex
+	// live is set once the attach copy has been folded. Until then the
+	// listeners file their deliveries in early, and SubscribeQuery folds
+	// those above floors[i], source i's per-partition sequence floors at
+	// attach (deltas at or below them are already in the copy). Every later
+	// delivery is above the floors.
+	live      bool
+	early     []pendDeltas
+	floors    [][]uint64
 	failed    error
 	watermark uint64
 	// jr is the working row fold evaluates the plan against, one slot per
@@ -176,16 +177,20 @@ type StandingQuery struct {
 
 // SubscribeQuery compiles a statement (with or without the SUBSCRIBE
 // prefix) into a standing query: check the dialect, compile the plan,
-// acquire one shared arrangement per source, seed the standing state by
-// folding in the attach copy as inserts, emit the snapshot frame, start
-// the applier. bind is called once with the standing query, before any
-// event is emitted and before the applier starts, and returns the sink — so
-// a sink that needs the handle (to resync from Snapshot, to Close on a
-// terminal error) has it by the time it first runs. The sink receives the
-// initial snapshot frame synchronously before SubscribeQuery returns, then
-// ordered delta frames; it must not block (enqueue and return) and must
-// tolerate being called from another goroutine. Close detaches and releases
-// the arrangements.
+// acquire one shared arrangement per source and attach a listener to it,
+// then under the lock fold in the attach copy as inserts and the deltas
+// that raced it, go live and emit the snapshot frame. bind is called once
+// with the standing query, before any event is emitted, and returns the
+// sink — so a sink that needs the handle (to resync from Snapshot, to end
+// the subscription on a terminal error) has it by the time it first runs.
+//
+// The sink receives the initial snapshot frame before SubscribeQuery
+// returns, then one delta frame per arrangement delivery that changed the
+// output. It runs with the standing query's lock held, on whichever writer
+// goroutine made the change, inside that writer's segment lock: it must do
+// bounded work, never block on anything a writer can hold, never call into
+// the arrangement or the store, and never call Close (hand that to another
+// goroutine). Close detaches and releases the arrangements.
 func (ex *Executor) SubscribeQuery(query string, bind func(*StandingQuery) func(SubEvent)) (*StandingQuery, error) {
 	_, query = splitSubscribe(query)
 	stmt, err := Parse(query)
@@ -215,10 +220,6 @@ func (ex *Executor) SubscribeQuery(query string, bind func(*StandingQuery) func(
 		query: query,
 		ctx:   &evalCtx{now: time.Now()},
 
-		wake:    make(chan struct{}, 1),
-		done:    make(chan struct{}),
-		stopped: make(chan struct{}),
-
 		jr:      joinedRow{srcs: pp.srcs, tabs: make([]*core.TableRow, len(pp.srcs))},
 		matched: map[string][]any{},
 		groups:  map[string]*subGroup{},
@@ -228,10 +229,12 @@ func (ex *Executor) SubscribeQuery(query string, bind func(*StandingQuery) func(
 		sq.jindex = [2]map[joinKey][]joinEntry{{}, {}}
 	}
 
-	// Acquire one shared arrangement per source and attach buffering
-	// listeners. The listener is registered before the table is copied and
-	// the applier drops what the copy's floors cover, so deltas racing the
-	// seed below are applied after it, never lost or doubled.
+	// Acquire one shared arrangement per source and attach a listener. The
+	// listener is registered before the table is copied, and the deltas it
+	// files before the query goes live are folded after the copy, less what
+	// the copy's floors cover — never lost or doubled. The copy is taken
+	// without sq.mu: it reads under segment locks, and a writer holding one
+	// may be waiting in the listener for sq.mu.
 	seeds := make([][]core.TableRow, len(pp.srcs))
 	for i := range pp.srcs {
 		a, err := ex.arr.Acquire(pp.srcs[i].name)
@@ -244,13 +247,15 @@ func (ex *Executor) SubscribeQuery(query string, bind func(*StandingQuery) func(
 		}
 		sq.arrs = append(sq.arrs, a)
 		side := i
-		rows, floors, id := a.Attach(func(ds []core.ArrDelta) { sq.enqueue(side, ds) })
+		rows, floors, id := a.Attach(func(ds []core.ArrDelta) { sq.deliver(side, ds) })
 		sq.lisIDs = append(sq.lisIDs, id)
 		sq.floors = append(sq.floors, floors)
 		seeds[i] = rows
 	}
 
-	// Drive mode 1, the snapshot scan: fold the copied rows in as inserts.
+	// Drive mode 1, the snapshot scan: fold the copied rows in as inserts,
+	// then the deltas filed while they were copied, and emit the result as
+	// the snapshot frame before any listener can emit a delta frame.
 	sq.mu.Lock()
 	eff := newBatchEff()
 	if pp.agg != nil && len(pp.groupBy) == 0 {
@@ -265,21 +270,26 @@ func (ex *Executor) SubscribeQuery(query string, bind func(*StandingQuery) func(
 			sq.fold(i, partition.KeyString(r.Key), r, true, eff)
 		}
 	}
+	for _, b := range sq.early {
+		for i := range b.ds {
+			if d := &b.ds[i]; d.Seq > sq.floors[b.side][d.Part] {
+				sq.applyDelta(b.side, d, eff)
+			}
+		}
+	}
+	sq.early, sq.floors = nil, nil
 	clear(sq.jr.tabs) // the attach copy must not stay reachable through it
 	deltas := sq.settleLocked(eff)
-	failed := sq.failed
-	wm := sq.watermark
-	sq.mu.Unlock()
-	if failed != nil {
-		// The applier goroutine hasn't started, so nothing will ever
-		// close stopped — satisfy Close's handshake first or it blocks
-		// forever on a seed-time evaluation failure.
-		close(sq.stopped)
+	if err := sq.failed; err != nil {
+		// Close takes the arrangements' listener locks, which a writer
+		// waiting in the listener for sq.mu read-holds: unlock first.
+		sq.mu.Unlock()
 		sq.Close()
-		return nil, failed
+		return nil, err
 	}
-	sq.sink(SubEvent{Deltas: deltas, Watermark: wm, Snapshot: true})
-	go sq.run()
+	sq.live = true
+	sq.sink(SubEvent{Deltas: deltas, Watermark: sq.watermark, Snapshot: true})
+	sq.mu.Unlock()
 	return sq, nil
 }
 
@@ -335,10 +345,9 @@ func (sq *StandingQuery) Watermark() uint64 {
 }
 
 // Snapshot returns the standing query's full current output as a snapshot
-// frame — the resync a shed subscriber re-converges from.
+// frame — the resync a shed subscriber re-converges from. Call it only
+// from inside the sink, which runs with the standing query's lock held.
 func (sq *StandingQuery) Snapshot() SubEvent {
-	sq.mu.Lock()
-	defer sq.mu.Unlock()
 	var ds []SubDelta
 	if sq.pp.agg != nil {
 		for _, g := range sq.groups {
@@ -354,78 +363,45 @@ func (sq *StandingQuery) Snapshot() SubEvent {
 	return SubEvent{Deltas: ds, Watermark: sq.watermark, Snapshot: true}
 }
 
-// Close detaches from the arrangements (dropping them at zero readers)
-// and stops the applier. Idempotent; no events are delivered after it
-// returns.
+// Close detaches from the arrangements and releases them (dropping them
+// at zero readers). Idempotent; no listener call is in flight after Detach
+// returns, so no event is delivered after Close returns. Never call it from
+// the sink: Detach waits for the listener call the sink runs in.
 func (sq *StandingQuery) Close() {
 	sq.closing.Do(func() {
 		for i, a := range sq.arrs {
 			a.Detach(sq.lisIDs[i])
-		}
-		close(sq.done)
-		<-sq.stopped
-		for _, a := range sq.arrs {
 			a.Release()
 		}
 	})
 }
 
-// enqueue is the arrangement listener: called on the writer under its
-// segment lock, it buffers and wakes the applier.
-func (sq *StandingQuery) enqueue(side int, ds []core.ArrDelta) {
-	sq.pendMu.Lock()
-	sq.pending = append(sq.pending, pendDeltas{side: side, ds: ds})
-	sq.pendMu.Unlock()
-	select {
-	case sq.wake <- struct{}{}:
-	default:
+// deliver is drive mode 2, the arrangement listener for source side: it
+// runs on the writer, under the writer's segment lock. Before the query is
+// live it files the group for SubscribeQuery; after, it folds the group
+// through the standing stages and hands the output deltas to the sink as
+// one frame, or the evaluation failure as the final one, before it
+// releases the lock.
+func (sq *StandingQuery) deliver(side int, ds []core.ArrDelta) {
+	sq.mu.Lock()
+	defer sq.mu.Unlock()
+	if !sq.live {
+		sq.early = append(sq.early, pendDeltas{side: side, ds: ds})
+		return
 	}
-}
-
-// run is drive mode 2, the delta applier: fold buffered arrangement
-// deltas above the attach floors through the standing stages and emit the
-// resulting output deltas, one frame per drained buffer.
-func (sq *StandingQuery) run() {
-	defer close(sq.stopped)
-	for {
-		select {
-		case <-sq.done:
-			return
-		case <-sq.wake:
-		}
-		for {
-			sq.pendMu.Lock()
-			batches := sq.pending
-			sq.pending = nil
-			sq.pendMu.Unlock()
-			if len(batches) == 0 {
-				break
-			}
-			sq.mu.Lock()
-			if sq.failed != nil {
-				sq.mu.Unlock()
-				return
-			}
-			eff := newBatchEff()
-			for _, b := range batches {
-				for i := range b.ds {
-					if d := &b.ds[i]; d.Seq > sq.floors[b.side][d.Part] {
-						sq.applyDelta(b.side, d, eff)
-					}
-				}
-			}
-			deltas := sq.settleLocked(eff)
-			failed := sq.failed
-			wm := sq.watermark
-			sq.mu.Unlock()
-			if failed != nil {
-				sq.sink(SubEvent{Err: failed, Watermark: wm})
-				return
-			}
-			if len(deltas) > 0 {
-				sq.sink(SubEvent{Deltas: deltas, Watermark: wm})
-			}
-		}
+	if sq.failed != nil {
+		return
+	}
+	eff := newBatchEff()
+	for i := range ds {
+		sq.applyDelta(side, &ds[i], eff)
+	}
+	deltas := sq.settleLocked(eff)
+	switch {
+	case sq.failed != nil:
+		sq.sink(SubEvent{Err: sq.failed, Watermark: sq.watermark})
+	case len(deltas) > 0:
+		sq.sink(SubEvent{Deltas: deltas, Watermark: sq.watermark})
 	}
 }
 
@@ -713,7 +689,7 @@ func sameVals(a, b []any) bool {
 }
 
 // fail records the first evaluation error; the standing query stops
-// producing deltas after it (the applier delivers it as the final event).
+// producing deltas after it (the listener delivers it as the final event).
 func (sq *StandingQuery) fail(err error) {
 	if sq.failed == nil {
 		sq.failed = err

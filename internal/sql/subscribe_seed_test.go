@@ -14,11 +14,11 @@ import (
 func discardSink(*StandingQuery) func(SubEvent) { return func(SubEvent) {} }
 
 // TestSubscribeSeedFailureReturns: a standing query whose evaluation
-// fails during the snapshot seed — before the applier goroutine exists —
-// must return the error instead of deadlocking in its own teardown
-// (Close waits for an applier that was never started). Regression: this
-// hung the REPL's \watch forever on a GROUP BY over a column the table
-// doesn't carry.
+// fails during the snapshot seed — before it is live — must return the
+// error, detached and released, instead of deadlocking in its own
+// teardown (Close detaches while writers may wait in the listener for the
+// lock the seed holds). Regression: this hung the REPL's \watch forever on
+// a GROUP BY over a column the table doesn't carry.
 func TestSubscribeSeedFailureReturns(t *testing.T) {
 	f := newFixture(t, 6, liveSnapCfg())
 	f.ex.SetArrangements(core.NewArrangeRegistry(f.store))
@@ -113,21 +113,20 @@ func handed(ex *Executor, sq *StandingQuery) uint64 {
 	return n
 }
 
-// waitFolded waits until sq has folded want deltas into v.
-func waitFolded(t *testing.T, sq *StandingQuery, v *foldedView, want uint64) {
+// mustHaveFolded asserts that sq has already folded exactly want deltas
+// into v without failing. A standing query folds on the writer, so once
+// the write (or the Flush) that handed them on has returned, there is
+// nothing to wait for.
+func mustHaveFolded(t *testing.T, sq *StandingQuery, v *foldedView, want uint64) {
 	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for sq.Watermark() < want {
-		v.mu.Lock()
-		err := v.err
-		v.mu.Unlock()
-		if err != nil {
-			t.Fatalf("%s failed: %v", sq.Query(), err)
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("%s folded %d of %d deltas", sq.Query(), sq.Watermark(), want)
-		}
-		time.Sleep(time.Millisecond)
+	v.mu.Lock()
+	err := v.err
+	v.mu.Unlock()
+	if err != nil {
+		t.Fatalf("%s failed: %v", sq.Query(), err)
+	}
+	if got := sq.Watermark(); got != want {
+		t.Fatalf("%s had folded %d of %d deltas when the write returned", sq.Query(), got, want)
 	}
 }
 
@@ -232,7 +231,7 @@ func TestStandingQueryHoldsOutputOnly(t *testing.T) {
 			}
 			f.info.Flush()
 			f.state.Flush()
-			waitFolded(t, sq, v, n)
+			mustHaveFolded(t, sq, v, handed(f.ex, sq))
 			res, err := f.ex.Query(c.query)
 			if err != nil {
 				t.Fatal(err)
@@ -318,7 +317,7 @@ func TestSubscribeBeforeFirstWrite(t *testing.T) {
 	f.info.Flush()
 	f.state.Flush()
 	for i, sq := range sqs {
-		waitFolded(t, sq, views[i], handed(f.ex, sq))
+		mustHaveFolded(t, sq, views[i], handed(f.ex, sq))
 		res, err := f.ex.Query(queries[i])
 		if err != nil {
 			t.Fatal(err)
@@ -377,7 +376,7 @@ func TestSubscribeKeysAreOneToOne(t *testing.T) {
 			t.Fatalf("%s: snapshot frame folds to %d rows, one-shot has %d", c.query, got, c.rows)
 		}
 		write() // rewrite every row: each output row is retracted and re-derived
-		waitFolded(t, sq, v, handed(f.ex, sq))
+		mustHaveFolded(t, sq, v, handed(f.ex, sq))
 		if got, want := v.canon(), canon(res.Rows, false); !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s\n folded view %v\n one-shot    %v", c.query, got, want)
 		}

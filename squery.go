@@ -365,10 +365,14 @@ func (e *Engine) Messages() uint64 { return e.clu.Messages() }
 // Transport returns the wire the engine's cluster sends through.
 func (e *Engine) Transport() transport.Transport { return e.clu.Transport() }
 
-// Close stops the metric-history retention ticker and releases the
-// engine's transport: the listener and connections of a networked
+// Close ends every open subscription as Subscription.Close does (Events
+// and Done close), stops the metric-history retention ticker and releases
+// the engine's transport: the listener and connections of a networked
 // transport, a no-op for the simulated one. Jobs should be stopped first.
 func (e *Engine) Close() error {
+	for _, s := range e.registered() {
+		s.Close()
+	}
 	e.reg.StopRetain()
 	return e.clu.Close()
 }

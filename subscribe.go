@@ -108,8 +108,8 @@ func (e *Engine) SubscribeWithOptions(query string, o SubOptions) (*Subscription
 		policy: o.Policy,
 		born:   time.Now(),
 	}
-	// deliver reads s.sq on its shed and terminal-error paths, from the
-	// standing query's applier goroutine: publish it before that starts.
+	// deliver reads s.sq on its shed and terminal-error paths, on a writer
+	// that may run it before SubscribeQuery returns: publish it first.
 	_, err := e.ex.SubscribeQuery(query, func(sq *sqlpkg.StandingQuery) func(SubEvent) {
 		s.sq = sq
 		return s.deliver
@@ -179,7 +179,7 @@ func (s *Subscription) close(err error) {
 		if err != nil {
 			s.failed.Store(&err)
 		}
-		// Stopping the standing query first guarantees no deliver call is
+		// Detaching the standing query first guarantees no deliver call is
 		// in flight or coming, making close(s.ch) safe.
 		s.sq.Close()
 		s.ended.Store(true)
@@ -189,17 +189,19 @@ func (s *Subscription) close(err error) {
 	})
 }
 
-// deliver is the standing query's sink: enqueue without blocking — the
-// caller is the standing query's applier, which must never stall on a
-// slow consumer. On overflow the subscription's policy decides: shed the
-// queue and enqueue one fresh snapshot frame (re-convergence), or fail
-// fast and terminate.
+// deliver is the standing query's sink. It runs on the writer that made
+// the change, under the standing query's lock and the writer's segment
+// lock, so it enqueues without blocking: the bounded queue is the only one
+// between a state write and the consumer. On overflow the subscription's
+// policy decides: shed the queue and enqueue one fresh snapshot frame
+// (re-convergence, built here on the writer), or fail fast and terminate.
+// Ending the subscription detaches the standing query, which waits for
+// this very call to return, so that runs on another goroutine.
 func (s *Subscription) deliver(ev SubEvent) {
 	ins := &s.eng.subIns
 	if ev.Err != nil {
 		// Terminal evaluation error: make room if needed, deliver it, end
-		// the subscription. The async close is safe — it waits for this
-		// very sink call to return before tearing the applier down.
+		// the subscription.
 		select {
 		case s.ch <- ev:
 		default:
@@ -251,8 +253,9 @@ func (s *Subscription) deliver(ev SubEvent) {
 		s.resyncs.Add(1)
 		ins.resyncs.Inc()
 	default:
-		// A racing consumer refilling the queue is impossible (only this
-		// goroutine sends), so the slot freed above is still free.
+		// A racing consumer refilling the queue is impossible (only the
+		// sink sends, and the standing query's lock serializes its calls),
+		// so the slot freed above is still free.
 	}
 }
 
@@ -264,15 +267,21 @@ func (e *Engine) dropSub(id int64) {
 	e.subIns.active.Add(-1)
 }
 
-// Subscriptions returns the accounting of every live subscription,
-// ordered by id — the programmatic twin of sys.subscriptions.
-func (e *Engine) Subscriptions() []SubStats {
+// registered returns every registered subscription, in no order.
+func (e *Engine) registered() []*Subscription {
 	e.subMu.Lock()
+	defer e.subMu.Unlock()
 	subs := make([]*Subscription, 0, len(e.subs))
 	for _, s := range e.subs {
 		subs = append(subs, s)
 	}
-	e.subMu.Unlock()
+	return subs
+}
+
+// Subscriptions returns the accounting of every live subscription,
+// ordered by id — the programmatic twin of sys.subscriptions.
+func (e *Engine) Subscriptions() []SubStats {
+	subs := e.registered()
 	out := make([]SubStats, len(subs))
 	for i, s := range subs {
 		out[i] = s.Stats()

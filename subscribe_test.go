@@ -2,6 +2,7 @@ package squery
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -293,8 +294,9 @@ func TestSubscribeShedResync(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	// Do not read: every delta batch beyond the first overflows the
-	// 1-slot queue and must shed+resync rather than block the applier.
+	// Do not read: every delta frame beyond the first overflows the
+	// 1-slot queue and must shed+resync rather than block the writer that
+	// folds it.
 	release()
 	waitFor(t, func() bool { return s.Stats().Shed > 0 && s.Stats().Resyncs > 0 }, "overload shed a frame")
 
@@ -410,11 +412,11 @@ func TestSubscribeSurvivesRebalance(t *testing.T) {
 }
 
 // TestSubscribeUnderWrites: subscribing while the table is being written
-// must hand the sink its standing query before the applier can call it.
+// must hand the sink its standing query before a writer can call it.
 // With a one-slot queue nobody reads, the first delta frame overflows
 // behind the snapshot frame and sheds — the path that resyncs from the
-// standing query — possibly before SubscribeWithOptions has returned. Run
-// with -race.
+// standing query, on the writer — possibly before SubscribeWithOptions has
+// returned. Run with -race.
 func TestSubscribeUnderWrites(t *testing.T) {
 	eng := New(Config{Nodes: 2, Partitions: 18})
 	defer eng.Close()
@@ -434,8 +436,87 @@ func TestSubscribeUnderWrites(t *testing.T) {
 		}
 		// Poll the counter, not Stats: Stats takes the standing query's
 		// lock, and that would order this goroutine's writes before the
-		// applier's reads whether or not subscribe itself did.
+		// writer's reads whether or not subscribe itself did.
 		waitFor(t, func() bool { return s.resyncs.Load() > 0 }, "an overflow to shed and resync")
 		s.Close()
+	}
+}
+
+// goroutineStacks returns the stack of every running goroutine by its
+// number.
+func goroutineStacks() map[int]string {
+	buf := make([]byte, 1<<16)
+	n := runtime.Stack(buf, true)
+	for n == len(buf) {
+		buf = make([]byte, 2*len(buf))
+		n = runtime.Stack(buf, true)
+	}
+	out := map[int]string{}
+	for _, g := range strings.Split(string(buf[:n]), "\n\n") {
+		var id int
+		if _, err := fmt.Sscanf(g, "goroutine %d ", &id); err == nil {
+			out[id] = g
+		}
+	}
+	return out
+}
+
+// TestSubscribeOwnsNoGoroutine: a standing query folds on the writer, so
+// subscribing starts no goroutine; and Engine.Close ends every
+// subscription left open — each Events channel and Done closes — leaving
+// no goroutine of the engine behind.
+func TestSubscribeOwnsNoGoroutine(t *testing.T) {
+	floor := 0 // goroutines numbered above it start during the test
+	for id := range goroutineStacks() {
+		floor = max(floor, id)
+	}
+	eng := New(Config{Nodes: 3, Partitions: 27})
+	recs, phase1 := subTallyRecords(12)
+	release, finish := startSubTallyJob(t, eng, recs, phase1)
+
+	before := runtime.NumGoroutine()
+	subs := make([]*Subscription, 64)
+	for i := range subs {
+		s, err := eng.Subscribe(subParityCases[i%len(subParityCases)].sub)
+		if err != nil {
+			t.Fatal(err)
+		}
+		subs[i] = s
+	}
+	waitFor(t, func() bool { return runtime.NumGoroutine() <= before },
+		fmt.Sprintf("goroutines back to %d after 64 subscriptions", before))
+	release()
+	finish()
+
+	if err := eng.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for i, s := range subs {
+		select {
+		case <-s.Done():
+		default:
+			t.Fatalf("subscription %d: Done still open after Engine.Close", i)
+		}
+		for range s.Events() { // closed, after the frames still queued
+		}
+	}
+	if n := len(eng.Subscriptions()); n != 0 {
+		t.Fatalf("%d subscriptions registered after Engine.Close", n)
+	}
+	leftover := func() string {
+		for id, g := range goroutineStacks() {
+			// A function line starts its line; file paths are indented.
+			if id > floor && (strings.Contains(g, "\nsquery/") || strings.Contains(g, "\nsquery.")) {
+				return g
+			}
+		}
+		return ""
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for g := leftover(); g != ""; g = leftover() {
+		if time.Now().After(deadline) {
+			t.Fatalf("a goroutine outlived Engine.Close:\n%s", g)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
