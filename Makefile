@@ -133,15 +133,19 @@ index-smoke:
 # and that /metrics carries the squery_sub_* families (promcheck
 # -require), then the tap contract the arrangement relies on (every entry
 # point and every wholesale reset delivers the replaced value, resets as
-# deltas), the arrangement suite, the standing query's own suite with the
-# standing arm of the differential oracle, and the engine's subscription
-# suite (subscribe-vs-poll parity, and no goroutine per subscription or
-# after Engine.Close), all under -race.
+# deltas, and a partition read brackets an attach), the arrangement suite
+# (its attach-while-writing clean cut repeated: a lock-order regression
+# shows as a deadlock or a race report), the standing query's own suite
+# with the standing arm of the differential oracle (including its
+# attach-racing arm), and the engine's subscription suite
+# (subscribe-vs-poll parity, and no goroutine per subscription or after
+# Engine.Close), all under -race.
 subscribe-smoke:
 	chmod +x scripts/subscribe-smoke.sh
 	./scripts/subscribe-smoke.sh
 	$(GO) test ./internal/kv -run 'TestTap|TestDetachTap|TestEntryPointEquivalence|TestResetPaths' -race -count=1 -v
 	$(GO) test ./internal/core -run 'TestArrangement' -race -count=1 -v
+	$(GO) test ./internal/core -run 'TestArrangementAttachCleanCut' -race -count=20
 	$(GO) test ./internal/sql -run 'TestDifferentialStanding|TestSubscribe|TestStandingQuery' -race -count=1 -v
 	$(GO) test . -run 'TestSubscribe' -race -count=1 -v
 	$(GO) test ./internal/experiments -run 'TestSubscribeExpShape' -count=1 -v

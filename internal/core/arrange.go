@@ -19,26 +19,25 @@ import (
 // goroutine. It hands rows as their state objects: a row's by-name view is
 // adapted only on first use by name (TableRow.Row), which a reader whose
 // columns are bound to the table's schema never makes. A reader attaches
-// by registering its listener, then copying the map partition by partition
-// with each partition's sequence floor. The first reader's Acquire
+// by registering its listener, then seeding from the map partition by
+// partition, each under that partition's segment lock — the lock that
+// also orders every delta of the partition, so a delta is either in a
+// seed or reaches the listener after it. The first reader's Acquire
 // attaches the tap; the last reader's release detaches it.
 
 // ArrDelta is one change an arrangement delivers to its listeners: an
-// upsert carrying the new row, or a tombstone for a removed key. Seq/Epoch
-// carry the kv tap stamps.
+// upsert carrying the new row, or a tombstone for a removed key.
 type ArrDelta struct {
 	Row TableRow // Key/Raw set on upserts; Key only on tombstones
 	// Old is the row this delta replaced, valid when HadOld: always on
 	// tombstones, on upserts of a key the table already held, never on a
-	// first insert. A listener that seeded from Attach and folds only the
-	// deltas above its floors last saw exactly this row for the key, so it
+	// first insert. A listener that seeded the delta's partition from
+	// Attach before the delta last saw exactly this row for the key, so it
 	// needs no mirror of the table to retract it.
 	Old       TableRow
 	HadOld    bool
 	KeyS      string
 	Part      int
-	Seq       uint64
-	Epoch     int64
 	Tombstone bool
 }
 
@@ -62,8 +61,8 @@ type Arrangement struct {
 
 	// lisMu is read-held around every fan-out and write-held to register
 	// or remove a listener, so no group reaches a listener after Detach
-	// returns. Attach does not hold it while it reads the map: a writer
-	// fans out under its segment lock.
+	// returns. Attach does not hold it while it seeds: a writer fans out
+	// under its segment lock, so the lock order is segment, then lisMu.
 	lisMu     sync.RWMutex
 	listeners map[int]ArrListener
 	nextLis   int
@@ -83,7 +82,7 @@ func (a *Arrangement) OnDeltas(ds []kv.Delta) {
 	out := make([]ArrDelta, len(ds))
 	for i, d := range ds {
 		out[i] = ArrDelta{Row: TableRow{Key: d.Key}, HadOld: d.HadOld, KeyS: d.KeyS,
-			Part: d.Part, Seq: d.Seq, Epoch: d.Epoch, Tombstone: d.Tombstone}
+			Part: d.Part, Tombstone: d.Tombstone}
 		if !d.Tombstone {
 			out[i].Row.Raw = d.Value
 		}
@@ -96,30 +95,31 @@ func (a *Arrangement) OnDeltas(ds []kv.Delta) {
 	}
 }
 
-// Attach registers a listener, then copies the table partition by
-// partition. It returns the rows and, per partition, the sequence floor
-// the copy reflects: every delta at or below a partition's floor is in the
-// rows, every later one reaches the listener. Deltas reach the listener
-// from the moment it is registered — before Attach returns, and at or
-// below a floor too — so the listener files what arrives before its
-// reader has used the copy, and the reader drops whatever a floor covers.
-// Detach with the returned id.
-func (a *Arrangement) Attach(fn ArrListener) (rows []TableRow, floors []uint64, id int) {
+// Attach registers a listener, then calls seed once per partition with
+// that partition's rows, under its segment read lock. Deltas reach the
+// listener from the moment it is registered, so a delta of partition p
+// reaches it either before seed(p) — and the rows seed(p) is handed
+// already hold its effect — or after seed(p) returns, on rows it has not
+// seen. seed runs under the listener's contract, and its rows are valid
+// only during the call. Detach with the returned id.
+func (a *Arrangement) Attach(fn ArrListener, seed func(p int, rows []TableRow)) int {
 	a.lisMu.Lock()
-	id = a.nextLis
+	id := a.nextLis
 	a.nextLis++
 	a.listeners[id] = fn
 	a.lisMu.Unlock()
-	rows = make([]TableRow, 0, a.m.Size())
-	floors = make([]uint64, a.m.Store().Partitioner().Count())
-	for p := range floors {
-		var entries []kv.Entry
-		entries, floors[p] = a.m.SnapshotPartition(p)
-		for _, e := range entries {
-			rows = append(rows, TableRow{Key: e.Key, Raw: e.Value})
-		}
+	var rows []TableRow
+	for p := 0; p < a.m.Store().Partitioner().Count(); p++ {
+		a.m.ReadPartition(p, func(entries func(func(kv.Entry) bool)) {
+			rows = rows[:0]
+			entries(func(e kv.Entry) bool {
+				rows = append(rows, TableRow{Key: e.Key, Raw: e.Value})
+				return true
+			})
+			seed(p, rows)
+		})
 	}
-	return rows, floors, id
+	return id
 }
 
 // Detach removes a listener registered by Attach. No delta group reaches

@@ -28,17 +28,49 @@ func (s *arrSink) deltas() []ArrDelta {
 	return append([]ArrDelta(nil), s.ds...)
 }
 
-// fold applies the sink's deltas above the attach floors over the attach
-// rows, returning the resulting key -> raw value view.
-func (s *arrSink) fold(base []TableRow, floors []uint64) map[string]any {
+// seedSink is an attach seed that records every partition's rows and which
+// partitions have been seeded. Like a listener it runs under a segment
+// lock, so it only copies.
+type seedSink struct {
+	mu     sync.Mutex
+	rows   []TableRow
+	seeded map[int]bool
+}
+
+func (s *seedSink) seed(p int, rows []TableRow) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.seeded == nil {
+		s.seeded = map[int]bool{}
+	}
+	s.seeded[p] = true
+	s.rows = append(s.rows, rows...)
+}
+
+// attach attaches a seedSink-backed reader whose listener files into sink
+// only the deltas of partitions already seeded — the rule a standing query
+// follows: a delta of a partition not yet seeded is in its seed.
+func attach(a *Arrangement, sink *arrSink) (*seedSink, int) {
+	seeds := &seedSink{}
+	id := a.Attach(func(ds []ArrDelta) {
+		seeds.mu.Lock()
+		seeded := seeds.seeded[ds[0].Part]
+		seeds.mu.Unlock()
+		if seeded {
+			sink.listen(ds)
+		}
+	}, seeds.seed)
+	return seeds, id
+}
+
+// fold applies the sink's deltas over the seeded rows, returning the
+// resulting key -> raw value view.
+func (s *arrSink) fold(base []TableRow) map[string]any {
 	view := map[string]any{}
 	for _, r := range base {
 		view[partition.KeyString(r.Key)] = r.Raw
 	}
 	for _, d := range s.deltas() {
-		if d.Seq <= floors[d.Part] {
-			continue
-		}
 		if d.Tombstone {
 			delete(view, d.KeyS)
 		} else {
@@ -53,10 +85,12 @@ func storeContent(s *kv.Store, op string) map[string]any {
 	out := map[string]any{}
 	m := s.GetMap(LiveMapName(op))
 	for p := 0; p < s.Partitioner().Count(); p++ {
-		entries, _ := m.SnapshotPartition(p)
-		for _, e := range entries {
-			out[partition.KeyString(e.Key)] = e.Value
-		}
+		m.ReadPartition(p, func(entries func(func(kv.Entry) bool)) {
+			entries(func(e kv.Entry) bool {
+				out[partition.KeyString(e.Key)] = e.Value
+				return true
+			})
+		})
 	}
 	return out
 }
@@ -91,10 +125,10 @@ func TestArrangementSnapshotPlusDeltas(t *testing.T) {
 	defer a.Release()
 
 	sink := &arrSink{}
-	base, floors, id := a.Attach(sink.listen)
+	seeds, id := attach(a, sink)
 	defer a.Detach(id)
-	if len(base) != 10 {
-		t.Fatalf("attach snapshot has %d rows, want 10", len(base))
+	if len(seeds.rows) != 10 || len(seeds.seeded) != store.Partitioner().Count() {
+		t.Fatalf("attach seeded %d rows over %d partitions, want 10 over all %d", len(seeds.rows), len(seeds.seeded), store.Partitioner().Count())
 	}
 
 	v.Put(name, "o3", 333)  // upsert
@@ -105,7 +139,7 @@ func TestArrangementSnapshotPlusDeltas(t *testing.T) {
 
 	// Fan-out is synchronous: every write has reached the listener when it
 	// returns.
-	if got, want := sink.fold(base, floors), storeContent(store, "orders"); !sameView(got, want) {
+	if got, want := sink.fold(seeds.rows), storeContent(store, "orders"); !sameView(got, want) {
 		t.Fatalf("snapshot + deltas = %v, store holds %v", got, want)
 	}
 	// Each delta names the row it replaced: none on a first insert, the
@@ -212,7 +246,7 @@ func TestArrangementResetDiff(t *testing.T) {
 	}
 	defer a.Release()
 	sink := &arrSink{}
-	base, floors, id := a.Attach(sink.listen)
+	seeds, id := attach(a, sink)
 	defer a.Detach(id)
 
 	// Contents-preserving resets: index rebuilds replace nothing.
@@ -229,11 +263,11 @@ func TestArrangementResetDiff(t *testing.T) {
 	// An emptying reset diffs down to tombstones, one per live row, each
 	// naming the row that went.
 	store.ClearMap(name)
-	if view := sink.fold(base, floors); len(view) != 0 {
+	if view := sink.fold(seeds.rows); len(view) != 0 {
 		t.Fatalf("after ClearMap the folded view still holds %v", view)
 	}
 	was := map[string]any{}
-	for _, r := range base {
+	for _, r := range seeds.rows {
 		was[partition.KeyString(r.Key)] = r.Raw
 	}
 	ds := sink.deltas()
@@ -248,9 +282,9 @@ func TestArrangementResetDiff(t *testing.T) {
 }
 
 // TestArrangementAttachCleanCut: attaching while writes race never loses
-// or duplicates a delta — the attach rows plus the deltas above the
-// returned floors fold to exactly the final store content, and no
-// (partition, seq) stamp is delivered twice. Run with -race.
+// or duplicates a delta — the seeded rows plus the deltas of partitions
+// already seeded fold to exactly the final store content, and no key is
+// seeded twice. Run with -race.
 func TestArrangementAttachCleanCut(t *testing.T) {
 	store := newTestStore()
 	v := store.View(0)
@@ -275,19 +309,19 @@ func TestArrangementAttachCleanCut(t *testing.T) {
 	}
 	defer a.Release()
 	sink := &arrSink{}
-	base, floors, id := a.Attach(sink.listen)
+	seeds, id := attach(a, sink)
 	defer a.Detach(id)
 	<-done
 
-	if got, want := sink.fold(base, floors), storeContent(store, "orders"); !sameView(got, want) {
-		t.Fatalf("attach rows + deltas above the floors = %v, store holds %v", got, want)
+	if got, want := sink.fold(seeds.rows), storeContent(store, "orders"); !sameView(got, want) {
+		t.Fatalf("seeded rows + deltas of seeded partitions = %v, store holds %v", got, want)
 	}
-	seen := map[[2]uint64]bool{}
-	for _, d := range sink.deltas() {
-		stamp := [2]uint64{uint64(d.Part), d.Seq}
-		if seen[stamp] {
-			t.Fatalf("delta stamp part=%d seq=%d delivered twice", d.Part, d.Seq)
+	seen := map[string]bool{}
+	for _, r := range seeds.rows {
+		ks := partition.KeyString(r.Key)
+		if seen[ks] {
+			t.Fatalf("key %s seeded twice", ks)
 		}
-		seen[stamp] = true
+		seen[ks] = true
 	}
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 
@@ -101,18 +100,6 @@ func (c *Catalog) RegisterVirtual(name string, rows func() []TableRow) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.virtuals[sanitize(name)] = rows
-}
-
-// Virtuals returns the names of all registered virtual tables, sorted.
-func (c *Catalog) Virtuals() []string {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	out := make([]string, 0, len(c.virtuals))
-	for n := range c.virtuals {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // RegisterJob associates the stateful operators of a job with its
@@ -486,33 +473,6 @@ func narrowRow(r TableRow, cols []string) TableRow {
 	return r
 }
 
-// ScanNode streams the rows of every partition owned by node, as of
-// snapshot ssid, charging one client→node network hop. The SQL executor
-// fans one ScanNode goroutine out per node — the scatter half of its
-// scatter-gather plan.
-func (t *TableRef) ScanNode(ssid int64, node int, fn func(TableRow) bool) {
-	if t.virtual != nil {
-		if node == 0 {
-			t.ScanPartition(ssid, 0, fn)
-		}
-		return
-	}
-	t.view.ChargeHop(node)
-	for _, p := range t.store.Assignment().OwnedBy(node) {
-		stop := false
-		t.ScanPartition(ssid, p, func(r TableRow) bool {
-			if !fn(r) {
-				stop = true
-				return false
-			}
-			return true
-		})
-		if stop {
-			return
-		}
-	}
-}
-
 // ChargeClientHop charges one client→node network hop, for executors
 // that drive ScanPartition directly (e.g. partition-wise joins).
 func (t *TableRef) ChargeClientHop(node int) {
@@ -559,18 +519,12 @@ func (t *TableRef) LatestCommittedSSID() int64 {
 	return latest
 }
 
-// ScanPartitionFallback streams the rows of partition p as of snapshot
-// ssid from the partition's backup replica instead of its primary copy.
+// ScanPartitionFallbackSpec streams the rows of partition p under the
+// spec from the partition's backup replica instead of its primary copy.
 // This is the degraded read behind PolicyFallback: the primary owner is
 // unreachable, but the synchronously replicated backup on another node
-// still holds every committed snapshot version. Yields nothing when the
-// store is not replicated.
-func (t *TableRef) ScanPartitionFallback(ssid int64, p int, fn func(TableRow) bool) {
-	t.ScanPartitionFallbackSpec(p, ScanSpec{SSID: ssid}, fn)
-}
-
-// ScanPartitionFallbackSpec is ScanPartitionFallback under the spec — a
-// degraded read is still a fragment read.
+// still holds every committed snapshot version — and a degraded read is
+// still a fragment read. Yields nothing when the store is not replicated.
 func (t *TableRef) ScanPartitionFallbackSpec(p int, spec ScanSpec, fn func(TableRow) bool) {
 	if t.virtual != nil {
 		t.ScanPartitionSpec(p, spec, fn)

@@ -36,8 +36,9 @@ type ckptOutcome int
 const (
 	// ckptCommitted: the snapshot was published.
 	ckptCommitted ckptOutcome = iota
-	// ckptAborted: the phase-1 deadline expired; the id was aborted and
-	// the attempt may be retried under a fresh id.
+	// ckptAborted: the phase-1 deadline expired, or a pin or the commit
+	// failed; the id was aborted and the attempt may be retried under a
+	// fresh id.
 	ckptAborted
 	// ckptStopped: the job is shutting down (or crashed mid-2PC); do not
 	// retry.
@@ -137,9 +138,9 @@ func (j *Job) CheckpointNow() error {
 func (j *Job) CheckpointAborts() int64 { return j.ckptAborts.Load() }
 
 // checkpointWithRetry drives one logical checkpoint: an aborted attempt
-// (phase-1 deadline expired) is retried under a fresh snapshot id with
-// exponential backoff, up to Config.CheckpointRetries times. The error is
-// the last attempt's commit failure, if that is how it ended.
+// is retried under a fresh snapshot id with exponential backoff, up to
+// Config.CheckpointRetries times. The error is the last attempt's pin or
+// commit failure, if that is how it ended.
 func (j *Job) checkpointWithRetry(st *coordState) (ckptOutcome, error) {
 	for attempt := 0; ; attempt++ {
 		out, err := j.checkpointOnce(st, attempt)
@@ -157,9 +158,10 @@ func (j *Job) checkpointWithRetry(st *coordState) (ckptOutcome, error) {
 }
 
 // checkpointOnce runs one full 2PC checkpoint attempt. A non-nil error is
-// a failed commit: with ckptAborted the durable copy could not be written
-// and the id was rolled back; with ckptCommitted only the pruning of
-// evicted snapshots from stable storage failed.
+// a failed pin or commit: with ckptAborted an instance could not pin its
+// state or the durable copy could not be written, and the id was rolled
+// back; with ckptCommitted only the pruning of evicted snapshots from
+// stable storage failed.
 func (j *Job) checkpointOnce(st *coordState, attempt int) (ckptOutcome, error) {
 	// Collect retirements that happened since the last checkpoint, and
 	// purge drain acknowledgements left over from aborted rounds.
@@ -227,7 +229,7 @@ func (j *Job) checkpointOnce(st *coordState, attempt int) (ckptOutcome, error) {
 	// noteAbort rolls the in-flight id back and counts the abort; outcome
 	// names why in the checkpoints event log. The trace root is closed as
 	// failed — aborted checkpoints never leave an open span behind.
-	var commitErr error // set before noteAbort when a failed commit is why
+	var commitErr error // set before noteAbort when a failed pin or commit is why
 	noteAbort := func(outcome string) {
 		j.mgr.Abort(ssid)
 		j.ckptAborts.Add(1)
@@ -302,6 +304,13 @@ func (j *Job) checkpointOnce(st *coordState, attempt int) (ckptOutcome, error) {
 			id := offsetKey(a.vertex, a.instance)
 			if acked[id] {
 				continue // duplicate delivery
+			}
+			if a.err != nil {
+				// The instance could not pin its state: abort the id like a
+				// failed commit, and let the retry policy decide.
+				commitErr = fmt.Errorf("%s[%d]: snapshot pin failed: %w", a.vertex, a.instance, a.err)
+				noteAbort("pin failed")
+				return ckptAborted, commitErr
 			}
 			acked[id] = true
 			got++

@@ -48,9 +48,10 @@ type Config struct {
 	// forever on a lost ack. 0 disables the deadline (a checkpoint then
 	// waits indefinitely, the pre-chaos behavior).
 	CheckpointTimeout time.Duration
-	// CheckpointRetries is how many times an aborted (timed-out)
-	// checkpoint is retried before the driver gives up (the ticker then
-	// simply tries again at the next tick). Default 3.
+	// CheckpointRetries is how many times an aborted (timed-out,
+	// failed-pin or failed-commit) checkpoint is retried before the driver
+	// gives up (the ticker then simply tries again at the next tick).
+	// Default 3.
 	CheckpointRetries int
 	// CheckpointBackoff is the base delay between checkpoint retries; it
 	// doubles per attempt. Default 10ms.
@@ -98,6 +99,9 @@ type ack struct {
 	// it: a drain acknowledgement will follow, and commit must wait for
 	// it.
 	drains bool
+	// err is a failed pin: the instance captured nothing for this id, so
+	// the id must not commit.
+	err error
 }
 
 // Job is a running dataflow job.

@@ -243,15 +243,16 @@ func (w *worker) completeCheckpoint() bool {
 	// stall Figure 3's top channel pays at the marker, per instance.
 	w.emitCkptSpan("align", w.curSSID, w.barrierStart, false)
 	drains := false
+	var pinErr error
 	if w.backend != nil {
 		// Phase 1 is a pin: capture the version set (cheap — no
 		// serialization, no KV writes) and hand it to the drainer; the
-		// coordinator gates commit on the drain acknowledgement.
+		// coordinator gates commit on the drain acknowledgement. A failed
+		// pin is acked as the error, which aborts the id; the barrier is
+		// forwarded all the same, so downstream alignment completes.
 		pinStart := time.Now()
-		pin, err := w.backend.SnapshotPin(w.curSSID)
-		if err != nil {
-			panic("dataflow: snapshot pin failed: " + err.Error())
-		}
+		var pin *core.SnapshotPin
+		pin, pinErr = w.backend.SnapshotPin(w.curSSID)
 		if pin != nil {
 			select {
 			case w.drain.queue <- pin:
@@ -261,9 +262,9 @@ func (w *worker) completeCheckpoint() bool {
 				return true
 			}
 		}
-		w.emitCkptSpan("pin", w.curSSID, pinStart, false)
+		w.emitCkptSpan("pin", w.curSSID, pinStart, pinErr != nil)
 	}
-	w.job.sendAck(ack{vertex: w.vertex, instance: w.instance, ssid: w.curSSID, offset: -1, drains: drains}, w.node)
+	w.job.sendAck(ack{vertex: w.vertex, instance: w.instance, ssid: w.curSSID, offset: -1, drains: drains, err: pinErr}, w.node)
 	w.broadcast(item{kind: kindBarrier, ssid: w.curSSID})
 	w.lastCkpt = w.curSSID
 	return w.resetAlignment()

@@ -266,10 +266,8 @@ func (m *Map) applyGroup(v NodeView, g group, ops []Op, kss []string, merge merg
 	ixs := m.indexSet()
 	taps := m.tapSet()
 	var deltas []Delta
-	var epoch int64
 	if len(taps) > 0 {
 		deltas = make([]Delta, 0, len(g.idx))
-		epoch = s.assign.PartitionEpoch(g.p)
 	}
 	needOld := merge != nil || len(ixs) > 0 || len(taps) > 0
 	before, dels := len(seg.entries), 0
@@ -299,9 +297,8 @@ func (m *Map) applyGroup(v NodeView, g group, ops []Op, kss []string, merge merg
 			ix.update(g.p, ks, old.Value, had, op.Value, !op.Delete)
 		}
 		if len(taps) > 0 {
-			seg.seq++
-			deltas = append(deltas, Delta{Map: m.name, Part: g.p, Seq: seg.seq, Key: op.Key, KeyS: ks,
-				Value: op.Value, Old: old.Value, HadOld: had, Tombstone: op.Delete, Epoch: epoch})
+			deltas = append(deltas, Delta{Part: g.p, Key: op.Key, KeyS: ks,
+				Value: op.Value, Old: old.Value, HadOld: had, Tombstone: op.Delete})
 		}
 	}
 	if len(deltas) > 0 {

@@ -52,7 +52,7 @@ func newKernelFixture(t *testing.T, replicated bool) *kernelFixture {
 type kernelState struct {
 	Entries, Backup map[string]any
 	Zone, Amount    []string // ScanPartitionIndexed candidates, "p/key"
-	Deltas          []string // per-partition tap order: "p seq key tombstone epoch value old hadOld"
+	Deltas          []string // per-partition tap order: "p key tombstone value old hadOld"
 	Sets, Deletes   [kernelParts]int64
 	Gets            int64
 	BackupOps       uint64 // the transport carries backup hops only: every
@@ -89,7 +89,7 @@ func (f *kernelFixture) state() kernelState {
 	for p := 0; p < kernelParts; p++ {
 		for _, d := range ds {
 			if d.Part == p {
-				st.Deltas = append(st.Deltas, fmt.Sprintf("%d %d %s %v %d %v %v %v", d.Part, d.Seq, d.KeyS, d.Tombstone, d.Epoch, d.Value, d.Old, d.HadOld))
+				st.Deltas = append(st.Deltas, fmt.Sprintf("%d %s %v %v %v %v", d.Part, d.KeyS, d.Tombstone, d.Value, d.Old, d.HadOld))
 			}
 		}
 	}
@@ -251,8 +251,7 @@ func TestLocalUnreplicatedWriteSendsNothing(t *testing.T) {
 
 // TestResetPaths drives the four wholesale-replacement entry points and
 // holds each to the reset contract: every tap receives the difference the
-// reset made as ordinary deltas — each naming the value it replaced, the
-// partition's seq advancing by exactly the deltas it emitted — and
+// reset made as ordinary deltas, each naming the value it replaced, and
 // postings are rebuilt from the entries now in place.
 func TestResetPaths(t *testing.T) {
 	all := make([]int, kernelParts)
@@ -304,23 +303,17 @@ func TestResetPaths(t *testing.T) {
 				touched[p] = true
 			}
 			before := map[string]any{}
-			var seqBefore [kernelParts]uint64
-			for p := range seqBefore {
-				seqBefore[p] = f.m.PartitionSeq(p)
-				if touched[p] {
-					f.m.ScanPartition(p, func(e Entry) bool {
-						before[partition.KeyString(e.Key)] = e.Value
-						return true
-					})
-				}
+			for _, p := range c.parts {
+				f.m.ScanPartition(p, func(e Entry) bool {
+					before[partition.KeyString(e.Key)] = e.Value
+					return true
+				})
 			}
 			emitted := len(f.tap.snapshot())
 			c.reset(f)
 
 			ds := f.tap.snapshot()[emitted:]
-			var perPart [kernelParts]uint64
 			for _, d := range ds {
-				perPart[d.Part]++
 				was, had := before[d.KeyS]
 				if !touched[d.Part] || d.HadOld != had || !reflect.DeepEqual(d.Old, was) {
 					t.Errorf("delta %+v: want one of partitions %v, replacing %v (had %v)", d, c.parts, was, had)
@@ -343,11 +336,6 @@ func TestResetPaths(t *testing.T) {
 			default:
 				if len(ds) != 0 {
 					t.Errorf("contents-preserving reset emitted %+v, want nothing", ds)
-				}
-			}
-			for p := 0; p < kernelParts; p++ {
-				if got, want := f.m.PartitionSeq(p), seqBefore[p]+perPart[p]; got != want {
-					t.Errorf("partition %d: seq %d, want %d (%d deltas emitted)", p, got, want, perPart[p])
 				}
 			}
 			// Postings match the entries now in place: the index finds what

@@ -265,11 +265,6 @@ type segment struct {
 	mu      sync.RWMutex // guards the entries map structure
 	stripes [lockStripes]sync.Mutex
 	entries map[string]Entry // canonical key string -> entry
-	// seq counts the deltas emitted for this segment, advanced under mu's
-	// write lock and never reset — the per-partition watermark of the
-	// change stream tap (see tap.go). A wholesale entry replacement
-	// advances it once per delta of the difference it emits.
-	seq uint64
 }
 
 // stripeOf maps a canonical key string to its lock stripe.
@@ -421,9 +416,9 @@ func (m *Map) Clear() {
 // under the same hold of the segment write lock the caller owns — every
 // tap receives the difference as ordinary deltas (a tombstone per entry
 // that went, an upsert per entry that is new or changed, each naming the
-// value it replaced and stamped with its own seq), and every index's
-// postings are rebuilt. A nil `entries` keeps the current ones — a seat
-// flipped under them — so nothing is compared and nothing is emitted.
+// value it replaced), and every index's postings are rebuilt. A nil
+// `entries` keeps the current ones — a seat flipped under them — so
+// nothing is compared and nothing is emitted.
 // Clear, failover promotion and the post-migration rebuild all end here;
 // inline maintenance never saw what they installed.
 func (m *Map) resetPartitionLocked(p int, seg *segment, entries map[string]Entry) {
@@ -444,15 +439,12 @@ func (m *Map) resetPartitionLocked(p int, seg *segment, entries map[string]Entry
 }
 
 // diffLocked returns the deltas that take partition p from its current
-// entries to next, stamping each with the segment's next seq.
+// entries to next.
 func (m *Map) diffLocked(p int, seg *segment, next map[string]Entry) []Delta {
-	epoch := m.store.assign.PartitionEpoch(p)
 	var ds []Delta
 	for ks, old := range seg.entries {
 		if _, ok := next[ks]; !ok {
-			seg.seq++
-			ds = append(ds, Delta{Map: m.name, Part: p, Seq: seg.seq, Key: old.Key, KeyS: ks,
-				Old: old.Value, HadOld: true, Tombstone: true, Epoch: epoch})
+			ds = append(ds, Delta{Part: p, Key: old.Key, KeyS: ks, Old: old.Value, HadOld: true, Tombstone: true})
 		}
 	}
 	for ks, e := range next {
@@ -460,9 +452,7 @@ func (m *Map) diffLocked(p int, seg *segment, next map[string]Entry) []Delta {
 		if had && reflect.DeepEqual(old.Value, e.Value) {
 			continue
 		}
-		seg.seq++
-		ds = append(ds, Delta{Map: m.name, Part: p, Seq: seg.seq, Key: e.Key, KeyS: ks,
-			Value: e.Value, Old: old.Value, HadOld: had, Epoch: epoch})
+		ds = append(ds, Delta{Part: p, Key: e.Key, KeyS: ks, Value: e.Value, Old: old.Value, HadOld: had})
 	}
 	return ds
 }
@@ -591,14 +581,6 @@ func (v NodeView) Store() *Store { return v.store }
 // model honest.
 func (v NodeView) ChargeHop(to int) {
 	v.store.tr.Send(transport.Msg{From: v.node, To: to})
-}
-
-// ChargeBatch charges one message from this view's node to the given
-// node carrying ops logical operations and bytes payload bytes — the
-// scatter-gather accounting the SQL executor uses for result rows shipped
-// back from a node in one framed response.
-func (v NodeView) ChargeBatch(to, ops, bytes int) {
-	v.store.tr.Send(transport.Msg{From: v.node, To: to, Ops: ops, Bytes: bytes})
 }
 
 // Put stores value under key in the named map, retrying through the epoch

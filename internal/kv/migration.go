@@ -88,13 +88,6 @@ func (v NodeView) FenceEpoch() int64 {
 	return v.fence.table.Load().Epoch()
 }
 
-// RefreshFence re-snapshots the cached table from the live assignment.
-func (v NodeView) RefreshFence() {
-	if v.fence != nil {
-		v.fence.refresh(v.store)
-	}
-}
-
 // ownerOf resolves partition p's owner for routing: the live table for
 // plain views, the cached snapshot for fenced ones. A fenced op is
 // addressed to the owner the sender *believes in* — that is what makes

@@ -9,32 +9,28 @@ import (
 
 // Change stream tap. A Tap attached to a map observes every mutation as
 // an ordered stream of per-partition deltas — upserts and tombstones —
-// each naming the value it replaced and stamped with the partition's
-// monotonic sequence number and its current epoch. Deltas are emitted
-// inside the same segment-write-lock critical section that performs the
-// mutation (exactly where inline index maintenance runs), so the stream is
-// totally ordered per partition and can never miss or reorder a write
-// relative to what readers of the map observe. Paths that replace a
-// partition's entries wholesale (failover promotion, Clear) emit the
-// difference between the entries they replace and the ones they install
-// as ordinary deltas, and a rebuild over the entries already in place (a
-// migration flip) emits nothing: what a tap has seen is exactly what the
-// partition holds.
+// each naming the value it replaced. Deltas are emitted inside the same
+// segment-write-lock critical section that performs the mutation (exactly
+// where inline index maintenance runs), so the stream is totally ordered
+// per partition and can never miss or reorder a write relative to what
+// readers of the map observe. Paths that replace a partition's entries
+// wholesale (failover promotion, Clear) emit the difference between the
+// entries they replace and the ones they install as ordinary deltas, and a
+// rebuild over the entries already in place (a migration flip) emits
+// nothing: what a tap has seen is exactly what the partition holds.
 //
-// This is the substrate the arrangement layer (internal/core) builds
-// standing queries on: attach a tap, snapshot each partition with its
-// sequence floor, then apply only deltas beyond the floor.
+// The segment lock is also what brackets an attach. A consumer attaches
+// its tap, then reads each partition with ReadPartition: the read holds
+// the segment read lock, so every delta of that partition reached the tap
+// either before the read began, and the entries it hands over already
+// hold its effect, or after the read ended, and is new to them. This is
+// the substrate the arrangement layer (internal/core) seeds standing
+// queries on.
 
 // Delta is one observed mutation of a map partition.
 type Delta struct {
-	// Map is the mutated map's name.
-	Map string
 	// Part is the partition the key lives in.
 	Part int
-	// Seq is the partition's mutation sequence number: strictly
-	// increasing per (map, partition), never reset — the watermark stamp
-	// consumers deduplicate and order by.
-	Seq uint64
 	// Key is the mutated key; KeyS its canonical string form.
 	Key  partition.Key
 	KeyS string
@@ -47,9 +43,6 @@ type Delta struct {
 	HadOld bool
 	// Tombstone marks a delete.
 	Tombstone bool
-	// Epoch is the partition's seat epoch at emission time — deltas from
-	// before and after a rebalance of the partition are distinguishable.
-	Epoch int64
 }
 
 // Tap observes a map's change stream. OnDeltas is called on the writer
@@ -79,8 +72,8 @@ func (m *Map) tapSet() []Tap {
 }
 
 // AttachTap subscribes t to the map's change stream. Mutations committed
-// after AttachTap returns are guaranteed to reach t; use SnapshotPartition
-// to bracket the attach against a consistent base.
+// after AttachTap returns are guaranteed to reach t; use ReadPartition to
+// bracket the attach against a consistent base.
 func (m *Map) AttachTap(t Tap) {
 	m.tapMu.Lock()
 	defer m.tapMu.Unlock()
@@ -109,28 +102,29 @@ func (m *Map) DetachTap(t Tap) {
 // TapCount returns the number of attached taps (diagnostics/tests).
 func (m *Map) TapCount() int { return len(m.tapSet()) }
 
-// SnapshotPartition returns a point-in-time copy of partition p's entries
-// together with the partition's current mutation sequence number. A
-// consumer that attaches a tap first, then snapshots, can discard
-// buffered deltas with Seq <= the returned floor and apply the rest —
-// yielding an exactly-once consistent view with no write lock stall.
-func (m *Map) SnapshotPartition(p int) ([]Entry, uint64) {
+// ReadPartition calls fn while it holds partition p's segment read lock.
+// fn is handed entries, which visits the partition's entries in place
+// (the shape of an iter.Seq[Entry]) and is valid only during the call. No
+// write to the partition lands while fn runs, so fn sees exactly the state
+// every delta the partition emitted before the call produced, and none of
+// the deltas after it.
+//
+// This deliberately departs from ScanPartition's copy-then-iterate rule:
+// the lock is held for all of fn's cost, so a writer to the partition —
+// and, behind a waiting writer, any new reader of it — waits for fn. It is
+// for attaching a consumer of the change stream, not for queries, and fn
+// works under the tap's contract: bounded work under its own lock, never
+// blocking on anything a writer can hold, never calling back into the
+// store.
+func (m *Map) ReadPartition(p int, fn func(entries func(yield func(Entry) bool))) {
 	seg := m.segs[p]
 	seg.mu.RLock()
-	entries := make([]Entry, 0, len(seg.entries))
-	for _, e := range seg.entries {
-		entries = append(entries, e)
-	}
-	seq := seg.seq
-	seg.mu.RUnlock()
-	return entries, seq
-}
-
-// PartitionSeq returns partition p's current mutation sequence number.
-func (m *Map) PartitionSeq(p int) uint64 {
-	seg := m.segs[p]
-	seg.mu.RLock()
-	seq := seg.seq
-	seg.mu.RUnlock()
-	return seq
+	defer seg.mu.RUnlock()
+	fn(func(yield func(Entry) bool) {
+		for _, e := range seg.entries {
+			if !yield(e) {
+				return
+			}
+		}
+	})
 }

@@ -3,6 +3,7 @@ package kv
 import (
 	"sync"
 	"testing"
+	"time"
 
 	"squery/internal/partition"
 )
@@ -28,8 +29,7 @@ func (r *recTap) snapshot() []Delta {
 }
 
 // TestTapObservesMutationsInOrder: every put, overwrite and delete reaches
-// the tap as a delta with the right payload and the value it replaced, and
-// sequence numbers are strictly increasing per partition.
+// the tap as a delta with the right payload and the value it replaced.
 func TestTapObservesMutationsInOrder(t *testing.T) {
 	s := testStore()
 	v := s.View(0)
@@ -61,11 +61,7 @@ func TestTapObservesMutationsInOrder(t *testing.T) {
 		{"b", "x", nil, false},
 		{"a", nil, 2, true},
 	}
-	lastSeq := map[int]uint64{}
 	for i, d := range ds {
-		if d.Map != "m" {
-			t.Errorf("delta %d map = %q, want m", i, d.Map)
-		}
 		if d.KeyS != partition.KeyString(want[i].key) || d.Key != partition.Key(want[i].key) {
 			t.Errorf("delta %d key = %v/%q, want %q", i, d.Key, d.KeyS, want[i].key)
 		}
@@ -75,15 +71,11 @@ func TestTapObservesMutationsInOrder(t *testing.T) {
 		if d.HadOld != (want[i].old != nil) || d.Old != want[i].old {
 			t.Errorf("delta %d replaced %v (had %v), want %v", i, d.Old, d.HadOld, want[i].old)
 		}
-		if last := lastSeq[d.Part]; d.Seq <= last {
-			t.Errorf("delta %d seq %d not increasing after %d in partition %d", i, d.Seq, last, d.Part)
-		}
-		lastSeq[d.Part] = d.Seq
 	}
 }
 
 // TestTapBatchGroups: a PutBatch delivers each partition's slice as one
-// ordered group whose sequence numbers continue the partition's stream.
+// ordered group.
 func TestTapBatchGroups(t *testing.T) {
 	s := testStore()
 	v := s.View(0)
@@ -104,13 +96,8 @@ func TestTapBatchGroups(t *testing.T) {
 		t.Fatalf("got %d deltas from a 4-op batch, want 4: %+v", len(ds), ds)
 	}
 	seen := map[string]Delta{}
-	lastSeq := map[int]uint64{}
 	for _, d := range ds {
 		seen[d.KeyS] = d
-		if last := lastSeq[d.Part]; d.Seq <= last {
-			t.Errorf("batch delta seq %d not increasing after %d in partition %d", d.Seq, last, d.Part)
-		}
-		lastSeq[d.Part] = d.Seq
 	}
 	if d := seen[partition.KeyString("k1")]; !d.Tombstone {
 		t.Errorf("k1's final batch delta is not the tombstone: %+v", d)
@@ -120,11 +107,12 @@ func TestTapBatchGroups(t *testing.T) {
 	}
 }
 
-// TestTapSnapshotFloor: SnapshotPartition's sequence floor brackets the
-// attach — deltas at or below the floor are already in the snapshot,
-// deltas after it continue from the floor. This is the exactly-once
-// handshake the arrangement layer builds on.
-func TestTapSnapshotFloor(t *testing.T) {
+// TestTapReadPartitionBracket: ReadPartition brackets an attach — a write
+// to the partition cannot land while fn holds the read, so every delta the
+// tap saw before the read is in the entries fn is handed, and every delta
+// after it is new to them. This is the handshake the arrangement layer
+// seeds standing queries with.
+func TestTapReadPartitionBracket(t *testing.T) {
 	s := testStore()
 	v := s.View(0)
 	for i := 0; i < 20; i++ {
@@ -133,31 +121,52 @@ func TestTapSnapshotFloor(t *testing.T) {
 	m := s.GetMap("m")
 	tap := &recTap{}
 	m.AttachTap(tap)
-
 	p := s.Partitioner().Of(7)
-	entries, floor := m.SnapshotPartition(p)
-	if floor != m.PartitionSeq(p) {
-		t.Fatalf("snapshot floor %d != current seq %d", floor, m.PartitionSeq(p))
-	}
-	before := len(entries)
+	v.Put("m", 7, "pre-read")
 
-	v.Put("m", 7, "post-snapshot")
-	ds := tap.snapshot()
-	var post []Delta
-	for _, d := range ds {
-		if d.Part == p && d.Seq > floor {
-			post = append(post, d)
+	// A writer to the partition started during the read waits for it.
+	written := make(chan struct{})
+	var seen map[string]any
+	m.ReadPartition(p, func(entries func(func(Entry) bool)) {
+		go func() {
+			v.Put("m", 7, "during-read")
+			close(written)
+		}()
+		select {
+		case <-written:
+			t.Error("a write to the partition landed while ReadPartition held it")
+		case <-time.After(20 * time.Millisecond):
 		}
+		seen = map[string]any{}
+		entries(func(e Entry) bool {
+			seen[partition.KeyString(e.Key)] = e.Value
+			return true
+		})
+	})
+	<-written
+	if got := seen[partition.KeyString(7)]; got != "pre-read" {
+		t.Fatalf("read saw key 7 = %v, want the write that preceded it", got)
 	}
-	if len(post) != 1 || post[0].Value != "post-snapshot" {
-		t.Fatalf("deltas beyond floor = %+v, want exactly the post-snapshot write", post)
+
+	// The read's entries plus the deltas after the read fold to the
+	// partition's contents; the delta before it is already in the entries.
+	ds := tap.snapshot()
+	if len(ds) != 2 || ds[0].Value != "pre-read" || ds[1].Value != "during-read" || ds[1].Old != "pre-read" {
+		t.Fatalf("tap saw %+v, want the pre-read write then the during-read write replacing it", ds)
 	}
-	if post[0].Seq != floor+1 {
-		t.Fatalf("post-snapshot seq = %d, want floor+1 = %d", post[0].Seq, floor+1)
-	}
-	entries2, _ := m.SnapshotPartition(p)
-	if len(entries2) != before {
-		t.Fatalf("overwrite changed entry count %d -> %d", before, len(entries2))
+	seen[ds[1].KeyS] = ds[1].Value
+	n := 0
+	m.ReadPartition(p, func(entries func(func(Entry) bool)) {
+		entries(func(e Entry) bool {
+			n++
+			if seen[partition.KeyString(e.Key)] != e.Value {
+				t.Errorf("key %v: partition holds %v, the bracketed fold %v", e.Key, e.Value, seen[partition.KeyString(e.Key)])
+			}
+			return true
+		})
+	})
+	if n != len(seen) {
+		t.Fatalf("partition holds %d entries, the bracketed fold %d", n, len(seen))
 	}
 }
 
@@ -195,10 +204,9 @@ func TestTapResetOnWholesaleReplace(t *testing.T) {
 	fill()
 	tap := &recTap{}
 	m.AttachTap(tap)
-	seq := m.PartitionSeq(3)
 	s.RebuildPartitionIndexes(3)
-	if ds := tap.snapshot(); len(ds) != 0 || m.PartitionSeq(3) != seq {
-		t.Fatalf("RebuildPartitionIndexes(3) delivered %+v and moved seq %d -> %d, want nothing", ds, seq, m.PartitionSeq(3))
+	if ds := tap.snapshot(); len(ds) != 0 {
+		t.Fatalf("RebuildPartitionIndexes(3) delivered %+v, want nothing", ds)
 	}
 }
 

@@ -100,13 +100,17 @@ func TestStandingAggDeltaAllocs(t *testing.T) {
 		// The update moves the group's MAX member up and back down again,
 		// so every delta changes the group's row.
 		key := fmt.Sprintf("order-%d", members-1)
-		rows, _, id := sq.arrs[0].Attach(func([]core.ArrDelta) {})
+		var orig core.TableRow
+		id := sq.arrs[0].Attach(func([]core.ArrDelta) {}, func(_ int, rows []core.TableRow) {
+			if i := slices.IndexFunc(rows, func(r core.TableRow) bool { return r.Key == key }); i >= 0 {
+				orig = rows[i]
+			}
+		})
 		sq.arrs[0].Detach(id)
-		i := slices.IndexFunc(rows, func(r core.TableRow) bool { return r.Key == key })
-		if i < 0 {
+		if orig.Key != key {
 			t.Fatalf("%s is not in the arrangement", key)
 		}
-		orig, moved := rows[i], rows[i]
+		moved := orig
 		moved.Raw = orderInfo{DeliveryZone: "east", CustomerLat: float64(members) + 0.5}
 		ds := [2]core.ArrDelta{
 			{Row: moved, Old: orig, HadOld: true, KeyS: key},

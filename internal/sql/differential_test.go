@@ -965,7 +965,10 @@ func TestPushdownSoundnessRules(t *testing.T) {
 // frame must equal the naive answer, and after one more wave of writes —
 // updates, deletes, re-inserts, join-column changes — its folded view must
 // equal the one-shot result of the same query, which TestDifferentialParity
-// holds against the naive evaluation.
+// holds against the naive evaluation. A second set of generated queries is
+// then subscribed while write waves run on another goroutine, so every
+// attach races writes to the partitions it seeds; once the waves stop,
+// each folded view must equal the one-shot result too.
 func TestDifferentialStanding(t *testing.T) {
 	const perSeed = 150
 	for seed := int64(1); seed <= 4; seed++ {
@@ -1007,6 +1010,59 @@ func TestDifferentialStanding(t *testing.T) {
 			}
 			if got, want := s.view.canon(), canon(res.Rows, false); !reflect.DeepEqual(got, want) {
 				t.Fatalf("seed %d subscription %d: folded view disagrees with the one-shot result\n%s\n got  %v\n want %v", seed, i, s.sql, got, want)
+			}
+			s.sq.Close()
+		}
+
+		queries := make([]string, perSeed)
+		for i := range queries {
+			queries[i] = f.generate(rng).sql
+		}
+		stop, done := make(chan struct{}), make(chan int)
+		go func() {
+			waves := 0
+			for {
+				select {
+				case <-stop:
+					f.write(40) // one more wave after the last attach
+					done <- waves + 1
+					return
+				default:
+					f.write(40)
+					waves++
+				}
+			}
+		}()
+		subs = subs[:0]
+		for i, q := range queries {
+			v := newFoldedView()
+			sq, err := f.ex.SubscribeQuery(q, v.sink)
+			if err != nil {
+				if !strings.Contains(err.Error(), "SUBSCRIBE") {
+					close(stop)
+					<-done
+					t.Fatalf("seed %d racing query %d: %v\n%s", seed, i, err, q)
+				}
+				continue
+			}
+			subs = append(subs, standing{q, sq, v})
+		}
+		close(stop)
+		waves := <-done
+		t.Logf("seed %d: %d subscriptions attached during %d write waves", seed, len(subs), waves)
+		for i, s := range subs {
+			s.view.mu.Lock()
+			err := s.view.err
+			s.view.mu.Unlock()
+			if err != nil {
+				t.Fatalf("seed %d racing subscription %d failed: %v\n%s", seed, i, err, s.sql)
+			}
+			res, err := f.ex.Query(s.sql)
+			if err != nil {
+				t.Fatalf("seed %d: %v\n%s", seed, err, s.sql)
+			}
+			if got, want := s.view.canon(), canon(res.Rows, false); !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d racing subscription %d: folded view disagrees with the one-shot result\n%s\n got  %v\n want %v", seed, i, s.sql, got, want)
 			}
 			s.sq.Close()
 		}

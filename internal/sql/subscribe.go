@@ -19,13 +19,14 @@ import (
 // retraction: the source's pushed filter, then for a join the join index
 // and the partner rows it enumerates, the residual filter, and last the
 // select list (projectRow, as the one-shot project sink calls it) or the
-// row's group. Two drive modes feed it: the attach copy of each source
-// table, taken through its shared arrangement, folds in as inserts; then
+// row's group. Two drive modes feed it: each partition of each source
+// table, read through its shared arrangement, seeds in as inserts; then
 // every arrangement delta folds in as the retraction of the row it replaced
 // followed by the insert of its new row. Both run under the standing
-// query's lock, the second on the writer that made the change: no
-// goroutine or queue stands between a state write and the frame the sink
-// receives for it.
+// query's lock and under the partition's segment lock — the seed on the
+// subscriber, the delta on the writer that made the change: no goroutine
+// or queue stands between a state write and the frame the sink receives
+// for it.
 //
 // A retraction needs no record of what its row produced. A delta's Old is
 // exactly the row this query inserted for the key, and evaluation is
@@ -111,13 +112,6 @@ type joinEntry struct {
 	row core.TableRow
 }
 
-// pendDeltas is one arrangement delivery that reached a standing query
-// before its attach copy was folded, tagged with the source it came from.
-type pendDeltas struct {
-	side int
-	ds   []core.ArrDelta
-}
-
 // batchEff accumulates the output effects of one delta batch so an
 // update (tombstone + upsert of the same key, or a value change) emits
 // one coalesced delta instead of a delete/insert pair.
@@ -149,14 +143,14 @@ type StandingQuery struct {
 	closing sync.Once
 
 	mu sync.Mutex
-	// live is set once the attach copy has been folded. Until then the
-	// listeners file their deliveries in early, and SubscribeQuery folds
-	// those above floors[i], source i's per-partition sequence floors at
-	// attach (deltas at or below them are already in the copy). Every later
-	// delivery is above the floors.
-	live      bool
-	early     []pendDeltas
-	floors    [][]uint64
+	// attach is the attach batch: the effects of the seeds, and of the
+	// deliveries after them, that SubscribeQuery settles as the snapshot
+	// frame. It is nil once the query is live. Until then seeded[i][p]
+	// records whether source i's partition p has been seeded: a delivery
+	// for a partition not yet seeded is dropped, because the seed reads its
+	// effect, and one for a seeded partition folds into the batch.
+	attach    *batchEff
+	seeded    [][]bool
 	failed    error
 	watermark uint64
 	// jr is the working row fold evaluates the plan against, one slot per
@@ -176,13 +170,18 @@ type StandingQuery struct {
 }
 
 // SubscribeQuery compiles a statement (with or without the SUBSCRIBE
-// prefix) into a standing query: check the dialect, compile the plan,
-// acquire one shared arrangement per source and attach a listener to it,
-// then under the lock fold in the attach copy as inserts and the deltas
-// that raced it, go live and emit the snapshot frame. bind is called once
-// with the standing query, before any event is emitted, and returns the
-// sink — so a sink that needs the handle (to resync from Snapshot, to end
-// the subscription on a terminal error) has it by the time it first runs.
+// prefix) into a standing query: check the dialect, compile the plan, and
+// per source acquire its shared arrangement, attach a listener and seed
+// from each partition; then settle the attach batch, go live and emit it
+// as the snapshot frame. bind is called once with the standing query,
+// before any event is emitted, and returns the sink — so a sink that needs
+// the handle (to resync from Snapshot, to end the subscription on a
+// terminal error) has it by the time it first runs.
+//
+// A partition's seed and its deltas are ordered by the partition's
+// segment lock. The lock order is the writer's — segment lock, then the arrangement's listener lock, then the
+// standing query's — and nothing holds the standing query's lock while it
+// waits for a segment lock.
 //
 // The sink receives the initial snapshot frame before SubscribeQuery
 // returns, then one delta frame per arrangement delivery that changed the
@@ -220,6 +219,8 @@ func (ex *Executor) SubscribeQuery(query string, bind func(*StandingQuery) func(
 		query: query,
 		ctx:   &evalCtx{now: time.Now()},
 
+		attach:  newBatchEff(),
+		seeded:  make([][]bool, len(pp.srcs)),
 		jr:      joinedRow{srcs: pp.srcs, tabs: make([]*core.TableRow, len(pp.srcs))},
 		matched: map[string][]any{},
 		groups:  map[string]*subGroup{},
@@ -228,14 +229,13 @@ func (ex *Executor) SubscribeQuery(query string, bind func(*StandingQuery) func(
 	if len(pp.srcs) == 2 {
 		sq.jindex = [2]map[joinKey][]joinEntry{{}, {}}
 	}
+	if pp.agg != nil && len(pp.groupBy) == 0 {
+		// A global aggregate emits one row even over an empty input; the
+		// "*" group always exists and the snapshot frame always carries it.
+		sq.groups[""] = &subGroup{disp: "*", pg: *newPartialGroup("", pp.aggs, true)}
+		sq.attach.dirty[""] = true
+	}
 
-	// Acquire one shared arrangement per source and attach a listener. The
-	// listener is registered before the table is copied, and the deltas it
-	// files before the query goes live are folded after the copy, less what
-	// the copy's floors cover — never lost or doubled. The copy is taken
-	// without sq.mu: it reads under segment locks, and a writer holding one
-	// may be waiting in the listener for sq.mu.
-	seeds := make([][]core.TableRow, len(pp.srcs))
 	for i := range pp.srcs {
 		a, err := ex.arr.Acquire(pp.srcs[i].name)
 		if err != nil {
@@ -247,39 +247,17 @@ func (ex *Executor) SubscribeQuery(query string, bind func(*StandingQuery) func(
 		}
 		sq.arrs = append(sq.arrs, a)
 		side := i
-		rows, floors, id := a.Attach(func(ds []core.ArrDelta) { sq.deliver(side, ds) })
+		sq.seeded[side] = make([]bool, pp.srcs[i].ref.Partitions())
+		id := a.Attach(func(ds []core.ArrDelta) { sq.deliver(side, ds) },
+			func(p int, rows []core.TableRow) { sq.seed(side, p, rows) })
 		sq.lisIDs = append(sq.lisIDs, id)
-		sq.floors = append(sq.floors, floors)
-		seeds[i] = rows
 	}
 
-	// Drive mode 1, the snapshot scan: fold the copied rows in as inserts,
-	// then the deltas filed while they were copied, and emit the result as
-	// the snapshot frame before any listener can emit a delta frame.
+	// Every partition is seeded: settle the attach batch and emit it as the
+	// snapshot frame before any listener can emit a delta frame.
 	sq.mu.Lock()
-	eff := newBatchEff()
-	if pp.agg != nil && len(pp.groupBy) == 0 {
-		// A global aggregate emits one row even over an empty input; the
-		// "*" group always exists and the snapshot frame always carries it.
-		sq.groups[""] = &subGroup{disp: "*", pg: *newPartialGroup("", pp.aggs, true)}
-		eff.dirty[""] = true
-	}
-	for i := range seeds {
-		for j := range seeds[i] {
-			r := &seeds[i][j]
-			sq.fold(i, partition.KeyString(r.Key), r, true, eff)
-		}
-	}
-	for _, b := range sq.early {
-		for i := range b.ds {
-			if d := &b.ds[i]; d.Seq > sq.floors[b.side][d.Part] {
-				sq.applyDelta(b.side, d, eff)
-			}
-		}
-	}
-	sq.early, sq.floors = nil, nil
-	clear(sq.jr.tabs) // the attach copy must not stay reachable through it
-	deltas := sq.settleLocked(eff)
+	clear(sq.jr.tabs) // the seeds' rows must not stay reachable through it
+	deltas := sq.settleLocked(sq.attach)
 	if err := sq.failed; err != nil {
 		// Close takes the arrangements' listener locks, which a writer
 		// waiting in the listener for sq.mu read-holds: unlock first.
@@ -287,7 +265,7 @@ func (ex *Executor) SubscribeQuery(query string, bind func(*StandingQuery) func(
 		sq.Close()
 		return nil, err
 	}
-	sq.live = true
+	sq.attach, sq.seeded = nil, nil
 	sq.sink(SubEvent{Deltas: deltas, Watermark: sq.watermark, Snapshot: true})
 	sq.mu.Unlock()
 	return sq, nil
@@ -376,20 +354,39 @@ func (sq *StandingQuery) Close() {
 	})
 }
 
+// seed is drive mode 1, the snapshot scan: Attach calls it with the rows
+// of source side's partition p under that partition's segment read lock.
+// It folds them into the attach batch as inserts and marks the partition
+// seeded.
+func (sq *StandingQuery) seed(side, p int, rows []core.TableRow) {
+	sq.mu.Lock()
+	defer sq.mu.Unlock()
+	for i := range rows {
+		r := &rows[i]
+		sq.fold(side, partition.KeyString(r.Key), r, true, sq.attach)
+	}
+	sq.seeded[side][p] = true
+}
+
 // deliver is drive mode 2, the arrangement listener for source side: it
 // runs on the writer, under the writer's segment lock. Before the query is
-// live it files the group for SubscribeQuery; after, it folds the group
-// through the standing stages and hands the output deltas to the sink as
-// one frame, or the evaluation failure as the final one, before it
-// releases the lock.
+// live it folds the group into the attach batch if the group's partition
+// is seeded, and drops it if not; after, it folds the group through the
+// standing stages and hands the output deltas to the sink as one frame, or
+// the evaluation failure as the final one, before it releases the lock.
 func (sq *StandingQuery) deliver(side int, ds []core.ArrDelta) {
 	sq.mu.Lock()
 	defer sq.mu.Unlock()
-	if !sq.live {
-		sq.early = append(sq.early, pendDeltas{side: side, ds: ds})
+	if sq.failed != nil {
 		return
 	}
-	if sq.failed != nil {
+	if sq.attach != nil {
+		// A group is one partition's deltas.
+		if sq.seeded[side][ds[0].Part] {
+			for i := range ds {
+				sq.applyDelta(side, &ds[i], sq.attach)
+			}
+		}
 		return
 	}
 	eff := newBatchEff()

@@ -2,6 +2,7 @@ package squery
 
 import (
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -160,5 +161,81 @@ func TestDisableMetrics(t *testing.T) {
 	// Queries still work without any instrumentation.
 	if _, err := eng.Query(`SELECT count FROM average WHERE partitionKey = 1`); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// unpinnableState is operator state whose type was never registered with
+// gob, so the JetBlob baseline cannot serialize it.
+type unpinnableState struct{ N int }
+
+// TestPinFailureAbortsCheckpoint: an instance that cannot pin its state
+// costs the checkpoint, not the process. Every pin of a JetBlob job whose
+// state type is unregistered fails: CheckpointNow reports the error after
+// its retries, each attempt is an abort that sys.checkpoints names with the
+// error, nothing commits, and the job keeps processing.
+func TestPinFailureAbortsCheckpoint(t *testing.T) {
+	eng := New(Config{Nodes: 3, Partitions: 27})
+	gate := make(chan struct{})
+	var sunk atomic.Int64
+	src := GeneratorSource("source", 1, 0, func(_ int, seq int64) (Record, bool) {
+		select {
+		case <-gate:
+			return Record{}, false
+		default:
+		}
+		time.Sleep(100 * time.Microsecond)
+		return Record{Key: int(seq % 4), Value: int(seq)}, true
+	})
+	count := func(state any, rec Record) (any, []Record) {
+		s, _ := state.(unpinnableState)
+		s.N++
+		return s, []Record{rec}
+	}
+	dag := NewDAG().
+		AddVertex(src).
+		AddVertex(StatefulMapVertex("unpinnable", 2, count)).
+		AddVertex(SinkVertex("sink", 1, func(Record) { sunk.Add(1) })).
+		Connect("source", "unpinnable", EdgePartitioned).
+		Connect("unpinnable", "sink", EdgePartitioned)
+	job, err := eng.SubmitJob(dag, JobSpec{Name: "unpinnable", State: StateConfig{JetBlob: true}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer job.Stop()
+	defer close(gate)
+	waitSunk := func(n int64) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); sunk.Load() < n; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("sink saw %d records, want %d", sunk.Load(), n)
+			}
+		}
+	}
+	waitSunk(10)
+
+	err = job.CheckpointNow()
+	if err == nil || !strings.Contains(err.Error(), "snapshot pin failed") || !strings.Contains(err.Error(), "not registered") {
+		t.Fatalf("checkpoint of unpinnable state: err = %v, want the pin's gob error", err)
+	}
+	if got := job.CheckpointAborts(); got != 4 {
+		t.Errorf("aborts = %d, want 4 (one attempt, three retries)", got)
+	}
+	if id := job.LatestSnapshotID(); id != 0 {
+		t.Errorf("latest committed = %d after failed pins, want 0", id)
+	}
+	// The job is alive: records keep flowing past the failed checkpoint.
+	waitSunk(sunk.Load() + 10)
+
+	res, err := eng.Query(`SELECT outcome, error FROM sys.checkpoints`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != 4 {
+		t.Fatalf("sys.checkpoints has %d rows, want one per aborted attempt (4): %v", len(res.Rows), res.Rows)
+	}
+	for _, r := range res.Rows {
+		if msg, _ := r[1].(string); r[0] != "pin failed" || !strings.Contains(msg, "not registered") {
+			t.Errorf("sys.checkpoints row %v, want outcome 'pin failed' naming the gob error", r)
+		}
 	}
 }
