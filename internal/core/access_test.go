@@ -12,8 +12,12 @@ import (
 func scanWithPath(t *TableRef, ssid int64, path *AccessPath, filter func(TableRow) bool) map[string]int64 {
 	out := map[string]int64{}
 	for p := 0; p < t.Partitions(); p++ {
-		t.ScanPartitionSpec(p, ScanSpec{SSID: ssid, Filter: filter, Path: path}, func(r TableRow) bool {
-			out[fmt.Sprint(r.Key)] = r.SSID
+		t.ScanPartitionSpec(p, ScanSpec{SSID: ssid, Path: path}, func(rows []TableRow) bool {
+			for _, r := range rows {
+				if filter == nil || filter(r) {
+					out[fmt.Sprint(r.Key)] = r.SSID
+				}
+			}
 			return true
 		})
 	}

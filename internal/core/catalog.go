@@ -253,20 +253,12 @@ func (t *TableRef) ResolveSSID(pinned int64) (int64, error) {
 // ScanSpec is the state layer's half of the partition-fragment contract:
 // how one partition of the table is read for a query that runs where the
 // partition lives. The SQL layer's fragment is the callback — it filters,
-// probes the co-partitioned table (Lookup) and folds or projects per row;
-// what the spec fixes is the version read, the access path, cancellation
-// and the scratch the partition copy is taken into.
+// probes the co-partitioned table (Lookup) and folds or projects a chunk of
+// rows at a time; what the spec fixes is the version read, the access path,
+// cancellation and the scratch the partition is read into.
 type ScanSpec struct {
 	// SSID is the snapshot id to read (from ResolveSSID; ignored live).
 	SSID int64
-	// Filter, when non-nil, is evaluated against every decoded row; only
-	// accepted rows reach fn.
-	Filter func(TableRow) bool
-	// Cols, when non-nil, narrows each emitted row's Value to these
-	// columns by name (pseudo-columns stay available via TableRow itself)
-	// and drops Raw: the shape of a schemaless row shipped to the client.
-	// The filter always sees the full row. nil emits rows whole.
-	Cols []string
 	// Path, when non-nil, asks the scan to find its candidate rows through
 	// a key lookup or a secondary index instead of iterating the
 	// partition. It is an optimisation only — the caller's filter remains
@@ -274,23 +266,42 @@ type ScanSpec struct {
 	// ready index serves the path (e.g. after DisableIndexes compiled it
 	// away, or on the backup fallback read, which is never indexed).
 	Path *AccessPath
-	// Done, when non-nil, cancels the scan once closed.
+	// Done, when non-nil, cancels the scan once closed; it is polled
+	// between chunks.
 	Done <-chan struct{}
 	// Buf, when non-nil, is the scratch the partition's point-in-time copy
-	// is taken into (see kv.ScanOpts.Buf).
-	Buf *[]kv.Entry
+	// and its decoded chunks are taken into.
+	Buf *ScanBuf
+}
+
+// ScanBuf is the scratch one goroutine's partition reads reuse: the
+// partition's copied entries (see kv.ScanOpts.Buf) and the chunk of rows
+// decoded from them. A chunk handed to a scan callback lives in it, so it
+// is only valid until the callback returns.
+type ScanBuf struct {
+	entries []kv.Entry
+	rows    []TableRow
 }
 
 // ScanPartition streams the rows of one partition as of snapshot ssid
 // (which the caller obtained from ResolveSSID; ignored for live tables).
 // The charge for reaching the partition's node is paid by the view.
 func (t *TableRef) ScanPartition(ssid int64, p int, fn func(TableRow) bool) {
-	t.ScanPartitionSpec(p, ScanSpec{SSID: ssid}, fn)
+	t.ScanPartitionSpec(p, ScanSpec{SSID: ssid}, func(rows []TableRow) bool {
+		for _, r := range rows {
+			if !fn(r) {
+				return false
+			}
+		}
+		return true
+	})
 }
 
-// ScanPartitionSpec is ScanPartition under the spec: access path, filter,
-// narrowing and cancellation applied where the partition lives.
-func (t *TableRef) ScanPartitionSpec(p int, spec ScanSpec, fn func(TableRow) bool) {
+// ScanPartitionSpec reads one partition under the spec, handing fn the
+// rows a chunk at a time: each chunk of at most kv.ScanBatch copied entries
+// is decoded in one loop — every snapshot chain resolved at the spec's
+// SSID — before fn sees any of its rows. false from fn stops the read.
+func (t *TableRef) ScanPartitionSpec(p int, spec ScanSpec, fn func([]TableRow) bool) {
 	t.scanPartition(p, spec, false, fn)
 }
 
@@ -307,40 +318,52 @@ func (t *TableRef) decode(e kv.Entry, ssid int64) (TableRow, bool) {
 	return TableRow{Key: e.Key, SSID: v.SSID, Raw: v.Value}, true
 }
 
-func (t *TableRef) scanPartition(p int, spec ScanSpec, backup bool, fn func(TableRow) bool) {
-	emit := func(r TableRow) bool {
-		if spec.Filter != nil && !spec.Filter(r) {
-			return true
+// decodeChunk decodes a chunk of copied entries into rows, reused.
+func (t *TableRef) decodeChunk(es []kv.Entry, ssid int64, rows []TableRow) []TableRow {
+	rows = rows[:0]
+	for _, e := range es {
+		if r, ok := t.decode(e, ssid); ok {
+			rows = append(rows, r)
 		}
-		return fn(narrowRow(r, spec.Cols))
+	}
+	return rows
+}
+
+func (t *TableRef) scanPartition(p int, spec ScanSpec, backup bool, fn func([]TableRow) bool) {
+	buf := spec.Buf
+	if buf == nil {
+		buf = &ScanBuf{}
 	}
 	if t.virtual != nil {
 		rows := t.virtual()
-		for i, r := range rows {
-			if spec.Done != nil && i%32 == 0 {
+		for len(rows) > 0 {
+			if spec.Done != nil {
 				select {
 				case <-spec.Done:
 					return
 				default:
 				}
 			}
-			if !emit(r) {
+			n := min(len(rows), kv.ScanBatch)
+			if !fn(rows[:n:n]) {
 				return
 			}
+			rows = rows[n:]
 		}
 		return
 	}
 	if spec.Path != nil && spec.Path.Kind == KeyLookup {
 		if r, ok := t.lookup(p, partition.KeyString(spec.Path.Eq), spec.SSID, backup); ok {
-			emit(r)
+			buf.rows = append(buf.rows[:0], r)
+			fn(buf.rows)
 		}
 		return
 	}
 	m := t.mapRef()
-	opts := kv.ScanOpts{Done: spec.Done, Buf: spec.Buf}
-	each := func(e kv.Entry) bool {
-		r, ok := t.decode(e, spec.SSID)
-		return !ok || emit(r)
+	opts := kv.ScanOpts{Done: spec.Done, Buf: &buf.entries}
+	each := func(es []kv.Entry) bool {
+		buf.rows = t.decodeChunk(es, spec.SSID, buf.rows)
+		return len(buf.rows) == 0 || fn(buf.rows)
 	}
 	if backup {
 		// The degraded read: the backup replica is never indexed.
@@ -349,9 +372,9 @@ func (t *TableRef) scanPartition(p int, spec ScanSpec, backup bool, fn func(Tabl
 	}
 	// Index-served scan. On a snapshot table the chain-union index yields
 	// every key whose *any* version could match — a superset for any SSID
-	// — and decode re-resolves At(SSID) exactly like the full scan.
+	// — and decodeChunk re-resolves At(SSID) exactly like the full scan.
 	if lk, ok := spec.Path.lookup(); ok {
-		if m.ScanPartitionIndexed(p, lk, opts, each) {
+		if m.ScanPartitionIndexedWith(p, lk, opts, each) {
 			return
 		}
 	}
@@ -450,13 +473,13 @@ func (r projectedRow) Field(name string) (any, bool) {
 // Columns implements kv.Row.
 func (r projectedRow) Columns() []string { return append([]string(nil), r.cols...) }
 
-// narrowRow narrows a row's Value to cols by name (nil = no narrowing) —
+// NarrowRow narrows a row's Value to cols by name (nil = no narrowing) —
 // the shipped form of a row whose table reports no schema. Columns the
 // underlying row does not have are simply absent from the projection, so
 // an unknown-column reference still fails at evaluation exactly as it
 // would against the full row. Raw is dropped: a narrowed row is a
 // query-shaped wire row, not the state object.
-func narrowRow(r TableRow, cols []string) TableRow {
+func NarrowRow(r TableRow, cols []string) TableRow {
 	if cols == nil {
 		return r
 	}
@@ -519,13 +542,13 @@ func (t *TableRef) LatestCommittedSSID() int64 {
 	return latest
 }
 
-// ScanPartitionFallbackSpec streams the rows of partition p under the
-// spec from the partition's backup replica instead of its primary copy.
-// This is the degraded read behind PolicyFallback: the primary owner is
-// unreachable, but the synchronously replicated backup on another node
-// still holds every committed snapshot version — and a degraded read is
-// still a fragment read. Yields nothing when the store is not replicated.
-func (t *TableRef) ScanPartitionFallbackSpec(p int, spec ScanSpec, fn func(TableRow) bool) {
+// ScanPartitionFallbackSpec reads partition p under the spec from the
+// partition's backup replica instead of its primary copy. This is the
+// degraded read behind PolicyFallback: the primary owner is unreachable,
+// but the synchronously replicated backup on another node still holds
+// every committed snapshot version — and a degraded read is still a
+// fragment read. Yields nothing when the store is not replicated.
+func (t *TableRef) ScanPartitionFallbackSpec(p int, spec ScanSpec, fn func([]TableRow) bool) {
 	if t.virtual != nil {
 		t.ScanPartitionSpec(p, spec, fn)
 		return

@@ -32,8 +32,11 @@ func scanAllSpec(t *testing.T, ref *TableRef, spec ScanSpec) []TableRow {
 	t.Helper()
 	var out []TableRow
 	for p := 0; p < ref.Partitions(); p++ {
-		ref.ScanPartitionSpec(p, spec, func(r TableRow) bool {
-			out = append(out, r)
+		ref.ScanPartitionSpec(p, spec, func(rows []TableRow) bool {
+			if len(rows) > kv.ScanBatch {
+				t.Fatalf("chunk of %d rows, more than kv.ScanBatch", len(rows))
+			}
+			out = append(out, rows...)
 			return true
 		})
 	}
@@ -51,14 +54,12 @@ func TestScanPartitionSpecFilterAndProjection(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rows := scanAllSpec(t, ref, ScanSpec{
-			SSID: ssid,
-			Filter: func(r TableRow) bool {
-				v, _ := r.Field("val")
-				return v.(int) < 10
-			},
-			Cols: []string{"val"},
-		})
+		var rows []TableRow
+		for _, r := range scanAllSpec(t, ref, ScanSpec{SSID: ssid}) {
+			if v, _ := r.Field("val"); v.(int) < 10 {
+				rows = append(rows, NarrowRow(r, []string{"val"}))
+			}
+		}
 		if len(rows) != 10 {
 			t.Fatalf("%s: filtered scan returned %d rows, want 10", table, len(rows))
 		}
@@ -93,10 +94,10 @@ func TestScanPartitionSpecNilColsShipsAll(t *testing.T) {
 	}
 	for _, r := range rows {
 		if _, ok := r.Field("extra"); !ok {
-			t.Fatal("nil Cols dropped a column")
+			t.Fatal("an unnarrowed scan dropped a column")
 		}
 		if r.Raw == nil {
-			t.Fatal("nil Cols dropped Raw")
+			t.Fatal("an unnarrowed scan dropped Raw")
 		}
 	}
 }
@@ -129,11 +130,12 @@ func TestScanPartitionSpecVirtual(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got []TableRow
-	ref.ScanPartitionSpec(0, ScanSpec{
-		Filter: func(r TableRow) bool { v, _ := r.Field("n"); return v.(int)%2 == 0 },
-		Cols:   []string{"n"},
-	}, func(r TableRow) bool {
-		got = append(got, r)
+	ref.ScanPartitionSpec(0, ScanSpec{}, func(rows []TableRow) bool {
+		for _, r := range rows {
+			if v, _ := r.Field("n"); v.(int)%2 == 0 {
+				got = append(got, NarrowRow(r, []string{"n"}))
+			}
+		}
 		return true
 	})
 	if len(got) != 3 {

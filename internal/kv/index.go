@@ -731,14 +731,19 @@ func (m *Map) CreateIndex(col string, kind IndexKind, extract ValueIndexer) (*In
 // Indexes returns the map's indexes in creation order.
 func (m *Map) Indexes() []*Index { return m.indexSet() }
 
-// ScanPartitionIndexed serves a partition scan from an index: candidates
-// are gathered under the segment read lock (same-kind matches plus the
-// foreign-kind and odd safety nets — a superset of what a full scan would
-// examine for the same predicate), then filtered and streamed outside the
-// lock exactly like ScanPartitionWith. It reports false — and touches
-// nothing — when no ready index can serve the lookup; the caller falls
-// back to a full scan.
+// ScanPartitionIndexed is ScanPartitionIndexedWith an entry at a time.
 func (m *Map) ScanPartitionIndexed(p int, lk IndexLookup, o ScanOpts, fn func(Entry) bool) bool {
+	return m.ScanPartitionIndexedWith(p, lk, o, eachEntry(fn))
+}
+
+// ScanPartitionIndexedWith serves a partition scan from an index:
+// candidates are gathered under the segment read lock (same-kind matches
+// plus the foreign-kind and odd safety nets — a superset of what a full
+// scan would examine for the same predicate), then handed to fn in chunks
+// outside the lock exactly like ScanPartitionWith. It reports false — and
+// touches nothing — when no ready index can serve the lookup; the caller
+// falls back to a full scan.
+func (m *Map) ScanPartitionIndexedWith(p int, lk IndexLookup, o ScanOpts, fn func([]Entry) bool) bool {
 	ix := m.indexFor(lk)
 	if ix == nil {
 		return false
@@ -761,7 +766,7 @@ func (m *Map) ScanPartitionIndexed(p int, lk IndexLookup, o ScanOpts, fn func(En
 	if st := m.store.statsFor(p); st != nil {
 		st.scans.Inc()
 	}
-	o.iterate(entries, fn)
+	o.chunks(entries, fn)
 	return true
 }
 

@@ -16,8 +16,12 @@ import (
 func collectIndexed(m *Map, lk IndexLookup, filter func(Entry) bool) (map[string]any, bool) {
 	out := map[string]any{}
 	for p := 0; p < m.store.part.Count(); p++ {
-		ok := m.ScanPartitionIndexed(p, lk, ScanOpts{Filter: filter}, func(e Entry) bool {
-			out[partition.KeyString(e.Key)] = e.Value
+		ok := m.ScanPartitionIndexedWith(p, lk, ScanOpts{}, func(es []Entry) bool {
+			for _, e := range es {
+				if filter == nil || filter(e) {
+					out[partition.KeyString(e.Key)] = e.Value
+				}
+			}
 			return true
 		})
 		if !ok {
@@ -30,8 +34,10 @@ func collectIndexed(m *Map, lk IndexLookup, filter func(Entry) bool) (map[string
 func collectFull(m *Map, filter func(Entry) bool) map[string]any {
 	out := map[string]any{}
 	for p := 0; p < m.store.part.Count(); p++ {
-		m.ScanPartitionWith(p, ScanOpts{Filter: filter}, func(e Entry) bool {
-			out[partition.KeyString(e.Key)] = e.Value
+		m.ScanPartition(p, func(e Entry) bool {
+			if filter == nil || filter(e) {
+				out[partition.KeyString(e.Key)] = e.Value
+			}
 			return true
 		})
 	}

@@ -343,12 +343,16 @@ func TestResetPaths(t *testing.T) {
 			isZ1 := func(e Entry) bool { z, _ := AsRow(e.Value).Field("zone"); return z == "z1" }
 			for _, p := range c.parts {
 				var viaIndex, viaScan []string
-				f.m.ScanPartitionIndexed(p, IndexLookup{Col: "zone", Eq: "z1"}, ScanOpts{Filter: isZ1}, func(e Entry) bool {
-					viaIndex = append(viaIndex, partition.KeyString(e.Key))
+				f.m.ScanPartitionIndexed(p, IndexLookup{Col: "zone", Eq: "z1"}, ScanOpts{}, func(e Entry) bool {
+					if isZ1(e) {
+						viaIndex = append(viaIndex, partition.KeyString(e.Key))
+					}
 					return true
 				})
-				f.m.ScanPartitionWith(p, ScanOpts{Filter: isZ1}, func(e Entry) bool {
-					viaScan = append(viaScan, partition.KeyString(e.Key))
+				f.m.ScanPartition(p, func(e Entry) bool {
+					if isZ1(e) {
+						viaScan = append(viaScan, partition.KeyString(e.Key))
+					}
 					return true
 				})
 				sort.Strings(viaIndex)

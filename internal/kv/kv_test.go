@@ -501,13 +501,15 @@ func TestScanPartitionWithFilter(t *testing.T) {
 	m := s.GetMap("m")
 	seen := 0
 	for p := 0; p < s.Partitioner().Count(); p++ {
-		m.ScanPartitionWith(p, ScanOpts{Filter: func(e Entry) bool {
-			return e.Value.(int)%2 == 0
-		}}, func(e Entry) bool {
-			if e.Value.(int)%2 != 0 {
-				t.Fatalf("filter leaked odd value %v", e.Value)
+		m.ScanPartitionWith(p, ScanOpts{}, func(es []Entry) bool {
+			if len(es) > ScanBatch {
+				t.Fatalf("chunk of %d entries, more than ScanBatch", len(es))
 			}
-			seen++
+			for _, e := range es {
+				if e.Value.(int)%2 == 0 {
+					seen++
+				}
+			}
 			return true
 		})
 	}
@@ -519,11 +521,11 @@ func TestScanPartitionWithFilter(t *testing.T) {
 func TestScanPartitionWithDoneStopsEarly(t *testing.T) {
 	s := testStore()
 	v := s.View(0)
-	// Pile enough keys into one partition that the done poll (every 32
-	// entries) must trigger mid-scan.
+	// Pile more than one chunk's worth of keys into one partition, so the
+	// done poll between chunks must trigger mid-scan.
 	var target int
 	n := 0
-	for i := 0; n < 500; i++ {
+	for i := 0; n < 2*ScanBatch; i++ {
 		p := s.Partitioner().Of(i)
 		if n == 0 {
 			target = p
@@ -535,15 +537,15 @@ func TestScanPartitionWithDoneStopsEarly(t *testing.T) {
 	}
 	done := make(chan struct{})
 	visited := 0
-	s.GetMap("m").ScanPartitionWith(target, ScanOpts{Done: done}, func(Entry) bool {
-		visited++
-		if visited == 10 {
+	s.GetMap("m").ScanPartitionWith(target, ScanOpts{Done: done}, func(es []Entry) bool {
+		if visited == 0 {
 			close(done)
 		}
+		visited += len(es)
 		return true
 	})
-	if visited >= 500 {
-		t.Fatalf("done channel did not stop the scan (visited %d)", visited)
+	if visited != ScanBatch {
+		t.Fatalf("done channel did not stop the scan after the first chunk (visited %d of %d)", visited, 2*ScanBatch)
 	}
 }
 
@@ -559,10 +561,12 @@ func TestScanPartitionBackupWithFilter(t *testing.T) {
 	m := s.GetMap("m")
 	seen := 0
 	for p := 0; p < s.Partitioner().Count(); p++ {
-		m.ScanPartitionBackupWith(p, ScanOpts{Filter: func(e Entry) bool {
-			return e.Value.(int) < 5
-		}}, func(e Entry) bool {
-			seen++
+		m.ScanPartitionBackupWith(p, ScanOpts{}, func(es []Entry) bool {
+			for _, e := range es {
+				if e.Value.(int) < 5 {
+					seen++
+				}
+			}
 			return true
 		})
 	}

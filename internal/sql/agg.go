@@ -304,27 +304,32 @@ func (g *partialGroup) keepHead(jr *joinedRow) {
 // argument is evaluated once and added or removed.
 func (g *partialGroup) fold(ctx *evalCtx, aggs []Agg, jr *joinedRow, add bool) error {
 	for i := range g.accs {
-		a, acc := &aggs[i], &g.accs[i]
-		if a.Star {
-			if add {
-				acc.count++
-			} else {
-				acc.count--
+		var v datum
+		if !aggs[i].Star {
+			var err error
+			if v, err = ctx.evalD(aggs[i].Arg, jr); err != nil {
+				return err
 			}
-			continue
 		}
-		v, err := ctx.evalD(a.Arg, jr)
-		if err != nil {
+		if err := g.accs[i].fold(aggs[i].Star, v, add); err != nil {
 			return err
 		}
-		if add {
-			err = acc.add(v)
-		} else {
-			err = acc.remove(v)
-		}
-		if err != nil {
-			return err
-		}
+	}
+	return nil
+}
+
+// fold adds one row's argument value (add false: retracts it); a
+// COUNT(*) counts the row.
+func (a *aggAcc) fold(star bool, v datum, add bool) error {
+	switch {
+	case star && add:
+		a.count++
+	case star:
+		a.count--
+	case add:
+		return a.add(v)
+	default:
+		return a.remove(v)
 	}
 	return nil
 }
@@ -341,7 +346,8 @@ type groupTable struct {
 	groups map[string]*partialGroup
 	order  []*partialGroup
 	keyBuf []byte
-	in     int64 // rows folded
+	colBuf [][]datum // the key and argument columns of the batch being folded
+	in     int64     // rows folded
 }
 
 func newGroupTable(pp *physPlan, ctx *evalCtx) *groupTable {
@@ -359,23 +365,44 @@ func (gt *groupTable) group(key []byte) (g *partialGroup, created bool) {
 	return g, true
 }
 
-// add folds one working-set row into its group.
-func (gt *groupTable) add(jr *joinedRow) (bool, error) {
-	gt.keyBuf = gt.keyBuf[:0]
-	for _, ge := range gt.pp.groupBy {
-		v, err := gt.ctx.evalD(ge, jr)
-		if err != nil {
+// add folds the batch's selected rows into their groups. The group keys
+// and the aggregate arguments are evaluated column by column over the
+// whole selection first; then each row finds its group and folds.
+func (gt *groupTable) add(b *batch, sel []int32) (bool, error) {
+	nk := len(gt.pp.groupBy)
+	gt.colBuf = gt.colBuf[:0]
+	for range nk + len(gt.pp.aggs) {
+		gt.colBuf = append(gt.colBuf, b.sc.datums(b.n))
+	}
+	defer b.sc.dropDatums(len(gt.colBuf))
+	keys, args := gt.colBuf[:nk], gt.colBuf[nk:]
+	for k, ge := range gt.pp.groupBy {
+		if err := gt.ctx.evalBatch(ge, b, sel, keys[k]); err != nil {
 			return false, err
 		}
-		gt.keyBuf = v.appendGroupKey(gt.keyBuf)
 	}
-	g, created := gt.group(gt.keyBuf)
-	if created {
-		g.keepHead(jr)
+	for a, ag := range gt.pp.aggs {
+		if !ag.Star {
+			if err := gt.ctx.evalBatch(ag.Arg, b, sel, args[a]); err != nil {
+				return false, err
+			}
+		}
 	}
-	gt.in++
-	if err := g.fold(gt.ctx, gt.pp.aggs, jr, true); err != nil {
-		return false, err
+	for _, i := range sel {
+		gt.keyBuf = gt.keyBuf[:0]
+		for k := range keys {
+			gt.keyBuf = keys[k][i].appendGroupKey(gt.keyBuf)
+		}
+		g, created := gt.group(gt.keyBuf)
+		if created {
+			g.keepHead(b.row(i))
+		}
+		gt.in++
+		for a := range g.accs {
+			if err := g.accs[a].fold(gt.pp.aggs[a].Star, args[a][i], true); err != nil {
+				return false, err
+			}
+		}
 	}
 	return true, nil
 }

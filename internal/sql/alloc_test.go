@@ -43,6 +43,42 @@ func TestJoinFoldAllocs(t *testing.T) {
 	t.Logf("Query 3 over two %d-row tables: %.0f allocations (%.4f per table row)", n, allocs, allocs/(2*n))
 }
 
+// TestScanFoldAllocs: the benchmark's live grouped scan — a pushed
+// filter and a fold into per-node groups over a full scan — allocates the
+// same over 10 000 rows as over 1 000: each of the 32 partitions then
+// spans two chunks instead of one, and nothing a fragment reads or
+// evaluates in (scan buffer, batch columns, selections) is allocated per
+// chunk or per row. One object per chunk would add 32; the gate allows
+// half that, for the buffer pool, which the race detector makes drop
+// buffers at random.
+func TestScanFoldAllocs(t *testing.T) {
+	const q = `SELECT COUNT(*), deliveryZone FROM orderinfo WHERE vendorCategory = 'pharmacy' GROUP BY deliveryZone`
+	allocs := func(n int) float64 {
+		f := newFixture(t, n, liveSnapCfg())
+		res, err := f.ex.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		total := int64(0)
+		for _, r := range res.Rows {
+			total += r[0].(int64)
+		}
+		if want := int64(n / 2); total != want { // categories alternate food, pharmacy
+			t.Fatalf("the scan counted %d pharmacy orders of %d, want %d", total, n, want)
+		}
+		return testing.AllocsPerRun(50, func() {
+			if _, err := f.ex.Query(q); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(1_000), allocs(10_000)
+	if large-small >= 16 {
+		t.Fatalf("the grouped scan allocated %.1f objects over 1 000 rows and %.1f over 10 000; the allocations must not grow with rows", small, large)
+	}
+	t.Logf("grouped scan: %.1f allocations over 1 000 rows, %.1f over 10 000", small, large)
+}
+
 // TestKeyLookupAllocs: a `partitionKey = <literal>` read is served by the
 // partition's key map — one row examined, not the partition — and parse,
 // plan, fragment and result together stay under 100 objects (446 when the

@@ -246,8 +246,11 @@ func (ex *Executor) attemptPartition(pi *pipe, p int) (evalErr, availErr error) 
 	defer tm.Stop()
 	select {
 	case r := <-ch:
-		if r.att != nil && r.evalErr == nil {
-			r.evalErr = pi.absorbAttempt(r.att)
+		if r.att != nil {
+			r.att.release()
+			if r.evalErr == nil {
+				r.evalErr = pi.absorbAttempt(r.att)
+			}
 		}
 		return r.evalErr, r.err
 	case <-tm.C:

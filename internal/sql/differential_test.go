@@ -74,6 +74,8 @@ type diffFixture struct {
 	// liveOnly makes generate read live tables only, which is what a
 	// standing query can subscribe to.
 	liveOnly bool
+	// limits is the range an unordered LIMIT is drawn from.
+	limits int
 }
 
 var dOps = []string{"dorder", "dstate", "dnote"}
@@ -94,13 +96,20 @@ func rowOf(key string, v any) dRow {
 	return r
 }
 
-// newDiffFixture builds three operators over keys k-0..k-(n-1), each
-// holding a random subset, checkpoints (ssid 1), rewrites and deletes some
-// rows, checkpoints again (ssid 2), then moves live state once more.
+// newDiffFixture builds three operators over keys k-0..k-(n-1) in 16
+// partitions, each holding a random subset, checkpoints (ssid 1), rewrites
+// and deletes some rows, checkpoints again (ssid 2), then moves live state
+// once more.
 func newDiffFixture(t *testing.T, seed int64, n int) *diffFixture {
 	t.Helper()
-	p := partition.New(16)
-	store := kv.NewStore(p, partition.Assign(16, 3), nil)
+	return newDiffFixtureOn(t, seed, n, 16)
+}
+
+// newDiffFixtureOn is newDiffFixture over the given number of partitions.
+func newDiffFixtureOn(t *testing.T, seed int64, n, parts int) *diffFixture {
+	t.Helper()
+	p := partition.New(parts)
+	store := kv.NewStore(p, partition.Assign(parts, 3), nil)
 	mgr := core.NewManager(store, 4)
 	cat := core.NewCatalog(store)
 	cfg := liveSnapCfg()
@@ -108,7 +117,7 @@ func newDiffFixture(t *testing.T, seed int64, n int) *diffFixture {
 		t.Fatal(err)
 	}
 	f := &diffFixture{ex: NewExecutor(cat, 3), store: store, tables: map[string]*dTable{},
-		rng: rand.New(rand.NewSource(seed)), backends: map[string]*core.Backend{}}
+		rng: rand.New(rand.NewSource(seed)), backends: map[string]*core.Backend{}, limits: 8}
 	for _, op := range dOps {
 		if err := mgr.RegisterOperator(core.OperatorMeta{Name: op, Parallelism: 1, Config: cfg}); err != nil {
 			t.Fatal(err)
@@ -541,13 +550,17 @@ func (f *diffFixture) generate(rng *rand.Rand) dQuery {
 		return out
 	}
 	var work [][]dRow
+	var right []dRow
+	if len(srcs) > 1 {
+		right = sorted(srcs[1].rows)
+	}
 	for _, l := range sorted(srcs[0].rows) {
 		if len(srcs) == 1 {
 			work = append(work, []dRow{l})
 			continue
 		}
 		hit := false
-		for _, r := range sorted(srcs[1].rows) {
+		for _, r := range right {
 			if joinOn(l, r) {
 				hit = true
 				work = append(work, []dRow{l, r})
@@ -612,7 +625,7 @@ func (f *diffFixture) generate(rng *rand.Rand) dQuery {
 				}
 			}
 		case 1:
-			q.limit = rng.Intn(8)
+			q.limit = rng.Intn(f.limits)
 			tail = fmt.Sprintf(" LIMIT %d", q.limit)
 		}
 	} else {
@@ -790,65 +803,113 @@ func canon(rows [][]any, ordered bool) []string {
 	return out
 }
 
+// TestDifferentialParity holds every engine path to the naive answer on
+// generated queries: four small fixtures of 60 keys in 16 partitions, and
+// one of 800 keys in 2 partitions, whose partitions span two chunks
+// (kv.ScanBatch rows each) and whose unordered LIMITs, drawn up to two
+// chunks' worth, fill in the middle of one.
 func TestDifferentialParity(t *testing.T) {
-	const perSeed = 250
-	for seed := int64(1); seed <= 4; seed++ {
-		f := newDiffFixture(t, seed, 60)
-		rng := rand.New(rand.NewSource(seed * 977))
-		for i := 0; i < perSeed; i++ {
-			q := f.generate(rng)
-			want := canon(q.want, q.ordered)
-			paths := []struct {
-				name string
-				opts ExecOpts
-			}{
-				{"fragment", ExecOpts{}},
-				{"no pushdown", ExecOpts{DisablePushdown: true}},
-				{"no indexes", ExecOpts{DisableIndexes: true}},
-				{"retry", ExecOpts{Policy: PolicyRetry}},
-				{"fallback", ExecOpts{Policy: PolicyFallback}},
-				{"fail-fast", ExecOpts{Policy: PolicyFailFast}},
+	for _, in := range []struct {
+		seed           int64
+		keys, parts    int
+		queries, limit int
+	}{
+		{1, 60, 16, 250, 8},
+		{2, 60, 16, 250, 8},
+		{3, 60, 16, 250, 8},
+		{4, 60, 16, 250, 8},
+		{5, 800, 2, 60, 2 * kv.ScanBatch},
+	} {
+		f := newDiffFixtureOn(t, in.seed, in.keys, in.parts)
+		f.limits = in.limit
+		if per := f.store.GetMap("dorder").Size() / in.parts; in.keys > 60 && per <= kv.ScanBatch {
+			t.Fatalf("seed %d: %d rows per partition, want more than one chunk (%d)", in.seed, per, kv.ScanBatch)
+		}
+		rng := rand.New(rand.NewSource(in.seed * 977))
+		for i := 0; i < in.queries; i++ {
+			// The guarded policies spawn a goroutine per partition: run them
+			// on every fifth query.
+			checkDifferential(t, f, f.generate(rng), i%5 == 0, fmt.Sprintf("seed %d query %d", in.seed, i))
+		}
+	}
+}
+
+// FuzzDifferential is TestDifferentialParity's oracle behind a fuzz
+// target: the input picks one of the four small fixtures and the seed the
+// query is generated from, and every engine path must agree with the
+// naive evaluation.
+func FuzzDifferential(f *testing.F) {
+	for i := int64(0); i < 8; i++ {
+		f.Add(uint8(i), i*977)
+	}
+	fixtures := map[int64]*diffFixture{}
+	f.Fuzz(func(t *testing.T, fixture uint8, query int64) {
+		seed := int64(fixture%4) + 1
+		fx := fixtures[seed]
+		if fx == nil {
+			fx = newDiffFixture(t, seed, 60)
+			fixtures[seed] = fx
+		}
+		checkDifferential(t, fx, fx.generate(rand.New(rand.NewSource(query))), false, fmt.Sprintf("seed %d query %d", seed, query))
+	})
+}
+
+// checkDifferential runs one generated query down the fragment path, the
+// DisablePushdown reference and the DisableIndexes plan — and, when
+// guarded is set, under each degradation policy — and holds each result to
+// the naive answer and to the fragment path's value types.
+func checkDifferential(t *testing.T, f *diffFixture, q dQuery, guarded bool, name string) {
+	t.Helper()
+	want := canon(q.want, q.ordered)
+	paths := []struct {
+		name string
+		opts ExecOpts
+	}{
+		{"fragment", ExecOpts{}},
+		{"no pushdown", ExecOpts{DisablePushdown: true}},
+		{"no indexes", ExecOpts{DisableIndexes: true}},
+		{"retry", ExecOpts{Policy: PolicyRetry}},
+		{"fallback", ExecOpts{Policy: PolicyFallback}},
+		{"fail-fast", ExecOpts{Policy: PolicyFailFast}},
+	}
+	if !guarded {
+		paths = paths[:3]
+	}
+	var first *Result
+	for _, p := range paths {
+		res, err := f.ex.QueryWithOptions(q.sql, p.opts)
+		if err != nil {
+			t.Fatalf("%s (%s): %v\n%s", name, p.name, err, q.sql)
+		}
+		got := canon(res.Rows, q.ordered)
+		if q.limit >= 0 {
+			// Any limit-sized subset of the naive answer.
+			if wantN := min(q.limit, len(want)); len(got) != wantN {
+				t.Fatalf("%s (%s): %d rows, want %d\n%s", name, p.name, len(got), wantN, q.sql)
 			}
-			if i%5 != 0 {
-				paths = paths[:3] // the guarded policies spawn a goroutine per partition
+			pool := map[string]int{}
+			for _, w := range want {
+				pool[w]++
 			}
-			var first *Result
-			for _, p := range paths {
-				res, err := f.ex.QueryWithOptions(q.sql, p.opts)
-				if err != nil {
-					t.Fatalf("seed %d query %d (%s): %v\n%s", seed, i, p.name, err, q.sql)
-				}
-				got := canon(res.Rows, q.ordered)
-				if q.limit >= 0 {
-					// Any limit-sized subset of the naive answer.
-					if wantN := min(q.limit, len(want)); len(got) != wantN {
-						t.Fatalf("seed %d query %d (%s): %d rows, want %d\n%s", seed, i, p.name, len(got), wantN, q.sql)
-					}
-					pool := map[string]int{}
-					for _, w := range want {
-						pool[w]++
-					}
-					for _, g := range got {
-						if pool[g]--; pool[g] < 0 {
-							t.Fatalf("seed %d query %d (%s): row %s is not in the naive answer\n%s", seed, i, p.name, g, q.sql)
-						}
-					}
-					continue
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("seed %d query %d: %s disagrees with the naive evaluation\n%s\n got  %v\n want %v", seed, i, p.name, q.sql, got, want)
-				}
-				// Between engine paths the values' Go types must agree too.
-				if first == nil {
-					first = res
-				} else if !q.ordered {
-					if a, b := sortedRows(res), sortedRows(first); a != b {
-						t.Fatalf("seed %d query %d: %s and fragment path differ\n%s\n %s\n %s", seed, i, p.name, q.sql, a, b)
-					}
-				} else if !reflect.DeepEqual(res.Rows, first.Rows) {
-					t.Fatalf("seed %d query %d: %s and fragment path differ\n%s\n %v\n %v", seed, i, p.name, q.sql, res.Rows, first.Rows)
+			for _, g := range got {
+				if pool[g]--; pool[g] < 0 {
+					t.Fatalf("%s (%s): row %s is not in the naive answer\n%s", name, p.name, g, q.sql)
 				}
 			}
+			continue
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: %s disagrees with the naive evaluation\n%s\n got  %v\n want %v", name, p.name, q.sql, got, want)
+		}
+		// Between engine paths the values' Go types must agree too.
+		if first == nil {
+			first = res
+		} else if !q.ordered {
+			if a, b := sortedRows(res), sortedRows(first); a != b {
+				t.Fatalf("%s: %s and fragment path differ\n%s\n %s\n %s", name, p.name, q.sql, a, b)
+			}
+		} else if !reflect.DeepEqual(res.Rows, first.Rows) {
+			t.Fatalf("%s: %s and fragment path differ\n%s\n %v\n %v", name, p.name, q.sql, res.Rows, first.Rows)
 		}
 	}
 }
@@ -905,6 +966,16 @@ func TestPushdownSoundnessRules(t *testing.T) {
 				t.Fatalf("%s: pushed[right] = %v, residual = %v; the conjunct must stay residual", q, pp.pushed[1], pp.residual)
 			}
 			agree(t, q)
+			// It joins by probing the right side's copy of each partition,
+			// driven from the left: nothing of the right side ships.
+			_, pp, err := f.ex.execTraced(mustParse(t, q), ExecOpts{}, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if plan := pp.render(3, true); !strings.Contains(plan, "co-partitioned key-lookup join, driven from the left side") ||
+				!strings.Contains(plan, "left outer") || pp.drive != 0 || pp.scans[1].Stat().Shipped.Load() != 0 {
+				t.Fatalf("%s: want a co-partitioned left outer join that ships none of the right side\n%s", q, plan)
+			}
 		}
 		// Pre-filtering y by `state IS NULL` would keep no y row and turn
 		// every x row into a NULL-extended match: count the real misses.

@@ -166,11 +166,7 @@ func (c *evalCtx) evalNot(x Unary, row Resolver) (datum, error) {
 	if err != nil {
 		return datum{}, err
 	}
-	b, ok := v.truthy()
-	if !ok {
-		return datum{}, nil // NOT NULL-ish input stays NULL
-	}
-	return boolDatum(!b), nil
+	return not3(v), nil
 }
 
 func (c *evalCtx) evalIn(x InList, row Resolver) (datum, error) {
@@ -186,8 +182,7 @@ func (c *evalCtx) evalIn(x InList, row Resolver) (datum, error) {
 		if err != nil {
 			return datum{}, err
 		}
-		cmp, err := compareD(v, lv)
-		if err == nil && cmp == 0 {
+		if inMatch(v, lv) {
 			return boolDatum(!x.Not), nil
 		}
 	}
@@ -207,18 +202,7 @@ func (c *evalCtx) evalBetween(x Between, row Resolver) (datum, error) {
 	if err != nil {
 		return datum{}, err
 	}
-	if v.k == dNull || lo.k == dNull || hi.k == dNull {
-		return datum{}, nil
-	}
-	cl, err := compareD(v, lo)
-	if err != nil {
-		return datum{}, err
-	}
-	ch, err := compareD(v, hi)
-	if err != nil {
-		return datum{}, err
-	}
-	return boolDatum((cl >= 0 && ch <= 0) != x.Not), nil
+	return between(v, lo, hi, x.Not)
 }
 
 // evalFunc evaluates the scalar functions of the dialect. Except for
@@ -324,41 +308,19 @@ func (c *evalCtx) evalFunc(x Func, row Resolver) (any, error) {
 
 // evalLogic evaluates AND / OR under three-valued logic.
 func (c *evalCtx) evalLogic(x Binary, row Resolver) (datum, error) {
+	and := x.Op == "AND"
 	l, err := c.evalD(x.L, row)
 	if err != nil {
 		return datum{}, err
 	}
-	lb, lok := l.truthy()
-	// Short-circuit where three-valued logic allows.
-	if x.Op == "AND" && lok && !lb {
-		return boolDatum(false), nil
-	}
-	if x.Op == "OR" && lok && lb {
-		return boolDatum(true), nil
+	if settles(and, l) {
+		return boolDatum(!and), nil
 	}
 	r, err := c.evalD(x.R, row)
 	if err != nil {
 		return datum{}, err
 	}
-	rb, rok := r.truthy()
-	// Three-valued logic: FALSE AND NULL = FALSE, TRUE OR NULL = TRUE,
-	// otherwise a NULL operand makes the result NULL.
-	if x.Op == "AND" {
-		if rok && !rb {
-			return boolDatum(false), nil
-		}
-		if !lok || !rok {
-			return datum{}, nil
-		}
-		return boolDatum(true), nil
-	}
-	if rok && rb {
-		return boolDatum(true), nil
-	}
-	if !lok || !rok {
-		return datum{}, nil
-	}
-	return boolDatum(false), nil
+	return combine3(and, l, r), nil
 }
 
 // evalCompare evaluates = != < <= > >=.
@@ -371,6 +333,16 @@ func (c *evalCtx) evalCompare(x Binary, row Resolver) (datum, error) {
 	if err != nil {
 		return datum{}, err
 	}
+	return compareOp(x.Op, l, r)
+}
+
+// The rules of comparison and three-valued logic, each defined once: the
+// row evaluator (evalD) and the batch evaluator (evalBatch) both apply
+// them to the operands they evaluated.
+
+// compareOp applies comparison operator op: NULL when either operand is
+// NULL, else the operator's test of compareD's order.
+func compareOp(op string, l, r datum) (datum, error) {
 	if l.k == dNull || r.k == dNull {
 		return datum{}, nil // comparisons with NULL are NULL
 	}
@@ -378,7 +350,7 @@ func (c *evalCtx) evalCompare(x Binary, row Resolver) (datum, error) {
 	if err != nil {
 		return datum{}, err
 	}
-	switch x.Op {
+	switch op {
 	case "=":
 		return boolDatum(cmp == 0), nil
 	case "!=":
@@ -392,6 +364,62 @@ func (c *evalCtx) evalCompare(x Binary, row Resolver) (datum, error) {
 	default:
 		return boolDatum(cmp >= 0), nil
 	}
+}
+
+// settles reports whether AND's (and true) or OR's left operand alone
+// decides the result — FALSE AND x is FALSE, TRUE OR x is TRUE — so that
+// the right operand is not evaluated; the result is then !and.
+func settles(and bool, l datum) bool {
+	b, ok := l.truthy()
+	return ok && b != and
+}
+
+// combine3 is AND or OR of a left operand that did not settle the result
+// and the right operand, under three-valued logic: a right operand that
+// settles it decides, otherwise a NULL operand makes the result NULL.
+func combine3(and bool, l, r datum) datum {
+	if settles(and, r) {
+		return boolDatum(!and)
+	}
+	if _, lok := l.truthy(); !lok {
+		return datum{}
+	}
+	if _, rok := r.truthy(); !rok {
+		return datum{}
+	}
+	return boolDatum(and)
+}
+
+// not3 is NOT under three-valued logic: a NULL-ish operand stays NULL.
+func not3(v datum) datum {
+	b, ok := v.truthy()
+	if !ok {
+		return datum{}
+	}
+	return boolDatum(!b)
+}
+
+// inMatch reports whether IN's non-NULL operand equals one list value;
+// values that cannot be compared do not match.
+func inMatch(v, lv datum) bool {
+	cmp, err := compareD(v, lv)
+	return err == nil && cmp == 0
+}
+
+// between is [NOT] BETWEEN over evaluated operands.
+func between(v, lo, hi datum, not bool) (datum, error) {
+	if v.k == dNull || lo.k == dNull || hi.k == dNull {
+		return datum{}, nil
+	}
+	cl, err := compareD(v, lo)
+	if err != nil {
+		return datum{}, err
+	}
+	ch, err := compareD(v, hi)
+	if err != nil {
+		return datum{}, err
+	}
+	return boolDatum((cl >= 0 && ch <= 0) != not), nil
 }
 
 // truthy interprets a value as a boolean; ok is false for NULL/non-bool.

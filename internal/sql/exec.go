@@ -697,8 +697,9 @@ func (ex *Executor) ownedPartitions(s tableSrc, node int) []int {
 // recordPartScan accounts one partition read on the source's plan leaf
 // and the per-partition registry instruments. examined counts rows the
 // pushed filter inspected node-side; emitted counts the rows it kept. The
-// wall time is the whole fragment's: what the rows went on to — probe,
-// fold, projection — runs inside the read.
+// wall time is the whole read's, chunks' joins and sinks included: the
+// pipe clocks those once per chunk and, when its node is done, moves them
+// off the scan onto the join and sink nodes (pipe.flushTimes).
 func (ex *Executor) recordPartScan(s *tableSrc, p int, examined, emitted int64, d time.Duration) {
 	if s.scan != nil {
 		st := s.scan.Stat()

@@ -2,6 +2,7 @@ package sql
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -37,8 +38,14 @@ type fixture struct {
 
 func newFixture(t testing.TB, n int, cfg core.Config) *fixture {
 	t.Helper()
-	p := partition.New(32)
-	store := kv.NewStore(p, partition.Assign(32, 3), nil)
+	return newFixtureOn(t, n, 32, cfg)
+}
+
+// newFixtureOn is newFixture over the given number of partitions.
+func newFixtureOn(t testing.TB, n, parts int, cfg core.Config) *fixture {
+	t.Helper()
+	p := partition.New(parts)
+	store := kv.NewStore(p, partition.Assign(parts, 3), nil)
 	mgr := core.NewManager(store, 2)
 	cat := core.NewCatalog(store)
 	if err := cat.RegisterJob(mgr.Registry(), "orderinfo", "orderstate"); err != nil {
@@ -324,6 +331,42 @@ func TestUnknownTableAndColumnErrors(t *testing.T) {
 	}
 	if _, err := f.ex.Query(`SELECT nosuchcolumn FROM orderinfo`); err == nil {
 		t.Fatal("unknown column succeeded")
+	}
+}
+
+// TestGuardedComparisonErrors: a comparison that cannot be evaluated (a
+// string column against a number) behind an AND whose left side is false
+// on every row, or an OR whose left side is true on every row, is never
+// reached and raises nothing, in the batch form as in the row form; the
+// same comparison reached does raise its error, on every path.
+func TestGuardedComparisonErrors(t *testing.T) {
+	f := newFixture(t, 600, liveSnapCfg()) // partitions of about 19 rows, under one chunk
+	for _, opts := range []ExecOpts{{}, {DisablePushdown: true}} {
+		for q, want := range map[string]int64{
+			`SELECT COUNT(*) FROM orderinfo WHERE customerLat < 0 AND deliveryZone > 5`:                                   0,
+			`SELECT COUNT(*) FROM orderinfo WHERE customerLat > 0 OR deliveryZone > 5`:                                    600,
+			`SELECT COUNT(*) FROM orderinfo WHERE NOT (customerLat < 0 AND deliveryZone > 5)`:                             600,
+			`SELECT COUNT(*) FROM "snapshot_orderinfo" WHERE customerLat < 0 AND deliveryZone > 5`:                        0,
+			`SELECT COUNT(*) FROM orderinfo WHERE deliveryZone IN ('north', 'south', 5)`:                                  600,
+			`SELECT COUNT(*) FROM orderinfo JOIN orderstate USING(partitionKey) WHERE customerLat < 0 AND orderState > 5`: 0,
+		} {
+			res, err := f.ex.QueryWithOptions(q, opts)
+			if err != nil {
+				t.Fatalf("%s (pushdown off: %v): %v", q, opts.DisablePushdown, err)
+			}
+			if res.Rows[0][0] != want {
+				t.Fatalf("%s (pushdown off: %v) = %v, want %d", q, opts.DisablePushdown, res.Rows[0][0], want)
+			}
+		}
+		for _, q := range []string{
+			`SELECT COUNT(*) FROM orderinfo WHERE customerLat > 0 AND deliveryZone > 5`,
+			`SELECT COUNT(*) FROM orderinfo WHERE customerLat < 0 OR deliveryZone > 5`,
+			`SELECT COUNT(*) FROM orderinfo JOIN orderstate USING(partitionKey) WHERE customerLat > 0 AND orderState > 5`,
+		} {
+			if _, err := f.ex.QueryWithOptions(q, opts); err == nil || !strings.Contains(err.Error(), "cannot compare string") {
+				t.Fatalf("%s (pushdown off: %v): err = %v, want the string-against-number comparison's", q, opts.DisablePushdown, err)
+			}
+		}
 	}
 }
 

@@ -23,17 +23,22 @@ import (
 // right side for a general one — test the residual filter, and end in a
 // sink that either projects the select list or folds the row into its
 // group's partial accumulators. One goroutine per owning node runs that
-// node's fragments back to back over one reused row, one scan buffer and
-// one sink; a plan whose partitions all sit on one node runs on the
-// caller's goroutine and fan-out begins with the second node. There are no
-// stages, no channels and no batches: a row is filtered, joined and folded
-// in place, and the only thing that crosses the client hop is what the
-// sinks hold — projected rows, or one partial group per group per node.
+// node's fragments back to back through one pipe — one scan buffer, one
+// set of batch columns and one sink; a plan whose partitions all sit on one
+// node runs on the caller's goroutine and fan-out begins with the second
+// node. A pipe takes a partition a chunk of at most kv.ScanBatch rows at a
+// time and runs each step over the whole chunk (batch.go): the pushed
+// filter yields a selection, the co-partitioned probe looks the whole
+// selection up in one loop, a general join appends its matches to a joined
+// batch, the residual filter narrows that, and the sink gathers group keys
+// and aggregate arguments column by column before it folds. The only thing
+// that crosses the client hop is what the sinks hold — projected rows, or
+// one partial group per group per node.
 //
 // The client then merges: concatenate, sort and limit rows, or merge the
 // partial groups, apply HAVING and finish the select list. A LIMIT that
 // fills, or the first error, closes the shared done channel and every
-// partition read stops at its next poll.
+// partition read stops before its next chunk.
 
 // runCtx is the per-execution state every fragment shares.
 type runCtx struct {
@@ -68,9 +73,9 @@ func (rc *runCtx) cancel() { rc.once.Do(func() { close(rc.done) }) }
 // sink is where a pipe's rows end up: projected (rowSink), folded into
 // partial groups (groupTable) or collected whole (rowSet).
 type sink interface {
-	// add consumes one working-set row; more is false once the sink needs
-	// no further rows.
-	add(jr *joinedRow) (more bool, err error)
+	// add consumes the batch's selected rows; more is false once the sink
+	// needs no further rows.
+	add(b *batch, sel []int32) (more bool, err error)
 	// absorb folds in what another sink of the same plan collected: a
 	// guarded partition attempt that succeeded, or — at the client — the
 	// next node's output.
@@ -81,10 +86,10 @@ type sink interface {
 }
 
 // pipe is one goroutine's state for running a source's rows through the
-// plan: the reused working-set row, the scan buffer, the sink and the
-// counters, flushed to the plan's nodes per partition. The driving
-// source's pipes run the whole per-row pipeline (joins, residual, sink);
-// a gathered source's pipes only filter and collect.
+// plan: the scan buffer, the batches, the sink and the counters, flushed
+// to the plan's nodes per partition. The driving source's pipes run the
+// whole pipeline (joins, residual, sink); a gathered source's pipes only
+// filter and collect.
 type pipe struct {
 	ex  *Executor
 	pp  *physPlan
@@ -94,12 +99,16 @@ type pipe struct {
 	whole  bool
 	builds []*hashSide
 
-	jr    joinedRow
-	slots []core.TableRow
-	buf   []kv.Entry
-	out   sink
-	read  func(core.TableRow) bool
-	err   error
+	*pipeBufs
+	// b is the chunk being read: the source's rows and, for a
+	// co-partitioned join, what the probe found beside them. joined[k] is
+	// the output of general join step k.
+	b      batch
+	joined []batch
+
+	out  sink
+	read func([]core.TableRow) bool
+	err  error
 
 	// The partition being read, and the degraded read's snapshot ids when
 	// it is served from the backup replica.
@@ -110,19 +119,33 @@ type pipe struct {
 	tm stageTimes
 }
 
-// stageTimes splits a fused fragment's wall time between the plan's nodes
-// by sampling: the first and then every stageSampleEvery-th row that
-// reaches the join is clocked through it and through the sink, and the
-// samples scale up by the rows they stand for. Clocking every row would
-// cost more than the probe it measures.
-type stageTimes struct {
-	rows, sampled  int64 // rows that reached the join / of them clocked
-	joinNs, sinkNs int64 // clocked time in the joins and residual / in the sink
-	timed          bool  // the row in flight is clocked
-	rowSinkNs      int64 // its time in the sink so far
+// pipeBufs is what a pipe reads and evaluates in: the scan buffer, the
+// scratch columns, and the co-partitioned probe's rows and misses. Queries
+// are short and frequent, so a pipe's buffers go back to bufPool once its
+// fragments are done, for the next query's pipes, instead of becoming
+// garbage every query.
+type pipeBufs struct {
+	scan      core.ScanBuf
+	sc        scratch
+	probe     []core.TableRow
+	probeMiss []bool
 }
 
-const stageSampleEvery = 16
+var bufPool = sync.Pool{New: func() any { return new(pipeBufs) }}
+
+// release hands the pipe's buffers back to the pool; only its sink and
+// counters remain usable.
+func (pi *pipe) release() {
+	bufPool.Put(pi.pipeBufs)
+	pi.pipeBufs = nil
+}
+
+// stageTimes splits a fragment's wall time between the plan's nodes: each
+// chunk's join steps and residual, and its sink, are clocked once per
+// chunk.
+type stageTimes struct {
+	joinNs, sinkNs int64
+}
 
 // pipeStats are one pipe's counters since its last flush.
 type pipeStats struct {
@@ -134,18 +157,33 @@ type pipeStats struct {
 
 func (ex *Executor) newPipe(pp *physPlan, rc *runCtx, src int, whole bool, builds []*hashSide) *pipe {
 	pi := &pipe{ex: ex, pp: pp, rc: rc, src: src, whole: whole, builds: builds}
-	pi.slots = make([]core.TableRow, len(pp.srcs))
-	pi.jr = joinedRow{srcs: pp.srcs, tabs: make([]*core.TableRow, len(pp.srcs))}
-	pi.jr.tabs[src] = &pi.slots[src]
+	pi.pipeBufs = bufPool.Get().(*pipeBufs)
+	pi.b = newBatch(pp.srcs, &pi.sc)
 	pi.st.joined = make([]int64, len(pp.joins))
-	pi.read = pi.feed
+	pi.read = pi.chunk
 	switch {
 	case !whole:
-		pi.out = &rowSet{src: src, cols: pp.srcs[src].cols}
+		s := &pp.srcs[src]
+		// A gathered row with no schema ships narrowed by name.
+		pi.out = &rowSet{src: src, cols: s.cols, narrow: s.schema == nil && s.cols != nil}
+		return pi
 	case pp.agg != nil:
 		pi.out = newGroupTable(pp, rc.ctx)
 	default:
 		pi.out = &rowSink{pp: pp, rc: rc}
+	}
+	if !pp.coPart {
+		pi.joined = make([]batch, len(pp.joins))
+		for k := range pi.joined {
+			jb := newBatch(pp.srcs, &pi.sc)
+			for s := 0; s <= k+1; s++ {
+				jb.cols[s] = []core.TableRow{}
+				if s > 0 && pp.joins[s-1].outer {
+					jb.miss[s] = []bool{}
+				}
+			}
+			pi.joined[k] = jb
+		}
 	}
 	return pi
 }
@@ -162,8 +200,8 @@ func (pi *pipe) fork() *pipe {
 }
 
 // holds evaluates a bound predicate against a working-set row; a nil
-// predicate keeps everything. The fragments and the standing query
-// (subscribe.go) both filter through it.
+// predicate keeps everything. The standing query (subscribe.go) filters
+// each delta through it.
 func holds(ctx *evalCtx, pred Expr, jr *joinedRow) (bool, error) {
 	if pred == nil {
 		return true, nil
@@ -176,175 +214,194 @@ func holds(ctx *evalCtx, pred Expr, jr *joinedRow) (bool, error) {
 	return ok && keep, nil
 }
 
-// keep tests the source's pushed filter against one of its rows, whole. An
-// error drops the row and every later one, and stays in pi.err.
-func (pi *pipe) keep(row core.TableRow) bool {
-	if pi.err != nil {
-		return false
+// chunk is the callback of the partition read: filter one chunk of the
+// source's rows, then run what passed through the rest of the plan. false
+// stops the read; an error stays in pi.err.
+func (pi *pipe) chunk(rows []core.TableRow) bool {
+	b := &pi.b
+	b.n = len(rows)
+	clear(b.cols)
+	clear(b.miss)
+	b.cols[pi.src] = rows
+	kept := pi.sc.sel(b.n)
+	defer pi.sc.dropSel()
+	kept, err := pi.rc.ctx.filterBatch(pi.pp.pushedB[pi.src], b, ident[:b.n], kept)
+	pi.st.examined += int64(len(rows))
+	pi.st.kept += int64(len(kept))
+	if err == nil && len(kept) > 0 {
+		var more bool
+		if more, err = pi.drive(kept); err == nil {
+			return more
+		}
 	}
-	pi.st.examined++
-	pi.slots[pi.src] = row
-	keep, err := holds(pi.rc.ctx, pi.pp.pushedB[pi.src], &pi.jr)
 	pi.err = err
-	return keep && err == nil
-}
-
-// take runs the row in the source's slot — one that passed the pushed
-// filter — through the rest of the plan; false stops the partition read.
-func (pi *pipe) take(row core.TableRow) bool {
-	pi.slots[pi.src] = row
-	pi.st.kept++
-	more, err := pi.driveTimed()
-	if err != nil {
-		pi.err = err
-		return false
-	}
-	return more
-}
-
-// feed is the callback of the partition read: filter, then the rest.
-func (pi *pipe) feed(row core.TableRow) bool {
-	if !pi.keep(row) {
-		return pi.err == nil
-	}
-	return pi.take(row)
+	return err == nil
 }
 
 // clock reads the execution's monotonic clock.
 func (pi *pipe) clock() int64 { return int64(time.Since(pi.rc.ctx.now)) }
 
-// driveTimed is drive, clocking the sampled rows (see stageTimes).
-func (pi *pipe) driveTimed() (bool, error) {
-	tm := &pi.tm
-	tm.timed = pi.whole && tm.rows%stageSampleEvery == 0
-	tm.rows++
-	if !tm.timed {
-		return pi.drive()
+// drive takes the chunk's kept rows the rest of the way, clocking the join
+// steps and the sink.
+func (pi *pipe) drive(sel []int32) (bool, error) {
+	if !pi.whole {
+		return pi.out.add(&pi.b, sel)
 	}
-	tm.rowSinkNs = 0
-	t0 := pi.clock()
-	more, err := pi.drive()
-	tm.joinNs += pi.clock() - t0 - tm.rowSinkNs
-	tm.sinkNs += tm.rowSinkNs
-	tm.sampled++
+	t0, sink0 := pi.clock(), pi.tm.sinkNs
+	var more bool
+	var err error
+	if pi.pp.coPart {
+		more, err = pi.coProbe(sel)
+	} else {
+		more, err = pi.join(0, &pi.b, sel)
+	}
+	pi.tm.joinNs += pi.clock() - t0 - (pi.tm.sinkNs - sink0)
 	return more, err
 }
 
-// drive takes the row in the source's slot the rest of the way.
-func (pi *pipe) drive() (bool, error) {
-	switch {
-	case !pi.whole:
-		return pi.out.add(&pi.jr)
-	case pi.pp.coPart:
-		return pi.coProbe()
-	}
-	return pi.join(0)
-}
-
-// coProbe is the co-partitioned join step: look the driving row's key up
-// in the other table's copy of the partition being read, at that table's
-// resolved snapshot id.
-func (pi *pipe) coProbe() (bool, error) {
-	d := pi.pp.drive
+// coProbe is the co-partitioned join step: look every selected driving
+// row's key up in the other table's copy of the partition being read, at
+// that table's resolved snapshot id, in one loop; then keep the hits whose
+// keys are join-equal and that pass the probed side's pushed filter. A
+// LEFT JOIN, driven from its left side, keeps its misses with the right
+// side absent.
+func (pi *pipe) coProbe(sel []int32) (bool, error) {
+	b, d := &pi.b, pi.pp.drive
 	o := 1 - d
 	os := &pi.pp.srcs[o]
-	key := pi.slots[d].Key
-	ks := partition.KeyString(key)
-	pi.st.probes++
-	var r core.TableRow
-	var ok bool
-	if pi.fb != nil {
-		r, ok = os.ref.LookupFallback(pi.part, ks, pi.fb[o])
-	} else {
-		r, ok = os.ref.Lookup(pi.part, ks, os.ssid)
+	pi.probe = grow(pi.probe, b.n)
+	pi.probeMiss = grow(pi.probeMiss, b.n)
+	probe, found, drv := pi.probe, pi.probeMiss, b.cols[d]
+	for _, i := range sel {
+		ks := partition.KeyString(drv[i].Key)
+		if pi.fb != nil {
+			probe[i], found[i] = os.ref.LookupFallback(pi.part, ks, pi.fb[o])
+		} else {
+			probe[i], found[i] = os.ref.Lookup(pi.part, ks, os.ssid)
+		}
 	}
-	// Keys that render alike but are not join-equal (the string "5" and
-	// the integer 5) share a slot in no table, but can across two.
-	if !ok || makeJoinKey(r.Key) != makeJoinKey(key) {
-		return true, nil
+	b.cols[o] = probe
+	hits := pi.sc.sel(len(sel))
+	defer pi.sc.dropSel()
+	for _, i := range sel {
+		// Keys that render alike but are not join-equal (the string "5" and
+		// the integer 5) share a slot in no table, but can across two.
+		if found[i] && makeJoinKey(probe[i].Key) == makeJoinKey(drv[i].Key) {
+			hits = append(hits, i)
+		}
 	}
-	pi.st.hits++
-	pi.slots[o] = r
-	pi.jr.tabs[o] = &pi.slots[o]
-	keep, err := holds(pi.rc.ctx, pi.pp.pushedB[o], &pi.jr)
-	if err != nil || !keep {
-		return true, err
-	}
-	pi.st.pkept++
-	pi.st.joined[0]++
-	return pi.emit()
-}
-
-// join runs general join step k and everything after it: probe the hash
-// table of the gathered right side with the key read from the sources to
-// its left.
-func (pi *pipe) join(k int) (bool, error) {
-	if k == len(pi.pp.joins) {
-		return pi.emit()
-	}
-	js := &pi.pp.joins[k]
-	si := k + 1
-	// Sources from si on hold nothing yet for this row (a by-name key must
-	// not read what the previous row left there).
-	for i := si; i < len(pi.jr.tabs); i++ {
-		pi.jr.tabs[i] = nil
-	}
-	key, err := pi.rc.ctx.evalD(js.left, &pi.jr)
+	pkept := pi.sc.sel(len(hits))
+	defer pi.sc.dropSel()
+	pkept, err := pi.rc.ctx.filterBatch(pi.pp.pushedB[o], b, hits, pkept)
 	if err != nil {
 		return false, err
 	}
-	matches := pi.builds[k].idx[key.joinKey()]
-	if len(matches) == 0 {
-		if !js.outer {
-			return true, nil
-		}
-		pi.st.joined[k]++
-		return pi.join(k + 1) // right side stays nil
+	pi.st.probes += int64(len(sel))
+	pi.st.hits += int64(len(hits))
+	pi.st.pkept += int64(len(pkept))
+	if !pi.pp.joins[0].outer {
+		pi.st.joined[0] += int64(len(pkept))
+		return pi.emit(b, pkept)
 	}
-	for _, m := range matches {
-		pi.jr.tabs[si] = &pi.builds[k].rows[m]
-		pi.st.joined[k]++
-		if more, err := pi.join(k + 1); err != nil || !more {
-			return more, err
-		}
+	// The outer side keeps no pushed filter, so every hit stays; every
+	// other selected row is a miss. The found column becomes the misses.
+	miss := found
+	for _, i := range sel {
+		miss[i] = true
 	}
-	return true, nil
+	for _, i := range hits {
+		miss[i] = false
+	}
+	b.miss[o] = miss
+	pi.st.joined[0] += int64(len(sel))
+	return pi.emit(b, sel)
 }
 
-// emit tests the residual filter and hands the row to the sink.
-func (pi *pipe) emit() (bool, error) {
-	if pi.pp.residualB != nil {
-		pi.st.residIn++
-		keep, err := holds(pi.rc.ctx, pi.pp.residualB, &pi.jr)
-		if err != nil || !keep {
-			return true, err
+// join runs general join step k over the selected rows of in, and
+// everything after it: evaluate the key over the sources to its left for
+// the whole selection, then probe the hash table of the gathered right
+// side row by row, appending every match — or, for a LEFT JOIN, the miss —
+// to the step's joined batch, which runs on through the rest of the plan
+// whenever it fills and once at the end.
+func (pi *pipe) join(k int, in *batch, sel []int32) (bool, error) {
+	if k == len(pi.pp.joins) {
+		return pi.emit(in, sel)
+	}
+	js, out, build := &pi.pp.joins[k], &pi.joined[k], pi.builds[k]
+	keys := pi.sc.datums(in.n)
+	defer pi.sc.dropDatums(1)
+	if err := pi.rc.ctx.evalBatch(js.left, in, sel, keys); err != nil {
+		return false, err
+	}
+	add := func(i int32, r *core.TableRow) (bool, error) {
+		out.push(in, i, k+1, r)
+		pi.st.joined[k]++
+		if out.n < kv.ScanBatch {
+			return true, nil
 		}
-		pi.st.residKept++
+		return pi.joinNext(k)
 	}
-	if !pi.tm.timed {
-		return pi.out.add(&pi.jr)
+	for _, i := range sel {
+		matches := build.idx[keys[i].joinKey()]
+		if len(matches) == 0 && js.outer {
+			if more, err := add(i, nil); err != nil || !more {
+				return more, err
+			}
+		}
+		for _, m := range matches {
+			if more, err := add(i, &build.rows[m]); err != nil || !more {
+				return more, err
+			}
+		}
 	}
-	t0 := pi.clock()
-	more, err := pi.out.add(&pi.jr)
-	pi.tm.rowSinkNs += pi.clock() - t0
+	if out.n == 0 {
+		return true, nil
+	}
+	return pi.joinNext(k)
+}
+
+// joinNext runs join step k's joined batch through the rest of the plan
+// and empties it.
+func (pi *pipe) joinNext(k int) (bool, error) {
+	out := &pi.joined[k]
+	more, err := pi.join(k+1, out, ident[:out.n])
+	out.reset()
 	return more, err
 }
 
-// flushTimes attributes the pipe's clocked samples, scaled to all its
-// rows, to the join and sink nodes, and takes them off the driving scan's
-// wall time — which the partition reads recorded whole.
+// emit tests the residual filter over the selected rows and hands the
+// survivors to the sink.
+func (pi *pipe) emit(b *batch, sel []int32) (bool, error) {
+	if pi.pp.residualB != nil {
+		kept := pi.sc.sel(len(sel))
+		defer pi.sc.dropSel()
+		kept, err := pi.rc.ctx.filterBatch(pi.pp.residualB, b, sel, kept)
+		if err != nil {
+			return false, err
+		}
+		pi.st.residIn += int64(len(sel))
+		pi.st.residKept += int64(len(kept))
+		sel = kept
+	}
+	if len(sel) == 0 {
+		return true, nil
+	}
+	t0 := pi.clock()
+	more, err := pi.out.add(b, sel)
+	pi.tm.sinkNs += pi.clock() - t0
+	return more, err
+}
+
+// flushTimes attributes the pipe's clocked stage times to the join and
+// sink nodes, and takes them off the driving scan's wall time — which the
+// partition reads recorded whole.
 func (pi *pipe) flushTimes() {
 	tm, pp := &pi.tm, pi.pp
-	if tm.sampled == 0 {
-		return
-	}
-	scale := func(ns int64) int64 { return ns * tm.rows / tm.sampled }
-	moved := scale(tm.sinkNs)
-	pp.top().Stat().WallNs.Add(moved)
+	moved := tm.sinkNs
+	pp.top().Stat().WallNs.Add(tm.sinkNs)
 	if pp.join != nil {
-		j := scale(tm.joinNs)
-		pp.join.Stat().WallNs.Add(j)
-		moved += j
+		pp.join.Stat().WallNs.Add(tm.joinNs)
+		moved += tm.joinNs
 	}
 	if scan := pp.scans[pi.src].Stat(); !pp.clientSide {
 		scan.WallNs.Add(-min(moved, scan.WallNs.Load()))
@@ -353,24 +410,18 @@ func (pi *pipe) flushTimes() {
 }
 
 // readPartition reads partition p of the pipe's source through the plan's
-// access path and feeds every row to the pipe. fb, when non-nil, makes it
-// the degraded read: from the backup replica, at these snapshot ids.
+// access path and runs every chunk through the pipe. fb, when non-nil,
+// makes it the degraded read: from the backup replica, at these snapshot
+// ids.
 func (pi *pipe) readPartition(p int, fb []int64) error {
 	s := &pi.pp.srcs[pi.src]
 	pi.part, pi.fb, pi.err = p, fb, nil
-	spec := core.ScanSpec{SSID: s.ssid, Path: s.path, Done: pi.rc.done, Buf: &pi.buf}
-	read := pi.read
-	if !pi.whole && s.schema == nil && s.cols != nil {
-		// A gathered row with no schema ships narrowed by name: the scan
-		// filters the whole row, narrows it, and the pipe takes what is
-		// left.
-		spec.Filter, spec.Cols, read = pi.keep, s.cols, pi.take
-	}
+	spec := core.ScanSpec{SSID: s.ssid, Path: s.path, Done: pi.rc.done, Buf: &pi.scan}
 	if fb != nil {
 		spec.SSID = fb[pi.src]
-		s.ref.ScanPartitionFallbackSpec(p, spec, read)
+		s.ref.ScanPartitionFallbackSpec(p, spec, pi.read)
 	} else {
-		s.ref.ScanPartitionSpec(p, spec, read)
+		s.ref.ScanPartitionSpec(p, spec, pi.read)
 	}
 	return pi.err
 }
@@ -414,8 +465,6 @@ func (pi *pipe) absorbAttempt(att *pipe) error {
 	for k := range a.joined {
 		a.joined[k] += b.joined[k]
 	}
-	pi.tm.rows += att.tm.rows
-	pi.tm.sampled += att.tm.sampled
 	pi.tm.joinNs += att.tm.joinNs
 	pi.tm.sinkNs += att.tm.sinkNs
 	return pi.out.absorb(att.out)
@@ -457,6 +506,11 @@ func (ex *Executor) scatter(pp *physPlan, rc *runCtx, si int, whole bool, builds
 		run(0)
 	}
 	wg.Wait()
+	for _, pi := range pipes {
+		if pi != nil {
+			pi.release()
+		}
+	}
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
@@ -566,21 +620,22 @@ func (ex *Executor) run(pp *physPlan, rc *runCtx) (*Result, error) {
 	}
 	if pp.clientSide {
 		// The reference: the driving source ships too, and the client runs
-		// the per-row pipeline itself.
+		// the same pipe over it, a chunk at a time.
 		rows, err := ex.gather(pp, rc, 0)
 		if err != nil {
 			return nil, err
 		}
 		pi := ex.newPipe(pp, rc, 0, true, builds)
-		for i := range rows {
-			pi.slots[0] = rows[i]
-			more, err := pi.driveTimed()
-			if err != nil {
-				return nil, err
-			}
-			if !more {
+		for len(rows) > 0 {
+			n := min(len(rows), kv.ScanBatch)
+			if !pi.chunk(rows[:n]) {
 				break
 			}
+			rows = rows[n:]
+		}
+		pi.release()
+		if pi.err != nil {
+			return nil, pi.err
 		}
 		pi.flush()
 		pi.flushTimes()
@@ -700,25 +755,28 @@ type rowSink struct {
 
 func (s *rowSink) limited() bool { return s.pp.stmt.Limit >= 0 && len(s.pp.stmt.OrderBy) == 0 }
 
-func (s *rowSink) add(jr *joinedRow) (bool, error) {
-	if s.limited() && len(s.rows) >= s.pp.stmt.Limit {
-		return false, nil
-	}
-	vals, err := projectRow(s.rc.ctx, s.pp.items, s.pp.star.of(jr), jr)
-	if err != nil {
-		return false, err
-	}
-	o := outRow{vals: vals}
-	for _, e := range s.pp.orderBy {
-		v, err := s.rc.ctx.eval(e, jr)
+func (s *rowSink) add(b *batch, sel []int32) (bool, error) {
+	for _, i := range sel {
+		if s.limited() && len(s.rows) >= s.pp.stmt.Limit {
+			return false, nil
+		}
+		jr := b.row(i)
+		vals, err := projectRow(s.rc.ctx, s.pp.items, s.pp.star.of(jr), jr)
 		if err != nil {
 			return false, err
 		}
-		o.sortKey = append(o.sortKey, v)
-	}
-	s.rows = append(s.rows, o)
-	if !s.attempt {
-		return s.count(1), nil
+		o := outRow{vals: vals}
+		for _, e := range s.pp.orderBy {
+			v, err := s.rc.ctx.eval(e, jr)
+			if err != nil {
+				return false, err
+			}
+			o.sortKey = append(o.sortKey, v)
+		}
+		s.rows = append(s.rows, o)
+		if !s.attempt && !s.count(1) {
+			return false, nil
+		}
 	}
 	return true, nil
 }
@@ -751,16 +809,24 @@ func (s *rowSink) size() (int64, int64) {
 	return int64(len(s.rows)), per * int64(len(s.rows))
 }
 
-// rowSet is the gather sink: the source's surviving rows, whole (or
-// narrowed by the scan when the table has no schema).
+// rowSet is the gather sink: the source's surviving rows, whole, or
+// narrowed by name to cols when the table has no schema.
 type rowSet struct {
-	src  int
-	cols []string
-	rows []core.TableRow
+	src    int
+	cols   []string
+	narrow bool
+	rows   []core.TableRow
 }
 
-func (s *rowSet) add(jr *joinedRow) (bool, error) {
-	s.rows = append(s.rows, *jr.tabs[s.src])
+func (s *rowSet) add(b *batch, sel []int32) (bool, error) {
+	rows := b.cols[s.src]
+	for _, i := range sel {
+		r := rows[i]
+		if s.narrow {
+			r = core.NarrowRow(r, s.cols)
+		}
+		s.rows = append(s.rows, r)
+	}
 	return true, nil
 }
 

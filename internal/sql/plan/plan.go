@@ -226,8 +226,12 @@ type CoJoin struct {
 	// surviving row's key up in.
 	Drive, Probe Node
 	// DriveEst is the post-filter row estimate that chose the driving
-	// side: the smaller of the two sides'.
+	// side: the smaller of the two sides', or the left side's for a LEFT
+	// JOIN.
 	DriveEst int64
+	// LeftOuter marks a LEFT JOIN: driven from the left, a probe miss keeps
+	// its row with the right side NULL.
+	LeftOuter bool
 }
 
 // Kind implements Node.
@@ -241,13 +245,17 @@ func (j *CoJoin) Stat() *Stats { return &j.stats }
 
 // Describe implements Node.
 func (j *CoJoin) Describe() string {
+	if j.LeftOuter {
+		return fmt.Sprintf("join USING(partitionKey) co-partitioned key-lookup join, driven from the left side (est≈%d rows), one probe per surviving row (co-location, no shuffle), left outer",
+			j.DriveEst)
+	}
 	return fmt.Sprintf("join USING(partitionKey) co-partitioned key-lookup join, driven from the side with the smaller estimate after its filter (est≈%d rows), one probe per surviving row (co-location, no shuffle)",
 		j.DriveEst)
 }
 
 // Annotate implements Node.
 func (j *CoJoin) Annotate() string {
-	return fmt.Sprintf("%d rows, ≈%s", j.stats.Rows.Load(), roundDur(j.stats.WallNs.Load()))
+	return fmt.Sprintf("%d rows, %s", j.stats.Rows.Load(), roundDur(j.stats.WallNs.Load()))
 }
 
 // HashJoin is the general equi-join: the right (joined) side is gathered
@@ -291,7 +299,7 @@ func (j *HashJoin) Describe() string {
 
 // Annotate implements Node.
 func (j *HashJoin) Annotate() string {
-	return fmt.Sprintf("%d rows, ≈%s", j.stats.Rows.Load(), roundDur(j.stats.WallNs.Load()))
+	return fmt.Sprintf("%d rows, %s", j.stats.Rows.Load(), roundDur(j.stats.WallNs.Load()))
 }
 
 // Filter is the residual predicate — the conjuncts that need the joined

@@ -148,9 +148,10 @@ func (ex *Executor) compile(stmt *Select, opts ExecOpts, planOnly bool) (*physPl
 	}
 	applyKeyHints(stmt, pp.srcs, where)
 	// A co-partitioned join probes keyed storage; a provider-backed table
-	// has none and joins through the general path.
+	// has none and joins through the general path. A LEFT JOIN probes too,
+	// driven from its left side.
 	pp.coPart = !pp.clientSide && len(pp.srcs) == 2 && len(stmt.Joins) == 1 &&
-		stmt.Joins[0].Using == core.ColPartitionKey && !stmt.Joins[0].Left &&
+		stmt.Joins[0].Using == core.ColPartitionKey &&
 		!pp.srcs[0].ref.IsVirtual() && !pp.srcs[1].ref.IsVirtual()
 
 	// One Scan leaf per source, snapshot ids resolved atomically now
@@ -254,7 +255,7 @@ func (ex *Executor) compile(stmt *Select, opts ExecOpts, planOnly bool) (*physPl
 	case pp.coPart:
 		probe := pp.scans[1-pp.drive]
 		probe.Probe = true
-		cj := &plan.CoJoin{Drive: pp.scans[pp.drive], Probe: probe, DriveEst: pp.driveEst}
+		cj := &plan.CoJoin{Drive: pp.scans[pp.drive], Probe: probe, DriveEst: pp.driveEst, LeftOuter: stmt.Joins[0].Left}
 		node, pp.join = cj, cj
 	default:
 		node = pp.scans[0]
@@ -376,7 +377,8 @@ func bindLeftKey(left []tableSrc, id Ident) Expr {
 
 // chooseDrivingSide picks which side of a co-partitioned join the fragment
 // scans: the one with the smaller post-filter estimate, so the fewer rows
-// pay the probe. Ties drive from the left.
+// pay the probe. Ties drive from the left, and so does a LEFT JOIN, whose
+// left rows all survive.
 func (pp *physPlan) chooseDrivingSide() {
 	est := func(i int) int64 {
 		n := pp.scans[i].EstRows
@@ -386,10 +388,10 @@ func (pp *physPlan) chooseDrivingSide() {
 		return n
 	}
 	l, r := est(0), est(1)
-	if r < l {
-		pp.drive = 1
+	if r < l && !pp.stmt.Joins[0].Left {
+		pp.drive, l = 1, r
 	}
-	pp.driveEst = min(l, r)
+	pp.driveEst = l
 }
 
 // joinCond pre-renders a join condition for the plan tree.
