@@ -62,15 +62,19 @@ health-smoke:
 # planner), the wire codec and the delta-chain reader must be total —
 # errors, never panics — on arbitrary input, and the codec canonical;
 # every retractable aggregate accumulator must equal a refold of the
-# values still in after any insert/retract sequence; and every engine path
+# values still in after any insert/retract sequence; every engine path
 # must answer a generated query (fixture and query seed fuzzed) as the
-# naive evaluation of the differential oracle does.
+# naive evaluation of the differential oracle does; and a standing query
+# of a generated query must open with the naive answer and, after a wave
+# of writes, hold the one-shot result. The differential targets are
+# anchored: -fuzz takes a regexp and must match exactly one target.
 fuzz-short:
 	$(GO) test ./internal/sql -fuzz FuzzParse -fuzztime 30s -run '^$$'
 	$(GO) test ./internal/sql -fuzz FuzzLexer -fuzztime 30s -run '^$$'
 	$(GO) test ./internal/sql -fuzz FuzzPlan -fuzztime 30s -run '^$$'
 	$(GO) test ./internal/sql -fuzz FuzzAggRetract -fuzztime 30s -run '^$$'
-	$(GO) test ./internal/sql -fuzz FuzzDifferential -fuzztime 30s -run '^$$'
+	$(GO) test ./internal/sql -fuzz '^FuzzDifferential$$' -fuzztime 30s -run '^$$'
+	$(GO) test ./internal/sql -fuzz '^FuzzDifferentialStanding$$' -fuzztime 30s -run '^$$'
 	$(GO) test ./internal/persist -fuzz FuzzDeltaChain -fuzztime 30s -run '^$$'
 	$(GO) test ./internal/wire -fuzz FuzzWire -fuzztime 30s -run '^$$'
 
@@ -93,11 +97,14 @@ ckpt-smoke:
 # allocating the same over 10 000 rows as over 1 000, a key-lookup
 # point read under 100 objects that examines one row, an aggregate
 # standing query's update allocating the same in a group of 100 members as
-# in one of 10 000); the standing-query
-# parity runs hold the one compiled plan to both drive modes — a standing
-# query folds signed rows through the plan, filters and group form the
-# one-shot fragments run, and TestDifferentialStanding checks its folded
-# views against one-shot results; the short benchmark pass prints codec
+# in one of 10 000, and a filter and a co-partitioned join standing query's
+# update staying at its allocation ceiling — evaluating a delta as a batch
+# of one allocates nothing extra); the standing-query
+# parity runs hold the one compiled plan and its one evaluator to both
+# drive modes — a standing query folds signed rows through the plan,
+# filters and group form the one-shot fragments run, and
+# TestDifferentialStanding checks its folded views against one-shot
+# results; the short benchmark pass prints codec
 # (scalar, struct row, and the gob path it replaced), typed joinKey, unary
 # and batched put and indexed-put numbers so regressions show up in CI logs
 # next to the gate.
@@ -106,7 +113,7 @@ bench-smoke:
 	$(GO) test ./internal/persist -run 'TestDeltaEncodeAllocs' -count=1 -v
 	$(GO) test ./internal/kv -run 'TestIndexedPutAllocs|TestPutBatchAllocs|TestGetAllAllocs' -count=1 -v
 	$(GO) test ./internal/partition -run 'TestHashAllocs' -count=1 -v
-	$(GO) test ./internal/sql -run 'TestJoinFoldAllocs|TestScanFoldAllocs|TestKeyLookupAllocs|TestStandingAggDeltaAllocs|TestDifferentialStanding' -count=1 -v
+	$(GO) test ./internal/sql -run 'TestJoinFoldAllocs|TestScanFoldAllocs|TestKeyLookupAllocs|TestStandingAggDeltaAllocs|TestStandingDeltaAllocs|TestDifferentialStanding' -count=1 -v
 	$(GO) test . -run 'TestSubscribeParity$$' -count=1 -v
 	$(GO) test ./internal/wire -run '^$$' -bench 'BenchmarkAppendValue|BenchmarkDecodeValue|BenchmarkGobValue' -benchtime 1000x
 	$(GO) test ./internal/persist -run '^$$' -bench 'BenchmarkAppendDeltaSegment' -benchtime 1000x

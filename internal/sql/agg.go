@@ -7,6 +7,7 @@ import (
 	"slices"
 
 	"squery/internal/core"
+	"squery/internal/kv"
 )
 
 // Aggregation. One group form serves both drive modes: a partialGroup is
@@ -230,42 +231,44 @@ func (a *aggAcc) merge(b *aggAcc) error {
 }
 
 // result finishes the aggregate.
-func (a *aggAcc) result() (any, error) {
+func (a *aggAcc) result() (datum, error) {
 	switch a.fn {
 	case AggCount:
-		return a.count, nil
+		return intDatum(a.count), nil
 	case AggSum:
 		if a.count == 0 {
-			return nil, nil
+			return datum{}, nil
 		}
 		if a.nReal == 0 {
-			return a.sumI, nil
+			return intDatum(a.sumI), nil
 		}
-		return a.total(), nil
+		return floatDatum(a.total(), wFloat64), nil
 	case AggAvg:
 		if a.count == 0 {
-			return nil, nil
+			return datum{}, nil
 		}
-		return a.total() / float64(a.count), nil
+		return floatDatum(a.total()/float64(a.count), wFloat64), nil
 	case AggMin, AggMax:
 		if a.retract {
 			if len(a.multi) == 0 {
-				return nil, nil
+				return datum{}, nil
 			}
-			return a.multi[len(a.multi)-1].v.box(), nil
+			return a.multi[len(a.multi)-1].v, nil
 		}
-		return a.ext.box(), nil
+		return a.ext, nil
 	}
-	return nil, fmt.Errorf("sql: unknown aggregate %q", a.fn)
+	return datum{}, fmt.Errorf("sql: unknown aggregate %q", a.fn)
 }
 
 // partialGroup is a group held as accumulators.
 type partialGroup struct {
 	key  string
 	accs []aggAcc
-	// head is a copy of the first row folded in; rows backs its tabs.
-	head joinedRow
-	rows []core.TableRow
+	// head is a copy of the first row folded in, one row per source; nil
+	// while the group has none. miss marks the sources absent from it (a
+	// LEFT JOIN miss), and is nil when none is.
+	head []core.TableRow
+	miss []bool
 }
 
 // newPartialGroup builds a group's accumulators; retract builds them
@@ -279,39 +282,43 @@ func newPartialGroup(key string, aggs []Agg, retract bool) *partialGroup {
 }
 
 // aggregate finishes one aggregate call of the group.
-func (g *partialGroup) aggregate(a Agg) (any, error) {
+func (g *partialGroup) aggregate(a Agg) (datum, error) {
 	if a.slot == 0 {
-		return nil, fmt.Errorf("sql: aggregate %s was not planned", a)
+		return datum{}, fmt.Errorf("sql: aggregate %s was not planned", a)
 	}
 	return g.accs[a.slot-1].result()
 }
 
-// keepHead copies jr as the group's first row: the caller reuses the
-// storage jr points into for the next row.
-func (g *partialGroup) keepHead(jr *joinedRow) {
-	g.rows = make([]core.TableRow, len(jr.tabs))
-	g.head = joinedRow{srcs: jr.srcs, tabs: make([]*core.TableRow, len(jr.tabs))}
-	for i, t := range jr.tabs {
-		if t != nil {
-			g.rows[i] = *t
-			g.head.tabs[i] = &g.rows[i]
+// keepHead copies position i of b as the group's first row: the caller
+// reuses the batch's storage for the next rows.
+func (g *partialGroup) keepHead(b *batch, i int32) {
+	g.head, g.miss = make([]core.TableRow, len(b.cols)), nil
+	for s, col := range b.cols {
+		if col != nil && (b.miss[s] == nil || !b.miss[s][i]) {
+			g.head[s] = col[i]
+			continue
 		}
+		if g.miss == nil {
+			g.miss = make([]bool, len(b.cols))
+		}
+		g.miss[s] = true
 	}
 }
 
-// fold folds one working-set row into the group's accumulators, or
-// (add false) retracts it from a retractable group: each aggregate
-// argument is evaluated once and added or removed.
-func (g *partialGroup) fold(ctx *evalCtx, aggs []Agg, jr *joinedRow, add bool) error {
-	for i := range g.accs {
+// dropHead forgets the group's first row: the group emptied, and a bare
+// column of an empty (global) group is NULL.
+func (g *partialGroup) dropHead() { g.head, g.miss = nil, nil }
+
+// fold folds position i of a batch into the group's accumulators, or (add
+// false) retracts it from a retractable group: args[k] is aggregate k's
+// argument column, which a COUNT(*) does not read.
+func (g *partialGroup) fold(aggs []Agg, args [][]datum, i int32, add bool) error {
+	for k := range g.accs {
 		var v datum
-		if !aggs[i].Star {
-			var err error
-			if v, err = ctx.evalD(aggs[i].Arg, jr); err != nil {
-				return err
-			}
+		if !aggs[k].Star {
+			v = args[k][i]
 		}
-		if err := g.accs[i].fold(aggs[i].Star, v, add); err != nil {
+		if err := g.accs[k].fold(aggs[k].Star, v, add); err != nil {
 			return err
 		}
 	}
@@ -334,9 +341,29 @@ func (a *aggAcc) fold(star bool, v datum, add bool) error {
 	return nil
 }
 
-// dropHead forgets the group's first row: the group emptied, and a bare
-// column of an empty (global) group is NULL.
-func (g *partialGroup) dropHead() { g.head, g.rows = joinedRow{}, nil }
+// groupCols evaluates the plan's group keys and aggregate arguments over
+// the selected positions of b, each as one scratch column appended to
+// into: the keys first, then one column per aggregate (left unset for
+// COUNT(*)). The caller gives the columns back with
+// b.sc.dropDatums(len(cols)), also after an error.
+func groupCols(ctx *evalCtx, pp *physPlan, b *batch, sel []int32, into [][]datum) ([][]datum, error) {
+	for range len(pp.groupBy) + len(pp.aggs) {
+		into = append(into, b.sc.datums(b.n))
+	}
+	for k, ge := range pp.groupBy {
+		if err := ctx.evalBatch(ge, b, sel, into[k]); err != nil {
+			return into, err
+		}
+	}
+	for a, ag := range pp.aggs {
+		if !ag.Star {
+			if err := ctx.evalBatch(ag.Arg, b, sel, into[len(pp.groupBy)+a]); err != nil {
+				return into, err
+			}
+		}
+	}
+	return into, nil
+}
 
 // groupTable is the aggregate sink: the partial groups one goroutine has
 // folded so far, in first-seen order.
@@ -369,25 +396,13 @@ func (gt *groupTable) group(key []byte) (g *partialGroup, created bool) {
 // and the aggregate arguments are evaluated column by column over the
 // whole selection first; then each row finds its group and folds.
 func (gt *groupTable) add(b *batch, sel []int32) (bool, error) {
-	nk := len(gt.pp.groupBy)
-	gt.colBuf = gt.colBuf[:0]
-	for range nk + len(gt.pp.aggs) {
-		gt.colBuf = append(gt.colBuf, b.sc.datums(b.n))
+	cols, err := groupCols(gt.ctx, gt.pp, b, sel, gt.colBuf[:0])
+	gt.colBuf = cols
+	defer b.sc.dropDatums(len(cols))
+	if err != nil {
+		return false, err
 	}
-	defer b.sc.dropDatums(len(gt.colBuf))
-	keys, args := gt.colBuf[:nk], gt.colBuf[nk:]
-	for k, ge := range gt.pp.groupBy {
-		if err := gt.ctx.evalBatch(ge, b, sel, keys[k]); err != nil {
-			return false, err
-		}
-	}
-	for a, ag := range gt.pp.aggs {
-		if !ag.Star {
-			if err := gt.ctx.evalBatch(ag.Arg, b, sel, args[a]); err != nil {
-				return false, err
-			}
-		}
-	}
+	keys, args := cols[:len(gt.pp.groupBy)], cols[len(gt.pp.groupBy):]
 	for _, i := range sel {
 		gt.keyBuf = gt.keyBuf[:0]
 		for k := range keys {
@@ -395,13 +410,11 @@ func (gt *groupTable) add(b *batch, sel []int32) (bool, error) {
 		}
 		g, created := gt.group(gt.keyBuf)
 		if created {
-			g.keepHead(b.row(i))
+			g.keepHead(b, i)
 		}
 		gt.in++
-		for a := range g.accs {
-			if err := g.accs[a].fold(gt.pp.aggs[a].Star, args[a][i], true); err != nil {
-				return false, err
-			}
+		if err := g.fold(gt.pp.aggs, args, i, true); err != nil {
+			return false, err
 		}
 	}
 	return true, nil
@@ -415,7 +428,7 @@ func (gt *groupTable) absorb(s sink) error {
 	for _, og := range o.order {
 		g, created := gt.group([]byte(og.key))
 		if created {
-			g.head, g.rows = og.head, og.rows
+			g.head, g.miss = og.head, og.miss
 		}
 		for i := range g.accs {
 			if err := g.accs[i].merge(&og.accs[i]); err != nil {
@@ -426,63 +439,81 @@ func (gt *groupTable) absorb(s sink) error {
 	return nil
 }
 
-// evalWithAggs evaluates an expression that may contain aggregates, over
-// one group. Non-aggregate subexpressions are evaluated against the
-// group's first row (SQL's bare-column-in-GROUP-BY rule).
-func evalWithAggs(ctx *evalCtx, e Expr, g *partialGroup) (any, error) {
-	switch x := e.(type) {
-	case Agg:
-		return g.aggregate(x)
-	case Binary:
-		if containsAgg(x.L) || containsAgg(x.R) {
-			l, err := evalWithAggs(ctx, x.L, g)
-			if err != nil {
-				return nil, err
-			}
-			r, err := evalWithAggs(ctx, x.R, g)
-			if err != nil {
-				return nil, err
-			}
-			return ctx.eval(Binary{Op: x.Op, L: Lit{Val: l}, R: Lit{Val: r}}, nil)
-		}
-	case Func:
-		if containsAgg(x) {
-			args := make([]Expr, len(x.Args))
-			for i, a := range x.Args {
-				v, err := evalWithAggs(ctx, a, g)
-				if err != nil {
-					return nil, err
-				}
-				args[i] = Lit{Val: v}
-			}
-			return ctx.evalFunc(Func{Name: x.Name, Args: args}, nil)
-		}
-	}
-	if g.rows == nil {
-		return nil, nil // the global group of an empty input
-	}
-	return ctx.eval(e, &g.head)
+// finisher finishes groups: HAVING, the select list and the ORDER BY keys
+// evaluated over a batch whose rows are the groups' head rows and whose
+// aggregates read the groups' accumulators. HAVING is a filter of that
+// batch, and each select item and key one column of it. A group with no
+// head row (the global group of an empty input) has every source absent,
+// so its columns read NULL while its constants still evaluate. The
+// finisher's buffers are reused from one finish to the next.
+type finisher struct {
+	b  batch
+	sc scratch
 }
 
-// finishGroup runs one group through HAVING and the select list. keep is
-// false when HAVING rejects the group.
-func finishGroup(ctx *evalCtx, having Expr, items []Expr, g *partialGroup) (vals []any, keep bool, err error) {
-	if having != nil {
-		hv, err := evalWithAggs(ctx, having, g)
-		if err != nil {
-			return nil, false, err
-		}
-		if ok, known := truthy(hv); !known || !ok {
-			return nil, false, nil
+func newFinisher(srcs []tableSrc) *finisher {
+	f := &finisher{}
+	f.b = newBatch(srcs, &f.sc)
+	for s := range srcs {
+		f.b.cols[s], f.b.miss[s] = []core.TableRow{}, []bool{}
+	}
+	return f
+}
+
+// finish runs gs through HAVING, the select list and the ORDER BY keys, at
+// most kv.ScanBatch groups at a time, and calls emit with the values and
+// sort keys of every group i of gs that HAVING keeps, in order.
+func (f *finisher) finish(ctx *evalCtx, pp *physPlan, gs []*partialGroup, emit func(i int, vals, sortKey []any)) error {
+	defer f.unload()
+	for off := 0; off < len(gs); off += kv.ScanBatch {
+		if err := f.chunk(ctx, pp, gs[off:min(off+kv.ScanBatch, len(gs))], off, emit); err != nil {
+			return err
 		}
 	}
-	vals = make([]any, len(items))
-	for i, e := range items {
-		v, err := evalWithAggs(ctx, e, g)
-		if err != nil {
-			return nil, false, err
+	return nil
+}
+
+func (f *finisher) chunk(ctx *evalCtx, pp *physPlan, gs []*partialGroup, off int, emit func(i int, vals, sortKey []any)) error {
+	b := &f.b
+	b.n, b.groups = len(gs), gs
+	for s := range b.cols {
+		rows, miss := b.cols[s][:0], b.miss[s][:0]
+		for _, g := range gs {
+			var r core.TableRow
+			if g.head != nil {
+				r = g.head[s]
+			}
+			rows = append(rows, r)
+			miss = append(miss, g.head == nil || (g.miss != nil && g.miss[s]))
 		}
-		vals[i] = v
+		b.cols[s], b.miss[s] = rows, miss
 	}
-	return vals, true, nil
+	kept := f.sc.sel(len(gs))
+	defer f.sc.dropSel()
+	kept, err := ctx.filterBatch(pp.having, b, ident[:len(gs)], kept)
+	if err != nil || len(kept) == 0 {
+		return err
+	}
+	vals, w, err := ctx.project(pp.items, nil, b, kept)
+	if err != nil {
+		return err
+	}
+	keys, kw, err := ctx.project(pp.orderBy, nil, b, kept)
+	if err != nil {
+		return err
+	}
+	for k, i := range kept {
+		emit(off+int(i), rowAt(vals, w, k), rowAt(keys, kw, k))
+	}
+	return nil
+}
+
+// unload drops the finisher's references to the rows and groups it
+// finished, so that its buffers keep nothing alive.
+func (f *finisher) unload() {
+	for s, rows := range f.b.cols {
+		clear(rows[:cap(rows)])
+		f.b.cols[s] = rows[:0]
+	}
+	f.b.groups = nil
 }

@@ -88,8 +88,7 @@ func newRetractor(a Agg) *retractor {
 // fold adds v to g, or retracts it, the way a group folds a row whose
 // aggregate argument evaluates to v.
 func (r *retractor) fold(g *partialGroup, v any, add bool) error {
-	r.aggs[0].Arg = Lit{Val: v}
-	return g.fold(&evalCtx{}, r.aggs, nil, add)
+	return g.fold(r.aggs, [][]datum{{fromAny(v)}}, 0, add)
 }
 
 func (r *retractor) add(v any) error {
@@ -113,15 +112,15 @@ func (r *retractor) check() error {
 			return err
 		}
 	}
-	got, err := r.live.accs[0].result()
+	live, err := r.live.accs[0].result()
 	if err != nil {
 		return err
 	}
-	want, err := fresh.accs[0].result()
+	refold, err := fresh.accs[0].result()
 	if err != nil {
 		return err
 	}
-	if !sameResult(got, want) {
+	if got, want := live.box(), refold.box(); !sameResult(got, want) {
 		return fmt.Errorf("over %d values %v: live %#v, refold %#v", len(r.in), r.in, got, want)
 	}
 	return nil
@@ -196,7 +195,7 @@ func TestAggRetractExtremeToEmpty(t *testing.T) {
 				t.Fatal(err)
 			}
 			i := 0
-			for r.in[i] != ext {
+			for r.in[i] != ext.box() {
 				i++
 			}
 			if err := r.retract(i); err != nil {
@@ -206,7 +205,7 @@ func TestAggRetractExtremeToEmpty(t *testing.T) {
 				t.Fatalf("%s: %v", fn, err)
 			}
 		}
-		if res, _ := r.live.accs[0].result(); res != nil || len(r.live.accs[0].multi) != 0 {
+		if res, _ := r.live.accs[0].result(); res.k != dNull || len(r.live.accs[0].multi) != 0 {
 			t.Fatalf("%s over nothing = %v with %d multiset entries, want NULL and none", fn, res, len(r.live.accs[0].multi))
 		}
 	}

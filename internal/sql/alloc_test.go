@@ -136,16 +136,7 @@ func TestStandingAggDeltaAllocs(t *testing.T) {
 		// The update moves the group's MAX member up and back down again,
 		// so every delta changes the group's row.
 		key := fmt.Sprintf("order-%d", members-1)
-		var orig core.TableRow
-		id := sq.arrs[0].Attach(func([]core.ArrDelta) {}, func(_ int, rows []core.TableRow) {
-			if i := slices.IndexFunc(rows, func(r core.TableRow) bool { return r.Key == key }); i >= 0 {
-				orig = rows[i]
-			}
-		})
-		sq.arrs[0].Detach(id)
-		if orig.Key != key {
-			t.Fatalf("%s is not in the arrangement", key)
-		}
+		orig := arrangedRow(t, sq, 0, key)
 		moved := orig
 		moved.Raw = orderInfo{DeliveryZone: "east", CustomerLat: float64(members) + 0.5}
 		ds := [2]core.ArrDelta{
@@ -173,4 +164,71 @@ func TestStandingAggDeltaAllocs(t *testing.T) {
 		t.Fatalf("one update allocated %.1f objects in a group of 100 and %.1f in a group of 10 000; want the same, at most 16", small, large)
 	}
 	t.Logf("one update: %.0f allocations in a group of 100 and of 10 000", small)
+}
+
+// arrangedRow returns the row source side of sq's arrangements holds
+// under key.
+func arrangedRow(t *testing.T, sq *StandingQuery, side int, key string) core.TableRow {
+	t.Helper()
+	var row core.TableRow
+	id := sq.arrs[side].Attach(func([]core.ArrDelta) {}, func(_ int, rows []core.TableRow) {
+		if i := slices.IndexFunc(rows, func(r core.TableRow) bool { return r.Key == key }); i >= 0 {
+			row = rows[i]
+		}
+	})
+	sq.arrs[side].Detach(id)
+	if row.Key != key {
+		t.Fatalf("%s is not in the arrangement", key)
+	}
+	return row
+}
+
+// TestStandingDeltaAllocs: a filter standing query and a co-partitioned
+// join standing query fold one update — the retraction of the row it
+// replaced, then the insert of its new row — and settle it into one
+// changed output row within a ceiling: the batch's bookkeeping, the output
+// row and its boxed values, and for the join its index entry and display
+// key. The ceilings are what a delta cost when each was evaluated row by
+// row; evaluating it as a batch of one must add nothing.
+func TestStandingDeltaAllocs(t *testing.T) {
+	f := newFixture(t, 1000, liveSnapCfg())
+	f.ex.SetArrangements(core.NewArrangeRegistry(f.store))
+	for _, c := range []struct {
+		name, q string
+		ceiling float64
+	}{
+		{"filter", `SELECT partitionKey, deliveryZone, customerLat FROM orderinfo WHERE vendorCategory = 'food' AND customerLat > 10`, 4},
+		{"join", `SELECT orderinfo.partitionKey, orderState, customerLat FROM orderinfo JOIN orderstate USING(partitionKey) WHERE deliveryZone = 'north'`, 13},
+	} {
+		sq, err := f.ex.SubscribeQuery(c.q, discardSink)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// order-10 is a north food order; the update moves its latitude
+		// and back, so every delta changes its output row.
+		const key = "order-10"
+		orig := arrangedRow(t, sq, 0, key)
+		moved := orig
+		moved.Raw = orderInfo{DeliveryZone: "north", VendorCategory: "food", CustomerLat: 99.5}
+		ds := [2]core.ArrDelta{
+			{Row: moved, Old: orig, HadOld: true, KeyS: key},
+			{Row: orig, Old: moved, HadOld: true, KeyS: key},
+		}
+		n := 0
+		allocs := testing.AllocsPerRun(200, func() {
+			sq.mu.Lock()
+			defer sq.mu.Unlock()
+			eff := newBatchEff()
+			sq.applyDelta(0, &ds[n%2], eff)
+			n++
+			if out := sq.settleLocked(eff); len(out) != 1 || out[0].Delete || sq.failed != nil {
+				t.Fatalf("%s: one update emitted %v (failed: %v), want one changed row", c.name, out, sq.failed)
+			}
+		})
+		sq.Close()
+		if allocs > c.ceiling {
+			t.Fatalf("%s: one update allocated %.1f objects, the ceiling is %.0f", c.name, allocs, c.ceiling)
+		}
+		t.Logf("%s: one update allocated %.0f objects", c.name, allocs)
+	}
 }

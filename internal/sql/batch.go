@@ -6,16 +6,19 @@ import (
 
 	"squery/internal/core"
 	"squery/internal/kv"
+	"squery/internal/wire"
 )
 
-// Batch evaluation. A fragment runs a partition's rows through the plan a
-// chunk at a time (fragment.go): the pushed filter, the join probe, the
-// residual filter and the group keys and aggregate arguments are each
-// evaluated over the whole chunk, one expression node at a time. Each loop
-// reads one column of many independent rows, so the CPU overlaps their
-// cache misses instead of serialising them behind one row's walk through
-// the evaluator, and the evaluator's dispatch is paid once per node per
-// chunk.
+// Batch evaluation. Every expression is evaluated by one traversal,
+// evalBatch, over a batch of rows: a fragment runs a partition's rows
+// through the plan a chunk at a time (fragment.go); a standing query folds
+// a delta as a batch of one row (subscribe.go); and finishing groups is a
+// batch whose rows are the groups' head rows. Each node is evaluated over
+// the whole selection before its parent combines the results, so a loop
+// reads one column of many independent rows — the CPU overlaps their cache
+// misses instead of serialising them behind one row's walk through the
+// evaluator — and the evaluator's dispatch is paid once per node per
+// batch.
 
 // batch is a chunk of the working set, column-major by source: cols[s][i]
 // is source s's row at position i. A selection vector — the ascending
@@ -28,7 +31,11 @@ type batch struct {
 	// LEFT JOIN), the positions where it is; nil for every other source.
 	miss [][]bool
 	n    int
-	// jr is the row view of one position, for what evaluates row by row.
+	// groups, in a batch of groups being finished, is the group at each
+	// position, whose accumulators an aggregate reads; nil in any other
+	// batch.
+	groups []*partialGroup
+	// jr is the row view of one position, for what reads a column by name.
 	jr joinedRow
 	sc *scratch
 }
@@ -142,17 +149,14 @@ func grow[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// evalBatch is the batch form of evalD: it evaluates e at every position
-// sel selects, into out[i] for position i. It dispatches once per node. A
-// bound column is gathered for the whole selection in one loop, a literal
-// broadcast; comparisons, AND/OR/NOT, IN, BETWEEN and IS NULL combine
-// their operands' columns element by element through the rules evalD
-// applies (compareOp, settles/combine3, not3, inMatch, between). AND and
-// OR evaluate their right side only where the left left the result open,
-// and IN a list value only where no earlier one matched, so an error
-// surfaces exactly when the row form would raise it. Every other node —
-// arithmetic, functions, LIKE, a by-name column — calls evalD once per
-// selected position.
+// evalBatch evaluates e at every position sel selects, into out[i] for
+// position i. It dispatches once per node: a bound column is gathered for
+// the whole selection in one loop, a literal broadcast, and every other
+// node evaluates its operands as columns and combines them element by
+// element through its rule (eval.go). AND and OR evaluate their right side
+// only where the left left the result open, and IN a list value only where
+// no earlier one matched, so an error surfaces only where a row's own
+// evaluation reaches it.
 func (c *evalCtx) evalBatch(e Expr, b *batch, sel []int32, out []datum) error {
 	switch x := e.(type) {
 	case Lit:
@@ -162,27 +166,27 @@ func (c *evalCtx) evalBatch(e Expr, b *batch, sel []int32, out []datum) error {
 		broadcast(timeDatum(&c.now), sel, out)
 		return nil
 	case *colRef:
-		if x.src >= 0 {
-			return b.gather(x, sel, out)
-		}
-	case IsNull:
-		if err := c.evalBatch(x.E, b, sel, out); err != nil {
-			return err
-		}
+		return b.gather(x, sel, out)
+	case Ident:
 		for _, i := range sel {
-			out[i] = boolDatum((out[i].k == dNull) != x.Not)
+			v, ok := b.row(i).Resolve(x.Table, x.Name)
+			if !ok {
+				return fmt.Errorf("sql: unknown column %s", x)
+			}
+			out[i] = fromAny(v)
 		}
 		return nil
+	case IsNull:
+		return c.unary(x.E, b, sel, out, func(v datum) (datum, error) {
+			return boolDatum((v.k == dNull) != x.Not), nil
+		})
 	case Unary:
 		if x.Op == "NOT" {
-			if err := c.evalBatch(x.E, b, sel, out); err != nil {
-				return err
-			}
-			for _, i := range sel {
-				out[i] = not3(out[i])
-			}
-			return nil
+			return c.unary(x.E, b, sel, out, func(v datum) (datum, error) { return not3(v), nil })
 		}
+		return c.unary(x.E, b, sel, out, negate)
+	case Like:
+		return c.unary(x.E, b, sel, out, func(v datum) (datum, error) { return like(v, x.Pattern, x.Not) })
 	case InList:
 		return c.batchIn(x, b, sel, out)
 	case Between:
@@ -192,17 +196,27 @@ func (c *evalCtx) evalBatch(e Expr, b *batch, sel []int32, out []datum) error {
 		case "AND", "OR":
 			return c.batchLogic(x, b, sel, out)
 		case "=", "!=", "<", "<=", ">", ">=":
-			return c.batchCompare(x, b, sel, out)
+			return c.binary(x, b, sel, out, compareOp)
+		case "+", "-", "*", "/", "%":
+			return c.binary(x, b, sel, out, arith)
 		}
-	}
-	for _, i := range sel {
-		d, err := c.evalD(e, b.row(i))
-		if err != nil {
-			return err
+		return fmt.Errorf("sql: unknown operator %q", x.Op)
+	case Func:
+		return c.batchFunc(x, b, sel, out)
+	case Agg:
+		if b.groups == nil {
+			return fmt.Errorf("sql: aggregate %s used outside an aggregating context", x)
 		}
-		out[i] = d
+		for _, i := range sel {
+			d, err := b.groups[i].aggregate(x)
+			if err != nil {
+				return err
+			}
+			out[i] = d
+		}
+		return nil
 	}
-	return nil
+	return fmt.Errorf("sql: unhandled expression %T", e)
 }
 
 func broadcast(d datum, sel []int32, out []datum) {
@@ -211,19 +225,23 @@ func broadcast(d datum, sel []int32, out []datum) {
 	}
 }
 
-// gather reads a source-bound column at every selected position, in one
-// loop: through the schema's typed readers when the row is of the
-// schema's type, through joinedRow.col — pseudo-columns, by name —
-// otherwise. The typed read is joinedRow.col's, written out in the loop so
-// that the readers inline: this loop is where a scan's cache misses
-// overlap.
+// gather reads a bound column at every selected position, in one loop:
+// through the schema's typed readers when the column is schema-bound and
+// the row is of the schema's type, through joinedRow.col — pseudo-columns,
+// by name — otherwise. The typed read is joinedRow.col's, written out in
+// the loop so that the readers inline: this loop is where a scan's cache
+// misses overlap.
 func (b *batch) gather(c *colRef, sel []int32, out []datum) error {
-	rows, miss := b.cols[c.src], b.miss[c.src]
-	if rows == nil {
-		broadcast(datum{}, sel, out)
-		return nil
+	var rows []core.TableRow
+	var miss []bool
+	var sch *wire.Schema
+	if c.src >= 0 {
+		if rows, miss = b.cols[c.src], b.miss[c.src]; rows == nil {
+			broadcast(datum{}, sel, out)
+			return nil
+		}
+		sch = b.jr.srcs[c.src].schema
 	}
-	sch := b.jr.srcs[c.src].schema
 	for _, i := range sel {
 		if miss != nil && miss[i] {
 			out[i] = datum{} // LEFT JOIN miss: columns are NULL
@@ -257,7 +275,25 @@ func (b *batch) gather(c *colRef, sel []int32, out []datum) error {
 	return nil
 }
 
-func (c *evalCtx) batchCompare(x Binary, b *batch, sel []int32, out []datum) error {
+// unary evaluates operand e into out and applies rule f at every selected
+// position, in place.
+func (c *evalCtx) unary(e Expr, b *batch, sel []int32, out []datum, f func(datum) (datum, error)) error {
+	if err := c.evalBatch(e, b, sel, out); err != nil {
+		return err
+	}
+	for _, i := range sel {
+		d, err := f(out[i])
+		if err != nil {
+			return err
+		}
+		out[i] = d
+	}
+	return nil
+}
+
+// binary evaluates both operands of x as columns and combines them with
+// rule f, which takes x's operator, at every selected position.
+func (c *evalCtx) binary(x Binary, b *batch, sel []int32, out []datum, f func(op string, l, r datum) (datum, error)) error {
 	if err := c.evalBatch(x.L, b, sel, out); err != nil {
 		return err
 	}
@@ -267,7 +303,7 @@ func (c *evalCtx) batchCompare(x Binary, b *batch, sel []int32, out []datum) err
 		return err
 	}
 	for _, i := range sel {
-		d, err := compareOp(x.Op, out[i], r[i])
+		d, err := f(x.Op, out[i], r[i])
 		if err != nil {
 			return err
 		}
@@ -358,6 +394,32 @@ func (c *evalCtx) batchBetween(x Between, b *batch, sel []int32, out []datum) er
 			return err
 		}
 		out[i] = d
+	}
+	return nil
+}
+
+// batchFunc evaluates a scalar function's arguments as columns, then runs
+// the function once per selected position over that position's boxed
+// arguments.
+func (c *evalCtx) batchFunc(x Func, b *batch, sel []int32, out []datum) error {
+	// Argument k's column is cols[k*b.n : (k+1)*b.n].
+	cols := b.sc.datums(len(x.Args) * b.n)
+	defer b.sc.dropDatums(1)
+	for k, a := range x.Args {
+		if err := c.evalBatch(a, b, sel, cols[k*b.n:(k+1)*b.n]); err != nil {
+			return err
+		}
+	}
+	args := make([]any, len(x.Args))
+	for _, i := range sel {
+		for k := range args {
+			args[k] = cols[k*b.n+int(i)].box()
+		}
+		v, err := callFunc(x.Name, args)
+		if err != nil {
+			return err
+		}
+		out[i] = fromAny(v)
 	}
 	return nil
 }

@@ -6,17 +6,16 @@ import (
 	"time"
 
 	"squery/internal/core"
-	"squery/internal/wire"
 )
 
 // Column binding. The planner resolves every column reference against the
 // plan's sources once: which source it reads (attribution) and — when that
 // source's table reports a schema — which field ordinal. Evaluation then
 // reads a bound column through the schema's typed readers, with no name
-// lookup and no boxing; a reference that could not be bound keeps the
-// by-name Row.Field evaluator. Both go through one seam, joinedRow.col /
-// joinedRow.value, chosen per source by whether its table reported a
-// schema.
+// lookup and no boxing; a reference that could not be bound is read by
+// name through Row.Field. Both go through one seam, joinedRow.col (and its
+// batch form, batch.gather), chosen per source by whether its table
+// reported a schema.
 
 // Pseudo-ordinals of a colRef.
 const (
@@ -214,7 +213,8 @@ type joinedRow struct {
 	tabs []*core.TableRow
 }
 
-// Resolve implements Resolver over the joined row, by name.
+// Resolve reads a column of the joined row by name: ok is false for an
+// unknown column, and a nil value with ok true is SQL NULL.
 func (r *joinedRow) Resolve(table, column string) (any, bool) {
 	if table != "" {
 		si := sourceOf(r.srcs, table)
@@ -245,21 +245,9 @@ func (r *joinedRow) Resolve(table, column string) (any, bool) {
 	return nil, false
 }
 
-// typed returns the reader handle for a schema-bound column of the row
-// source c reads; ok is false when the reference is not schema-bound or
-// this row is not of the schema's type, and the caller reads by name.
-func (r *joinedRow) typed(c *colRef, t *core.TableRow) (*wire.Schema, wire.Ref, bool) {
-	if c.ord < 0 {
-		return nil, wire.Ref{}, false
-	}
-	sch := r.srcs[c.src].schema
-	ref, ok := sch.Ref(t.Raw)
-	return sch, ref, ok
-}
-
-// col is the accessor seam in typed form: the value of a bound column,
-// unboxed when its table reported a schema. ok is false for an unknown
-// column.
+// col reads a bound column of the row: through the schema's typed readers
+// when its table reported a schema and the row is of the schema's type, by
+// name through Row.Field otherwise. ok is false for an unknown column.
 func (r *joinedRow) col(c *colRef) (datum, bool) {
 	if c.src >= 0 {
 		t := r.tabs[c.src]
@@ -272,49 +260,30 @@ func (r *joinedRow) col(c *colRef) (datum, bool) {
 		case ordSSID:
 			return intDatum(t.SSID), true
 		}
-		if sch, ref, ok := r.typed(c, t); ok {
-			switch c.kind {
-			case dInt:
-				return datum{k: dInt, w: c.w, n: sch.Int(ref, c.ord)}, true
-			case dFloat:
-				return floatDatum(sch.Float(ref, c.ord), c.w), true
-			case dString:
-				return datum{k: dString, s: sch.Str(ref, c.ord)}, true
-			case dBool:
-				return boolDatum(sch.Bool(ref, c.ord)), true
-			case dTime:
-				return timeDatum(sch.Time(ref, c.ord)), true
+		if sch := r.srcs[c.src].schema; c.ord >= 0 {
+			if ref, ok := sch.Ref(t.Raw); ok {
+				switch c.kind {
+				case dInt:
+					return datum{k: dInt, w: c.w, n: sch.Int(ref, c.ord)}, true
+				case dFloat:
+					return floatDatum(sch.Float(ref, c.ord), c.w), true
+				case dString:
+					return datum{k: dString, s: sch.Str(ref, c.ord)}, true
+				case dBool:
+					return boolDatum(sch.Bool(ref, c.ord)), true
+				case dTime:
+					return timeDatum(sch.Time(ref, c.ord)), true
+				}
+				return fromAny(sch.Value(ref, c.ord)), true
 			}
-			return fromAny(sch.Value(ref, c.ord)), true
 		}
+		if v, ok := t.Field(c.id.Name); ok || c.id.Table != "" || len(r.srcs) == 1 {
+			return fromAny(v), ok
+		}
+		// An unqualified name the schemas attributed here, on a row that is
+		// not of the schema's type and lacks the column: resolve as if
+		// unbound.
 	}
-	v, ok := r.value(c)
+	v, ok := r.Resolve(c.id.Table, c.id.Name)
 	return fromAny(v), ok
-}
-
-// value is the accessor seam in boxed form — what a projected column
-// pays, once, on its way into the result set.
-func (r *joinedRow) value(c *colRef) (any, bool) {
-	if c.src < 0 {
-		return r.Resolve(c.id.Table, c.id.Name)
-	}
-	t := r.tabs[c.src]
-	if t == nil {
-		return nil, true // LEFT JOIN miss: columns are NULL
-	}
-	switch c.ord {
-	case ordKey:
-		return t.Key, true
-	case ordSSID:
-		return t.SSID, true
-	}
-	if sch, ref, ok := r.typed(c, t); ok {
-		return sch.Value(ref, c.ord), true
-	}
-	if v, ok := t.Field(c.id.Name); ok || c.id.Table != "" || len(r.srcs) == 1 {
-		return v, ok
-	}
-	// An unqualified name the schemas attributed here, on a row that is not
-	// of the schema's type and lacks the column: resolve as if unbound.
-	return r.Resolve("", c.id.Name)
 }

@@ -1139,3 +1139,44 @@ func TestDifferentialStanding(t *testing.T) {
 		}
 	}
 }
+
+// FuzzDifferentialStanding is the standing arm of the oracle behind a fuzz
+// target: the input picks one of the four fixtures and the seed the query
+// is generated from. A query the SUBSCRIBE dialect accepts must open with
+// the naive answer as its snapshot frame and, after one more wave of
+// writes, hold the one-shot result of the same query. Each input builds
+// its fixture afresh, so a failing input reproduces on its own.
+func FuzzDifferentialStanding(f *testing.F) {
+	for i := int64(0); i < 8; i++ {
+		f.Add(uint8(i), i*7919)
+	}
+	f.Fuzz(func(t *testing.T, fixture uint8, query int64) {
+		seed := int64(fixture%4) + 1
+		fx := newDiffFixture(t, seed, 60)
+		fx.liveOnly = true
+		fx.ex.SetArrangements(core.NewArrangeRegistry(fx.store))
+		q := fx.generate(rand.New(rand.NewSource(query)))
+		name := fmt.Sprintf("seed %d query %d", seed, query)
+		v := newFoldedView()
+		sq, err := fx.ex.SubscribeQuery(q.sql, v.sink)
+		if err != nil {
+			if !strings.Contains(err.Error(), "SUBSCRIBE") {
+				t.Fatalf("%s: %v\n%s", name, err, q.sql)
+			}
+			return // outside the standing dialect
+		}
+		defer sq.Close()
+		if got, want := v.canon(), canon(q.want, false); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: snapshot frame disagrees with the naive evaluation\n%s\n got  %v\n want %v", name, q.sql, got, want)
+		}
+		fx.write(40)
+		mustHaveFolded(t, sq, v, handed(fx.ex, sq))
+		res, err := fx.ex.Query(q.sql)
+		if err != nil {
+			t.Fatalf("%s: %v\n%s", name, err, q.sql)
+		}
+		if got, want := v.canon(), canon(res.Rows, false); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: folded view disagrees with the one-shot result\n%s\n got  %v\n want %v", name, q.sql, got, want)
+		}
+	})
+}

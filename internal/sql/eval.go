@@ -4,225 +4,30 @@ import (
 	"fmt"
 	"strings"
 	"time"
+	"unicode/utf8"
 )
 
-// Resolver supplies column values during evaluation. ok must be false for
-// unknown columns; a nil value with ok true is SQL NULL.
-type Resolver interface {
-	Resolve(table, column string) (any, bool)
-}
+// Expression evaluation has one traversal, evalBatch (batch.go), which
+// evaluates a node over a batch of rows; a single row is a batch of one.
+// This file holds the rules it applies at each position, each defined
+// once: comparison, three-valued logic, IN, BETWEEN, arithmetic, negation,
+// LIKE and the scalar functions.
 
 // evalCtx carries per-query evaluation state.
 type evalCtx struct {
 	now time.Time // LOCALTIMESTAMP, fixed at query start
 }
 
-// eval evaluates an expression against a row and boxes the result — the
-// form a value takes when it reaches the result set or a scalar function.
-// Aggregates must have been rewritten away before eval is called on
-// post-aggregation expressions; encountering one here is a planner bug
-// surfaced as an error.
-//
-// eval and evalD are one evaluator in two result forms: each operator is
-// implemented once, in the form it computes in — arithmetic, functions and
-// LIKE on boxed values here; column reads, literals, comparisons and
-// three-valued logic on datums in evalD — and the other form converts.
-func (c *evalCtx) eval(e Expr, row Resolver) (any, error) {
-	switch x := e.(type) {
-	case Lit:
-		return x.Val, nil
-	case LocalTimestamp:
-		return c.now, nil
-	case Ident:
-		v, ok := row.Resolve(x.Table, x.Name)
-		if !ok {
-			return nil, fmt.Errorf("sql: unknown column %s", x)
-		}
-		return v, nil
-	case *colRef:
-		if jr, ok := row.(*joinedRow); ok {
-			v, ok := jr.value(x)
-			if !ok {
-				return nil, fmt.Errorf("sql: unknown column %s", x.id)
-			}
-			return v, nil
-		}
-		return c.eval(x.id, row)
-	case Unary:
-		if x.Op == "NOT" {
-			break
-		}
-		v, err := c.eval(x.E, row)
-		if err != nil {
-			return nil, err
-		}
-		f, ok := toFloat(v)
-		if !ok {
-			return nil, fmt.Errorf("sql: cannot negate %T", v)
-		}
-		if i, isInt := toInt(v); isInt {
-			return -i, nil
-		}
-		return -f, nil
-	case Like:
-		v, err := c.eval(x.E, row)
-		if err != nil {
-			return nil, err
-		}
-		if v == nil {
-			return nil, nil
-		}
-		s, ok := v.(string)
-		if !ok {
-			return nil, fmt.Errorf("sql: LIKE applied to %T", v)
-		}
-		return likeMatch(s, x.Pattern) != x.Not, nil
-	case Binary:
-		switch x.Op {
-		case "+", "-", "*", "/", "%":
-			l, err := c.eval(x.L, row)
-			if err != nil {
-				return nil, err
-			}
-			r, err := c.eval(x.R, row)
-			if err != nil {
-				return nil, err
-			}
-			return arith(x.Op, l, r)
-		}
-	case Func:
-		return c.evalFunc(x, row)
-	case Agg:
-		return nil, fmt.Errorf("sql: aggregate %s used outside an aggregating context", x)
-	}
-	d, err := c.evalD(e, row)
-	return d.box(), err
-}
-
-// evalD evaluates an expression to a typed datum: the form filters, join
-// keys, group keys and aggregate arguments are consumed in. A column the
-// planner bound (colRef) is read by ordinal through its table's schema;
-// an Ident resolves by name through the Resolver. It only dispatches — the
-// operators live in functions of their own, so that the frame a column
-// read or a literal pays for stays small.
-func (c *evalCtx) evalD(e Expr, row Resolver) (datum, error) {
-	switch x := e.(type) {
-	case Lit:
-		return fromAny(x.Val), nil
-	case LocalTimestamp:
-		return timeDatum(&c.now), nil
-	case *colRef:
-		return c.evalCol(x, row)
-	case Ident:
-		v, ok := row.Resolve(x.Table, x.Name)
-		if !ok {
-			return datum{}, fmt.Errorf("sql: unknown column %s", x)
-		}
-		return fromAny(v), nil
-	case Unary:
-		if x.Op == "NOT" {
-			return c.evalNot(x, row)
-		}
-	case IsNull:
-		v, err := c.evalD(x.E, row)
-		return boolDatum((v.k == dNull) != x.Not), err
-	case InList:
-		return c.evalIn(x, row)
-	case Between:
-		return c.evalBetween(x, row)
-	case Binary:
-		switch x.Op {
-		case "AND", "OR":
-			return c.evalLogic(x, row)
-		case "=", "!=", "<", "<=", ">", ">=":
-			return c.evalCompare(x, row)
-		case "+", "-", "*", "/", "%":
-		default:
-			return datum{}, fmt.Errorf("sql: unknown operator %q", x.Op)
-		}
-	case Like, Func, Agg:
-	default:
-		return datum{}, fmt.Errorf("sql: unhandled expression %T", e)
-	}
-	v, err := c.eval(e, row)
-	return fromAny(v), err
-}
-
-// evalCol reads a bound column.
-func (c *evalCtx) evalCol(x *colRef, row Resolver) (datum, error) {
-	jr, ok := row.(*joinedRow)
-	if !ok {
-		return c.evalD(x.id, row)
-	}
-	d, ok := jr.col(x)
-	if !ok {
-		return datum{}, fmt.Errorf("sql: unknown column %s", x.id)
-	}
-	return d, nil
-}
-
-func (c *evalCtx) evalNot(x Unary, row Resolver) (datum, error) {
-	v, err := c.evalD(x.E, row)
-	if err != nil {
-		return datum{}, err
-	}
-	return not3(v), nil
-}
-
-func (c *evalCtx) evalIn(x InList, row Resolver) (datum, error) {
-	v, err := c.evalD(x.E, row)
-	if err != nil {
-		return datum{}, err
-	}
-	if v.k == dNull {
-		return datum{}, nil
-	}
-	for _, le := range x.List {
-		lv, err := c.evalD(le, row)
-		if err != nil {
-			return datum{}, err
-		}
-		if inMatch(v, lv) {
-			return boolDatum(!x.Not), nil
-		}
-	}
-	return boolDatum(x.Not), nil
-}
-
-func (c *evalCtx) evalBetween(x Between, row Resolver) (datum, error) {
-	v, err := c.evalD(x.E, row)
-	if err != nil {
-		return datum{}, err
-	}
-	lo, err := c.evalD(x.Lo, row)
-	if err != nil {
-		return datum{}, err
-	}
-	hi, err := c.evalD(x.Hi, row)
-	if err != nil {
-		return datum{}, err
-	}
-	return between(v, lo, hi, x.Not)
-}
-
-// evalFunc evaluates the scalar functions of the dialect. Except for
-// COALESCE, a NULL argument yields NULL.
-func (c *evalCtx) evalFunc(x Func, row Resolver) (any, error) {
-	args := make([]any, len(x.Args))
-	for i, a := range x.Args {
-		v, err := c.eval(a, row)
-		if err != nil {
-			return nil, err
-		}
-		args[i] = v
-	}
+// callFunc runs scalar function name over one position's boxed arguments.
+// Except for COALESCE, a NULL argument yields NULL.
+func callFunc(name string, args []any) (any, error) {
 	argc := func(n int) error {
 		if len(args) != n {
-			return fmt.Errorf("sql: %s takes %d argument(s), got %d", x.Name, n, len(args))
+			return fmt.Errorf("sql: %s takes %d argument(s), got %d", name, n, len(args))
 		}
 		return nil
 	}
-	switch x.Name {
+	switch name {
 	case "COALESCE":
 		if len(args) == 0 {
 			return nil, fmt.Errorf("sql: COALESCE needs at least one argument")
@@ -281,9 +86,9 @@ func (c *evalCtx) evalFunc(x Func, row Resolver) (any, error) {
 		}
 		s, ok := args[0].(string)
 		if !ok {
-			return nil, fmt.Errorf("sql: %s of %T", x.Name, args[0])
+			return nil, fmt.Errorf("sql: %s of %T", name, args[0])
 		}
-		switch x.Name {
+		switch name {
 		case "UPPER":
 			return strings.ToUpper(s), nil
 		case "LOWER":
@@ -291,7 +96,7 @@ func (c *evalCtx) evalFunc(x Func, row Resolver) (any, error) {
 		case "TRIM":
 			return strings.TrimSpace(s), nil
 		default:
-			return int64(len(s)), nil
+			return int64(utf8.RuneCountInString(s)), nil
 		}
 	case "CONCAT":
 		var b strings.Builder
@@ -303,42 +108,8 @@ func (c *evalCtx) evalFunc(x Func, row Resolver) (any, error) {
 		}
 		return b.String(), nil
 	}
-	return nil, fmt.Errorf("sql: unknown function %s", x.Name)
+	return nil, fmt.Errorf("sql: unknown function %s", name)
 }
-
-// evalLogic evaluates AND / OR under three-valued logic.
-func (c *evalCtx) evalLogic(x Binary, row Resolver) (datum, error) {
-	and := x.Op == "AND"
-	l, err := c.evalD(x.L, row)
-	if err != nil {
-		return datum{}, err
-	}
-	if settles(and, l) {
-		return boolDatum(!and), nil
-	}
-	r, err := c.evalD(x.R, row)
-	if err != nil {
-		return datum{}, err
-	}
-	return combine3(and, l, r), nil
-}
-
-// evalCompare evaluates = != < <= > >=.
-func (c *evalCtx) evalCompare(x Binary, row Resolver) (datum, error) {
-	l, err := c.evalD(x.L, row)
-	if err != nil {
-		return datum{}, err
-	}
-	r, err := c.evalD(x.R, row)
-	if err != nil {
-		return datum{}, err
-	}
-	return compareOp(x.Op, l, r)
-}
-
-// The rules of comparison and three-valued logic, each defined once: the
-// row evaluator (evalD) and the batch evaluator (evalBatch) both apply
-// them to the operands they evaluated.
 
 // compareOp applies comparison operator op: NULL when either operand is
 // NULL, else the operator's test of compareD's order.
@@ -422,12 +193,6 @@ func between(v, lo, hi datum, not bool) (datum, error) {
 	return boolDatum((cl >= 0 && ch <= 0) != not), nil
 }
 
-// truthy interprets a value as a boolean; ok is false for NULL/non-bool.
-func truthy(v any) (val, ok bool) {
-	b, isB := v.(bool)
-	return b, isB
-}
-
 // toInt reports integer-typed values as int64.
 func toInt(v any) (int64, bool) {
 	switch n := v.(type) {
@@ -460,81 +225,113 @@ func toFloat(v any) (float64, bool) {
 // compare orders two boxed values (see compareD).
 func compare(a, b any) (int, error) { return compareD(fromAny(a), fromAny(b)) }
 
-// arith evaluates arithmetic with integer preservation: int op int stays
-// int64 (except /, which divides exactly when possible).
-func arith(op string, l, r any) (any, error) {
-	if l == nil || r == nil {
-		return nil, nil
+// arith applies arithmetic operator op with integer preservation: int op
+// int stays int64 (except /, which divides exactly when possible), any
+// other numeric pair computes in float64, and a NULL operand makes NULL.
+func arith(op string, l, r datum) (datum, error) {
+	if l.k == dNull || r.k == dNull {
+		return datum{}, nil
 	}
-	li, lInt := toInt(l)
-	ri, rInt := toInt(r)
-	if lInt && rInt {
+	if l.k == dInt && r.k == dInt {
+		li, ri := l.n, r.n
 		switch op {
 		case "+":
-			return li + ri, nil
+			return intDatum(li + ri), nil
 		case "-":
-			return li - ri, nil
+			return intDatum(li - ri), nil
 		case "*":
-			return li * ri, nil
+			return intDatum(li * ri), nil
 		case "%":
 			if ri == 0 {
-				return nil, fmt.Errorf("sql: modulo by zero")
+				return datum{}, fmt.Errorf("sql: modulo by zero")
 			}
-			return li % ri, nil
+			return intDatum(li % ri), nil
 		case "/":
 			if ri == 0 {
-				return nil, fmt.Errorf("sql: division by zero")
+				return datum{}, fmt.Errorf("sql: division by zero")
 			}
 			if li%ri == 0 {
-				return li / ri, nil
+				return intDatum(li / ri), nil
 			}
-			return float64(li) / float64(ri), nil
+			return floatDatum(float64(li)/float64(ri), wFloat64), nil
 		}
 	}
-	lf, lok := toFloat(l)
-	rf, rok := toFloat(r)
+	lf, lok := l.float()
+	rf, rok := r.float()
 	if !lok || !rok {
-		return nil, fmt.Errorf("sql: arithmetic on %T and %T", l, r)
+		return datum{}, fmt.Errorf("sql: arithmetic on %T and %T", l.box(), r.box())
 	}
 	switch op {
 	case "+":
-		return lf + rf, nil
+		return floatDatum(lf+rf, wFloat64), nil
 	case "-":
-		return lf - rf, nil
+		return floatDatum(lf-rf, wFloat64), nil
 	case "*":
-		return lf * rf, nil
+		return floatDatum(lf*rf, wFloat64), nil
 	case "/":
 		if rf == 0 {
-			return nil, fmt.Errorf("sql: division by zero")
+			return datum{}, fmt.Errorf("sql: division by zero")
 		}
-		return lf / rf, nil
+		return floatDatum(lf/rf, wFloat64), nil
 	case "%":
-		return nil, fmt.Errorf("sql: modulo on floating point")
+		return datum{}, fmt.Errorf("sql: modulo on floating point")
 	}
-	return nil, fmt.Errorf("sql: unknown arithmetic operator %q", op)
+	return datum{}, fmt.Errorf("sql: unknown arithmetic operator %q", op)
 }
 
-// likeMatch implements SQL LIKE with % (any run) and _ (any single char).
+// negate is unary minus: an integer negates to int64, a float to float64,
+// NULL stays NULL.
+func negate(v datum) (datum, error) {
+	switch v.k {
+	case dNull:
+		return v, nil
+	case dInt:
+		return intDatum(-v.n), nil
+	case dFloat:
+		return floatDatum(-v.f(), wFloat64), nil
+	}
+	return datum{}, fmt.Errorf("sql: cannot negate %T", v.box())
+}
+
+// like is [NOT] LIKE over an evaluated operand.
+func like(v datum, pattern string, not bool) (datum, error) {
+	switch v.k {
+	case dNull:
+		return v, nil
+	case dString:
+		return boolDatum(likeMatch(v.s, pattern) != not), nil
+	}
+	return datum{}, fmt.Errorf("sql: LIKE applied to %T", v.box())
+}
+
+// likeMatch implements SQL LIKE with % (any run) and _ (any single
+// character): an iterative two-pointer match over the characters of s,
+// backtracking to the last %.
 func likeMatch(s, pattern string) bool {
-	// Dynamic programming over the pattern, iterative two-pointer with
-	// backtracking on the last %.
 	si, pi := 0, 0
 	star, sBack := -1, 0
 	for si < len(s) {
-		if pi < len(pattern) && (pattern[pi] == '_' || pattern[pi] == s[si]) {
-			si++
-			pi++
-		} else if pi < len(pattern) && pattern[pi] == '%' {
-			star = pi
-			sBack = si
-			pi++
-		} else if star >= 0 {
-			pi = star + 1
-			sBack++
-			si = sBack
-		} else {
+		r, rn := utf8.DecodeRuneInString(s[si:])
+		if pi < len(pattern) {
+			p, pn := utf8.DecodeRuneInString(pattern[pi:])
+			if p == '%' {
+				star, sBack = pi, si
+				pi++
+				continue
+			}
+			if p == '_' || p == r {
+				si += rn
+				pi += pn
+				continue
+			}
+		}
+		if star < 0 {
 			return false
 		}
+		// The last % absorbs one more character.
+		_, bn := utf8.DecodeRuneInString(s[sBack:])
+		sBack += bn
+		si, pi = sBack, star+1
 	}
 	for pi < len(pattern) && pattern[pi] == '%' {
 		pi++

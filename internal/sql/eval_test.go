@@ -1,23 +1,34 @@
 package sql
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
+	"unicode/utf8"
+
+	"squery/internal/core"
+	"squery/internal/kv"
 )
 
+// mapResolver is one row of named values.
 type mapResolver map[string]any
 
-func (m mapResolver) Resolve(table, col string) (any, bool) {
-	v, ok := m[col]
-	return v, ok
+// eval evaluates e over the row as a batch of one, its columns unbound and
+// read by name.
+func (m mapResolver) eval(ctx *evalCtx, e Expr) (any, error) {
+	b := newBatch(make([]tableSrc, 1), &scratch{})
+	b.cols[0], b.n = []core.TableRow{{Value: kv.MapRow(m)}}, 1
+	out := make([]datum, 1)
+	err := ctx.evalBatch(e, &b, ident[:1], out)
+	return out[0].box(), err
 }
 
 func evalWhere(t *testing.T, where string, row mapResolver) any {
 	t.Helper()
 	stmt := mustParse(t, `SELECT a FROM t WHERE `+where)
 	ctx := &evalCtx{now: time.Now()}
-	v, err := ctx.eval(stmt.Where, row)
+	v, err := row.eval(ctx, stmt.Where)
 	if err != nil {
 		t.Fatalf("eval(%q): %v", where, err)
 	}
@@ -81,6 +92,8 @@ func TestEvalNullSemantics(t *testing.T) {
 		{`n = 1 AND x = 1`, nil},
 		{`n = 1 OR x = 1`, true},   // TRUE OR NULL = TRUE
 		{`n = 1 AND x = 2`, false}, // FALSE AND NULL = FALSE
+		{`-n IS NULL`, true},       // negating NULL is NULL
+		{`-n = -1`, nil},
 	}
 	for _, c := range cases {
 		if got := evalWhere(t, c.where, row); got != c.want {
@@ -142,7 +155,7 @@ func TestEvalErrors(t *testing.T) {
 	}
 	for _, w := range bad {
 		stmt := mustParse(t, `SELECT a FROM t WHERE `+w)
-		if _, err := ctx.eval(stmt.Where, row); err == nil {
+		if _, err := row.eval(ctx, stmt.Where); err == nil {
 			t.Errorf("eval(%q) succeeded, want error", w)
 		}
 	}
@@ -166,6 +179,18 @@ func TestLikeMatch(t *testing.T) {
 		{"aXbXc", "a%b%c", true},
 		{"mississippi", "%iss%ppi", true},
 		{"mississippi", "%iss%ppx", false},
+		// _ is one character, not one byte.
+		{"é", "_", true},
+		{"é", "__", false},
+		{"añb", "a_b", true},
+		{"日本語", "日_語", true},
+		{"日本語", "%語", true},
+		{"日本語", "_本%", true},
+		{"日本語", "___", true},
+		{"日本語", "____", false},
+		// % in the pattern is a wildcard even where s has a literal %.
+		{"%ab", "%b", true},
+		{"a%b", "a%", true},
 	}
 	for _, c := range cases {
 		if got := likeMatch(c.s, c.pat); got != c.want {
@@ -193,23 +218,32 @@ func TestCompareProperties(t *testing.T) {
 	}
 }
 
-// Property: likeMatch with pattern == the string itself (no wildcards in
-// it) is true, and prefix% matches.
+// Property: over strings drawn from an alphabet of one-, two-, three- and
+// four-byte characters, likeMatch with pattern == the string itself (no
+// wildcards in it) is true, its first character followed by % matches,
+// and one _ per character matches while one _ fewer or more does not.
 func TestLikeProperties(t *testing.T) {
-	f := func(s string) bool {
-		clean := ""
-		for _, r := range s {
-			if r != '%' && r != '_' {
-				clean += string(r)
+	alphabet := []rune{'a', 'b', 'é', 'ß', '日', '語', '😀'}
+	f := func(picks []uint8) bool {
+		var b strings.Builder
+		for _, p := range picks {
+			b.WriteRune(alphabet[int(p)%len(alphabet)])
+		}
+		s := b.String()
+		if !likeMatch(s, s) {
+			return false
+		}
+		n := utf8.RuneCountInString(s)
+		if n > 0 {
+			_, size := utf8.DecodeRuneInString(s)
+			if !likeMatch(s, s[:size]+"%") {
+				return false
+			}
+			if likeMatch(s, strings.Repeat("_", n-1)) {
+				return false
 			}
 		}
-		if !likeMatch(clean, clean) {
-			return false
-		}
-		if len(clean) > 0 && !likeMatch(clean, clean[:1]+"%") && clean[0] != '%' {
-			return false
-		}
-		return true
+		return likeMatch(s, strings.Repeat("_", n)) && !likeMatch(s, strings.Repeat("_", n+1))
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -2,6 +2,7 @@ package sql
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -269,6 +270,73 @@ func TestAggregateEmptyInput(t *testing.T) {
 	}
 	if len(res.Rows) != 1 || res.Rows[0][0] != int64(0) || res.Rows[0][1] != nil {
 		t.Fatalf("empty aggregate = %v", res.Rows)
+	}
+}
+
+// TestEmptyGlobalGroupConstants: the one group of an aggregate without
+// GROUP BY over no rows still evaluates the select list's constants and
+// arithmetic over them; only a column reads NULL, as its group has no row.
+// The snapshot frame of the same standing query carries the same row.
+func TestEmptyGlobalGroupConstants(t *testing.T) {
+	f := newFixture(t, 5, liveSnapCfg())
+	f.ex.SetArrangements(core.NewArrangeRegistry(f.store))
+	const q = `SELECT COUNT(*), 5, 1 + 1, deliveryZone, COALESCE(deliveryZone, 'none') FROM orderinfo WHERE deliveryZone = 'nowhere'`
+	want := []any{int64(0), int64(5), int64(2), nil, "none"}
+	res, err := f.ex.Query(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != 1 || !reflect.DeepEqual(res.Rows[0], want) {
+		t.Fatalf("one-shot = %v, want [%v]", res.Rows, want)
+	}
+	var snap []SubDelta
+	sq, err := f.ex.SubscribeQuery(q, func(*StandingQuery) func(SubEvent) {
+		return func(ev SubEvent) { snap = ev.Deltas }
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sq.Close()
+	if len(snap) != 1 || !reflect.DeepEqual(snap[0].Vals, want) {
+		t.Fatalf("snapshot frame = %v, want one row %v", snap, want)
+	}
+}
+
+// TestAggregatesInEveryExpression: an aggregate may sit under any
+// expression node — unary minus, NOT, BETWEEN, IN, LIKE, IS NULL — in the
+// select list and in HAVING, and HAVING's AND/OR evaluate their right side
+// only where the left leaves the result open, as WHERE's do: a division by
+// zero behind a decided left side is never reached, and reached it raises.
+func TestAggregatesInEveryExpression(t *testing.T) {
+	f := newFixture(t, 12, liveSnapCfg()) // six north, six south
+	res, err := f.ex.Query(`SELECT deliveryZone, -COUNT(*), NOT COUNT(*) > 1, COUNT(*) BETWEEN 1 AND 10, COUNT(*) IN (3, 6),
+		MAX(deliveryZone) LIKE 'n%', SUM(customerLat) IS NULL FROM orderinfo GROUP BY deliveryZone
+		HAVING NOT COUNT(*) < 0 AND COUNT(*) IN (6) ORDER BY deliveryZone`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := [][]any{
+		{"north", int64(-6), false, true, true, true, false},
+		{"south", int64(-6), false, true, true, false, false},
+	}
+	if !reflect.DeepEqual(res.Rows, want) {
+		t.Fatalf("rows = %v, want %v", res.Rows, want)
+	}
+	for q, rows := range map[string]int{
+		`SELECT deliveryZone FROM orderinfo GROUP BY deliveryZone HAVING COUNT(*) < 0 AND COUNT(*) / 0 = 1`: 0,
+		`SELECT deliveryZone FROM orderinfo GROUP BY deliveryZone HAVING COUNT(*) > 0 OR COUNT(*) / 0 = 1`:  2,
+	} {
+		res, err := f.ex.Query(q)
+		if err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		if len(res.Rows) != rows {
+			t.Fatalf("%s: %d rows, want %d", q, len(res.Rows), rows)
+		}
+	}
+	const reached = `SELECT deliveryZone FROM orderinfo GROUP BY deliveryZone HAVING COUNT(*) > 0 AND COUNT(*) / 0 = 1`
+	if _, err := f.ex.Query(reached); err == nil || !strings.Contains(err.Error(), "division by zero") {
+		t.Fatalf("%s: err = %v, want division by zero", reached, err)
 	}
 }
 

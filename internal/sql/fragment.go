@@ -30,15 +30,17 @@ import (
 // time and runs each step over the whole chunk (batch.go): the pushed
 // filter yields a selection, the co-partitioned probe looks the whole
 // selection up in one loop, a general join appends its matches to a joined
-// batch, the residual filter narrows that, and the sink gathers group keys
-// and aggregate arguments column by column before it folds. The only thing
-// that crosses the client hop is what the sinks hold — projected rows, or
-// one partial group per group per node.
+// batch, the residual filter narrows that, and the sink evaluates the
+// select list and ORDER BY keys — or gathers group keys and aggregate
+// arguments before it folds — column by column. The only thing that
+// crosses the client hop is what the sinks hold — projected rows, or one
+// partial group per group per node.
 //
 // The client then merges: concatenate, sort and limit rows, or merge the
-// partial groups, apply HAVING and finish the select list. A LIMIT that
-// fills, or the first error, closes the shared done channel and every
-// partition read stops before its next chunk.
+// partial groups and finish them as batches of groups — HAVING filters
+// each batch, and the select list and ORDER BY keys are its columns. A
+// LIMIT that fills, or the first error, closes the shared done channel and
+// every partition read stops before its next chunk.
 
 // runCtx is the per-execution state every fragment shares.
 type runCtx struct {
@@ -197,21 +199,6 @@ func (pi *pipe) fork() *pipe {
 		rs.attempt = true
 	}
 	return att
-}
-
-// holds evaluates a bound predicate against a working-set row; a nil
-// predicate keeps everything. The standing query (subscribe.go) filters
-// each delta through it.
-func holds(ctx *evalCtx, pred Expr, jr *joinedRow) (bool, error) {
-	if pred == nil {
-		return true, nil
-	}
-	v, err := ctx.evalD(pred, jr)
-	if err != nil {
-		return false, err
-	}
-	keep, ok := v.truthy()
-	return ok && keep, nil
 }
 
 // chunk is the callback of the partition read: filter one chunk of the
@@ -717,35 +704,57 @@ func (s *starExpansion) of(jr *joinedRow) [][2]string {
 	return s.cols
 }
 
-// projectRow evaluates a plan's bound select list for one row. items holds
-// the select expressions, nil for a star; starCols is the (qualifier,
-// column) expansion of *. The one-shot project sink and the standing query
-// (subscribe.go) both call it with the compiled plan's items, so a row
-// projects the same way, through the same bound columns, in either drive
-// mode.
-func projectRow(ctx *evalCtx, items []Expr, starCols [][2]string, r *joinedRow) ([]any, error) {
-	vals := make([]any, 0, len(items)+len(starCols))
+// project evaluates expressions — a select list or ORDER BY keys — over
+// the selected positions of b, each as one column, and boxes the values
+// row by row into one slab of w values per position: position sel[k]'s
+// row is rowAt(slab, w, k). A nil item is SELECT *, which expands to
+// starCols, read by name. The one-shot project sink, group finishing and
+// the standing query all project through it, so a row projects the same
+// way, through the same bound columns, in every drive mode.
+func (c *evalCtx) project(items []Expr, starCols [][2]string, b *batch, sel []int32) (slab []any, w int, err error) {
 	for _, e := range items {
 		if e == nil {
-			for _, sc := range starCols {
-				v, _ := r.Resolve(sc[0], sc[1])
-				vals = append(vals, v)
+			w += len(starCols)
+		} else {
+			w++
+		}
+	}
+	if w == 0 || len(sel) == 0 {
+		return nil, w, nil
+	}
+	slab = make([]any, len(sel)*w)
+	col := b.sc.datums(b.n)
+	defer b.sc.dropDatums(1)
+	at := 0 // the column of slab the next item fills
+	for _, e := range items {
+		if e == nil {
+			for k, i := range sel {
+				jr := b.row(i)
+				for j, sc := range starCols {
+					slab[k*w+at+j], _ = jr.Resolve(sc[0], sc[1])
+				}
 			}
+			at += len(starCols)
 			continue
 		}
-		v, err := ctx.eval(e, r)
-		if err != nil {
-			return nil, err
+		if err := c.evalBatch(e, b, sel, col); err != nil {
+			return nil, 0, err
 		}
-		vals = append(vals, v)
+		for k, i := range sel {
+			slab[k*w+at] = col[i].box()
+		}
+		at++
 	}
-	return vals, nil
+	return slab, w, nil
 }
 
+// rowAt is the k-th row of w values of a slab project filled.
+func rowAt(slab []any, w, k int) []any { return slab[k*w : (k+1)*w : (k+1)*w] }
+
 // rowSink is the non-aggregate sink: evaluate the select list (and the
-// ORDER BY keys) per row, where the row lives. An unordered LIMIT stops
-// the sink when it alone has filled it, and every fragment once the sinks
-// together have.
+// ORDER BY keys) over each batch, where the rows live. An unordered LIMIT
+// stops the sink when it alone has filled it, and every fragment once the
+// sinks together have.
 type rowSink struct {
 	pp      *physPlan
 	rc      *runCtx
@@ -756,29 +765,28 @@ type rowSink struct {
 func (s *rowSink) limited() bool { return s.pp.stmt.Limit >= 0 && len(s.pp.stmt.OrderBy) == 0 }
 
 func (s *rowSink) add(b *batch, sel []int32) (bool, error) {
-	for _, i := range sel {
-		if s.limited() && len(s.rows) >= s.pp.stmt.Limit {
-			return false, nil
-		}
-		jr := b.row(i)
-		vals, err := projectRow(s.rc.ctx, s.pp.items, s.pp.star.of(jr), jr)
-		if err != nil {
-			return false, err
-		}
-		o := outRow{vals: vals}
-		for _, e := range s.pp.orderBy {
-			v, err := s.rc.ctx.eval(e, jr)
-			if err != nil {
-				return false, err
-			}
-			o.sortKey = append(o.sortKey, v)
-		}
-		s.rows = append(s.rows, o)
-		if !s.attempt && !s.count(1) {
-			return false, nil
-		}
+	more := true
+	if room := s.pp.stmt.Limit - len(s.rows); s.limited() && room <= len(sel) {
+		sel, more = sel[:max(room, 0)], false
 	}
-	return true, nil
+	if len(sel) == 0 {
+		return more, nil
+	}
+	vals, w, err := s.rc.ctx.project(s.pp.items, s.pp.star.of(b.row(sel[0])), b, sel)
+	if err != nil {
+		return false, err
+	}
+	keys, kw, err := s.rc.ctx.project(s.pp.orderBy, nil, b, sel)
+	if err != nil {
+		return false, err
+	}
+	for k := range sel {
+		s.rows = append(s.rows, outRow{vals: rowAt(vals, w, k), sortKey: rowAt(keys, kw, k)})
+	}
+	if !s.attempt && !s.count(len(sel)) {
+		return false, nil
+	}
+	return more, nil
 }
 
 // count notes n more rows toward the plan's early stop; false means the
@@ -884,7 +892,7 @@ func (ex *Executor) mergeRows(pp *physPlan, pipes []*pipe) (*Result, error) {
 }
 
 // mergeGroups merges the fragments' partial groups in node order, then
-// finishes each group through HAVING and the select list.
+// finishes them through HAVING, the select list and the ORDER BY keys.
 func (ex *Executor) mergeGroups(pp *physPlan, rc *runCtx, pipes []*pipe) (*Result, error) {
 	stmt := pp.stmt
 	var gt *groupTable
@@ -910,23 +918,11 @@ func (ex *Executor) mergeGroups(pp *physPlan, rc *runCtx, pipes []*pipe) (*Resul
 		res.Columns = append(res.Columns, it.OutputName())
 	}
 	outs := make([]outRow, 0, len(gt.order))
-	for _, g := range gt.order {
-		vals, keep, err := finishGroup(rc.ctx, pp.having, pp.items, g)
-		if err != nil {
-			return nil, err
-		}
-		if !keep {
-			continue
-		}
-		var sortKey []any
-		for _, e := range pp.orderBy {
-			v, err := evalWithAggs(rc.ctx, e, g)
-			if err != nil {
-				return nil, err
-			}
-			sortKey = append(sortKey, v)
-		}
+	err := newFinisher(pp.srcs).finish(rc.ctx, pp, gt.order, func(_ int, vals, sortKey []any) {
 		outs = append(outs, outRow{vals: vals, sortKey: sortKey})
+	})
+	if err != nil {
+		return nil, err
 	}
 	sortOutRows(stmt, outs, func(o outRow) []any { return o.sortKey })
 	for _, o := range outs {

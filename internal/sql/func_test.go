@@ -5,7 +5,7 @@ import (
 )
 
 func TestScalarFunctions(t *testing.T) {
-	row := mapResolver{"s": "  Hello  ", "n": -7, "f": 2.6, "nul": nil, "z": "zone-1"}
+	row := mapResolver{"s": "  Hello  ", "n": -7, "f": 2.6, "nul": nil, "z": "zone-1", "u": "日本語"}
 	cases := []struct {
 		expr string
 		want any
@@ -13,6 +13,9 @@ func TestScalarFunctions(t *testing.T) {
 		{`UPPER(z) = 'ZONE-1'`, true},
 		{`LOWER('ABC') = 'abc'`, true},
 		{`LENGTH(z) = 6`, true},
+		{`LENGTH(u) = 3`, true}, // characters, not bytes
+		{`LENGTH('é') = 1`, true},
+		{`UPPER('é') = 'É'`, true},
 		{`TRIM(s) = 'Hello'`, true},
 		{`ABS(n) = 7`, true},
 		{`ABS(2.5) = 2.5`, true},
@@ -44,7 +47,7 @@ func TestScalarFunctionErrors(t *testing.T) {
 	ctx := evalCtxNow(t)
 	for _, w := range bad {
 		stmt := mustParse(t, `SELECT a FROM t WHERE `+w)
-		if _, err := ctx.eval(stmt.Where, row); err == nil {
+		if _, err := row.eval(ctx, stmt.Where); err == nil {
 			t.Errorf("eval(%q) succeeded, want error", w)
 		}
 	}

@@ -16,17 +16,19 @@ import (
 // builds for a one-shot query, with its bound columns, pushed and residual
 // filters and bound join key — fed signed rows instead of a scan. One fold
 // runs a source row through the plan's stages as an insert or as a
-// retraction: the source's pushed filter, then for a join the join index
-// and the partner rows it enumerates, the residual filter, and last the
-// select list (projectRow, as the one-shot project sink calls it) or the
-// row's group. Two drive modes feed it: each partition of each source
-// table, read through its shared arrangement, seeds in as inserts; then
-// every arrangement delta folds in as the retraction of the row it replaced
-// followed by the insert of its new row. Both run under the standing
-// query's lock and under the partition's segment lock — the seed on the
-// subscriber, the delta on the writer that made the change: no goroutine
-// or queue stands between a state write and the frame the sink receives
-// for it.
+// retraction, evaluating each as a batch of one row through the one
+// evaluator the one-shot fragments run chunks through (evalBatch): the
+// source's pushed filter, then for a join the join index and the partner
+// rows it enumerates, the residual filter, and last the select list
+// (project, as the one-shot project sink calls it) or the row's group
+// keys and aggregate arguments. Two drive modes feed it: each partition of
+// each source table, read through its shared arrangement, seeds in as
+// inserts; then every arrangement delta folds in as the retraction of the
+// row it replaced followed by the insert of its new row. Both run under
+// the standing query's lock and under the partition's segment lock — the
+// seed on the subscriber, the delta on the writer that made the change: no
+// goroutine or queue stands between a state write and the frame the sink
+// receives for it.
 //
 // A retraction needs no record of what its row produced. A delta's Old is
 // exactly the row this query inserted for the key, and evaluation is
@@ -42,9 +44,10 @@ import (
 // row's aggregate arguments are added to on insert and removed from on
 // retraction, a member count, and a head row copied from its first insert
 // for the GROUP BY columns (a bare column outside GROUP BY reads that row,
-// which may since have left the group). A dirty group settles by running its live
-// accumulators through HAVING and the select list (finishGroup): no member
-// rows are kept, and none is refolded.
+// which may since have left the group). A dirty group settles by running
+// its live accumulators through HAVING and the select list (finisher, as
+// the one-shot client merge finishes groups): no member rows are kept, and
+// none is refolded.
 //
 // The supported dialect is the incremental-maintainable core of the
 // engine's SELECT: single live tables or one inner equi-join, WHERE,
@@ -153,9 +156,15 @@ type StandingQuery struct {
 	seeded    [][]bool
 	failed    error
 	watermark uint64
-	// jr is the working row fold evaluates the plan against, one slot per
-	// source; a slot is nil until the fold reaches that source.
-	jr joinedRow
+	// b is the working batch fold evaluates the plan over: one row, held in
+	// rows, from each source the fold has reached — a source not yet
+	// reached has no column.
+	b    batch
+	sc   scratch
+	rows []core.TableRow
+	// fin finishes a dirty group, held in dirty, as a batch of one group.
+	fin   *finisher
+	dirty [1]*partialGroup
 	// jindex[i] files source i's rows that passed its pushed filter by join
 	// key (join mode only) — the shape the one-shot hash joins build, kept
 	// alive: few rows share a key, so a short slice beats a map per key.
@@ -164,9 +173,10 @@ type StandingQuery struct {
 	// projected values under its SubDelta.Key — groups the aggregate one.
 	matched map[string][]any
 	groups  map[string]*subGroup
-	// keyBuf and keyVals are the scratch of one group-key pass.
+	// keyBuf, keyVals and colBuf are the scratch of one group-key pass.
 	keyBuf  []byte
 	keyVals []datum
+	colBuf  [][]datum
 }
 
 // SubscribeQuery compiles a statement (with or without the SUBSCRIBE
@@ -221,9 +231,14 @@ func (ex *Executor) SubscribeQuery(query string, bind func(*StandingQuery) func(
 
 		attach:  newBatchEff(),
 		seeded:  make([][]bool, len(pp.srcs)),
-		jr:      joinedRow{srcs: pp.srcs, tabs: make([]*core.TableRow, len(pp.srcs))},
+		rows:    make([]core.TableRow, len(pp.srcs)),
 		matched: map[string][]any{},
 		groups:  map[string]*subGroup{},
+	}
+	sq.b = newBatch(pp.srcs, &sq.sc)
+	sq.b.n = 1
+	if pp.agg != nil {
+		sq.fin = newFinisher(pp.srcs)
 	}
 	sq.sink = bind(sq)
 	if len(pp.srcs) == 2 {
@@ -256,7 +271,7 @@ func (ex *Executor) SubscribeQuery(query string, bind func(*StandingQuery) func(
 	// Every partition is seeded: settle the attach batch and emit it as the
 	// snapshot frame before any listener can emit a delta frame.
 	sq.mu.Lock()
-	clear(sq.jr.tabs) // the seeds' rows must not stay reachable through it
+	sq.unload() // the seeds' rows must not stay reachable through it
 	deltas := sq.settleLocked(sq.attach)
 	if err := sq.failed; err != nil {
 		// Close takes the arrangements' listener locks, which a writer
@@ -417,17 +432,18 @@ func (sq *StandingQuery) applyDelta(side int, d *core.ArrDelta, eff *batchEff) {
 }
 
 // fold runs one source row through the plan as an insert (add) or as the
-// retraction of that row's earlier insert: the source's pushed filter;
-// for a join, linking or unlinking the row in its side's join index under
-// the plan's bound join key, then every partner row the other side files
-// under that key; then output. ks is the row's partition-key string.
+// retraction of that row's earlier insert, as a batch of one: the source's
+// pushed filter; for a join, linking or unlinking the row in its side's
+// join index under the plan's bound join key, then every partner row the
+// other side files under that key; then output. ks is the row's
+// partition-key string.
 func (sq *StandingQuery) fold(side int, ks string, row *core.TableRow, add bool, eff *batchEff) {
 	if sq.failed != nil {
 		return
 	}
-	pp, jr := sq.pp, &sq.jr
-	clear(jr.tabs)
-	jr.tabs[side] = row
+	pp := sq.pp
+	sq.unload()
+	sq.load(side, row)
 	if !sq.passes(pp.pushedB[side]) {
 		return
 	}
@@ -439,12 +455,13 @@ func (sq *StandingQuery) fold(side int, ks string, row *core.TableRow, add bool,
 	if side == 1 {
 		key = pp.joins[0].right
 	}
-	v, err := sq.ctx.evalD(key, jr)
-	if err != nil {
+	v := sq.sc.datums(1)
+	defer sq.sc.dropDatums(1)
+	if err := sq.ctx.evalBatch(key, &sq.b, ident[:1], v); err != nil {
 		sq.fail(err)
 		return
 	}
-	jk := v.joinKey()
+	jk := v[0].joinKey()
 	es := sq.jindex[side][jk]
 	if add {
 		sq.jindex[side][jk] = append(es, joinEntry{ks: ks, row: *row})
@@ -461,13 +478,25 @@ func (sq *StandingQuery) fold(side int, ks string, row *core.TableRow, add bool,
 	o := 1 - side
 	partners := sq.jindex[o][jk]
 	for i := range partners {
-		jr.tabs[o] = &partners[i].row
+		sq.load(o, &partners[i].row)
 		l, r := ks, partners[i].ks
 		if side == 1 {
 			l, r = r, l
 		}
 		sq.output(l, r, add, eff)
 	}
+}
+
+// load makes r source s's row of the working batch.
+func (sq *StandingQuery) load(s int, r *core.TableRow) {
+	sq.rows[s] = *r
+	sq.b.cols[s] = sq.rows[s : s+1]
+}
+
+// unload empties the working batch.
+func (sq *StandingQuery) unload() {
+	clear(sq.rows)
+	clear(sq.b.cols)
 }
 
 // joinDisp renders a join row's key: "left|right", each partition-key
@@ -489,21 +518,23 @@ func appendDisp(dst []byte, s string) []byte {
 	return dst
 }
 
-// passes tests a bound predicate against the working row; an evaluation
-// error fails the standing query.
+// passes tests a bound predicate on the working batch's row; an
+// evaluation error fails the standing query.
 func (sq *StandingQuery) passes(pred Expr) bool {
-	keep, err := holds(sq.ctx, pred, &sq.jr)
+	kept := sq.sc.sel(1)
+	defer sq.sc.dropSel()
+	kept, err := sq.ctx.filterBatch(pred, &sq.b, ident[:1], kept)
 	if err != nil {
 		sq.fail(err)
 	}
-	return keep
+	return len(kept) == 1
 }
 
-// output takes the joined row in the working row past the residual filter
-// into the standing result, or out of it: a non-aggregate query projects
-// it into its matched output; an aggregate one adds it to or removes it
-// from its group. lks and rks are the partition-key strings of the joined
-// row's sources (rks unused for a single source).
+// output takes the joined row in the working batch past the residual
+// filter into the standing result, or out of it: a non-aggregate query
+// projects it into its matched output; an aggregate one adds it to or
+// removes it from its group. lks and rks are the partition-key strings of
+// the joined row's sources (rks unused for a single source).
 func (sq *StandingQuery) output(lks, rks string, add bool, eff *batchEff) {
 	if !sq.passes(sq.pp.residualB) {
 		return
@@ -523,7 +554,7 @@ func (sq *StandingQuery) output(lks, rks string, add bool, eff *batchEff) {
 		delete(sq.matched, key)
 		return
 	}
-	vals, err := projectRow(sq.ctx, sq.pp.items, nil, &sq.jr)
+	vals, _, err := sq.ctx.project(sq.pp.items, nil, &sq.b, ident[:1])
 	if err != nil {
 		sq.fail(err)
 		return
@@ -531,22 +562,24 @@ func (sq *StandingQuery) output(lks, rks string, add bool, eff *batchEff) {
 	sq.matched[key] = vals
 }
 
-// member adds the joined row in the working row to its group's
+// member adds the joined row in the working batch to its group's
 // accumulators, or retracts it, and marks the group dirty. The GROUP BY
 // key is each grouping value in the self-delimiting binary form; a
 // statement without GROUP BY has the one empty key. A new group's display
 // key renders the same values, and its first member is copied as its head.
 func (sq *StandingQuery) member(add bool, eff *batchEff) {
-	pp, jr := sq.pp, &sq.jr
+	pp := sq.pp
+	cols, err := groupCols(sq.ctx, pp, &sq.b, ident[:1], sq.colBuf[:0])
+	sq.colBuf = cols
+	defer sq.sc.dropDatums(len(cols))
+	if err != nil {
+		sq.fail(err)
+		return
+	}
 	sq.keyBuf, sq.keyVals = sq.keyBuf[:0], sq.keyVals[:0]
-	for _, ge := range pp.groupBy {
-		v, err := sq.ctx.evalD(ge, jr)
-		if err != nil {
-			sq.fail(err)
-			return
-		}
-		sq.keyBuf = v.appendGroupKey(sq.keyBuf)
-		sq.keyVals = append(sq.keyVals, v)
+	for _, kc := range cols[:len(pp.groupBy)] {
+		sq.keyBuf = kc[0].appendGroupKey(sq.keyBuf)
+		sq.keyVals = append(sq.keyVals, kc[0])
 	}
 	g := sq.groups[string(sq.keyBuf)]
 	if g == nil {
@@ -561,9 +594,9 @@ func (sq *StandingQuery) member(add bool, eff *batchEff) {
 	}
 	eff.dirty[g.pg.key] = true
 	if add && g.members == 0 {
-		g.pg.keepHead(jr)
+		g.pg.keepHead(&sq.b, 0)
 	}
-	if err := g.pg.fold(sq.ctx, pp.aggs, jr, add); err != nil {
+	if err := g.pg.fold(pp.aggs, cols[len(pp.groupBy):], 0, add); err != nil {
 		sq.fail(err)
 		return
 	}
@@ -592,8 +625,11 @@ func groupDisp(vals []datum) string {
 }
 
 // settleLocked turns a batch's accumulated effects into output deltas:
-// touched non-aggregate rows diff their before/after matched state, dirty
-// groups finish their accumulators (suppressing no-op upserts).
+// touched non-aggregate rows diff their before/after matched state, and
+// each dirty group finishes its live accumulators through HAVING and the
+// select list (suppressing no-op upserts). A group that emptied (the
+// global one never does) or that HAVING now rejects retracts its emitted
+// row.
 func (sq *StandingQuery) settleLocked(eff *batchEff) []SubDelta {
 	if sq.failed != nil {
 		return nil
@@ -612,48 +648,30 @@ func (sq *StandingQuery) settleLocked(eff *batchEff) []SubDelta {
 		}
 	}
 	for gk := range eff.dirty {
-		d, ok := sq.settleGroup(gk)
-		if sq.failed != nil {
-			return nil
+		g := sq.groups[gk]
+		var vals []any // nil: the group emits no row
+		if g.members == 0 && len(sq.pp.groupBy) > 0 {
+			delete(sq.groups, gk)
+		} else {
+			sq.dirty[0] = &g.pg
+			err := sq.fin.finish(sq.ctx, sq.pp, sq.dirty[:], func(_ int, v, _ []any) { vals = v })
+			sq.dirty[0] = nil
+			if err != nil {
+				sq.fail(err)
+				return nil
+			}
 		}
-		if ok {
-			out = append(out, d)
+		switch {
+		case vals == nil && g.out == nil, vals != nil && sameVals(g.out, vals):
+		case vals == nil:
+			g.out = nil
+			out = append(out, SubDelta{Key: g.disp, Delete: true})
+		default:
+			g.out = vals
+			out = append(out, SubDelta{Key: g.disp, Vals: vals})
 		}
 	}
 	return out
-}
-
-// settleGroup finishes one dirty group, returning the delta it produces
-// (if any): finishGroup runs its live accumulators through HAVING and the
-// select list. A group that emptied (the global one never does) or that
-// HAVING now rejects retracts its emitted row.
-func (sq *StandingQuery) settleGroup(gk string) (SubDelta, bool) {
-	pp := sq.pp
-	g := sq.groups[gk]
-	if g == nil {
-		return SubDelta{}, false
-	}
-	var vals []any // nil: the group emits no row
-	if g.members == 0 && len(pp.groupBy) > 0 {
-		delete(sq.groups, gk)
-	} else {
-		var err error
-		if vals, _, err = finishGroup(sq.ctx, pp.having, pp.items, &g.pg); err != nil {
-			sq.fail(err)
-			return SubDelta{}, false
-		}
-	}
-	switch {
-	case vals == nil && g.out == nil:
-		return SubDelta{}, false
-	case vals == nil:
-		g.out = nil
-		return SubDelta{Key: g.disp, Delete: true}, true
-	case sameVals(g.out, vals):
-		return SubDelta{}, false
-	}
-	g.out = vals
-	return SubDelta{Key: g.disp, Vals: vals}, true
 }
 
 // sameVals reports whether two output rows hold the same values, column

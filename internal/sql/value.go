@@ -22,9 +22,10 @@ type datum struct {
 	w width // the Go type behind a dInt or dFloat, so box returns it
 	n int64 // dInt value; dBool as 0/1; dFloat as IEEE bits
 	s string
-	// a carries what does not fit a word: dOther's value, and a dTime —
-	// as the time.Time it arrived boxed in, or as a *time.Time into the
-	// row a schema read it from, so neither form allocates.
+	// a carries what does not fit a word — dOther's value, and a dTime as
+	// the time.Time it arrived boxed in or as a *time.Time into the row a
+	// schema read it from, so neither form allocates — and, for any other
+	// kind that arrived boxed, that box.
 	a any
 }
 
@@ -82,35 +83,49 @@ func b2i(b bool) int64 {
 	return 0
 }
 
-// fromAny classifies a boxed value.
+// fromAny classifies a boxed value. The datum keeps the box, so that box
+// hands the same interface back instead of boxing the value again.
 func fromAny(v any) datum {
 	switch x := v.(type) {
 	case nil:
 		return datum{}
 	case string:
-		return datum{k: dString, s: x}
+		return datum{k: dString, s: x, a: v}
 	case int64:
-		return datum{k: dInt, n: x}
+		return datum{k: dInt, n: x, a: v}
 	case int:
-		return datum{k: dInt, w: wInt, n: int64(x)}
+		return datum{k: dInt, w: wInt, n: int64(x), a: v}
 	case int32:
-		return datum{k: dInt, w: wInt32, n: int64(x)}
+		return datum{k: dInt, w: wInt32, n: int64(x), a: v}
 	case uint64:
-		return datum{k: dInt, w: wUint64, n: int64(x)}
+		return datum{k: dInt, w: wUint64, n: int64(x), a: v}
 	case float64:
-		return floatDatum(x, wFloat64)
+		return datum{k: dFloat, w: wFloat64, n: int64(math.Float64bits(x)), a: v}
 	case float32:
-		return floatDatum(float64(x), wFloat32)
+		return datum{k: dFloat, w: wFloat32, n: int64(math.Float64bits(float64(x))), a: v}
 	case bool:
-		return boolDatum(x)
+		return datum{k: dBool, n: b2i(x), a: v}
 	case time.Time:
 		return datum{k: dTime, a: v}
 	}
 	return datum{k: dOther, a: v}
 }
 
-// box returns the value as the Go type it was read from.
+// box returns the value as the Go type it was read from: the box it
+// arrived in, when it arrived boxed.
 func (d datum) box() any {
+	switch d.k {
+	case dNull:
+		return nil
+	case dTime:
+		if p, ok := d.a.(*time.Time); ok {
+			return *p
+		}
+		return d.a
+	}
+	if d.a != nil {
+		return d.a
+	}
 	switch d.k {
 	case dInt:
 		switch d.w {
@@ -131,13 +146,6 @@ func (d datum) box() any {
 		return d.s
 	case dBool:
 		return d.n != 0
-	case dTime:
-		if p, ok := d.a.(*time.Time); ok {
-			return *p
-		}
-		return d.a
-	case dOther:
-		return d.a
 	}
 	return nil
 }
