@@ -155,8 +155,7 @@ subscribe-smoke:
 	chmod +x scripts/subscribe-smoke.sh
 	./scripts/subscribe-smoke.sh
 	$(GO) test ./internal/kv -run 'TestTap|TestDetachTap|TestEntryPointEquivalence|TestResetPaths' -race -count=1 -v
-	$(GO) test ./internal/core -run 'TestArrangement' -race -count=1 -v
-	$(GO) test ./internal/core -run 'TestArrangementAttachCleanCut' -race -count=20
+	$(GO) test ./internal/kv -run 'TestTapAttachCleanCut|TestTapInfos' -race -count=20
 	$(GO) test ./internal/sql -run 'TestDifferentialStanding|TestSubscribe|TestStandingQuery' -race -count=1 -v
 	$(GO) test . -run 'TestSubscribe' -race -count=1 -v
 	$(GO) test ./internal/experiments -run 'TestSubscribeExpShape' -count=1 -v

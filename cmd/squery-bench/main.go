@@ -244,6 +244,6 @@ func runCkptScale(o experiments.Options) {
 
 func runSubscribe(o experiments.Options) {
 	fmt.Println(experiments.SubscribeTable(
-		"Standing queries — 10K subscriptions sharing one arrangement vs 10K polling clients (128 partitions, 3 nodes)",
+		"Standing queries — 10K subscriptions tapping one live table vs 10K polling clients (128 partitions, 3 nodes)",
 		experiments.Subscribe(o)))
 }

@@ -305,6 +305,32 @@ func (t *TableRef) ScanPartitionSpec(p int, spec ScanSpec, fn func([]TableRow) b
 	t.scanPartition(p, spec, false, fn)
 }
 
+// Attach subscribes tap to this live table's change stream, then calls
+// seed once per partition with that partition's rows, under its segment
+// read lock (kv.Map.ReadPartition). A delta of partition p reaches the tap
+// either before seed(p) — and the rows seed(p) is handed already hold its
+// effect — or after seed(p) returns, on rows it has not seen. seed runs
+// under the tap's contract, and its rows are valid only during the call.
+// Live tables only; Detach with the same tap.
+func (t *TableRef) Attach(tap kv.Tap, seed func(p int, rows []TableRow)) {
+	t.m.AttachTap(tap)
+	var rows []TableRow
+	for p := range t.Partitions() {
+		t.m.ReadPartition(p, func(entries func(func(kv.Entry) bool)) {
+			rows = rows[:0]
+			entries(func(e kv.Entry) bool {
+				rows = append(rows, TableRow{Key: e.Key, Raw: e.Value})
+				return true
+			})
+			seed(p, rows)
+		})
+	}
+}
+
+// Detach unsubscribes a tap Attach subscribed. No new delta group reaches
+// it after Detach returns, though one already in flight may complete.
+func (t *TableRef) Detach(tap kv.Tap) { t.m.DetachTap(tap) }
+
 // decode turns one stored entry into the table row a query sees at ssid;
 // ok is false when a snapshot key did not exist at that version.
 func (t *TableRef) decode(e kv.Entry, ssid int64) (TableRow, bool) {

@@ -209,8 +209,8 @@ func TestSubscribeExpShape(t *testing.T) {
 		t.Skip("experiment harness, -short")
 	}
 	res := Subscribe(ultraQuick)
-	// Sharing is the mechanism under test: every client must ride ONE
-	// arrangement, so engine-side cost is independent of client count.
+	// Sharing is the mechanism under test: every client must tap ONE
+	// live table, so the table exists once whatever the client count.
 	if res.Arrangements != 1 || res.ArrRefs != int64(res.Clients) {
 		t.Fatalf("arrangements=%d refs=%d, want 1 arrangement carrying all %d clients",
 			res.Arrangements, res.ArrRefs, res.Clients)

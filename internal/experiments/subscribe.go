@@ -15,8 +15,8 @@ import (
 )
 
 // SubscribeResult compares the steady-state cost of keeping a fleet of
-// clients fresh over operator state two ways: N standing queries sharing
-// one arrangement (deltas pushed on change) versus the same N clients
+// clients fresh over operator state two ways: N standing queries tapping
+// one live table (deltas pushed on change) versus the same N clients
 // re-executing their query against live state (polling). One "round" is
 // one fleet refresh: for subscriptions, the wall time from an update
 // burst landing in the store until every affected subscriber has applied
@@ -29,8 +29,8 @@ type SubscribeResult struct {
 	Updates int // updates per round (distinct keys, distinct zones)
 	Rounds  int // measured subscription rounds
 
-	Arrangements int   // shared arrangements backing all N subscriptions
-	ArrRefs      int64 // readers on the shared arrangement (should be N)
+	Arrangements int   // tapped live maps backing all N subscriptions
+	ArrRefs      int64 // taps on them, one per subscription (should be N)
 	AttachTime   time.Duration
 
 	SubRoundMean time.Duration // refresh whole fleet after one burst
@@ -82,9 +82,7 @@ func Subscribe(o Options) SubscribeResult {
 	}
 	orders.Flush()
 
-	reg := core.NewArrangeRegistry(store)
 	ex := sql.NewExecutor(cat, nodes)
-	ex.SetArrangements(reg)
 	mreg := metrics.NewRegistry()
 	ex.SetMetrics(mreg)
 
@@ -113,9 +111,9 @@ func Subscribe(o Options) SubscribeResult {
 		Clients: clients, Keys: keys, Zones: zones,
 		Updates: burst, Rounds: rounds, AttachTime: attach,
 	}
-	for _, info := range reg.Infos() {
+	for _, info := range store.TapInfos() {
 		res.Arrangements++
-		res.ArrRefs += int64(info.Refs)
+		res.ArrRefs += int64(info.Taps)
 	}
 
 	// Steady state: each round updates `burst` distinct keys in distinct

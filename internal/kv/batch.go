@@ -302,9 +302,7 @@ func (m *Map) applyGroup(v NodeView, g group, ops []Op, kss []string, merge merg
 		}
 	}
 	if len(deltas) > 0 {
-		for _, t := range taps {
-			t.OnDeltas(deltas)
-		}
+		m.handTaps(taps, deltas)
 	}
 	grew = len(seg.entries) - before
 	seg.mu.Unlock()

@@ -426,9 +426,7 @@ func (m *Map) resetPartitionLocked(p int, seg *segment, entries map[string]Entry
 	if entries != nil {
 		if taps := m.tapSet(); len(taps) > 0 {
 			if ds := m.diffLocked(p, seg, entries); len(ds) > 0 {
-				for _, t := range taps {
-					t.OnDeltas(ds)
-				}
+				m.handTaps(taps, ds)
 			}
 		}
 		seg.entries = entries

@@ -1,6 +1,7 @@
 package kv
 
 import (
+	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -23,9 +24,9 @@ import (
 // its tap, then reads each partition with ReadPartition: the read holds
 // the segment read lock, so every delta of that partition reached the tap
 // either before the read began, and the entries it hands over already
-// hold its effect, or after the read ended, and is new to them. This is
-// the substrate the arrangement layer (internal/core) seeds standing
-// queries on.
+// hold its effect, or after the read ended, and is new to them. A standing
+// query (internal/sql) attaches one tap per source side this way, through
+// core.TableRef.Attach.
 
 // Delta is one observed mutation of a map partition.
 type Delta struct {
@@ -56,10 +57,13 @@ type Tap interface {
 
 // mapTapState holds a map's attached taps, published with the same
 // mutex-guarded atomic-pointer pattern as mapIndexState so the no-tap
-// fast path costs one atomic load and nothing else.
+// fast path costs one atomic load and nothing else, and the accounting
+// TapInfos reports since the tap set last went from empty to non-empty.
 type mapTapState struct {
-	tapMu sync.Mutex
-	taps  atomic.Pointer[[]Tap]
+	tapMu     sync.Mutex
+	taps      atomic.Pointer[[]Tap]
+	handed    atomic.Int64 // deltas handed to the taps
+	resetBase atomic.Int64 // Resets() when the tap set last filled
 }
 
 // tapSet returns the current taps, nil when none are attached.
@@ -78,6 +82,10 @@ func (m *Map) AttachTap(t Tap) {
 	m.tapMu.Lock()
 	defer m.tapMu.Unlock()
 	cur := m.tapSet()
+	if len(cur) == 0 {
+		m.handed.Store(0)
+		m.resetBase.Store(m.resets.Load())
+	}
 	next := make([]Tap, 0, len(cur)+1)
 	next = append(next, cur...)
 	next = append(next, t)
@@ -101,6 +109,50 @@ func (m *Map) DetachTap(t Tap) {
 
 // TapCount returns the number of attached taps (diagnostics/tests).
 func (m *Map) TapCount() int { return len(m.tapSet()) }
+
+// handTaps delivers one group to every tap and counts it. The caller holds
+// the group's segment write lock.
+func (m *Map) handTaps(taps []Tap, ds []Delta) {
+	m.handed.Add(int64(len(ds)))
+	for _, t := range taps {
+		t.OnDeltas(ds)
+	}
+}
+
+// TapInfo is the observable state of one tapped map (sys.arrangements).
+// Deltas and Resets count from the moment the map's tap set last went
+// from empty to non-empty.
+type TapInfo struct {
+	Map    string
+	Taps   int
+	Rows   int   // the map's entry count
+	Deltas int64 // deltas handed to the taps
+	Resets int64 // wholesale partition replacements
+}
+
+// TapInfos returns a point-in-time view of every map with at least one
+// tap attached, sorted by map.
+func (s *Store) TapInfos() []TapInfo {
+	s.mu.RLock()
+	maps := make([]*Map, 0, len(s.maps))
+	for _, m := range s.maps {
+		maps = append(maps, m)
+	}
+	s.mu.RUnlock()
+	var out []TapInfo
+	for _, m := range maps {
+		m.tapMu.Lock()
+		info := TapInfo{Map: m.name, Taps: m.TapCount(), Deltas: m.handed.Load(),
+			Resets: m.resets.Load() - m.resetBase.Load()}
+		m.tapMu.Unlock()
+		if info.Taps > 0 {
+			info.Rows = m.Size()
+			out = append(out, info)
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Map < out[j].Map })
+	return out
+}
 
 // ReadPartition calls fn while it holds partition p's segment read lock.
 // fn is handed entries, which visits the partition's entries in place

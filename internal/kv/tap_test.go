@@ -1,6 +1,7 @@
 package kv
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -110,8 +111,8 @@ func TestTapBatchGroups(t *testing.T) {
 // TestTapReadPartitionBracket: ReadPartition brackets an attach — a write
 // to the partition cannot land while fn holds the read, so every delta the
 // tap saw before the read is in the entries fn is handed, and every delta
-// after it is new to them. This is the handshake the arrangement layer
-// seeds standing queries with.
+// after it is new to them. This is the handshake a standing query seeds
+// with.
 func TestTapReadPartitionBracket(t *testing.T) {
 	s := testStore()
 	v := s.View(0)
@@ -237,5 +238,140 @@ func TestDetachTapStopsDelivery(t *testing.T) {
 	}
 	if got := m.TapCount(); got != 1 {
 		t.Fatalf("TapCount after detach = %d, want 1", got)
+	}
+}
+
+// TestTapAttachCleanCut: attaching while writes race never loses or
+// duplicates a delta. The reader attaches its tap, then reads each
+// partition with ReadPartition, and files only the deltas of partitions it
+// has already read — a delta of a partition not yet read is in that read.
+// The entries read plus the filed deltas fold to exactly the final map
+// content, and no key is read twice. Run with -race.
+func TestTapAttachCleanCut(t *testing.T) {
+	s := testStore()
+	v := s.View(0)
+	m := s.GetMap("m")
+	v.Put("m", "seed", -1)
+
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 500; i++ {
+			v.Put("m", fmt.Sprintf("k%d", i%100), i)
+			if i%17 == 0 {
+				v.Delete("m", fmt.Sprintf("k%d", (i+3)%100))
+			}
+		}
+	}()
+
+	tap := &cutTap{read: make([]bool, s.Partitioner().Count())}
+	m.AttachTap(tap)
+	defer m.DetachTap(tap)
+	view := map[string]any{}
+	for p := 0; p < s.Partitioner().Count(); p++ {
+		m.ReadPartition(p, func(entries func(func(Entry) bool)) {
+			tap.mu.Lock()
+			defer tap.mu.Unlock()
+			entries(func(e Entry) bool {
+				ks := partition.KeyString(e.Key)
+				if _, dup := view[ks]; dup {
+					t.Errorf("key %s read twice", ks)
+				}
+				view[ks] = e.Value
+				return true
+			})
+			tap.read[p] = true
+		})
+	}
+	<-done
+
+	for _, d := range tap.snapshot() {
+		if d.Tombstone {
+			delete(view, d.KeyS)
+		} else {
+			view[d.KeyS] = d.Value
+		}
+	}
+	want := map[string]any{}
+	for p := 0; p < s.Partitioner().Count(); p++ {
+		m.ReadPartition(p, func(entries func(func(Entry) bool)) {
+			entries(func(e Entry) bool {
+				want[partition.KeyString(e.Key)] = e.Value
+				return true
+			})
+		})
+	}
+	if len(view) != len(want) {
+		t.Fatalf("entries read + filed deltas hold %d keys, the map %d", len(view), len(want))
+	}
+	for ks, w := range want {
+		if got, ok := view[ks]; !ok || got != w {
+			t.Fatalf("key %s: entries read + filed deltas = %v (present %v), the map holds %v", ks, got, ok, w)
+		}
+	}
+}
+
+// cutTap files a delta group only if its partition has already been read.
+type cutTap struct {
+	recTap
+	read []bool // guarded by recTap.mu
+}
+
+func (c *cutTap) OnDeltas(ds []Delta) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.read[ds[0].Part] {
+		c.deltas = append(c.deltas, ds...)
+	}
+}
+
+// TestTapInfos: TapInfos reports each tapped map's tap count, entry count,
+// the deltas handed to its taps and its wholesale resets, and only maps
+// with a tap. Both counters restart when the tap set empties and refills.
+func TestTapInfos(t *testing.T) {
+	s := testStore()
+	v := s.View(0)
+	for i := 0; i < 5; i++ {
+		v.Put("a", i, i)
+		v.Put("b", i, i)
+	}
+	a, b := s.GetMap("a"), s.GetMap("b")
+	if infos := s.TapInfos(); len(infos) != 0 {
+		t.Fatalf("TapInfos with no tap = %+v, want none", infos)
+	}
+	t1, t2, t3 := &recTap{}, &recTap{}, &recTap{}
+	a.AttachTap(t1)
+	a.AttachTap(t2)
+	b.AttachTap(t3)
+
+	v.Put("a", 0, 100) // one upsert
+	v.Put("a", 9, 9)   // one insert
+	v.Delete("a", 1)   // one tombstone
+	v.Put("b", 7, 7)
+	s.RebuildPartitionIndexes(2) // one reset on each map, no deltas
+	infos := s.TapInfos()
+	want := []TapInfo{
+		{Map: "a", Taps: 2, Rows: 5, Deltas: 3, Resets: 1},
+		{Map: "b", Taps: 1, Rows: 6, Deltas: 1, Resets: 1},
+	}
+	if len(infos) != len(want) || infos[0] != want[0] || infos[1] != want[1] {
+		t.Fatalf("TapInfos = %+v, want %+v", infos, want)
+	}
+
+	// Emptying a's tap set drops it from the report; refilling restarts
+	// both counters from the moment of the refill.
+	a.DetachTap(t1)
+	v.Put("a", 2, 200)
+	a.DetachTap(t2)
+	v.Put("a", 3, 300)
+	a.Clear()
+	if infos := s.TapInfos(); len(infos) != 1 || infos[0].Map != "b" {
+		t.Fatalf("TapInfos after a's last detach = %+v, want only b", infos)
+	}
+	a.AttachTap(t1)
+	v.Put("a", 4, 400)
+	got := s.TapInfos()[0]
+	if want := (TapInfo{Map: "a", Taps: 1, Rows: 1, Deltas: 1, Resets: 0}); got != want {
+		t.Fatalf("TapInfos after refill = %+v, want %+v", got, want)
 	}
 }

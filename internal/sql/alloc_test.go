@@ -2,10 +2,10 @@ package sql
 
 import (
 	"fmt"
-	"slices"
 	"testing"
 
-	"squery/internal/core"
+	"squery/internal/kv"
+	"squery/internal/partition"
 )
 
 // Allocation gates of the read path (`make bench-smoke`). The fragment
@@ -123,7 +123,6 @@ func TestStandingAggDeltaAllocs(t *testing.T) {
 	const q = `SELECT deliveryZone, MAX(customerLat), SUM(customerLat), AVG(customerLat) FROM orderinfo GROUP BY deliveryZone`
 	perUpdate := func(members int) float64 {
 		f := newFixture(t, 0, liveSnapCfg())
-		f.ex.SetArrangements(core.NewArrangeRegistry(f.store))
 		for i := 0; i < members; i++ {
 			f.info.Update(fmt.Sprintf("order-%d", i), orderInfo{DeliveryZone: "east", CustomerLat: float64(i)})
 		}
@@ -136,13 +135,7 @@ func TestStandingAggDeltaAllocs(t *testing.T) {
 		// The update moves the group's MAX member up and back down again,
 		// so every delta changes the group's row.
 		key := fmt.Sprintf("order-%d", members-1)
-		orig := arrangedRow(t, sq, 0, key)
-		moved := orig
-		moved.Raw = orderInfo{DeliveryZone: "east", CustomerLat: float64(members) + 0.5}
-		ds := [2]core.ArrDelta{
-			{Row: moved, Old: orig, HadOld: true, KeyS: key},
-			{Row: orig, Old: moved, HadOld: true, KeyS: key},
-		}
+		ds := updateDeltas(t, sq, key, orderInfo{DeliveryZone: "east", CustomerLat: float64(members) + 0.5})
 		n := 0
 		allocs := testing.AllocsPerRun(200, func() {
 			sq.mu.Lock()
@@ -166,21 +159,21 @@ func TestStandingAggDeltaAllocs(t *testing.T) {
 	t.Logf("one update: %.0f allocations in a group of 100 and of 10 000", small)
 }
 
-// arrangedRow returns the row source side of sq's arrangements holds
-// under key.
-func arrangedRow(t *testing.T, sq *StandingQuery, side int, key string) core.TableRow {
+// updateDeltas returns the two deltas that move the row sq's first source
+// table holds under key to the value moved and back.
+func updateDeltas(t *testing.T, sq *StandingQuery, key string, moved any) [2]kv.Delta {
 	t.Helper()
-	var row core.TableRow
-	id := sq.arrs[side].Attach(func([]core.ArrDelta) {}, func(_ int, rows []core.TableRow) {
-		if i := slices.IndexFunc(rows, func(r core.TableRow) bool { return r.Key == key }); i >= 0 {
-			row = rows[i]
-		}
-	})
-	sq.arrs[side].Detach(id)
-	if row.Key != key {
-		t.Fatalf("%s is not in the arrangement", key)
+	ref := sq.pp.srcs[0].ref
+	p, _ := ref.PartitionOf(key)
+	ks := partition.KeyString(key)
+	orig, ok := ref.Lookup(p, ks, 0)
+	if !ok {
+		t.Fatalf("%s is not in %s", key, ref.Name())
 	}
-	return row
+	return [2]kv.Delta{
+		{Part: p, Key: orig.Key, KeyS: ks, Value: moved, Old: orig.Raw, HadOld: true},
+		{Part: p, Key: orig.Key, KeyS: ks, Value: orig.Raw, Old: moved, HadOld: true},
+	}
 }
 
 // TestStandingDeltaAllocs: a filter standing query and a co-partitioned
@@ -192,7 +185,6 @@ func arrangedRow(t *testing.T, sq *StandingQuery, side int, key string) core.Tab
 // row; evaluating it as a batch of one must add nothing.
 func TestStandingDeltaAllocs(t *testing.T) {
 	f := newFixture(t, 1000, liveSnapCfg())
-	f.ex.SetArrangements(core.NewArrangeRegistry(f.store))
 	for _, c := range []struct {
 		name, q string
 		ceiling float64
@@ -207,13 +199,7 @@ func TestStandingDeltaAllocs(t *testing.T) {
 		// order-10 is a north food order; the update moves its latitude
 		// and back, so every delta changes its output row.
 		const key = "order-10"
-		orig := arrangedRow(t, sq, 0, key)
-		moved := orig
-		moved.Raw = orderInfo{DeliveryZone: "north", VendorCategory: "food", CustomerLat: 99.5}
-		ds := [2]core.ArrDelta{
-			{Row: moved, Old: orig, HadOld: true, KeyS: key},
-			{Row: orig, Old: moved, HadOld: true, KeyS: key},
-		}
+		ds := updateDeltas(t, sq, key, orderInfo{DeliveryZone: "north", VendorCategory: "food", CustomerLat: 99.5})
 		n := 0
 		allocs := testing.AllocsPerRun(200, func() {
 			sq.mu.Lock()

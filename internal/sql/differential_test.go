@@ -1045,7 +1045,6 @@ func TestDifferentialStanding(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		f := newDiffFixture(t, seed, 60)
 		f.liveOnly = true
-		f.ex.SetArrangements(core.NewArrangeRegistry(f.store))
 		rng := rand.New(rand.NewSource(seed * 7919))
 		type standing struct {
 			sql  string
@@ -1074,7 +1073,7 @@ func TestDifferentialStanding(t *testing.T) {
 		t.Logf("seed %d: %d of %d generated queries subscribed", seed, len(subs), perSeed)
 		f.write(40)
 		for i, s := range subs {
-			mustHaveFolded(t, s.sq, s.view, handed(f.ex, s.sq))
+			mustHaveFolded(t, s.sq, s.view, handed(f.store, s.sq))
 			res, err := f.ex.Query(s.sql)
 			if err != nil {
 				t.Fatalf("seed %d: %v\n%s", seed, err, s.sql)
@@ -1154,7 +1153,6 @@ func FuzzDifferentialStanding(f *testing.F) {
 		seed := int64(fixture%4) + 1
 		fx := newDiffFixture(t, seed, 60)
 		fx.liveOnly = true
-		fx.ex.SetArrangements(core.NewArrangeRegistry(fx.store))
 		q := fx.generate(rand.New(rand.NewSource(query)))
 		name := fmt.Sprintf("seed %d query %d", seed, query)
 		v := newFoldedView()
@@ -1170,7 +1168,7 @@ func FuzzDifferentialStanding(f *testing.F) {
 			t.Fatalf("%s: snapshot frame disagrees with the naive evaluation\n%s\n got  %v\n want %v", name, q.sql, got, want)
 		}
 		fx.write(40)
-		mustHaveFolded(t, sq, v, handed(fx.ex, sq))
+		mustHaveFolded(t, sq, v, handed(fx.store, sq))
 		res, err := fx.ex.Query(q.sql)
 		if err != nil {
 			t.Fatalf("%s: %v\n%s", name, err, q.sql)

@@ -34,9 +34,6 @@ type Executor struct {
 	nodes  atomic.Int32
 	m      execInstruments
 	tracer *trace.Tracer
-	// arr is the shared arrangement registry standing queries attach to;
-	// nil means SUBSCRIBE is disabled (see SetArrangements).
-	arr *core.ArrangeRegistry
 }
 
 // clusterNodes returns the current scatter-gather fan-out.

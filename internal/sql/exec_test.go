@@ -279,7 +279,6 @@ func TestAggregateEmptyInput(t *testing.T) {
 // The snapshot frame of the same standing query carries the same row.
 func TestEmptyGlobalGroupConstants(t *testing.T) {
 	f := newFixture(t, 5, liveSnapCfg())
-	f.ex.SetArrangements(core.NewArrangeRegistry(f.store))
 	const q = `SELECT COUNT(*), 5, 1 + 1, deliveryZone, COALESCE(deliveryZone, 'none') FROM orderinfo WHERE deliveryZone = 'nowhere'`
 	want := []any{int64(0), int64(5), int64(2), nil, "none"}
 	res, err := f.ex.Query(q)

@@ -101,10 +101,6 @@ func fuzzExecutor() *Executor {
 		}
 		mgr.Commit(ssid)
 		fuzzEx = NewExecutor(cat, 3)
-		// Arrangements make SUBSCRIBE-prefixed corpus entries exercise
-		// the standing-query validate/attach path instead of failing at
-		// the registry check.
-		fuzzEx.SetArrangements(core.NewArrangeRegistry(store))
 	})
 	return fuzzEx
 }
@@ -146,8 +142,8 @@ func FuzzPlan(f *testing.F) {
 		}
 		// SUBSCRIBE routes to the standing-query path: validate/attach
 		// must be total too — reject or subscribe, never panic. A
-		// successful subscription is torn down immediately; the fuzz
-		// executor's arrangement registry refcounts back to zero.
+		// successful subscription is torn down immediately, detaching its
+		// taps.
 		if isSub, rest := splitSubscribe(input); isSub {
 			ex := fuzzExecutor()
 			if sq, err := ex.SubscribeQuery(rest, discardSink); err == nil {

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"squery/internal/core"
+	"squery/internal/kv"
 	"squery/internal/partition"
 )
 
@@ -22,13 +23,14 @@ import (
 // rows it enumerates, the residual filter, and last the select list
 // (project, as the one-shot project sink calls it) or the row's group
 // keys and aggregate arguments. Two drive modes feed it: each partition of
-// each source table, read through its shared arrangement, seeds in as
-// inserts; then every arrangement delta folds in as the retraction of the
-// row it replaced followed by the insert of its new row. Both run under
-// the standing query's lock and under the partition's segment lock — the
-// seed on the subscriber, the delta on the writer that made the change: no
-// goroutine or queue stands between a state write and the frame the sink
-// receives for it.
+// each source table seeds in as inserts; then every delta of the table's
+// live kv map folds in as the retraction of the row it replaced followed
+// by the insert of its new row. Each source side is a tap of its table's
+// map (sideTap), so a delta reaches it through kv's own tap loop. Both run
+// under the standing query's lock and under the partition's segment lock —
+// the seed on the subscriber, the delta on the writer that made the
+// change: no goroutine or queue stands between a state write and the
+// frame the sink receives for it.
 //
 // A retraction needs no record of what its row produced. A delta's Old is
 // exactly the row this query inserted for the key, and evaluation is
@@ -65,10 +67,6 @@ func splitSubscribe(query string) (bool, string) {
 	}
 	return true, rest
 }
-
-// SetArrangements wires the executor to a shared arrangement registry,
-// enabling SUBSCRIBE. Without it every subscription attempt fails.
-func (ex *Executor) SetArrangements(r *core.ArrangeRegistry) { ex.arr = r }
 
 // SubDelta is one output-row change of a standing query. Key identifies
 // the output row the delta applies to, one-to-one within a subscription:
@@ -130,22 +128,32 @@ func newBatchEff() *batchEff {
 	return &batchEff{before: map[string][]any{}, dirty: map[string]bool{}}
 }
 
-// StandingQuery is one compiled incrementally-maintained query: N of them
-// attach to the same shared arrangement per source table. Events reach the
-// sink in order and under the standing query's lock — the initial snapshot
-// frame during subscription, each delta frame on the writer whose change
-// it folds.
+// sideTap is one source side's tap on its table's live map. Each side is
+// its own value: kv detaches a tap by equality, so the two sides of a
+// self-join must not be equal.
+type sideTap struct {
+	sq   *StandingQuery
+	side int
+}
+
+// OnDeltas implements kv.Tap: drive mode 2 for the side.
+func (t *sideTap) OnDeltas(ds []kv.Delta) { t.sq.deliver(t.side, ds) }
+
+// StandingQuery is one compiled incrementally-maintained query, a tap on
+// each source table's live map. Events reach the sink in order and under
+// the standing query's lock — the initial snapshot frame during
+// subscription, each delta frame on the writer whose change it folds.
 type StandingQuery struct {
 	pp    *physPlan
 	query string
 	ctx   *evalCtx // LOCALTIMESTAMP is fixed at subscribe time
 	sink  func(SubEvent)
-
-	arrs    []*core.Arrangement
-	lisIDs  []int
-	closing sync.Once
+	taps  [2]sideTap
 
 	mu sync.Mutex
+	// closed is set by Close once both taps are detached; a delivery
+	// already in flight then finds it and returns without folding.
+	closed bool
 	// attach is the attach batch: the effects of the seeds, and of the
 	// deliveries after them, that SubscribeQuery settles as the snapshot
 	// frame. It is nil once the query is live. Until then seeded[i][p]
@@ -181,33 +189,30 @@ type StandingQuery struct {
 
 // SubscribeQuery compiles a statement (with or without the SUBSCRIBE
 // prefix) into a standing query: check the dialect, compile the plan, and
-// per source acquire its shared arrangement, attach a listener and seed
-// from each partition; then settle the attach batch, go live and emit it
-// as the snapshot frame. bind is called once with the standing query,
+// per source attach the side's tap to the table's live map and seed from
+// each partition; then settle the attach batch, go live and emit it as the
+// snapshot frame. bind is called once with the standing query,
 // before any event is emitted, and returns the sink — so a sink that needs
 // the handle (to resync from Snapshot, to end the subscription on a
 // terminal error) has it by the time it first runs.
 //
 // A partition's seed and its deltas are ordered by the partition's
-// segment lock. The lock order is the writer's — segment lock, then the arrangement's listener lock, then the
+// segment lock. The lock order is the writer's — segment lock, then the
 // standing query's — and nothing holds the standing query's lock while it
 // waits for a segment lock.
 //
 // The sink receives the initial snapshot frame before SubscribeQuery
-// returns, then one delta frame per arrangement delivery that changed the
-// output. It runs with the standing query's lock held, on whichever writer
+// returns, then one delta frame per delta group that changed the output.
+// It runs with the standing query's lock held, on whichever writer
 // goroutine made the change, inside that writer's segment lock: it must do
 // bounded work, never block on anything a writer can hold, never call into
-// the arrangement or the store, and never call Close (hand that to another
-// goroutine). Close detaches and releases the arrangements.
+// the store, and never call Close (hand that to another goroutine). Close
+// detaches the taps.
 func (ex *Executor) SubscribeQuery(query string, bind func(*StandingQuery) func(SubEvent)) (*StandingQuery, error) {
 	_, query = splitSubscribe(query)
 	stmt, err := Parse(query)
 	if err != nil {
 		return nil, err
-	}
-	if ex.arr == nil {
-		return nil, fmt.Errorf("sql: subscriptions are not enabled (no arrangement registry)")
 	}
 	if err := validate(stmt); err != nil {
 		return nil, err
@@ -251,31 +256,19 @@ func (ex *Executor) SubscribeQuery(query string, bind func(*StandingQuery) func(
 		sq.attach.dirty[""] = true
 	}
 
-	for i := range pp.srcs {
-		a, err := ex.arr.Acquire(pp.srcs[i].name)
-		if err != nil {
-			for j, prev := range sq.arrs {
-				prev.Detach(sq.lisIDs[j])
-				prev.Release()
-			}
-			return nil, err
-		}
-		sq.arrs = append(sq.arrs, a)
-		side := i
-		sq.seeded[side] = make([]bool, pp.srcs[i].ref.Partitions())
-		id := a.Attach(func(ds []core.ArrDelta) { sq.deliver(side, ds) },
-			func(p int, rows []core.TableRow) { sq.seed(side, p, rows) })
-		sq.lisIDs = append(sq.lisIDs, id)
+	for i, s := range pp.srcs {
+		sq.seeded[i] = make([]bool, s.ref.Partitions())
+		sq.taps[i] = sideTap{sq, i}
+		s.ref.Attach(&sq.taps[i], func(p int, rows []core.TableRow) { sq.seed(i, p, rows) })
 	}
 
 	// Every partition is seeded: settle the attach batch and emit it as the
-	// snapshot frame before any listener can emit a delta frame.
+	// snapshot frame before any delivery can emit a delta frame.
 	sq.mu.Lock()
 	sq.unload() // the seeds' rows must not stay reachable through it
 	deltas := sq.settleLocked(sq.attach)
 	if err := sq.failed; err != nil {
-		// Close takes the arrangements' listener locks, which a writer
-		// waiting in the listener for sq.mu read-holds: unlock first.
+		// Close takes sq.mu after it detaches: unlock first.
 		sq.mu.Unlock()
 		sq.Close()
 		return nil, err
@@ -356,17 +349,18 @@ func (sq *StandingQuery) Snapshot() SubEvent {
 	return SubEvent{Deltas: ds, Watermark: sq.watermark, Snapshot: true}
 }
 
-// Close detaches from the arrangements and releases them (dropping them
-// at zero readers). Idempotent; no listener call is in flight after Detach
-// returns, so no event is delivered after Close returns. Never call it from
-// the sink: Detach waits for the listener call the sink runs in.
+// Close detaches the taps, then marks the query closed under its lock.
+// No delta group begins delivery to a detached tap, and a group already in
+// flight either delivered before Close took the lock or finds the query
+// closed, so no event is delivered after Close returns. Idempotent. Never
+// call it from the sink: Close waits for the lock the sink runs under.
 func (sq *StandingQuery) Close() {
-	sq.closing.Do(func() {
-		for i, a := range sq.arrs {
-			a.Detach(sq.lisIDs[i])
-			a.Release()
-		}
-	})
+	for i, s := range sq.pp.srcs {
+		s.ref.Detach(&sq.taps[i])
+	}
+	sq.mu.Lock()
+	sq.closed = true
+	sq.mu.Unlock()
 }
 
 // seed is drive mode 1, the snapshot scan: Attach calls it with the rows
@@ -383,16 +377,16 @@ func (sq *StandingQuery) seed(side, p int, rows []core.TableRow) {
 	sq.seeded[side][p] = true
 }
 
-// deliver is drive mode 2, the arrangement listener for source side: it
-// runs on the writer, under the writer's segment lock. Before the query is
+// deliver is drive mode 2, a delta group of source side's table: it runs
+// on the writer, under the writer's segment lock. Before the query is
 // live it folds the group into the attach batch if the group's partition
 // is seeded, and drops it if not; after, it folds the group through the
 // standing stages and hands the output deltas to the sink as one frame, or
 // the evaluation failure as the final one, before it releases the lock.
-func (sq *StandingQuery) deliver(side int, ds []core.ArrDelta) {
+func (sq *StandingQuery) deliver(side int, ds []kv.Delta) {
 	sq.mu.Lock()
 	defer sq.mu.Unlock()
-	if sq.failed != nil {
+	if sq.closed || sq.failed != nil {
 		return
 	}
 	if sq.attach != nil {
@@ -417,17 +411,19 @@ func (sq *StandingQuery) deliver(side int, ds []core.ArrDelta) {
 	}
 }
 
-// applyDelta folds one arrangement delta into the derived state: the
-// retraction of the row it replaced, then the insert of its new row.
-// batchEff coalesces the pair back into one output delta. The delta is
-// shared with every other listener of the arrangement and only read.
-func (sq *StandingQuery) applyDelta(side int, d *core.ArrDelta, eff *batchEff) {
+// applyDelta folds one delta into the derived state: the retraction of
+// the row it replaced, then the insert of its new row. batchEff coalesces
+// the pair back into one output delta. The delta is shared with every
+// other tap of the map and only read.
+func (sq *StandingQuery) applyDelta(side int, d *kv.Delta, eff *batchEff) {
 	sq.watermark++
 	if d.HadOld {
-		sq.fold(side, d.KeyS, &d.Old, false, eff)
+		old := core.TableRow{Key: d.Key, Raw: d.Old}
+		sq.fold(side, d.KeyS, &old, false, eff)
 	}
 	if !d.Tombstone {
-		sq.fold(side, d.KeyS, &d.Row, true, eff)
+		row := core.TableRow{Key: d.Key, Raw: d.Value}
+		sq.fold(side, d.KeyS, &row, true, eff)
 	}
 }
 
@@ -704,7 +700,7 @@ func sameVals(a, b []any) bool {
 }
 
 // fail records the first evaluation error; the standing query stops
-// producing deltas after it (the listener delivers it as the final event).
+// producing deltas after it (deliver hands it on as the final event).
 func (sq *StandingQuery) fail(err error) {
 	if sq.failed == nil {
 		sq.failed = err

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"squery/internal/core"
+	"squery/internal/kv"
 )
 
 // discardSink binds a sink that drops every event.
@@ -15,13 +16,11 @@ func discardSink(*StandingQuery) func(SubEvent) { return func(SubEvent) {} }
 
 // TestSubscribeSeedFailureReturns: a standing query whose evaluation
 // fails during the snapshot seed — before it is live — must return the
-// error, detached and released, instead of deadlocking in its own
-// teardown (Close detaches while writers may wait in the listener for the
-// lock the seed holds). Regression: this hung the REPL's \watch forever on
+// error, detached, instead of deadlocking in its own teardown (Close takes
+// the lock the seed holds, which writers delivering to it may wait for). Regression: this hung the REPL's \watch forever on
 // a GROUP BY over a column the table doesn't carry.
 func TestSubscribeSeedFailureReturns(t *testing.T) {
 	f := newFixture(t, 6, liveSnapCfg())
-	f.ex.SetArrangements(core.NewArrangeRegistry(f.store))
 
 	type res struct {
 		sq  *StandingQuery
@@ -47,10 +46,10 @@ func TestSubscribeSeedFailureReturns(t *testing.T) {
 		t.Fatal("SubscribeQuery deadlocked on a seed-time failure")
 	}
 
-	// The failed attach must not leak its arrangement: a fresh reader
-	// starts from refs 0 (Infos drops torn-down arrangements).
-	if infos := f.ex.arr.Infos(); len(infos) != 0 {
-		t.Fatalf("failed subscribe leaked arrangements: %+v", infos)
+	// The failed attach must not leak its tap: TapInfos reports only
+	// tapped maps.
+	if infos := f.store.TapInfos(); len(infos) != 0 {
+		t.Fatalf("failed subscribe leaked taps: %+v", infos)
 	}
 }
 
@@ -97,16 +96,16 @@ func (v *foldedView) canon() []string {
 	return canon(rows, false)
 }
 
-// handed counts the deltas the arrangements of sq's tables have handed on
-// since they were built. When every subscription attached before the
-// writes began, that is what sq's watermark reaches once it has folded
-// them all.
-func handed(ex *Executor, sq *StandingQuery) uint64 {
+// handed counts the deltas the live maps of sq's tables have handed to
+// their taps since their tap sets last filled. When every subscription
+// attached before the writes began, that is what sq's watermark reaches
+// once it has folded them all.
+func handed(store *kv.Store, sq *StandingQuery) uint64 {
 	var n uint64
 	for _, tb := range sq.Tables() {
-		for _, a := range ex.arr.Infos() {
-			if a.Table == core.LiveMapName(tb) {
-				n += uint64(a.DeltasIn)
+		for _, m := range store.TapInfos() {
+			if m.Map == core.LiveMapName(tb) {
+				n += uint64(m.Deltas)
 			}
 		}
 	}
@@ -174,8 +173,7 @@ func TestStandingQueryHoldsOutputOnly(t *testing.T) {
 		resident    func(sq *StandingQuery) (got, want int)
 	}{{
 		// A filter matching none of the rows leaves no resident entry at
-		// all: the arrangement is the only copy of the table on the push
-		// path.
+		// all: the kv map is the only copy of the table on the push path.
 		name:  "empty filter",
 		query: `SELECT partitionKey, customerLat FROM orderinfo WHERE deliveryZone = 'nowhere'`,
 		update: func(f *fixture, i int, key string) {
@@ -219,7 +217,6 @@ func TestStandingQueryHoldsOutputOnly(t *testing.T) {
 	}} {
 		t.Run(c.name, func(t *testing.T) {
 			f := newFixture(t, n, liveSnapCfg())
-			f.ex.SetArrangements(core.NewArrangeRegistry(f.store))
 			v := newFoldedView()
 			sq, err := f.ex.SubscribeQuery(c.query, v.sink)
 			if err != nil {
@@ -231,7 +228,7 @@ func TestStandingQueryHoldsOutputOnly(t *testing.T) {
 			}
 			f.info.Flush()
 			f.state.Flush()
-			mustHaveFolded(t, sq, v, handed(f.ex, sq))
+			mustHaveFolded(t, sq, v, handed(f.store, sq))
 			res, err := f.ex.Query(c.query)
 			if err != nil {
 				t.Fatal(err)
@@ -255,7 +252,6 @@ func TestStandingQueryHoldsOutputOnly(t *testing.T) {
 func TestSubscribeSSIDPinOnLiveTable(t *testing.T) {
 	const n = 12
 	f := newFixture(t, n, liveSnapCfg())
-	f.ex.SetArrangements(core.NewArrangeRegistry(f.store))
 	q := fmt.Sprintf(`SELECT partitionKey FROM orderinfo WHERE ssid = %d`, f.checkpoint(t))
 	res, err := f.ex.Query(q)
 	if err != nil {
@@ -279,7 +275,6 @@ func TestSubscribeSSIDPinOnLiveTable(t *testing.T) {
 // equals the poll.
 func TestSubscribeBeforeFirstWrite(t *testing.T) {
 	f := newFixture(t, 0, liveSnapCfg())
-	f.ex.SetArrangements(core.NewArrangeRegistry(f.store))
 	queries := []string{
 		`SELECT partitionKey, deliveryZone, customerLat FROM orderinfo WHERE customerLat > 55`,
 		`SELECT deliveryZone, COUNT(*), MAX(customerLat) FROM orderinfo GROUP BY deliveryZone HAVING COUNT(*) > 1`,
@@ -317,7 +312,7 @@ func TestSubscribeBeforeFirstWrite(t *testing.T) {
 	f.info.Flush()
 	f.state.Flush()
 	for i, sq := range sqs {
-		mustHaveFolded(t, sq, views[i], handed(f.ex, sq))
+		mustHaveFolded(t, sq, views[i], handed(f.store, sq))
 		res, err := f.ex.Query(queries[i])
 		if err != nil {
 			t.Fatal(err)
@@ -336,7 +331,6 @@ func TestSubscribeBeforeFirstWrite(t *testing.T) {
 // each shared one key, and one row silently replaced the other.
 func TestSubscribeKeysAreOneToOne(t *testing.T) {
 	f := newDiffFixture(t, 1, 0)
-	f.ex.SetArrangements(core.NewArrangeRegistry(f.store))
 	write := func() {
 		for k, r := range map[string][2]any{
 			"g1": {"x|y", "z"}, "g2": {"x", "y|z"},
@@ -376,7 +370,7 @@ func TestSubscribeKeysAreOneToOne(t *testing.T) {
 			t.Fatalf("%s: snapshot frame folds to %d rows, one-shot has %d", c.query, got, c.rows)
 		}
 		write() // rewrite every row: each output row is retracted and re-derived
-		mustHaveFolded(t, sq, v, handed(f.ex, sq))
+		mustHaveFolded(t, sq, v, handed(f.store, sq))
 		if got, want := v.canon(), canon(res.Rows, false); !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s\n folded view %v\n one-shot    %v", c.query, got, want)
 		}

@@ -57,7 +57,6 @@ func TestResultTypes(t *testing.T) {
 	}
 	be.Flush()
 	ex := NewExecutor(cat, 3)
-	ex.SetArrangements(core.NewArrangeRegistry(store))
 
 	var (
 		i64   = reflect.TypeOf(int64(0))

@@ -67,8 +67,8 @@ func (e *Engine) registerSystemTables() {
 	// per index with its size and maintenance/lookup tallies.
 	e.cat.RegisterVirtual("sys.indexes", e.sysIndexes)
 	// Standing-query visibility reads the subscription registry and the
-	// arrangement registry directly, so it works with every plane
-	// disabled — SUBSCRIBE itself does not depend on metrics.
+	// store's taps directly, so it works with every plane disabled —
+	// SUBSCRIBE itself does not depend on metrics.
 	e.cat.RegisterVirtual("sys.subscriptions", e.sysSubscriptions)
 	e.cat.RegisterVirtual("sys.arrangements", e.sysArrangements)
 }
@@ -100,12 +100,13 @@ func (e *Engine) sysSubscriptions() []core.TableRow {
 	return rows
 }
 
-// sysArrangements is one row per shared arrangement: the table it
-// arranges, how many standing queries share it, the table's current row
-// count, and its delta accounting — deltasIn, applied and watermark all
-// count the deltas handed on from the store's tap (nothing buffers in
-// between) — and the partition replacements (failovers, migrations,
-// clears) the table has been through since the arrangement was built.
+// sysArrangements is one row per live table standing queries tap, read
+// from the store the way sys.indexes is: the table, its taps (one per
+// standing-query source side), its current row count, and its delta
+// accounting — deltasIn, applied and watermark all count the deltas handed
+// to its taps (nothing buffers in between) — and the partition
+// replacements (failovers, migrations, clears) it has been through, both
+// since its first tap attached after it had none.
 func (e *Engine) sysArrangements() []core.TableRow {
 	infos := e.Arrangements()
 	rows := make([]core.TableRow, 0, len(infos))

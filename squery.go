@@ -235,7 +235,6 @@ type Engine struct {
 	reg    *metrics.Registry // nil when Config.DisableMetrics
 	tracer *trace.Tracer     // nil when Config.DisableTracing
 	lim    sql.MetricsLimits // resolved query-log/slow-query config
-	arr    *core.ArrangeRegistry
 
 	mu   sync.Mutex
 	jobs map[string]*Job
@@ -300,8 +299,6 @@ func New(cfg Config) *Engine {
 		jobs:   make(map[string]*Job),
 		subs:   make(map[int64]*Subscription),
 	}
-	e.arr = core.NewArrangeRegistry(clu.Store())
-	e.ex.SetArrangements(e.arr)
 	e.subIns.delivered = reg.Counter("sub", "reg", "delivered")
 	e.subIns.shed = reg.Counter("sub", "reg", "shed")
 	e.subIns.resyncs = reg.Counter("sub", "reg", "resyncs")

@@ -7,18 +7,19 @@ import (
 	"sync/atomic"
 	"time"
 
-	"squery/internal/core"
 	sqlpkg "squery/internal/sql"
 )
 
 // Standing queries. Engine.Subscribe turns a SELECT into a continuously
 // maintained result: the subscriber first receives a snapshot frame with
 // the full current result, then ordered delta frames as operator state
-// changes. Subscriptions over the same table share one arrangement (a
-// refcounted change-stream tap on the live map, which stays the one copy
-// of the table), so N subscriptions cost one tap, not N scans — the
+// changes. Each subscription taps the live kv maps of its tables directly:
+// the map stays the one copy of the table, shared by every subscriber of
+// it, and a write reaches each of them through the map's own tap loop, so
+// N subscriptions cost N folds of the deltas, not N scans — the
 // steady-state economics the -exp subscribe experiment measures against
-// polling.
+// polling. sys.arrangements reports, per tapped map, how many taps share
+// it.
 
 // Re-exported standing-query types.
 type (
@@ -27,10 +28,22 @@ type (
 	SubEvent = sqlpkg.SubEvent
 	// SubDelta is one output-row upsert or delete within a SubEvent.
 	SubDelta = sqlpkg.SubDelta
-	// ArrangementInfo describes one shared arrangement (refcount, rows,
-	// delta/reset accounting) — the programmatic twin of sys.arrangements.
-	ArrangementInfo = core.ArrangementInfo
 )
+
+// ArrangementInfo describes one live table that standing queries tap — the
+// programmatic twin of one sys.arrangements row. DeltasIn, Applied and
+// Resets count from the moment the table's first standing query attached
+// after it had none.
+type ArrangementInfo struct {
+	Table string
+	Refs  int // taps on the table: one per standing-query source side
+	Rows  int // the table's entry count
+	// DeltasIn and Applied both count the deltas handed to the taps:
+	// nothing buffers in between.
+	DeltasIn int64
+	Applied  int64
+	Resets   int64 // wholesale partition replacements
+}
 
 // SubOptions tunes one subscription.
 type SubOptions struct {
@@ -169,9 +182,9 @@ func (s *Subscription) Stats() SubStats {
 	}
 }
 
-// Close ends the subscription: the standing query detaches from its
-// arrangements (dropping them at zero readers), Events is closed after
-// the already-queued frames, and Done closes. Idempotent.
+// Close ends the subscription: the standing query detaches its taps,
+// Events is closed after the already-queued frames, and Done closes.
+// Idempotent.
 func (s *Subscription) Close() { s.close(nil) }
 
 func (s *Subscription) close(err error) {
@@ -179,7 +192,7 @@ func (s *Subscription) close(err error) {
 		if err != nil {
 			s.failed.Store(&err)
 		}
-		// Detaching the standing query first guarantees no deliver call is
+		// Closing the standing query first guarantees no deliver call is
 		// in flight or coming, making close(s.ch) safe.
 		s.sq.Close()
 		s.ended.Store(true)
@@ -195,8 +208,8 @@ func (s *Subscription) close(err error) {
 // between a state write and the consumer. On overflow the subscription's
 // policy decides: shed the queue and enqueue one fresh snapshot frame
 // (re-convergence, built here on the writer), or fail fast and terminate.
-// Ending the subscription detaches the standing query, which waits for
-// this very call to return, so that runs on another goroutine.
+// Ending the subscription closes the standing query, which waits for this
+// very call to return, so that runs on another goroutine.
 func (s *Subscription) deliver(ev SubEvent) {
 	ins := &s.eng.subIns
 	if ev.Err != nil {
@@ -290,9 +303,17 @@ func (e *Engine) Subscriptions() []SubStats {
 	return out
 }
 
-// Arrangements returns the shared arrangements currently maintained,
-// sorted by table — the programmatic twin of sys.arrangements.
-func (e *Engine) Arrangements() []ArrangementInfo { return e.arr.Infos() }
+// Arrangements returns every live table standing queries tap, sorted by
+// table — the programmatic twin of sys.arrangements.
+func (e *Engine) Arrangements() []ArrangementInfo {
+	taps := e.clu.Store().TapInfos()
+	out := make([]ArrangementInfo, len(taps))
+	for i, t := range taps {
+		out[i] = ArrangementInfo{Table: t.Map, Refs: t.Taps, Rows: t.Rows,
+			DeltasIn: t.Deltas, Applied: t.Deltas, Resets: t.Resets}
+	}
+	return out
+}
 
 // HTTPSubscribe adapts Subscribe to obshttp.Options.Subscribe, backing
 // the /subscribe Server-Sent Events endpoint.

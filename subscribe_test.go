@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"squery/internal/core"
 	"squery/internal/dataflow"
 	"squery/internal/transport"
 )
@@ -222,8 +223,8 @@ func runSubscribeParity(t *testing.T, tr transport.Transport) {
 		converge(t, eng, subs[i], views[i], c)
 	}
 
-	// The six standing queries over one table share one arrangement:
-	// 4 single-source + 2 self-joins = 8 readers of "subtally".
+	// The six standing queries over one table tap one map: 4
+	// single-source + 2 self-joins = 8 taps on "subtally".
 	arrs := eng.Arrangements()
 	if len(arrs) != 1 || arrs[0].Table != "subtally" || arrs[0].Refs != 8 {
 		t.Fatalf("arrangements = %+v, want one subtally arrangement with 8 refs", arrs)
@@ -250,8 +251,8 @@ func runSubscribeParity(t *testing.T, tr transport.Transport) {
 		}
 	}
 
-	// Zero-reader teardown: closing every subscription drops the shared
-	// arrangement entirely.
+	// Zero-reader teardown: closing every subscription detaches every tap,
+	// and sys.arrangements drops the table.
 	for _, s := range subs {
 		s.Close()
 	}
@@ -380,7 +381,7 @@ func TestSubscribeRejections(t *testing.T) {
 // the cluster rebalances mid-stream — each reset partition reaches the
 // tap as the difference it made (nothing, for a flip that moved no entry),
 // so the subscriber sees no duplicates and misses nothing, and the
-// arrangement still counts the resets.
+// table's sys.arrangements row still counts the resets.
 func TestSubscribeSurvivesRebalance(t *testing.T) {
 	eng := New(Config{Nodes: 3, Partitions: 27})
 	defer eng.Close()
@@ -439,6 +440,60 @@ func TestSubscribeUnderWrites(t *testing.T) {
 		// writer's reads whether or not subscribe itself did.
 		waitFor(t, func() bool { return s.resyncs.Load() > 0 }, "an overflow to shed and resync")
 		s.Close()
+	}
+}
+
+// TestSubscribeCloseUnderWrites: Subscription.close closes Events right
+// after the standing query's Close returns, so no frame may reach the sink
+// after that — not even from a delta group a writer began delivering
+// before the tap was detached. 32 subscriptions (filters, aggregates and
+// a self-join), each with a small queue so writers also shed and resync,
+// are closed one at a time while two writers run: nothing sends on a
+// closed channel, every Events drains and closes, and the last Close
+// leaves the table with no tap. Run with -race.
+func TestSubscribeCloseUnderWrites(t *testing.T) {
+	eng := New(Config{Nodes: 2, Partitions: 18})
+	defer eng.Close()
+	gate := make(chan struct{})
+	job, err := eng.SubmitJob(healthJob(gate), JobSpec{Name: "writer", State: StateConfig{Live: true}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer job.Stop()
+	defer close(gate)
+	waitRow(t, eng, `SELECT COUNT(*) FROM average`, func(n int64) bool { return n > 0 }, "the writers' first state")
+
+	queries := []string{
+		`SELECT partitionKey, count, total FROM average WHERE count > 1`,
+		`SELECT count, COUNT(*), SUM(total) FROM average GROUP BY count`,
+		`SELECT COUNT(*), MAX(total) FROM average`,
+		`SELECT a.partitionKey, a.total, b."count" FROM average a JOIN average b ON a.partitionKey = b.partitionKey`,
+	}
+	subs := make([]*Subscription, 32)
+	for i := range subs {
+		s, err := eng.SubscribeWithOptions(queries[i%len(queries)], SubOptions{Queue: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		subs[i] = s
+	}
+	last := subs[len(subs)-1]
+	waitFor(t, func() bool { return last.Stats().Watermark > 0 }, "the writers delivering to every subscription")
+	for i, s := range subs {
+		s.Close()
+		select {
+		case <-s.Done():
+		default:
+			t.Fatalf("subscription %d: Done still open after Close", i)
+		}
+		for range s.Events() { // closed by Close, after the frames still queued
+		}
+	}
+	if arrs := eng.Arrangements(); len(arrs) != 0 {
+		t.Fatalf("arrangements after the last Close: %+v", arrs)
+	}
+	if n := eng.clu.Store().GetMap(core.LiveMapName("average")).TapCount(); n != 0 {
+		t.Fatalf("average has %d taps after the last Close, want 0", n)
 	}
 }
 
