@@ -97,9 +97,11 @@ ckpt-smoke:
 # allocating the same over 10 000 rows as over 1 000, a key-lookup
 # point read under 100 objects that examines one row, an aggregate
 # standing query's update allocating the same in a group of 100 members as
-# in one of 10 000, and a filter and a co-partitioned join standing query's
+# in one of 10 000, a filter and a co-partitioned join standing query's
 # update staying at its allocation ceiling — evaluating a delta as a batch
-# of one allocates nothing extra); the standing-query
+# of one allocates nothing extra — and a standing template's update
+# allocating the same with 1 and with 1 000 non-matching parameter tuples
+# attached); the standing-query
 # parity runs hold the one compiled plan and its one evaluator to both
 # drive modes — a standing query folds signed rows through the plan,
 # filters and group form the one-shot fragments run, and
@@ -113,7 +115,7 @@ bench-smoke:
 	$(GO) test ./internal/persist -run 'TestDeltaEncodeAllocs' -count=1 -v
 	$(GO) test ./internal/kv -run 'TestIndexedPutAllocs|TestPutBatchAllocs|TestGetAllAllocs' -count=1 -v
 	$(GO) test ./internal/partition -run 'TestHashAllocs' -count=1 -v
-	$(GO) test ./internal/sql -run 'TestJoinFoldAllocs|TestScanFoldAllocs|TestKeyLookupAllocs|TestStandingAggDeltaAllocs|TestStandingDeltaAllocs|TestDifferentialStanding' -count=1 -v
+	$(GO) test ./internal/sql -run 'TestJoinFoldAllocs|TestScanFoldAllocs|TestKeyLookupAllocs|TestStandingAggDeltaAllocs|TestStandingDeltaAllocs|TestStandingDeltaCostFlatInWatchers|TestDifferentialStanding' -count=1 -v
 	$(GO) test . -run 'TestSubscribeParity$$' -count=1 -v
 	$(GO) test ./internal/wire -run '^$$' -bench 'BenchmarkAppendValue|BenchmarkDecodeValue|BenchmarkGobValue' -benchtime 1000x
 	$(GO) test ./internal/persist -run '^$$' -bench 'BenchmarkAppendDeltaSegment' -benchtime 1000x
@@ -148,15 +150,19 @@ index-smoke:
 # (its attach-while-writing clean cut repeated: a lock-order regression
 # shows as a deadlock or a race report), the standing query's own suite
 # with the standing arm of the differential oracle (including its
-# attach-racing arm), and the engine's subscription suite
-# (subscribe-vs-poll parity, and no goroutine per subscription or after
-# Engine.Close), all under -race.
+# attach-racing arm), its template arm and the resident-state count
+# repeated (templates shared by many parameter tuples while handles
+# attach and close under write waves: a lock-order or seeding regression
+# shows as a deadlock, a race report or a diverged view), and the
+# engine's subscription suite (subscribe-vs-poll parity, and no goroutine
+# per subscription or after Engine.Close), all under -race.
 subscribe-smoke:
 	chmod +x scripts/subscribe-smoke.sh
 	./scripts/subscribe-smoke.sh
 	$(GO) test ./internal/kv -run 'TestTap|TestDetachTap|TestEntryPointEquivalence|TestResetPaths' -race -count=1 -v
 	$(GO) test ./internal/kv -run 'TestTapAttachCleanCut|TestTapInfos' -race -count=20
-	$(GO) test ./internal/sql -run 'TestDifferentialStanding|TestSubscribe|TestStandingQuery' -race -count=1 -v
+	$(GO) test ./internal/sql -run 'TestDifferentialStanding|TestSubscribe|TestStandingQuery|TestTemplate' -race -count=1 -v
+	$(GO) test ./internal/sql -run 'TestDifferentialStanding/templates|TestStandingQueryHoldsOutputOnly' -race -count=20
 	$(GO) test . -run 'TestSubscribe' -race -count=1 -v
 	$(GO) test ./internal/experiments -run 'TestSubscribeExpShape' -count=1 -v
 

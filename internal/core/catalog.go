@@ -305,15 +305,23 @@ func (t *TableRef) ScanPartitionSpec(p int, spec ScanSpec, fn func([]TableRow) b
 	t.scanPartition(p, spec, false, fn)
 }
 
-// Attach subscribes tap to this live table's change stream, then calls
-// seed once per partition with that partition's rows, under its segment
-// read lock (kv.Map.ReadPartition). A delta of partition p reaches the tap
+// Attach subscribes tap to this live table's change stream, then seeds
+// from every partition (Seed). A delta of partition p reaches the tap
 // either before seed(p) — and the rows seed(p) is handed already hold its
-// effect — or after seed(p) returns, on rows it has not seen. seed runs
-// under the tap's contract, and its rows are valid only during the call.
-// Live tables only; Detach with the same tap.
+// effect — or after seed(p) returns, on rows it has not seen. Live tables
+// only; Detach with the same tap.
 func (t *TableRef) Attach(tap kv.Tap, seed func(p int, rows []TableRow)) {
 	t.m.AttachTap(tap)
+	t.Seed(seed)
+}
+
+// Seed calls seed once per partition with that partition's rows, under
+// its segment read lock (kv.Map.ReadPartition), so no delta of the
+// partition lands while seed(p) runs. A consumer whose tap is already
+// attached seeds again this way to bring in state it did not keep. seed
+// runs under the tap's contract, and its rows are valid only during the
+// call. Live tables only.
+func (t *TableRef) Seed(seed func(p int, rows []TableRow)) {
 	var rows []TableRow
 	for p := range t.Partitions() {
 		t.m.ReadPartition(p, func(entries func(func(kv.Entry) bool)) {

@@ -30,7 +30,7 @@ type SubscribeResult struct {
 	Rounds  int // measured subscription rounds
 
 	Arrangements int   // tapped live maps backing all N subscriptions
-	ArrRefs      int64 // taps on them, one per subscription (should be N)
+	ArrRefs      int64 // standing-query source sides on them (should be N)
 	AttachTime   time.Duration
 
 	SubRoundMean time.Duration // refresh whole fleet after one burst
@@ -111,9 +111,10 @@ func Subscribe(o Options) SubscribeResult {
 		Clients: clients, Keys: keys, Zones: zones,
 		Updates: burst, Rounds: rounds, AttachTime: attach,
 	}
+	refs := ex.StandingRefs()
 	for _, info := range store.TapInfos() {
 		res.Arrangements++
-		res.ArrRefs += int64(info.Taps)
+		res.ArrRefs += int64(refs[info.Map])
 	}
 
 	// Steady state: each round updates `burst` distinct keys in distinct

@@ -115,10 +115,10 @@ func TestKeyLookupAllocs(t *testing.T) {
 // by adding to and removing from its group's accumulators, not by
 // refolding the group's members, so one update folded into a group of 100
 // members and into a group of 10 000 allocates the same small number of
-// objects — the batch's bookkeeping and the emitted row, nothing per
-// member. The aggregates are float-valued: boxing an int64 result costs
-// nothing below 256 (the runtime's small-integer cache), which would make
-// a COUNT of 100 look one allocation cheaper than a COUNT of 10 000.
+// objects — the emitted frame and row, nothing per member. The aggregates
+// are float-valued: boxing an int64 result costs nothing below 256 (the
+// runtime's small-integer cache), which would make a COUNT of 100 look one
+// allocation cheaper than a COUNT of 10 000.
 func TestStandingAggDeltaAllocs(t *testing.T) {
 	const q = `SELECT deliveryZone, MAX(customerLat), SUM(customerLat), AVG(customerLat) FROM orderinfo GROUP BY deliveryZone`
 	perUpdate := func(members int) float64 {
@@ -127,7 +127,8 @@ func TestStandingAggDeltaAllocs(t *testing.T) {
 			f.info.Update(fmt.Sprintf("order-%d", i), orderInfo{DeliveryZone: "east", CustomerLat: float64(i)})
 		}
 		f.info.Flush()
-		sq, err := f.ex.SubscribeQuery(q, discardSink)
+		var out []SubDelta
+		sq, err := f.ex.SubscribeQuery(q, frameSink(&out))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -138,16 +139,14 @@ func TestStandingAggDeltaAllocs(t *testing.T) {
 		ds := updateDeltas(t, sq, key, orderInfo{DeliveryZone: "east", CustomerLat: float64(members) + 0.5})
 		n := 0
 		allocs := testing.AllocsPerRun(200, func() {
-			sq.mu.Lock()
-			defer sq.mu.Unlock()
-			eff := newBatchEff()
-			sq.applyDelta(0, &ds[n%2], eff)
+			out = nil
+			sq.g.t.deliver(0, ds[n%2:n%2+1])
 			n++
-			if out := sq.settleLocked(eff); len(out) != 1 || sq.failed != nil {
-				t.Fatalf("one update emitted %v (failed: %v), want one changed group row", out, sq.failed)
+			if len(out) != 1 || sq.g.failed != nil {
+				t.Fatalf("one update emitted %v (failed: %v), want one changed group row", out, sq.g.failed)
 			}
 		})
-		if g := sq.groups[string(fromAny("east").appendGroupKey(nil))]; g == nil || g.members != members {
+		if g := sq.g.groups[string(fromAny("east").appendGroupKey(nil))]; g == nil || g.members != members {
 			t.Fatalf("the group does not hold %d members after the updates", members)
 		}
 		return allocs
@@ -159,11 +158,18 @@ func TestStandingAggDeltaAllocs(t *testing.T) {
 	t.Logf("one update: %.0f allocations in a group of 100 and of 10 000", small)
 }
 
+// frameSink binds a sink that keeps the deltas of the last frame in out.
+func frameSink(out *[]SubDelta) func(*StandingQuery) func(SubEvent) {
+	return func(*StandingQuery) func(SubEvent) {
+		return func(ev SubEvent) { *out = ev.Deltas }
+	}
+}
+
 // updateDeltas returns the two deltas that move the row sq's first source
 // table holds under key to the value moved and back.
 func updateDeltas(t *testing.T, sq *StandingQuery, key string, moved any) [2]kv.Delta {
 	t.Helper()
-	ref := sq.pp.srcs[0].ref
+	ref := sq.g.t.pp.srcs[0].ref
 	p, _ := ref.PartitionOf(key)
 	ks := partition.KeyString(key)
 	orig, ok := ref.Lookup(p, ks, 0)
@@ -179,10 +185,10 @@ func updateDeltas(t *testing.T, sq *StandingQuery, key string, moved any) [2]kv.
 // TestStandingDeltaAllocs: a filter standing query and a co-partitioned
 // join standing query fold one update — the retraction of the row it
 // replaced, then the insert of its new row — and settle it into one
-// changed output row within a ceiling: the batch's bookkeeping, the output
-// row and its boxed values, and for the join its index entry and display
-// key. The ceilings are what a delta cost when each was evaluated row by
-// row; evaluating it as a batch of one must add nothing.
+// changed output row within a ceiling: the frame, the output row and its
+// boxed values, and for the join its index entry and display key. The
+// ceilings are what a delta cost when each was evaluated row by row;
+// evaluating it as a batch of one must add nothing.
 func TestStandingDeltaAllocs(t *testing.T) {
 	f := newFixture(t, 1000, liveSnapCfg())
 	for _, c := range []struct {
@@ -192,7 +198,8 @@ func TestStandingDeltaAllocs(t *testing.T) {
 		{"filter", `SELECT partitionKey, deliveryZone, customerLat FROM orderinfo WHERE vendorCategory = 'food' AND customerLat > 10`, 4},
 		{"join", `SELECT orderinfo.partitionKey, orderState, customerLat FROM orderinfo JOIN orderstate USING(partitionKey) WHERE deliveryZone = 'north'`, 13},
 	} {
-		sq, err := f.ex.SubscribeQuery(c.q, discardSink)
+		var out []SubDelta
+		sq, err := f.ex.SubscribeQuery(c.q, frameSink(&out))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -202,13 +209,11 @@ func TestStandingDeltaAllocs(t *testing.T) {
 		ds := updateDeltas(t, sq, key, orderInfo{DeliveryZone: "north", VendorCategory: "food", CustomerLat: 99.5})
 		n := 0
 		allocs := testing.AllocsPerRun(200, func() {
-			sq.mu.Lock()
-			defer sq.mu.Unlock()
-			eff := newBatchEff()
-			sq.applyDelta(0, &ds[n%2], eff)
+			out = nil
+			sq.g.t.deliver(0, ds[n%2:n%2+1])
 			n++
-			if out := sq.settleLocked(eff); len(out) != 1 || out[0].Delete || sq.failed != nil {
-				t.Fatalf("%s: one update emitted %v (failed: %v), want one changed row", c.name, out, sq.failed)
+			if len(out) != 1 || out[0].Delete || sq.g.failed != nil {
+				t.Fatalf("%s: one update emitted %v (failed: %v), want one changed row", c.name, out, sq.g.failed)
 			}
 		})
 		sq.Close()
@@ -217,4 +222,48 @@ func TestStandingDeltaAllocs(t *testing.T) {
 		}
 		t.Logf("%s: one update allocated %.0f objects", c.name, allocs)
 	}
+}
+
+// TestStandingDeltaCostFlatInWatchers: a delta folds only into the groups
+// of its row's tuple, so one update on a template with one other tuple
+// attached and on the same template with 1 000 others, none of which the
+// row matches, allocates the same. A template's groups share its scratch and
+// each keeps its own batch effects, so a group the delta does not reach
+// costs it nothing.
+func TestStandingDeltaCostFlatInWatchers(t *testing.T) {
+	const q = `SELECT partitionKey, deliveryZone, customerLat FROM orderinfo WHERE vendorCategory = '%s' AND customerLat > 10`
+	perUpdate := func(others int) float64 {
+		f := newFixture(t, 1000, liveSnapCfg())
+		var out []SubDelta
+		sq, err := f.ex.SubscribeQuery(fmt.Sprintf(q, "food"), frameSink(&out))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sq.Close()
+		for i := 0; i < others; i++ {
+			other, err := f.ex.SubscribeQuery(fmt.Sprintf(q, fmt.Sprintf("cat-%d", i)), discardSink)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer other.Close()
+		}
+		if tpls := len(f.ex.standing.tpls); tpls != 1 || len(sq.g.t.groups) != others+1 {
+			t.Fatalf("%d templates with %d groups, want one template with %d", tpls, len(sq.g.t.groups), others+1)
+		}
+		ds := updateDeltas(t, sq, "order-10", orderInfo{DeliveryZone: "north", VendorCategory: "food", CustomerLat: 99.5})
+		n := 0
+		return testing.AllocsPerRun(200, func() {
+			out = nil
+			sq.g.t.deliver(0, ds[n%2:n%2+1])
+			n++
+			if len(out) != 1 || out[0].Delete {
+				t.Fatalf("one update emitted %v, want one changed row", out)
+			}
+		})
+	}
+	one, many := perUpdate(1), perUpdate(1000)
+	if one != many {
+		t.Fatalf("one update allocated %.1f objects with 1 non-matching tuple attached and %.1f with 1 000; want the same", one, many)
+	}
+	t.Logf("one update: %.0f allocations with 1 and with 1 000 non-matching tuples attached", one)
 }

@@ -275,34 +275,56 @@ func (s *Select) HasAggregates() bool {
 }
 
 func containsAgg(e Expr) bool {
-	switch x := e.(type) {
-	case Agg:
-		return true
-	case Binary:
-		return containsAgg(x.L) || containsAgg(x.R)
-	case Unary:
-		return containsAgg(x.E)
-	case IsNull:
-		return containsAgg(x.E)
-	case Between:
-		return containsAgg(x.E) || containsAgg(x.Lo) || containsAgg(x.Hi)
-	case InList:
-		if containsAgg(x.E) {
-			return true
+	return containsExpr(e, func(x Expr) bool { _, ok := x.(Agg); return ok })
+}
+
+// readsNow reports whether an expression reads LOCALTIMESTAMP.
+func readsNow(e Expr) bool {
+	return containsExpr(e, func(x Expr) bool { _, ok := x.(LocalTimestamp); return ok })
+}
+
+// containsExpr reports whether any node of an expression matches.
+func containsExpr(e Expr, match func(Expr) bool) bool {
+	found := false
+	walkExpr(e, func(x Expr) {
+		if !found && match(x) {
+			found = true
 		}
+	})
+	return found
+}
+
+// walkExpr visits every node of an expression, parents before children,
+// operands left to right. nil visits nothing.
+func walkExpr(e Expr, fn func(Expr)) {
+	if e == nil {
+		return
+	}
+	fn(e)
+	switch x := e.(type) {
+	case Binary:
+		walkExpr(x.L, fn)
+		walkExpr(x.R, fn)
+	case Unary:
+		walkExpr(x.E, fn)
+	case IsNull:
+		walkExpr(x.E, fn)
+	case Between:
+		walkExpr(x.E, fn)
+		walkExpr(x.Lo, fn)
+		walkExpr(x.Hi, fn)
+	case InList:
+		walkExpr(x.E, fn)
 		for _, v := range x.List {
-			if containsAgg(v) {
-				return true
-			}
+			walkExpr(v, fn)
 		}
 	case Like:
-		return containsAgg(x.E)
+		walkExpr(x.E, fn)
 	case Func:
 		for _, a := range x.Args {
-			if containsAgg(a) {
-				return true
-			}
+			walkExpr(a, fn)
 		}
+	case Agg:
+		walkExpr(x.Arg, fn)
 	}
-	return false
 }

@@ -432,6 +432,8 @@ type dQuery struct {
 	ordered bool
 	// limit >= 0 on an unordered query: any limit-sized subset of want.
 	limit int
+	// srcs are the query's sources, FROM first.
+	srcs []dSource
 }
 
 // columns lists the references a query over srcs may use: qualified ones
@@ -584,7 +586,7 @@ func (f *diffFixture) generate(rng *rand.Rand) dQuery {
 		}
 	}
 
-	q := dQuery{limit: -1}
+	q := dQuery{limit: -1, srcs: srcs}
 	sql := "SELECT "
 	tail := ""
 	keyCol := dCol{text: core.ColPartitionKey, src: -1, name: core.ColPartitionKey}
@@ -1031,111 +1033,330 @@ func TestPushdownSoundnessRules(t *testing.T) {
 	})
 }
 
-// TestDifferentialStanding is the standing arm of the oracle: every
-// generated query the SUBSCRIBE dialect accepts is subscribed, its snapshot
-// frame must equal the naive answer, and after one more wave of writes —
-// updates, deletes, re-inserts, join-column changes — its folded view must
-// equal the one-shot result of the same query, which TestDifferentialParity
-// holds against the naive evaluation. A second set of generated queries is
-// then subscribed while write waves run on another goroutine, so every
-// attach races writes to the partitions it seeds; once the waves stop,
-// each folded view must equal the one-shot result too.
+// TestDifferentialStanding is the standing arm of the oracle. In its
+// query arm every generated query the SUBSCRIBE dialect accepts is
+// subscribed, its snapshot frame must equal the naive answer, and after
+// one more wave of writes — updates, deletes, re-inserts, join-column
+// changes — its folded view must equal the one-shot result of the same
+// query, which TestDifferentialParity holds against the naive evaluation.
+// A second set of generated queries is then subscribed while write waves
+// run on another goroutine, so every attach races writes to the partitions
+// it seeds; once the waves stop, each folded view must equal the one-shot
+// result too. Its template arm subscribes generated templates under many
+// parameter tuples (templateArm).
 func TestDifferentialStanding(t *testing.T) {
-	const perSeed = 150
-	for seed := int64(1); seed <= 4; seed++ {
-		f := newDiffFixture(t, seed, 60)
-		f.liveOnly = true
-		rng := rand.New(rand.NewSource(seed * 7919))
-		type standing struct {
-			sql  string
-			sq   *StandingQuery
-			view *foldedView
+	t.Run("queries", func(t *testing.T) {
+		for seed := int64(1); seed <= 4; seed++ {
+			queryArm(t, seed)
 		}
-		var subs []standing
-		for i := 0; i < perSeed; i++ {
-			q := f.generate(rng)
-			v := newFoldedView()
-			sq, err := f.ex.SubscribeQuery(q.sql, v.sink)
-			if err != nil {
-				if !strings.Contains(err.Error(), "SUBSCRIBE") {
-					t.Fatalf("seed %d query %d: %v\n%s", seed, i, err, q.sql)
-				}
-				continue // outside the standing dialect
-			}
-			if got, want := v.canon(), canon(q.want, false); !reflect.DeepEqual(got, want) {
-				t.Fatalf("seed %d query %d: snapshot frame disagrees with the naive evaluation\n%s\n got  %v\n want %v", seed, i, q.sql, got, want)
-			}
-			subs = append(subs, standing{q.sql, sq, v})
+	})
+	t.Run("templates", func(t *testing.T) {
+		for seed := int64(1); seed <= 4; seed++ {
+			f := newDiffFixture(t, seed, 60)
+			f.liveOnly = true
+			templateArm(t, f, seed, rand.New(rand.NewSource(seed*104729)))
 		}
-		if 3*len(subs) < perSeed {
-			t.Fatalf("seed %d: the dialect accepted %d of %d generated queries, want at least a third", seed, len(subs), perSeed)
-		}
-		t.Logf("seed %d: %d of %d generated queries subscribed", seed, len(subs), perSeed)
-		f.write(40)
-		for i, s := range subs {
-			mustHaveFolded(t, s.sq, s.view, handed(f.store, s.sq))
-			res, err := f.ex.Query(s.sql)
-			if err != nil {
-				t.Fatalf("seed %d: %v\n%s", seed, err, s.sql)
-			}
-			if got, want := s.view.canon(), canon(res.Rows, false); !reflect.DeepEqual(got, want) {
-				t.Fatalf("seed %d subscription %d: folded view disagrees with the one-shot result\n%s\n got  %v\n want %v", seed, i, s.sql, got, want)
-			}
-			s.sq.Close()
-		}
+	})
+}
 
-		queries := make([]string, perSeed)
-		for i := range queries {
-			queries[i] = f.generate(rng).sql
+// queryArm is TestDifferentialStanding's query arm over one seed's
+// fixture.
+func queryArm(t *testing.T, seed int64) {
+	const perSeed = 150
+	f := newDiffFixture(t, seed, 60)
+	f.liveOnly = true
+	rng := rand.New(rand.NewSource(seed * 7919))
+	type standing struct {
+		sql  string
+		sq   *StandingQuery
+		view *foldedView
+	}
+	var subs []standing
+	for i := 0; i < perSeed; i++ {
+		q := f.generate(rng)
+		v := newFoldedView()
+		sq, err := f.ex.SubscribeQuery(q.sql, v.sink)
+		if err != nil {
+			if !strings.Contains(err.Error(), "SUBSCRIBE") {
+				t.Fatalf("seed %d query %d: %v\n%s", seed, i, err, q.sql)
+			}
+			continue // outside the standing dialect
 		}
-		stop, done := make(chan struct{}), make(chan int)
-		go func() {
-			waves := 0
-			for {
-				select {
-				case <-stop:
-					f.write(40) // one more wave after the last attach
-					done <- waves + 1
-					return
-				default:
-					f.write(40)
-					waves++
+		if got, want := v.canon(), canon(q.want, false); !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d query %d: snapshot frame disagrees with the naive evaluation\n%s\n got  %v\n want %v", seed, i, q.sql, got, want)
+		}
+		subs = append(subs, standing{q.sql, sq, v})
+	}
+	if 3*len(subs) < perSeed {
+		t.Fatalf("seed %d: the dialect accepted %d of %d generated queries, want at least a third", seed, len(subs), perSeed)
+	}
+	t.Logf("seed %d: %d of %d generated queries subscribed", seed, len(subs), perSeed)
+	f.write(40)
+	for i, s := range subs {
+		mustHaveFolded(t, s.sq, s.view, handed(f.store, s.sq))
+		res, err := f.ex.Query(s.sql)
+		if err != nil {
+			t.Fatalf("seed %d: %v\n%s", seed, err, s.sql)
+		}
+		if got, want := s.view.canon(), canon(res.Rows, false); !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d subscription %d: folded view disagrees with the one-shot result\n%s\n got  %v\n want %v", seed, i, s.sql, got, want)
+		}
+		s.sq.Close()
+	}
+
+	queries := make([]string, perSeed)
+	for i := range queries {
+		queries[i] = f.generate(rng).sql
+	}
+	stop, done := waves(f)
+	subs = subs[:0]
+	for i, q := range queries {
+		v := newFoldedView()
+		sq, err := f.ex.SubscribeQuery(q, v.sink)
+		if err != nil {
+			if !strings.Contains(err.Error(), "SUBSCRIBE") {
+				close(stop)
+				<-done
+				t.Fatalf("seed %d racing query %d: %v\n%s", seed, i, err, q)
+			}
+			continue
+		}
+		subs = append(subs, standing{q, sq, v})
+	}
+	close(stop)
+	t.Logf("seed %d: %d subscriptions attached during %d write waves", seed, len(subs), <-done)
+	for i, s := range subs {
+		mustMatchOneShot(t, f, s.sql, s.view, fmt.Sprintf("seed %d racing subscription %d", seed, i))
+		s.sq.Close()
+	}
+}
+
+// waves runs write waves on another goroutine until stop closes, then one
+// more, and sends how many it ran on done.
+func waves(f *diffFixture) (stop chan struct{}, done chan int) {
+	stop, done = make(chan struct{}), make(chan int)
+	go func() {
+		n := 0
+		for {
+			select {
+			case <-stop:
+				f.write(40) // one more wave after the last attach
+				done <- n + 1
+				return
+			default:
+				f.write(40)
+				n++
+			}
+		}
+	}()
+	return stop, done
+}
+
+// mustMatchOneShot asserts that a folded view has not failed and equals
+// the one-shot result of its query.
+func mustMatchOneShot(t *testing.T, f *diffFixture, q string, v *foldedView, name string) {
+	t.Helper()
+	v.mu.Lock()
+	err := v.err
+	v.mu.Unlock()
+	if err != nil {
+		t.Fatalf("%s failed: %v\n%s", name, err, q)
+	}
+	res, err := f.ex.Query(q)
+	if err != nil {
+		t.Fatalf("%s: %v\n%s", name, err, q)
+	}
+	if got, want := v.canon(), canon(res.Rows, false); !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: folded view disagrees with the one-shot result\n%s\n got  %v\n want %v", name, q, got, want)
+	}
+}
+
+// tParam is a column a template arm lifts, with the literals it is
+// subscribed under: a value no row holds among them, and for an integer
+// column a float literal, which `=` compares numerically but which is of
+// the wrong kind to lift.
+type tParam struct {
+	op, col   string
+	lits      []string
+	wrongKind string
+}
+
+var tParams = []tParam{
+	{"dorder", "zone", []string{"'north'", "'south'", "'east'", "'west'", "'nowhere'"}, ""},
+	{"dorder", "amount", []string{"3", "4", "7", "12", "99"}, "4.0"},
+	{"dorder", "open", []string{"TRUE", "FALSE"}, ""},
+	{"dstate", "state", []string{"'NEW'", "'ACCEPTED'", "'PICKED_UP'", "'DELIVERED'", "'LOST'"}, ""},
+	{"dstate", "rider", []string{"'r0'", "'r1'", "'r3'", "'r9'"}, ""},
+}
+
+// withConjunct adds c to a generated query's WHERE clause, ahead of what
+// is there.
+func withConjunct(q, c string) string {
+	if i := strings.Index(q, " WHERE "); i >= 0 {
+		return q[:i+7] + c + " AND " + q[i+7:]
+	}
+	for _, kw := range []string{" GROUP BY ", " HAVING "} {
+		if i := strings.Index(q, kw); i >= 0 {
+			return q[:i] + " WHERE " + c + q[i:]
+		}
+	}
+	return q + " WHERE " + c
+}
+
+// templateArm subscribes generated templates: each generated query the
+// dialect accepts gains a conjunct `col = literal` on a column of one of
+// its sources that has a schema — or, in a join, on both — and is
+// subscribed under many literals: every literal of its tParam, a few of
+// them twice, and its wrong-kind literal, which must stay unlifted while
+// all the others share one template. Half of the templates attach before the write waves start and
+// stay; the rest attach while the waves run, and every third handle of the
+// first half closes and its query attaches again meanwhile. Once the waves
+// stop every view must equal the one-shot result, and a handle attached
+// throughout must have folded exactly the deltas its tables handed on.
+func templateArm(t *testing.T, f *diffFixture, seed int64, rng *rand.Rand) {
+	type tmpl struct {
+		queries []string
+		wrong   string // the wrong-kind query, "" when no column has one
+		sides   []int
+		base    string // the generated query, no literal added
+	}
+	var tmpls []tmpl
+	for tries := 0; len(tmpls) < 12; tries++ {
+		if tries > 500 {
+			t.Fatalf("seed %d: generated %d templates in %d tries", seed, len(tmpls), tries)
+		}
+		q := f.generate(rng)
+		if q.ordered || q.limit >= 0 || strings.Contains(q.sql, "LEFT JOIN") {
+			continue // outside the standing dialect
+		}
+		var sides []int
+		for i, s := range q.srcs {
+			if s.schema {
+				sides = append(sides, i)
+			}
+		}
+		if len(sides) == 0 {
+			continue
+		}
+		// A join with a schema on both sides lifts a literal on each half
+		// of the time, so that entries of both join indexes name groups.
+		if len(sides) == 1 || rng.Intn(2) == 0 {
+			sides = []int{sides[rng.Intn(len(sides))]}
+		}
+		tp := tmpl{sides: sides, base: q.sql}
+		var conj [][]string
+		n := 0
+		for _, side := range sides {
+			src := q.srcs[side]
+			var ps []tParam
+			for _, p := range tParams {
+				if p.op == src.sql {
+					ps = append(ps, p)
 				}
 			}
-		}()
-		subs = subs[:0]
-		for i, q := range queries {
-			v := newFoldedView()
-			sq, err := f.ex.SubscribeQuery(q, v.sink)
-			if err != nil {
-				if !strings.Contains(err.Error(), "SUBSCRIBE") {
-					close(stop)
-					<-done
-					t.Fatalf("seed %d racing query %d: %v\n%s", seed, i, err, q)
+			p := ps[rng.Intn(len(ps))]
+			lits := append([]string(nil), p.lits...)
+			for n := 1 + rng.Intn(3); n > 0; n-- {
+				lits = append(lits, p.lits[rng.Intn(len(p.lits))])
+			}
+			rng.Shuffle(len(lits), func(i, j int) { lits[i], lits[j] = lits[j], lits[i] })
+			cs := make([]string, len(lits))
+			for i, l := range lits {
+				cs[i] = src.ref() + "." + p.col + " = " + l
+			}
+			if p.wrongKind != "" && tp.wrong == "" {
+				tp.wrong = withConjunct(q.sql, src.ref()+"."+p.col+" = "+p.wrongKind)
+			}
+			conj = append(conj, cs)
+			n = max(n, len(cs))
+		}
+		for k := 0; k < n; k++ {
+			sql := q.sql
+			for _, cs := range conj {
+				sql = withConjunct(sql, cs[k%len(cs)])
+			}
+			tp.queries = append(tp.queries, sql)
+		}
+		tmpls = append(tmpls, tp)
+	}
+
+	type handle struct {
+		sql    string
+		sq     *StandingQuery
+		view   *foldedView
+		stayed bool
+	}
+	subscribe := func(q string) *handle {
+		t.Helper()
+		v := newFoldedView()
+		sq, err := f.ex.SubscribeQuery(q, v.sink)
+		if err != nil {
+			t.Fatalf("seed %d: %v\n%s", seed, err, q)
+		}
+		return &handle{sql: q, sq: sq, view: v}
+	}
+	// attach subscribes a template under all its literals and checks that
+	// they share one template with the slots lifted — unless it is a join
+	// whose side without slots pushes a filter reading LOCALTIMESTAMP,
+	// which keys each template by its instant — and that the wrong-kind
+	// literal does not; then the generated query itself, twice: where it
+	// reads LOCALTIMESTAMP, the two bind two instants, so two groups of one
+	// template share its taps and join indexes.
+	attach := func(tp tmpl) []*handle {
+		t.Helper()
+		var hs []*handle
+		for _, q := range tp.queries {
+			hs = append(hs, subscribe(q))
+		}
+		tpl := hs[0].sq.g.t
+		pinned := tpl.pp.pinsInstant(tpl.slots)
+		for _, h := range hs {
+			for _, side := range tp.sides {
+				if (h.sq.g.t != tpl && !pinned) || len(h.sq.g.t.slots[side]) == 0 {
+					t.Fatalf("seed %d: %s and %s do not share one template with the literals lifted", seed, tp.queries[0], h.sql)
 				}
-				continue
 			}
-			subs = append(subs, standing{q, sq, v})
 		}
-		close(stop)
-		waves := <-done
-		t.Logf("seed %d: %d subscriptions attached during %d write waves", seed, len(subs), waves)
-		for i, s := range subs {
-			s.view.mu.Lock()
-			err := s.view.err
-			s.view.mu.Unlock()
-			if err != nil {
-				t.Fatalf("seed %d racing subscription %d failed: %v\n%s", seed, i, err, s.sql)
+		if tp.wrong != "" {
+			h := subscribe(tp.wrong)
+			if h.sq.g.t == tpl {
+				t.Fatalf("seed %d: the wrong-kind literal was lifted: %s", seed, tp.wrong)
 			}
-			res, err := f.ex.Query(s.sql)
-			if err != nil {
-				t.Fatalf("seed %d: %v\n%s", seed, err, s.sql)
-			}
-			if got, want := s.view.canon(), canon(res.Rows, false); !reflect.DeepEqual(got, want) {
-				t.Fatalf("seed %d racing subscription %d: folded view disagrees with the one-shot result\n%s\n got  %v\n want %v", seed, i, s.sql, got, want)
-			}
-			s.sq.Close()
+			hs = append(hs, h)
 		}
+		return append(hs, subscribe(tp.base), subscribe(tp.base))
+	}
+	var hs []*handle
+	half := len(tmpls) / 2
+	for _, tp := range tmpls[:half] {
+		for _, h := range attach(tp) {
+			h.stayed = true
+			hs = append(hs, h)
+		}
+	}
+	stable := len(hs)
+	stop, done := waves(f)
+	for _, tp := range tmpls[half:] {
+		hs = append(hs, attach(tp)...)
+	}
+	for i := 0; i < stable; i += 3 {
+		hs[i].sq.Close()
+		hs[i].stayed = false
+		hs = append(hs, subscribe(hs[i].sql))
+		hs[i] = nil
+	}
+	close(stop)
+	t.Logf("seed %d: %d templates under %d handles during %d write waves", seed, len(tmpls), len(hs), <-done)
+	for i, h := range hs {
+		if h == nil {
+			continue
+		}
+		name := fmt.Sprintf("seed %d template handle %d", seed, i)
+		mustMatchOneShot(t, f, h.sql, h.view, name)
+		if h.stayed {
+			mustHaveFolded(t, h.sq, h.view, handed(f.store, h.sq))
+		}
+		h.sq.Close()
 	}
 }
 

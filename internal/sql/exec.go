@@ -34,6 +34,8 @@ type Executor struct {
 	nodes  atomic.Int32
 	m      execInstruments
 	tracer *trace.Tracer
+	// standing registers the templates standing queries share.
+	standing standing
 }
 
 // clusterNodes returns the current scatter-gather fan-out.

@@ -1,6 +1,7 @@
 package sql
 
 import (
+	"encoding/binary"
 	"fmt"
 	"strings"
 	"time"
@@ -409,31 +410,249 @@ func joinCond(j Join) string {
 // side of a LEFT JOIN is never pre-filtered (that would turn matching
 // rows into NULL-extended misses).
 func (pp *physPlan) splitPushdown(where Expr) Expr {
-	if where == nil {
-		return nil
-	}
-	andTo := func(dst, e Expr) Expr {
-		if dst == nil {
-			return e
-		}
-		return Binary{Op: "AND", L: dst, R: e}
-	}
 	var residual Expr
-	var walk func(e Expr)
-	walk = func(e Expr) {
-		if b, ok := e.(Binary); ok && b.Op == "AND" {
-			walk(b.L)
-			walk(b.R)
-			return
-		}
+	for _, e := range conjuncts(where, nil) {
 		if si, ok := pp.pushTarget(e); ok {
 			pp.pushed[si] = andTo(pp.pushed[si], e)
-			return
+			continue
 		}
 		residual = andTo(residual, e)
 	}
-	walk(where)
 	return residual
+}
+
+// conjuncts appends the AND-conjuncts of e to dst, left to right.
+func conjuncts(e Expr, dst []Expr) []Expr {
+	switch b, ok := e.(Binary); {
+	case e == nil:
+		return dst
+	case ok && b.Op == "AND":
+		return conjuncts(b.R, conjuncts(b.L, dst))
+	}
+	return append(dst, e)
+}
+
+// andTo conjoins e onto dst (nil = nothing yet).
+func andTo(dst, e Expr) Expr {
+	if dst == nil {
+		return e
+	}
+	return Binary{Op: "AND", L: dst, R: e}
+}
+
+// Parameter lifting. A standing query's pushed conjunct `col = literal`
+// becomes a parameter slot of its template, the plan with the conjunct
+// taken out: every standing query that differs from another only in such
+// literals shares the template, and a delta reads each slot's column once
+// to find the queries it can change (subscribe.go). A conjunct is lifted
+// only where looking its literal up by the row's value agrees with `=`:
+// the literal is non-NULL and of the kind of the column's schema, an
+// integer is exact as a float64 (`=` compares numbers as floats), and a
+// float zero keys as +0 (appendParam).
+
+// lift moves each source's liftable pushed conjuncts into slots, rebinding
+// what is left of its pushed filter, and returns per source the slots'
+// bound columns, in conjunct order, and the key of their literals.
+func (pp *physPlan) lift() (slots [2][]*colRef, tuple [2]string) {
+	for si := range pp.srcs {
+		var kept Expr
+		var key []byte
+		for _, e := range conjuncts(pp.pushed[si], nil) {
+			if c, d, ok := pp.liftable(si, e); ok {
+				slots[si] = append(slots[si], c)
+				key = appendParam(key, d)
+				continue
+			}
+			kept = andTo(kept, e)
+		}
+		pp.pushed[si], pp.pushedB[si] = kept, pp.bind(kept)
+		tuple[si] = string(key)
+	}
+	return slots, tuple
+}
+
+// liftable reports whether a pushed conjunct of source si is a liftable
+// `col = literal` (either way round), with the column bound and the
+// literal's value.
+func (pp *physPlan) liftable(si int, e Expr) (*colRef, datum, bool) {
+	b, ok := e.(Binary)
+	if !ok || b.Op != "=" {
+		return nil, datum{}, false
+	}
+	id, v, _, ok := sargableAtom(b)
+	if !ok {
+		return nil, datum{}, false
+	}
+	c, d := bindIdent(pp.srcs, id), fromAny(v)
+	if c.src != si || c.ord < 0 || c.kind != d.k {
+		return nil, datum{}, false
+	}
+	switch d.k {
+	case dString, dBool, dFloat:
+	case dInt:
+		if d.n <= -1<<53 || d.n >= 1<<53 {
+			return nil, datum{}, false
+		}
+	default:
+		return nil, datum{}, false
+	}
+	return c, d, true
+}
+
+// appendParam appends the key of one slot value: its group-key encoding,
+// with a float zero keyed as +0, since -0 = 0.
+func appendParam(dst []byte, d datum) []byte {
+	if d.k == dFloat && d.f() == 0 {
+		d.n = 0
+	}
+	return d.appendGroupKey(dst)
+}
+
+// templateKey encodes what a lifted plan evaluates — its select list,
+// sources, each source's pushed filter and slot columns, join, residual,
+// grouping and HAVING — so that two standing queries share a template
+// exactly when they differ in their lifted literals alone. The encoding is
+// structural (keyWriter), not a rendering: String shows 5 and 5.0 alike
+// and prints a LIKE pattern or a name as it is, so two different filters
+// can render the same. A join whose source without slots pushes a filter
+// that reads LOCALTIMESTAMP files that source's rows once for all its
+// groups, filtered at the template's instant: such a template is keyed by
+// now as well, so every group of it is bound to the instant it filters at.
+func (pp *physPlan) templateKey(slots [2][]*colRef, now time.Time) string {
+	var w keyWriter
+	w.num(int64(len(pp.stmt.Items)))
+	for _, it := range pp.stmt.Items {
+		w.expr(it.Expr)
+		w.str(it.Alias)
+	}
+	w.num(int64(len(pp.srcs)))
+	for si, s := range pp.srcs {
+		w.str(s.name)
+		w.str(s.alias)
+		w.expr(pp.pushed[si])
+		w.num(int64(len(slots[si])))
+		for _, c := range slots[si] {
+			w.expr(c)
+		}
+	}
+	for _, j := range pp.stmt.Joins {
+		w.str(j.Using)
+		w.expr(j.OnL)
+		w.expr(j.OnR)
+		w.flag(j.Left)
+	}
+	w.expr(pp.residual)
+	w.num(int64(len(pp.stmt.GroupBy)))
+	for _, g := range pp.stmt.GroupBy {
+		w.expr(g)
+	}
+	w.expr(pp.stmt.Having)
+	if pp.pinsInstant(slots) {
+		w.num(now.UnixNano())
+	}
+	return string(w.b)
+}
+
+// pinsInstant reports whether the plan is a join with a source that has
+// no slots and pushes a filter reading LOCALTIMESTAMP.
+func (pp *physPlan) pinsInstant(slots [2][]*colRef) bool {
+	if len(pp.srcs) < 2 {
+		return false
+	}
+	for si := range pp.srcs {
+		if len(slots[si]) == 0 && readsNow(pp.pushed[si]) {
+			return true
+		}
+	}
+	return false
+}
+
+// keyWriter builds a template key: each expression node writes a tag for
+// its kind, then its fields and operands in order, every string (a name,
+// an operator, a pattern, a literal) length-prefixed — so two keys are
+// equal only when the trees are.
+type keyWriter struct{ b []byte }
+
+func (w *keyWriter) num(n int64) { w.b = binary.AppendVarint(w.b, n) }
+
+func (w *keyWriter) str(s string) {
+	w.num(int64(len(s)))
+	w.b = append(w.b, s...)
+}
+
+func (w *keyWriter) flag(v bool) {
+	if v {
+		w.b = append(w.b, 1)
+	} else {
+		w.b = append(w.b, 0)
+	}
+}
+
+func (w *keyWriter) expr(e Expr) {
+	switch x := e.(type) {
+	case nil:
+		w.b = append(w.b, '0')
+	case Ident:
+		w.b = append(w.b, 'i')
+		w.str(x.Table)
+		w.str(x.Name)
+	case *colRef:
+		w.expr(x.id)
+	case Lit:
+		// The Go type tells 5 from 5.0; %v of a float is its shortest
+		// round-tripping form, one per value.
+		w.b = append(w.b, 'l')
+		w.str(fmt.Sprintf("%T %v", x.Val, x.Val))
+	case LocalTimestamp:
+		w.b = append(w.b, 't')
+	case Binary:
+		w.b = append(w.b, 'b')
+		w.str(x.Op)
+		w.expr(x.L)
+		w.expr(x.R)
+	case Unary:
+		w.b = append(w.b, 'u')
+		w.str(x.Op)
+		w.expr(x.E)
+	case IsNull:
+		w.b = append(w.b, 'z')
+		w.flag(x.Not)
+		w.expr(x.E)
+	case InList:
+		w.b = append(w.b, 'I')
+		w.flag(x.Not)
+		w.expr(x.E)
+		w.num(int64(len(x.List)))
+		for _, v := range x.List {
+			w.expr(v)
+		}
+	case Between:
+		w.b = append(w.b, 'B')
+		w.flag(x.Not)
+		w.expr(x.E)
+		w.expr(x.Lo)
+		w.expr(x.Hi)
+	case Like:
+		w.b = append(w.b, 'L')
+		w.flag(x.Not)
+		w.str(x.Pattern)
+		w.expr(x.E)
+	case Func:
+		w.b = append(w.b, 'f')
+		w.str(x.Name)
+		w.num(int64(len(x.Args)))
+		for _, a := range x.Args {
+			w.expr(a)
+		}
+	case Agg:
+		w.b = append(w.b, 'a')
+		w.str(string(x.Func))
+		w.flag(x.Star)
+		w.flag(x.Distinct)
+		w.expr(x.Arg)
+	default:
+		panic(fmt.Sprintf("sql: no template key for expression node %T", e))
+	}
 }
 
 // pushTarget decides whether one conjunct may run against a single
@@ -532,10 +751,11 @@ func (pp *physPlan) chooseAccessPath(si int) {
 				walk(x.R)
 				return
 			}
-			col, v, flipped, ok := sargableAtom(x)
+			id, v, flipped, ok := sargableAtom(x)
 			if !ok {
 				return
 			}
+			col := id.Name
 			op := x.Op
 			if flipped {
 				op = flipCmp(op)
@@ -580,25 +800,26 @@ func (pp *physPlan) chooseAccessPath(si int) {
 	}
 }
 
-// sargableAtom decomposes `col op lit` / `lit op col` comparisons; flipped
+// sargableAtom decomposes `col op lit` / `lit op col` comparisons of a
+// column other than a pseudo-column with a non-NULL literal; flipped
 // reports the literal was on the left (the caller mirrors the operator).
-func sargableAtom(b Binary) (col string, v any, flipped, ok bool) {
+func sargableAtom(b Binary) (col Ident, v any, flipped, ok bool) {
 	switch b.Op {
 	case "=", "<", "<=", ">", ">=":
 	default:
-		return "", nil, false, false
+		return Ident{}, nil, false, false
 	}
 	if id, isID := b.L.(Ident); isID && indexableCol(id) {
 		if v, okV := litScalar(b.R); okV {
-			return id.Name, v, false, true
+			return id, v, false, true
 		}
 	}
 	if id, isID := b.R.(Ident); isID && indexableCol(id) {
 		if v, okV := litScalar(b.L); okV {
-			return id.Name, v, true, true
+			return id, v, true, true
 		}
 	}
-	return "", nil, false, false
+	return Ident{}, nil, false, false
 }
 
 // flipCmp mirrors a comparison operator for a literal-on-the-left atom.
@@ -680,34 +901,9 @@ func (pp *physPlan) neededColumns() []string {
 
 // walkIdents visits every identifier in an expression.
 func walkIdents(e Expr, fn func(Ident)) {
-	switch x := e.(type) {
-	case Ident:
-		fn(x)
-	case Binary:
-		walkIdents(x.L, fn)
-		walkIdents(x.R, fn)
-	case Unary:
-		walkIdents(x.E, fn)
-	case IsNull:
-		walkIdents(x.E, fn)
-	case Between:
-		walkIdents(x.E, fn)
-		walkIdents(x.Lo, fn)
-		walkIdents(x.Hi, fn)
-	case InList:
-		walkIdents(x.E, fn)
-		for _, v := range x.List {
-			walkIdents(v, fn)
+	walkExpr(e, func(x Expr) {
+		if id, ok := x.(Ident); ok {
+			fn(id)
 		}
-	case Like:
-		walkIdents(x.E, fn)
-	case Func:
-		for _, a := range x.Args {
-			walkIdents(a, fn)
-		}
-	case Agg:
-		if x.Arg != nil {
-			walkIdents(x.Arg, fn)
-		}
-	}
+	})
 }

@@ -1,10 +1,12 @@
 package sql
 
 import (
+	"encoding/binary"
 	"fmt"
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"squery/internal/core"
@@ -25,31 +27,53 @@ import (
 // keys and aggregate arguments. Two drive modes feed it: each partition of
 // each source table seeds in as inserts; then every delta of the table's
 // live kv map folds in as the retraction of the row it replaced followed
-// by the insert of its new row. Each source side is a tap of its table's
-// map (sideTap), so a delta reaches it through kv's own tap loop. Both run
-// under the standing query's lock and under the partition's segment lock —
-// the seed on the subscriber, the delta on the writer that made the
-// change: no goroutine or queue stands between a state write and the
-// frame the sink receives for it.
+// by the insert of its new row.
+//
+// Standing queries are grouped by what they evaluate. Each pushed
+// conjunct `col = literal` is lifted into a parameter slot (lift), and the
+// plan left over is a template that every standing query differing only
+// in those literals shares (templateKey). A template holds one tap per
+// source side on its table's map (sideTap) and its groups by parameter
+// tuple: a group is the standing state of one tuple — its output, and the
+// handles (StandingQuery) of every subscriber of that tuple, which all
+// receive the one frame a delta makes. A delta reads its row's slot
+// columns once and folds only into the groups under that tuple: the
+// retraction of Old into those under Old's tuple, the insert of New into
+// those under New's. A template without slots has one group. A plan that
+// reads LOCALTIMESTAMP fixes it when its group is created, so the instant
+// is part of the group's key: such queries share a template's dispatch,
+// and share output only with a query bound to the same instant. A join
+// template keeps one join index per side; a side without slots files each
+// row once for every group, and an entry of a side with slots names its
+// group. A side without slots is filtered once, at filing, so where its
+// pushed filter reads LOCALTIMESTAMP the instant is part of the template's
+// key too (templateKey), and all the template's groups share it.
+//
+// Both drive modes run under the template's lock and under the
+// partition's segment lock — the seed on the subscriber, the delta on the
+// writer that made the change: no goroutine or queue stands between a
+// state write and the frame the sinks receive for it. The lock order is
+// segment lock, then the template's; attaches of one template's groups
+// take turns ahead of both.
 //
 // A retraction needs no record of what its row produced. A delta's Old is
-// exactly the row this query inserted for the key, and evaluation is
-// deterministic (LOCALTIMESTAMP is fixed at subscribe time), so the old row
-// fails the same filters, joins under the same key and lands in the same
-// group as it did on insert.
+// exactly the row the template inserted for the key, and evaluation is
+// deterministic (a group's instant is fixed), so the old row has the same
+// tuple, fails the same filters, joins under the same key and lands in the
+// same group as it did on insert.
 //
 // A standing query holds no copy of its source tables: the kv map is the
-// one copy. What stays resident per subscriber is its output — matched
-// rows, or groups — and, for a join, the join index of the rows that
-// passed their side's pushed filter. A group is the one-shot group form
-// kept live: a retractable partialGroup whose accumulators each member
-// row's aggregate arguments are added to on insert and removed from on
-// retraction, a member count, and a head row copied from its first insert
-// for the GROUP BY columns (a bare column outside GROUP BY reads that row,
-// which may since have left the group). A dirty group settles by running
-// its live accumulators through HAVING and the select list (finisher, as
-// the one-shot client merge finishes groups): no member rows are kept, and
-// none is refolded.
+// one copy. What stays resident per group is its output — matched rows,
+// or groups — and per template, for a join, the join index of the rows
+// that passed their side's pushed filter. A group is the one-shot group
+// form kept live: a retractable partialGroup whose accumulators each
+// member row's aggregate arguments are added to on insert and removed
+// from on retraction, a member count, and a head row copied from its first
+// insert for the GROUP BY columns (a bare column outside GROUP BY reads
+// that row, which may since have left the group). A dirty group settles by
+// running its live accumulators through HAVING and the select list
+// (finisher, as the one-shot client merge finishes groups): no member rows
+// are kept, and none is refolded.
 //
 // The supported dialect is the incremental-maintainable core of the
 // engine's SELECT: single live tables or one inner equi-join, WHERE,
@@ -85,7 +109,9 @@ type SubDelta struct {
 type SubEvent struct {
 	Deltas []SubDelta
 	// Watermark is the cumulative count of source deltas folded into the
-	// standing query's state when the event was emitted.
+	// standing query's state since the subscription attached, when the
+	// event was emitted. A subscription that joins a live group counts
+	// from its join, not from the group's start.
 	Watermark uint64
 	// Snapshot marks a full-state frame: the initial result at attach
 	// time, or a resync after the subscriber's queue overflowed and shed.
@@ -98,116 +124,243 @@ type SubEvent struct {
 
 // subGroup is one live group of an aggregate standing query: its rendered
 // key, how many joined rows are in it, its retractable accumulators with
-// the head row (held by value, so the group is one allocation), and the
-// output row it last emitted (nil when none).
+// the head row (held by value, so the group is one allocation), the
+// output row it last emitted (nil when none), and whether the batch being
+// folded changed it.
 type subGroup struct {
 	disp    string
 	members int
 	pg      partialGroup
 	out     []any
+	dirty   bool
 }
 
-// joinEntry is one source row filed under its join key in a join index.
+// joinEntry is one source row filed under its join key in a join index:
+// its partition-key string and partition, and, on a side with slots, the
+// group it passed the pushed filter for (nil on a side without: the entry
+// serves every group).
 type joinEntry struct {
-	ks  string // partition-key string
-	row core.TableRow
+	ks   string
+	part int
+	row  core.TableRow
+	g    *group
 }
 
-// batchEff accumulates the output effects of one delta batch so an
-// update (tombstone + upsert of the same key, or a value change) emits
-// one coalesced delta instead of a delete/insert pair.
+// batchEff accumulates the output effects of one delta batch on one live
+// group, so an update (tombstone + upsert of the same key, or a value
+// change) emits one coalesced delta instead of a delete/insert pair. A
+// batch touches a few rows, so they are a slice searched in place — with
+// an index by key only once it outgrows a short scan — and the dirty
+// aggregate groups are flagged on the group itself. Each group keeps one
+// for its life, reset after it settles.
 type batchEff struct {
-	// before records, per touched non-aggregate output key, the projected
-	// row at first touch (nil = was not matched).
-	before map[string][]any
-	// dirty records the aggregate groups needing recomputation.
-	dirty map[string]bool
+	rows  []rowEff
+	index map[string]int
+	dirty []*subGroup
 }
 
-func newBatchEff() *batchEff {
-	return &batchEff{before: map[string][]any{}, dirty: map[string]bool{}}
+// rowEff is one touched non-aggregate output row: its projected values
+// before the batch and now (nil = not matched).
+type rowEff struct {
+	key           string
+	before, after []any
+}
+
+// effScan is how many touched rows a batch searches by scanning before it
+// indexes them.
+const effScan = 16
+
+// row returns the effect of the output row under key, recording it at
+// first touch with g's current values.
+func (e *batchEff) row(key string, matched map[string][]any) *rowEff {
+	if e.index != nil {
+		if i, ok := e.index[key]; ok {
+			return &e.rows[i]
+		}
+	} else {
+		for i := range e.rows {
+			if e.rows[i].key == key {
+				return &e.rows[i]
+			}
+		}
+	}
+	cur := matched[key]
+	e.rows = append(e.rows, rowEff{key: key, before: cur, after: cur})
+	switch {
+	case e.index != nil:
+		e.index[key] = len(e.rows) - 1
+	case len(e.rows) > effScan:
+		e.index = make(map[string]int, len(e.rows))
+		for i := range e.rows {
+			e.index[e.rows[i].key] = i
+		}
+	}
+	return &e.rows[len(e.rows)-1]
+}
+
+// reset empties the effects for the next batch, dropping what an unusually
+// large one grew.
+func (e *batchEff) reset() {
+	if cap(e.rows) > 4*effScan {
+		e.rows = nil
+	} else {
+		clear(e.rows)
+		e.rows = e.rows[:0]
+	}
+	e.index = nil
+	clear(e.dirty)
+	e.dirty = e.dirty[:0]
 }
 
 // sideTap is one source side's tap on its table's live map. Each side is
 // its own value: kv detaches a tap by equality, so the two sides of a
 // self-join must not be equal.
 type sideTap struct {
-	sq   *StandingQuery
+	t    *template
 	side int
 }
 
 // OnDeltas implements kv.Tap: drive mode 2 for the side.
-func (t *sideTap) OnDeltas(ds []kv.Delta) { t.sq.deliver(t.side, ds) }
+func (st *sideTap) OnDeltas(ds []kv.Delta) { st.t.deliver(st.side, ds) }
 
-// StandingQuery is one compiled incrementally-maintained query, a tap on
-// each source table's live map. Events reach the sink in order and under
-// the standing query's lock — the initial snapshot frame during
-// subscription, each delta frame on the writer whose change it folds.
-type StandingQuery struct {
-	pp    *physPlan
-	query string
-	ctx   *evalCtx // LOCALTIMESTAMP is fixed at subscribe time
-	sink  func(SubEvent)
-	taps  [2]sideTap
+// template is one lifted plan and the state every standing query over it
+// shares: a tap per source side, the groups by parameter tuple, and for a
+// join one join index per side. Everything below mu is guarded by it.
+type template struct {
+	ex  *Executor
+	key string
+	pp  *physPlan
+	// slots holds, per source, the bound columns of its lifted conjuncts.
+	slots [2][]*colRef
+	// nowDep: the plan reads LOCALTIMESTAMP, so a group's key carries the
+	// instant its first query bound it to.
+	nowDep bool
+	// ctx evaluates what every group shares: slot columns, join keys and
+	// the pushed filter of a join side without slots — whose instant, if
+	// it reads one, is the template's (templateKey).
+	ctx  *evalCtx
+	taps [2]sideTap
+	// open counts the handles on the template's groups; the last Close
+	// detaches the taps. dead, set under mu, means the template takes no
+	// more groups and folds nothing: its last handle closed, or an error
+	// in what its groups share failed them all.
+	open atomic.Int64
+	dead atomic.Bool
+
+	// attachMu orders attaches: one group seeds at a time.
+	attachMu sync.Mutex
 
 	mu sync.Mutex
-	// closed is set by Close once both taps are detached; a delivery
-	// already in flight then finds it and returns without folding.
-	closed bool
-	// attach is the attach batch: the effects of the seeds, and of the
-	// deliveries after them, that SubscribeQuery settles as the snapshot
-	// frame. It is nil once the query is live. Until then seeded[i][p]
-	// records whether source i's partition p has been seeded: a delivery
-	// for a partition not yet seeded is dropped, because the seed reads its
-	// effect, and one for a seeded partition folds into the batch.
-	attach    *batchEff
-	seeded    [][]bool
-	failed    error
-	watermark uint64
-	// b is the working batch fold evaluates the plan over: one row, held in
-	// rows, from each source the fold has reached — a source not yet
-	// reached has no column.
-	b    batch
-	sc   scratch
-	rows []core.TableRow
-	// fin finishes a dirty group, held in dirty, as a batch of one group.
-	fin   *finisher
-	dirty [1]*partialGroup
-	// jindex[i] files source i's rows that passed its pushed filter by join
+	// tapped: the first group has attached the taps.
+	tapped bool
+	// groups holds every routed group by key; bySide[s] those a row of
+	// side s with slots reaches, by the side's tuple; all every routed
+	// group, for a side without slots.
+	groups map[string]*group
+	bySide [2]map[string][]*group
+	all    []*group
+	// attaching is the group being seeded (nil when none). filling[s],
+	// while the first group seeds, records which partitions of side s
+	// without slots its shared join index holds; nil once it is whole.
+	attaching *group
+	filling   [2][]bool
+	// deltas counts the deltas handed to the taps since the template
+	// attached them.
+	deltas uint64
+	// jindex[s] files side s's rows that passed its pushed filter by join
 	// key (join mode only) — the shape the one-shot hash joins build, kept
 	// alive: few rows share a key, so a short slice beats a map per key.
 	jindex [2]map[joinKey][]joinEntry
-	// matched is the non-aggregate output state — each matching row's
-	// projected values under its SubDelta.Key — groups the aggregate one.
-	matched map[string][]any
-	groups  map[string]*subGroup
+	// touched lists the live groups the batch being delivered changed.
+	touched []*group
+
+	// b is the working batch fold evaluates the plan over: one row from
+	// each source in rows, the sources a step reads in b.cols.
+	b    batch
+	sc   scratch
+	rows []core.TableRow
+	one  [1]*group
+	tup  []byte
+	// fin finishes a dirty group, held in dirty, as a batch of one group.
+	fin   *finisher
+	dirty [1]*partialGroup
 	// keyBuf, keyVals and colBuf are the scratch of one group-key pass.
 	keyBuf  []byte
 	keyVals []datum
 	colBuf  [][]datum
 }
 
+// group is the standing state of one parameter tuple of a template — and,
+// when the plan reads LOCALTIMESTAMP, one bound instant: its output, and
+// the handles it delivers to. Guarded by its template's mu.
+type group struct {
+	t     *template
+	key   string
+	tuple [2]string
+	ctx   *evalCtx // LOCALTIMESTAMP is fixed when the group is created
+	sinks []*StandingQuery
+	// seeded[s][p], while the group attaches, records whether side s's
+	// partition p is in its state: a row of a partition not yet seeded is
+	// left out, because the seed reads its effect. A nil side is whole.
+	seeded [2][]bool
+	// base is what deltas counted when the group started, plus the deltas
+	// it left to its seeds: its watermark is the rest.
+	base uint64
+	// jkeys[s] counts, on a join side s with slots, the entries g files in
+	// the template's join index under each join key, so that unroute
+	// visits only those keys.
+	jkeys   [2]map[joinKey]int
+	failed  error
+	touched bool
+	routed  bool
+	eff     batchEff
+	// matched is the non-aggregate output state — each matching row's
+	// projected values under its SubDelta.Key — groups the aggregate one.
+	matched map[string][]any
+	groups  map[string]*subGroup
+}
+
+// StandingQuery is one subscriber's handle on a group: the statement it
+// was created from and its sink. Events reach the sink in order and under
+// the template's lock — the initial snapshot frame during subscription,
+// each delta frame on the writer whose change it folds.
+type StandingQuery struct {
+	g     *group
+	query string
+	sink  func(SubEvent)
+	// base is the group's watermark when the handle joined it: the
+	// handle's watermark counts from there.
+	base uint64
+	// closed is set by Close, under the template's lock.
+	closed bool
+}
+
 // SubscribeQuery compiles a statement (with or without the SUBSCRIBE
-// prefix) into a standing query: check the dialect, compile the plan, and
-// per source attach the side's tap to the table's live map and seed from
-// each partition; then settle the attach batch, go live and emit it as the
-// snapshot frame. bind is called once with the standing query,
-// before any event is emitted, and returns the sink — so a sink that needs
-// the handle (to resync from Snapshot, to end the subscription on a
-// terminal error) has it by the time it first runs.
+// prefix) into a standing query: check the dialect, compile the plan and
+// lift its parameters, then take a handle on the group of the statement's
+// template and tuple. A group that exists already is live: the handle
+// joins it and receives its current output as the snapshot frame. A new
+// group seeds from each source partition — the template's first group
+// attaching each side's tap as it goes — then finishes its aggregate
+// groups, goes live and emits its whole output as the snapshot frame.
+// bind is called once with the handle, before any event is emitted, and
+// returns the sink — so a sink that needs the handle (to resync from
+// Snapshot, to end the subscription on a terminal error) has it by the
+// time it first runs.
 //
 // A partition's seed and its deltas are ordered by the partition's
 // segment lock. The lock order is the writer's — segment lock, then the
-// standing query's — and nothing holds the standing query's lock while it
-// waits for a segment lock.
+// template's — and nothing holds the template's lock while it waits for a
+// segment lock.
 //
 // The sink receives the initial snapshot frame before SubscribeQuery
-// returns, then one delta frame per delta group that changed the output.
-// It runs with the standing query's lock held, on whichever writer
-// goroutine made the change, inside that writer's segment lock: it must do
-// bounded work, never block on anything a writer can hold, never call into
-// the store, and never call Close (hand that to another goroutine). Close
-// detaches the taps.
+// returns, then one delta frame per delta group that changed the group's
+// output; every handle on the group receives the same frame, and only
+// reads it. The sink runs with the template's lock held, on whichever
+// writer goroutine made the change, inside that writer's segment lock: it
+// must do bounded work, never block on anything a writer can hold, never
+// call into the store, and never call Close (hand that to another
+// goroutine). Close drops the handle.
 func (ex *Executor) SubscribeQuery(query string, bind func(*StandingQuery) func(SubEvent)) (*StandingQuery, error) {
 	_, query = splitSubscribe(query)
 	stmt, err := Parse(query)
@@ -229,54 +382,19 @@ func (ex *Executor) SubscribeQuery(query string, bind func(*StandingQuery) func(
 			return nil, fmt.Errorf("sql: cannot SUBSCRIBE to snapshot table %q (snapshots are immutable — query it once)", s.name)
 		}
 	}
-	sq := &StandingQuery{
-		pp:    pp,
-		query: query,
-		ctx:   &evalCtx{now: time.Now()},
-
-		attach:  newBatchEff(),
-		seeded:  make([][]bool, len(pp.srcs)),
-		rows:    make([]core.TableRow, len(pp.srcs)),
-		matched: map[string][]any{},
-		groups:  map[string]*subGroup{},
-	}
-	sq.b = newBatch(pp.srcs, &sq.sc)
-	sq.b.n = 1
-	if pp.agg != nil {
-		sq.fin = newFinisher(pp.srcs)
-	}
+	slots, tuple := pp.lift()
+	now := time.Now()
+	key := pp.templateKey(slots, now)
+	sq := &StandingQuery{query: query}
 	sq.sink = bind(sq)
-	if len(pp.srcs) == 2 {
-		sq.jindex = [2]map[joinKey][]joinEntry{{}, {}}
+	for {
+		t := ex.template(key, pp, slots, now)
+		if ok, err := t.subscribe(sq, tuple, now); err != nil {
+			return nil, err
+		} else if ok {
+			return sq, nil
+		}
 	}
-	if pp.agg != nil && len(pp.groupBy) == 0 {
-		// A global aggregate emits one row even over an empty input; the
-		// "*" group always exists and the snapshot frame always carries it.
-		sq.groups[""] = &subGroup{disp: "*", pg: *newPartialGroup("", pp.aggs, true)}
-		sq.attach.dirty[""] = true
-	}
-
-	for i, s := range pp.srcs {
-		sq.seeded[i] = make([]bool, s.ref.Partitions())
-		sq.taps[i] = sideTap{sq, i}
-		s.ref.Attach(&sq.taps[i], func(p int, rows []core.TableRow) { sq.seed(i, p, rows) })
-	}
-
-	// Every partition is seeded: settle the attach batch and emit it as the
-	// snapshot frame before any delivery can emit a delta frame.
-	sq.mu.Lock()
-	sq.unload() // the seeds' rows must not stay reachable through it
-	deltas := sq.settleLocked(sq.attach)
-	if err := sq.failed; err != nil {
-		// Close takes sq.mu after it detaches: unlock first.
-		sq.mu.Unlock()
-		sq.Close()
-		return nil, err
-	}
-	sq.attach, sq.seeded = nil, nil
-	sq.sink(SubEvent{Deltas: deltas, Watermark: sq.watermark, Snapshot: true})
-	sq.mu.Unlock()
-	return sq, nil
 }
 
 // validate checks what of the incremental dialect the statement's syntax
@@ -302,10 +420,240 @@ func validate(stmt *Select) error {
 	return nil
 }
 
+// standing is the executor's registry of templates by key.
+type standing struct {
+	mu   sync.Mutex
+	tpls map[string]*template
+}
+
+// template returns the registered template under key, registering one
+// over pp — unattached, its first group attaches it, and its own instant
+// now — if there is none.
+func (ex *Executor) template(key string, pp *physPlan, slots [2][]*colRef, now time.Time) *template {
+	ex.standing.mu.Lock()
+	defer ex.standing.mu.Unlock()
+	if t := ex.standing.tpls[key]; t != nil && !t.dead.Load() {
+		return t
+	}
+	if ex.standing.tpls == nil {
+		ex.standing.tpls = map[string]*template{}
+	}
+	t := &template{ex: ex, key: key, pp: pp, slots: slots, ctx: &evalCtx{now: now},
+		groups: map[string]*group{}, rows: make([]core.TableRow, len(pp.srcs))}
+	t.nowDep = readsNow(pp.residual) || readsNow(pp.stmt.Having)
+	for _, it := range pp.stmt.Items {
+		t.nowDep = t.nowDep || readsNow(it.Expr)
+	}
+	for _, g := range pp.stmt.GroupBy {
+		t.nowDep = t.nowDep || readsNow(g)
+	}
+	for i := range pp.srcs {
+		t.taps[i] = sideTap{t, i}
+		t.bySide[i] = map[string][]*group{}
+		t.nowDep = t.nowDep || readsNow(pp.pushed[i])
+	}
+	t.b = newBatch(pp.srcs, &t.sc)
+	t.b.n = 1
+	if pp.agg != nil {
+		t.fin = newFinisher(pp.srcs)
+	}
+	if len(pp.srcs) == 2 {
+		t.jindex = [2]map[joinKey][]joinEntry{{}, {}}
+	}
+	ex.standing.tpls[key] = t
+	return t
+}
+
+// forget unregisters a dead template.
+func (ex *Executor) forget(t *template) {
+	ex.standing.mu.Lock()
+	defer ex.standing.mu.Unlock()
+	if ex.standing.tpls[t.key] == t {
+		delete(ex.standing.tpls, t.key)
+	}
+}
+
+// StandingRefs returns, per live table, how many standing-query source
+// sides read it: one per side of every open handle, however many share a
+// template.
+func (ex *Executor) StandingRefs() map[string]int {
+	ex.standing.mu.Lock()
+	defer ex.standing.mu.Unlock()
+	refs := map[string]int{}
+	for _, t := range ex.standing.tpls {
+		n := int(t.open.Load())
+		for _, s := range t.pp.srcs {
+			if n > 0 {
+				refs[core.LiveMapName(s.name)] += n
+			}
+		}
+	}
+	return refs
+}
+
+// subscribe takes sq onto the group of tuple (and instant now, for a plan
+// that reads LOCALTIMESTAMP), creating and seeding the group if it does not
+// exist. ok is false, with no error, when the template died before sq
+// could join it: look it up again.
+func (t *template) subscribe(sq *StandingQuery, tuple [2]string, now time.Time) (ok bool, err error) {
+	t.attachMu.Lock()
+	defer t.attachMu.Unlock()
+	t.mu.Lock()
+	if t.dead.Load() {
+		t.mu.Unlock()
+		return false, nil
+	}
+	key := tuple[0] + tuple[1]
+	if t.nowDep {
+		key = string(binary.AppendVarint([]byte(key), now.UnixNano()))
+	}
+	t.open.Add(1)
+	if g := t.groups[key]; g != nil {
+		sq.g, sq.base = g, g.watermark()
+		g.sinks = append(g.sinks, sq)
+		sq.sink(sq.Snapshot())
+		t.mu.Unlock()
+		return true, nil
+	}
+	first := !t.tapped
+	t.tapped = true
+	g := t.newGroup(key, tuple, now, first)
+	sq.g, g.sinks = g, []*StandingQuery{sq}
+	t.route(g)
+	t.attaching = g
+	t.mu.Unlock()
+
+	for i, s := range t.pp.srcs {
+		seed := func(p int, rows []core.TableRow) { t.seed(g, i, p, rows) }
+		switch {
+		case first:
+			s.ref.Attach(&t.taps[i], seed)
+		case g.seeded[i] != nil:
+			s.ref.Seed(seed)
+		}
+	}
+
+	// Every partition is seeded: the group's state is its output. Finish
+	// its aggregate groups and emit it as the snapshot frame before any
+	// delivery can emit a delta frame.
+	t.mu.Lock()
+	t.attaching, t.filling, g.seeded = nil, [2][]bool{}, [2][]bool{}
+	t.unload() // the seeds' rows must not stay reachable through it
+	g.touched = false
+	for _, sg := range g.groups {
+		t.finish(g, sg)
+	}
+	t.flush() // a shared failure in the seeds failed the live groups too
+	if err := g.failed; err != nil {
+		t.unroute(g)
+		g.sinks, sq.closed = nil, true
+		dead := t.drop()
+		t.mu.Unlock()
+		if dead {
+			t.detach()
+		}
+		return false, err
+	}
+	sq.sink(sq.Snapshot())
+	t.mu.Unlock()
+	return true, nil
+}
+
+// newGroup builds the group of key, to be seeded: the first group of a
+// template seeds every side, filling the shared join index of a side
+// without slots as it goes; a later one seeds the sides with slots — or,
+// in a join with none, side 0 against side 1's whole index — and reads a
+// side without slots from the join index it shares.
+func (t *template) newGroup(key string, tuple [2]string, now time.Time, first bool) *group {
+	pp := t.pp
+	g := &group{t: t, key: key, tuple: tuple, ctx: &evalCtx{now: now}, base: t.deltas,
+		matched: map[string][]any{}, groups: map[string]*subGroup{}}
+	join := len(pp.srcs) == 2
+	for i, s := range pp.srcs {
+		if first || !join || len(t.slots[i]) > 0 || (i == 0 && len(t.slots[1]) == 0) {
+			g.seeded[i] = make([]bool, s.ref.Partitions())
+		}
+		switch {
+		case join && len(t.slots[i]) > 0:
+			g.jkeys[i] = map[joinKey]int{}
+		case first && join:
+			t.filling[i] = make([]bool, s.ref.Partitions())
+		}
+	}
+	if pp.agg != nil && len(pp.groupBy) == 0 {
+		// A global aggregate emits one row even over an empty input; the
+		// "*" group always exists and the snapshot frame always carries it.
+		g.groups[""] = &subGroup{disp: "*", pg: *newPartialGroup("", pp.aggs, true)}
+	}
+	return g
+}
+
+// route makes g reachable by the rows it can change.
+func (t *template) route(g *group) {
+	t.groups[g.key] = g
+	for s := range t.pp.srcs {
+		if len(t.slots[s]) > 0 {
+			t.bySide[s][g.tuple[s]] = append(t.bySide[s][g.tuple[s]], g)
+		}
+	}
+	t.all = append(t.all, g)
+	g.routed = true
+}
+
+// unroute takes g out of every route and its rows out of the join index:
+// it folds nothing more.
+func (t *template) unroute(g *group) {
+	if !g.routed {
+		return
+	}
+	g.routed = false
+	delete(t.groups, g.key)
+	not := func(h *group) bool { return h == g }
+	for s := range t.pp.srcs {
+		if len(t.slots[s]) == 0 {
+			continue
+		}
+		if gs := slices.DeleteFunc(t.bySide[s][g.tuple[s]], not); len(gs) > 0 {
+			t.bySide[s][g.tuple[s]] = gs
+		} else {
+			delete(t.bySide[s], g.tuple[s])
+		}
+		for jk := range g.jkeys[s] {
+			if es := slices.DeleteFunc(t.jindex[s][jk], func(e joinEntry) bool { return e.g == g }); len(es) > 0 {
+				t.jindex[s][jk] = es
+			} else {
+				delete(t.jindex[s], jk)
+			}
+		}
+		g.jkeys[s] = nil
+	}
+	t.all = slices.DeleteFunc(t.all, not)
+}
+
+// drop gives up one handle's hold on the template, under mu; it reports
+// whether that was the last, which kills the template: the caller then
+// detaches it, after releasing mu.
+func (t *template) drop() bool {
+	if t.open.Add(-1) > 0 {
+		return false
+	}
+	t.dead.Store(true)
+	return true
+}
+
+// detach unregisters a dead template and detaches its taps.
+func (t *template) detach() {
+	t.ex.forget(t)
+	for i, s := range t.pp.srcs {
+		s.ref.Detach(&t.taps[i])
+	}
+}
+
 // Columns returns the output column names, aligned with SubDelta.Vals.
 func (sq *StandingQuery) Columns() []string {
-	cols := make([]string, len(sq.pp.stmt.Items))
-	for i, it := range sq.pp.stmt.Items {
+	items := sq.g.t.pp.stmt.Items
+	cols := make([]string, len(items))
+	for i, it := range items {
 		cols[i] = it.OutputName()
 	}
 	return cols
@@ -316,183 +664,346 @@ func (sq *StandingQuery) Query() string { return sq.query }
 
 // Tables returns the source table names, FROM first.
 func (sq *StandingQuery) Tables() []string {
-	out := make([]string, len(sq.pp.srcs))
-	for i, s := range sq.pp.srcs {
+	srcs := sq.g.t.pp.srcs
+	out := make([]string, len(srcs))
+	for i, s := range srcs {
 		out[i] = s.name
 	}
 	return out
 }
 
-// Watermark returns the cumulative count of source deltas folded in.
+// Watermark returns the cumulative count of source deltas folded into the
+// standing query's state since the handle attached.
 func (sq *StandingQuery) Watermark() uint64 {
-	sq.mu.Lock()
-	defer sq.mu.Unlock()
-	return sq.watermark
+	t := sq.g.t
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return sq.g.watermark() - sq.base
 }
 
-// Snapshot returns the standing query's full current output as a snapshot
-// frame — the resync a shed subscriber re-converges from. Call it only
-// from inside the sink, which runs with the standing query's lock held.
+// watermark counts the deltas handed to the template's taps since the
+// group started, less those its seeds read instead.
+func (g *group) watermark() uint64 { return g.t.deltas - g.base }
+
+// Snapshot returns the group's full current output as a snapshot frame —
+// the resync a shed subscriber re-converges from. Call it only from
+// inside the sink, which runs with the template's lock held.
 func (sq *StandingQuery) Snapshot() SubEvent {
+	return SubEvent{Deltas: sq.g.output(), Watermark: sq.g.watermark() - sq.base, Snapshot: true}
+}
+
+// output lists the group's whole output as deltas.
+func (g *group) output() []SubDelta {
 	var ds []SubDelta
-	if sq.pp.agg != nil {
-		for _, g := range sq.groups {
-			if g.out != nil {
-				ds = append(ds, SubDelta{Key: g.disp, Vals: g.out})
+	if g.t.pp.agg != nil {
+		for _, sg := range g.groups {
+			if sg.out != nil {
+				ds = append(ds, SubDelta{Key: sg.disp, Vals: sg.out})
 			}
 		}
 	} else {
-		for k, vals := range sq.matched {
+		for k, vals := range g.matched {
 			ds = append(ds, SubDelta{Key: k, Vals: vals})
 		}
 	}
-	return SubEvent{Deltas: ds, Watermark: sq.watermark, Snapshot: true}
+	return ds
 }
 
-// Close detaches the taps, then marks the query closed under its lock.
-// No delta group begins delivery to a detached tap, and a group already in
-// flight either delivered before Close took the lock or finds the query
-// closed, so no event is delivered after Close returns. Idempotent. Never
-// call it from the sink: Close waits for the lock the sink runs under.
+// Close drops the handle from its group under the template's lock: no
+// event reaches it after Close returns. The group's last handle drops the
+// group, and the template's last detaches its taps. Idempotent. Never call
+// it from the sink: Close waits for the lock the sink runs under.
 func (sq *StandingQuery) Close() {
-	for i, s := range sq.pp.srcs {
-		s.ref.Detach(&sq.taps[i])
+	g := sq.g
+	t := g.t
+	t.mu.Lock()
+	if sq.closed {
+		t.mu.Unlock()
+		return
 	}
-	sq.mu.Lock()
 	sq.closed = true
-	sq.mu.Unlock()
+	if g.sinks = slices.DeleteFunc(g.sinks, func(x *StandingQuery) bool { return x == sq }); len(g.sinks) == 0 {
+		t.unroute(g)
+	}
+	dead := t.drop()
+	t.mu.Unlock()
+	if dead {
+		t.detach()
+	}
 }
 
-// seed is drive mode 1, the snapshot scan: Attach calls it with the rows
-// of source side's partition p under that partition's segment read lock.
-// It folds them into the attach batch as inserts and marks the partition
-// seeded.
-func (sq *StandingQuery) seed(side, p int, rows []core.TableRow) {
-	sq.mu.Lock()
-	defer sq.mu.Unlock()
+// seed is drive mode 1, the snapshot scan: Seed calls it with the rows of
+// source side's partition p under that partition's segment read lock. It
+// marks the partition seeded for g, then folds the rows into g's attach
+// batch as inserts.
+func (t *template) seed(g *group, side, p int, rows []core.TableRow) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	g.seeded[side][p] = true
+	if f := t.filling[side]; f != nil {
+		f[p] = true
+	}
 	for i := range rows {
 		r := &rows[i]
-		sq.fold(side, partition.KeyString(r.Key), r, true, sq.attach)
+		t.fold(side, p, partition.KeyString(r.Key), r, true, g)
 	}
-	sq.seeded[side][p] = true
 }
 
 // deliver is drive mode 2, a delta group of source side's table: it runs
-// on the writer, under the writer's segment lock. Before the query is
-// live it folds the group into the attach batch if the group's partition
-// is seeded, and drops it if not; after, it folds the group through the
-// standing stages and hands the output deltas to the sink as one frame, or
-// the evaluation failure as the final one, before it releases the lock.
-func (sq *StandingQuery) deliver(side int, ds []kv.Delta) {
-	sq.mu.Lock()
-	defer sq.mu.Unlock()
-	if sq.closed || sq.failed != nil {
+// on the writer, under the writer's segment lock. It folds each delta into
+// the groups it can change — a group still attaching only where its
+// partitions are seeded — then settles every live group the batch touched
+// and hands its output deltas to its sinks as one frame, or its evaluation
+// failure as the final one, before it releases the lock.
+func (t *template) deliver(side int, ds []kv.Delta) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.dead.Load() {
 		return
 	}
-	if sq.attach != nil {
-		// A group is one partition's deltas.
-		if sq.seeded[side][ds[0].Part] {
-			for i := range ds {
-				sq.applyDelta(side, &ds[i], sq.attach)
+	t.deltas += uint64(len(ds))
+	if g := t.attaching; g != nil && !g.sees(side, ds[0].Part) {
+		// A group is one partition's deltas; the seed reads their effect.
+		g.base += uint64(len(ds))
+	}
+	for i := range ds {
+		d := &ds[i]
+		if d.HadOld {
+			old := core.TableRow{Key: d.Key, Raw: d.Old}
+			t.fold(side, d.Part, d.KeyS, &old, false, nil)
+		}
+		if !d.Tombstone {
+			row := core.TableRow{Key: d.Key, Raw: d.Value}
+			t.fold(side, d.Part, d.KeyS, &row, true, nil)
+		}
+	}
+	t.unload()
+	t.flush()
+}
+
+// flush settles every live group the batch touched and hands each its
+// frame: the output deltas, or the evaluation failure as the final event,
+// after which the group folds nothing more.
+func (t *template) flush() {
+	for _, g := range t.touched {
+		g.touched = false
+		deltas := t.settle(g)
+		switch {
+		case g.failed != nil:
+			g.emit(SubEvent{Err: g.failed})
+			t.unroute(g)
+		case len(deltas) > 0:
+			g.emit(SubEvent{Deltas: deltas})
+		}
+	}
+	clear(t.touched)
+	t.touched = t.touched[:0]
+}
+
+// emit hands one frame to every sink of the group, each stamped with its
+// handle's watermark.
+func (g *group) emit(ev SubEvent) {
+	w := g.watermark()
+	for _, sq := range g.sinks {
+		ev.Watermark = w - sq.base
+		sq.sink(ev)
+	}
+}
+
+// sees reports whether g folds a row of side's partition p: it has not
+// failed, and the partition is in its state.
+func (g *group) sees(side, p int) bool {
+	return g.failed == nil && (g.seeded[side] == nil || g.seeded[side][p])
+}
+
+// fold runs one source row through the template as an insert (add) or as
+// the retraction of that row's earlier insert, as a batch of one, into the
+// groups it can change — into only, for a seed. It reads the side's slot
+// columns once to find those groups, then runs each group's pushed filter;
+// for a join it links or unlinks the row in its side's join index under
+// the plan's bound join key and pairs it with every partner the other side
+// files under that key. A side without slots files a row once for every
+// group, and its partners name the groups. ks is the row's partition-key
+// string and part its partition.
+func (t *template) fold(side, part int, ks string, row *core.TableRow, add bool, only *group) {
+	t.rows[side] = *row
+	gs, ok := t.reach(side, only)
+	if !ok {
+		return
+	}
+	if len(t.pp.srcs) == 1 {
+		for _, g := range gs {
+			if g.sees(0, part) && t.passes(g, 0) {
+				t.output(g, ks, "", add)
 			}
 		}
 		return
 	}
-	eff := newBatchEff()
-	for i := range ds {
-		sq.applyDelta(side, &ds[i], eff)
+	jk, ok := t.joinKey(side)
+	if !ok {
+		return
 	}
-	deltas := sq.settleLocked(eff)
-	switch {
-	case sq.failed != nil:
-		sq.sink(SubEvent{Err: sq.failed, Watermark: sq.watermark})
-	case len(deltas) > 0:
-		sq.sink(SubEvent{Deltas: deltas, Watermark: sq.watermark})
+	if len(t.slots[side]) > 0 {
+		for _, g := range gs {
+			if g.sees(side, part) && t.passes(g, side) {
+				t.link(side, jk, joinEntry{ks: ks, part: part, row: *row, g: g}, add)
+				t.probe(side, part, jk, ks, add, g)
+			}
+		}
+		return
 	}
+	// A side without slots: a delta of a partition its index does not hold
+	// yet is left to the seed; a seed files rows only while the index
+	// fills, and otherwise just pairs them for its group.
+	f := t.filling[side]
+	if only == nil && f != nil && !f[part] {
+		return
+	}
+	if !t.passes(nil, side) {
+		return
+	}
+	if only == nil || f != nil {
+		t.link(side, jk, joinEntry{ks: ks, part: part, row: *row}, add)
+	}
+	t.probe(side, part, jk, ks, add, only)
 }
 
-// applyDelta folds one delta into the derived state: the retraction of
-// the row it replaced, then the insert of its new row. batchEff coalesces
-// the pair back into one output delta. The delta is shared with every
-// other tap of the map and only read.
-func (sq *StandingQuery) applyDelta(side int, d *kv.Delta, eff *batchEff) {
-	sq.watermark++
-	if d.HadOld {
-		old := core.TableRow{Key: d.Key, Raw: d.Old}
-		sq.fold(side, d.KeyS, &old, false, eff)
+// reach returns the groups a row of side, loaded in rows, can change:
+// only, when set, if the row's tuple is its own; else those under the
+// row's tuple, or every group for a side without slots.
+func (t *template) reach(side int, only *group) ([]*group, bool) {
+	if len(t.slots[side]) > 0 {
+		if !t.tuple(side) {
+			return nil, false
+		}
+		if only == nil {
+			gs := t.bySide[side][string(t.tup)]
+			return gs, len(gs) > 0
+		}
+		if only.tuple[side] != string(t.tup) {
+			return nil, false
+		}
 	}
-	if !d.Tombstone {
-		row := core.TableRow{Key: d.Key, Raw: d.Value}
-		sq.fold(side, d.KeyS, &row, true, eff)
+	if only == nil {
+		return t.all, true
 	}
+	t.one[0] = only
+	return t.one[:], true
 }
 
-// fold runs one source row through the plan as an insert (add) or as the
-// retraction of that row's earlier insert, as a batch of one: the source's
-// pushed filter; for a join, linking or unlinking the row in its side's
-// join index under the plan's bound join key, then every partner row the
-// other side files under that key; then output. ks is the row's
-// partition-key string.
-func (sq *StandingQuery) fold(side int, ks string, row *core.TableRow, add bool, eff *batchEff) {
-	if sq.failed != nil {
-		return
+// tuple reads side's slot columns off its row into tup; false when one is
+// NULL or of another kind than its literal, which no tuple then matches.
+func (t *template) tuple(side int) bool {
+	t.solo(side)
+	v := t.sc.datums(1)
+	defer t.sc.dropDatums(1)
+	t.tup = t.tup[:0]
+	for _, c := range t.slots[side] {
+		if err := t.ctx.evalBatch(c, &t.b, ident[:1], v); err != nil {
+			t.fail(nil, err)
+			return false
+		}
+		if v[0].k != c.kind {
+			return false
+		}
+		t.tup = appendParam(t.tup, v[0])
 	}
-	pp := sq.pp
-	sq.unload()
-	sq.load(side, row)
-	if !sq.passes(pp.pushedB[side]) {
-		return
-	}
-	if len(pp.srcs) == 1 {
-		sq.output(ks, "", add, eff)
-		return
-	}
-	key := Expr(pp.joins[0].left)
+	return true
+}
+
+// joinKey evaluates side's bound join key on its row.
+func (t *template) joinKey(side int) (joinKey, bool) {
+	key := Expr(t.pp.joins[0].left)
 	if side == 1 {
-		key = pp.joins[0].right
+		key = t.pp.joins[0].right
 	}
-	v := sq.sc.datums(1)
-	defer sq.sc.dropDatums(1)
-	if err := sq.ctx.evalBatch(key, &sq.b, ident[:1], v); err != nil {
-		sq.fail(err)
+	t.solo(side)
+	v := t.sc.datums(1)
+	defer t.sc.dropDatums(1)
+	if err := t.ctx.evalBatch(key, &t.b, ident[:1], v); err != nil {
+		t.fail(nil, err)
+		return joinKey{}, false
+	}
+	return v[0].joinKey(), true
+}
+
+// link files e under jk in side's join index, or (add false) takes out the
+// entry of e's row and group; an entry that names its group is counted in
+// the group's jkeys.
+func (t *template) link(side int, jk joinKey, e joinEntry, add bool) {
+	es := t.jindex[side][jk]
+	if add {
+		t.jindex[side][jk] = append(es, e)
+		if e.g != nil {
+			e.g.jkeys[side][jk]++
+		}
 		return
 	}
-	jk := v[0].joinKey()
-	es := sq.jindex[side][jk]
-	if add {
-		sq.jindex[side][jk] = append(es, joinEntry{ks: ks, row: *row})
-	} else {
-		if i := slices.IndexFunc(es, func(e joinEntry) bool { return e.ks == ks }); i >= 0 {
+	for i := range es {
+		if es[i].ks == e.ks && es[i].g == e.g {
 			es = slices.Delete(es, i, i+1)
-		}
-		if len(es) == 0 {
-			delete(sq.jindex[side], jk)
-		} else {
-			sq.jindex[side][jk] = es
+			if g := e.g; g != nil {
+				if g.jkeys[side][jk]--; g.jkeys[side][jk] == 0 {
+					delete(g.jkeys[side], jk)
+				}
+			}
+			break
 		}
 	}
-	o := 1 - side
-	partners := sq.jindex[o][jk]
-	for i := range partners {
-		sq.load(o, &partners[i].row)
-		l, r := ks, partners[i].ks
-		if side == 1 {
-			l, r = r, l
-		}
-		sq.output(l, r, add, eff)
+	if len(es) == 0 {
+		delete(t.jindex[side], jk)
+	} else {
+		t.jindex[side][jk] = es
 	}
 }
 
-// load makes r source s's row of the working batch.
-func (sq *StandingQuery) load(s int, r *core.TableRow) {
-	sq.rows[s] = *r
-	sq.b.cols[s] = sq.rows[s : s+1]
+// probe pairs the row of side, loaded in rows, with every partner the
+// other side files under jk, in g (nil: in every group the partners name,
+// or every group where neither side has slots).
+func (t *template) probe(side, part int, jk joinKey, ks string, add bool, g *group) {
+	partners := t.jindex[1-side][jk]
+	for i := range partners {
+		e := &partners[i]
+		switch {
+		case e.g == nil && g == nil:
+			for _, h := range t.all {
+				t.pair(h, side, part, e, ks, add)
+			}
+		case e.g == nil:
+			t.pair(g, side, part, e, ks, add)
+		case g == nil || e.g == g:
+			t.pair(e.g, side, part, e, ks, add)
+		}
+	}
+}
+
+// pair takes the joined row of side's row and partner e to g's output, or
+// out of it, where g sees both partitions.
+func (t *template) pair(g *group, side, part int, e *joinEntry, ks string, add bool) {
+	o := 1 - side
+	if !g.sees(side, part) || !g.sees(o, e.part) {
+		return
+	}
+	t.rows[o] = e.row
+	l, r := ks, e.ks
+	if side == 1 {
+		l, r = r, l
+	}
+	t.output(g, l, r, add)
+}
+
+// solo makes source s's row the working batch's only source: a step over
+// one source reads no other, as in the one-shot fragments, where a source
+// not yet reached has no column.
+func (t *template) solo(s int) {
+	clear(t.b.cols)
+	t.b.cols[s] = t.rows[s : s+1]
 }
 
 // unload empties the working batch.
-func (sq *StandingQuery) unload() {
-	clear(sq.rows)
-	clear(sq.b.cols)
+func (t *template) unload() {
+	clear(t.rows)
+	clear(t.b.cols)
 }
 
 // joinDisp renders a join row's key: "left|right", each partition-key
@@ -514,92 +1025,121 @@ func appendDisp(dst []byte, s string) []byte {
 	return dst
 }
 
-// passes tests a bound predicate on the working batch's row; an
-// evaluation error fails the standing query.
-func (sq *StandingQuery) passes(pred Expr) bool {
-	kept := sq.sc.sel(1)
-	defer sq.sc.dropSel()
-	kept, err := sq.ctx.filterBatch(pred, &sq.b, ident[:1], kept)
+// passes tests source s's pushed filter on its row alone, under g's
+// instant (the template's, for g nil).
+func (t *template) passes(g *group, s int) bool {
+	t.solo(s)
+	return t.test(g, t.pp.pushedB[s])
+}
+
+// test tests a bound predicate on the working batch's row under g's
+// instant (the template's, for g nil); an evaluation error fails g (every
+// group, for g nil).
+func (t *template) test(g *group, pred Expr) bool {
+	if pred == nil {
+		return true
+	}
+	ctx := t.ctx
+	if g != nil {
+		ctx = g.ctx
+	}
+	kept := t.sc.sel(1)
+	defer t.sc.dropSel()
+	kept, err := ctx.filterBatch(pred, &t.b, ident[:1], kept)
 	if err != nil {
-		sq.fail(err)
+		t.fail(g, err)
 	}
 	return len(kept) == 1
 }
 
-// output takes the joined row in the working batch past the residual
-// filter into the standing result, or out of it: a non-aggregate query
-// projects it into its matched output; an aggregate one adds it to or
-// removes it from its group. lks and rks are the partition-key strings of
-// the joined row's sources (rks unused for a single source).
-func (sq *StandingQuery) output(lks, rks string, add bool, eff *batchEff) {
-	if !sq.passes(sq.pp.residualB) {
+// output takes the joined row in rows past the residual filter into g's
+// output, or out of it: a non-aggregate query projects it into its
+// matched output; an aggregate one adds it to or removes it from its
+// group. lks and rks are the partition-key strings of the joined row's
+// sources (rks unused for a single source).
+func (t *template) output(g *group, lks, rks string, add bool) {
+	for s := range t.rows {
+		t.b.cols[s] = t.rows[s : s+1]
+	}
+	if !t.test(g, t.pp.residualB) {
 		return
 	}
-	if sq.pp.agg != nil {
-		sq.member(add, eff)
+	if t.pp.agg != nil {
+		t.member(g, add)
 		return
 	}
 	key := lks
-	if len(sq.pp.srcs) == 2 {
+	if len(t.rows) == 2 {
 		key = joinDisp(lks, rks)
 	}
-	if _, seen := eff.before[key]; !seen {
-		eff.before[key] = sq.matched[key]
+	var r *rowEff
+	if g != t.attaching {
+		t.touch(g)
+		r = g.eff.row(key, g.matched)
 	}
 	if !add {
-		delete(sq.matched, key)
+		delete(g.matched, key)
+		if r != nil {
+			r.after = nil
+		}
 		return
 	}
-	vals, _, err := sq.ctx.project(sq.pp.items, nil, &sq.b, ident[:1])
+	vals, _, err := g.ctx.project(t.pp.items, nil, &t.b, ident[:1])
 	if err != nil {
-		sq.fail(err)
+		t.fail(g, err)
 		return
 	}
-	sq.matched[key] = vals
+	g.matched[key] = vals
+	if r != nil {
+		r.after = vals
+	}
 }
 
 // member adds the joined row in the working batch to its group's
-// accumulators, or retracts it, and marks the group dirty. The GROUP BY
-// key is each grouping value in the self-delimiting binary form; a
+// accumulators in g, or retracts it, and marks the group dirty. The GROUP
+// BY key is each grouping value in the self-delimiting binary form; a
 // statement without GROUP BY has the one empty key. A new group's display
 // key renders the same values, and its first member is copied as its head.
-func (sq *StandingQuery) member(add bool, eff *batchEff) {
-	pp := sq.pp
-	cols, err := groupCols(sq.ctx, pp, &sq.b, ident[:1], sq.colBuf[:0])
-	sq.colBuf = cols
-	defer sq.sc.dropDatums(len(cols))
+func (t *template) member(g *group, add bool) {
+	pp := t.pp
+	cols, err := groupCols(g.ctx, pp, &t.b, ident[:1], t.colBuf[:0])
+	t.colBuf = cols
+	defer t.sc.dropDatums(len(cols))
 	if err != nil {
-		sq.fail(err)
+		t.fail(g, err)
 		return
 	}
-	sq.keyBuf, sq.keyVals = sq.keyBuf[:0], sq.keyVals[:0]
+	t.keyBuf, t.keyVals = t.keyBuf[:0], t.keyVals[:0]
 	for _, kc := range cols[:len(pp.groupBy)] {
-		sq.keyBuf = kc[0].appendGroupKey(sq.keyBuf)
-		sq.keyVals = append(sq.keyVals, kc[0])
+		t.keyBuf = kc[0].appendGroupKey(t.keyBuf)
+		t.keyVals = append(t.keyVals, kc[0])
 	}
-	g := sq.groups[string(sq.keyBuf)]
-	if g == nil {
+	sg := g.groups[string(t.keyBuf)]
+	if sg == nil {
 		if !add {
 			return
 		}
-		// The global "*" group is seeded at subscribe time and never gets
-		// here.
-		gk := string(sq.keyBuf)
-		g = &subGroup{disp: groupDisp(sq.keyVals), pg: *newPartialGroup(gk, pp.aggs, true)}
-		sq.groups[gk] = g
+		// The global "*" group is created with g and never gets here.
+		gk := string(t.keyBuf)
+		sg = &subGroup{disp: groupDisp(t.keyVals), pg: *newPartialGroup(gk, pp.aggs, true)}
+		g.groups[gk] = sg
 	}
-	eff.dirty[g.pg.key] = true
-	if add && g.members == 0 {
-		g.pg.keepHead(&sq.b, 0)
+	if !sg.dirty && g != t.attaching {
+		t.touch(g)
+		sg.dirty = true
+		g.eff.dirty = append(g.eff.dirty, sg)
 	}
-	if err := g.pg.fold(pp.aggs, cols[len(pp.groupBy):], 0, add); err != nil {
-		sq.fail(err)
+	if add && sg.members == 0 {
+		sg.pg.keepHead(&t.b, 0)
+	}
+	if err := sg.pg.fold(pp.aggs, cols[len(pp.groupBy):], 0, add); err != nil {
+		t.fail(g, err)
 		return
 	}
 	if add {
-		g.members++
-	} else if g.members--; g.members == 0 {
-		g.pg.dropHead()
+		sg.members++
+	} else if sg.members--; sg.members == 0 {
+		sg.pg.dropHead()
 	}
 }
 
@@ -620,54 +1160,73 @@ func groupDisp(vals []datum) string {
 	return string(b)
 }
 
-// settleLocked turns a batch's accumulated effects into output deltas:
-// touched non-aggregate rows diff their before/after matched state, and
-// each dirty group finishes its live accumulators through HAVING and the
-// select list (suppressing no-op upserts). A group that emptied (the
-// global one never does) or that HAVING now rejects retracts its emitted
-// row.
-func (sq *StandingQuery) settleLocked(eff *batchEff) []SubDelta {
-	if sq.failed != nil {
-		return nil
+// touch marks g changed by the batch being folded: a live group settles
+// when the delivery ends. The attaching group records no effects — its
+// first frame is its whole output — and is touched only by a failure,
+// which its attach reports.
+func (t *template) touch(g *group) {
+	if !g.touched {
+		g.touched = true
+		if g != t.attaching {
+			t.touched = append(t.touched, g)
+		}
 	}
+}
+
+// settle turns a live group's accumulated effects into output deltas and
+// resets them: touched non-aggregate rows diff their before/after values,
+// and each dirty group finishes (suppressing no-op upserts).
+func (t *template) settle(g *group) []SubDelta {
 	var out []SubDelta
-	for key, prev := range eff.before {
-		cur := sq.matched[key]
+	for _, r := range g.eff.rows {
 		switch {
-		case cur != nil:
-			if prev != nil && sameVals(prev, cur) {
+		case r.after != nil:
+			if r.before != nil && sameVals(r.before, r.after) {
 				continue
 			}
-			out = append(out, SubDelta{Key: key, Vals: cur})
-		case prev != nil:
-			out = append(out, SubDelta{Key: key, Delete: true})
+			out = append(out, SubDelta{Key: r.key, Vals: r.after})
+		case r.before != nil:
+			out = append(out, SubDelta{Key: r.key, Delete: true})
 		}
 	}
-	for gk := range eff.dirty {
-		g := sq.groups[gk]
-		var vals []any // nil: the group emits no row
-		if g.members == 0 && len(sq.pp.groupBy) > 0 {
-			delete(sq.groups, gk)
-		} else {
-			sq.dirty[0] = &g.pg
-			err := sq.fin.finish(sq.ctx, sq.pp, sq.dirty[:], func(_ int, v, _ []any) { vals = v })
-			sq.dirty[0] = nil
-			if err != nil {
-				sq.fail(err)
-				return nil
-			}
+	for _, sg := range g.eff.dirty {
+		sg.dirty = false
+		if d, ok := t.finish(g, sg); ok {
+			out = append(out, d)
 		}
-		switch {
-		case vals == nil && g.out == nil, vals != nil && sameVals(g.out, vals):
-		case vals == nil:
-			g.out = nil
-			out = append(out, SubDelta{Key: g.disp, Delete: true})
-		default:
-			g.out = vals
-			out = append(out, SubDelta{Key: g.disp, Vals: vals})
-		}
+	}
+	g.eff.reset()
+	if g.failed != nil {
+		return nil
 	}
 	return out
+}
+
+// finish runs a changed aggregate group's live accumulators through
+// HAVING and the select list and reports the output delta it makes, if
+// any. A group that emptied (the global one never does) or that HAVING
+// now rejects retracts its emitted row.
+func (t *template) finish(g *group, sg *subGroup) (SubDelta, bool) {
+	var vals []any // nil: the group emits no row
+	if sg.members == 0 && len(t.pp.groupBy) > 0 {
+		delete(g.groups, sg.pg.key)
+	} else if g.failed == nil {
+		t.dirty[0] = &sg.pg
+		err := t.fin.finish(g.ctx, t.pp, t.dirty[:], func(_ int, v, _ []any) { vals = v })
+		t.dirty[0] = nil
+		if err != nil {
+			t.fail(g, err)
+		}
+	}
+	switch {
+	case g.failed != nil, vals == nil && sg.out == nil, vals != nil && sameVals(sg.out, vals):
+		return SubDelta{}, false
+	case vals == nil:
+		sg.out = nil
+		return SubDelta{Key: sg.disp, Delete: true}, true
+	}
+	sg.out = vals
+	return SubDelta{Key: sg.disp, Vals: vals}, true
 }
 
 // sameVals reports whether two output rows hold the same values, column
@@ -699,10 +1258,20 @@ func sameVals(a, b []any) bool {
 	return true
 }
 
-// fail records the first evaluation error; the standing query stops
-// producing deltas after it (deliver hands it on as the final event).
-func (sq *StandingQuery) fail(err error) {
-	if sq.failed == nil {
-		sq.failed = err
+// fail records g's first evaluation error: g folds nothing more, and its
+// delivery hands the error on as the final event. A nil g is an error in
+// what every group shares — a slot column, a join key, a pushed filter of
+// a side without slots — which fails them all and the template with them.
+func (t *template) fail(g *group, err error) {
+	if g != nil {
+		if g.failed == nil {
+			g.failed = err
+			t.touch(g)
+		}
+		return
+	}
+	t.dead.Store(true)
+	for _, h := range t.all {
+		t.fail(h, err)
 	}
 }

@@ -131,9 +131,9 @@ func mustHaveFolded(t *testing.T, sq *StandingQuery, v *foldedView, want uint64)
 
 // residentEntries counts the entries of every map held in v by value —
 // struct fields, slice and array elements, and map values, including what
-// a map value points to — but not through other pointers: for a
-// StandingQuery that is every row or key it keeps resident, under whatever
-// field name, and none of the executor's or the plan's.
+// a map value points to — but not through other pointers: for a group it
+// is every row or key it keeps resident, under whatever field name, and
+// none of its template's, its handles' or the plan's.
 func residentEntries(v reflect.Value) int {
 	n := 0
 	switch v.Kind() {
@@ -158,56 +158,91 @@ func residentEntries(v reflect.Value) int {
 	return n
 }
 
-// TestStandingQueryHoldsOutputOnly: a standing query keeps its output and,
-// for a join, the join index of the rows that passed their side's pushed
-// filter — nothing else per source row. Each case folds one update of
-// every key of the fixture's tables, then counts what the standing query
-// holds.
+// held counts what a template keeps resident per source row: its join
+// index, and each of the given handles' groups (once each).
+func held(sqs ...*StandingQuery) int {
+	n := residentEntries(reflect.ValueOf(sqs[0].g.t.jindex))
+	seen := map[*group]bool{}
+	for _, sq := range sqs {
+		if !seen[sq.g] {
+			seen[sq.g] = true
+			n += residentEntries(reflect.ValueOf(sq.g).Elem())
+		}
+	}
+	return n
+}
+
+// TestStandingQueryHoldsOutputOnly: a group keeps its output and its
+// template, for a join, the join index of the rows that passed their
+// side's pushed filter — nothing else per source row. A side whose filter
+// was lifted files each row for its group alone, and the group counts the
+// join key it filed the row under, so that dropping the group visits its
+// own keys only; a side without slots files each row once for all groups. Each case folds one update of every
+// key of the fixture's tables, then counts what the groups and their
+// template hold.
 func TestStandingQueryHoldsOutputOnly(t *testing.T) {
 	const n = 24
 	zones := []string{"east", "west"}
 	states := []string{"VENDOR_ACCEPTED", "NOTIFIED", "PICKED_UP"}
+	joinOn := func(state string) string {
+		return `SELECT i.deliveryZone, s.orderState FROM orderinfo i JOIN orderstate s USING(partitionKey) WHERE orderState = '` + state + `'`
+	}
 	for _, c := range []struct {
-		name, query string
-		update      func(f *fixture, i int, key string)
-		resident    func(sq *StandingQuery) (got, want int)
+		name     string
+		queries  []string
+		update   func(f *fixture, i int, key string)
+		resident func(sqs []*StandingQuery) (got, want int)
 	}{{
 		// A filter matching none of the rows leaves no resident entry at
 		// all: the kv map is the only copy of the table on the push path.
-		name:  "empty filter",
-		query: `SELECT partitionKey, customerLat FROM orderinfo WHERE deliveryZone = 'nowhere'`,
+		name:    "empty filter",
+		queries: []string{`SELECT partitionKey, customerLat FROM orderinfo WHERE deliveryZone = 'nowhere'`},
 		update: func(f *fixture, i int, key string) {
 			f.info.Update(key, orderInfo{DeliveryZone: "east", CustomerLat: float64(i)})
 		},
-		resident: func(sq *StandingQuery) (int, int) {
-			return residentEntries(reflect.ValueOf(sq).Elem()), 0
-		},
+		resident: func(sqs []*StandingQuery) (int, int) { return held(sqs...), 0 },
 	}, {
 		// orderState is orderstate's column alone, so the WHERE pushes to
-		// that side: its join index holds the third of the rows in
-		// PICKED_UP, not every order. The other side holds all n, and each
-		// matching pair is one output row.
-		name:   "join pushed to one side",
-		query:  `SELECT i.deliveryZone, s.orderState FROM orderinfo i JOIN orderstate s USING(partitionKey) WHERE orderState = 'PICKED_UP'`,
-		update: func(f *fixture, i int, key string) { f.state.Update(key, orderState{OrderState: states[(i+1)%3]}) },
-		resident: func(sq *StandingQuery) (int, int) {
-			if got := residentEntries(reflect.ValueOf(sq.jindex[1])); got != n/3 {
+		// that side, and is lifted: its join index holds the third of the
+		// rows in PICKED_UP, not every order, and the group counts their n/3
+		// join keys. The other side holds all n, and each matching pair is
+		// one output row.
+		name:    "join pushed to one side",
+		queries: []string{joinOn("PICKED_UP")},
+		update:  func(f *fixture, i int, key string) { f.state.Update(key, orderState{OrderState: states[(i+1)%3]}) },
+		resident: func(sqs []*StandingQuery) (int, int) {
+			if got := residentEntries(reflect.ValueOf(sqs[0].g.t.jindex[1])); got != n/3 {
 				return got, n / 3
 			}
-			return residentEntries(reflect.ValueOf(sq).Elem()), n + n/3 + n/3
+			return held(sqs...), n + n/3 + n/3 + n/3
+		},
+	}, {
+		// Three joins that differ only in the lifted literal share one
+		// template: orderinfo, the side without slots, is filed once (n
+		// entries, not 3n), orderstate once per row under its own group,
+		// which counts the row's join key, and each row is one group's
+		// output row.
+		name:    "joins differing in the lifted literal",
+		queries: []string{joinOn(states[0]), joinOn(states[1]), joinOn(states[2])},
+		update:  func(f *fixture, i int, key string) { f.state.Update(key, orderState{OrderState: states[(i+1)%3]}) },
+		resident: func(sqs []*StandingQuery) (int, int) {
+			if got := residentEntries(reflect.ValueOf(sqs[0].g.t.jindex[0])); got != n {
+				return got, n
+			}
+			return held(sqs...), n + n + n + n
 		},
 	}, {
 		// A group is its accumulators: one entry per group, plus one per
 		// distinct value in its MAX multiset. The 18 member rows (east holds
 		// 62 six times, west 61 and 63 six times each) leave nothing behind.
-		name:  "group by",
-		query: `SELECT deliveryZone, COUNT(*), MAX(customerLat) FROM orderinfo WHERE customerLat > 60 GROUP BY deliveryZone`,
+		name:    "group by",
+		queries: []string{`SELECT deliveryZone, COUNT(*), MAX(customerLat) FROM orderinfo WHERE customerLat > 60 GROUP BY deliveryZone`},
 		update: func(f *fixture, i int, key string) {
 			f.info.Update(key, orderInfo{DeliveryZone: zones[i%2], CustomerLat: 60 + float64(i%4)})
 		},
-		resident: func(sq *StandingQuery) (int, int) {
-			got := residentEntries(reflect.ValueOf(sq).Elem())
-			for _, g := range sq.groups {
+		resident: func(sqs []*StandingQuery) (int, int) {
+			got := held(sqs...)
+			for _, g := range sqs[0].g.groups {
 				for _, a := range g.pg.accs {
 					got += len(a.multi)
 				}
@@ -217,29 +252,40 @@ func TestStandingQueryHoldsOutputOnly(t *testing.T) {
 	}} {
 		t.Run(c.name, func(t *testing.T) {
 			f := newFixture(t, n, liveSnapCfg())
-			v := newFoldedView()
-			sq, err := f.ex.SubscribeQuery(c.query, v.sink)
-			if err != nil {
-				t.Fatal(err)
+			sqs := make([]*StandingQuery, len(c.queries))
+			views := make([]*foldedView, len(c.queries))
+			for i, q := range c.queries {
+				views[i] = newFoldedView()
+				sq, err := f.ex.SubscribeQuery(q, views[i].sink)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer sq.Close()
+				sqs[i] = sq
 			}
-			defer sq.Close()
+			if sqs[0].g.t != sqs[len(sqs)-1].g.t {
+				t.Fatal("queries differing only in a lifted literal compiled to two templates")
+			}
 			for i := 0; i < n; i++ {
 				c.update(f, i, fmt.Sprintf("order-%d", i))
 			}
 			f.info.Flush()
 			f.state.Flush()
-			mustHaveFolded(t, sq, v, handed(f.store, sq))
-			res, err := f.ex.Query(c.query)
-			if err != nil {
-				t.Fatal(err)
+			for i, q := range c.queries {
+				mustHaveFolded(t, sqs[i], views[i], handed(f.store, sqs[i]))
+				res, err := f.ex.Query(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got, want := views[i].canon(), canon(res.Rows, false); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s: folded view %v, one-shot %v", q, got, want)
+				}
 			}
-			if got, want := v.canon(), canon(res.Rows, false); !reflect.DeepEqual(got, want) {
-				t.Fatalf("folded view %v, one-shot %v", got, want)
-			}
-			sq.mu.Lock()
-			defer sq.mu.Unlock()
-			if got, want := c.resident(sq); got != want {
-				t.Fatalf("standing query holds %d resident entries over %d source rows, want %d", got, n, want)
+			tpl := sqs[0].g.t
+			tpl.mu.Lock()
+			defer tpl.mu.Unlock()
+			if got, want := c.resident(sqs); got != want {
+				t.Fatalf("standing queries hold %d resident entries over %d source rows, want %d", got, n, want)
 			}
 		})
 	}
@@ -289,7 +335,7 @@ func TestSubscribeBeforeFirstWrite(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer sq.Close()
-		for _, s := range sq.pp.srcs {
+		for _, s := range sq.g.t.pp.srcs {
 			if s.schema != nil {
 				t.Fatalf("%s: bound %s to a schema before its first write", q, s.name)
 			}
@@ -375,5 +421,204 @@ func TestSubscribeKeysAreOneToOne(t *testing.T) {
 			t.Fatalf("%s\n folded view %v\n one-shot    %v", c.query, got, want)
 		}
 		sq.Close()
+	}
+}
+
+// TestTemplateKeyIsStructural: two statements share a template only when
+// their plans are the same tree. Rendered, these two pushed filters read
+// alike — ((deliveryZone LIKE 'x') AND (vendorCategory LIKE 'y') AND
+// (partitionKey LIKE 'order-1')) — because a LIKE pattern prints its quotes
+// unescaped, but they are different filters with different answers. Each
+// must get its own template, and its snapshot frame its own one-shot
+// result.
+func TestTemplateKeyIsStructural(t *testing.T) {
+	f := newFixture(t, 4, liveSnapCfg())
+	f.info.Update("order-1", orderInfo{DeliveryZone: "x') AND (vendorCategory LIKE 'y", VendorCategory: "any"})
+	f.info.Update("order-2", orderInfo{DeliveryZone: "x", VendorCategory: "y') AND (partitionKey LIKE 'order-1"})
+	f.info.Flush()
+	queries := []string{
+		`SELECT partitionKey FROM orderinfo WHERE deliveryZone LIKE 'x'') AND (vendorCategory LIKE ''y' AND partitionKey LIKE 'order-1'`,
+		`SELECT partitionKey FROM orderinfo WHERE deliveryZone LIKE 'x' AND vendorCategory LIKE 'y'') AND (partitionKey LIKE ''order-1'`,
+	}
+	var sqs []*StandingQuery
+	var results [][]string
+	for _, q := range queries {
+		res, err := f.ex.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v := newFoldedView()
+		sq, err := f.ex.SubscribeQuery(q, v.sink)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sq.Close()
+		want := canon(res.Rows, false)
+		if got := v.canon(); len(want) != 1 || !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s\n snapshot frame %v\n one-shot       %v (want one row)", q, got, want)
+		}
+		sqs = append(sqs, sq)
+		results = append(results, want)
+	}
+	if reflect.DeepEqual(results[0], results[1]) {
+		t.Fatalf("the two statements answer alike (%v): the fixture no longer tells them apart", results[0])
+	}
+	if sqs[0].g.t == sqs[1].g.t {
+		t.Fatal("two different pushed filters share one template")
+	}
+}
+
+// TestTemplateGroupCloseLeavesOthers: closing the last handle of one group
+// of a join template takes that group's entries out of the shared join
+// index — visiting only the join keys it filed them under — and nothing of
+// the other groups', which fold on and match the one-shot result.
+func TestTemplateGroupCloseLeavesOthers(t *testing.T) {
+	const n = 24
+	f := newFixture(t, n, liveSnapCfg())
+	states := []string{"VENDOR_ACCEPTED", "NOTIFIED", "PICKED_UP"}
+	write := func(round int) {
+		for i := 0; i < n; i++ {
+			f.state.Update(fmt.Sprintf("order-%d", i), orderState{OrderState: states[(i+round)%3]})
+		}
+		f.state.Flush()
+	}
+	write(0)
+	var sqs []*StandingQuery
+	var views []*foldedView
+	for _, st := range states {
+		v := newFoldedView()
+		sq, err := f.ex.SubscribeQuery(`SELECT i.deliveryZone, s.orderState FROM orderinfo i JOIN orderstate s USING(partitionKey) WHERE orderState = '`+st+`'`, v.sink)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sq.Close()
+		sqs, views = append(sqs, sq), append(views, v)
+	}
+	tpl := sqs[0].g.t
+	if sqs[1].g.t != tpl || sqs[2].g.t != tpl {
+		t.Fatal("joins differing only in a lifted literal compiled to two templates")
+	}
+	write(1)
+	closed := sqs[0].g
+	sqs[0].Close()
+	tpl.mu.Lock()
+	filed := 0
+	for _, es := range tpl.jindex[1] {
+		for _, e := range es {
+			if e.g == closed {
+				t.Fatalf("the closed group's entry %s is still in the join index", e.ks)
+			}
+			filed++
+		}
+	}
+	if want := n - n/3; filed != want || closed.jkeys[1] != nil {
+		t.Fatalf("after one of three groups closed the join index holds %d entries, want %d", filed, want)
+	}
+	tpl.mu.Unlock()
+	write(2)
+	for i := 1; i < len(sqs); i++ {
+		res, err := f.ex.Query(sqs[i].Query())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := views[i].canon(), canon(res.Rows, false); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s\n folded view %v\n one-shot    %v", sqs[i].Query(), got, want)
+		}
+	}
+}
+
+// TestSubscribeWatermarkCountsFromAttach: a handle that joins a live group
+// reports the deltas folded since it joined, not since the group started;
+// the group's first handle keeps counting from its own attach.
+func TestSubscribeWatermarkCountsFromAttach(t *testing.T) {
+	const n = 12
+	f := newFixture(t, n, liveSnapCfg())
+	const q = `SELECT partitionKey, customerLat FROM orderinfo WHERE deliveryZone = 'east'`
+	write := func(lat float64) {
+		for i := 0; i < n; i++ {
+			f.info.Update(fmt.Sprintf("order-%d", i), orderInfo{DeliveryZone: "east", CustomerLat: lat})
+		}
+		f.info.Flush()
+	}
+	view := newFoldedView()
+	first, err := f.ex.SubscribeQuery(q, view.sink)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer first.Close()
+	write(1)
+	var joinedAt uint64
+	joiner, err := f.ex.SubscribeQuery(q, func(*StandingQuery) func(SubEvent) {
+		return func(ev SubEvent) {
+			if ev.Snapshot {
+				joinedAt = ev.Watermark
+			}
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer joiner.Close()
+	if joiner.g != first.g {
+		t.Fatal("the same statement did not join the live group")
+	}
+	before := handed(f.store, first)
+	write(2)
+	mustHaveFolded(t, first, view, handed(f.store, first))
+	if joinedAt != 0 {
+		t.Fatalf("the joiner's snapshot frame reports watermark %d, want 0", joinedAt)
+	}
+	if got, want := joiner.Watermark(), handed(f.store, first)-before; got != want || want != n {
+		t.Fatalf("the joiner's watermark is %d, want the %d deltas since it joined", got, want)
+	}
+}
+
+// TestTemplatePinsSharedSideInstant: in a join whose side without slots
+// pushes a filter reading LOCALTIMESTAMP, that side is filed once for all
+// the template's groups, filtered at one instant — so the template is keyed
+// by the instant, and two subscriptions made at two instants get two
+// templates. Each folds to its one-shot result.
+func TestTemplatePinsSharedSideInstant(t *testing.T) {
+	const n = 12
+	f := newFixture(t, n, liveSnapCfg())
+	zones := []string{"east", "west"}
+	late := []time.Time{time.Now().Add(-time.Hour), time.Now().Add(time.Hour)}
+	write := func(round int) {
+		for i := 0; i < n; i++ {
+			key := fmt.Sprintf("order-%d", i)
+			f.info.Update(key, orderInfo{DeliveryZone: zones[(i+round)%2]})
+			f.state.Update(key, orderState{OrderState: "NOTIFIED", LateTimestamp: late[(i/2+round)%2]})
+		}
+		f.info.Flush()
+		f.state.Flush()
+	}
+	write(0)
+	var sqs []*StandingQuery
+	var views []*foldedView
+	for _, z := range zones {
+		v := newFoldedView()
+		sq, err := f.ex.SubscribeQuery(`SELECT i.deliveryZone, s.orderState FROM orderinfo i JOIN orderstate s USING(partitionKey) WHERE deliveryZone = '`+z+`' AND lateTimestamp < LOCALTIMESTAMP`, v.sink)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sq.Close()
+		if tpl := sq.g.t; len(tpl.slots[0]) != 1 || !tpl.pp.pinsInstant(tpl.slots) {
+			t.Fatalf("%s: want deliveryZone lifted and the template keyed by its instant", sq.Query())
+		}
+		sqs, views = append(sqs, sq), append(views, v)
+	}
+	if sqs[0].g.t == sqs[1].g.t {
+		t.Fatal("two subscriptions at two instants share a template that filters its shared side at one")
+	}
+	write(1)
+	for i, sq := range sqs {
+		mustHaveFolded(t, sq, views[i], handed(f.store, sq))
+		res, err := f.ex.Query(sq.Query())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := views[i].canon(), canon(res.Rows, false); len(want) == 0 || !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s\n folded view %v\n one-shot    %v", sq.Query(), got, want)
+		}
 	}
 }

@@ -77,7 +77,7 @@ func (e *Engine) registerSystemTables() {
 // source tables and overload policy, queue occupancy against capacity,
 // and the delivery accounting — frames delivered, frames shed on
 // overload, resync snapshots issued, and the source-delta watermark the
-// standing result has folded in. The lag column is the queue depth: how
+// standing result has folded in since the subscription attached. The lag column is the queue depth: how
 // many frames the consumer is behind the standing query.
 func (e *Engine) sysSubscriptions() []core.TableRow {
 	stats := e.Subscriptions()
@@ -101,8 +101,9 @@ func (e *Engine) sysSubscriptions() []core.TableRow {
 }
 
 // sysArrangements is one row per live table standing queries tap, read
-// from the store the way sys.indexes is: the table, its taps (one per
-// standing-query source side), its current row count, and its delta
+// from the store the way sys.indexes is: the table, its refs (one per
+// source side of every open subscription, from the executor, however many
+// share a tap), its current row count, and its delta
 // accounting — deltasIn, applied and watermark all count the deltas handed
 // to its taps (nothing buffers in between) — and the partition
 // replacements (failovers, migrations, clears) it has been through, both

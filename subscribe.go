@@ -13,13 +13,16 @@ import (
 // Standing queries. Engine.Subscribe turns a SELECT into a continuously
 // maintained result: the subscriber first receives a snapshot frame with
 // the full current result, then ordered delta frames as operator state
-// changes. Each subscription taps the live kv maps of its tables directly:
-// the map stays the one copy of the table, shared by every subscriber of
-// it, and a write reaches each of them through the map's own tap loop, so
-// N subscriptions cost N folds of the deltas, not N scans — the
-// steady-state economics the -exp subscribe experiment measures against
-// polling. sys.arrangements reports, per tapped map, how many taps share
-// it.
+// changes. Subscriptions share work by what they evaluate: every
+// `col = literal` conjunct a query pushes to one table is lifted into a
+// parameter, and all subscriptions that differ only in those literals
+// share one template, which taps the live kv maps of its tables once. A
+// write folds only into the parameter tuples its row carries, and
+// subscribers of the same tuple share one fold and receive the same frame,
+// so N subscriptions over one template cost the folds of the tuples a
+// write reaches, not N folds — the steady-state economics the -exp
+// subscribe experiment measures against polling. sys.arrangements
+// reports, per tapped map, how many subscription source sides read it.
 
 // Re-exported standing-query types.
 type (
@@ -36,8 +39,11 @@ type (
 // after it had none.
 type ArrangementInfo struct {
 	Table string
-	Refs  int // taps on the table: one per standing-query source side
-	Rows  int // the table's entry count
+	// Refs counts the standing-query source sides that read the table:
+	// one per side of every open subscription, however many of them share
+	// a template's tap.
+	Refs int
+	Rows int // the table's entry count
 	// DeltasIn and Applied both count the deltas handed to the taps:
 	// nothing buffers in between.
 	DeltasIn int64
@@ -71,7 +77,7 @@ type SubStats struct {
 	Delivered uint64 // frames enqueued to the consumer
 	Shed      uint64 // frames dropped by overload shedding
 	Resyncs   uint64 // snapshot frames issued after shedding
-	Watermark uint64 // source deltas folded into the standing result
+	Watermark uint64 // source deltas folded into the standing result since attach
 	Age       time.Duration
 	Done      bool
 }
@@ -307,9 +313,10 @@ func (e *Engine) Subscriptions() []SubStats {
 // table — the programmatic twin of sys.arrangements.
 func (e *Engine) Arrangements() []ArrangementInfo {
 	taps := e.clu.Store().TapInfos()
+	refs := e.ex.StandingRefs()
 	out := make([]ArrangementInfo, len(taps))
 	for i, t := range taps {
-		out[i] = ArrangementInfo{Table: t.Map, Refs: t.Taps, Rows: t.Rows,
+		out[i] = ArrangementInfo{Table: t.Map, Refs: refs[t.Map], Rows: t.Rows,
 			DeltasIn: t.Deltas, Applied: t.Deltas, Resets: t.Resets}
 	}
 	return out
