@@ -101,7 +101,10 @@ ckpt-smoke:
 # update staying at its allocation ceiling — evaluating a delta as a batch
 # of one allocates nothing extra — and a standing template's update
 # allocating the same with 1 and with 1 000 non-matching parameter tuples
-# attached); the standing-query
+# attached); the kv segment lock's two checks run under -race repeated (a
+# writer waiting behind a partition read is a counted lock wait, and
+# concurrent read-modify-write batches over shared keys lose no update);
+# the standing-query
 # parity runs hold the one compiled plan and its one evaluator to both
 # drive modes — a standing query folds signed rows through the plan,
 # filters and group form the one-shot fragments run, and
@@ -114,6 +117,7 @@ bench-smoke:
 	$(GO) test ./internal/wire ./internal/core -run 'TestZeroAllocScalarEncode|TestZeroAllocStructEncode|TestStructDecodeAllocs|TestBlobKeyAllocs' -count=1 -v
 	$(GO) test ./internal/persist -run 'TestDeltaEncodeAllocs' -count=1 -v
 	$(GO) test ./internal/kv -run 'TestIndexedPutAllocs|TestPutBatchAllocs|TestGetAllAllocs' -count=1 -v
+	$(GO) test ./internal/kv -run 'TestSegmentLockWaitsCounted|TestApplyBatchConcurrentIncrements' -race -count=20
 	$(GO) test ./internal/partition -run 'TestHashAllocs' -count=1 -v
 	$(GO) test ./internal/sql -run 'TestJoinFoldAllocs|TestScanFoldAllocs|TestKeyLookupAllocs|TestStandingAggDeltaAllocs|TestStandingDeltaAllocs|TestStandingDeltaCostFlatInWatchers|TestDifferentialStanding' -count=1 -v
 	$(GO) test . -run 'TestSubscribeParity$$' -count=1 -v

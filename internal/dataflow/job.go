@@ -547,34 +547,26 @@ func (j *Job) start(restoreSSID int64, standby bool) {
 					src.Rewind(offsets[offsetKey(v.Name, i)])
 				}
 				sw := &sourceWorker{
-					job:       j,
-					vertex:    v.Name,
-					instance:  i,
-					node:      node,
+					outbox: outbox{job: j, vertex: v.Name, instance: i, node: node,
+						outs: outsFor(v.Name, i), killCh: j.killCh,
+						ins: j.opInstrumentsFor(v.Name, i, node, nil)},
 					src:       src,
-					outs:      outsFor(v.Name, i),
 					barrierCh: make(chan int64, 4),
-					killCh:    j.killCh,
 					offset:    j.liveOffset(v.Name, i),
 					wmPolicy:  v.Watermarks,
-					ins:       j.opInstrumentsFor(v.Name, i, node, nil),
 				}
 				j.sources = append(j.sources, sw)
 				continue
 			}
 			w := &worker{
-				job:       j,
-				vertex:    v.Name,
-				instance:  i,
-				node:      node,
+				outbox: outbox{job: j, vertex: v.Name, instance: i, node: node,
+					outs: outsFor(v.Name, i), killCh: j.killCh,
+					ins: j.opInstrumentsFor(v.Name, i, node, inboxes[v.Name][i])},
 				inbox:     inboxes[v.Name][i],
 				producers: producers[v.Name],
-				outs:      outsFor(v.Name, i),
 				backend:   backend,
-				killCh:    j.killCh,
 				aligned:   make(map[producerID]bool),
 				eos:       make(map[producerID]bool),
-				ins:       j.opInstrumentsFor(v.Name, i, node, inboxes[v.Name][i]),
 			}
 			w.emitFn = w.emit
 			if backend != nil {

@@ -16,22 +16,36 @@ type edgeOut struct {
 	rr      int
 }
 
+// outbox is the output side of one vertex instance, operator and source
+// alike: its out edges, the kill channel that aborts a blocked send, and
+// the instruments its sends charge.
+type outbox struct {
+	job      *Job
+	vertex   string
+	instance int
+	node     int // cluster node the instance is scheduled on
+	outs     []*edgeOut
+	killCh   chan struct{}
+	killed   bool
+	ins      opInstruments
+
+	// curTrace is the hop span of the traced record an operator is
+	// currently processing; emit stamps it onto outgoing records so the
+	// next hop parents to this one. A source stamps its records itself
+	// and leaves it zero. Only the instance's goroutine touches it.
+	curTrace trace.SpanContext
+}
+
 // worker runs one instance of an operator or sink vertex: a single
 // goroutine consuming a bounded inbox, aligning checkpoint barriers, and
 // snapshotting its state backend at each checkpoint.
 type worker struct {
-	job       *Job
-	vertex    string
-	instance  int
-	node      int // cluster node the instance is scheduled on
+	outbox
 	inbox     chan item
 	producers int
-	outs      []*edgeOut
 	proc      Processor
 	backend   *core.Backend
 	drain     *drainer // ships backend's pins; nil with it (stateless workers)
-	killCh    chan struct{}
-	ins       opInstruments
 	// emitFn is w.emit bound once: a method value made at each Process
 	// call is a closure allocation per record.
 	emitFn Emit
@@ -45,7 +59,6 @@ type worker struct {
 	lastCkpt     int64 // highest ssid this instance has prepared
 	stash        []item
 	eos          map[producerID]bool
-	killed       bool
 	// barrierStart is when the first barrier of the in-flight alignment
 	// round arrived; barrier-wait is measured from it to alignment
 	// completion (the stall Figure 3's top channel pays at the marker).
@@ -55,11 +68,6 @@ type worker struct {
 	// the operator's combined (minimum) watermark.
 	wmFrom map[producerID]time.Time
 	curWM  time.Time
-
-	// curTrace is the hop span of the traced record currently being
-	// processed; emit stamps it onto outgoing records so the next hop
-	// parents to this one. Only this worker's goroutine touches it.
-	curTrace trace.SpanContext
 }
 
 func (w *worker) run() {
@@ -264,8 +272,7 @@ func (w *worker) completeCheckpoint() bool {
 		}
 		w.emitCkptSpan("pin", w.curSSID, pinStart, pinErr != nil)
 	}
-	w.job.sendAck(ack{vertex: w.vertex, instance: w.instance, ssid: w.curSSID, offset: -1, drains: drains, err: pinErr}, w.node)
-	w.broadcast(item{kind: kindBarrier, ssid: w.curSSID})
+	w.passBarrier(ack{ssid: w.curSSID, offset: -1, drains: drains, err: pinErr})
 	w.lastCkpt = w.curSSID
 	return w.resetAlignment()
 }
@@ -326,40 +333,48 @@ func (w *worker) finish() {
 // emit routes one record over every out edge. Records produced while a
 // traced record is being processed inherit its hop span as parent, so the
 // trace follows derived records downstream.
-func (w *worker) emit(rec Record) {
-	w.ins.recordsOut.Inc()
-	if w.curTrace.Valid() {
-		rec.Trace = w.curTrace
+func (o *outbox) emit(rec Record) {
+	o.ins.recordsOut.Inc()
+	if o.curTrace.Valid() {
+		rec.Trace = o.curTrace
 	}
-	for _, o := range w.outs {
+	for _, e := range o.outs {
 		var t int
-		switch o.kind {
+		switch e.kind {
 		case EdgePartitioned:
-			t = routeKey(w.job.part, rec.Key, len(o.targets))
+			t = routeKey(o.job.part, rec.Key, len(e.targets))
 		case EdgeForward:
-			t = w.instance
+			t = o.instance
 		default:
-			t = o.rr
-			o.rr = (o.rr + 1) % len(o.targets)
+			t = e.rr
+			e.rr = (e.rr + 1) % len(e.targets)
 		}
-		it := item{kind: kindRecord, rec: rec, from: o.prod}
+		it := item{kind: kindRecord, rec: rec, from: e.prod}
 		if rec.Trace.Valid() {
 			it.enq = time.Now()
 		}
-		w.send(o.targets[t], it)
+		o.send(e.targets[t], it)
 	}
 }
 
 // broadcast sends a control item to every downstream instance of every
 // out edge.
-func (w *worker) broadcast(it item) {
-	for _, o := range w.outs {
+func (o *outbox) broadcast(it item) {
+	for _, e := range o.outs {
 		it := it
-		it.from = o.prod
-		for _, ch := range o.targets {
-			w.send(ch, it)
+		it.from = e.prod
+		for _, ch := range e.targets {
+			o.send(ch, it)
 		}
 	}
+}
+
+// passBarrier completes phase 1 of checkpoint a.ssid for this instance:
+// it acks the coordinator, then forwards the barrier downstream.
+func (o *outbox) passBarrier(a ack) {
+	a.vertex, a.instance = o.vertex, o.instance
+	o.job.sendAck(a, o.node)
+	o.broadcast(item{kind: kindBarrier, ssid: a.ssid})
 }
 
 // send delivers an item with backpressure; a closed kill channel aborts
@@ -367,7 +382,7 @@ func (w *worker) broadcast(it item) {
 // path is a non-blocking send: only a full downstream inbox pays the
 // blocked-send stopwatch, so an uncongested pipeline sees no extra clock
 // reads.
-func (w *worker) send(ch chan item, it item) {
+func (o *outbox) send(ch chan item, it item) {
 	select {
 	case ch <- it:
 		return
@@ -376,12 +391,12 @@ func (w *worker) send(ch chan item, it item) {
 	start := time.Now()
 	select {
 	case ch <- it:
-	case <-w.killCh:
-		w.killed = true
+	case <-o.killCh:
+		o.killed = true
 	}
 	d := time.Since(start)
-	w.ins.noteBlocked(d)
-	emitPressureSpan(w.job.cfg.Tracer, w.vertex, w.instance, start, d)
+	o.ins.noteBlocked(d)
+	emitPressureSpan(o.job.cfg.Tracer, o.vertex, o.instance, start, d)
 }
 
 // pressureSpanMin is the blocked-send duration above which a health span
@@ -407,19 +422,12 @@ func emitPressureSpan(tr *trace.Tracer, vertex string, instance int, start time.
 // sourceWorker drives one source instance: it pulls records, stamps event
 // time, and injects checkpoint barriers on the coordinator's request.
 type sourceWorker struct {
-	job       *Job
-	vertex    string
-	instance  int
-	node      int // cluster node the instance is scheduled on
+	outbox
 	src       SourceInstance
-	outs      []*edgeOut
 	barrierCh chan int64
-	killCh    chan struct{}
-	killed    bool
 	// offset mirrors the source's replay position after every record;
 	// standby failover resumes from it.
 	offset *atomic.Int64
-	ins    opInstruments
 
 	// Watermark emission (nil = none).
 	wmPolicy *WatermarkPolicy
@@ -446,9 +454,7 @@ func (s *sourceWorker) run() {
 		case <-s.killCh:
 			return
 		case ssid := <-s.barrierCh:
-			// Phase 1 for a source: its snapshot is the replay offset.
-			s.job.sendAck(ack{vertex: s.vertex, instance: s.instance, ssid: ssid, offset: s.src.Offset()}, s.node)
-			s.broadcast(item{kind: kindBarrier, ssid: ssid})
+			s.checkpoint(ssid)
 		default:
 			rec, st := s.src.Next()
 			switch st {
@@ -474,8 +480,7 @@ func (s *sourceWorker) run() {
 						default:
 						}
 					}
-					s.job.sendAck(ack{vertex: s.vertex, instance: s.instance, ssid: ssid, offset: s.src.Offset()}, s.node)
-					s.broadcast(item{kind: kindBarrier, ssid: ssid})
+					s.checkpoint(ssid)
 				case <-idle.C:
 				}
 			default:
@@ -492,7 +497,6 @@ func (s *sourceWorker) run() {
 				s.emit(rec)
 				s.offset.Store(s.src.Offset())
 				s.job.sourceOut.Inc()
-				s.ins.recordsOut.Inc()
 				if g := s.ins.lastRecordUs; g != nil {
 					g.Set(time.Now().UnixMicro())
 				}
@@ -524,65 +528,22 @@ func (s *sourceWorker) maybeWatermark(et time.Time) {
 	s.broadcast(item{kind: kindWatermark, wm: wm})
 }
 
+// checkpoint is phase 1 for a source: its snapshot is the replay offset.
+func (s *sourceWorker) checkpoint(ssid int64) {
+	s.passBarrier(ack{ssid: ssid, offset: s.src.Offset()})
+}
+
 // drainBarriers acks any barrier requests that raced with end-of-stream
 // so the coordinator's in-flight checkpoint can still complete.
 func (s *sourceWorker) drainBarriers() {
 	for {
 		select {
 		case ssid := <-s.barrierCh:
-			s.job.sendAck(ack{vertex: s.vertex, instance: s.instance, ssid: ssid, offset: s.src.Offset()}, s.node)
-			s.broadcast(item{kind: kindBarrier, ssid: ssid})
+			s.checkpoint(ssid)
 		default:
 			return
 		}
 	}
-}
-
-func (s *sourceWorker) emit(rec Record) {
-	for _, o := range s.outs {
-		var t int
-		switch o.kind {
-		case EdgePartitioned:
-			t = routeKey(s.job.part, rec.Key, len(o.targets))
-		case EdgeForward:
-			t = s.instance
-		default:
-			t = o.rr
-			o.rr = (o.rr + 1) % len(o.targets)
-		}
-		it := item{kind: kindRecord, rec: rec, from: o.prod}
-		if rec.Trace.Valid() {
-			it.enq = time.Now()
-		}
-		s.send(o.targets[t], it)
-	}
-}
-
-func (s *sourceWorker) broadcast(it item) {
-	for _, o := range s.outs {
-		it := it
-		it.from = o.prod
-		for _, ch := range o.targets {
-			s.send(ch, it)
-		}
-	}
-}
-
-func (s *sourceWorker) send(ch chan item, it item) {
-	select {
-	case ch <- it:
-		return
-	default:
-	}
-	start := time.Now()
-	select {
-	case ch <- it:
-	case <-s.killCh:
-		s.killed = true
-	}
-	d := time.Since(start)
-	s.ins.noteBlocked(d)
-	emitPressureSpan(s.job.cfg.Tracer, s.vertex, s.instance, start, d)
 }
 
 // sendAck delivers a phase-1 ack to the coordinator without blocking the

@@ -114,32 +114,6 @@ func (g *grouping) next(lo int) (group, int) {
 	return group{p: p, idx: idx[lo:hi]}, hi
 }
 
-// stripeSet collects the distinct stripe locks a group needs, in stripe
-// order — every multi-stripe acquirer uses the same order, so batches
-// cannot deadlock against each other or against unary operations (which
-// take a single stripe, then the segment lock, the same ordering).
-type stripeSet struct {
-	need [lockStripes]bool
-}
-
-func (ss *stripeSet) add(ks string) { ss.need[stripeOf(ks)] = true }
-
-func (ss *stripeSet) lock(seg *segment, st *partStats) {
-	for i := range ss.need {
-		if ss.need[i] {
-			lockWith(&seg.stripes[i], st)
-		}
-	}
-}
-
-func (ss *stripeSet) unlock(seg *segment) {
-	for i := range ss.need {
-		if ss.need[i] {
-			seg.stripes[i].Unlock()
-		}
-	}
-}
-
 // PutBatch applies a batch of puts/deletes to the named map. Cost: one
 // message per remote partition group (carrying the group's operation
 // count and encoded size), one segment lock acquisition and — with
@@ -249,17 +223,10 @@ func (m *Map) applyGroup(v NodeView, g group, ops []Op, kss []string, merge merg
 	}
 	st := s.statsFor(g.p)
 	seg := m.segs[g.p]
-
-	var ss stripeSet
-	for _, i := range g.idx {
-		ss.add(kss[i])
-	}
-	ss.lock(seg, st)
-	seg.mu.Lock()
+	lockWith(&seg.mu, st)
 	if !force {
 		if err := s.checkFence(v.fence, g.p); err != nil {
 			seg.mu.Unlock()
-			ss.unlock(seg)
 			return 0, err
 		}
 	}
@@ -306,7 +273,6 @@ func (m *Map) applyGroup(v NodeView, g group, ops []Op, kss []string, merge merg
 	}
 	grew = len(seg.entries) - before
 	seg.mu.Unlock()
-	ss.unlock(seg)
 	if st != nil {
 		if merge != nil {
 			st.gets.Add(int64(len(g.idx)))

@@ -108,8 +108,8 @@ func TestScanPartitionBackupReadsReplica(t *testing.T) {
 	m := s.GetMap("m")
 	got := 0
 	for p := 0; p < s.Partitioner().Count(); p++ {
-		m.ScanPartitionBackup(p, func(e Entry) bool {
-			got++
+		m.ScanPartitionBackupWith(p, ScanOpts{}, func(es []Entry) bool {
+			got += len(es)
 			return true
 		})
 	}
@@ -119,7 +119,7 @@ func TestScanPartitionBackupReadsReplica(t *testing.T) {
 	// Without replication the backup scan is empty, not a panic.
 	s2 := testStore()
 	s2.View(0).Put("m", "a", 1)
-	s2.GetMap("m").ScanPartitionBackup(0, func(Entry) bool {
+	s2.GetMap("m").ScanPartitionBackupWith(0, ScanOpts{}, func([]Entry) bool {
 		t.Fatal("unreplicated backup scan produced an entry")
 		return false
 	})

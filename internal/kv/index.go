@@ -748,8 +748,9 @@ func (m *Map) ScanPartitionIndexedWith(p int, lk IndexLookup, o ScanOpts, fn fun
 	if ix == nil {
 		return false
 	}
+	st := m.store.statsFor(p)
 	seg := m.segs[p]
-	seg.mu.RLock()
+	rlockWith(&seg.mu, st)
 	entries := o.scratch(0)
 	seen := make(map[string]struct{})
 	ix.gatherLocked(p, lk, func(ks string) {
@@ -763,7 +764,7 @@ func (m *Map) ScanPartitionIndexedWith(p int, lk IndexLookup, o ScanOpts, fn fun
 	})
 	seg.mu.RUnlock()
 	ix.lookups.Add(1)
-	if st := m.store.statsFor(p); st != nil {
+	if st != nil {
 		st.scans.Inc()
 	}
 	o.chunks(entries, fn)

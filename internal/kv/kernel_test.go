@@ -66,10 +66,10 @@ func (f *kernelFixture) state() kernelState {
 			st.Entries[partition.KeyString(e.Key)] = e.Value
 			return true
 		})
-		f.m.ScanPartitionBackup(p, func(e Entry) bool {
+		f.m.ScanPartitionBackupWith(p, ScanOpts{}, eachEntry(func(e Entry) bool {
 			st.Backup[partition.KeyString(e.Key)] = e.Value
 			return true
-		})
+		}))
 		collect := func(into *[]string) func(Entry) bool {
 			return func(e Entry) bool {
 				*into = append(*into, fmt.Sprintf("%d/%s", p, partition.KeyString(e.Key)))

@@ -2,9 +2,10 @@
 // plays the role of Hazelcast IMDG in the paper: the state backend that
 // S-QUERY exposes to external queries. Data is split into partitions by the
 // shared partitioner (see internal/partition); each named map stores its
-// entries per partition, guarded by striped key-level locks — the same
-// locking S-QUERY uses to synchronise live-state updates against concurrent
-// reads (§VII, read committed discussion).
+// entries per partition, each partition's entries guarded by one
+// reader/writer lock — the synchronisation S-QUERY relies on so that a
+// query sees every key's whole latest value while live-state updates
+// proceed (§VII, read committed discussion).
 //
 // The store is cluster-wide; callers address it through a NodeView, which
 // identifies the calling node so that operations on partitions owned by a
@@ -174,10 +175,12 @@ func (s *Store) View(node int) NodeView {
 }
 
 // SetMetrics installs (or, with nil, removes) per-partition operation
-// accounting: get/set/delete/scan counts plus lock-wait events and summed
-// lock-wait nanoseconds under ("kv", "p<N>"). Lock waits are measured only
-// on the contended path — a failed TryLock — so the uncontended hot path
-// pays one counter increment per operation and nothing else.
+// accounting: get/set/delete/scan counts plus waits on the partition's
+// segment lock (events and summed nanoseconds) under ("kv", "p<N>"): a
+// writer waiting behind a scan's copy, a reader waiting behind a write.
+// Lock waits are measured only on the contended path — a failed TryLock or
+// TryRLock — so the uncontended hot path pays one counter increment per
+// operation and reads no clock.
 func (s *Store) SetMetrics(reg *metrics.Registry) {
 	if reg == nil {
 		s.stats.Store(nil)
@@ -207,18 +210,29 @@ func (s *Store) statsFor(p int) *partStats {
 	return (*sl)[p]
 }
 
-// lockWith acquires lk, charging contention to st only on the slow path:
-// an uncontended (or uninstrumented) acquisition is a plain Lock.
-func lockWith(lk *sync.Mutex, st *partStats) {
-	if st == nil {
-		lk.Lock()
-		return
+// lockWith write-locks mu. An uncontended acquisition is a TryLock and
+// reads no clock; only a wait is timed and charged to st (when non-nil).
+func lockWith(mu *sync.RWMutex, st *partStats) {
+	if !mu.TryLock() {
+		waitWith(mu.Lock, st)
 	}
-	if lk.TryLock() {
+}
+
+// rlockWith is lockWith for the read side.
+func rlockWith(mu *sync.RWMutex, st *partStats) {
+	if !mu.TryRLock() {
+		waitWith(mu.RLock, st)
+	}
+}
+
+// waitWith runs the blocking acquisition lock and charges its wait to st.
+func waitWith(lock func(), st *partStats) {
+	if st == nil {
+		lock()
 		return
 	}
 	start := time.Now()
-	lk.Lock()
+	lock()
 	st.lockWaits.Inc()
 	st.lockWaitNs.Add(time.Since(start).Nanoseconds())
 }
@@ -256,24 +270,13 @@ type Entry struct {
 	Value any
 }
 
-// lockStripes is the number of key-lock stripes per partition segment.
-// Striping approximates per-key locks without per-key mutex allocation.
-const lockStripes = 8
-
-// segment is the slice of one map living in one partition.
+// segment is the slice of one map living in one partition. Its one lock
+// is all the store's exclusion: a write holds it for the whole
+// read-modify-write of its partition group, a read for its map access or
+// its point-in-time copy.
 type segment struct {
-	mu      sync.RWMutex // guards the entries map structure
-	stripes [lockStripes]sync.Mutex
+	mu      sync.RWMutex
 	entries map[string]Entry // canonical key string -> entry
-}
-
-// stripeOf maps a canonical key string to its lock stripe.
-func stripeOf(ks string) int {
-	var h uint32
-	for i := 0; i < len(ks); i++ {
-		h = h*31 + uint32(ks[i])
-	}
-	return int(h % lockStripes)
 }
 
 // Map is a named, partitioned key-value map. With replication enabled,
@@ -324,22 +327,8 @@ func (m *Map) get(v NodeView, key partition.Key) (any, bool) {
 	if owner := v.ownerOf(p); node != owner {
 		m.store.tr.Send(transport.Msg{From: node, To: owner, Ops: 1, Bytes: wire.Size(key)})
 	}
-	st := m.store.statsFor(p)
-	seg := m.segs[p]
-	ks := partition.KeyString(key)
-	lk := &seg.stripes[stripeOf(ks)]
-	lockWith(lk, st)
-	seg.mu.RLock()
-	e, ok := seg.entries[ks]
-	seg.mu.RUnlock()
-	lk.Unlock()
-	if st != nil {
-		st.gets.Inc()
-	}
-	if !ok {
-		return nil, false
-	}
-	return e.Value, true
+	e, ok := m.Lookup(p, partition.KeyString(key), false)
+	return e.Value, ok
 }
 
 // Size returns the total number of entries across all partitions.
@@ -355,16 +344,22 @@ func (m *Map) Size() int {
 // charged, and like GetAll it holds only the segment read-lock, for the
 // map access alone.
 func (m *Map) Lookup(p int, ks string, backup bool) (Entry, bool) {
-	seg := m.segs[p]
 	if backup {
 		if m.backups == nil {
 			return Entry{}, false
 		}
-		seg = m.backups[p]
-	} else if st := m.store.statsFor(p); st != nil {
+		return readSeg(m.backups[p], nil, ks)
+	}
+	st := m.store.statsFor(p)
+	if st != nil {
 		st.gets.Inc()
 	}
-	seg.mu.RLock()
+	return readSeg(m.segs[p], st, ks)
+}
+
+// readSeg reads one entry of seg under its read lock.
+func readSeg(seg *segment, st *partStats, ks string) (Entry, bool) {
+	rlockWith(&seg.mu, st)
 	e, ok := seg.entries[ks]
 	seg.mu.RUnlock()
 	return e, ok
@@ -377,12 +372,13 @@ func (m *Map) Lookup(p int, ks string, backup bool) (Entry, bool) {
 // when there is no such entry. A pruned plan pays one segment read-lock
 // for both answers.
 func (m *Map) Sample(p int, usable func(Entry) bool) (size int, e Entry, ok bool) {
-	segs := m.segs
+	lo, hi := 0, len(m.segs)
 	if p >= 0 {
-		segs = segs[p : p+1]
+		lo, hi = p, p+1
 	}
-	for _, seg := range segs {
-		seg.mu.RLock()
+	for q := lo; q < hi; q++ {
+		seg := m.segs[q]
+		rlockWith(&seg.mu, m.store.statsFor(q))
 		size += len(seg.entries)
 		if !ok {
 			for _, c := range seg.entries {
@@ -539,30 +535,28 @@ func (m *Map) ScanPartition(p int, fn func(Entry) bool) {
 // unchanged no matter what fn does with a chunk. A chunk is only valid
 // until fn returns.
 func (m *Map) ScanPartitionWith(p int, o ScanOpts, fn func([]Entry) bool) {
-	if st := m.store.statsFor(p); st != nil {
+	st := m.store.statsFor(p)
+	if st != nil {
 		st.scans.Inc()
 	}
-	scanSeg(m.segs[p], o, fn)
+	scanSeg(m.segs[p], st, o, fn)
 }
 
-// ScanPartitionBackup is ScanPartition against the partition's backup
-// copy — the degraded read path a query falls back to when the primary is
-// unreachable. Without replication it visits nothing.
-func (m *Map) ScanPartitionBackup(p int, fn func(Entry) bool) {
-	m.ScanPartitionBackupWith(p, ScanOpts{}, eachEntry(fn))
-}
-
-// ScanPartitionBackupWith is ScanPartitionWith against the backup copy,
-// so a degraded (fallback) read is still a chunked fragment read.
+// ScanPartitionBackupWith is ScanPartitionWith against the partition's
+// backup copy — the degraded read path a query falls back to when the
+// primary is unreachable, still a chunked fragment read. Without
+// replication it visits nothing.
 func (m *Map) ScanPartitionBackupWith(p int, o ScanOpts, fn func([]Entry) bool) {
 	if m.backups == nil {
 		return
 	}
-	scanSeg(m.backups[p], o, fn)
+	scanSeg(m.backups[p], nil, o, fn)
 }
 
-func scanSeg(seg *segment, o ScanOpts, fn func([]Entry) bool) {
-	seg.mu.RLock()
+// scanSeg copies seg's entries under its read lock, charging a wait to st,
+// and hands the copy to fn outside it.
+func scanSeg(seg *segment, st *partStats, o ScanOpts, fn func([]Entry) bool) {
+	rlockWith(&seg.mu, st)
 	entries := o.scratch(len(seg.entries))
 	for _, e := range seg.entries {
 		entries = append(entries, e)
@@ -617,10 +611,9 @@ func (v NodeView) Delete(mapName string, key partition.Key) bool {
 // yield nil entries in the result. It is the batched read path: one
 // network hop per distinct remote node touched and one lock acquisition
 // per partition rather than per key — the getAll batching a distributed
-// map offers. (Reads only need the segment read-lock: writers hold the
-// segment write-lock for the actual mutation, so a reader can never
-// observe a torn entry; the per-key stripe locks serialize only the
-// single-key read-modify cycles.)
+// map offers. (Reads only need the segment read-lock: a writer holds the
+// segment write-lock for its whole read-modify-write, so a reader can
+// never observe a torn entry.)
 func (v NodeView) GetAll(mapName string, keys []partition.Key) []any {
 	m := v.store.GetMap(mapName)
 	// One pass, one hash per key: read the key and count it against its
@@ -644,11 +637,7 @@ func (v NodeView) GetAll(mapName string, keys []partition.Key) []any {
 			}
 			counts[owner]++
 		}
-		seg := m.segs[p]
-		seg.mu.RLock()
-		e, ok := seg.entries[partition.KeyString(k)]
-		seg.mu.RUnlock()
-		if ok {
+		if e, ok := readSeg(m.segs[p], v.store.statsFor(p), partition.KeyString(k)); ok {
 			out[i] = e.Value
 		}
 	}
@@ -694,14 +683,4 @@ func (v NodeView) Scan(mapName string, fn func(Entry) bool) {
 			return true
 		})
 	}
-}
-
-// Entries returns a point-in-time copy of all entries in the map.
-func (v NodeView) Entries(mapName string) []Entry {
-	var out []Entry
-	v.Scan(mapName, func(e Entry) bool {
-		out = append(out, e)
-		return true
-	})
-	return out
 }

@@ -170,7 +170,7 @@ func (s *Store) TapInfos() []TapInfo {
 // store.
 func (m *Map) ReadPartition(p int, fn func(entries func(yield func(Entry) bool))) {
 	seg := m.segs[p]
-	seg.mu.RLock()
+	rlockWith(&seg.mu, m.store.statsFor(p))
 	defer seg.mu.RUnlock()
 	fn(func(yield func(Entry) bool) {
 		for _, e := range seg.entries {

@@ -1,7 +1,12 @@
 package squery
 
 import (
+	"bufio"
+	"context"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"net/url"
 	"runtime"
 	"sort"
 	"strings"
@@ -11,6 +16,7 @@ import (
 
 	"squery/internal/core"
 	"squery/internal/dataflow"
+	"squery/internal/obshttp"
 	"squery/internal/transport"
 )
 
@@ -573,5 +579,77 @@ func TestSubscribeOwnsNoGoroutine(t *testing.T) {
 			t.Fatalf("a goroutine outlived Engine.Close:\n%s", g)
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestSubscribeHTTP drives the SSE /subscribe endpoint end to end: the
+// engine's adapter serves a standing query over HTTP, a write's delta
+// reaches the client, and a client that disconnects leaves no
+// subscription behind in sys.subscriptions.
+func TestSubscribeHTTP(t *testing.T) {
+	eng := New(Config{Nodes: 3, Partitions: 27})
+	defer eng.Close()
+	recs, phase1 := subTallyRecords(8)
+	release, finish := startSubTallyJob(t, eng, recs, phase1)
+	defer finish()
+	srv := httptest.NewServer(obshttp.Handler(obshttp.Options{Subscribe: eng.HTTPSubscribe}))
+	defer srv.Close()
+
+	ctx, disconnect := context.WithCancel(context.Background())
+	defer disconnect()
+	q := url.QueryEscape(`SELECT partitionKey, total FROM subtally`)
+	req, err := http.NewRequestWithContext(ctx, "GET", srv.URL+"/subscribe?q="+q, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d", resp.StatusCode)
+	}
+	kinds := make(chan string)
+	go func() {
+		defer close(kinds)
+		sc := bufio.NewScanner(resp.Body)
+		for sc.Scan() {
+			if kind, ok := strings.CutPrefix(sc.Text(), "event: "); ok {
+				kinds <- kind
+			}
+		}
+	}()
+	next := func() string {
+		select {
+		case k := <-kinds:
+			return k
+		case <-time.After(10 * time.Second):
+			t.Fatal("no SSE event within 10s")
+			return ""
+		}
+	}
+	if k := next(); k != "columns" {
+		t.Fatalf("first event %q, want columns", k)
+	}
+	if k := next(); k != "snapshot" {
+		t.Fatalf("second event %q, want snapshot", k)
+	}
+	if n := len(eng.Subscriptions()); n != 1 {
+		t.Fatalf("%d subscriptions while the client is connected, want 1", n)
+	}
+	release()
+	if k := next(); k != "delta" {
+		t.Fatalf("event after a write %q, want delta", k)
+	}
+
+	disconnect()
+	waitFor(t, func() bool { return len(eng.Subscriptions()) == 0 }, "the disconnected client's subscription to end")
+	res, err := eng.Query(`SELECT subscription FROM sys.subscriptions`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != 0 {
+		t.Fatalf("sys.subscriptions not empty after the client disconnected: %v", res.Rows)
 	}
 }
