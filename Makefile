@@ -157,9 +157,13 @@ index-smoke:
 # attach-racing arm), its template arm and the resident-state count
 # repeated (templates shared by many parameter tuples while handles
 # attach and close under write waves: a lock-order or seeding regression
-# shows as a deadlock, a race report or a diverged view), and the
-# engine's subscription suite (subscribe-vs-poll parity, and no goroutine
-# per subscription or after Engine.Close), all under -race.
+# shows as a deadlock, a race report or a diverged view), the
+# co-partitioned joins that read their partner from kv under the
+# partition lock repeated (subscriptions attaching and closing while four
+# writers update both tables, and the self-join arm of the oracle: a
+# partition lock taken twice shows as a hang), and the engine's
+# subscription suite (subscribe-vs-poll parity, and no goroutine per
+# subscription or after Engine.Close), all under -race.
 subscribe-smoke:
 	chmod +x scripts/subscribe-smoke.sh
 	./scripts/subscribe-smoke.sh
@@ -167,6 +171,7 @@ subscribe-smoke:
 	$(GO) test ./internal/kv -run 'TestTapAttachCleanCut|TestTapInfos' -race -count=20
 	$(GO) test ./internal/sql -run 'TestDifferentialStanding|TestSubscribe|TestStandingQuery|TestTemplate' -race -count=1 -v
 	$(GO) test ./internal/sql -run 'TestDifferentialStanding/templates|TestStandingQueryHoldsOutputOnly' -race -count=20
+	$(GO) test ./internal/sql -run 'TestCoJoinAttachUnderWriters|TestDifferentialStanding/selfjoins' -race -count=20
 	$(GO) test . -run 'TestSubscribe' -race -count=1 -v
 	$(GO) test ./internal/experiments -run 'TestSubscribeExpShape' -count=1 -v
 

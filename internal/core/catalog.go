@@ -305,22 +305,24 @@ func (t *TableRef) ScanPartitionSpec(p int, spec ScanSpec, fn func([]TableRow) b
 	t.scanPartition(p, spec, false, fn)
 }
 
-// Attach subscribes tap to this live table's change stream, then seeds
-// from every partition (Seed). A delta of partition p reaches the tap
-// either before seed(p) — and the rows seed(p) is handed already hold its
-// effect — or after seed(p) returns, on rows it has not seen. Live tables
-// only; Detach with the same tap.
+// Attach subscribes tap to this live table's change stream, then, unless
+// seed is nil, seeds from every partition (Seed). A delta of partition p
+// reaches the tap either before seed(p) — and the rows seed(p) is handed
+// already hold its effect — or after seed(p) returns, on rows it has not
+// seen. Live tables only; Detach with the same tap.
 func (t *TableRef) Attach(tap kv.Tap, seed func(p int, rows []TableRow)) {
 	t.m.AttachTap(tap)
-	t.Seed(seed)
+	if seed != nil {
+		t.Seed(seed)
+	}
 }
 
 // Seed calls seed once per partition with that partition's rows, under
-// its segment read lock (kv.Map.ReadPartition), so no delta of the
-// partition lands while seed(p) runs. A consumer whose tap is already
-// attached seeds again this way to bring in state it did not keep. seed
-// runs under the tap's contract, and its rows are valid only during the
-// call. Live tables only.
+// the partition's read lock (kv.Map.ReadPartition), so no delta of the
+// partition — in this table or any other — lands while seed(p) runs. A
+// consumer whose tap is already attached seeds again this way to bring in
+// state it did not keep. seed runs under the tap's contract, and its rows
+// are valid only during the call. Live tables only.
 func (t *TableRef) Seed(seed func(p int, rows []TableRow)) {
 	var rows []TableRow
 	for p := range t.Partitions() {
@@ -425,6 +427,19 @@ func (t *TableRef) scanPartition(p int, spec ScanSpec, backup bool, fn func([]Ta
 func (t *TableRef) Lookup(p int, ks string, ssid int64) (TableRow, bool) {
 	return t.lookup(p, ks, ssid, false)
 }
+
+// LookupLocked is Lookup on a live table for a caller that already holds
+// partition p's lock: a tap delivery or a Seed callback of partition p, of
+// this table or any other (kv.Map.LookupLocked). It takes no lock and is
+// valid nowhere else.
+func (t *TableRef) LookupLocked(p int, ks string) (TableRow, bool) {
+	e, ok := t.m.LookupLocked(p, ks)
+	return TableRow{Key: e.Key, Raw: e.Value}, ok
+}
+
+// SameState reports whether two tables read the same kv map: a self-join
+// names one table twice.
+func (t *TableRef) SameState(o *TableRef) bool { return t.m != nil && t.m == o.m }
 
 // LookupFallback is Lookup against the partition's backup replica of the
 // snapshot table — the probe half of a degraded (PolicyFallback) read.

@@ -223,7 +223,7 @@ func (m *Map) applyGroup(v NodeView, g group, ops []Op, kss []string, merge merg
 	}
 	st := s.statsFor(g.p)
 	seg := m.segs[g.p]
-	lockWith(&seg.mu, st)
+	lockWith(seg.mu, st)
 	if !force {
 		if err := s.checkFence(v.fence, g.p); err != nil {
 			seg.mu.Unlock()

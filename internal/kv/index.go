@@ -750,7 +750,7 @@ func (m *Map) ScanPartitionIndexedWith(p int, lk IndexLookup, o ScanOpts, fn fun
 	}
 	st := m.store.statsFor(p)
 	seg := m.segs[p]
-	rlockWith(&seg.mu, st)
+	rlockWith(seg.mu, st)
 	entries := o.scratch(0)
 	seen := make(map[string]struct{})
 	ix.gatherLocked(p, lk, func(ks string) {

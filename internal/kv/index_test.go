@@ -3,9 +3,10 @@ package kv
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
-	"time"
 
 	"squery/internal/partition"
 	"squery/internal/transport"
@@ -338,6 +339,7 @@ func TestCreateIndexConcurrentWrites(t *testing.T) {
 	s := testStore()
 	m := s.GetMap("m")
 	var wg sync.WaitGroup
+	var writes atomic.Int64
 	stop := make(chan struct{})
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
@@ -357,14 +359,21 @@ func TestCreateIndexConcurrentWrites(t *testing.T) {
 				} else {
 					v.Put("m", k, MapRow{"zone": fmt.Sprintf("z%d", rng.Intn(4))})
 				}
+				writes.Add(1)
 			}
 		}(w)
 	}
-	time.Sleep(5 * time.Millisecond)
+	// The writers are live before the build and stay live after it.
+	waitWrites := func(n int64) {
+		for writes.Load() < n {
+			runtime.Gosched()
+		}
+	}
+	waitWrites(500)
 	if _, err := m.CreateIndex("zone", IndexHash, nil); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(5 * time.Millisecond)
+	waitWrites(writes.Load() + 500)
 	close(stop)
 	wg.Wait()
 	idx, served := collectIndexed(m, IndexLookup{Col: "zone", Eq: "z3"}, zoneIs("z3"))
@@ -403,7 +412,9 @@ func TestIndexEpochFenceRegression(t *testing.T) {
 		// Stamped with the pre-flip epoch; bounces until thaw + refresh.
 		fv.Put("m", key, MapRow{"zone": "moved"})
 	}()
-	time.Sleep(2 * time.Millisecond) // let the writer hit the fence
+	for s.FenceStats().Rejects == 0 { // let the writer hit the fence
+		runtime.Gosched()
+	}
 	s.assign.Apply([]partition.Change{{Partition: part, Owner: s.assign.Owner(part), Backup: s.assign.Backup(part)}})
 	s.RebuildPartitionIndexes(part)
 	s.EndPartitionMigration(part)

@@ -2,10 +2,15 @@
 // plays the role of Hazelcast IMDG in the paper: the state backend that
 // S-QUERY exposes to external queries. Data is split into partitions by the
 // shared partitioner (see internal/partition); each named map stores its
-// entries per partition, each partition's entries guarded by one
-// reader/writer lock — the synchronisation S-QUERY relies on so that a
-// query sees every key's whole latest value while live-state updates
-// proceed (§VII, read committed discussion).
+// entries per partition. The store has one reader/writer lock per
+// partition, shared by every map's primary copy of that partition — the
+// synchronisation S-QUERY relies on so that a query sees every key's whole
+// latest value while live-state updates proceed (§VII, read committed
+// discussion). A writer, a tap delivery or a ReadPartition callback that
+// holds partition p holds it for every map, so it may read any map's
+// partition p with LookupLocked and take no lock; it must not take p's
+// lock again, because a Go RWMutex is not reentrant and a nested read
+// waits behind a pending writer.
 //
 // The store is cluster-wide; callers address it through a NodeView, which
 // identifies the calling node so that operations on partitions owned by a
@@ -64,6 +69,10 @@ type Store struct {
 	fenceRetries atomic.Int64
 	fenceForced  atomic.Int64
 
+	// locks holds partition p's lock at index p: every map's primary
+	// segment of p points at it.
+	locks []sync.RWMutex
+
 	mu   sync.RWMutex
 	maps map[string]*Map
 }
@@ -95,6 +104,7 @@ func NewStore(p partition.Partitioner, a *partition.Assignment, tr transport.Tra
 		assign:    a,
 		tr:        tr,
 		migrating: make([]atomic.Bool, p.Count()),
+		locks:     make([]sync.RWMutex, p.Count()),
 		maps:      make(map[string]*Map),
 	}
 }
@@ -176,8 +186,9 @@ func (s *Store) View(node int) NodeView {
 
 // SetMetrics installs (or, with nil, removes) per-partition operation
 // accounting: get/set/delete/scan counts plus waits on the partition's
-// segment lock (events and summed nanoseconds) under ("kv", "p<N>"): a
-// writer waiting behind a scan's copy, a reader waiting behind a write.
+// lock (events and summed nanoseconds) under ("kv", "p<N>"): a writer
+// waiting behind a scan's copy, a reader waiting behind a write — of the
+// same map or of any other, since every map's partition p shares one lock.
 // Lock waits are measured only on the contended path — a failed TryLock or
 // TryRLock — so the uncontended hot path pays one counter increment per
 // operation and reads no clock.
@@ -270,13 +281,24 @@ type Entry struct {
 	Value any
 }
 
-// segment is the slice of one map living in one partition. Its one lock
-// is all the store's exclusion: a write holds it for the whole
+// segment is the slice of one map living in one partition. Its lock is
+// all the store's exclusion: a write holds it for the whole
 // read-modify-write of its partition group, a read for its map access or
-// its point-in-time copy.
+// its point-in-time copy. A primary segment's lock is its partition's
+// store lock, shared with every other map's segment of the partition —
+// snapshot maps included; a backup segment owns its lock.
 type segment struct {
-	mu      sync.RWMutex
+	mu      *sync.RWMutex
 	entries map[string]Entry // canonical key string -> entry
+}
+
+// newBackups returns a map's backup segments, each with its own lock.
+func newBackups(n int) []*segment {
+	bs := make([]*segment, n)
+	for i := range bs {
+		bs[i] = &segment{mu: new(sync.RWMutex), entries: make(map[string]Entry)}
+	}
+	return bs
 }
 
 // Map is a named, partitioned key-value map. With replication enabled,
@@ -296,13 +318,10 @@ type Map struct {
 func newMap(s *Store, name string) *Map {
 	m := &Map{store: s, name: name, segs: make([]*segment, s.part.Count())}
 	for i := range m.segs {
-		m.segs[i] = &segment{entries: make(map[string]Entry)}
+		m.segs[i] = &segment{mu: &s.locks[i], entries: make(map[string]Entry)}
 	}
 	if s.replicated {
-		m.backups = make([]*segment, s.part.Count())
-		for i := range m.backups {
-			m.backups[i] = &segment{entries: make(map[string]Entry)}
-		}
+		m.backups = newBackups(s.part.Count())
 	}
 	return m
 }
@@ -357,9 +376,22 @@ func (m *Map) Lookup(p int, ks string, backup bool) (Entry, bool) {
 	return readSeg(m.segs[p], st, ks)
 }
 
+// LookupLocked is Lookup on the primary copy for a caller that already
+// holds partition p's lock: inside a tap delivery or a ReadPartition
+// callback of partition p, on this map or any other of the store. It takes
+// no lock — taking p's again there could deadlock — and is valid nowhere
+// else.
+func (m *Map) LookupLocked(p int, ks string) (Entry, bool) {
+	if st := m.store.statsFor(p); st != nil {
+		st.gets.Inc()
+	}
+	e, ok := m.segs[p].entries[ks]
+	return e, ok
+}
+
 // readSeg reads one entry of seg under its read lock.
 func readSeg(seg *segment, st *partStats, ks string) (Entry, bool) {
-	rlockWith(&seg.mu, st)
+	rlockWith(seg.mu, st)
 	e, ok := seg.entries[ks]
 	seg.mu.RUnlock()
 	return e, ok
@@ -378,7 +410,7 @@ func (m *Map) Sample(p int, usable func(Entry) bool) (size int, e Entry, ok bool
 	}
 	for q := lo; q < hi; q++ {
 		seg := m.segs[q]
-		rlockWith(&seg.mu, m.store.statsFor(q))
+		rlockWith(seg.mu, m.store.statsFor(q))
 		size += len(seg.entries)
 		if !ok {
 			for _, c := range seg.entries {
@@ -420,12 +452,15 @@ func (m *Map) Clear() {
 func (m *Map) resetPartitionLocked(p int, seg *segment, entries map[string]Entry) {
 	m.resets.Add(1)
 	if entries != nil {
-		if taps := m.tapSet(); len(taps) > 0 {
-			if ds := m.diffLocked(p, seg, entries); len(ds) > 0 {
-				m.handTaps(taps, ds)
-			}
+		var ds []Delta
+		taps := m.tapSet()
+		if len(taps) > 0 {
+			ds = m.diffLocked(p, seg, entries)
 		}
 		seg.entries = entries
+		if len(ds) > 0 {
+			m.handTaps(taps, ds)
+		}
 	}
 	for _, ix := range m.indexSet() {
 		ix.rebuildLocked(p, seg.entries)
@@ -556,7 +591,7 @@ func (m *Map) ScanPartitionBackupWith(p int, o ScanOpts, fn func([]Entry) bool) 
 // scanSeg copies seg's entries under its read lock, charging a wait to st,
 // and hands the copy to fn outside it.
 func scanSeg(seg *segment, st *partStats, o ScanOpts, fn func([]Entry) bool) {
-	rlockWith(&seg.mu, st)
+	rlockWith(seg.mu, st)
 	entries := o.scratch(len(seg.entries))
 	for _, e := range seg.entries {
 		entries = append(entries, e)

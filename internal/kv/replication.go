@@ -27,10 +27,7 @@ func (s *Store) SetReplicated() error {
 	s.replicated = true
 	for _, m := range s.maps {
 		if m.backups == nil {
-			m.backups = make([]*segment, s.part.Count())
-			for i := range m.backups {
-				m.backups[i] = &segment{entries: make(map[string]Entry)}
-			}
+			m.backups = newBackups(s.part.Count())
 		}
 	}
 	return nil

@@ -11,22 +11,26 @@ import (
 // Change stream tap. A Tap attached to a map observes every mutation as
 // an ordered stream of per-partition deltas — upserts and tombstones —
 // each naming the value it replaced. Deltas are emitted inside the same
-// segment-write-lock critical section that performs the mutation (exactly
-// where inline index maintenance runs), so the stream is totally ordered
-// per partition and can never miss or reorder a write relative to what
-// readers of the map observe. Paths that replace a partition's entries
-// wholesale (failover promotion, Clear) emit the difference between the
-// entries they replace and the ones they install as ordinary deltas, and a
-// rebuild over the entries already in place (a migration flip) emits
-// nothing: what a tap has seen is exactly what the partition holds.
+// partition-write-lock critical section that performs the mutation
+// (exactly where inline index maintenance runs), after the partition's
+// entries hold it, so the stream is totally ordered per partition and can
+// never miss or reorder a write relative to what readers of the map
+// observe. Paths that replace a partition's entries wholesale (failover
+// promotion, Clear) emit the difference between the entries they replace
+// and the ones they install as ordinary deltas, and a rebuild over the
+// entries already in place (a migration flip) emits nothing: what a tap
+// has seen is exactly what the partition holds.
 //
-// The segment lock is also what brackets an attach. A consumer attaches
+// The partition lock is also what brackets an attach. A consumer attaches
 // its tap, then reads each partition with ReadPartition: the read holds
-// the segment read lock, so every delta of that partition reached the tap
-// either before the read began, and the entries it hands over already
+// the partition's read lock, so every delta of that partition reached the
+// tap either before the read began, and the entries it hands over already
 // hold its effect, or after the read ended, and is new to them. A standing
 // query (internal/sql) attaches one tap per source side this way, through
-// core.TableRef.Attach.
+// core.TableRef.Attach. Because the lock is the partition's, for every map
+// of the store, a delivery or a ReadPartition callback of partition p also
+// sees every other map's partition p at rest: a co-partitioned standing
+// join reads its partner row there with LookupLocked.
 
 // Delta is one observed mutation of a map partition.
 type Delta struct {
@@ -47,9 +51,11 @@ type Delta struct {
 }
 
 // Tap observes a map's change stream. OnDeltas is called on the writer
-// with the mutated partition's segment write lock held: an implementation
-// does bounded work under its own lock, never blocks on anything a writer
-// can hold and never calls back into the store.
+// with the mutated partition's write lock held — the lock of that
+// partition in every map of the store: an implementation does bounded work
+// under its own lock, never blocks on anything a writer can hold and never
+// calls back into the store, except to read the delivered partition of any
+// map with LookupLocked.
 type Tap interface {
 	// OnDeltas delivers one ordered group of deltas for one partition.
 	OnDeltas(ds []Delta)
@@ -111,7 +117,7 @@ func (m *Map) DetachTap(t Tap) {
 func (m *Map) TapCount() int { return len(m.tapSet()) }
 
 // handTaps delivers one group to every tap and counts it. The caller holds
-// the group's segment write lock.
+// the group's partition write lock.
 func (m *Map) handTaps(taps []Tap, ds []Delta) {
 	m.handed.Add(int64(len(ds)))
 	for _, t := range taps {
@@ -154,23 +160,24 @@ func (s *Store) TapInfos() []TapInfo {
 	return out
 }
 
-// ReadPartition calls fn while it holds partition p's segment read lock.
-// fn is handed entries, which visits the partition's entries in place
-// (the shape of an iter.Seq[Entry]) and is valid only during the call. No
-// write to the partition lands while fn runs, so fn sees exactly the state
-// every delta the partition emitted before the call produced, and none of
-// the deltas after it.
+// ReadPartition calls fn while it holds partition p's read lock. fn is
+// handed entries, which visits the partition's entries in place (the shape
+// of an iter.Seq[Entry]) and is valid only during the call. No write to
+// the partition, in this map or any other of the store, lands while fn
+// runs, so fn sees exactly the state every delta the partition emitted
+// before the call produced, and none of the deltas after it.
 //
 // This deliberately departs from ScanPartition's copy-then-iterate rule:
-// the lock is held for all of fn's cost, so a writer to the partition —
-// and, behind a waiting writer, any new reader of it — waits for fn. It is
-// for attaching a consumer of the change stream, not for queries, and fn
-// works under the tap's contract: bounded work under its own lock, never
-// blocking on anything a writer can hold, never calling back into the
-// store.
+// the lock is held for all of fn's cost, so a writer to the partition of
+// any map — and, behind a waiting writer, any new reader of it — waits for
+// fn. It is for attaching a consumer of the change stream, not for
+// queries, and fn works under the tap's contract: bounded work under its
+// own lock, never blocking on anything a writer can hold, never calling
+// back into the store except to read partition p of any map with
+// LookupLocked.
 func (m *Map) ReadPartition(p int, fn func(entries func(yield func(Entry) bool))) {
 	seg := m.segs[p]
-	rlockWith(&seg.mu, m.store.statsFor(p))
+	rlockWith(seg.mu, m.store.statsFor(p))
 	defer seg.mu.RUnlock()
 	fn(func(yield func(Entry) bool) {
 		for _, e := range seg.entries {

@@ -211,6 +211,72 @@ func TestTapResetOnWholesaleReplace(t *testing.T) {
 	}
 }
 
+// lookupTap reads, for every delta it is handed, the delta's key in its
+// own map and in a partner map with LookupLocked — the one read a tap may
+// make, under the partition lock the delivery holds for every map.
+type lookupTap struct {
+	own, partner *Map
+	bad          []string
+	partnerHits  int
+}
+
+func (l *lookupTap) OnDeltas(ds []Delta) {
+	last := map[string]Delta{} // the group's post-image: its last delta per key
+	for _, d := range ds {
+		last[d.KeyS] = d
+	}
+	for _, d := range last {
+		e, ok := l.own.LookupLocked(d.Part, d.KeyS)
+		if ok == d.Tombstone || (ok && e.Value != d.Value) {
+			l.bad = append(l.bad, fmt.Sprintf("%v: delta %+v, own map holds %v (present %v)", d.Key, d, e.Value, ok))
+		}
+		if _, ok := l.partner.LookupLocked(d.Part, d.KeyS); ok {
+			l.partnerHits++
+		}
+	}
+}
+
+// TestTapReadsPartitionAtRest: every map's primary copy of a partition
+// shares one lock, so a tap reads its own and a partner map's partition
+// with LookupLocked, and sees its own map already holding the group of
+// deltas it is handed — from the write kernel and from the wholesale
+// resets alike.
+// Backup copies keep their own locks.
+func TestTapReadsPartitionAtRest(t *testing.T) {
+	p := partition.New(8)
+	s := NewStore(p, partition.Assign(p.Count(), 2), nil)
+	if err := s.SetReplicated(); err != nil {
+		t.Fatal(err)
+	}
+	m, n := s.GetMap("m"), s.GetMap("n")
+	for q := range m.segs {
+		if m.segs[q].mu != n.segs[q].mu || m.backups[q].mu == n.backups[q].mu || m.backups[q].mu == m.segs[q].mu {
+			t.Fatalf("partition %d: primaries must share one lock and backups own theirs", q)
+		}
+	}
+	v := s.View(0)
+	for i := 0; i < 20; i++ {
+		v.Put("n", i, "partner")
+	}
+	tap := &lookupTap{own: m, partner: n}
+	m.AttachTap(tap)
+	for i := 0; i < 20; i++ {
+		v.Put("m", i, i)
+	}
+	v.Put("m", 3, 33)
+	v.Delete("m", 4)
+	v.PutBatch("m", []Op{{Key: 5, Value: 55}, {Key: 6, Delete: true}, {Key: 5, Value: 555}})
+	s.FailNode([]int{0, 1, 2, 3})
+	m.Clear()
+	m.DetachTap(tap)
+	if len(tap.bad) > 0 {
+		t.Fatalf("a tap read its own map before the delta it was handed:\n%v", tap.bad)
+	}
+	if tap.partnerHits == 0 {
+		t.Fatal("the tap never found a partner row")
+	}
+}
+
 // TestDetachTapStopsDelivery: after DetachTap no new deltas arrive, and
 // other taps keep receiving.
 func TestDetachTapStopsDelivery(t *testing.T) {

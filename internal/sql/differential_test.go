@@ -74,6 +74,9 @@ type diffFixture struct {
 	// liveOnly makes generate read live tables only, which is what a
 	// standing query can subscribe to.
 	liveOnly bool
+	// selfJoin makes generate build every query over a co-partitioned join
+	// of a table with itself.
+	selfJoin bool
 	// limits is the range an unordered LIMIT is drawn from.
 	limits int
 }
@@ -484,15 +487,23 @@ func (f *diffFixture) generate(rng *rand.Rand) dQuery {
 	}
 	byKey := func(l, r dRow) bool { return l[core.ColPartitionKey] == r[core.ColPartitionKey] }
 	pair := [][2]string{{"dorder", "dstate"}, {"dstate", "dorder"}, {"dorder", "dnote"}, {"dnote", "dstate"}}[rng.Intn(4)]
-	switch shape := rng.Intn(6); shape {
-	case 0, 1: // single table
+	switch shape := rng.Intn(6); {
+	case f.selfJoin: // co-partitioned self-join, in either form
+		op := dOps[rng.Intn(len(dOps))]
+		a, b := add(op, "x"), add(op, "y")
+		cond := " USING(partitionKey)"
+		if rng.Intn(2) == 0 {
+			cond = " ON x.partitionKey = y.partitionKey"
+		}
+		from, joinOn = as(a)+" JOIN "+as(b)+cond, byKey
+	case shape < 2: // single table
 		op := []string{"dorder", "dstate", "dnote"}[rng.Intn(3)]
 		alias := ""
 		if rng.Intn(3) == 0 {
 			alias = "t"
 		}
 		from = as(add(op, alias))
-	case 2: // co-partitioned join
+	case shape == 2: // co-partitioned join
 		a, b := add(pair[0], ""), add(pair[1], "")
 		if a.sql == b.sql {
 			srcs, pins = srcs[:1], pins[:0]
@@ -500,10 +511,10 @@ func (f *diffFixture) generate(rng *rand.Rand) dQuery {
 			break
 		}
 		from, joinOn = as(a)+" JOIN "+as(b)+" USING(partitionKey)", byKey
-	case 3: // general join on the key
+	case shape == 3: // co-partitioned join in the ON form
 		a, b := add(pair[0], "x"), add(pair[1], "y")
 		from, joinOn = as(a)+" JOIN "+as(b)+" ON x.partitionKey = y.partitionKey", byKey
-	case 4: // left join
+	case shape == 4: // left join
 		a, b := add(pair[0], "x"), add(pair[1], "y")
 		from, joinOn, outer = as(a)+" LEFT JOIN "+as(b)+" USING(partitionKey)", byKey, true
 	default: // general join on a non-key column, many-to-many
@@ -1043,11 +1054,15 @@ func TestPushdownSoundnessRules(t *testing.T) {
 // run on another goroutine, so every attach races writes to the partitions
 // it seeds; once the waves stop, each folded view must equal the one-shot
 // result too. Its template arm subscribes generated templates under many
-// parameter tuples (templateArm).
+// parameter tuples (templateArm), and its self-join arm runs both over
+// co-partitioned joins of a table with itself, whose two taps receive the
+// same deltas.
 func TestDifferentialStanding(t *testing.T) {
 	t.Run("queries", func(t *testing.T) {
 		for seed := int64(1); seed <= 4; seed++ {
-			queryArm(t, seed)
+			f := newDiffFixture(t, seed, 60)
+			f.liveOnly = true
+			queryArm(t, f, seed)
 		}
 	})
 	t.Run("templates", func(t *testing.T) {
@@ -1057,14 +1072,20 @@ func TestDifferentialStanding(t *testing.T) {
 			templateArm(t, f, seed, rand.New(rand.NewSource(seed*104729)))
 		}
 	})
+	t.Run("selfjoins", func(t *testing.T) {
+		for seed := int64(1); seed <= 2; seed++ {
+			f := newDiffFixture(t, seed, 60)
+			f.liveOnly, f.selfJoin = true, true
+			queryArm(t, f, seed)
+			templateArm(t, f, seed, rand.New(rand.NewSource(seed*104729)))
+		}
+	})
 }
 
 // queryArm is TestDifferentialStanding's query arm over one seed's
 // fixture.
-func queryArm(t *testing.T, seed int64) {
+func queryArm(t *testing.T, f *diffFixture, seed int64) {
 	const perSeed = 150
-	f := newDiffFixture(t, seed, 60)
-	f.liveOnly = true
 	rng := rand.New(rand.NewSource(seed * 7919))
 	type standing struct {
 		sql  string

@@ -641,9 +641,9 @@ func keyEquality(b Binary) (Ident, Lit, bool) {
 // the hints onto the plan's Scan nodes, so EXPLAIN's pruned counts and
 // execution's skipped partitions come from the same decision. A qualified
 // pin (t.partitionKey = x) prunes only that table. An unqualified pin
-// prunes the FROM table — and, for a co-partitioned USING(partitionKey)
-// join, the joined table too, since the join key IS the partition key on
-// both sides. Pruning is skipped for literal types whose hash is not
+// prunes the FROM table — and, for a co-partitioned inner join
+// (coPartitioned), the joined table too, since the join key IS the
+// partition key on both sides. Pruning is skipped for literal types whose hash is not
 // provably consistent with SQL equality (floats, which equality-coerces
 // across int/float while the partitioner does not).
 func applyKeyHints(stmt *Select, srcs []tableSrc, where Expr) {
@@ -651,8 +651,7 @@ func applyKeyHints(stmt *Select, srcs []tableSrc, where Expr) {
 	if len(pins) == 0 {
 		return
 	}
-	coPart := len(srcs) == 2 && len(stmt.Joins) == 1 &&
-		stmt.Joins[0].Using == core.ColPartitionKey && !stmt.Joins[0].Left
+	coPart := coPartitioned(stmt, srcs) && !stmt.Joins[0].Left
 	for i := range srcs {
 		s := &srcs[i]
 		key, found := pins[strings.ToLower(s.alias)]
@@ -713,6 +712,18 @@ func (ex *Executor) recordPartScan(s *tableSrc, p int, examined, emitted int64, 
 		ins.rows.Add(emitted)
 		ins.scan.Record(d)
 	}
+}
+
+// coPartitioned reports whether the statement's one join, over two
+// sources, matches their partition keys — USING(partitionKey) or ON
+// x.partitionKey = y.partitionKey — so a row's partner lives under the
+// same key in the same partition.
+func coPartitioned(stmt *Select, srcs []tableSrc) bool {
+	if len(srcs) != 2 || len(stmt.Joins) != 1 {
+		return false
+	}
+	left, right, err := joinKeys(stmt.Joins[0], srcs, 1)
+	return err == nil && left.Name == core.ColPartitionKey && right.Name == core.ColPartitionKey
 }
 
 // joinKeys returns the key columns of join j: the one read from the

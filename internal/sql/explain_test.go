@@ -53,12 +53,20 @@ func TestExplainCoPartitionedJoin(t *testing.T) {
 
 func TestExplainGlobalJoinAndPinnedSSID(t *testing.T) {
 	f := newFixture(t, 4, liveSnapCfg())
+	// ON over the two partition keys is co-partitioned, like USING.
 	plan, err := f.ex.Explain(`SELECT COUNT(*) FROM "snapshot_orderinfo" AS a JOIN "snapshot_orderstate" AS b ON a.partitionKey = b.partitionKey WHERE a.ssid = 1`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(plan, "global hash join") {
-		t.Errorf("plan missing global join:\n%s", plan)
+	if !strings.Contains(plan, "join ON a.partitionKey = b.partitionKey co-partitioned key-lookup join") {
+		t.Errorf("plan missing co-partitioned ON join:\n%s", plan)
+	}
+	global, err := f.ex.Explain(`SELECT COUNT(*) FROM "snapshot_orderinfo" AS a JOIN "snapshot_orderstate" AS b ON a.deliveryZone = b.orderState WHERE a.ssid = 1`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(global, "global hash join") {
+		t.Errorf("plan missing global join:\n%s", global)
 	}
 	if !strings.Contains(plan, "(pinned)") {
 		t.Errorf("plan missing pinned ssid note:\n%s", plan)

@@ -222,6 +222,9 @@ func (s *Scan) Annotate() string {
 type CoJoin struct {
 	stats Stats
 
+	// Cond is the join condition, pre-rendered ("USING(partitionKey)",
+	// "ON a.partitionKey = b.partitionKey").
+	Cond string
 	// Drive is the side the fragment scans, Probe the side it looks each
 	// surviving row's key up in.
 	Drive, Probe Node
@@ -246,11 +249,11 @@ func (j *CoJoin) Stat() *Stats { return &j.stats }
 // Describe implements Node.
 func (j *CoJoin) Describe() string {
 	if j.LeftOuter {
-		return fmt.Sprintf("join USING(partitionKey) co-partitioned key-lookup join, driven from the left side (est≈%d rows), one probe per surviving row (co-location, no shuffle), left outer",
-			j.DriveEst)
+		return fmt.Sprintf("join %s co-partitioned key-lookup join, driven from the left side (est≈%d rows), one probe per surviving row (co-location, no shuffle), left outer",
+			j.Cond, j.DriveEst)
 	}
-	return fmt.Sprintf("join USING(partitionKey) co-partitioned key-lookup join, driven from the side with the smaller estimate after its filter (est≈%d rows), one probe per surviving row (co-location, no shuffle)",
-		j.DriveEst)
+	return fmt.Sprintf("join %s co-partitioned key-lookup join, driven from the side with the smaller estimate after its filter (est≈%d rows), one probe per surviving row (co-location, no shuffle)",
+		j.Cond, j.DriveEst)
 }
 
 // Annotate implements Node.

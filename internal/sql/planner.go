@@ -44,8 +44,8 @@ type physPlan struct {
 	// star expands SELECT * from the first row the query produces.
 	star starExpansion
 
-	// coPart: the one join is USING(partitionKey), so the fragment probes
-	// the other table's same partition by key. drive is the source whose
+	// coPart: the one join matches the two partition keys (coPartitioned),
+	// so the fragment probes the other table's same partition by key. drive is the source whose
 	// partitions the fragment reads — 0, or 1 when a co-partitioned join
 	// is driven from its right side.
 	coPart   bool
@@ -151,8 +151,7 @@ func (ex *Executor) compile(stmt *Select, opts ExecOpts, planOnly bool) (*physPl
 	// A co-partitioned join probes keyed storage; a provider-backed table
 	// has none and joins through the general path. A LEFT JOIN probes too,
 	// driven from its left side.
-	pp.coPart = !pp.clientSide && len(pp.srcs) == 2 && len(stmt.Joins) == 1 &&
-		stmt.Joins[0].Using == core.ColPartitionKey &&
+	pp.coPart = !pp.clientSide && coPartitioned(stmt, pp.srcs) &&
 		!pp.srcs[0].ref.IsVirtual() && !pp.srcs[1].ref.IsVirtual()
 
 	// One Scan leaf per source, snapshot ids resolved atomically now
@@ -256,7 +255,7 @@ func (ex *Executor) compile(stmt *Select, opts ExecOpts, planOnly bool) (*physPl
 	case pp.coPart:
 		probe := pp.scans[1-pp.drive]
 		probe.Probe = true
-		cj := &plan.CoJoin{Drive: pp.scans[pp.drive], Probe: probe, DriveEst: pp.driveEst, LeftOuter: stmt.Joins[0].Left}
+		cj := &plan.CoJoin{Cond: joinCond(stmt.Joins[0]), Drive: pp.scans[pp.drive], Probe: probe, DriveEst: pp.driveEst, LeftOuter: stmt.Joins[0].Left}
 		node, pp.join = cj, cj
 	default:
 		node = pp.scans[0]

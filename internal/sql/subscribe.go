@@ -21,8 +21,8 @@ import (
 // runs a source row through the plan's stages as an insert or as a
 // retraction, evaluating each as a batch of one row through the one
 // evaluator the one-shot fragments run chunks through (evalBatch): the
-// source's pushed filter, then for a join the join index and the partner
-// rows it enumerates, the residual filter, and last the select list
+// source's pushed filter, then for a join its partner rows, the residual
+// filter, and last the select list
 // (project, as the one-shot project sink calls it) or the row's group
 // keys and aggregate arguments. Two drive modes feed it: each partition of
 // each source table seeds in as inserts; then every delta of the table's
@@ -42,19 +42,28 @@ import (
 // those under New's. A template without slots has one group. A plan that
 // reads LOCALTIMESTAMP fixes it when its group is created, so the instant
 // is part of the group's key: such queries share a template's dispatch,
-// and share output only with a query bound to the same instant. A join
-// template keeps one join index per side; a side without slots files each
-// row once for every group, and an entry of a side with slots names its
-// group. A side without slots is filtered once, at filing, so where its
-// pushed filter reads LOCALTIMESTAMP the instant is part of the template's
-// key too (templateKey), and all the template's groups share it.
+// and share output only with a query bound to the same instant.
+//
+// A co-partitioned join — on the two partition keys, so a row's partner
+// lives under its key in its partition (§II) — keeps no copy of either
+// side: a fold reads the partner row from kv with LookupLocked, under the
+// partition lock its delivery or seed already holds for every map of the
+// store, and pairs the two in the groups both tuples reach (coFold). Any
+// other join template keeps one join index per side; a side without slots
+// files each row once for every group, and an entry of a side with slots
+// names its group. A join side without slots is filtered under the
+// template's instant, so where its pushed filter reads LOCALTIMESTAMP the
+// instant is part of the template's key too (templateKey), and all the
+// template's groups share it.
 //
 // Both drive modes run under the template's lock and under the
-// partition's segment lock — the seed on the subscriber, the delta on the
-// writer that made the change: no goroutine or queue stands between a
-// state write and the frame the sinks receive for it. The lock order is
-// segment lock, then the template's; attaches of one template's groups
-// take turns ahead of both.
+// partition's lock — the seed on the subscriber, the delta on the writer
+// that made the change: no goroutine or queue stands between a state
+// write and the frame the sinks receive for it. The lock order is
+// partition lock, then the template's; attaches of one template's groups
+// take turns ahead of both. Nothing that holds a partition lock takes one
+// again: a Go RWMutex is not reentrant, and a nested read waits behind a
+// pending writer.
 //
 // A retraction needs no record of what its row produced. A delta's Old is
 // exactly the row the template inserted for the key, and evaluation is
@@ -64,8 +73,9 @@ import (
 //
 // A standing query holds no copy of its source tables: the kv map is the
 // one copy. What stays resident per group is its output — matched rows,
-// or groups — and per template, for a join, the join index of the rows
-// that passed their side's pushed filter. A group is the one-shot group
+// or groups — and per template, for a join that is not co-partitioned,
+// the join index of the rows that passed their side's pushed filter. A
+// group is the one-shot group
 // form kept live: a retractable partialGroup whose accumulators each
 // member row's aggregate arguments are added to on insert and removed
 // from on retraction, a member count, and a head row copied from its first
@@ -225,7 +235,8 @@ func (st *sideTap) OnDeltas(ds []kv.Delta) { st.t.deliver(st.side, ds) }
 
 // template is one lifted plan and the state every standing query over it
 // shares: a tap per source side, the groups by parameter tuple, and for a
-// join one join index per side. Everything below mu is guarded by it.
+// join that is not co-partitioned one join index per side. Everything
+// below mu is guarded by it.
 type template struct {
 	ex  *Executor
 	key string
@@ -240,6 +251,9 @@ type template struct {
 	// it reads one, is the template's (templateKey).
 	ctx  *evalCtx
 	taps [2]sideTap
+	// self: a co-partitioned join of a table with itself, whose two taps
+	// receive the same deltas (coFold).
+	self bool
 	// open counts the handles on the template's groups; the last Close
 	// detaches the taps. dead, set under mu, means the template takes no
 	// more groups and folds nothing: its last handle closed, or an error
@@ -260,16 +274,19 @@ type template struct {
 	bySide [2]map[string][]*group
 	all    []*group
 	// attaching is the group being seeded (nil when none). filling[s],
-	// while the first group seeds, records which partitions of side s
-	// without slots its shared join index holds; nil once it is whole.
+	// while the first group of a join with a join index seeds, records
+	// which partitions of side s without slots the shared index holds; nil
+	// once it is whole.
 	attaching *group
 	filling   [2][]bool
 	// deltas counts the deltas handed to the taps since the template
 	// attached them.
 	deltas uint64
 	// jindex[s] files side s's rows that passed its pushed filter by join
-	// key (join mode only) — the shape the one-shot hash joins build, kept
-	// alive: few rows share a key, so a short slice beats a map per key.
+	// key, for a join that is not co-partitioned — the shape the one-shot
+	// hash joins build, kept alive: few rows share a key, so a short slice
+	// beats a map per key. A co-partitioned join has none: it reads a
+	// row's partner from kv (coFold).
 	jindex [2]map[joinKey][]joinEntry
 	// touched lists the live groups the batch being delivered changed.
 	touched []*group
@@ -348,16 +365,16 @@ type StandingQuery struct {
 // Snapshot, to end the subscription on a terminal error) has it by the
 // time it first runs.
 //
-// A partition's seed and its deltas are ordered by the partition's
-// segment lock. The lock order is the writer's — segment lock, then the
-// template's — and nothing holds the template's lock while it waits for a
-// segment lock.
+// A partition's seed and its deltas are ordered by the partition's lock.
+// The lock order is the writer's — partition lock, then the template's —
+// and nothing holds the template's lock while it waits for a partition
+// lock.
 //
 // The sink receives the initial snapshot frame before SubscribeQuery
 // returns, then one delta frame per delta group that changed the group's
 // output; every handle on the group receives the same frame, and only
 // reads it. The sink runs with the template's lock held, on whichever
-// writer goroutine made the change, inside that writer's segment lock: it
+// writer goroutine made the change, inside that writer's partition lock: it
 // must do bounded work, never block on anything a writer can hold, never
 // call into the store, and never call Close (hand that to another
 // goroutine). Close drops the handle.
@@ -457,7 +474,10 @@ func (ex *Executor) template(key string, pp *physPlan, slots [2][]*colRef, now t
 	if pp.agg != nil {
 		t.fin = newFinisher(pp.srcs)
 	}
-	if len(pp.srcs) == 2 {
+	switch {
+	case pp.coPart:
+		t.self = pp.srcs[0].ref.SameState(pp.srcs[1].ref)
+	case len(pp.srcs) == 2:
 		t.jindex = [2]map[joinKey][]joinEntry{{}, {}}
 	}
 	ex.standing.tpls[key] = t
@@ -524,11 +544,14 @@ func (t *template) subscribe(sq *StandingQuery, tuple [2]string, now time.Time) 
 	t.mu.Unlock()
 
 	for i, s := range t.pp.srcs {
-		seed := func(p int, rows []core.TableRow) { t.seed(g, i, p, rows) }
+		var seed func(p int, rows []core.TableRow)
+		if g.seeded[i] != nil {
+			seed = func(p int, rows []core.TableRow) { t.seed(g, i, p, rows) }
+		}
 		switch {
 		case first:
 			s.ref.Attach(&t.taps[i], seed)
-		case g.seeded[i] != nil:
+		case seed != nil:
 			s.ref.Seed(seed)
 		}
 	}
@@ -559,25 +582,34 @@ func (t *template) subscribe(sq *StandingQuery, tuple [2]string, now time.Time) 
 	return true, nil
 }
 
-// newGroup builds the group of key, to be seeded: the first group of a
-// template seeds every side, filling the shared join index of a side
-// without slots as it goes; a later one seeds the sides with slots — or,
-// in a join with none, side 0 against side 1's whole index — and reads a
-// side without slots from the join index it shares.
+// newGroup builds the group of key, to be seeded. A co-partitioned join
+// seeds side 1 alone, pairing each row with its partner read from kv, and
+// needs side 0 seeded nowhere: until side 1's partition is in, no row of
+// the partition pairs. Otherwise the first group of a template seeds every
+// side, filling the shared join index of a side without slots as it goes;
+// a later one seeds the sides with slots — or, in a join with none, side 0
+// against side 1's whole index — and reads a side without slots from the
+// join index it shares.
 func (t *template) newGroup(key string, tuple [2]string, now time.Time, first bool) *group {
 	pp := t.pp
 	g := &group{t: t, key: key, tuple: tuple, ctx: &evalCtx{now: now}, base: t.deltas,
 		matched: map[string][]any{}, groups: map[string]*subGroup{}}
-	join := len(pp.srcs) == 2
-	for i, s := range pp.srcs {
-		if first || !join || len(t.slots[i]) > 0 || (i == 0 && len(t.slots[1]) == 0) {
-			g.seeded[i] = make([]bool, s.ref.Partitions())
-		}
-		switch {
-		case join && len(t.slots[i]) > 0:
-			g.jkeys[i] = map[joinKey]int{}
-		case first && join:
-			t.filling[i] = make([]bool, s.ref.Partitions())
+	switch {
+	case len(pp.srcs) == 1:
+		g.seeded[0] = make([]bool, pp.srcs[0].ref.Partitions())
+	case pp.coPart:
+		g.seeded[1] = make([]bool, pp.srcs[1].ref.Partitions())
+	default:
+		for i, s := range pp.srcs {
+			if first || len(t.slots[i]) > 0 || (i == 0 && len(t.slots[1]) == 0) {
+				g.seeded[i] = make([]bool, s.ref.Partitions())
+			}
+			switch {
+			case len(t.slots[i]) > 0:
+				g.jkeys[i] = map[joinKey]int{}
+			case first:
+				t.filling[i] = make([]bool, s.ref.Partitions())
+			}
 		}
 	}
 	if pp.agg != nil && len(pp.groupBy) == 0 {
@@ -733,7 +765,7 @@ func (sq *StandingQuery) Close() {
 }
 
 // seed is drive mode 1, the snapshot scan: Seed calls it with the rows of
-// source side's partition p under that partition's segment read lock. It
+// source side's partition p under that partition's read lock. It
 // marks the partition seeded for g, then folds the rows into g's attach
 // batch as inserts.
 func (t *template) seed(g *group, side, p int, rows []core.TableRow) {
@@ -750,7 +782,7 @@ func (t *template) seed(g *group, side, p int, rows []core.TableRow) {
 }
 
 // deliver is drive mode 2, a delta group of source side's table: it runs
-// on the writer, under the writer's segment lock. It folds each delta into
+// on the writer, under the writer's partition lock. It folds each delta into
 // the groups it can change — a group still attaching only where its
 // partitions are seeded — then settles every live group the batch touched
 // and hands its output deltas to its sinks as one frame, or its evaluation
@@ -762,9 +794,12 @@ func (t *template) deliver(side int, ds []kv.Delta) {
 		return
 	}
 	t.deltas += uint64(len(ds))
-	if g := t.attaching; g != nil && !g.sees(side, ds[0].Part) {
+	if g := t.attaching; g != nil && !t.folds(g, side, ds[0].Part) {
 		// A group is one partition's deltas; the seed reads their effect.
 		g.base += uint64(len(ds))
+	}
+	if t.self && side == 1 {
+		return // side 0's delivery of the same deltas folded them
 	}
 	for i := range ds {
 		d := &ds[i]
@@ -816,17 +851,29 @@ func (g *group) sees(side, p int) bool {
 	return g.failed == nil && (g.seeded[side] == nil || g.seeded[side][p])
 }
 
+// folds reports whether g folds a delta of side's partition p: it sees
+// the partition, and in a co-partitioned join the partner's too, since the
+// two pair only there.
+func (t *template) folds(g *group, side, p int) bool {
+	return g.sees(side, p) && (!t.pp.coPart || g.sees(1-side, p))
+}
+
 // fold runs one source row through the template as an insert (add) or as
 // the retraction of that row's earlier insert, as a batch of one, into the
-// groups it can change — into only, for a seed. It reads the side's slot
-// columns once to find those groups, then runs each group's pushed filter;
-// for a join it links or unlinks the row in its side's join index under
-// the plan's bound join key and pairs it with every partner the other side
-// files under that key. A side without slots files a row once for every
+// groups it can change — into only, for a seed. A co-partitioned join
+// folds in coFold. Otherwise it reads the side's slot columns once to find
+// those groups, then runs each group's pushed filter; for a join it links
+// or unlinks the row in its side's join index under the plan's bound join
+// key and pairs it with every partner the other side files under that
+// key. A side without slots files a row once for every
 // group, and its partners name the groups. ks is the row's partition-key
 // string and part its partition.
 func (t *template) fold(side, part int, ks string, row *core.TableRow, add bool, only *group) {
 	t.rows[side] = *row
+	if t.pp.coPart {
+		t.coFold(side, part, ks, add, only)
+		return
+	}
 	gs, ok := t.reach(side, only)
 	if !ok {
 		return
@@ -866,6 +913,51 @@ func (t *template) fold(side, part int, ks string, row *core.TableRow, add bool,
 		t.link(side, jk, joinEntry{ks: ks, part: part, row: *row}, add)
 	}
 	t.probe(side, part, jk, ks, add, only)
+}
+
+// coFold is fold for a co-partitioned join, its row loaded in rows: the
+// row's partner is the other side's row under the same key in the same
+// partition, read from kv under the partition lock the delivery or seed
+// holds for every map (LookupLocked) — in a self-join, the row itself,
+// since both taps see the one delta and side 0's folds it. Where the two
+// keys are join-equal, as the one-shot probe requires, the pair joins
+// every group that both rows' tuples reach, that sees the partition on
+// both sides and whose pushed filters both rows pass.
+func (t *template) coFold(side, part int, ks string, add bool, only *group) {
+	o := 1 - side
+	gs, ok := t.reach(side, only)
+	if !ok || (len(t.slots[side]) == 0 && !t.passes(nil, side)) {
+		return
+	}
+	if t.self {
+		t.rows[o] = t.rows[side]
+	} else {
+		r, found := t.pp.srcs[o].ref.LookupLocked(part, ks)
+		if !found || makeJoinKey(r.Key) != makeJoinKey(t.rows[side].Key) {
+			return
+		}
+		t.rows[o] = r
+	}
+	oSlots := len(t.slots[o]) > 0
+	switch {
+	case !oSlots:
+		if !t.passes(nil, o) {
+			return
+		}
+	case !t.tuple(o):
+		return
+	case len(t.slots[side]) == 0 && only == nil:
+		gs = t.bySide[o][string(t.tup)]
+	}
+	for _, g := range gs {
+		if oSlots && g.tuple[o] != string(t.tup) || !g.sees(side, part) || !g.sees(o, part) {
+			continue
+		}
+		if len(t.slots[side]) > 0 && !t.passes(g, side) || oSlots && !t.passes(g, o) {
+			continue
+		}
+		t.output(g, ks, ks, add)
+	}
 }
 
 // reach returns the groups a row of side, loaded in rows, can change:

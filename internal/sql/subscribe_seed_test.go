@@ -159,7 +159,7 @@ func residentEntries(v reflect.Value) int {
 }
 
 // held counts what a template keeps resident per source row: its join
-// index, and each of the given handles' groups (once each).
+// index, if it has one, and each of the given handles' groups (once each).
 func held(sqs ...*StandingQuery) int {
 	n := residentEntries(reflect.ValueOf(sqs[0].g.t.jindex))
 	seen := map[*group]bool{}
@@ -172,14 +172,12 @@ func held(sqs ...*StandingQuery) int {
 	return n
 }
 
-// TestStandingQueryHoldsOutputOnly: a group keeps its output and its
-// template, for a join, the join index of the rows that passed their
-// side's pushed filter — nothing else per source row. A side whose filter
-// was lifted files each row for its group alone, and the group counts the
-// join key it filed the row under, so that dropping the group visits its
-// own keys only; a side without slots files each row once for all groups. Each case folds one update of every
-// key of the fixture's tables, then counts what the groups and their
-// template hold.
+// TestStandingQueryHoldsOutputOnly: a group keeps its output — nothing
+// else per source row. A co-partitioned join keeps no join index either:
+// it reads a row's partner from kv, under the partition lock its delivery
+// holds, so its template files no row and its groups count no join key.
+// Each case folds one update of every key of the fixture's tables, then
+// counts what the groups and their template hold.
 func TestStandingQueryHoldsOutputOnly(t *testing.T) {
 	const n = 24
 	zones := []string{"east", "west"}
@@ -203,33 +201,29 @@ func TestStandingQueryHoldsOutputOnly(t *testing.T) {
 		resident: func(sqs []*StandingQuery) (int, int) { return held(sqs...), 0 },
 	}, {
 		// orderState is orderstate's column alone, so the WHERE pushes to
-		// that side, and is lifted: its join index holds the third of the
-		// rows in PICKED_UP, not every order, and the group counts their n/3
-		// join keys. The other side holds all n, and each matching pair is
-		// one output row.
+		// that side, and is lifted. Neither side is filed: the group holds
+		// its n/3 output rows, one per order in PICKED_UP, and nothing else.
 		name:    "join pushed to one side",
 		queries: []string{joinOn("PICKED_UP")},
 		update:  func(f *fixture, i int, key string) { f.state.Update(key, orderState{OrderState: states[(i+1)%3]}) },
 		resident: func(sqs []*StandingQuery) (int, int) {
-			if got := residentEntries(reflect.ValueOf(sqs[0].g.t.jindex[1])); got != n/3 {
-				return got, n / 3
+			if got := residentEntries(reflect.ValueOf(sqs[0].g.t.jindex)); got != 0 {
+				return got, 0
 			}
-			return held(sqs...), n + n/3 + n/3 + n/3
+			return held(sqs...), n / 3
 		},
 	}, {
 		// Three joins that differ only in the lifted literal share one
-		// template: orderinfo, the side without slots, is filed once (n
-		// entries, not 3n), orderstate once per row under its own group,
-		// which counts the row's join key, and each row is one group's
-		// output row.
+		// template, which files no row of either side: each row is one
+		// group's output row, and that is all the groups hold.
 		name:    "joins differing in the lifted literal",
 		queries: []string{joinOn(states[0]), joinOn(states[1]), joinOn(states[2])},
 		update:  func(f *fixture, i int, key string) { f.state.Update(key, orderState{OrderState: states[(i+1)%3]}) },
 		resident: func(sqs []*StandingQuery) (int, int) {
-			if got := residentEntries(reflect.ValueOf(sqs[0].g.t.jindex[0])); got != n {
-				return got, n
+			if got := residentEntries(reflect.ValueOf(sqs[0].g.t.jindex)); got != 0 {
+				return got, 0
 			}
-			return held(sqs...), n + n + n + n
+			return held(sqs...), n
 		},
 	}, {
 		// A group is its accumulators: one entry per group, plus one per
@@ -471,23 +465,17 @@ func TestTemplateKeyIsStructural(t *testing.T) {
 // TestTemplateGroupCloseLeavesOthers: closing the last handle of one group
 // of a join template takes that group's entries out of the shared join
 // index — visiting only the join keys it filed them under — and nothing of
-// the other groups', which fold on and match the one-shot result.
+// the other groups', which fold on and match the one-shot result. The join
+// is on zone, not on the partition key, so the template keeps a join index.
 func TestTemplateGroupCloseLeavesOthers(t *testing.T) {
-	const n = 24
-	f := newFixture(t, n, liveSnapCfg())
-	states := []string{"VENDOR_ACCEPTED", "NOTIFIED", "PICKED_UP"}
-	write := func(round int) {
-		for i := 0; i < n; i++ {
-			f.state.Update(fmt.Sprintf("order-%d", i), orderState{OrderState: states[(i+round)%3]})
-		}
-		f.state.Flush()
-	}
-	write(0)
+	f := newDiffFixture(t, 1, 60)
+	f.liveOnly = true
+	amounts := []int64{3, 4, 7}
 	var sqs []*StandingQuery
 	var views []*foldedView
-	for _, st := range states {
+	for _, a := range amounts {
 		v := newFoldedView()
-		sq, err := f.ex.SubscribeQuery(`SELECT i.deliveryZone, s.orderState FROM orderinfo i JOIN orderstate s USING(partitionKey) WHERE orderState = '`+st+`'`, v.sink)
+		sq, err := f.ex.SubscribeQuery(fmt.Sprintf(`SELECT o.partitionKey, n.note FROM dorder o JOIN dnote n ON o.zone = n.zone WHERE o.amount = %d`, a), v.sink)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -498,12 +486,21 @@ func TestTemplateGroupCloseLeavesOthers(t *testing.T) {
 	if sqs[1].g.t != tpl || sqs[2].g.t != tpl {
 		t.Fatal("joins differing only in a lifted literal compiled to two templates")
 	}
-	write(1)
+	f.write(40)
 	closed := sqs[0].g
 	sqs[0].Close()
+	want := 0
+	for _, r := range f.tables["dorder"].live {
+		if r["amount"] == amounts[1] || r["amount"] == amounts[2] {
+			want++
+		}
+	}
+	if want == 0 {
+		t.Fatal("no order holds the two remaining amounts: the fixture no longer exercises the index")
+	}
 	tpl.mu.Lock()
 	filed := 0
-	for _, es := range tpl.jindex[1] {
+	for _, es := range tpl.jindex[0] {
 		for _, e := range es {
 			if e.g == closed {
 				t.Fatalf("the closed group's entry %s is still in the join index", e.ks)
@@ -511,19 +508,13 @@ func TestTemplateGroupCloseLeavesOthers(t *testing.T) {
 			filed++
 		}
 	}
-	if want := n - n/3; filed != want || closed.jkeys[1] != nil {
+	if filed != want || closed.jkeys[0] != nil {
 		t.Fatalf("after one of three groups closed the join index holds %d entries, want %d", filed, want)
 	}
 	tpl.mu.Unlock()
-	write(2)
+	f.write(40)
 	for i := 1; i < len(sqs); i++ {
-		res, err := f.ex.Query(sqs[i].Query())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got, want := views[i].canon(), canon(res.Rows, false); !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s\n folded view %v\n one-shot    %v", sqs[i].Query(), got, want)
-		}
+		mustMatchOneShot(t, f, sqs[i].Query(), views[i], sqs[i].Query())
 	}
 }
 
