@@ -110,9 +110,10 @@ ckpt-smoke:
 # filters and group form the one-shot fragments run, and
 # TestDifferentialStanding checks its folded views against one-shot
 # results; the short benchmark pass prints codec
-# (scalar, struct row, and the gob path it replaced), typed joinKey, unary
-# and batched put and indexed-put numbers so regressions show up in CI logs
-# next to the gate.
+# (scalar, struct row, and the gob path it replaced), typed joinKey, the
+# read path (BenchmarkReadPath: the grouped scan and Queries 1, 2 and 4,
+# at 20 iterations each), unary and batched put and indexed-put numbers so
+# regressions show up in CI logs next to the gate.
 bench-smoke:
 	$(GO) test ./internal/wire ./internal/core -run 'TestZeroAllocScalarEncode|TestZeroAllocStructEncode|TestStructDecodeAllocs|TestBlobKeyAllocs' -count=1 -v
 	$(GO) test ./internal/persist -run 'TestDeltaEncodeAllocs' -count=1 -v
@@ -124,6 +125,7 @@ bench-smoke:
 	$(GO) test ./internal/wire -run '^$$' -bench 'BenchmarkAppendValue|BenchmarkDecodeValue|BenchmarkGobValue' -benchtime 1000x
 	$(GO) test ./internal/persist -run '^$$' -bench 'BenchmarkAppendDeltaSegment' -benchtime 1000x
 	$(GO) test ./internal/sql -run '^$$' -bench 'BenchmarkJoinKey' -benchtime 1000x
+	$(GO) test ./internal/sql -run '^$$' -bench 'BenchmarkReadPath' -benchtime 20x
 	$(GO) test ./internal/kv -run '^$$' -bench 'BenchmarkPut|BenchmarkIndexedPut|BenchmarkUnindexedRowPut' -benchtime 1000x
 
 # The benchmark (BENCHMARK.json, bench/) is its own module that imports

@@ -35,7 +35,13 @@ func (s *steppedSource) Rewind(o int64) { s.pos = o }
 // stepped source, with live state settled at 20 records (sum(count)==20).
 func degradeFixture(t *testing.T) (*Engine, *Job, *steppedSource) {
 	t.Helper()
-	eng := New(Config{Nodes: 3, Partitions: 12, ReplicateState: true})
+	return degradeFixtureOn(t, Config{Nodes: 3, Partitions: 12, ReplicateState: true})
+}
+
+// degradeFixtureOn is degradeFixture on an engine of the given config.
+func degradeFixtureOn(t *testing.T, cfg Config) (*Engine, *Job, *steppedSource) {
+	t.Helper()
+	eng := New(cfg)
 	src := &steppedSource{}
 	dag := NewDAG().
 		AddVertex(&Vertex{
@@ -206,6 +212,33 @@ func TestQueryPolicyFallbackNeedsSnapshot(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "no committed snapshot") {
 		t.Fatalf("err = %v, want 'no committed snapshot'", err)
+	}
+}
+
+// TestQueryPolicyFallbackNeedsReplication: without state replication there
+// is no backup replica to degrade to — a partition attempt that times out
+// must fail the query with the typed error, not serve the partition empty
+// as if it had been read.
+func TestQueryPolicyFallbackNeedsReplication(t *testing.T) {
+	eng, job, _ := degradeFixtureOn(t, Config{Nodes: 3, Partitions: 12})
+	if err := job.CheckpointNow(); err != nil {
+		t.Fatal(err)
+	}
+	eng.SetFaultHook(chaos.New(7).Add(chaos.Rule{
+		Kind: chaos.StallPartition, Node: 1,
+		Instance: chaos.Any, Partition: chaos.Any, CrashNode: chaos.Any,
+		Delay: 300 * time.Millisecond,
+	}))
+	defer eng.SetFaultHook(nil)
+
+	res, err := eng.QueryWithOptions(`SELECT SUM(count) FROM average`,
+		QueryOptions{Policy: PolicyFallback, PartitionTimeout: 25 * time.Millisecond})
+	var pu *PartitionUnavailableError
+	if !errors.As(err, &pu) {
+		t.Fatalf("res = %v, err = %v; want PartitionUnavailableError", res, err)
+	}
+	if !strings.Contains(err.Error(), "no backup replica") {
+		t.Fatalf("err = %v, want 'no backup replica'", err)
 	}
 }
 

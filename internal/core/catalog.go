@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -475,8 +476,9 @@ func (t *TableRef) fallback() *TableRef {
 //
 // The schema is reported when the rows are one flat struct type — what
 // lets the planner bind column references to ordinals once instead of
-// resolving names per row. It is read off one stored row; nil means the
-// table is empty there, or its rows are maps, scalars or structs the codec
+// resolving names per row. It is read off one stored row — of partition
+// part when it holds one, else of the first partition that does; nil means
+// the table is empty, or its rows are maps, scalars or structs the codec
 // does not pack, and the query reads them by name. It is a promise about
 // the sampled row only: readers check each row's type (wire.Schema.Ref)
 // and fall back to reading by name on a mismatch. Virtual tables carry no
@@ -491,6 +493,12 @@ func (t *TableRef) Sample(part int) (rows int64, schema *wire.Schema, ok bool) {
 		usable = func(e kv.Entry) bool { _, live := e.Value.(*Chain).newest(); return live }
 	}
 	n, e, found := t.m.Sample(part, usable)
+	if !found && part >= 0 {
+		// The pruned partition holds no row to take the schema from, but
+		// the table's rows still have one: a plan must not bind
+		// differently because one partition is empty.
+		e, found = t.m.Find(usable)
+	}
 	if !found {
 		return int64(n), nil, true
 	}
@@ -569,13 +577,22 @@ func (t *TableRef) CheckPartition(p int) error {
 // CheckBackupPartition is CheckPartition against the partition's backup
 // node — the replica PolicyFallback degrades to when the primary is
 // unreachable. On a healthy layout primary and backup live on different
-// nodes, so a fault severing the owner leaves the backup reachable.
+// nodes, so a fault severing the owner leaves the backup reachable. A
+// store without replication has no backup copy to read: that is an error
+// too, not an empty partition.
 func (t *TableRef) CheckBackupPartition(p int) error {
 	if t.virtual != nil {
 		return nil
 	}
+	if !t.store.Replicated() {
+		return errNotReplicated
+	}
 	return t.store.CheckBackupAccess(kv.ClientNode, p)
 }
+
+// errNotReplicated is CheckBackupPartition's answer on a store without
+// replication.
+var errNotReplicated = errors.New("core: the store keeps no backup replica (state replication is off)")
 
 // LatestCommittedSSID returns the operator's latest committed snapshot id,
 // or 0 when no checkpoint has committed yet — the version a degraded query

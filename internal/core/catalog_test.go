@@ -152,7 +152,8 @@ type sampleRow struct {
 }
 
 // TestSampleReportsSizeAndSchema: one pass answers both of the planner's
-// questions, for the whole table or one partition — and a snapshot chain
+// questions, for the whole table or one partition — a partition without a
+// live row still reports the table's schema — and a snapshot chain
 // that holds nothing but tombstones is never the sampled row, however many
 // of them surround the one live key.
 func TestSampleReportsSizeAndSchema(t *testing.T) {
@@ -192,6 +193,12 @@ func TestSampleReportsSizeAndSchema(t *testing.T) {
 		p, _ := ref.PartitionOf(0)
 		if rows, schema, ok := ref.Sample(p); !ok || schema == nil || rows < 1 {
 			t.Fatalf("%s: Sample(partition of key 0) = %d, %v, %v", table, rows, schema, ok)
+		}
+		// Another partition holds no live row, but the table's schema is
+		// still reported.
+		q := (p + 1) % ref.Partitions()
+		if _, schema, ok := ref.Sample(q); !ok || schema == nil {
+			t.Fatalf("%s: Sample(partition without a live row) = %v, %v; want the table's schema", table, schema, ok)
 		}
 	}
 	// Map rows and provider-backed tables report no schema.

@@ -413,16 +413,37 @@ func (m *Map) Sample(p int, usable func(Entry) bool) (size int, e Entry, ok bool
 		rlockWith(seg.mu, m.store.statsFor(q))
 		size += len(seg.entries)
 		if !ok {
-			for _, c := range seg.entries {
-				if usable == nil || usable(c) {
-					e, ok = c, true
-					break
-				}
-			}
+			e, ok = seg.find(usable)
 		}
 		seg.mu.RUnlock()
 	}
 	return size, e, ok
+}
+
+// Find returns an entry that usable accepts (any entry when usable is nil)
+// from the first partition that holds one, read-locking one segment at a
+// time and stopping there. ok is false when the map holds none.
+func (m *Map) Find(usable func(Entry) bool) (e Entry, ok bool) {
+	for q, seg := range m.segs {
+		rlockWith(seg.mu, m.store.statsFor(q))
+		e, ok = seg.find(usable)
+		seg.mu.RUnlock()
+		if ok {
+			break
+		}
+	}
+	return e, ok
+}
+
+// find returns one of seg's entries that usable accepts; the caller holds
+// seg's lock.
+func (seg *segment) find(usable func(Entry) bool) (Entry, bool) {
+	for _, c := range seg.entries {
+		if usable == nil || usable(c) {
+			return c, true
+		}
+	}
+	return Entry{}, false
 }
 
 // Clear removes all entries (and their backup copies).

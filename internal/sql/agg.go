@@ -490,7 +490,7 @@ func (f *finisher) chunk(ctx *evalCtx, pp *physPlan, gs []*partialGroup, off int
 	}
 	kept := f.sc.sel(len(gs))
 	defer f.sc.dropSel()
-	kept, err := ctx.filterBatch(pp.having, b, ident[:len(gs)], kept)
+	kept, err := ctx.filterBatch(filter{e: pp.having}, b, ident[:len(gs)], kept)
 	if err != nil || len(kept) == 0 {
 		return err
 	}

@@ -3,6 +3,7 @@ package sql
 import (
 	"fmt"
 	"math/bits"
+	"time"
 
 	"squery/internal/core"
 	"squery/internal/kv"
@@ -18,7 +19,8 @@ import (
 // reads one column of many independent rows — the CPU overlaps their cache
 // misses instead of serialising them behind one row's walk through the
 // evaluator — and the evaluator's dispatch is paid once per node per
-// batch.
+// batch. A WHERE part is not evaluated but selected, through the
+// predicate kernels of kernel.go; evalBatch evaluates what they cannot.
 
 // batch is a chunk of the working set, column-major by source: cols[s][i]
 // is source s's row at position i. A selection vector — the ascending
@@ -110,6 +112,10 @@ type scratch struct {
 	d      [][]datum
 	s      [][]int32
 	nd, ns int
+	// The column a kernel reads its values into (kernel.go), by kind.
+	strs  []string
+	nums  []float64
+	times []*time.Time
 }
 
 // datums takes a datum column of n positions.
@@ -424,15 +430,20 @@ func (c *evalCtx) batchFunc(x Func, b *batch, sel []int32, out []datum) error {
 	return nil
 }
 
-// filterBatch appends to into the positions of sel where pred holds — all
-// of them for a nil predicate — and returns it.
-func (c *evalCtx) filterBatch(pred Expr, b *batch, sel, into []int32) ([]int32, error) {
-	if pred == nil {
+// filterBatch appends to into the positions of sel where f holds — all of
+// them for an empty filter — and returns it. The filter's kernels select
+// when the batch's rows at sel are of their schemas' types (kernel.go);
+// otherwise evalBatch evaluates the whole predicate.
+func (c *evalCtx) filterBatch(f filter, b *batch, sel, into []int32) ([]int32, error) {
+	if f.e == nil {
 		return append(into, sel...), nil
+	}
+	if f.k != nil && f.admits(b, sel) {
+		return f.k.sel(b, &c.now, sel, into), nil
 	}
 	v := b.sc.datums(b.n)
 	defer b.sc.dropDatums(1)
-	if err := c.evalBatch(pred, b, sel, v); err != nil {
+	if err := c.evalBatch(f.e, b, sel, v); err != nil {
 		return into, err
 	}
 	for _, i := range sel {

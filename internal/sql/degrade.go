@@ -28,7 +28,9 @@ const (
 	// PolicyFallback serves the faulted partition's rows from the latest
 	// committed snapshot's backup replica instead of the unreachable
 	// primary, reporting the isolation downgrade in Result.Degraded.
-	// Requires state replication; right when availability beats freshness.
+	// Requires state replication — without it a faulted partition fails
+	// with PartitionUnavailableError; right when availability beats
+	// freshness.
 	PolicyFallback
 	// PolicyFailFast fails the whole query immediately with
 	// PartitionUnavailableError. Right when the caller has its own

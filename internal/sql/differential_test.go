@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unicode/utf8"
 
 	"squery/internal/core"
 	"squery/internal/kv"
@@ -368,7 +369,7 @@ func atom(rng *rand.Rand, c dCol) dPred {
 			"rider": {"r0", "r1", "r2", "r3", "r4"}, "note": {"n0", "n1", "n2", "n3", "n4", "n5"},
 			core.ColPartitionKey: {"k-1", "k-7", "k-12", "k-30"}}[c.name]
 		v := domain[rng.Intn(len(domain))]
-		switch rng.Intn(4) {
+		switch rng.Intn(7) {
 		case 0:
 			w := domain[rng.Intn(len(domain))]
 			return dPred{fmt.Sprintf("%s IN ('%s', '%s')", c.text, v, w),
@@ -378,33 +379,73 @@ func atom(rng *rand.Rand, c dCol) dPred {
 				nullable(func(x any) bool { return strings.HasPrefix(x.(string), v[:1]) })}
 		case 2:
 			return dPred{fmt.Sprintf("%s != '%s'", c.text, v), nullable(func(x any) bool { return x != v })}
+		case 3:
+			n := len(v) - rng.Intn(2)
+			return dPred{fmt.Sprintf("LENGTH(%s) = %d", c.text, n),
+				nullable(func(x any) bool { return utf8.RuneCountInString(x.(string)) == n })}
+		case 4:
+			return dPred{fmt.Sprintf("UPPER(%s) = '%s'", c.text, strings.ToUpper(v)),
+				nullable(func(x any) bool { return strings.ToUpper(x.(string)) == strings.ToUpper(v) })}
+		case 5: // literal on the left
+			op := ops[rng.Intn(len(ops))]
+			return dPred{fmt.Sprintf("'%s' %s %s", v, flipOp[op], c.text),
+				nullable(func(x any) bool { return cmpOrd(strings.Compare(x.(string), v), op) })}
 		}
 		return dPred{fmt.Sprintf("%s = '%s'", c.text, v), nullable(func(x any) bool { return x == v })}
 	case "open":
 		return dPred{c.text + " = TRUE", nullable(func(x any) bool { return x.(bool) })}
 	case "late":
 		op := []string{"<", ">"}[rng.Intn(2)]
-		return dPred{c.text + " " + op + " LOCALTIMESTAMP",
-			nullable(func(x any) bool { return x.(time.Time).Before(time.Now()) == (op == "<") })}
+		sql := c.text + " " + op + " LOCALTIMESTAMP"
+		if rng.Intn(2) == 0 {
+			sql = "LOCALTIMESTAMP " + flipOp[op] + " " + c.text
+		}
+		return dPred{sql, nullable(func(x any) bool { return x.(time.Time).Before(time.Now()) == (op == "<") })}
 	case "price":
+		switch rng.Intn(4) {
+		case 0:
+			lo := float64(rng.Intn(40)) / 2
+			hi := lo + float64(rng.Intn(20))/2
+			return dPred{fmt.Sprintf("%s BETWEEN %g AND %g", c.text, lo, hi),
+				nullable(func(x any) bool { return numOf(x) >= lo && numOf(x) <= hi })}
+		case 1: // arithmetic over two columns of the same source
+			amount := dCol{text: strings.TrimSuffix(c.text, c.name) + "amount", src: c.src, name: "amount"}
+			op, n := ops[rng.Intn(len(ops))], rng.Intn(40)
+			return dPred{fmt.Sprintf("%s + %s %s %d", c.text, amount.text, op, n), func(jr []dRow) tri {
+				p, a := c.of(jr), amount.of(jr)
+				if p == nil || a == nil {
+					return -1
+				}
+				return triOf(cmpNum(numOf(p)+numOf(a), op, float64(n)))
+			}}
+		}
 		op, n := ops[rng.Intn(len(ops))], float64(rng.Intn(40))/2
 		return dPred{fmt.Sprintf("%s %s %g", c.text, op, n), nullable(func(x any) bool { return cmpNum(numOf(x), op, n) })}
 	}
 	// Integer columns: amount, weight, stampNs, seq.
 	max := map[string]int{"amount": 20, "weight": 9, "stampNs": 1000, "seq": 1100}[c.name]
-	if rng.Intn(4) == 0 {
+	switch rng.Intn(6) {
+	case 0:
 		lo := rng.Intn(max)
 		hi := lo + rng.Intn(max/2+1)
 		return dPred{fmt.Sprintf("%s BETWEEN %d AND %d", c.text, lo, hi),
 			nullable(func(x any) bool { return numOf(x) >= float64(lo) && numOf(x) <= float64(hi) })}
+	case 1: // arithmetic
+		op, n := ops[rng.Intn(len(ops))], rng.Intn(2*max)
+		return dPred{fmt.Sprintf("%s * 2 %s %d", c.text, op, n), nullable(func(x any) bool { return cmpNum(numOf(x)*2, op, float64(n)) })}
 	}
 	op, n := ops[rng.Intn(len(ops))], rng.Intn(max)
 	if rng.Intn(3) == 0 { // literal on the left
-		flip := map[string]string{"=": "=", "!=": "!=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}[op]
-		return dPred{fmt.Sprintf("%d %s %s", n, flip, c.text), nullable(func(x any) bool { return cmpNum(numOf(x), op, float64(n)) })}
+		return dPred{fmt.Sprintf("%d %s %s", n, flipOp[op], c.text), nullable(func(x any) bool { return cmpNum(numOf(x), op, float64(n)) })}
 	}
 	return dPred{fmt.Sprintf("%s %s %d", c.text, op, n), nullable(func(x any) bool { return cmpNum(numOf(x), op, float64(n)) })}
 }
+
+// flipOp is the operator that reads the same with its operands swapped.
+var flipOp = map[string]string{"=": "=", "!=": "!=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
+
+// cmpOrd applies op to a three-way comparison's result.
+func cmpOrd(c int, op string) bool { return cmpNum(float64(c), op, 0) }
 
 func orPred(a, b dPred) dPred {
 	return dPred{"(" + a.sql + " OR " + b.sql + ")", func(jr []dRow) tri {
@@ -416,6 +457,19 @@ func orPred(a, b dPred) dPred {
 			return -1
 		}
 		return 0
+	}}
+}
+
+func andPred(a, b dPred) dPred {
+	return dPred{"(" + a.sql + " AND " + b.sql + ")", func(jr []dRow) tri {
+		x, y := a.eval(jr), b.eval(jr)
+		switch {
+		case x == 0 || y == 0:
+			return 0
+		case x == -1 || y == -1:
+			return -1
+		}
+		return 1
 	}}
 }
 
@@ -535,11 +589,15 @@ func (f *diffFixture) generate(rng *rand.Rand) dQuery {
 	var preds []dPred
 	for n := rng.Intn(4); n > 0; n-- {
 		p := atom(rng, pick())
-		switch rng.Intn(6) {
+		switch rng.Intn(8) {
 		case 0:
 			p = orPred(p, atom(rng, pick()))
 		case 1:
 			p = notPred(p)
+		case 2:
+			p = notPred(orPred(p, atom(rng, pick())))
+		case 3:
+			p = orPred(andPred(p, atom(rng, pick())), notPred(atom(rng, pick())))
 		}
 		preds = append(preds, p)
 	}
@@ -874,6 +932,13 @@ func FuzzDifferential(f *testing.F) {
 func checkDifferential(t *testing.T, f *diffFixture, q dQuery, guarded bool, name string) {
 	t.Helper()
 	want := canon(q.want, q.ordered)
+	// No fault is injected here, so a partition attempt that outlives the
+	// default 100 ms timeout is a slow build (-race on a many-to-many
+	// join), not a fault. On the fixture's unreplicated store the fallback
+	// path then fails with PartitionUnavailableError
+	// (TestQueryPolicyFallbackNeedsReplication pins that), and retry and
+	// fail-fast would time out the same way.
+	const noFault = time.Minute
 	paths := []struct {
 		name string
 		opts ExecOpts
@@ -881,9 +946,9 @@ func checkDifferential(t *testing.T, f *diffFixture, q dQuery, guarded bool, nam
 		{"fragment", ExecOpts{}},
 		{"no pushdown", ExecOpts{DisablePushdown: true}},
 		{"no indexes", ExecOpts{DisableIndexes: true}},
-		{"retry", ExecOpts{Policy: PolicyRetry}},
-		{"fallback", ExecOpts{Policy: PolicyFallback}},
-		{"fail-fast", ExecOpts{Policy: PolicyFailFast}},
+		{"retry", ExecOpts{Policy: PolicyRetry, PartitionTimeout: noFault}},
+		{"fallback", ExecOpts{Policy: PolicyFallback, PartitionTimeout: noFault}},
+		{"fail-fast", ExecOpts{Policy: PolicyFailFast, PartitionTimeout: noFault}},
 	}
 	if !guarded {
 		paths = paths[:3]

@@ -77,6 +77,17 @@ func TestEvalIntFloatCoercion(t *testing.T) {
 			t.Errorf("eval(%q) = %v, want true", w, got)
 		}
 	}
+	// A uint64 at or above 2^63 compares by its unsigned value, not as the
+	// negative int64 its bits spell.
+	big := mapResolver{"u": uint64(1) << 63, "m": ^uint64(0), "z": int64(0), "f": -1.5}
+	for w, want := range map[string]bool{
+		`u > 0`: true, `u > z`: true, `u < 0`: false, `u > f`: true, `z < u`: true,
+		`m > u`: true, `u >= 9000000000000000000`: true, `u BETWEEN 1 AND m`: true,
+	} {
+		if got := evalWhere(t, w, big); got != want {
+			t.Errorf("eval(%q) = %v, want %v", w, got, want)
+		}
+	}
 }
 
 func TestEvalNullSemantics(t *testing.T) {

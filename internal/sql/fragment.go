@@ -273,7 +273,7 @@ func (pi *pipe) coProbe(sel []int32) (bool, error) {
 	for _, i := range sel {
 		// Keys that render alike but are not join-equal (the string "5" and
 		// the integer 5) share a slot in no table, but can across two.
-		if found[i] && makeJoinKey(probe[i].Key) == makeJoinKey(drv[i].Key) {
+		if found[i] && joinEqual(probe[i].Key, drv[i].Key) {
 			hits = append(hits, i)
 		}
 	}
@@ -302,6 +302,17 @@ func (pi *pipe) coProbe(sel []int32) (bool, error) {
 	b.miss[o] = miss
 	pi.st.joined[0] += int64(len(sel))
 	return pi.emit(b, sel)
+}
+
+// joinEqual reports whether two partition keys are join-equal: two
+// strings when they are equal, any other pair when their join keys are.
+func joinEqual(a, b partition.Key) bool {
+	if x, ok := a.(string); ok {
+		if y, ok := b.(string); ok {
+			return x == y
+		}
+	}
+	return makeJoinKey(a) == makeJoinKey(b)
 }
 
 // join runs general join step k over the selected rows of in, and
@@ -359,7 +370,7 @@ func (pi *pipe) joinNext(k int) (bool, error) {
 // emit tests the residual filter over the selected rows and hands the
 // survivors to the sink.
 func (pi *pipe) emit(b *batch, sel []int32) (bool, error) {
-	if pi.pp.residualB != nil {
+	if pi.pp.residualB.e != nil {
 		kept := pi.sc.sel(len(sel))
 		defer pi.sc.dropSel()
 		kept, err := pi.rc.ctx.filterBatch(pi.pp.residualB, b, sel, kept)

@@ -30,10 +30,12 @@ type physPlan struct {
 	residual Expr
 
 	// The expressions execution evaluates: the statement's, with every
-	// column reference bound (bind.go). items is aligned with stmt.Items,
-	// nil for a star; aggs holds the aggregate calls in slot order.
-	pushedB   []Expr
-	residualB Expr
+	// column reference bound (bind.go). pushedB and residualB are the WHERE
+	// parts compiled for filterBatch (kernel.go). items is aligned with
+	// stmt.Items, nil for a star; aggs holds the aggregate calls in slot
+	// order.
+	pushedB   []filter
+	residualB filter
 	items     []Expr
 	groupBy   []Expr
 	having    Expr
@@ -312,11 +314,11 @@ func (ex *Executor) compile(stmt *Select, opts ExecOpts, planOnly bool) (*physPl
 // error the evaluator reports, never a fold.
 func (pp *physPlan) bindAll() error {
 	stmt := pp.stmt
-	pp.pushedB = make([]Expr, len(pp.pushed))
+	pp.pushedB = make([]filter, len(pp.pushed))
 	for i, e := range pp.pushed {
-		pp.pushedB[i] = pp.bind(e)
+		pp.pushedB[i] = pp.where(e)
 	}
-	pp.residualB = pp.bind(pp.residual)
+	pp.residualB = pp.where(pp.residual)
 	pp.aggs = nil
 	pp.items = make([]Expr, len(stmt.Items))
 	for i, it := range stmt.Items {
@@ -350,6 +352,9 @@ func (pp *physPlan) bindAll() error {
 	}
 	return nil
 }
+
+// where binds a WHERE part and compiles it for filterBatch.
+func (pp *physPlan) where(e Expr) filter { return newFilter(pp.bind(e), pp.srcs) }
 
 // bindLeftKey binds the left-hand key of a join over the sources to its
 // left: the source a qualifier names, else the first source that has the
@@ -464,7 +469,7 @@ func (pp *physPlan) lift() (slots [2][]*colRef, tuple [2]string) {
 			}
 			kept = andTo(kept, e)
 		}
-		pp.pushed[si], pp.pushedB[si] = kept, pp.bind(kept)
+		pp.pushed[si], pp.pushedB[si] = kept, pp.where(kept)
 		tuple[si] = string(key)
 	}
 	return slots, tuple

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"squery/internal/metrics"
+	"squery/internal/partition"
 )
 
 // Streaming-semantics tests: the pipeline must push single-table
@@ -55,8 +56,8 @@ func TestPushdownFilterRunsNodeSide(t *testing.T) {
 	if pp.scans[0].Gathered || pp.proj == nil || pp.proj.AtClient {
 		t.Fatalf("projection did not run node-side: gathered=%v proj=%+v", pp.scans[0].Gathered, pp.proj)
 	}
-	if c, ok := pp.pushedB[0].(Binary).L.(*colRef); !ok || c.src != 0 || c.ord < 0 || c.kind != dFloat {
-		t.Fatalf("pushed predicate's column is not bound to a schema ordinal: %+v", pp.pushedB[0])
+	if c, ok := pp.pushedB[0].e.(Binary).L.(*colRef); !ok || c.src != 0 || c.ord < 0 || c.kind != dFloat {
+		t.Fatalf("pushed predicate's column is not bound to a schema ordinal: %+v", pp.pushedB[0].e)
 	}
 
 	// Black box: customerLat runs 52..91, so > 90 matches 1 of 40 rows.
@@ -75,6 +76,47 @@ func TestPushdownFilterRunsNodeSide(t *testing.T) {
 	}
 	if shipped != 1 {
 		t.Fatalf("rows_shipped = %d, want 1 (only the match crosses the client hop)", shipped)
+	}
+}
+
+// TestPrunedEmptyPartitionStillBinds: a query pinned by partitionKey to a
+// partition that holds no row still binds its columns to the table's
+// schema, and two standing queries that differ only in a liftable literal
+// share a template, whichever partitions happened to be empty when they
+// compiled.
+func TestPrunedEmptyPartitionStillBinds(t *testing.T) {
+	f := newFixture(t, 6, liveSnapCfg())
+	p := partition.New(32)
+	used := map[int]bool{}
+	for i := 0; i < 6; i++ {
+		used[p.Of(fmt.Sprintf("order-%d", i))] = true
+	}
+	key := ""
+	for i := 0; key == ""; i++ {
+		if k := fmt.Sprintf("absent-%d", i); !used[p.Of(k)] {
+			key = k
+		}
+	}
+	q := `SELECT customerLat FROM orderinfo WHERE partitionKey = '` + key + `' AND deliveryZone = '%s'`
+	pp, err := f.ex.compile(mustParse(t, fmt.Sprintf(q, "north")), ExecOpts{}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pp.srcs[0].partHint < 0 || pp.srcs[0].schema == nil {
+		t.Fatalf("pinned to an empty partition: hint %d, schema %v", pp.srcs[0].partHint, pp.srcs[0].schema != nil)
+	}
+	a, err := f.ex.SubscribeQuery(fmt.Sprintf(q, "north"), discardSink)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	b, err := f.ex.SubscribeQuery(fmt.Sprintf(q, "south"), discardSink)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	if a.g.t != b.g.t {
+		t.Fatal("two standing queries differing in a lifted literal do not share a template")
 	}
 }
 

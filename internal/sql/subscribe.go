@@ -1127,8 +1127,8 @@ func (t *template) passes(g *group, s int) bool {
 // test tests a bound predicate on the working batch's row under g's
 // instant (the template's, for g nil); an evaluation error fails g (every
 // group, for g nil).
-func (t *template) test(g *group, pred Expr) bool {
-	if pred == nil {
+func (t *template) test(g *group, pred filter) bool {
+	if pred.e == nil {
 		return true
 	}
 	ctx := t.ctx

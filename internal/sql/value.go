@@ -150,10 +150,14 @@ func (d datum) box() any {
 	return nil
 }
 
-// float widens a numeric datum to float64.
+// float widens a numeric datum to float64, a uint64 through its unsigned
+// value.
 func (d datum) float() (float64, bool) {
 	switch d.k {
 	case dInt:
+		if d.w == wUint64 {
+			return float64(uint64(d.n)), true
+		}
 		return float64(d.n), true
 	case dFloat:
 		return d.f(), true

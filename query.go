@@ -81,7 +81,8 @@ const (
 	PolicyRetry = sqlpkg.PolicyRetry
 	// PolicyFallback serves a faulted partition from the latest committed
 	// snapshot's backup replica, reporting the isolation downgrade in
-	// Result.Degraded. Requires Config.ReplicateState.
+	// Result.Degraded. Requires Config.ReplicateState: without it a faulted
+	// partition fails the query with PartitionUnavailableError.
 	PolicyFallback = sqlpkg.PolicyFallback
 	// PolicyFailFast fails the query immediately on the first faulted
 	// partition.
