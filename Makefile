@@ -66,8 +66,12 @@ health-smoke:
 # must answer a generated query (fixture and query seed fuzzed) as the
 # naive evaluation of the differential oracle does; and a standing query
 # of a generated query must open with the naive answer and, after a wave
-# of writes, hold the one-shot result. The differential targets are
-# anchored: -fuzz takes a regexp and must match exactly one target.
+# of writes, hold the one-shot result; and every kv index lookup must
+# return a superset of a naive filter (exactly it on a homogeneous
+# column), with estimates and reference counts equal to the naive ones,
+# after any sequence of writes, resets and rebuilds. The differential
+# targets are anchored: -fuzz takes a regexp and must match exactly one
+# target.
 fuzz-short:
 	$(GO) test ./internal/sql -fuzz FuzzParse -fuzztime 30s -run '^$$'
 	$(GO) test ./internal/sql -fuzz FuzzLexer -fuzztime 30s -run '^$$'
@@ -77,6 +81,7 @@ fuzz-short:
 	$(GO) test ./internal/sql -fuzz '^FuzzDifferentialStanding$$' -fuzztime 30s -run '^$$'
 	$(GO) test ./internal/persist -fuzz FuzzDeltaChain -fuzztime 30s -run '^$$'
 	$(GO) test ./internal/wire -fuzz FuzzWire -fuzztime 30s -run '^$$'
+	$(GO) test ./internal/kv -fuzz FuzzIndexModel -fuzztime 30s -run '^$$'
 
 # Incremental-checkpoint smoke: the crash-recovery suite (every crash
 # point of the segment/manifest protocol restores the last committed
@@ -92,8 +97,11 @@ ckpt-smoke:
 # allocation guards are hard gates (zero-alloc scalar and struct-row encode
 # in the wire codec, one allocation per decoded struct, zero-alloc delta
 # segments and mirror-flush batches, alloc-free key hashing, single-alloc
-# blob snapshot keys, bounded-alloc indexed puts, a GetAll that allocates
-# its result only, Query 3 under 0.25 objects per table row, a grouped scan
+# blob snapshot keys, indexed puts that add nothing for an unchanged column
+# (MapRow and struct row) and at most 0.05 allocations for a moving one,
+# an indexed range probe over every partition that allocates nothing, a
+# GetAll that allocates its result only, Query 3 under 0.25 objects per
+# table row, a grouped scan
 # allocating the same over 10 000 rows as over 1 000, a key-lookup
 # point read under 100 objects that examines one row, an aggregate
 # standing query's update allocating the same in a group of 100 members as
@@ -112,12 +120,13 @@ ckpt-smoke:
 # results; the short benchmark pass prints codec
 # (scalar, struct row, and the gob path it replaced), typed joinKey, the
 # read path (BenchmarkReadPath: the grouped scan and Queries 1, 2 and 4,
-# at 20 iterations each), unary and batched put and indexed-put numbers so
-# regressions show up in CI logs next to the gate.
+# at 20 iterations each), unary and batched put and indexed-put numbers
+# (BenchmarkIndexedPut/hash, and /moving with 1 000 and 100 000 entries in
+# one partition) so regressions show up in CI logs next to the gate.
 bench-smoke:
 	$(GO) test ./internal/wire ./internal/core -run 'TestZeroAllocScalarEncode|TestZeroAllocStructEncode|TestStructDecodeAllocs|TestBlobKeyAllocs' -count=1 -v
 	$(GO) test ./internal/persist -run 'TestDeltaEncodeAllocs' -count=1 -v
-	$(GO) test ./internal/kv -run 'TestIndexedPutAllocs|TestPutBatchAllocs|TestGetAllAllocs' -count=1 -v
+	$(GO) test ./internal/kv -run 'TestIndexedPutAllocs|TestIndexProbeAllocs|TestPutBatchAllocs|TestGetAllAllocs' -count=1 -v
 	$(GO) test ./internal/kv -run 'TestSegmentLockWaitsCounted|TestApplyBatchConcurrentIncrements' -race -count=20
 	$(GO) test ./internal/partition -run 'TestHashAllocs' -count=1 -v
 	$(GO) test ./internal/sql -run 'TestJoinFoldAllocs|TestScanFoldAllocs|TestKeyLookupAllocs|TestStandingAggDeltaAllocs|TestStandingDeltaAllocs|TestStandingDeltaCostFlatInWatchers|TestDifferentialStanding' -count=1 -v
@@ -135,12 +144,16 @@ bench-smoke:
 bench-test:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
-# Index smoke: the access-path parity suite (index results ≡ full-scan
-# results for every plannable shape), index survival across an online
+# Index smoke: the kv index model (FuzzIndexModel's seed corpus and the
+# multi-leaf model run, every lookup against a naive filter) and the pair
+# tree's structural test under -race, the access-path parity suite (index
+# results ≡ full-scan results for every plannable shape), index survival
+# across an online
 # rebalance, sys.indexes accounting (repeated: it once depended on whether
 # the source beat CreateIndex), and the quick mode of the `squery-bench
 # -exp index` harness (rows_scanned must drop to the probe's selectivity).
 index-smoke:
+	$(GO) test ./internal/kv -run 'FuzzIndexModel|TestIndexModelLargePartitions|TestPairTreeStructure' -race -count=1 -v
 	$(GO) test ./internal/sql -run 'TestIndexParity|TestIndexScanStatsAndAnalyze|TestIndexRangeBoundsMerge' -count=1 -v
 	$(GO) test . -run 'TestIndexSurvivesRebalance' -race -count=1 -v
 	$(GO) test . -run 'TestSysIndexesTable' -race -count=20

@@ -203,7 +203,7 @@ func shipped(ops []Op, idx []int, keysOnly bool) int {
 // applyGroup is the store's mutation kernel: every write to a map — a
 // Put or Delete (a group of one), a PutBatch group, an ApplyBatch group —
 // is one call of it for one partition. Its invariant: a key's entry, its
-// postings in every index, its tap delta and its backup copy move
+// pairs in every index, its tap delta and its backup copy move
 // together. The first three change inside one hold of the partition's
 // segment write lock, after the epoch fence has passed and before any
 // reader can look; the backup copy follows in one hop before the call
@@ -255,7 +255,7 @@ func (m *Map) applyGroup(v NodeView, g group, ops []Op, kss []string, merge merg
 			delete(seg.entries, ks)
 			dels++
 			if !had {
-				continue // nothing was there: no posting to drop, no tombstone
+				continue // nothing was there: no pair to drop, no tombstone
 			}
 		} else {
 			seg.entries[ks] = Entry{Key: op.Key, Value: op.Value}

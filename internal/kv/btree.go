@@ -1,212 +1,338 @@
 package kv
 
-// An in-memory B-tree over index keys of a single kind, used by B-tree
-// (range) secondary indexes. One tree holds one kind of ixKey ('N', 's',
-// 'b', 't'), so ordering never crosses types — cross-kind comparison
-// semantics stay in the lookup layer, which unions foreign kinds into the
-// candidate set instead of ordering them.
+import (
+	"slices"
+	"unsafe"
+)
+
+// An in-memory B+tree over (value, entry key) pairs of one index key kind:
+// the ordered set one index partition keeps per kind ('N', 'b' and 't'
+// as uint64 images, 's' as strings). Both index kinds store their
+// references this way. Pairs are ordered by value, then by entry key, and
+// the set holds each pair at most once.
 //
-// The tree supports find-or-insert, in-order range iteration with
-// inclusive bounds, and full traversal. There is no structural delete:
-// postings empty in place and the tree compacts (rebuilds from its live
-// items) once empty postings outnumber live ones. State-map workloads are
-// upsert-heavy, so compaction is rare and amortised O(1) per removal.
+// Leaves are fixed arrays of pairs chained left to right, so an equality
+// or range probe seeks once and then reads contiguous pairs. Inner nodes
+// hold separators and children. Insert and delete cost O(log n) plus
+// O(leafMax) shifts: a full leaf first shares its pairs with a neighbour
+// that has room, a full node splits in two, a node that falls under half
+// full merges with a sibling or takes pairs from it, and an emptied tree
+// drops its nodes. Nothing is rebuilt wholesale.
 
-// btMax is the maximum number of items per node; a full node splits at the
-// midpoint on the way down (top-down insertion, no parent back-pointers).
-const btMax = 31
+// A leaf of 63 pairs fills a 1536-byte (numeric) or 2048-byte (string)
+// allocation size class exactly.
+const (
+	leafMax  = 63
+	leafMin  = leafMax / 2
+	innerMax = 64
+	innerMin = innerMax / 2
+)
 
-// btItem is one (key, posting) pair in the tree.
-type btItem struct {
-	k    ixKey
-	post *posting
+// ixVal is the value half of a pair: the uint64 image of a numeric, bool
+// or time key, or a string.
+type ixVal interface{ uint64 | string }
+
+// pair is one (value, entry key) reference.
+type pair[V ixVal] struct {
+	v  V
+	ks string
 }
 
-type bnode struct {
-	items []btItem
-	kids  []*bnode // empty for leaves; otherwise len(items)+1
+func (a pair[V]) less(b pair[V]) bool {
+	return a.v < b.v || a.v == b.v && a.ks < b.ks
 }
 
-// btree is the per-kind ordered container of one B-tree index partition.
-type btree struct {
-	kind  byte
-	root  *bnode
-	live  int // postings with at least one key
-	empty int // postings emptied in place, awaiting compaction
+// leaf holds leafMin..leafMax pairs in order (fewer only when it is the
+// tree's one leaf) and links to the next leaf.
+type leaf[V ixVal] struct {
+	n     int
+	next  *leaf[V]
+	pairs [leafMax]pair[V]
 }
 
-func (t *btree) less(a, b ixKey) bool {
-	if t.kind == 's' {
-		return a.str < b.str
-	}
-	return a.num < b.num
+// inner is an interior node. Children are leaves when the node sits one
+// level above them, inner nodes otherwise; exactly one of kids and leaves
+// is used. seps[i] separates child i from child i+1: every pair under
+// child i is less than seps[i], and no pair under child i+1 is.
+type inner[V ixVal] struct {
+	seps   []pair[V]
+	kids   []*inner[V]
+	leaves []*leaf[V]
 }
 
-// search returns the smallest index i with items[i].k >= k, and whether
-// items[i].k == k.
-func (t *btree) search(items []btItem, k ixKey) (int, bool) {
-	lo, hi := 0, len(items)
+func (in *inner[V]) size() int { return len(in.kids) + len(in.leaves) }
+
+// child returns the index of the child whose subtree holds p's position.
+func (in *inner[V]) child(p pair[V]) int {
+	lo, hi := 0, len(in.seps)
 	for lo < hi {
-		mid := (lo + hi) / 2
-		if t.less(items[mid].k, k) {
+		mid := int(uint(lo+hi) >> 1)
+		if p.less(in.seps[mid]) {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return lo
+}
+
+// search returns the smallest i with pairs[i] >= p, and whether it is p.
+func (l *leaf[V]) search(p pair[V]) (int, bool) {
+	lo, hi := 0, l.n
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if l.pairs[mid].less(p) {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	if lo < len(items) && !t.less(k, items[lo].k) {
-		return lo, true
-	}
-	return lo, false
+	return lo, lo < l.n && l.pairs[lo] == p
 }
 
-// splitKid splits the full child at position i, promoting its median item
-// into n.
-func (n *bnode) splitKid(i int) {
-	kid := n.kids[i]
-	mid := len(kid.items) / 2
-	up := kid.items[mid]
-	right := &bnode{
-		items: append([]btItem(nil), kid.items[mid+1:]...),
-	}
-	if len(kid.kids) > 0 {
-		right.kids = append([]*bnode(nil), kid.kids[mid+1:]...)
-		kid.kids = kid.kids[:mid+1]
-	}
-	kid.items = kid.items[:mid]
-
-	n.items = append(n.items, btItem{})
-	copy(n.items[i+1:], n.items[i:])
-	n.items[i] = up
-	n.kids = append(n.kids, nil)
-	copy(n.kids[i+2:], n.kids[i+1:])
-	n.kids[i+1] = right
+// pairTree is the ordered pair set of one kind in one index partition. Its
+// zero value is an empty tree.
+type pairTree[V ixVal] struct {
+	root   *inner[V] // nil when empty; its children are leaves at height 1
+	height int
+	n      int // pairs
+	leaves int
+	inners int
 }
 
-// get returns the posting under k, or nil.
-func (t *btree) get(k ixKey) *posting {
-	n := t.root
-	for n != nil {
-		i, ok := t.search(n.items, k)
-		if ok {
-			return n.items[i].post
-		}
-		if len(n.kids) == 0 {
-			return nil
-		}
-		n = n.kids[i]
-	}
-	return nil
+// bytes is the tree's footprint: its leaves, and per inner node the node
+// plus one separator and one child pointer per child.
+func (t *pairTree[V]) bytes() int64 {
+	var l leaf[V]
+	var in inner[V]
+	var p pair[V]
+	return int64(t.leaves)*int64(unsafe.Sizeof(l)) +
+		int64(t.inners)*int64(unsafe.Sizeof(in)) +
+		int64(t.leaves+t.inners)*int64(unsafe.Sizeof(p)+8)
 }
 
-// getOrInsert returns the posting under k, creating it if absent; isNew
-// reports whether it was created by this call.
-func (t *btree) getOrInsert(k ixKey) (p *posting, isNew bool) {
+// seek returns the leaf and position of the first pair >= p; the position
+// may be the leaf's end, and the leaf is nil when the tree is empty. The
+// zero pair is the least, so seeking it finds the first leaf.
+func (t *pairTree[V]) seek(p pair[V]) (*leaf[V], int) {
 	if t.root == nil {
-		t.root = &bnode{}
+		return nil, 0
 	}
-	if len(t.root.items) >= btMax {
-		old := t.root
-		t.root = &bnode{kids: []*bnode{old}}
-		t.root.splitKid(0)
+	in := t.root
+	for h := t.height; h > 1; h-- {
+		in = in.kids[in.child(p)]
 	}
-	n := t.root
-	for {
-		i, ok := t.search(n.items, k)
-		if ok {
-			return n.items[i].post, false
-		}
-		if len(n.kids) == 0 {
-			p = &posting{}
-			n.items = append(n.items, btItem{})
-			copy(n.items[i+1:], n.items[i:])
-			n.items[i] = btItem{k: k, post: p}
-			return p, true
-		}
-		if len(n.kids[i].items) >= btMax {
-			n.splitKid(i)
-			if t.less(n.items[i].k, k) {
-				i++
-			} else if !t.less(k, n.items[i].k) {
-				return n.items[i].post, false
-			}
-		}
-		n = n.kids[i]
-	}
+	l := in.leaves[in.child(p)]
+	i, _ := l.search(p)
+	return l, i
 }
 
-// ascendRange calls fn for every item with lo <= k <= hi in key order
-// (nil bound = unbounded). fn returning false stops the walk.
-func (t *btree) ascendRange(lo, hi *ixKey, fn func(btItem) bool) {
-	t.ascend(t.root, lo, hi, fn)
-}
-
-// ascend walks n in order within [lo, hi]; returns false to stop.
-func (t *btree) ascend(n *bnode, lo, hi *ixKey, fn func(btItem) bool) bool {
-	if n == nil {
+// insert adds p; it reports false when p was already present.
+func (t *pairTree[V]) insert(p pair[V]) bool {
+	if t.root == nil {
+		l := &leaf[V]{n: 1}
+		l.pairs[0] = p
+		t.root = &inner[V]{leaves: []*leaf[V]{l}}
+		t.height, t.leaves, t.inners = 1, 1, 1
+		t.n = 1
 		return true
 	}
-	i := 0
-	if lo != nil {
-		i, _ = t.search(n.items, *lo)
+	added, sep, right := t.insertIn(t.root, t.height, p)
+	if right != nil {
+		t.root = &inner[V]{seps: []pair[V]{sep}, kids: []*inner[V]{t.root, right}}
+		t.height++
+		t.inners++
 	}
-	for ; i < len(n.items); i++ {
-		if len(n.kids) > 0 {
-			if !t.ascend(n.kids[i], lo, hi, fn) {
-				return false
+	if added {
+		t.n++
+	}
+	return added
+}
+
+// insertIn inserts p below in, which sits at height h. When in overflows
+// it splits, and the new right sibling and its separator are returned.
+func (t *pairTree[V]) insertIn(in *inner[V], h int, p pair[V]) (added bool, sep pair[V], right *inner[V]) {
+	i := in.child(p)
+	if h == 1 {
+		l := in.leaves[i]
+		j, found := l.search(p)
+		if found {
+			return false, sep, nil
+		}
+		if l.n == leafMax {
+			// Share a full leaf with a neighbour that has room before
+			// splitting it: leaves stay fuller than half.
+			if i > 0 && in.leaves[i-1].n < leafMax-1 {
+				even(in, i-1)
+			} else if i+1 < len(in.leaves) && in.leaves[i+1].n < leafMax-1 {
+				even(in, i)
 			}
+			i = in.child(p)
+			l = in.leaves[i]
+			j, _ = l.search(p)
 		}
-		it := n.items[i]
-		if hi != nil && t.less(*hi, it.k) {
-			return false
+		nl := t.leafInsert(l, j, p)
+		if nl == nil {
+			return true, sep, nil
 		}
-		if !fn(it) {
-			return false
+		in.seps = slices.Insert(in.seps, i, nl.pairs[0])
+		in.leaves = slices.Insert(in.leaves, i+1, nl)
+	} else {
+		var ksep pair[V]
+		var kr *inner[V]
+		added, ksep, kr = t.insertIn(in.kids[i], h-1, p)
+		if kr == nil {
+			return added, sep, nil
 		}
+		in.seps = slices.Insert(in.seps, i, ksep)
+		in.kids = slices.Insert(in.kids, i+1, kr)
 	}
-	if len(n.kids) > 0 {
-		return t.ascend(n.kids[len(n.items)], lo, hi, fn)
+	if in.size() <= innerMax {
+		return true, sep, nil
+	}
+	// Split: the left half keeps innerMin children, the separator
+	// between the halves moves up.
+	seps := cut(&in.seps, innerMin-1)
+	t.inners++
+	return true, seps[0], &inner[V]{seps: seps[1:], kids: cut(&in.kids, innerMin), leaves: cut(&in.leaves, innerMin)}
+}
+
+// leafInsert puts p at position j of l. A full leaf splits in two halves
+// and the new right leaf is returned.
+func (t *pairTree[V]) leafInsert(l *leaf[V], j int, p pair[V]) *leaf[V] {
+	if l.n < leafMax {
+		copy(l.pairs[j+1:l.n+1], l.pairs[j:l.n])
+		l.pairs[j] = p
+		l.n++
+		return nil
+	}
+	nl := &leaf[V]{next: l.next}
+	l.next = nl
+	t.leaves++
+	const half = leafMax / 2
+	nl.n = copy(nl.pairs[:], l.pairs[half:])
+	clear(l.pairs[half:])
+	l.n = half
+	if j <= half {
+		t.leafInsert(l, j, p)
+	} else {
+		t.leafInsert(nl, j-half, p)
+	}
+	return nl
+}
+
+// delete removes p; it reports false when p was absent.
+func (t *pairTree[V]) delete(p pair[V]) bool {
+	if t.root == nil || !t.deleteIn(t.root, t.height, p) {
+		return false
+	}
+	t.n--
+	if t.n == 0 {
+		*t = pairTree[V]{}
+		return true
+	}
+	for t.height > 1 && len(t.root.kids) == 1 {
+		t.root = t.root.kids[0]
+		t.height--
+		t.inners--
 	}
 	return true
 }
 
-// each calls fn for every item in key order.
-func (t *btree) each(fn func(btItem) bool) {
-	t.ascendRange(nil, nil, fn)
-}
-
-// maybeCompact rebuilds the tree from its live items once in-place-emptied
-// postings dominate. The rebuild is a median-split over the (already
-// sorted) live items — nodes come out underfull, which B-tree search and
-// insertion tolerate; only delete rebalancing (which we don't do) needs
-// the fill invariant.
-func (t *btree) maybeCompact() {
-	if t.empty <= 64 || t.empty <= t.live {
-		return
-	}
-	items := make([]btItem, 0, t.live)
-	t.each(func(it btItem) bool {
-		if len(it.post.keys) > 0 {
-			items = append(items, it)
+// deleteIn removes p below in, at height h, and rebalances the child it
+// left under half full.
+func (t *pairTree[V]) deleteIn(in *inner[V], h int, p pair[V]) bool {
+	i := in.child(p)
+	if h == 1 {
+		l := in.leaves[i]
+		j, found := l.search(p)
+		if !found {
+			return false
+		}
+		copy(l.pairs[j:l.n-1], l.pairs[j+1:l.n])
+		l.n--
+		l.pairs[l.n] = pair[V]{}
+		if l.n < leafMin && len(in.leaves) > 1 {
+			t.fixLeaf(in, max(i-1, 0))
 		}
 		return true
-	})
-	t.root = buildBtree(items)
-	t.live = len(items)
-	t.empty = 0
+	}
+	kid := in.kids[i]
+	if !t.deleteIn(kid, h-1, p) {
+		return false
+	}
+	if kid.size() < innerMin && len(in.kids) > 1 {
+		t.fixInner(in, max(i-1, 0))
+	}
+	return true
 }
 
-// buildBtree builds a tree over sorted items by median split.
-func buildBtree(items []btItem) *bnode {
-	if len(items) == 0 {
+// fixLeaf rebalances the adjacent leaves k and k+1 of in, one of which is
+// under half full: merged into one when they fit, else evened out.
+func (t *pairTree[V]) fixLeaf(in *inner[V], k int) {
+	a, b := in.leaves[k], in.leaves[k+1]
+	total := a.n + b.n
+	if total <= leafMax {
+		copy(a.pairs[a.n:], b.pairs[:b.n])
+		a.n = total
+		a.next = b.next
+		in.seps = slices.Delete(in.seps, k, k+1)
+		in.leaves = slices.Delete(in.leaves, k+1, k+2)
+		t.leaves--
+		return
+	}
+	even(in, k)
+}
+
+// even spreads the pairs of the adjacent leaves k and k+1 of in evenly
+// over the two.
+func even[V ixVal](in *inner[V], k int) {
+	a, b := in.leaves[k], in.leaves[k+1]
+	total := a.n + b.n
+	want := total / 2
+	if a.n < want {
+		m := want - a.n
+		copy(a.pairs[a.n:], b.pairs[:m])
+		copy(b.pairs[:], b.pairs[m:b.n])
+		clear(b.pairs[b.n-m : b.n])
+	} else {
+		m := a.n - want
+		copy(b.pairs[m:], b.pairs[:b.n])
+		copy(b.pairs[:m], a.pairs[want:a.n])
+		clear(a.pairs[want:a.n])
+	}
+	a.n, b.n = want, total-want
+	in.seps[k] = b.pairs[0]
+}
+
+// fixInner is fixLeaf for the adjacent inner children k and k+1 of in:
+// the separator between them comes down, and comes back up from the new
+// split point when they do not fit one node.
+func (t *pairTree[V]) fixInner(in *inner[V], k int) {
+	a, b := in.kids[k], in.kids[k+1]
+	a.seps = append(append(a.seps, in.seps[k]), b.seps...)
+	a.kids = append(a.kids, b.kids...)
+	a.leaves = append(a.leaves, b.leaves...)
+	total := a.size()
+	if total <= innerMax {
+		in.seps = slices.Delete(in.seps, k, k+1)
+		in.kids = slices.Delete(in.kids, k+1, k+2)
+		t.inners--
+		return
+	}
+	want := total / 2
+	seps := cut(&a.seps, want-1)
+	in.seps[k], b.seps = seps[0], seps[1:]
+	b.kids, b.leaves = cut(&a.kids, want), cut(&a.leaves, want)
+}
+
+// cut moves s[at:] into a new slice, which it returns (nil when there is
+// nothing past at), and truncates s to at.
+func cut[T any](s *[]T, at int) []T {
+	if len(*s) <= at {
 		return nil
 	}
-	if len(items) <= btMax {
-		return &bnode{items: append([]btItem(nil), items...)}
-	}
-	mid := len(items) / 2
-	return &bnode{
-		items: []btItem{items[mid]},
-		kids:  []*bnode{buildBtree(items[:mid]), buildBtree(items[mid+1:])},
-	}
+	tail := append([]T(nil), (*s)[at:]...)
+	*s = slices.Delete(*s, at, len(*s))
+	return tail
 }

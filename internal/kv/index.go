@@ -3,12 +3,16 @@ package kv
 import (
 	"fmt"
 	"math"
+	"reflect"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"squery/internal/metrics"
+	"squery/internal/wire"
 )
 
 // Secondary indexes over state-map columns, maintained inline on the
@@ -28,7 +32,7 @@ import (
 //     order-preserving transform of their float64 image, because SQL
 //     equality and ordering coerce ints and floats. Conversion through
 //     float64 is monotone (not injective above 2^53), so distinct huge
-//     ints may share a posting — a superset, which the filter resolves.
+//     ints may share a value — a superset, which the filter resolves.
 //   - Range bounds are always applied inclusively at the index level;
 //     strictness lives in the filter.
 //   - Entries whose extraction was incomplete (missing column, nil,
@@ -39,12 +43,12 @@ import (
 //     must not hide them. A homogeneous column has empty foreign sets and
 //     full selectivity; the safety net costs nothing until types mix.
 
-// IndexKind selects the index structure: hash (equality probes only) or
-// B-tree (equality and ordered ranges).
+// IndexKind selects which probes an index serves: hash (equality only) or
+// B-tree (equality and ordered ranges). Both keep the same ordered pairs.
 type IndexKind int
 
 const (
-	// IndexHash answers equality probes in O(1) per partition.
+	// IndexHash answers equality probes.
 	IndexHash IndexKind = iota
 	// IndexBTree answers equality and inclusive range probes.
 	IndexBTree
@@ -121,105 +125,98 @@ func makeIxKey(v any) (ixKey, bool) {
 	case string:
 		return ixKey{kind: 's', str: x}, true
 	case bool:
-		n := uint64(0)
-		if x {
-			n = 1
-		}
-		return ixKey{kind: 'b', num: n}, true
+		return boolIxKey(x), true
 	case time.Time:
-		return ixKey{kind: 't', num: uint64(x.UnixNano()) ^ (1 << 63)}, true
+		return timeIxKey(x), true
 	default:
 		return ixKey{}, false
 	}
 }
 
-func ixKeyBytes(k ixKey) int64 { return int64(len(k.str)) + 24 }
-
-// postingSetMin is the posting size past which a position map is built so
-// removals stay O(1) on skewed columns (few values, huge postings).
-const postingSetMin = 128
-
-// posting is the set of entry keys holding one indexed value, stored as a
-// slice for cheap iteration with an optional position map for cheap
-// removal. The caller guarantees add is never called with a key already
-// present (maintenance diffs old vs new key sets first).
-type posting struct {
-	keys []string
-	pos  map[string]int
+func boolIxKey(b bool) ixKey {
+	if b {
+		return ixKey{kind: 'b', num: 1}
+	}
+	return ixKey{kind: 'b'}
 }
 
-func (p *posting) add(ks string) {
-	if p.pos == nil && len(p.keys) >= postingSetMin {
-		p.pos = make(map[string]int, len(p.keys)+1)
-		for i, k := range p.keys {
-			p.pos[k] = i
-		}
-	}
-	if p.pos != nil {
-		p.pos[ks] = len(p.keys)
-	}
-	p.keys = append(p.keys, ks)
+func timeIxKey(t time.Time) ixKey {
+	return ixKey{kind: 't', num: uint64(t.UnixNano()) ^ (1 << 63)}
 }
 
-// remove deletes ks by swap-remove; it reports whether ks was present.
-func (p *posting) remove(ks string) bool {
-	if p.pos != nil {
-		i, ok := p.pos[ks]
-		if !ok {
-			return false
-		}
-		last := len(p.keys) - 1
-		moved := p.keys[last]
-		p.keys[i] = moved
-		p.keys = p.keys[:last]
-		delete(p.pos, ks)
-		if i != last {
-			p.pos[moved] = i
-		}
-		return true
-	}
-	for i, k := range p.keys {
-		if k == ks {
-			p.keys[i] = p.keys[len(p.keys)-1]
-			p.keys = p.keys[:len(p.keys)-1]
-			return true
-		}
-	}
-	return false
-}
+// numKinds are the key kinds whose pairs hold a uint64 image, in the order
+// indexPart.nums keeps their trees.
+const numKinds = "Nbt"
 
-// indexPart is one partition's slice of an index. Everything in it is
-// guarded by the owning segment's mu — mutation under the write lock,
+// oddRefBytes approximates one odd-set member: its key's string header
+// and map slot (the key's bytes are the entries map's own).
+const oddRefBytes = 24
+
+// indexPart is one partition's slice of an index: one ordered set of
+// (value, entry key) pairs per key kind, and the odd set. Everything in it
+// is guarded by the owning segment's mu — mutation under the write lock,
 // lookup under the read lock — which is what makes index reads
 // snapshot-consistent with the entries map.
 type indexPart struct {
-	hash  map[byte]map[ixKey]*posting // IndexHash: kind -> key -> posting
-	trees map[byte]*btree             // IndexBTree: kind -> ordered postings
-	odd   map[string]struct{}         // entries with incomplete extraction
+	nums [3]pairTree[uint64] // 'N', 'b', 't', as numKinds orders them
+	strs pairTree[string]    // 's'
+	odd  map[string]struct{} // entries with incomplete extraction
 
-	refs     map[byte]int // live (entry, value) references per kind
-	refTotal int64
-	bytes    int64
 	maintOps int64
 	maintSeq uint64
 }
 
-func newIndexPart() *indexPart {
-	return &indexPart{
-		hash:  make(map[byte]map[ixKey]*posting),
-		trees: make(map[byte]*btree),
-		odd:   make(map[string]struct{}),
-		refs:  make(map[byte]int),
+func (ip *indexPart) add(k ixKey, ks string) {
+	if k.kind == 's' {
+		ip.strs.insert(pair[string]{v: k.str, ks: ks})
+		return
 	}
+	ip.nums[strings.IndexByte(numKinds, k.kind)].insert(pair[uint64]{v: k.num, ks: ks})
 }
 
-// Index is a secondary index over one column of one map.
+// remove drops one reference, tolerating absence (a delete racing the
+// initial build may target a reference the build never saw).
+func (ip *indexPart) remove(k ixKey, ks string) {
+	if k.kind == 's' {
+		ip.strs.delete(pair[string]{v: k.str, ks: ks})
+		return
+	}
+	ip.nums[strings.IndexByte(numKinds, k.kind)].delete(pair[uint64]{v: k.num, ks: ks})
+}
+
+func (ip *indexPart) setOdd(ks string, odd bool) {
+	if !odd {
+		delete(ip.odd, ks)
+		return
+	}
+	if ip.odd == nil {
+		ip.odd = make(map[string]struct{})
+	}
+	ip.odd[ks] = struct{}{}
+}
+
+// stats returns the partition's (entry, value) reference count, odd set
+// included, and its footprint.
+func (ip *indexPart) stats() (refs, bytes int64) {
+	refs = int64(ip.strs.n + len(ip.odd))
+	bytes = ip.strs.bytes() + int64(len(ip.odd))*oddRefBytes
+	for i := range ip.nums {
+		refs += int64(ip.nums[i].n)
+		bytes += ip.nums[i].bytes()
+	}
+	return refs, bytes
+}
+
+// Index is a secondary index over one column of one map. Both kinds keep
+// the same pairs; a hash index only declines range probes.
 type Index struct {
 	m       *Map
 	col     string
 	kind    IndexKind
 	extract ValueIndexer
 	parts   []*indexPart
+	// reader reads col of the last flat struct type indexed, in place.
+	reader atomic.Pointer[colReader]
 
 	// ready flips once the initial build has covered every partition;
 	// lookups are not served before that (maintenance runs regardless —
@@ -229,39 +226,83 @@ type Index struct {
 	maint   *metrics.Histogram // sampled maintenance latency (1 in 16)
 }
 
-// Column returns the indexed column.
-func (ix *Index) Column() string { return ix.col }
-
-// Kind returns the index structure kind.
-func (ix *Index) Kind() IndexKind { return ix.kind }
-
-// singleKey is the allocation-free extraction fast path for the default
-// (nil) extractor: one column read, one normalized key or the odd set.
-func (ix *Index) singleKey(value any) (k ixKey, hasKey, odd bool) {
-	f, ok := AsRow(value).Field(ix.col)
-	if !ok || f == nil {
-		return ixKey{}, false, true
-	}
-	k, ok = makeIxKey(f)
-	if !ok {
-		return ixKey{}, false, true
-	}
-	return k, true, false
+// colReader keys one column of one flat struct type straight from the
+// row's memory, as makeIxKey keys the boxed field. key is nil when the
+// column is missing or of a type makeIxKey does not key: a named type
+// boxes as itself.
+type colReader struct {
+	s   *wire.Schema
+	key func(wire.Ref) ixKey
 }
 
-// keysFor extracts and normalizes the index keys of one stored value.
-// odd reports whether the entry must (also) live in the odd set.
-func (ix *Index) keysFor(value any) (keys []ixKey, odd bool) {
-	var vals []any
-	var complete bool
-	if ix.extract != nil {
-		vals, complete = ix.extract(value, ix.col)
-	} else {
-		f, ok := AsRow(value).Field(ix.col)
-		if ok && f != nil {
-			vals, complete = []any{f}, true
+var timeType = reflect.TypeOf(time.Time{})
+
+func newColReader(s *wire.Schema, col string) *colReader {
+	r := &colReader{s: s}
+	i, ok := s.FieldIndex(col)
+	if !ok {
+		return r
+	}
+	t := s.ColumnType(i)
+	switch k := t.Kind(); {
+	case t == timeType:
+		r.key = func(ref wire.Ref) ixKey { return timeIxKey(*s.Time(ref, i)) }
+	case t.PkgPath() != "":
+	case k == reflect.String:
+		r.key = func(ref wire.Ref) ixKey { return ixKey{kind: 's', str: s.Str(ref, i)} }
+	case k == reflect.Bool:
+		r.key = func(ref wire.Ref) ixKey { return boolIxKey(s.Bool(ref, i)) }
+	case k == reflect.Float32, k == reflect.Float64:
+		r.key = func(ref wire.Ref) ixKey { return numIxKey(s.Float(ref, i)) }
+	case k == reflect.Uint, k == reflect.Uint64:
+		r.key = func(ref wire.Ref) ixKey { return numIxKey(float64(uint64(s.Int(ref, i)))) }
+	case k >= reflect.Int && k <= reflect.Uint32:
+		r.key = func(ref wire.Ref) ixKey { return numIxKey(float64(s.Int(ref, i))) }
+	}
+	return r
+}
+
+func (r *colReader) read(ref wire.Ref) (ixKey, bool) {
+	if r.key == nil {
+		return ixKey{}, false
+	}
+	return r.key(ref), true
+}
+
+// singleKey keys the column of one value for the default extractor; ok is
+// false when the value belongs in the odd set. A flat struct is read in
+// place, anything else through AsRow.
+func (ix *Index) singleKey(value any) (ixKey, bool) {
+	if r := ix.reader.Load(); r != nil {
+		if ref, ok := r.s.Ref(value); ok {
+			return r.read(ref)
 		}
 	}
+	if s := wire.FlatSchemaOf(value); s != nil {
+		r := newColReader(s, ix.col)
+		ix.reader.Store(r)
+		ref, _ := s.Ref(value)
+		return r.read(ref)
+	}
+	f, ok := AsRow(value).Field(ix.col)
+	if !ok || f == nil {
+		return ixKey{}, false
+	}
+	return makeIxKey(f)
+}
+
+// keysFor appends the index keys of one stored value to buf. odd reports
+// whether the entry must (also) live in the odd set. A multi-valued
+// extractor may list a key twice; the pair sets absorb the repeat.
+func (ix *Index) keysFor(value any, buf []ixKey) (keys []ixKey, odd bool) {
+	if ix.extract == nil {
+		k, ok := ix.singleKey(value)
+		if !ok {
+			return buf, true
+		}
+		return append(buf, k), false
+	}
+	vals, complete := ix.extract(value, ix.col)
 	odd = !complete
 	for _, v := range vals {
 		k, ok := makeIxKey(v)
@@ -269,39 +310,9 @@ func (ix *Index) keysFor(value any) (keys []ixKey, odd bool) {
 			odd = true
 			continue
 		}
-		dup := false
-		for _, have := range keys {
-			if have == k {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			keys = append(keys, k)
-		}
+		buf = append(buf, k)
 	}
-	return keys, odd
-}
-
-func ixKeysEqual(a, b []ixKey) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func containsIxKey(ks []ixKey, k ixKey) bool {
-	for _, have := range ks {
-		if have == k {
-			return true
-		}
-	}
-	return false
+	return buf, odd
 }
 
 // update maintains the index for one entry mutation. It must run under
@@ -316,66 +327,30 @@ func (ix *Index) update(p int, ks string, oldVal any, had bool, newVal any, has 
 	if sampled {
 		t0 = time.Now()
 	}
-
-	var oldKeys, newKeys []ixKey
 	var oldBuf, newBuf [1]ixKey
+	var oldKeys, newKeys []ixKey
 	oldOdd, newOdd := false, false
-	if ix.extract == nil {
-		// Single-value fast path: no slice boxing on the put hot path.
-		if had {
-			k, hasKey, odd := ix.singleKey(oldVal)
-			oldOdd = odd
-			if hasKey {
-				oldBuf[0] = k
-				oldKeys = oldBuf[:1]
+	if had {
+		oldKeys, oldOdd = ix.keysFor(oldVal, oldBuf[:0])
+	}
+	if has {
+		newKeys, newOdd = ix.keysFor(newVal, newBuf[:0])
+	}
+	if had != has || oldOdd != newOdd || !slices.Equal(oldKeys, newKeys) {
+		// New pairs go in before old ones come out, so a value that
+		// moves never empties its set on the way.
+		for _, k := range newKeys {
+			if !slices.Contains(oldKeys, k) {
+				ip.add(k, ks)
 			}
 		}
-		if has {
-			k, hasKey, odd := ix.singleKey(newVal)
-			newOdd = odd
-			if hasKey {
-				newBuf[0] = k
-				newKeys = newBuf[:1]
+		for _, k := range oldKeys {
+			if !slices.Contains(newKeys, k) {
+				ip.remove(k, ks)
 			}
 		}
-	} else {
-		if had {
-			oldKeys, oldOdd = ix.keysFor(oldVal)
-		}
-		if has {
-			newKeys, newOdd = ix.keysFor(newVal)
-		}
-	}
-	if had == has && oldOdd == newOdd && ixKeysEqual(oldKeys, newKeys) {
-		ip.maintOps++
-		if sampled {
-			ix.maint.Record(time.Since(t0))
-		}
-		return
-	}
-	for _, k := range oldKeys {
-		if !containsIxKey(newKeys, k) {
-			ip.removeRef(k, ks)
-		}
-	}
-	for _, k := range newKeys {
-		if !containsIxKey(oldKeys, k) {
-			ip.addRef(ix.kind, k, ks)
-		}
-	}
-	wasOdd := had && oldOdd
-	isOdd := has && newOdd
-	if wasOdd && !isOdd {
-		if _, ok := ip.odd[ks]; ok {
-			delete(ip.odd, ks)
-			ip.refTotal--
-			ip.bytes -= int64(len(ks)) + 16
-		}
-	} else if isOdd && !wasOdd {
-		if _, ok := ip.odd[ks]; !ok {
-			ip.odd[ks] = struct{}{}
-			ip.refTotal++
-			ip.bytes += int64(len(ks)) + 16
+		if wasOdd, isOdd := had && oldOdd, has && newOdd; wasOdd != isOdd {
+			ip.setOdd(ks, isOdd)
 		}
 	}
 	ip.maintOps++
@@ -384,100 +359,21 @@ func (ix *Index) update(p int, ks string, oldVal any, had bool, newVal any, has 
 	}
 }
 
-// addRef adds one (entry, value) reference. The caller guarantees the
-// reference is not already present (update diffs key sets first).
-func (ip *indexPart) addRef(kind IndexKind, k ixKey, ks string) {
-	switch kind {
-	case IndexHash:
-		b := ip.hash[k.kind]
-		if b == nil {
-			b = make(map[ixKey]*posting)
-			ip.hash[k.kind] = b
-		}
-		p := b[k]
-		if p == nil {
-			p = &posting{}
-			b[k] = p
-			ip.bytes += ixKeyBytes(k)
-		}
-		p.add(ks)
-	case IndexBTree:
-		t := ip.trees[k.kind]
-		if t == nil {
-			t = &btree{kind: k.kind}
-			ip.trees[k.kind] = t
-		}
-		p, isNew := t.getOrInsert(k)
-		if isNew {
-			t.live++
-			ip.bytes += ixKeyBytes(k)
-		} else if len(p.keys) == 0 {
-			t.empty--
-			t.live++
-		}
-		p.add(ks)
-	}
-	ip.refs[k.kind]++
-	ip.refTotal++
-	ip.bytes += int64(len(ks)) + 16
-}
-
-// removeRef drops one (entry, value) reference, tolerating absence (a
-// delete racing the initial build may target a reference the build never
-// saw).
-func (ip *indexPart) removeRef(k ixKey, ks string) {
-	removed := false
-	switch {
-	case ip.hash[k.kind] != nil:
-		b := ip.hash[k.kind]
-		if p := b[k]; p != nil && p.remove(ks) {
-			removed = true
-			if len(p.keys) == 0 {
-				delete(b, k)
-				ip.bytes -= ixKeyBytes(k)
-				if len(b) == 0 {
-					delete(ip.hash, k.kind)
-				}
-			}
-		}
-	case ip.trees[k.kind] != nil:
-		t := ip.trees[k.kind]
-		if p := t.get(k); p != nil && p.remove(ks) {
-			removed = true
-			if len(p.keys) == 0 {
-				t.live--
-				t.empty++
-				t.maybeCompact()
-			}
-		}
-	}
-	if !removed {
-		return
-	}
-	ip.refs[k.kind]--
-	if ip.refs[k.kind] == 0 {
-		delete(ip.refs, k.kind)
-	}
-	ip.refTotal--
-	ip.bytes -= int64(len(ks)) + 16
-}
-
 // rebuildLocked re-derives partition p's slice of the index from the
 // entries map. The caller holds the segment write lock. Idempotent — it
 // resets the slice first — so it doubles as the initial build, the
 // post-migration rebuild and the post-promotion rebuild.
 func (ix *Index) rebuildLocked(p int, entries map[string]Entry) {
-	ip := newIndexPart()
+	ip := &indexPart{}
 	ix.parts[p] = ip
+	var buf [1]ixKey
 	for ks, e := range entries {
-		keys, odd := ix.keysFor(e.Value)
+		keys, odd := ix.keysFor(e.Value, buf[:0])
 		for _, k := range keys {
-			ip.addRef(ix.kind, k, ks)
+			ip.add(k, ks)
 		}
 		if odd {
-			ip.odd[ks] = struct{}{}
-			ip.refTotal++
-			ip.bytes += int64(len(ks)) + 16
+			ip.setOdd(ks, true)
 		}
 	}
 }
@@ -494,157 +390,140 @@ type IndexLookup struct {
 	Hi    any
 }
 
-// probeKeys normalizes a lookup's probe values; ok is false when the
-// lookup cannot be served from an index at all (unkeyable probe value,
+// probe is a lookup's normalized bounds: the same-kind pairs whose value
+// lies in [lo, hi] are candidates, a missing bound being open. An equality
+// probe is the range [eq, eq].
+type probe struct {
+	kind         byte
+	lo, hi       ixKey
+	hasLo, hasHi bool
+}
+
+// probe normalizes a lookup's probe values; ok is false when the lookup
+// cannot be served from an index at all (unkeyable probe value,
 // mismatched bound kinds, unbounded both sides).
-func (lk IndexLookup) probeKeys() (kind byte, eq ixKey, lo, hi *ixKey, ok bool) {
+func (lk IndexLookup) probe() (pr probe, ok bool) {
 	if !lk.Range {
 		k, ok := makeIxKey(lk.Eq)
-		if !ok {
-			return 0, ixKey{}, nil, nil, false
-		}
-		return k.kind, k, nil, nil, true
-	}
-	if lk.Lo == nil && lk.Hi == nil {
-		return 0, ixKey{}, nil, nil, false
+		return probe{kind: k.kind, lo: k, hi: k, hasLo: true, hasHi: true}, ok
 	}
 	if lk.Lo != nil {
-		k, ok := makeIxKey(lk.Lo)
-		if !ok {
-			return 0, ixKey{}, nil, nil, false
+		if pr.lo, ok = makeIxKey(lk.Lo); !ok {
+			return probe{}, false
 		}
-		lo = &k
-		kind = k.kind
+		pr.kind, pr.hasLo = pr.lo.kind, true
 	}
 	if lk.Hi != nil {
-		k, ok := makeIxKey(lk.Hi)
-		if !ok {
-			return 0, ixKey{}, nil, nil, false
+		if pr.hi, ok = makeIxKey(lk.Hi); !ok || pr.hasLo && pr.hi.kind != pr.kind {
+			return probe{}, false
 		}
-		hi = &k
-		if lo != nil && k.kind != kind {
-			return 0, ixKey{}, nil, nil, false
-		}
-		kind = k.kind
+		pr.kind, pr.hasHi = pr.hi.kind, true
 	}
-	return kind, ixKey{}, lo, hi, true
+	return pr, pr.hasLo || pr.hasHi
 }
 
-// serves reports whether this index can answer the lookup.
-func (ix *Index) serves(lk IndexLookup) bool {
-	if ix.col != lk.Col || !ix.ready.Load() {
-		return false
-	}
-	if lk.Range && ix.kind != IndexBTree {
-		return false
-	}
-	_, _, _, _, ok := lk.probeKeys()
-	return ok
+// span is the part of one pair set a probe selects: values from lo, to hi
+// when hasHi. An open lower bound is the zero value, the least of its
+// type, so the zero span selects the whole set.
+type span[V ixVal] struct {
+	lo, hi V
+	hasHi  bool
 }
 
-// gatherLocked collects the candidate entry keys for a lookup in
-// partition p: same-kind matches, all foreign-kind references, and the
-// odd set. The caller holds the segment (read) lock. emit must tolerate
-// duplicate keys — multi-valued extraction can land one entry in several
-// same-kind postings.
-func (ix *Index) gatherLocked(p int, lk IndexLookup, emit func(ks string)) {
+// nums is the span of the numeric set of kind k: the probe's bounds on its
+// own kind, everything on a foreign one.
+func (pr probe) nums(k byte) span[uint64] {
+	if k != pr.kind {
+		return span[uint64]{}
+	}
+	return span[uint64]{pr.lo.num, pr.hi.num, pr.hasHi}
+}
+
+// strs is nums for the string set.
+func (pr probe) strs() span[string] {
+	if pr.kind != 's' {
+		return span[string]{}
+	}
+	return span[string]{pr.lo.str, pr.hi.str, pr.hasHi}
+}
+
+// appendSpan appends the entries of the span's pairs to out.
+func (t *pairTree[V]) appendSpan(out []Entry, s span[V], entries map[string]Entry, seen map[string]struct{}) []Entry {
+	for l, i := t.seek(pair[V]{v: s.lo}); l != nil; l, i = l.next, 0 {
+		for ; i < l.n; i++ {
+			if s.hasHi && l.pairs[i].v > s.hi {
+				return out
+			}
+			out = appendEntry(out, l.pairs[i].ks, entries, seen)
+		}
+	}
+	return out
+}
+
+// count returns the number of pairs in the span; a leaf wholly inside it
+// counts without reading its pairs.
+func (t *pairTree[V]) count(s span[V]) int {
+	if s == (span[V]{}) {
+		return t.n
+	}
+	n := 0
+	for l, i := t.seek(pair[V]{v: s.lo}); l != nil; l, i = l.next, 0 {
+		if !s.hasHi || l.pairs[l.n-1].v <= s.hi {
+			n += l.n - i
+			continue
+		}
+		for ; i < l.n && l.pairs[i].v <= s.hi; i++ {
+			n++
+		}
+		break
+	}
+	return n
+}
+
+// appendEntry appends entry ks to out, once when seen is non-nil.
+func appendEntry(out []Entry, ks string, entries map[string]Entry, seen map[string]struct{}) []Entry {
+	if seen != nil {
+		if _, dup := seen[ks]; dup {
+			return out
+		}
+		seen[ks] = struct{}{}
+	}
+	if e, ok := entries[ks]; ok {
+		out = append(out, e)
+	}
+	return out
+}
+
+// gatherLocked appends partition p's candidates for a probe to out:
+// same-kind pairs in the probe's span, every foreign-kind pair and the
+// odd set. The caller holds the segment (read) lock. Only a multi-valued
+// extractor can list an entry twice, so only then is a seen set kept.
+func (ix *Index) gatherLocked(p int, pr probe, entries map[string]Entry, out []Entry) []Entry {
 	ip := ix.parts[p]
-	kind, eq, lo, hi, ok := lk.probeKeys()
-	if !ok {
-		return
+	var seen map[string]struct{}
+	if ix.extract != nil {
+		seen = make(map[string]struct{})
 	}
-	// Same-kind matches.
-	if !lk.Range {
-		var p *posting
-		switch ix.kind {
-		case IndexHash:
-			if b := ip.hash[kind]; b != nil {
-				p = b[eq]
-			}
-		case IndexBTree:
-			if t := ip.trees[kind]; t != nil {
-				p = t.get(eq)
-			}
-		}
-		if p != nil {
-			for _, ks := range p.keys {
-				emit(ks)
-			}
-		}
-	} else if t := ip.trees[kind]; t != nil {
-		t.ascendRange(lo, hi, func(it btItem) bool {
-			for _, ks := range it.post.keys {
-				emit(ks)
-			}
-			return true
-		})
+	for i := range ip.nums {
+		out = ip.nums[i].appendSpan(out, pr.nums(numKinds[i]), entries, seen)
 	}
-	// Foreign kinds: rows a full scan would also have examined (and
-	// possibly errored on). Empty for a homogeneous column.
-	for k, b := range ip.hash {
-		if k == kind {
-			continue
-		}
-		for _, post := range b {
-			for _, ks := range post.keys {
-				emit(ks)
-			}
-		}
-	}
-	for k, t := range ip.trees {
-		if k == kind {
-			continue
-		}
-		t.each(func(it btItem) bool {
-			for _, ks := range it.post.keys {
-				emit(ks)
-			}
-			return true
-		})
-	}
-	// Odd set: incomplete extraction.
+	out = ip.strs.appendSpan(out, pr.strs(), entries, seen)
 	for ks := range ip.odd {
-		emit(ks)
+		out = appendEntry(out, ks, entries, seen)
 	}
+	return out
 }
 
 // estimateLocked counts the candidates gatherLocked would emit (with
-// duplicates), in O(result + kinds) — range probes traverse their span.
-func (ix *Index) estimateLocked(p int, lk IndexLookup) int64 {
+// duplicates): foreign kinds and the odd set by their sizes, the probe's
+// span by walking its leaves.
+func (ix *Index) estimateLocked(p int, pr probe) int64 {
 	ip := ix.parts[p]
-	kind, eq, lo, hi, ok := lk.probeKeys()
-	if !ok {
-		return 0
+	n := ip.strs.count(pr.strs()) + len(ip.odd)
+	for i := range ip.nums {
+		n += ip.nums[i].count(pr.nums(numKinds[i]))
 	}
-	var n int64
-	if !lk.Range {
-		switch ix.kind {
-		case IndexHash:
-			if b := ip.hash[kind]; b != nil {
-				if post := b[eq]; post != nil {
-					n += int64(len(post.keys))
-				}
-			}
-		case IndexBTree:
-			if t := ip.trees[kind]; t != nil {
-				if post := t.get(eq); post != nil {
-					n += int64(len(post.keys))
-				}
-			}
-		}
-	} else if t := ip.trees[kind]; t != nil {
-		t.ascendRange(lo, hi, func(it btItem) bool {
-			n += int64(len(it.post.keys))
-			return true
-		})
-	}
-	for k, c := range ip.refs {
-		if k != kind {
-			n += int64(c)
-		}
-	}
-	n += int64(len(ip.odd))
-	return n
+	return int64(n)
 }
 
 // indexes returns the map's published index set (nil when none).
@@ -656,10 +535,19 @@ func (m *Map) indexSet() []*Index {
 	return *ixs
 }
 
-// indexFor returns the first ready index able to serve the lookup.
-func (m *Map) indexFor(lk IndexLookup) *Index {
+// indexFor returns the first ready index able to serve the lookup, and
+// the lookup's normalized bounds.
+func (m *Map) indexFor(lk IndexLookup) (*Index, probe, bool) {
+	pr, ok := lk.probe()
+	ix := m.indexOn(lk.Col, lk.Range)
+	return ix, pr, ok && ix != nil
+}
+
+// indexOn returns the first ready index on col that serves equality
+// probes, or range probes when needRange: only a B-tree index does.
+func (m *Map) indexOn(col string, needRange bool) *Index {
 	for _, ix := range m.indexSet() {
-		if ix.serves(lk) {
+		if ix.col == col && ix.ready.Load() && (!needRange || ix.kind == IndexBTree) {
 			return ix
 		}
 	}
@@ -668,18 +556,7 @@ func (m *Map) indexFor(lk IndexLookup) *Index {
 
 // HasIndex reports whether a ready index exists on col that can serve
 // equality (needRange false) or range (needRange true) probes.
-func (m *Map) HasIndex(col string, needRange bool) bool {
-	for _, ix := range m.indexSet() {
-		if ix.col != col || !ix.ready.Load() {
-			continue
-		}
-		if needRange && ix.kind != IndexBTree {
-			continue
-		}
-		return true
-	}
-	return false
-}
+func (m *Map) HasIndex(col string, needRange bool) bool { return m.indexOn(col, needRange) != nil }
 
 // CreateIndex builds a secondary index on col over every partition and
 // registers it for inline maintenance. extract may be nil (defaults to
@@ -709,15 +586,12 @@ func (m *Map) CreateIndex(col string, kind IndexKind, extract ValueIndexer) (*In
 		maint:   metrics.NewHistogram(),
 	}
 	for p := range ix.parts {
-		ix.parts[p] = newIndexPart()
+		ix.parts[p] = &indexPart{}
 	}
 	// Publish first so concurrent writers maintain the new index, then
 	// build each partition under its segment lock — the build rescans
 	// whatever raced it, so the end state is exactly the entries map.
-	old := m.indexSet()
-	next := make([]*Index, len(old)+1)
-	copy(next, old)
-	next[len(old)] = ix
+	next := append(slices.Clip(m.indexSet()), ix)
 	m.indexes.Store(&next)
 	for p, seg := range m.segs {
 		seg.mu.Lock()
@@ -744,24 +618,14 @@ func (m *Map) ScanPartitionIndexed(p int, lk IndexLookup, o ScanOpts, fn func(En
 // touches nothing — when no ready index can serve the lookup; the caller
 // falls back to a full scan.
 func (m *Map) ScanPartitionIndexedWith(p int, lk IndexLookup, o ScanOpts, fn func([]Entry) bool) bool {
-	ix := m.indexFor(lk)
-	if ix == nil {
+	ix, pr, ok := m.indexFor(lk)
+	if !ok {
 		return false
 	}
 	st := m.store.statsFor(p)
 	seg := m.segs[p]
 	rlockWith(seg.mu, st)
-	entries := o.scratch(0)
-	seen := make(map[string]struct{})
-	ix.gatherLocked(p, lk, func(ks string) {
-		if _, dup := seen[ks]; dup {
-			return
-		}
-		seen[ks] = struct{}{}
-		if e, ok := seg.entries[ks]; ok {
-			entries = append(entries, e)
-		}
-	})
+	entries := ix.gatherLocked(p, pr, seg.entries, o.scratch(0))
 	seg.mu.RUnlock()
 	ix.lookups.Add(1)
 	if st != nil {
@@ -781,8 +645,8 @@ func (m *Map) EstimateLookup(lk IndexLookup) (int64, bool) {
 // EstimateLookupIn is EstimateLookup over partition p alone (every
 // partition when p is negative) — what a scan pruned to p will examine.
 func (m *Map) EstimateLookupIn(p int, lk IndexLookup) (int64, bool) {
-	ix := m.indexFor(lk)
-	if ix == nil {
+	ix, pr, ok := m.indexFor(lk)
+	if !ok {
 		return 0, false
 	}
 	var n int64
@@ -790,8 +654,8 @@ func (m *Map) EstimateLookupIn(p int, lk IndexLookup) (int64, bool) {
 		if p >= 0 && q != p {
 			continue
 		}
-		seg.mu.RLock()
-		n += ix.estimateLocked(q, lk)
+		rlockWith(seg.mu, m.store.statsFor(q))
+		n += ix.estimateLocked(q, pr)
 		seg.mu.RUnlock()
 	}
 	return n, true
@@ -803,13 +667,7 @@ func (m *Map) EstimateLookupIn(p int, lk IndexLookup) (int64, bool) {
 // inline maintenance never saw the entries under their new owner. The
 // entries themselves do not change, so taps receive nothing.
 func (s *Store) RebuildPartitionIndexes(p int) {
-	s.mu.RLock()
-	maps := make([]*Map, 0, len(s.maps))
-	for _, m := range s.maps {
-		maps = append(maps, m)
-	}
-	s.mu.RUnlock()
-	for _, m := range maps {
+	for _, m := range s.mapList() {
 		seg := m.segs[p]
 		seg.mu.Lock()
 		m.resetPartitionLocked(p, seg, nil)
@@ -833,14 +691,8 @@ type IndexInfo struct {
 // IndexInfos returns a point-in-time view of every index in the store,
 // sorted by map then column.
 func (s *Store) IndexInfos() []IndexInfo {
-	s.mu.RLock()
-	maps := make([]*Map, 0, len(s.maps))
-	for _, m := range s.maps {
-		maps = append(maps, m)
-	}
-	s.mu.RUnlock()
 	var out []IndexInfo
-	for _, m := range maps {
+	for _, m := range s.mapList() {
 		for _, ix := range m.indexSet() {
 			info := IndexInfo{
 				Map:      m.name,
@@ -851,11 +703,11 @@ func (s *Store) IndexInfos() []IndexInfo {
 				MaintP99: ix.maint.Quantile(0.99),
 			}
 			for p, seg := range m.segs {
-				seg.mu.RLock()
-				ip := ix.parts[p]
-				info.Entries += ip.refTotal
-				info.Bytes += ip.bytes
-				info.MaintOps += ip.maintOps
+				rlockWith(seg.mu, s.statsFor(p))
+				refs, bytes := ix.parts[p].stats()
+				info.Entries += refs
+				info.Bytes += bytes
+				info.MaintOps += ix.parts[p].maintOps
 				seg.mu.RUnlock()
 			}
 			out = append(out, info)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -113,7 +114,7 @@ func TestIndexScanParity(t *testing.T) {
 			"lat":  50 + rng.Float64()*100,
 		})
 	}
-	// Overwrites that move rows between postings.
+	// Overwrites that move rows between values.
 	for i := 0; i < 500; i++ {
 		k := rng.Intn(2000)
 		v.Put("orders", k, MapRow{
@@ -282,7 +283,7 @@ func TestIndexEstimate(t *testing.T) {
 
 // TestIndexRebuildOnFailNode: backup promotion swaps a partition's entries
 // wholesale; the indexes must be re-derived or every lookup after a
-// failover would serve the dead node's postings.
+// failover would serve the dead node's pairs.
 func TestIndexRebuildOnFailNode(t *testing.T) {
 	p := partition.New(partition.DefaultCount)
 	s := NewStore(p, partition.Assign(p.Count(), 3), nil)
@@ -433,10 +434,10 @@ func TestIndexEpochFenceRegression(t *testing.T) {
 		t.Fatalf("zone=moved found %d rows in the rebuilt index, want exactly 1", len(idx))
 	}
 	sameResults(t, "post-flip", idx, collectFull(m, zoneIs("moved")))
-	// And the old posting must not retain the key.
+	// And the old value must not retain the key.
 	old, _ := collectIndexed(m, IndexLookup{Col: "zone", Eq: "z3"}, zoneIs("z3"))
 	if _, stale := old[partition.KeyString(key)]; stale {
-		t.Fatal("stale posting survived the flip rebuild")
+		t.Fatal("stale pair survived the flip rebuild")
 	}
 }
 
@@ -475,59 +476,8 @@ func TestIndexInfos(t *testing.T) {
 	}
 }
 
-// TestBTreeOrderAndCompaction exercises the tree directly: ordered range
-// iteration across splits, and compaction after mass emptying.
-func TestBTreeOrderAndCompaction(t *testing.T) {
-	tr := &btree{kind: 'N'}
-	rng := rand.New(rand.NewSource(1))
-	keys := rng.Perm(5000)
-	for _, k := range keys {
-		p, isNew := tr.getOrInsert(numIxKey(float64(k)))
-		if !isNew {
-			t.Fatalf("duplicate insert for %d", k)
-		}
-		tr.live++
-		p.add(fmt.Sprintf("k%d", k))
-	}
-	var got []uint64
-	lo, hi := numIxKey(1000), numIxKey(1999)
-	tr.ascendRange(&lo, &hi, func(it btItem) bool {
-		got = append(got, it.k.num)
-		return true
-	})
-	if len(got) != 1000 {
-		t.Fatalf("range walk visited %d items, want 1000", len(got))
-	}
-	for i := 1; i < len(got); i++ {
-		if got[i-1] >= got[i] {
-			t.Fatal("range walk out of order")
-		}
-	}
-	// Empty most postings; compaction must kick in and keep the rest.
-	for k := 0; k < 4900; k++ {
-		p := tr.get(numIxKey(float64(k)))
-		p.remove(fmt.Sprintf("k%d", k))
-		tr.live--
-		tr.empty++
-		tr.maybeCompact()
-	}
-	n := 0
-	tr.each(func(it btItem) bool {
-		if len(it.post.keys) > 0 {
-			n++
-		}
-		return true
-	})
-	if n != 100 {
-		t.Fatalf("%d live postings after compaction, want 100", n)
-	}
-	if tr.empty > tr.live {
-		t.Fatalf("compaction never ran: empty=%d live=%d", tr.empty, tr.live)
-	}
-}
-
 // TestClearMapKeepsIndexes: ClearMap wipes data but not schema — index
-// definitions survive, postings reset, and inline maintenance resumes on
+// definitions survive, pairs reset, and inline maintenance resumes on
 // the next write. (DropMap on a recovery path once silently discarded the
 // table's indexes; the recreated map answered every probe with a full
 // scan.)
@@ -565,30 +515,109 @@ func TestClearMapKeepsIndexes(t *testing.T) {
 	s.ClearMap("nosuch")
 }
 
-// TestIndexedPutAllocs gates the inline-maintenance allocation cost of an
-// overwrite whose indexed column does not change — the common case on the
-// operator update path. The single-value fast path extracts and compares
-// old vs new keys with no slice boxing, so maintenance must add ZERO
-// allocations over the unindexed put (itself 2: the key string and the
-// boxed key).
+// TestIndexedPutAllocs gates the inline-maintenance allocation cost of a
+// put. An overwrite whose indexed column does not change — the common case
+// on the operator update path — must add ZERO allocations over the
+// unindexed put, for a MapRow and for a struct row, whose column is read
+// in place rather than through a boxed Row. A struct row whose B-tree
+// column moves on every put (a sequence number) pays only for leaf
+// splits, amortised over the puts.
 func TestIndexedPutAllocs(t *testing.T) {
 	s := testStore()
-	row := MapRow{"zone": "z1"}
 	v := s.View(0)
-	v.Put("plain", 1, row)
-	base := testing.AllocsPerRun(200, func() {
-		v.Put("plain", 1, row)
-	})
-	m := s.GetMap("m")
-	if _, err := m.CreateIndex("zone", IndexHash, nil); err != nil {
+	putAllocs := func(m string, val any) float64 {
+		v.Put(m, 1, val)
+		return testing.AllocsPerRun(200, func() { v.Put(m, 1, val) })
+	}
+	if _, err := s.GetMap("m").CreateIndex("zone", IndexHash, nil); err != nil {
 		t.Fatal(err)
 	}
-	v.Put("m", 1, row)
-	avg := testing.AllocsPerRun(200, func() {
-		v.Put("m", 1, row)
-	})
-	if avg > base {
-		t.Fatalf("indexed overwrite costs %.1f allocs/op, unindexed %.1f — maintenance must be allocation-free", avg, base)
+	if _, err := s.GetMap("s").CreateIndex("h", IndexHash, nil); err != nil {
+		t.Fatal(err)
+	}
+	var structRow any = ixRowA{H: "z1", B: 7}
+	for _, c := range []struct {
+		name, plain, indexed string
+		row                  any
+	}{
+		{"MapRow", "plain", "m", MapRow{"zone": "z1"}},
+		{"struct", "plainStruct", "s", structRow},
+	} {
+		base, avg := putAllocs(c.plain, c.row), putAllocs(c.indexed, c.row)
+		if avg > base {
+			t.Fatalf("%s: indexed overwrite costs %.1f allocs/op, unindexed %.1f — maintenance must be allocation-free", c.name, avg, base)
+		}
+	}
+
+	// One partition, 1 000 keys, each put moving its key's seq to a new
+	// maximum: the oldest pair leaves the first leaf, the new one joins
+	// the last.
+	const keys, puts = 1000, 1000
+	one := partition.New(1)
+	s1 := NewStore(one, partition.Assign(1, 1), nil)
+	if _, err := s1.GetMap("seq").CreateIndex("b", IndexBTree, nil); err != nil {
+		t.Fatal(err)
+	}
+	v1 := s1.View(0)
+	ks := make([]partition.Key, keys)
+	for i := range ks {
+		ks[i] = strconv.Itoa(i)
+	}
+	rows := make([]any, 4*keys+puts+1)
+	for i := range rows {
+		rows[i] = ixRowA{H: "z", B: int64(i)}
+	}
+	moving := func(m string) float64 {
+		n := 0
+		for ; n < 3*keys; n++ {
+			v1.Put(m, ks[n%keys], rows[n])
+		}
+		return testing.AllocsPerRun(1, func() {
+			for i := 0; i < puts; i++ {
+				v1.Put(m, ks[n%keys], rows[n])
+				n++
+			}
+		}) / puts
+	}
+	base, avg := moving("plain"), moving("seq")
+	if avg > base+0.05 {
+		t.Fatalf("moving B-tree value costs %.3f allocs/put, unindexed %.3f — want at most 0.05 more", avg, base)
+	}
+	t.Logf("moving B-tree value: %.3f allocs/put, unindexed %.3f", avg, base)
+}
+
+// TestIndexProbeAllocs: an indexed range probe allocates per lookup, not
+// per partition — bounds are normalized by value, and a single-valued
+// index keeps no dedup set — so a probe over all 271 partitions with a
+// reused buffer allocates nothing.
+func TestIndexProbeAllocs(t *testing.T) {
+	s := testStore()
+	m := s.GetMap("m")
+	if _, err := m.CreateIndex("b", IndexBTree, nil); err != nil {
+		t.Fatal(err)
+	}
+	v := s.View(0)
+	for i := 0; i < 2000; i++ {
+		v.Put("m", i, ixRowA{B: int64(i)})
+	}
+	buf := make([]Entry, 0, 64)
+	o := ScanOpts{Buf: &buf}
+	lk := IndexLookup{Col: "b", Range: true, Lo: int64(100), Hi: int64(1500)}
+	rows := 0
+	fn := func(es []Entry) bool { rows += len(es); return true }
+	probe := func() {
+		for p := 0; p < m.store.part.Count(); p++ {
+			if !m.ScanPartitionIndexedWith(p, lk, o, fn) {
+				t.Fatal("range probe not served")
+			}
+		}
+	}
+	probe()
+	if rows != 1401 {
+		t.Fatalf("range probe returned %d rows, want 1401", rows)
+	}
+	if a := testing.AllocsPerRun(20, probe); a != 0 {
+		t.Fatalf("a range probe over %d partitions allocated %.1f times, want 0", m.store.part.Count(), a)
 	}
 }
 
@@ -655,20 +684,47 @@ func (r *recordingTransport) Send(m transport.Msg) {
 // BenchmarkIndexedPut measures the inline index maintenance overhead of
 // the unary put path against BenchmarkPutUnary (same shape, no index) —
 // `make bench-smoke` prints both so the write-overhead budget (<= 10%
-// target on row values) is visible in CI logs.
+// target on row values) is visible in CI logs. The moving sub-benchmarks
+// put struct rows whose B-tree column moves to a new maximum on every put,
+// as a sequence number does, over 1 000 and 100 000 entries in one
+// partition: the per-put cost of the pair set at two sizes.
 func BenchmarkIndexedPut(b *testing.B) {
-	_, v := benchStore()
-	m := v.Store().GetMap("m")
-	if _, err := m.CreateIndex("zone", IndexHash, nil); err != nil {
-		b.Fatal(err)
-	}
-	rows := make([]MapRow, 4)
-	for i := range rows {
-		rows[i] = MapRow{"zone": fmt.Sprintf("z%d", i), "v": i}
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		v.Put("m", i%4096, rows[i%4])
+	b.Run("hash", func(b *testing.B) {
+		_, v := benchStore()
+		m := v.Store().GetMap("m")
+		if _, err := m.CreateIndex("zone", IndexHash, nil); err != nil {
+			b.Fatal(err)
+		}
+		rows := make([]MapRow, 4)
+		for i := range rows {
+			rows[i] = MapRow{"zone": fmt.Sprintf("z%d", i), "v": i}
+		}
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			v.Put("m", i%4096, rows[i%4])
+		}
+	})
+	for _, n := range []int{1000, 100_000} {
+		b.Run(fmt.Sprintf("moving/entries=%d", n), func(b *testing.B) {
+			s := NewStore(partition.New(1), partition.Assign(1, 1), nil)
+			if _, err := s.GetMap("m").CreateIndex("b", IndexBTree, nil); err != nil {
+				b.Fatal(err)
+			}
+			v := s.View(0)
+			keys := make([]partition.Key, n)
+			for i := range keys {
+				keys[i] = strconv.Itoa(i)
+				v.Put("m", keys[i], ixRowA{B: int64(i)})
+			}
+			rng := rand.New(rand.NewSource(1))
+			seq := int64(n)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				seq++
+				v.Put("m", keys[rng.Intn(n)], ixRowA{B: seq})
+			}
+		})
 	}
 }
 

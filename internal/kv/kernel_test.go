@@ -137,7 +137,7 @@ func (f *kernelFixture) byOwner(ops []Op) [3][]Op {
 // TestEntryPointEquivalence holds the three ways into the mutation kernel
 // to one outcome: the same op sequence through Put/Delete one by one,
 // through PutBatch and through ApplyBatch leaves the same entries, backup
-// copies, index postings, per-partition tap streams (the replaced value
+// copies, index pairs, per-partition tap streams (the replaced value
 // included), set/delete counts and backup-hop totals. The one difference is by definition: a merge is handed
 // the current value, so ApplyBatch counts a get per key.
 func TestEntryPointEquivalence(t *testing.T) {
@@ -252,7 +252,7 @@ func TestLocalUnreplicatedWriteSendsNothing(t *testing.T) {
 // TestResetPaths drives the four wholesale-replacement entry points and
 // holds each to the reset contract: every tap receives the difference the
 // reset made as ordinary deltas, each naming the value it replaced, and
-// postings are rebuilt from the entries now in place.
+// pairs are rebuilt from the entries now in place.
 func TestResetPaths(t *testing.T) {
 	all := make([]int, kernelParts)
 	for p := range all {
@@ -273,7 +273,7 @@ func TestResetPaths(t *testing.T) {
 		reset      func(f *kernelFixture)
 		wantEmpty  bool   // one tombstone per entry of the touched partitions
 		wantUpsert string // otherwise the one key upserted, "" for no delta at all
-		wantExtra  string // a smuggled key the rebuilt postings must now find
+		wantExtra  string // a smuggled key the rebuilt pairs must now find
 	}{
 		{name: "Clear", replicated: true, parts: all, wantEmpty: true,
 			reset: func(f *kernelFixture) { f.m.Clear() }},
@@ -364,7 +364,7 @@ func TestResetPaths(t *testing.T) {
 					t.Errorf("partition %d still holds %v", p, viaScan)
 				}
 				if p == 0 && c.wantExtra != "" && !slices.Contains(viaIndex, c.wantExtra) {
-					t.Errorf("partition 0: rebuilt postings miss %q: %v", c.wantExtra, viaIndex)
+					t.Errorf("partition 0: rebuilt pairs miss %q: %v", c.wantExtra, viaIndex)
 				}
 			}
 		})

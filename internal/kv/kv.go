@@ -135,6 +135,17 @@ func (s *Store) GetMap(name string) *Map {
 	return m
 }
 
+// mapList returns the store's maps, in no particular order.
+func (s *Store) mapList() []*Map {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	maps := make([]*Map, 0, len(s.maps))
+	for _, m := range s.maps {
+		maps = append(maps, m)
+	}
+	return maps
+}
+
 // HasMap reports whether a map with this name exists (has been created).
 func (s *Store) HasMap(name string) bool {
 	s.mu.RLock()
@@ -164,7 +175,7 @@ func (s *Store) DropMap(name string) {
 
 // ClearMap empties the named map's data — every entry in every primary
 // and backup partition — while keeping the map object and its index
-// *definitions*: indexes are schema, not state, so their postings are
+// *definitions*: indexes are schema, not state, so their pairs are
 // reset alongside the entries but the indexes stay registered and
 // maintained. Recovery paths that wipe never-committed live state use
 // this instead of DropMap, which would silently drop the table's indexes
@@ -465,7 +476,7 @@ func (m *Map) Clear() {
 // under the same hold of the segment write lock the caller owns — every
 // tap receives the difference as ordinary deltas (a tombstone per entry
 // that went, an upsert per entry that is new or changed, each naming the
-// value it replaced), and every index's postings are rebuilt. A nil
+// value it replaced), and every index's pairs are rebuilt. A nil
 // `entries` keeps the current ones — a seat flipped under them — so
 // nothing is compared and nothing is emitted.
 // Clear, failover promotion and the post-migration rebuild all end here;

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 
@@ -12,8 +13,8 @@ import (
 )
 
 // A writer that waits behind a reader of its partition is a counted lock
-// wait: the segment lock is the one lock the store has, and lock_waits /
-// lock_wait_ns time it.
+// wait, and so is an index read behind a writer: the segment lock is the
+// one lock the store has, and lock_waits / lock_wait_ns time it.
 func TestSegmentLockWaitsCounted(t *testing.T) {
 	s := testStore()
 	reg := metrics.NewRegistry()
@@ -44,6 +45,49 @@ func TestSegmentLockWaitsCounted(t *testing.T) {
 	if val, _ := v.Get("m", "k"); val != 1 {
 		t.Fatalf("k = %v after the waiting write, want 1", val)
 	}
+
+	// The planner's estimate and sys.indexes read through the counted
+	// lock too: each waits behind a held partition lock and is charged a
+	// lock wait. The lock is released only once the reader is parked in
+	// RLock: a counted read gets there only past its failed TryRLock, so
+	// the wait is certain to be counted.
+	if _, err := m.CreateIndex("zone", IndexHash, nil); err != nil {
+		t.Fatal(err)
+	}
+	for _, read := range []struct {
+		name string
+		fn   func()
+	}{
+		{"EstimateLookupIn", func() {
+			// k's value is a bare int: no zone column, so one odd entry.
+			if n, ok := m.EstimateLookupIn(p, IndexLookup{Col: "zone", Eq: "z"}); !ok || n != 1 {
+				t.Errorf("estimate = %d, %v; want 1, true", n, ok)
+			}
+		}},
+		{"IndexInfos", func() { s.IndexInfos() }},
+	} {
+		before := reg.Values("kv")["p"+strconv.Itoa(p)]["lock_waits"]
+		seg.mu.Lock()
+		done := make(chan struct{})
+		go func() {
+			read.fn()
+			close(done)
+		}()
+		for !parkedInRLock() {
+			runtime.Gosched()
+		}
+		seg.mu.Unlock()
+		<-done
+		if got := reg.Values("kv")["p"+strconv.Itoa(p)]["lock_waits"]; got <= before {
+			t.Fatalf("%s waited behind a held partition lock: lock_waits %d -> %d, want an increment", read.name, before, got)
+		}
+	}
+}
+
+// parkedInRLock reports whether some goroutine is blocked in an RLock.
+func parkedInRLock() bool {
+	buf := make([]byte, 1<<20)
+	return strings.Contains(string(buf[:runtime.Stack(buf, true)]), "sync.(*RWMutex).RLock")
 }
 
 // Concurrent read-modify-write batches over the same keys lose no update:

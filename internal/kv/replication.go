@@ -50,13 +50,7 @@ func (m *Map) sizeLocked() int {
 // without replication the partitions come back empty. The caller
 // (cluster.Fail) updates the partition table separately.
 func (s *Store) FailNode(partitions []int) {
-	s.mu.RLock()
-	maps := make([]*Map, 0, len(s.maps))
-	for _, m := range s.maps {
-		maps = append(maps, m)
-	}
-	s.mu.RUnlock()
-	for _, m := range maps {
+	for _, m := range s.mapList() {
 		for _, p := range partitions {
 			seg := m.segs[p]
 			seg.mu.Lock()

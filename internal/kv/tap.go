@@ -139,14 +139,8 @@ type TapInfo struct {
 // TapInfos returns a point-in-time view of every map with at least one
 // tap attached, sorted by map.
 func (s *Store) TapInfos() []TapInfo {
-	s.mu.RLock()
-	maps := make([]*Map, 0, len(s.maps))
-	for _, m := range s.maps {
-		maps = append(maps, m)
-	}
-	s.mu.RUnlock()
 	var out []TapInfo
-	for _, m := range maps {
+	for _, m := range s.mapList() {
 		m.tapMu.Lock()
 		info := TapInfo{Map: m.name, Taps: m.TapCount(), Deltas: m.handed.Load(),
 			Resets: m.resets.Load() - m.resetBase.Load()}
