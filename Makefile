@@ -172,7 +172,11 @@ index-smoke:
 # attach-racing arm), its template arm and the resident-state count
 # repeated (templates shared by many parameter tuples while handles
 # attach and close under write waves: a lock-order or seeding regression
-# shows as a deadlock, a race report or a diverged view), the
+# shows as a deadlock, a race report or a diverged view), its general-join
+# arm and the filed-once test repeated (joins on a non-key column whose
+# groups share the join index of each side key, a literal lifted on both
+# sides: a row filed twice or a pair formed twice shows as a diverged view
+# or a miscount), the
 # co-partitioned joins that read their partner from kv under the
 # partition lock repeated (subscriptions attaching and closing while four
 # writers update both tables, and the self-join arm of the oracle: a
@@ -186,6 +190,7 @@ subscribe-smoke:
 	$(GO) test ./internal/kv -run 'TestTapAttachCleanCut|TestTapInfos' -race -count=20
 	$(GO) test ./internal/sql -run 'TestDifferentialStanding|TestSubscribe|TestStandingQuery|TestTemplate' -race -count=1 -v
 	$(GO) test ./internal/sql -run 'TestDifferentialStanding/templates|TestStandingQueryHoldsOutputOnly' -race -count=20
+	$(GO) test ./internal/sql -run 'TestDifferentialStanding/generaljoins|TestJoinIndexFiledOnce' -race -count=20
 	$(GO) test ./internal/sql -run 'TestCoJoinAttachUnderWriters|TestDifferentialStanding/selfjoins' -race -count=20
 	$(GO) test . -run 'TestSubscribe' -race -count=1 -v
 	$(GO) test ./internal/experiments -run 'TestSubscribeExpShape' -count=1 -v

@@ -169,8 +169,9 @@ func (b *Backend) Get(key partition.Key) (any, bool) {
 }
 
 // Update sets the state for key and, when live state is enabled, mirrors
-// it into the live map under key-level locking (the KV store's striped
-// key locks synchronise this write against concurrent query reads).
+// it into the live map under the key's partition lock (the KV store holds
+// one lock per partition, shared by every map's segment of it, which
+// orders this write against concurrent query reads of the partition).
 func (b *Backend) Update(key partition.Key, value any) {
 	if b.updateLat == nil {
 		b.update(key, value)
@@ -336,7 +337,7 @@ func (b *Backend) SnapshotPin(ssid int64) (*SnapshotPin, error) {
 // DrainPin serializes and ships a pinned version set into the snapshot
 // store — the deferred half of phase 1. Safe to call from a
 // drainer goroutine concurrent with the owning worker: the KV store's
-// striped key locks order the writes, pinned values are immutable, and
+// partition locks order the writes, pinned values are immutable, and
 // the pin's entries are no longer referenced by the backend.
 func (b *Backend) DrainPin(pin *SnapshotPin) int {
 	return b.writeVersions(pin.SSID, pin.entries)

@@ -76,8 +76,8 @@ type diffFixture struct {
 	// standing query can subscribe to.
 	liveOnly bool
 	// selfJoin makes generate build every query over a co-partitioned join
-	// of a table with itself.
-	selfJoin bool
+	// of a table with itself; generalJoin, over a join on a non-key column.
+	selfJoin, generalJoin bool
 	// limits is the range an unordered LIMIT is drawn from.
 	limits int
 }
@@ -522,9 +522,11 @@ func (f *diffFixture) generate(rng *rand.Rand) dQuery {
 	var srcs []dSource
 	var pins []string
 	var from string
-	// joinOn(l, r) says whether two rows join; outer keeps left misses.
+	// joinOn(l, r) says whether two rows join; outer keeps left misses;
+	// manyToMany marks a join on a non-key column, where a row of the first
+	// source pairs with many.
 	var joinOn func(l, r dRow) bool
-	outer := false
+	outer, manyToMany := false, false
 	add := func(op, alias string) dSource {
 		s, pin := f.source(rng, op, alias, len(srcs) > 0 || rng.Intn(2) == 0)
 		if pin != "" {
@@ -541,7 +543,11 @@ func (f *diffFixture) generate(rng *rand.Rand) dQuery {
 	}
 	byKey := func(l, r dRow) bool { return l[core.ColPartitionKey] == r[core.ColPartitionKey] }
 	pair := [][2]string{{"dorder", "dstate"}, {"dstate", "dorder"}, {"dorder", "dnote"}, {"dnote", "dstate"}}[rng.Intn(4)]
-	switch shape := rng.Intn(6); {
+	shape := rng.Intn(6)
+	if f.generalJoin {
+		shape = 5
+	}
+	switch {
 	case f.selfJoin: // co-partitioned self-join, in either form
 		op := dOps[rng.Intn(len(dOps))]
 		a, b := add(op, "x"), add(op, "y")
@@ -572,9 +578,21 @@ func (f *diffFixture) generate(rng *rand.Rand) dQuery {
 		a, b := add(pair[0], "x"), add(pair[1], "y")
 		from, joinOn, outer = as(a)+" LEFT JOIN "+as(b)+" USING(partitionKey)", byKey, true
 	default: // general join on a non-key column, many-to-many
-		a, b := add("dorder", "o"), add("dnote", "n")
-		from = as(a) + " JOIN " + as(b) + " ON o.zone = n.zone"
-		joinOn = func(l, r dRow) bool { return l["zone"] == r["zone"] }
+		manyToMany = true
+		on := func(col string) func(l, r dRow) bool {
+			return func(l, r dRow) bool { return reflect.DeepEqual(l[col], r[col]) }
+		}
+		switch rng.Intn(3) {
+		case 0: // with a table that has no schema
+			a, b := add("dorder", "o"), add("dnote", "n")
+			from, joinOn = as(a)+" JOIN "+as(b)+" ON o.zone = n.zone", on("zone")
+		case 1: // between the two schema tables
+			a, b := add("dorder", "o"), add("dstate", "s")
+			from, joinOn = as(a)+" JOIN "+as(b)+" ON o.late = s.late", on("late")
+		default: // of a schema table with itself
+			a, b := add("dorder", "o"), add("dorder", "p")
+			from, joinOn = as(a)+" JOIN "+as(b)+" ON o.zone = p.zone", on("zone")
+		}
 	}
 	// An unqualified ssid pin applies to every snapshot table: only keep it
 	// when it means what the model assumed.
@@ -682,10 +700,9 @@ func (f *diffFixture) generate(rng *rand.Rand) dQuery {
 			q.want = append(q.want, row)
 		}
 		// The key is unique per output row except in the many-to-many join.
-		unique := !strings.Contains(from, "o.zone")
 		switch rng.Intn(3) {
 		case 0:
-			if unique {
+			if !manyToMany {
 				tail, q.ordered = " ORDER BY "+keyCol.text, true
 				if rng.Intn(2) == 0 {
 					n := rng.Intn(8)
@@ -1119,9 +1136,11 @@ func TestPushdownSoundnessRules(t *testing.T) {
 // run on another goroutine, so every attach races writes to the partitions
 // it seeds; once the waves stop, each folded view must equal the one-shot
 // result too. Its template arm subscribes generated templates under many
-// parameter tuples (templateArm), and its self-join arm runs both over
-// co-partitioned joins of a table with itself, whose two taps receive the
-// same deltas.
+// parameter tuples (templateArm); its general-join arm runs that over
+// joins on a non-key column alone, where groups share the join index of
+// each side key and a literal is lifted on both sides; and its self-join
+// arm runs both over co-partitioned joins of a table with itself, whose
+// two taps receive the same deltas.
 func TestDifferentialStanding(t *testing.T) {
 	t.Run("queries", func(t *testing.T) {
 		for seed := int64(1); seed <= 4; seed++ {
@@ -1136,6 +1155,18 @@ func TestDifferentialStanding(t *testing.T) {
 			f.liveOnly = true
 			templateArm(t, f, seed, rand.New(rand.NewSource(seed*104729)))
 		}
+	})
+	t.Run("generaljoins", func(t *testing.T) {
+		general := 0
+		for seed := int64(1); seed <= 2; seed++ {
+			f := newDiffFixture(t, seed, 30)
+			f.liveOnly, f.generalJoin = true, true
+			general += templateArm(t, f, seed, rand.New(rand.NewSource(seed*104729)))
+		}
+		if general == 0 {
+			t.Fatal("no template lifted a literal on both sides of a general join")
+		}
+		t.Logf("%d templates lifted a literal on both sides of a general join", general)
 	})
 	t.Run("selfjoins", func(t *testing.T) {
 		for seed := int64(1); seed <= 2; seed++ {
@@ -1298,8 +1329,9 @@ func withConjunct(q, c string) string {
 // stay; the rest attach while the waves run, and every third handle of the
 // first half closes and its query attaches again meanwhile. Once the waves
 // stop every view must equal the one-shot result, and a handle attached
-// throughout must have folded exactly the deltas its tables handed on.
-func templateArm(t *testing.T, f *diffFixture, seed int64, rng *rand.Rand) {
+// throughout must have folded exactly the deltas its tables handed on. It
+// returns how many templates were general joins with slots on both sides.
+func templateArm(t *testing.T, f *diffFixture, seed int64, rng *rand.Rand) (general int) {
 	type tmpl struct {
 		queries []string
 		wrong   string // the wrong-kind query, "" when no column has one
@@ -1325,9 +1357,13 @@ func templateArm(t *testing.T, f *diffFixture, seed int64, rng *rand.Rand) {
 			continue
 		}
 		// A join with a schema on both sides lifts a literal on each half
-		// of the time, so that entries of both join indexes name groups.
+		// of the time, so that a general join reads a join index per
+		// tuple on both sides, each shared by the groups of that tuple.
 		if len(sides) == 1 || rng.Intn(2) == 0 {
 			sides = []int{sides[rng.Intn(len(sides))]}
+		}
+		if len(sides) == 2 && strings.Contains(q.sql, " ON o.") {
+			general++
 		}
 		tp := tmpl{sides: sides, base: q.sql}
 		var conj [][]string
@@ -1382,12 +1418,10 @@ func templateArm(t *testing.T, f *diffFixture, seed int64, rng *rand.Rand) {
 		return &handle{sql: q, sq: sq, view: v}
 	}
 	// attach subscribes a template under all its literals and checks that
-	// they share one template with the slots lifted — unless it is a join
-	// whose side without slots pushes a filter reading LOCALTIMESTAMP,
-	// which keys each template by its instant — and that the wrong-kind
-	// literal does not; then the generated query itself, twice: where it
-	// reads LOCALTIMESTAMP, the two bind two instants, so two groups of one
-	// template share its taps and join indexes.
+	// they share one template with the slots lifted, whatever instant each
+	// binds, and that the wrong-kind literal does not; then the generated
+	// query itself, twice: where it reads LOCALTIMESTAMP, the two bind two
+	// instants, so two groups of one template share its taps.
 	attach := func(tp tmpl) []*handle {
 		t.Helper()
 		var hs []*handle
@@ -1395,10 +1429,9 @@ func templateArm(t *testing.T, f *diffFixture, seed int64, rng *rand.Rand) {
 			hs = append(hs, subscribe(q))
 		}
 		tpl := hs[0].sq.g.t
-		pinned := tpl.pp.pinsInstant(tpl.slots)
 		for _, h := range hs {
 			for _, side := range tp.sides {
-				if (h.sq.g.t != tpl && !pinned) || len(h.sq.g.t.slots[side]) == 0 {
+				if h.sq.g.t != tpl || len(tpl.slots[side]) == 0 {
 					t.Fatalf("seed %d: %s and %s do not share one template with the literals lifted", seed, tp.queries[0], h.sql)
 				}
 			}
@@ -1444,6 +1477,7 @@ func templateArm(t *testing.T, f *diffFixture, seed int64, rng *rand.Rand) {
 		}
 		h.sq.Close()
 	}
+	return general
 }
 
 // FuzzDifferentialStanding is the standing arm of the oracle behind a fuzz
@@ -1455,6 +1489,12 @@ func templateArm(t *testing.T, f *diffFixture, seed int64, rng *rand.Rand) {
 func FuzzDifferentialStanding(f *testing.F) {
 	for i := int64(0); i < 8; i++ {
 		f.Add(uint8(i), i*7919)
+	}
+	// General joins with a literal lifted on both sides: dorder ⋈ dstate on
+	// late (the first also reads LOCALTIMESTAMP on dstate's side) and
+	// dorder with itself on zone.
+	for i, q := range []int64{1484, 4574, 4260} {
+		f.Add(uint8(i), q)
 	}
 	f.Fuzz(func(t *testing.T, fixture uint8, query int64) {
 		seed := int64(fixture%4) + 1

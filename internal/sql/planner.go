@@ -518,11 +518,9 @@ func appendParam(dst []byte, d datum) []byte {
 // exactly when they differ in their lifted literals alone. The encoding is
 // structural (keyWriter), not a rendering: String shows 5 and 5.0 alike
 // and prints a LIKE pattern or a name as it is, so two different filters
-// can render the same. A join whose source without slots pushes a filter
-// that reads LOCALTIMESTAMP files that source's rows once for all its
-// groups, filtered at the template's instant: such a template is keyed by
-// now as well, so every group of it is bound to the instant it filters at.
-func (pp *physPlan) templateKey(slots [2][]*colRef, now time.Time) string {
+// can render the same. The instant a plan reads LOCALTIMESTAMP at is not
+// part of the key: it binds a group of the template, not the template.
+func (pp *physPlan) templateKey(slots [2][]*colRef) string {
 	var w keyWriter
 	w.num(int64(len(pp.stmt.Items)))
 	for _, it := range pp.stmt.Items {
@@ -551,24 +549,7 @@ func (pp *physPlan) templateKey(slots [2][]*colRef, now time.Time) string {
 		w.expr(g)
 	}
 	w.expr(pp.stmt.Having)
-	if pp.pinsInstant(slots) {
-		w.num(now.UnixNano())
-	}
 	return string(w.b)
-}
-
-// pinsInstant reports whether the plan is a join with a source that has
-// no slots and pushes a filter reading LOCALTIMESTAMP.
-func (pp *physPlan) pinsInstant(slots [2][]*colRef) bool {
-	if len(pp.srcs) < 2 {
-		return false
-	}
-	for si := range pp.srcs {
-		if len(slots[si]) == 0 && readsNow(pp.pushed[si]) {
-			return true
-		}
-	}
-	return false
 }
 
 // keyWriter builds a template key: each expression node writes a tag for

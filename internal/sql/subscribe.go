@@ -41,20 +41,23 @@ import (
 // retraction of Old into those under Old's tuple, the insert of New into
 // those under New's. A template without slots has one group. A plan that
 // reads LOCALTIMESTAMP fixes it when its group is created, so the instant
-// is part of the group's key: such queries share a template's dispatch,
-// and share output only with a query bound to the same instant.
+// is part of the group's key: such queries share a template and its taps,
+// and share output only with a query bound to the same instant. A pushed
+// filter that reads LOCALTIMESTAMP is tested at the instant of the group
+// (or join index) it serves; every other pushed filter once per row.
 //
 // A co-partitioned join — on the two partition keys, so a row's partner
 // lives under its key in its partition (§II) — keeps no copy of either
 // side: a fold reads the partner row from kv with LookupLocked, under the
 // partition lock its delivery or seed already holds for every map of the
 // store, and pairs the two in the groups both tuples reach (coFold). Any
-// other join template keeps one join index per side; a side without slots
-// files each row once for every group, and an entry of a side with slots
-// names its group. A join side without slots is filtered under the
-// template's instant, so where its pushed filter reads LOCALTIMESTAMP the
-// instant is part of the template's key too (templateKey), and all the
-// template's groups share it.
+// other join keeps one join index per source side and side key — the
+// side's tuple, and the group's instant where that side's pushed filter
+// reads LOCALTIMESTAMP — shared by every group that reads that key
+// (jindex). A row is filed once, into its side key's index, and pairs
+// with the partners filed under its join key in the index each of the
+// index's groups reads on the other side: a symmetric hash join, in which
+// a pair forms when the second of its two rows is filed (joinFold).
 //
 // Both drive modes run under the template's lock and under the
 // partition's lock — the seed on the subscriber, the delta on the writer
@@ -73,9 +76,9 @@ import (
 //
 // A standing query holds no copy of its source tables: the kv map is the
 // one copy. What stays resident per group is its output — matched rows,
-// or groups — and per template, for a join that is not co-partitioned,
-// the join index of the rows that passed their side's pushed filter. A
-// group is the one-shot group
+// or groups — and, for a join that is not co-partitioned, the join index
+// of each side key its groups read, of the rows that passed the side's
+// pushed filter. A group is the one-shot group
 // form kept live: a retractable partialGroup whose accumulators each
 // member row's aggregate arguments are added to on insert and removed
 // from on retraction, a member count, and a head row copied from its first
@@ -145,15 +148,47 @@ type subGroup struct {
 	dirty   bool
 }
 
-// joinEntry is one source row filed under its join key in a join index:
-// its partition-key string and partition, and, on a side with slots, the
-// group it passed the pushed filter for (nil on a side without: the entry
-// serves every group).
+// joinEntry is one source row filed under its join key in a join index,
+// with its partition-key string.
 type joinEntry struct {
-	ks   string
-	part int
-	row  core.TableRow
-	g    *group
+	ks  string
+	row core.TableRow
+}
+
+// jindex is the join index of one source side and side key of a join that
+// is not co-partitioned: the side's rows that passed its pushed filter,
+// filed by join key — the shape the one-shot hash joins build, kept alive:
+// few rows share a key, so a short slice beats a map per key. Its readers
+// are the groups that read the side key (and so share one instant where
+// the side's pushed filter reads LOCALTIMESTAMP); the last drops it. held
+// records, while the index fills, which partitions it holds; nil once it
+// is whole.
+type jindex struct {
+	keys    map[joinKey][]joinEntry
+	held    []bool
+	readers []*group
+}
+
+// holds reports whether the index holds partition p's rows.
+func (ix *jindex) holds(p int) bool { return ix.held == nil || ix.held[p] }
+
+// link files the row under ks at jk, or (add false) takes it out.
+func (ix *jindex) link(jk joinKey, ks string, row *core.TableRow, add bool) {
+	if add {
+		ix.keys[jk] = append(ix.keys[jk], joinEntry{ks: ks, row: *row})
+	} else {
+		without(ix.keys, jk, func(e joinEntry) bool { return e.ks == ks })
+	}
+}
+
+// without takes the elements drop selects out of m's list under k,
+// deleting the key with its last element.
+func without[K comparable, T any](m map[K][]T, k K, drop func(T) bool) {
+	if xs := slices.DeleteFunc(m[k], drop); len(xs) > 0 {
+		m[k] = xs
+	} else {
+		delete(m, k)
+	}
 }
 
 // batchEff accumulates the output effects of one delta batch on one live
@@ -235,7 +270,7 @@ func (st *sideTap) OnDeltas(ds []kv.Delta) { st.t.deliver(st.side, ds) }
 
 // template is one lifted plan and the state every standing query over it
 // shares: a tap per source side, the groups by parameter tuple, and for a
-// join that is not co-partitioned one join index per side. Everything
+// join that is not co-partitioned the join indexes by side key. Everything
 // below mu is guarded by it.
 type template struct {
 	ex  *Executor
@@ -244,11 +279,14 @@ type template struct {
 	// slots holds, per source, the bound columns of its lifted conjuncts.
 	slots [2][]*colRef
 	// nowDep: the plan reads LOCALTIMESTAMP, so a group's key carries the
-	// instant its first query bound it to.
-	nowDep bool
-	// ctx evaluates what every group shares: slot columns, join keys and
-	// the pushed filter of a join side without slots — whose instant, if
-	// it reads one, is the template's (templateKey).
+	// instant its first query bound it to. nowSide[s]: side s's pushed
+	// filter reads it, so it is tested under each group's instant (or
+	// each join index's), not once per row.
+	nowDep  bool
+	nowSide [2]bool
+	// ctx evaluates what every group shares, which reads no instant: slot
+	// columns, join keys and pushed filters that do not read
+	// LOCALTIMESTAMP.
 	ctx  *evalCtx
 	taps [2]sideTap
 	// self: a co-partitioned join of a table with itself, whose two taps
@@ -273,21 +311,16 @@ type template struct {
 	groups map[string]*group
 	bySide [2]map[string][]*group
 	all    []*group
-	// attaching is the group being seeded (nil when none). filling[s],
-	// while the first group of a join with a join index seeds, records
-	// which partitions of side s without slots the shared index holds; nil
-	// once it is whole.
+	// attaching is the group being seeded (nil when none).
 	attaching *group
-	filling   [2][]bool
 	// deltas counts the deltas handed to the taps since the template
 	// attached them.
 	deltas uint64
-	// jindex[s] files side s's rows that passed its pushed filter by join
-	// key, for a join that is not co-partitioned — the shape the one-shot
-	// hash joins build, kept alive: few rows share a key, so a short slice
-	// beats a map per key. A co-partitioned join has none: it reads a
-	// row's partner from kv (coFold).
-	jindex [2]map[joinKey][]joinEntry
+	// jx[s] holds, for a join that is not co-partitioned, side s's join
+	// indexes by the side's tuple: one per side key, so more than one only
+	// where side s's pushed filter reads LOCALTIMESTAMP. A co-partitioned
+	// join has none: it reads a row's partner from kv (coFold).
+	jx [2]map[string][]*jindex
 	// touched lists the live groups the batch being delivered changed.
 	touched []*group
 
@@ -316,17 +349,17 @@ type group struct {
 	tuple [2]string
 	ctx   *evalCtx // LOCALTIMESTAMP is fixed when the group is created
 	sinks []*StandingQuery
-	// seeded[s][p], while the group attaches, records whether side s's
-	// partition p is in its state: a row of a partition not yet seeded is
-	// left out, because the seed reads its effect. A nil side is whole.
+	// seeded[s][p], while a group of a single-source or co-partitioned
+	// template attaches, records whether side s's partition p is in its
+	// state: a row of a partition not yet seeded is left out, because the
+	// seed reads its effect. A nil side is whole.
 	seeded [2][]bool
+	// ix[s] is the join index g reads on side s, in a join that is not
+	// co-partitioned.
+	ix [2]*jindex
 	// base is what deltas counted when the group started, plus the deltas
 	// it left to its seeds: its watermark is the rest.
-	base uint64
-	// jkeys[s] counts, on a join side s with slots, the entries g files in
-	// the template's join index under each join key, so that unroute
-	// visits only those keys.
-	jkeys   [2]map[joinKey]int
+	base    uint64
 	failed  error
 	touched bool
 	routed  bool
@@ -401,7 +434,7 @@ func (ex *Executor) SubscribeQuery(query string, bind func(*StandingQuery) func(
 	}
 	slots, tuple := pp.lift()
 	now := time.Now()
-	key := pp.templateKey(slots, now)
+	key := pp.templateKey(slots)
 	sq := &StandingQuery{query: query}
 	sq.sink = bind(sq)
 	for {
@@ -444,8 +477,7 @@ type standing struct {
 }
 
 // template returns the registered template under key, registering one
-// over pp — unattached, its first group attaches it, and its own instant
-// now — if there is none.
+// over pp — unattached: its first group attaches it — if there is none.
 func (ex *Executor) template(key string, pp *physPlan, slots [2][]*colRef, now time.Time) *template {
 	ex.standing.mu.Lock()
 	defer ex.standing.mu.Unlock()
@@ -467,7 +499,8 @@ func (ex *Executor) template(key string, pp *physPlan, slots [2][]*colRef, now t
 	for i := range pp.srcs {
 		t.taps[i] = sideTap{t, i}
 		t.bySide[i] = map[string][]*group{}
-		t.nowDep = t.nowDep || readsNow(pp.pushed[i])
+		t.nowSide[i] = readsNow(pp.pushed[i])
+		t.nowDep = t.nowDep || t.nowSide[i]
 	}
 	t.b = newBatch(pp.srcs, &t.sc)
 	t.b.n = 1
@@ -478,7 +511,7 @@ func (ex *Executor) template(key string, pp *physPlan, slots [2][]*colRef, now t
 	case pp.coPart:
 		t.self = pp.srcs[0].ref.SameState(pp.srcs[1].ref)
 	case len(pp.srcs) == 2:
-		t.jindex = [2]map[joinKey][]joinEntry{{}, {}}
+		t.jx = [2]map[string][]*jindex{{}, {}}
 	}
 	ex.standing.tpls[key] = t
 	return t
@@ -537,15 +570,18 @@ func (t *template) subscribe(sq *StandingQuery, tuple [2]string, now time.Time) 
 	}
 	first := !t.tapped
 	t.tapped = true
-	g := t.newGroup(key, tuple, now, first)
+	g := t.newGroup(key, tuple, now)
 	sq.g, g.sinks = g, []*StandingQuery{sq}
 	t.route(g)
 	t.attaching = g
+	if g.ix[0] != nil && g.ix[0].held == nil && g.ix[1].held == nil {
+		t.join(g) // both of its join indexes are whole: nothing to seed
+	}
 	t.mu.Unlock()
 
 	for i, s := range t.pp.srcs {
 		var seed func(p int, rows []core.TableRow)
-		if g.seeded[i] != nil {
+		if g.seeded[i] != nil || g.ix[i] != nil && g.ix[i].held != nil {
 			seed = func(p int, rows []core.TableRow) { t.seed(g, i, p, rows) }
 		}
 		switch {
@@ -560,7 +596,12 @@ func (t *template) subscribe(sq *StandingQuery, tuple [2]string, now time.Time) 
 	// its aggregate groups and emit it as the snapshot frame before any
 	// delivery can emit a delta frame.
 	t.mu.Lock()
-	t.attaching, t.filling, g.seeded = nil, [2][]bool{}, [2][]bool{}
+	t.attaching, g.seeded = nil, [2][]bool{}
+	for _, ix := range g.ix {
+		if ix != nil {
+			ix.held = nil
+		}
+	}
 	t.unload() // the seeds' rows must not stay reachable through it
 	g.touched = false
 	for _, sg := range g.groups {
@@ -582,15 +623,13 @@ func (t *template) subscribe(sq *StandingQuery, tuple [2]string, now time.Time) 
 	return true, nil
 }
 
-// newGroup builds the group of key, to be seeded. A co-partitioned join
-// seeds side 1 alone, pairing each row with its partner read from kv, and
-// needs side 0 seeded nowhere: until side 1's partition is in, no row of
-// the partition pairs. Otherwise the first group of a template seeds every
-// side, filling the shared join index of a side without slots as it goes;
-// a later one seeds the sides with slots — or, in a join with none, side 0
-// against side 1's whole index — and reads a side without slots from the
-// join index it shares.
-func (t *template) newGroup(key string, tuple [2]string, now time.Time, first bool) *group {
+// newGroup builds the group of key, to be seeded. A single-source
+// template seeds its one side. A co-partitioned join seeds side 1 alone,
+// pairing each row with its partner read from kv, and needs side 0 seeded
+// nowhere: until side 1's partition is in, no row of the partition pairs.
+// A join with join indexes seeds, as route finds them, only the sides
+// whose side key has no index yet.
+func (t *template) newGroup(key string, tuple [2]string, now time.Time) *group {
 	pp := t.pp
 	g := &group{t: t, key: key, tuple: tuple, ctx: &evalCtx{now: now}, base: t.deltas,
 		matched: map[string][]any{}, groups: map[string]*subGroup{}}
@@ -599,18 +638,6 @@ func (t *template) newGroup(key string, tuple [2]string, now time.Time, first bo
 		g.seeded[0] = make([]bool, pp.srcs[0].ref.Partitions())
 	case pp.coPart:
 		g.seeded[1] = make([]bool, pp.srcs[1].ref.Partitions())
-	default:
-		for i, s := range pp.srcs {
-			if first || len(t.slots[i]) > 0 || (i == 0 && len(t.slots[1]) == 0) {
-				g.seeded[i] = make([]bool, s.ref.Partitions())
-			}
-			switch {
-			case len(t.slots[i]) > 0:
-				g.jkeys[i] = map[joinKey]int{}
-			case first:
-				t.filling[i] = make([]bool, s.ref.Partitions())
-			}
-		}
 	}
 	if pp.agg != nil && len(pp.groupBy) == 0 {
 		// A global aggregate emits one row even over an empty input; the
@@ -620,11 +647,25 @@ func (t *template) newGroup(key string, tuple [2]string, now time.Time, first bo
 	return g
 }
 
-// route makes g reachable by the rows it can change.
+// route makes g reachable by the rows it can change: in a join with join
+// indexes, a reader of the index of each of its side keys — the one under
+// its tuple, bound to its instant where the side's pushed filter reads
+// LOCALTIMESTAMP, or a new one that holds no partition yet.
 func (t *template) route(g *group) {
 	t.groups[g.key] = g
-	for s := range t.pp.srcs {
-		if len(t.slots[s]) > 0 {
+	for s, src := range t.pp.srcs {
+		switch ixs := t.jx[s][g.tuple[s]]; {
+		case t.jx[s] != nil:
+			i := slices.IndexFunc(ixs, func(ix *jindex) bool {
+				return !t.nowSide[s] || ix.readers[0].ctx.now.UnixNano() == g.ctx.now.UnixNano()
+			})
+			if i < 0 {
+				i, ixs = len(ixs), append(ixs, &jindex{keys: map[joinKey][]joinEntry{}, held: make([]bool, src.ref.Partitions())})
+				t.jx[s][g.tuple[s]] = ixs
+			}
+			ixs[i].readers = append(ixs[i].readers, g)
+			g.ix[s] = ixs[i]
+		case len(t.slots[s]) > 0:
 			t.bySide[s][g.tuple[s]] = append(t.bySide[s][g.tuple[s]], g)
 		}
 	}
@@ -632,8 +673,8 @@ func (t *template) route(g *group) {
 	g.routed = true
 }
 
-// unroute takes g out of every route and its rows out of the join index:
-// it folds nothing more.
+// unroute takes g out of every route, and out of its join indexes, which
+// the last reader drops: g folds nothing more.
 func (t *template) unroute(g *group) {
 	if !g.routed {
 		return
@@ -642,22 +683,14 @@ func (t *template) unroute(g *group) {
 	delete(t.groups, g.key)
 	not := func(h *group) bool { return h == g }
 	for s := range t.pp.srcs {
-		if len(t.slots[s]) == 0 {
-			continue
-		}
-		if gs := slices.DeleteFunc(t.bySide[s][g.tuple[s]], not); len(gs) > 0 {
-			t.bySide[s][g.tuple[s]] = gs
-		} else {
-			delete(t.bySide[s], g.tuple[s])
-		}
-		for jk := range g.jkeys[s] {
-			if es := slices.DeleteFunc(t.jindex[s][jk], func(e joinEntry) bool { return e.g == g }); len(es) > 0 {
-				t.jindex[s][jk] = es
-			} else {
-				delete(t.jindex[s], jk)
+		switch ix := g.ix[s]; {
+		case ix != nil:
+			if ix.readers = slices.DeleteFunc(ix.readers, not); len(ix.readers) == 0 {
+				without(t.jx[s], g.tuple[s], func(x *jindex) bool { return x == ix })
 			}
+		case len(t.slots[s]) > 0:
+			without(t.bySide[s], g.tuple[s], not)
 		}
-		g.jkeys[s] = nil
 	}
 	t.all = slices.DeleteFunc(t.all, not)
 }
@@ -765,15 +798,16 @@ func (sq *StandingQuery) Close() {
 }
 
 // seed is drive mode 1, the snapshot scan: Seed calls it with the rows of
-// source side's partition p under that partition's read lock. It
-// marks the partition seeded for g, then folds the rows into g's attach
-// batch as inserts.
+// source side's partition p under that partition's read lock. It marks the
+// partition in g's state — or, in a join with join indexes, in the index g
+// fills — then folds the rows into g's attach batch as inserts.
 func (t *template) seed(g *group, side, p int, rows []core.TableRow) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	g.seeded[side][p] = true
-	if f := t.filling[side]; f != nil {
-		f[p] = true
+	if ix := g.ix[side]; ix != nil {
+		ix.held[p] = true
+	} else {
+		g.seeded[side][p] = true
 	}
 	for i := range rows {
 		r := &rows[i]
@@ -845,74 +879,108 @@ func (g *group) emit(ev SubEvent) {
 	}
 }
 
-// sees reports whether g folds a row of side's partition p: it has not
-// failed, and the partition is in its state.
+// sees reports whether g, of a single-source or co-partitioned template,
+// folds a row of side's partition p: it has not failed, and the partition
+// is in its state.
 func (g *group) sees(side, p int) bool {
 	return g.failed == nil && (g.seeded[side] == nil || g.seeded[side][p])
 }
 
-// folds reports whether g folds a delta of side's partition p: it sees
-// the partition, and in a co-partitioned join the partner's too, since the
-// two pair only there.
+// folds reports whether g folds a delta of side's partition p: its join
+// index on that side holds the partition; or it sees the partition, and in
+// a co-partitioned join the partner's too, since the two pair only there.
 func (t *template) folds(g *group, side, p int) bool {
+	if ix := g.ix[side]; ix != nil {
+		return ix.holds(p)
+	}
 	return g.sees(side, p) && (!t.pp.coPart || g.sees(1-side, p))
 }
 
 // fold runs one source row through the template as an insert (add) or as
 // the retraction of that row's earlier insert, as a batch of one, into the
-// groups it can change — into only, for a seed. A co-partitioned join
-// folds in coFold. Otherwise it reads the side's slot columns once to find
-// those groups, then runs each group's pushed filter; for a join it links
-// or unlinks the row in its side's join index under the plan's bound join
-// key and pairs it with every partner the other side files under that
-// key. A side without slots files a row once for every
-// group, and its partners name the groups. ks is the row's partition-key
-// string and part its partition.
+// groups it can change — into only, for a seed. A join folds in coFold or
+// joinFold. Otherwise it reads the side's slot columns once to find those
+// groups, tests the pushed filter and takes the row to each group's
+// output. ks is the row's partition-key string and part its partition.
 func (t *template) fold(side, part int, ks string, row *core.TableRow, add bool, only *group) {
 	t.rows[side] = *row
-	if t.pp.coPart {
+	switch {
+	case t.pp.coPart:
 		t.coFold(side, part, ks, add, only)
+		return
+	case t.jx[side] != nil:
+		t.joinFold(side, part, ks, row, add, only)
 		return
 	}
 	gs, ok := t.reach(side, only)
-	if !ok {
+	if !ok || !t.admits(0, gs) {
 		return
 	}
-	if len(t.pp.srcs) == 1 {
-		for _, g := range gs {
-			if g.sees(0, part) && t.passes(g, 0) {
-				t.output(g, ks, "", add)
-			}
+	for _, g := range gs {
+		if g.sees(0, part) && t.passes(g, 0) {
+			t.output(g, ks, "", add)
 		}
+	}
+}
+
+// joinFold is fold for a join with join indexes, its row loaded in rows:
+// in each index of its side key (only's, for a seed) that holds its
+// partition and whose filter it passes, the row is filed or taken out and
+// paired, in each group reading that index, with the partners filed under
+// its join key in the group's index on the other side.
+func (t *template) joinFold(side, part int, ks string, row *core.TableRow, add bool, only *group) {
+	t.tup = t.tup[:0]
+	if len(t.slots[side]) > 0 && !t.tuple(side) {
+		return
+	}
+	ixs := t.jx[side][string(t.tup)]
+	if only != nil {
+		ixs = nil
+		if only.tuple[side] == string(t.tup) {
+			ixs = only.ix[side : side+1]
+		}
+	}
+	if len(ixs) == 0 {
 		return
 	}
 	jk, ok := t.joinKey(side)
 	if !ok {
 		return
 	}
-	if len(t.slots[side]) > 0 {
-		for _, g := range gs {
-			if g.sees(side, part) && t.passes(g, side) {
-				t.link(side, jk, joinEntry{ks: ks, part: part, row: *row, g: g}, add)
-				t.probe(side, part, jk, ks, add, g)
+	o := 1 - side
+	for _, ix := range ixs {
+		if !ix.holds(part) || !t.pushed(ix.readers[0].ctx, side, ix.readers...) {
+			continue
+		}
+		ix.link(jk, ks, row, add)
+		for _, g := range ix.readers {
+			partners := g.ix[o].keys[jk]
+			for i := 0; i < len(partners) && g.failed == nil; i++ {
+				e := &partners[i]
+				t.rows[o] = e.row
+				if side == 0 {
+					t.output(g, ks, e.ks, add)
+				} else {
+					t.output(g, e.ks, ks, add)
+				}
 			}
 		}
-		return
 	}
-	// A side without slots: a delta of a partition its index does not hold
-	// yet is left to the seed; a seed files rows only while the index
-	// fills, and otherwise just pairs them for its group.
-	f := t.filling[side]
-	if only == nil && f != nil && !f[part] {
-		return
+}
+
+// join takes the join of g's two whole join indexes into its output: a
+// group whose side keys both have an index attaches with no kv read.
+func (t *template) join(g *group) {
+	for jk, es := range g.ix[0].keys {
+		partners := g.ix[1].keys[jk]
+		for i := range es {
+			t.rows[0] = es[i].row
+			for j := range partners {
+				t.rows[1] = partners[j].row
+				t.output(g, es[i].ks, partners[j].ks, true)
+			}
+		}
 	}
-	if !t.passes(nil, side) {
-		return
-	}
-	if only == nil || f != nil {
-		t.link(side, jk, joinEntry{ks: ks, part: part, row: *row}, add)
-	}
-	t.probe(side, part, jk, ks, add, only)
 }
 
 // coFold is fold for a co-partitioned join, its row loaded in rows: the
@@ -926,7 +994,7 @@ func (t *template) fold(side, part int, ks string, row *core.TableRow, add bool,
 func (t *template) coFold(side, part int, ks string, add bool, only *group) {
 	o := 1 - side
 	gs, ok := t.reach(side, only)
-	if !ok || (len(t.slots[side]) == 0 && !t.passes(nil, side)) {
+	if !ok || !t.admits(side, gs) {
 		return
 	}
 	if t.self {
@@ -941,22 +1009,21 @@ func (t *template) coFold(side, part int, ks string, add bool, only *group) {
 	oSlots := len(t.slots[o]) > 0
 	switch {
 	case !oSlots:
-		if !t.passes(nil, o) {
-			return
-		}
 	case !t.tuple(o):
 		return
 	case len(t.slots[side]) == 0 && only == nil:
 		gs = t.bySide[o][string(t.tup)]
 	}
+	if !t.admits(o, gs) {
+		return
+	}
 	for _, g := range gs {
 		if oSlots && g.tuple[o] != string(t.tup) || !g.sees(side, part) || !g.sees(o, part) {
 			continue
 		}
-		if len(t.slots[side]) > 0 && !t.passes(g, side) || oSlots && !t.passes(g, o) {
-			continue
+		if t.passes(g, side) && t.passes(g, o) {
+			t.output(g, ks, ks, add)
 		}
-		t.output(g, ks, ks, add)
 	}
 }
 
@@ -1019,71 +1086,6 @@ func (t *template) joinKey(side int) (joinKey, bool) {
 	return v[0].joinKey(), true
 }
 
-// link files e under jk in side's join index, or (add false) takes out the
-// entry of e's row and group; an entry that names its group is counted in
-// the group's jkeys.
-func (t *template) link(side int, jk joinKey, e joinEntry, add bool) {
-	es := t.jindex[side][jk]
-	if add {
-		t.jindex[side][jk] = append(es, e)
-		if e.g != nil {
-			e.g.jkeys[side][jk]++
-		}
-		return
-	}
-	for i := range es {
-		if es[i].ks == e.ks && es[i].g == e.g {
-			es = slices.Delete(es, i, i+1)
-			if g := e.g; g != nil {
-				if g.jkeys[side][jk]--; g.jkeys[side][jk] == 0 {
-					delete(g.jkeys[side], jk)
-				}
-			}
-			break
-		}
-	}
-	if len(es) == 0 {
-		delete(t.jindex[side], jk)
-	} else {
-		t.jindex[side][jk] = es
-	}
-}
-
-// probe pairs the row of side, loaded in rows, with every partner the
-// other side files under jk, in g (nil: in every group the partners name,
-// or every group where neither side has slots).
-func (t *template) probe(side, part int, jk joinKey, ks string, add bool, g *group) {
-	partners := t.jindex[1-side][jk]
-	for i := range partners {
-		e := &partners[i]
-		switch {
-		case e.g == nil && g == nil:
-			for _, h := range t.all {
-				t.pair(h, side, part, e, ks, add)
-			}
-		case e.g == nil:
-			t.pair(g, side, part, e, ks, add)
-		case g == nil || e.g == g:
-			t.pair(e.g, side, part, e, ks, add)
-		}
-	}
-}
-
-// pair takes the joined row of side's row and partner e to g's output, or
-// out of it, where g sees both partitions.
-func (t *template) pair(g *group, side, part int, e *joinEntry, ks string, add bool) {
-	o := 1 - side
-	if !g.sees(side, part) || !g.sees(o, e.part) {
-		return
-	}
-	t.rows[o] = e.row
-	l, r := ks, e.ks
-	if side == 1 {
-		l, r = r, l
-	}
-	t.output(g, l, r, add)
-}
-
 // solo makes source s's row the working batch's only source: a step over
 // one source reads no other, as in the one-shot fragments, where a source
 // not yet reached has no column.
@@ -1117,29 +1119,39 @@ func appendDisp(dst []byte, s string) []byte {
 	return dst
 }
 
-// passes tests source s's pushed filter on its row alone, under g's
-// instant (the template's, for g nil).
-func (t *template) passes(g *group, s int) bool {
-	t.solo(s)
-	return t.test(g, t.pp.pushedB[s])
+// admits tests side s's pushed filter on its row once for the groups gs it
+// reaches, where the filter reads no instant; an evaluation error fails gs.
+func (t *template) admits(s int, gs []*group) bool {
+	return t.nowSide[s] || t.pushed(t.ctx, s, gs...)
 }
 
-// test tests a bound predicate on the working batch's row under g's
-// instant (the template's, for g nil); an evaluation error fails g (every
-// group, for g nil).
-func (t *template) test(g *group, pred filter) bool {
+// passes tests side s's pushed filter on its row for g at g's instant,
+// where the filter reads LOCALTIMESTAMP; admits tested any other once.
+func (t *template) passes(g *group, s int) bool {
+	return !t.nowSide[s] || t.pushed(g.ctx, s, g)
+}
+
+// pushed tests source s's pushed filter on its row alone under ctx's
+// instant; an evaluation error fails gs.
+func (t *template) pushed(ctx *evalCtx, s int, gs ...*group) bool {
+	t.solo(s)
+	return t.test(ctx, t.pp.pushedB[s], gs...)
+}
+
+// test tests a bound predicate on the working batch's row under ctx's
+// instant; an evaluation error fails gs.
+func (t *template) test(ctx *evalCtx, pred filter, gs ...*group) bool {
 	if pred.e == nil {
 		return true
-	}
-	ctx := t.ctx
-	if g != nil {
-		ctx = g.ctx
 	}
 	kept := t.sc.sel(1)
 	defer t.sc.dropSel()
 	kept, err := ctx.filterBatch(pred, &t.b, ident[:1], kept)
 	if err != nil {
-		t.fail(g, err)
+		for _, g := range gs {
+			t.fail(g, err)
+		}
+		return false
 	}
 	return len(kept) == 1
 }
@@ -1153,7 +1165,7 @@ func (t *template) output(g *group, lks, rks string, add bool) {
 	for s := range t.rows {
 		t.b.cols[s] = t.rows[s : s+1]
 	}
-	if !t.test(g, t.pp.residualB) {
+	if !t.test(g.ctx, t.pp.residualB, g) {
 		return
 	}
 	if t.pp.agg != nil {
@@ -1352,8 +1364,8 @@ func sameVals(a, b []any) bool {
 
 // fail records g's first evaluation error: g folds nothing more, and its
 // delivery hands the error on as the final event. A nil g is an error in
-// what every group shares — a slot column, a join key, a pushed filter of
-// a side without slots — which fails them all and the template with them.
+// what every group shares — a slot column or a join key — which fails
+// them all and the template with them.
 func (t *template) fail(g *group, err error) {
 	if g != nil {
 		if g.failed == nil {

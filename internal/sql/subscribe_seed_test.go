@@ -158,10 +158,24 @@ func residentEntries(v reflect.Value) int {
 	return n
 }
 
+// filed counts the entries of side s's join indexes in a template.
+func filed(t *template, s int) int {
+	n := 0
+	for _, ixs := range t.jx[s] {
+		for _, ix := range ixs {
+			for _, es := range ix.keys {
+				n += len(es)
+			}
+		}
+	}
+	return n
+}
+
 // held counts what a template keeps resident per source row: its join
-// index, if it has one, and each of the given handles' groups (once each).
+// indexes, if it has any, and each of the given handles' groups (once
+// each).
 func held(sqs ...*StandingQuery) int {
-	n := residentEntries(reflect.ValueOf(sqs[0].g.t.jindex))
+	n := filed(sqs[0].g.t, 0) + filed(sqs[0].g.t, 1)
 	seen := map[*group]bool{}
 	for _, sq := range sqs {
 		if !seen[sq.g] {
@@ -207,7 +221,7 @@ func TestStandingQueryHoldsOutputOnly(t *testing.T) {
 		queries: []string{joinOn("PICKED_UP")},
 		update:  func(f *fixture, i int, key string) { f.state.Update(key, orderState{OrderState: states[(i+1)%3]}) },
 		resident: func(sqs []*StandingQuery) (int, int) {
-			if got := residentEntries(reflect.ValueOf(sqs[0].g.t.jindex)); got != 0 {
+			if got := filed(sqs[0].g.t, 0) + filed(sqs[0].g.t, 1); got != 0 {
 				return got, 0
 			}
 			return held(sqs...), n / 3
@@ -220,7 +234,7 @@ func TestStandingQueryHoldsOutputOnly(t *testing.T) {
 		queries: []string{joinOn(states[0]), joinOn(states[1]), joinOn(states[2])},
 		update:  func(f *fixture, i int, key string) { f.state.Update(key, orderState{OrderState: states[(i+1)%3]}) },
 		resident: func(sqs []*StandingQuery) (int, int) {
-			if got := residentEntries(reflect.ValueOf(sqs[0].g.t.jindex)); got != 0 {
+			if got := filed(sqs[0].g.t, 0) + filed(sqs[0].g.t, 1); got != 0 {
 				return got, 0
 			}
 			return held(sqs...), n
@@ -463,10 +477,11 @@ func TestTemplateKeyIsStructural(t *testing.T) {
 }
 
 // TestTemplateGroupCloseLeavesOthers: closing the last handle of one group
-// of a join template takes that group's entries out of the shared join
-// index — visiting only the join keys it filed them under — and nothing of
-// the other groups', which fold on and match the one-shot result. The join
-// is on zone, not on the partition key, so the template keeps a join index.
+// of a join template drops the join index of its side key that no other
+// group reads, and nothing the other groups read, which fold on and match
+// the one-shot result. The join is on zone, not on the partition key, so
+// the template keeps join indexes: one per amount on dorder's side, and
+// one on dnote's, which has no slots and which all three groups share.
 func TestTemplateGroupCloseLeavesOthers(t *testing.T) {
 	f := newDiffFixture(t, 1, 60)
 	f.liveOnly = true
@@ -487,7 +502,6 @@ func TestTemplateGroupCloseLeavesOthers(t *testing.T) {
 		t.Fatal("joins differing only in a lifted literal compiled to two templates")
 	}
 	f.write(40)
-	closed := sqs[0].g
 	sqs[0].Close()
 	want := 0
 	for _, r := range f.tables["dorder"].live {
@@ -499,22 +513,73 @@ func TestTemplateGroupCloseLeavesOthers(t *testing.T) {
 		t.Fatal("no order holds the two remaining amounts: the fixture no longer exercises the index")
 	}
 	tpl.mu.Lock()
-	filed := 0
-	for _, es := range tpl.jindex[0] {
-		for _, e := range es {
-			if e.g == closed {
-				t.Fatalf("the closed group's entry %s is still in the join index", e.ks)
-			}
-			filed++
-		}
+	if got := filed(tpl, 0); len(tpl.jx[0]) != 2 || got != want {
+		t.Fatalf("after one of three groups closed dorder's side holds %d indexes of %d entries, want 2 of %d", len(tpl.jx[0]), got, want)
 	}
-	if filed != want || closed.jkeys[0] != nil {
-		t.Fatalf("after one of three groups closed the join index holds %d entries, want %d", filed, want)
+	if got, notes := filed(tpl, 1), len(f.tables["dnote"].live); len(tpl.jx[1]) != 1 || got != notes {
+		t.Fatalf("dnote's shared side holds %d entries under %d tuples, want %d under one", got, len(tpl.jx[1]), notes)
 	}
 	tpl.mu.Unlock()
 	f.write(40)
 	for i := 1; i < len(sqs); i++ {
 		mustMatchOneShot(t, f, sqs[i].Query(), views[i], sqs[i].Query())
+	}
+}
+
+// TestJoinIndexFiledOnce: three general joins that share dorder's literal
+// and differ in dstate's read one join index on dorder's side, so each
+// order that passes is resident once, not once per group; dstate's side
+// keeps one index per literal. Each view equals its one-shot result, and
+// closing the groups one by one drops each index with its last reader.
+func TestJoinIndexFiledOnce(t *testing.T) {
+	f := newDiffFixture(t, 2, 60)
+	f.liveOnly = true
+	states := []string{"NEW", "ACCEPTED", "PICKED_UP"}
+	var sqs []*StandingQuery
+	var views []*foldedView
+	for _, st := range states {
+		v := newFoldedView()
+		sq, err := f.ex.SubscribeQuery(`SELECT o.partitionKey, s.partitionKey, s.state FROM dorder o JOIN dstate s ON o.late = s.late WHERE o.amount = 4 AND s.state = '`+st+`'`, v.sink)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sq.Close()
+		sqs, views = append(sqs, sq), append(views, v)
+	}
+	tpl := sqs[0].g.t
+	if sqs[1].g.t != tpl || sqs[2].g.t != tpl {
+		t.Fatal("joins differing only in a lifted literal compiled to two templates")
+	}
+	f.write(40)
+	orders, matched := 0, 0
+	for _, r := range f.tables["dorder"].live {
+		if r["amount"] == int64(4) {
+			orders++
+		}
+	}
+	for i, sq := range sqs {
+		mustMatchOneShot(t, f, sq.Query(), views[i], sq.Query())
+		matched += len(views[i].canon())
+	}
+	if orders == 0 || matched == 0 {
+		t.Fatalf("%d orders of amount 4 and %d joined rows: the fixture no longer exercises the shared index", orders, matched)
+	}
+	tpl.mu.Lock()
+	if got := filed(tpl, 0); len(tpl.jx[0]) != 1 || got != orders {
+		t.Fatalf("dorder's side holds %d entries under %d tuples for the %d orders of amount 4, want each once under one", got, len(tpl.jx[0]), orders)
+	}
+	if len(tpl.jx[1]) != len(states) {
+		t.Fatalf("dstate's side holds %d indexes, want one per literal (%d)", len(tpl.jx[1]), len(states))
+	}
+	tpl.mu.Unlock()
+	for i, sq := range sqs {
+		sq.Close()
+		tpl.mu.Lock()
+		ix0, ix1 := len(tpl.jx[0]), len(tpl.jx[1])
+		tpl.mu.Unlock()
+		if last := i == len(sqs)-1; ix1 != len(sqs)-1-i || (ix0 == 0) != last {
+			t.Fatalf("after %d of %d groups closed the sides hold %d and %d indexes", i+1, len(sqs), ix0, ix1)
+		}
 	}
 }
 
@@ -564,52 +629,101 @@ func TestSubscribeWatermarkCountsFromAttach(t *testing.T) {
 	}
 }
 
-// TestTemplatePinsSharedSideInstant: in a join whose side without slots
-// pushes a filter reading LOCALTIMESTAMP, that side is filed once for all
-// the template's groups, filtered at one instant — so the template is keyed
-// by the instant, and two subscriptions made at two instants get two
-// templates. Each folds to its one-shot result.
-func TestTemplatePinsSharedSideInstant(t *testing.T) {
-	const n = 12
-	f := newFixture(t, n, liveSnapCfg())
-	zones := []string{"east", "west"}
-	late := []time.Time{time.Now().Add(-time.Hour), time.Now().Add(time.Hour)}
-	write := func(round int) {
-		for i := 0; i < n; i++ {
-			key := fmt.Sprintf("order-%d", i)
-			f.info.Update(key, orderInfo{DeliveryZone: zones[(i+round)%2]})
-			f.state.Update(key, orderState{OrderState: "NOTIFIED", LateTimestamp: late[(i/2+round)%2]})
+// TestTemplateSharedAcrossInstants: subscriptions that differ only in the
+// instant they bind LOCALTIMESTAMP to share one template and its taps,
+// with one group per instant, each equal to its one-shot result. A pushed
+// filter that reads LOCALTIMESTAMP is tested at the instant of the group
+// it serves — in a general join, of the join index it fills, whose side key
+// then carries the instant, while the other side's index is shared.
+func TestTemplateSharedAcrossInstants(t *testing.T) {
+	t.Run("co-partitioned", func(t *testing.T) {
+		const n = 12
+		f := newFixture(t, n, liveSnapCfg())
+		zones := []string{"east", "west", "east"}
+		late := []time.Time{time.Now().Add(-time.Hour), time.Now().Add(time.Hour)}
+		write := func(round int) {
+			for i := 0; i < n; i++ {
+				key := fmt.Sprintf("order-%d", i)
+				f.info.Update(key, orderInfo{DeliveryZone: zones[(i+round)%2]})
+				f.state.Update(key, orderState{OrderState: "NOTIFIED", LateTimestamp: late[(i/2+round)%2]})
+			}
+			f.info.Flush()
+			f.state.Flush()
 		}
-		f.info.Flush()
-		f.state.Flush()
-	}
-	write(0)
-	var sqs []*StandingQuery
-	var views []*foldedView
-	for _, z := range zones {
-		v := newFoldedView()
-		sq, err := f.ex.SubscribeQuery(`SELECT i.deliveryZone, s.orderState FROM orderinfo i JOIN orderstate s USING(partitionKey) WHERE deliveryZone = '`+z+`' AND lateTimestamp < LOCALTIMESTAMP`, v.sink)
-		if err != nil {
-			t.Fatal(err)
+		write(0)
+		var sqs []*StandingQuery
+		var views []*foldedView
+		for _, z := range zones {
+			v := newFoldedView()
+			sq, err := f.ex.SubscribeQuery(`SELECT i.deliveryZone, s.orderState FROM orderinfo i JOIN orderstate s USING(partitionKey) WHERE deliveryZone = '`+z+`' AND lateTimestamp < LOCALTIMESTAMP`, v.sink)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sq.Close()
+			if tpl := sq.g.t; len(tpl.slots[0]) != 1 || !tpl.nowSide[1] {
+				t.Fatalf("%s: want deliveryZone lifted and orderstate's filter reading the instant", sq.Query())
+			}
+			sqs, views = append(sqs, sq), append(views, v)
 		}
-		defer sq.Close()
-		if tpl := sq.g.t; len(tpl.slots[0]) != 1 || !tpl.pp.pinsInstant(tpl.slots) {
-			t.Fatalf("%s: want deliveryZone lifted and the template keyed by its instant", sq.Query())
+		mustShareAcrossInstants(t, sqs)
+		write(1)
+		for i, sq := range sqs {
+			mustHaveFolded(t, sq, views[i], handed(f.store, sq))
+			res, err := f.ex.Query(sq.Query())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := views[i].canon(), canon(res.Rows, false); len(want) == 0 || !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s\n folded view %v\n one-shot    %v", sq.Query(), got, want)
+			}
 		}
-		sqs, views = append(sqs, sq), append(views, v)
-	}
-	if sqs[0].g.t == sqs[1].g.t {
-		t.Fatal("two subscriptions at two instants share a template that filters its shared side at one")
-	}
-	write(1)
-	for i, sq := range sqs {
-		mustHaveFolded(t, sq, views[i], handed(f.store, sq))
-		res, err := f.ex.Query(sq.Query())
-		if err != nil {
-			t.Fatal(err)
+	})
+	t.Run("general", func(t *testing.T) {
+		f := newDiffFixture(t, 3, 60)
+		f.liveOnly = true
+		const q = `SELECT o.partitionKey, s.partitionKey FROM dorder o JOIN dstate s ON o.late = s.late WHERE o.zone = 'east' AND s.late < LOCALTIMESTAMP`
+		var sqs []*StandingQuery
+		var views []*foldedView
+		for i := 0; i < 2; i++ {
+			v := newFoldedView()
+			sq, err := f.ex.SubscribeQuery(q, v.sink)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sq.Close()
+			sqs, views = append(sqs, sq), append(views, v)
 		}
-		if got, want := views[i].canon(), canon(res.Rows, false); len(want) == 0 || !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s\n folded view %v\n one-shot    %v", sq.Query(), got, want)
+		mustShareAcrossInstants(t, sqs)
+		tpl := sqs[0].g.t
+		tpl.mu.Lock()
+		ix0, ix1 := len(tpl.jx[0][sqs[0].g.tuple[0]]), len(tpl.jx[1][""])
+		tpl.mu.Unlock()
+		if ix0 != 1 || ix1 != 2 {
+			t.Fatalf("two instants read %d indexes on dorder's side and %d on dstate's, want 1 and 2", ix0, ix1)
+		}
+		f.write(40)
+		for i := range sqs {
+			mustMatchOneShot(t, f, q, views[i], fmt.Sprintf("subscription %d", i))
+			if len(views[i].canon()) == 0 {
+				t.Fatal("the join matched nothing: the fixture no longer exercises it")
+			}
+		}
+	})
+}
+
+// mustShareAcrossInstants asserts that sqs share one template, each in a
+// group of its own: every subscription binds the instant it was made at,
+// and a subscription takes far longer than a clock tick.
+func mustShareAcrossInstants(t *testing.T, sqs []*StandingQuery) {
+	t.Helper()
+	for i, a := range sqs {
+		if a.g.t != sqs[0].g.t {
+			t.Fatalf("%s and %s, differing only in literals and instants, compiled to two templates", sqs[0].Query(), a.Query())
+		}
+		for _, b := range sqs[:i] {
+			if a.g == b.g {
+				t.Fatalf("%s and %s, bound to two instants, share one group", b.Query(), a.Query())
+			}
 		}
 	}
 }

@@ -19,8 +19,8 @@ const (
 	// read may have observed state that "never happened" (Figure 5).
 	ReadUncommitted IsolationLevel = iota
 	// ReadCommitted: live-state queries under the assumption of no
-	// failures — key-level locking protects each read, and with no
-	// rollback event every observed update is effectively durable.
+	// failures — the key's partition lock protects each read, and with
+	// no rollback event every observed update is effectively durable.
 	ReadCommitted
 	// SnapshotIsolation: queries against a committed snapshot; the
 	// snapshot id is resolved atomically, so results never mix versions.
@@ -134,8 +134,8 @@ func tablesOf(query string) ([]string, error) {
 
 // ObjectView is the direct object interface to one operator's state — the
 // low-latency path Figure 14 benchmarks against TSpoon. Reads go straight
-// to the KV store under key-level locking, without SQL parsing or
-// planning.
+// to the KV store under each key's partition read lock, without SQL
+// parsing or planning.
 type ObjectView struct {
 	engine   *Engine
 	operator string
