@@ -131,11 +131,15 @@ bench-smoke:
 	$(GO) test ./internal/partition -run 'TestHashAllocs' -count=1 -v
 	$(GO) test ./internal/sql -run 'TestJoinFoldAllocs|TestScanFoldAllocs|TestKeyLookupAllocs|TestStandingAggDeltaAllocs|TestStandingDeltaAllocs|TestStandingDeltaCostFlatInWatchers|TestDifferentialStanding' -count=1 -v
 	$(GO) test . -run 'TestSubscribeParity$$' -count=1 -v
+	$(GO) test ./internal/metrics -run 'TestHistogramSparseMatchesDense' -count=1 -v
+	$(GO) test ./internal/metrics -run 'TestHistogramSnapshotConsistent' -race -count=20
+	$(GO) test . -run 'TestObservabilityHeapBudget|TestHistoryCaptureSharesSeries' -count=1 -v
 	$(GO) test ./internal/wire -run '^$$' -bench 'BenchmarkAppendValue|BenchmarkDecodeValue|BenchmarkGobValue' -benchtime 1000x
 	$(GO) test ./internal/persist -run '^$$' -bench 'BenchmarkAppendDeltaSegment' -benchtime 1000x
 	$(GO) test ./internal/sql -run '^$$' -bench 'BenchmarkJoinKey' -benchtime 1000x
 	$(GO) test ./internal/sql -run '^$$' -bench 'BenchmarkReadPath' -benchtime 20x
 	$(GO) test ./internal/kv -run '^$$' -bench 'BenchmarkPut|BenchmarkIndexedPut|BenchmarkUnindexedRowPut' -benchtime 1000x
+	$(GO) test . -run '^$$' -bench 'BenchmarkCapture' -benchtime 100x
 
 # The benchmark (BENCHMARK.json, bench/) is its own module that imports
 # internal/ packages, so `go build ./...` here never compiles it: vet it and

@@ -19,28 +19,34 @@ import (
 // quantile queries. It is safe for concurrent use. The bucket layout gives a
 // relative error below ~2% across the nanosecond-to-minute range, which is
 // far below the run-to-run variance of any experiment here.
+//
+// The buckets come in numOctaves octaves of bucketsPerOctave, and an octave
+// is allocated when the first value lands in it: a histogram holds only the
+// octaves it recorded into (a fresh one is under 400 B), so instruments that
+// see a narrow range of values, or none, stay small.
 type Histogram struct {
-	mu     sync.Mutex
-	counts []uint64
-	count  uint64
-	sum    time.Duration
-	min    time.Duration
-	max    time.Duration
+	mu      sync.Mutex
+	octaves [numOctaves]*[bucketsPerOctave]uint64
+	count   uint64
+	sum     time.Duration
+	min     time.Duration
+	max     time.Duration
 }
 
 // bucketsPerOctave trades memory for resolution: 32 sub-buckets per power
 // of two bounds the relative quantile error at 1/64 ≈ 1.6%.
 const bucketsPerOctave = 32
 
-// numBuckets covers durations up to ~2^40 ns (~18 minutes).
-const numBuckets = 41 * bucketsPerOctave
+// numOctaves covers durations up to ~2^40 ns (~18 minutes); longer ones
+// land in the last bucket.
+const numOctaves = 41
+
+// numBuckets is the bucket count of a histogram with every octave touched.
+const numBuckets = numOctaves * bucketsPerOctave
 
 // NewHistogram returns an empty histogram.
 func NewHistogram() *Histogram {
-	return &Histogram{
-		counts: make([]uint64, numBuckets),
-		min:    math.MaxInt64,
-	}
+	return &Histogram{min: math.MaxInt64}
 }
 
 // bucketIndex maps a duration to its bucket.
@@ -86,7 +92,12 @@ func (h *Histogram) Record(d time.Duration) {
 	}
 	idx := bucketIndex(d)
 	h.mu.Lock()
-	h.counts[idx]++
+	oct := h.octaves[idx/bucketsPerOctave]
+	if oct == nil {
+		oct = new([bucketsPerOctave]uint64)
+		h.octaves[idx/bucketsPerOctave] = oct
+	}
+	oct[idx%bucketsPerOctave]++
 	h.count++
 	h.sum += d
 	if d < h.min {
@@ -135,40 +146,50 @@ func (h *Histogram) Max() time.Duration {
 // Quantile returns the value at quantile q in [0,1]. Quantile(0) is the
 // minimum and Quantile(1) the maximum. Returns 0 for an empty histogram.
 func (h *Histogram) Quantile(q float64) time.Duration {
+	var v [1]time.Duration
 	h.mu.Lock()
-	defer h.mu.Unlock()
+	h.quantiles([]float64{q}, v[:])
+	h.mu.Unlock()
+	return v[0]
+}
+
+// quantiles sets out[i] to the value at quantile qs[i], in one pass over
+// the touched octaves; qs must be in ascending order. Caller holds h.mu.
+func (h *Histogram) quantiles(qs []float64, out []time.Duration) {
 	if h.count == 0 {
-		return 0
+		clear(out)
+		return
 	}
-	if q <= 0 {
-		return h.min
+	i := 0
+	for ; i < len(qs) && qs[i] <= 0; i++ {
+		out[i] = h.min
 	}
-	if q >= 1 {
-		return h.max
-	}
-	rank := uint64(math.Ceil(q * float64(h.count)))
-	if rank < 1 {
-		rank = 1
+	// rank is the 1-based rank of qs[i]'s value, for qs[i] in (0,1).
+	rank := func() uint64 {
+		r := uint64(math.Ceil(qs[i] * float64(h.count)))
+		return max(r, 1)
 	}
 	var seen uint64
-	for i, c := range h.counts {
-		seen += c
-		if seen >= rank {
-			lo := bucketLower(i)
-			hi := bucketLower(i + 1)
-			// Midpoint keeps the estimate unbiased within the bucket;
-			// clamping keeps it inside the observed range.
-			v := lo + (hi-lo)/2
-			if v < h.min {
-				v = h.min
+	for o, oct := range h.octaves {
+		if oct == nil {
+			continue
+		}
+		for j, c := range oct {
+			seen += c
+			for i < len(qs) && qs[i] < 1 && seen >= rank() {
+				idx := o*bucketsPerOctave + j
+				lo := bucketLower(idx)
+				hi := bucketLower(idx + 1)
+				// Midpoint keeps the estimate unbiased within the bucket;
+				// clamping keeps it inside the observed range.
+				out[i] = min(max(lo+(hi-lo)/2, h.min), h.max)
+				i++
 			}
-			if v > h.max {
-				v = h.max
-			}
-			return v
 		}
 	}
-	return h.max
+	for ; i < len(qs); i++ {
+		out[i] = h.max
+	}
 }
 
 // Sum returns the running sum of all observations (Prometheus' summary
@@ -181,36 +202,58 @@ func (h *Histogram) Sum() time.Duration {
 
 // PaperPercentiles is the percentile set plotted on the paper's inverted
 // log-scale x-axis (Figures 8–13), plus p95 for the Prometheus summary
-// convention.
+// convention, in ascending order.
 var PaperPercentiles = []float64{0, 0.50, 0.90, 0.95, 0.99, 0.999, 0.9999}
 
 // Snapshot returns a point-in-time copy of the histogram's summary at the
-// paper's percentile set.
+// paper's percentile set: one lock, one pass over the buckets.
 func (h *Histogram) Snapshot() Summary {
+	qv := make([]time.Duration, len(PaperPercentiles))
+	h.mu.Lock()
+	count, sum := h.count, h.sum
+	h.quantiles(PaperPercentiles, qv)
+	h.mu.Unlock()
 	s := Summary{
-		Count:     h.Count(),
-		Mean:      h.Mean(),
-		Sum:       h.Sum(),
+		Count:     count,
+		Sum:       sum,
 		Quantiles: make(map[float64]time.Duration, len(PaperPercentiles)),
 	}
-	for _, q := range PaperPercentiles {
-		s.Quantiles[q] = h.Quantile(q)
+	if count > 0 {
+		s.Mean = sum / time.Duration(count)
+	}
+	for i, q := range PaperPercentiles {
+		s.Quantiles[q] = qv[i]
 	}
 	return s
 }
 
 // Merge adds all observations of other into h.
 func (h *Histogram) Merge(other *Histogram) {
+	// Copy other's touched octaves under its lock, then fold them in under
+	// h's: the two locks are never held together.
+	var src [numOctaves]*[bucketsPerOctave]uint64
 	other.mu.Lock()
-	counts := make([]uint64, len(other.counts))
-	copy(counts, other.counts)
+	for o, oct := range other.octaves {
+		if oct != nil {
+			c := *oct
+			src[o] = &c
+		}
+	}
 	count, sum, min, max := other.count, other.sum, other.min, other.max
 	other.mu.Unlock()
 
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	for i, c := range counts {
-		h.counts[i] += c
+	for o, oct := range src {
+		switch {
+		case oct == nil:
+		case h.octaves[o] == nil:
+			h.octaves[o] = oct
+		default:
+			for j, c := range oct {
+				h.octaves[o][j] += c
+			}
+		}
 	}
 	h.count += count
 	h.sum += sum
@@ -224,12 +267,15 @@ func (h *Histogram) Merge(other *Histogram) {
 	}
 }
 
-// Reset discards all observations.
+// Reset discards all observations. Touched octaves stay allocated, zeroed,
+// for the observations that follow.
 func (h *Histogram) Reset() {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	for i := range h.counts {
-		h.counts[i] = 0
+	for _, oct := range h.octaves {
+		if oct != nil {
+			clear(oct[:])
+		}
 	}
 	h.count = 0
 	h.sum = 0

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 )
 
 func TestHistogramEmpty(t *testing.T) {
@@ -240,4 +241,233 @@ func relErr(got, want time.Duration) float64 {
 		return math.Abs(float64(got))
 	}
 	return math.Abs(float64(got-want)) / float64(want)
+}
+
+// denseHistogram is the histogram as it was before octaves were allocated
+// lazily: every one of numBuckets buckets allocated up front. It is the
+// oracle of TestHistogramSparseMatchesDense.
+type denseHistogram struct {
+	counts   []uint64
+	count    uint64
+	sum      time.Duration
+	min, max time.Duration
+}
+
+func newDense() *denseHistogram {
+	return &denseHistogram{counts: make([]uint64, numBuckets), min: math.MaxInt64}
+}
+
+func (h *denseHistogram) Record(d time.Duration) {
+	if d < 0 {
+		d = 0
+	}
+	h.counts[bucketIndex(d)]++
+	h.count++
+	h.sum += d
+	if d < h.min {
+		h.min = d
+	}
+	if d > h.max {
+		h.max = d
+	}
+}
+
+func (h *denseHistogram) Quantile(q float64) time.Duration {
+	if h.count == 0 {
+		return 0
+	}
+	if q <= 0 {
+		return h.min
+	}
+	if q >= 1 {
+		return h.max
+	}
+	rank := uint64(math.Ceil(q * float64(h.count)))
+	if rank < 1 {
+		rank = 1
+	}
+	var seen uint64
+	for i, c := range h.counts {
+		seen += c
+		if seen >= rank {
+			lo := bucketLower(i)
+			hi := bucketLower(i + 1)
+			v := lo + (hi-lo)/2
+			if v < h.min {
+				v = h.min
+			}
+			if v > h.max {
+				v = h.max
+			}
+			return v
+		}
+	}
+	return h.max
+}
+
+func (h *denseHistogram) Merge(o *denseHistogram) {
+	for i, c := range o.counts {
+		h.counts[i] += c
+	}
+	h.count += o.count
+	h.sum += o.sum
+	if o.count > 0 {
+		h.min = min(h.min, o.min)
+		h.max = max(h.max, o.max)
+	}
+}
+
+func (h *denseHistogram) Reset() { *h = *newDense() }
+
+// sameAsDense fails t unless h and d answer every query alike and h has
+// allocated the octaves d holds values in; only those, unless h was reset
+// (Reset keeps touched octaves, zeroed).
+func sameAsDense(t *testing.T, what string, h *Histogram, d *denseHistogram, reset bool) {
+	t.Helper()
+	mean, dmin := time.Duration(0), time.Duration(0)
+	if d.count > 0 {
+		mean, dmin = d.sum/time.Duration(d.count), d.min
+	}
+	if h.Count() != d.count || h.Sum() != d.sum || h.Mean() != mean || h.Min() != dmin || h.Max() != d.max {
+		t.Fatalf("%s: count/sum/mean/min/max = %d/%v/%v/%v/%v, dense %d/%v/%v/%v/%v", what,
+			h.Count(), h.Sum(), h.Mean(), h.Min(), h.Max(), d.count, d.sum, mean, dmin, d.max)
+	}
+	for _, q := range append(PaperPercentiles, 0.25, 1) {
+		if got, want := h.Quantile(q), d.Quantile(q); got != want {
+			t.Fatalf("%s: Quantile(%v) = %v, dense %v", what, q, got, want)
+		}
+	}
+	s := h.Snapshot()
+	for _, q := range PaperPercentiles {
+		if got, want := s.Quantiles[q], d.Quantile(q); got != want {
+			t.Fatalf("%s: Snapshot p%v = %v, dense %v", what, q*100, got, want)
+		}
+	}
+	for o, oct := range h.octaves {
+		touched := false
+		for j := 0; j < bucketsPerOctave; j++ {
+			touched = touched || d.counts[o*bucketsPerOctave+j] > 0
+		}
+		if touched && oct == nil || !touched && oct != nil && !reset {
+			t.Fatalf("%s: octave %d allocated=%v, holds values=%v", what, o, oct != nil, touched)
+		}
+	}
+}
+
+// TestHistogramSparseMatchesDense holds the lazily allocated octaves to the
+// dense layout they replaced: every statistic identical across Record,
+// Merge in each direction and Reset, over values from 0 through the clamp
+// above 2^40 ns.
+func TestHistogramSparseMatchesDense(t *testing.T) {
+	rng := rand.New(rand.NewSource(44))
+	fill := func(h *Histogram, d *denseHistogram, n int, octaves []int) {
+		for i := 0; i < n; i++ {
+			var v time.Duration
+			switch r := rng.Intn(10); {
+			case r == 0:
+				v = 0
+			case r == 1:
+				v = time.Duration(rng.Intn(bucketsPerOctave))
+			case r == 2:
+				v = time.Duration(1<<40 + rng.Int63n(1<<50)) // clamps into the last bucket
+			default:
+				o := octaves[rng.Intn(len(octaves))]
+				lo := bucketLower(o * bucketsPerOctave)
+				hi := bucketLower((o + 1) * bucketsPerOctave)
+				v = lo + time.Duration(rng.Int63n(int64(hi-lo)))
+			}
+			h.Record(v)
+			d.Record(v)
+		}
+	}
+	every := make([]int, numOctaves)
+	for o := range every {
+		every[o] = o
+	}
+
+	h, d := NewHistogram(), newDense()
+	sameAsDense(t, "empty", h, d, false)
+	fill(h, d, 5000, every)
+	sameAsDense(t, "every octave", h, d, false)
+
+	a, da := NewHistogram(), newDense()
+	fill(a, da, 300, []int{3, 7, 12})
+	b, db := NewHistogram(), newDense()
+	fill(b, db, 300, []int{7, 20})
+	a.Merge(b)
+	da.Merge(db)
+	sameAsDense(t, "sparse into sparse", a, da, false)
+	sameAsDense(t, "merge source", b, db, false)
+
+	h.Merge(NewHistogram())
+	d.Merge(newDense())
+	sameAsDense(t, "empty into full", h, d, false)
+
+	e, de := NewHistogram(), newDense()
+	e.Merge(h)
+	de.Merge(d)
+	sameAsDense(t, "full into empty", e, de, false)
+
+	h.Reset()
+	d.Reset()
+	sameAsDense(t, "after reset", h, d, true)
+	fill(h, d, 500, []int{9, 10})
+	sameAsDense(t, "recorded after reset", h, d, true)
+
+	if size := unsafe.Sizeof(Histogram{}); size > 400 {
+		t.Fatalf("a fresh histogram occupies %d B, want at most 400", size)
+	}
+}
+
+// TestHistogramSnapshotConsistent records from four goroutines while a
+// fifth snapshots: each Summary must describe one state of the histogram
+// (run with -race).
+func TestHistogramSnapshotConsistent(t *testing.T) {
+	h := NewHistogram()
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					h.Record(time.Duration(rng.Int63n(1 << uint(rng.Intn(36)+1))))
+				}
+			}
+		}(int64(w))
+	}
+	for i := 0; i < 2000; i++ {
+		s := h.Snapshot()
+		if s.Count == 0 {
+			continue
+		}
+		if rem := s.Sum - s.Mean*time.Duration(s.Count); rem < 0 || rem >= time.Duration(s.Count) {
+			close(stop)
+			t.Fatalf("snapshot %d: sum %v, mean %v and count %d come from different states", i, s.Sum, s.Mean, s.Count)
+		}
+		prev := time.Duration(-1)
+		for _, q := range PaperPercentiles {
+			if s.Quantiles[q] < prev {
+				close(stop)
+				t.Fatalf("snapshot %d: p%v = %v below the previous percentile %v", i, q*100, s.Quantiles[q], prev)
+			}
+			prev = s.Quantiles[q]
+		}
+	}
+	close(stop)
+	wg.Wait()
+	s := h.Snapshot()
+	if s.Count != h.Count() || s.Mean != h.Mean() || s.Sum != h.Sum() {
+		t.Fatalf("quiescent snapshot %d/%v/%v, histogram %d/%v/%v", s.Count, s.Mean, s.Sum, h.Count(), h.Mean(), h.Sum())
+	}
+	for _, q := range PaperPercentiles {
+		if s.Quantiles[q] != h.Quantile(q) {
+			t.Fatalf("quiescent snapshot p%v = %v, Quantile = %v", q*100, s.Quantiles[q], h.Quantile(q))
+		}
+	}
 }

@@ -1,23 +1,53 @@
 package metrics
 
 import (
+	"slices"
+	"sort"
 	"sync"
 	"time"
 )
 
 // Metric history: the registry can retain a fixed-size ring of periodic
-// whole-registry snapshots, turning instantaneous counters and gauges into
+// whole-registry captures, turning instantaneous counters and gauges into
 // an in-memory time series. Consumers (sys.history, /statusz sparklines)
-// compute rate() from consecutive snapshots; the ring itself stores plain
-// Points so a snapshot costs one Points() call and no per-instrument
+// compute rate() from consecutive captures. A capture is one int64 per
+// series, read in the order of a sorted series table that consecutive
+// captures share; the table is rebuilt only when the registry's instrument
+// set changed, so a capture costs no sort, no map copy and no per-instrument
 // bookkeeping on hot paths. Derived gauges are evaluated at capture time,
 // so freshness-sensitive series (watermark lag, inbox depth) are retained
 // with correct per-tick values even while the instrumented stage is frozen.
 
-// HistorySnapshot is one retained capture of every instrument.
+// Series names one retained series: an instrument and its kind
+// ("counter", "gauge" or "histogram").
+type Series struct {
+	Key  InstrumentKey
+	Kind string
+}
+
+// HistorySnapshot is one retained capture of every instrument: Values[i]
+// is Series[i]'s value at At (a histogram's value is its observation
+// count). Series is sorted by key and shared by consecutive snapshots while
+// the instrument set is unchanged. Neither slice is mutated after capture.
 type HistorySnapshot struct {
 	At     time.Time
-	Points []Point
+	Series []Series
+	Values []int64
+}
+
+// SameSeries reports whether s and o were captured against one series
+// table, so that a series has the same index in both.
+func (s HistorySnapshot) SameSeries(o HistorySnapshot) bool {
+	return len(s.Series) == len(o.Series) && (len(s.Series) == 0 || &s.Series[0] == &o.Series[0])
+}
+
+// Index returns the index of k's series in s, or -1 if s has none.
+func (s HistorySnapshot) Index(k InstrumentKey) int {
+	i := sort.Search(len(s.Series), func(i int) bool { return !keyLess(s.Series[i].Key, k) })
+	if i < len(s.Series) && s.Series[i].Key == k {
+		return i
+	}
+	return -1
 }
 
 // maxHistorySnapshots bounds the ring regardless of the window/interval
@@ -27,6 +57,9 @@ const maxHistorySnapshots = 512
 
 // historyRing is the retention state embedded in a Registry.
 type historyRing struct {
+	tmu   sync.Mutex   // guards table
+	table *seriesTable // the instrument set the last capture read
+
 	mu    sync.Mutex
 	buf   []HistorySnapshot
 	start int
@@ -106,7 +139,14 @@ func (r *Registry) Capture(now time.Time) {
 	if r == nil {
 		return
 	}
-	snap := HistorySnapshot{At: now, Points: r.Points()}
+	t := r.seriesTable()
+	vals := make([]int64, len(t.read))
+	// Derived gauges run user code; read every value outside the registry
+	// and ring locks.
+	for i, read := range t.read {
+		vals[i] = read()
+	}
+	snap := HistorySnapshot{At: now, Series: t.series, Values: vals}
 	r.hist.mu.Lock()
 	if len(r.hist.buf) == 0 {
 		r.hist.resize(maxHistorySnapshots / 4)
@@ -121,9 +161,59 @@ func (r *Registry) Capture(now time.Time) {
 	r.hist.mu.Unlock()
 }
 
+// seriesTable is the registry's instrument set at one version: its series
+// sorted by key, and a reader of each series' current value.
+type seriesTable struct {
+	version uint64
+	series  []Series
+	read    []func() int64
+}
+
+// seriesTable returns the table of the registry's current version,
+// rebuilding it if an instrument was created or a derived gauge
+// registered since the last capture. A rebuild whose series equal the
+// previous table's (a re-registered derived gauge) keeps the previous
+// series slice, so the snapshots on either side of it still share it.
+func (r *Registry) seriesTable() *seriesTable {
+	r.hist.tmu.Lock()
+	defer r.hist.tmu.Unlock()
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	prev := r.hist.table
+	if prev != nil && prev.version == r.version {
+		return prev
+	}
+	type entry struct {
+		s    Series
+		read func() int64
+	}
+	es := make([]entry, 0, len(r.counters)+len(r.gauges)+len(r.derived)+len(r.hists))
+	for k, c := range r.counters {
+		es = append(es, entry{Series{k, "counter"}, c.Value})
+	}
+	for k, g := range r.gauges {
+		es = append(es, entry{Series{k, "gauge"}, g.Value})
+	}
+	for k, fn := range r.derived {
+		es = append(es, entry{Series{k, "gauge"}, fn})
+	}
+	for k, h := range r.hists {
+		es = append(es, entry{Series{k, "histogram"}, func() int64 { return int64(h.Count()) }})
+	}
+	sort.Slice(es, func(i, j int) bool { return keyLess(es[i].s.Key, es[j].s.Key) })
+	t := &seriesTable{version: r.version, series: make([]Series, len(es)), read: make([]func() int64, len(es))}
+	for i, e := range es {
+		t.series[i], t.read[i] = e.s, e.read
+	}
+	if prev != nil && slices.Equal(prev.series, t.series) {
+		t.series = prev.series
+	}
+	r.hist.table = t
+	return t
+}
+
 // History returns the retained snapshots, oldest first. The returned slice
-// is a copy; the Points inside are the captured values and are not
-// mutated after capture.
+// is a copy; the series and values inside are not mutated after capture.
 func (r *Registry) History() []HistorySnapshot {
 	if r == nil {
 		return nil

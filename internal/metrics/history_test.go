@@ -63,10 +63,8 @@ func TestHistoryCaptureRingEvictsOldest(t *testing.T) {
 		t.Fatalf("snapshots not oldest-first: %v %v %v", h[0].At, h[1].At, h[2].At)
 	}
 	find := func(s HistorySnapshot) int64 {
-		for _, p := range s.Points {
-			if p.Key == (InstrumentKey{"sql", "q", "rows"}) {
-				return p.Value
-			}
+		if i := s.Index(InstrumentKey{"sql", "q", "rows"}); i >= 0 {
+			return s.Values[i]
 		}
 		t.Fatalf("counter missing from snapshot at %v", s.At)
 		return 0
@@ -142,7 +140,7 @@ func TestHistoryRaceRetainVsScans(t *testing.T) {
 					return
 				default:
 					for _, s := range r.History() {
-						_ = len(s.Points)
+						_ = len(s.Values)
 					}
 					_ = r.Values("operator")
 				}

@@ -198,6 +198,10 @@ type Registry struct {
 	derived  map[InstrumentKey]func() int64
 	hists    map[InstrumentKey]*Histogram
 	logs     map[string]*EventLog
+	// version counts instrument creations and derived-gauge
+	// registrations, so history captures know when to re-read the
+	// instrument set.
+	version uint64
 
 	hist historyRing // periodic snapshot ring behind Retain / sys.history
 }
@@ -227,6 +231,7 @@ func (r *Registry) GaugeFunc(subsystem, id, metric string, fn func() int64) {
 	k := InstrumentKey{subsystem, id, metric}
 	r.mu.Lock()
 	r.derived[k] = fn
+	r.version++ // the history's series table holds the function
 	r.mu.Unlock()
 }
 
@@ -247,6 +252,7 @@ func (r *Registry) Counter(subsystem, id, metric string) *Counter {
 	if c = r.counters[k]; c == nil {
 		c = &Counter{}
 		r.counters[k] = c
+		r.version++
 	}
 	return c
 }
@@ -268,6 +274,7 @@ func (r *Registry) Gauge(subsystem, id, metric string) *Gauge {
 	if g = r.gauges[k]; g == nil {
 		g = &Gauge{}
 		r.gauges[k] = g
+		r.version++
 	}
 	return g
 }
@@ -289,6 +296,7 @@ func (r *Registry) Histogram(subsystem, id, metric string) *Histogram {
 	if h = r.hists[k]; h == nil {
 		h = NewHistogram()
 		r.hists[k] = h
+		r.version++
 	}
 	return h
 }
@@ -428,17 +436,19 @@ func (r *Registry) Points() []Point {
 		s := h.Snapshot()
 		pts = append(pts, Point{Key: k, Kind: "histogram", Value: int64(s.Count), Summary: &s})
 	}
-	sort.Slice(pts, func(i, j int) bool {
-		a, b := pts[i].Key, pts[j].Key
-		if a.Subsystem != b.Subsystem {
-			return a.Subsystem < b.Subsystem
-		}
-		if a.ID != b.ID {
-			return a.ID < b.ID
-		}
-		return a.Metric < b.Metric
-	})
+	sort.Slice(pts, func(i, j int) bool { return keyLess(pts[i].Key, pts[j].Key) })
 	return pts
+}
+
+// keyLess orders instrument keys by subsystem, then id, then metric.
+func keyLess(a, b InstrumentKey) bool {
+	if a.Subsystem != b.Subsystem {
+		return a.Subsystem < b.Subsystem
+	}
+	if a.ID != b.ID {
+		return a.ID < b.ID
+	}
+	return a.Metric < b.Metric
 }
 
 // Dump renders the full registry as plain text: one line per counter and

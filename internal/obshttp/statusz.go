@@ -194,9 +194,9 @@ func sparkline(vals []float64) string {
 func counterRateSeries(snaps []metrics.HistorySnapshot, subsystem, metric string) []float64 {
 	sums := make([]int64, len(snaps))
 	for i, s := range snaps {
-		for _, p := range s.Points {
-			if p.Kind == "counter" && p.Key.Subsystem == subsystem && p.Key.Metric == metric {
-				sums[i] += p.Value
+		for j, se := range s.Series {
+			if se.Kind == "counter" && se.Key.Subsystem == subsystem && se.Key.Metric == metric {
+				sums[i] += s.Values[j]
 			}
 		}
 	}
@@ -212,9 +212,9 @@ func counterRateSeries(snaps []metrics.HistorySnapshot, subsystem, metric string
 func gaugeMaxSeries(snaps []metrics.HistorySnapshot, subsystem, metric string) []float64 {
 	out := make([]float64, len(snaps))
 	for i, s := range snaps {
-		for _, p := range s.Points {
-			if p.Kind == "gauge" && p.Key.Subsystem == subsystem && p.Key.Metric == metric {
-				if v := float64(p.Value); v > out[i] {
+		for j, se := range s.Series {
+			if se.Kind == "gauge" && se.Key.Subsystem == subsystem && se.Key.Metric == metric {
+				if v := float64(s.Values[j]); v > out[i] {
 					out[i] = v
 				}
 			}

@@ -377,30 +377,36 @@ func (e *Engine) sysBackpressure() []core.TableRow {
 func (e *Engine) sysHistory() []core.TableRow {
 	snaps := e.reg.History()
 	var rows []core.TableRow
-	var prev map[metrics.InstrumentKey]int64
-	var prevAt time.Time
 	for i, s := range snaps {
-		cur := make(map[metrics.InstrumentKey]int64, len(s.Points))
-		for _, p := range s.Points {
-			cur[p.Key] = p.Value
+		var prev metrics.HistorySnapshot
+		same := false
+		if i > 0 {
+			prev = snaps[i-1]
+			same = prev.SameSeries(s)
+		}
+		for j, se := range s.Series {
+			v := s.Values[j]
 			rate := 0.0
-			if p.Kind == "counter" && prev != nil {
-				if pv, ok := prev[p.Key]; ok {
-					rate = metrics.Rate(pv, p.Value, prevAt, s.At)
+			if se.Kind == "counter" && i > 0 {
+				pj := j
+				if !same {
+					pj = prev.Index(se.Key)
+				}
+				if pj >= 0 {
+					rate = metrics.Rate(prev.Values[pj], v, prev.At, s.At)
 				}
 			}
-			rows = append(rows, core.TableRow{Key: strconv.Itoa(i) + "/" + p.Key.String(), Value: kv.MapRow{
+			rows = append(rows, core.TableRow{Key: strconv.Itoa(i) + "/" + se.Key.String(), Value: kv.MapRow{
 				"snapshot":   int64(i),
 				"atUnixUs":   s.At.UnixMicro(),
-				"subsystem":  p.Key.Subsystem,
-				"id":         p.Key.ID,
-				"metric":     p.Key.Metric,
-				"kind":       p.Kind,
-				"value":      p.Value,
+				"subsystem":  se.Key.Subsystem,
+				"id":         se.Key.ID,
+				"metric":     se.Key.Metric,
+				"kind":       se.Kind,
+				"value":      v,
 				"ratePerSec": rate,
 			}})
 		}
-		prev, prevAt = cur, s.At
 	}
 	return rows
 }

@@ -124,3 +124,18 @@ func BenchmarkMetricsOverheadIngest(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkCapture: one op is one metric-history capture of a bare
+// three-node engine's registry, the work the history ticker does every
+// HistoryInterval.
+func BenchmarkCapture(b *testing.B) {
+	eng := New(Config{Nodes: 3, DisableHistory: true})
+	defer eng.Close()
+	reg := eng.Metrics()
+	at := time.Unix(1_000, 0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		reg.Capture(at.Add(time.Duration(i) * time.Second))
+	}
+}
