@@ -134,12 +134,15 @@ bench-smoke:
 	$(GO) test ./internal/metrics -run 'TestHistogramSparseMatchesDense' -count=1 -v
 	$(GO) test ./internal/metrics -run 'TestHistogramSnapshotConsistent' -race -count=20
 	$(GO) test . -run 'TestObservabilityHeapBudget|TestHistoryCaptureSharesSeries' -count=1 -v
+	$(GO) test ./internal/metrics -run 'TestRegistryReadersMatchReference|TestTableRebuildsOnVersion|TestEventsMaterializeOutsideLock' -count=1 -v
+	$(GO) test . -run 'TestRegistryConcurrentReadersAndWriters' -race -count=5
 	$(GO) test ./internal/wire -run '^$$' -bench 'BenchmarkAppendValue|BenchmarkDecodeValue|BenchmarkGobValue' -benchtime 1000x
 	$(GO) test ./internal/persist -run '^$$' -bench 'BenchmarkAppendDeltaSegment' -benchtime 1000x
 	$(GO) test ./internal/sql -run '^$$' -bench 'BenchmarkJoinKey' -benchtime 1000x
 	$(GO) test ./internal/sql -run '^$$' -bench 'BenchmarkReadPath' -benchtime 20x
 	$(GO) test ./internal/kv -run '^$$' -bench 'BenchmarkPut|BenchmarkIndexedPut|BenchmarkUnindexedRowPut' -benchtime 1000x
 	$(GO) test . -run '^$$' -bench 'BenchmarkCapture' -benchtime 100x
+	$(GO) test . -run '^$$' -bench 'BenchmarkPrometheusText|BenchmarkDump' -benchtime 20x
 
 # The benchmark (BENCHMARK.json, bench/) is its own module that imports
 # internal/ packages, so `go build ./...` here never compiles it: vet it and

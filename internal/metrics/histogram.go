@@ -209,10 +209,7 @@ var PaperPercentiles = []float64{0, 0.50, 0.90, 0.95, 0.99, 0.999, 0.9999}
 // paper's percentile set: one lock, one pass over the buckets.
 func (h *Histogram) Snapshot() Summary {
 	qv := make([]time.Duration, len(PaperPercentiles))
-	h.mu.Lock()
-	count, sum := h.count, h.sum
-	h.quantiles(PaperPercentiles, qv)
-	h.mu.Unlock()
+	count, sum := h.paperQuantiles(qv)
 	s := Summary{
 		Count:     count,
 		Sum:       sum,
@@ -225,6 +222,15 @@ func (h *Histogram) Snapshot() Summary {
 		s.Quantiles[q] = qv[i]
 	}
 	return s
+}
+
+// paperQuantiles sets qv[i] to the value at PaperPercentiles[i] and
+// returns the count and sum, all under one lock.
+func (h *Histogram) paperQuantiles(qv []time.Duration) (count uint64, sum time.Duration) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	h.quantiles(PaperPercentiles, qv)
+	return h.count, h.sum
 }
 
 // Merge adds all observations of other into h.

@@ -1,7 +1,6 @@
 package metrics
 
 import (
-	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -43,7 +42,7 @@ func (s HistorySnapshot) SameSeries(o HistorySnapshot) bool {
 
 // Index returns the index of k's series in s, or -1 if s has none.
 func (s HistorySnapshot) Index(k InstrumentKey) int {
-	i := sort.Search(len(s.Series), func(i int) bool { return !keyLess(s.Series[i].Key, k) })
+	i := sort.Search(len(s.Series), func(i int) bool { return keyCompare(s.Series[i].Key, k) >= 0 })
 	if i < len(s.Series) && s.Series[i].Key == k {
 		return i
 	}
@@ -57,9 +56,6 @@ const maxHistorySnapshots = 512
 
 // historyRing is the retention state embedded in a Registry.
 type historyRing struct {
-	tmu   sync.Mutex   // guards table
-	table *seriesTable // the instrument set the last capture read
-
 	mu    sync.Mutex
 	buf   []HistorySnapshot
 	start int
@@ -159,57 +155,6 @@ func (r *Registry) Capture(now time.Time) {
 		r.hist.start = (r.hist.start + 1) % len(r.hist.buf)
 	}
 	r.hist.mu.Unlock()
-}
-
-// seriesTable is the registry's instrument set at one version: its series
-// sorted by key, and a reader of each series' current value.
-type seriesTable struct {
-	version uint64
-	series  []Series
-	read    []func() int64
-}
-
-// seriesTable returns the table of the registry's current version,
-// rebuilding it if an instrument was created or a derived gauge
-// registered since the last capture. A rebuild whose series equal the
-// previous table's (a re-registered derived gauge) keeps the previous
-// series slice, so the snapshots on either side of it still share it.
-func (r *Registry) seriesTable() *seriesTable {
-	r.hist.tmu.Lock()
-	defer r.hist.tmu.Unlock()
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	prev := r.hist.table
-	if prev != nil && prev.version == r.version {
-		return prev
-	}
-	type entry struct {
-		s    Series
-		read func() int64
-	}
-	es := make([]entry, 0, len(r.counters)+len(r.gauges)+len(r.derived)+len(r.hists))
-	for k, c := range r.counters {
-		es = append(es, entry{Series{k, "counter"}, c.Value})
-	}
-	for k, g := range r.gauges {
-		es = append(es, entry{Series{k, "gauge"}, g.Value})
-	}
-	for k, fn := range r.derived {
-		es = append(es, entry{Series{k, "gauge"}, fn})
-	}
-	for k, h := range r.hists {
-		es = append(es, entry{Series{k, "histogram"}, func() int64 { return int64(h.Count()) }})
-	}
-	sort.Slice(es, func(i, j int) bool { return keyLess(es[i].s.Key, es[j].s.Key) })
-	t := &seriesTable{version: r.version, series: make([]Series, len(es)), read: make([]func() int64, len(es))}
-	for i, e := range es {
-		t.series[i], t.read[i] = e.s, e.read
-	}
-	if prev != nil && slices.Equal(prev.series, t.series) {
-		t.series = prev.series
-	}
-	r.hist.table = t
-	return t
 }
 
 // History returns the retained snapshots, oldest first. The returned slice

@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -17,17 +18,15 @@ func TestGaugeFuncEvaluatedAtReadTime(t *testing.T) {
 		t.Fatalf("derived gauge in Values = %d, want 7", got)
 	}
 	v = 42
-	found := false
-	for _, p := range r.Points() {
-		if p.Key.Metric == "inbox_depth" {
-			found = true
-			if p.Kind != "gauge" || p.Value != 42 {
-				t.Fatalf("derived point = %+v, want gauge 42", p)
-			}
-		}
+	r.Capture(time.Now())
+	h := r.History()
+	last := h[len(h)-1]
+	i := last.Index(InstrumentKey{"operator", "src/0", "inbox_depth"})
+	if i < 0 {
+		t.Fatal("derived gauge missing from the capture")
 	}
-	if !found {
-		t.Fatal("derived gauge missing from Points")
+	if last.Series[i].Kind != "gauge" || last.Values[i] != 42 {
+		t.Fatalf("derived series = %s %d, want gauge 42", last.Series[i].Kind, last.Values[i])
 	}
 	// Re-registration replaces the function (workers restart).
 	r.GaugeFunc("operator", "src/0", "inbox_depth", func() int64 { return -1 })
@@ -108,7 +107,8 @@ func TestRetainTickerCapturesPeriodically(t *testing.T) {
 
 // TestHistoryRaceRetainVsScans is the race test behind sys.history: ticker
 // captures, derived-gauge evaluation, and concurrent readers all running
-// against one registry. Run with -race.
+// against one registry, each goroutine for a fixed number of operations.
+// Run with -race.
 func TestHistoryRaceRetainVsScans(t *testing.T) {
 	r := NewRegistry()
 	var depth int64 // accessed without atomics would race; keep it fixed
@@ -116,40 +116,38 @@ func TestHistoryRaceRetainVsScans(t *testing.T) {
 	c := r.Counter("operator", "s/0", "records_in")
 	r.Retain(time.Millisecond, 50*time.Millisecond)
 	defer r.StopRetain()
+	const ops = 300
 	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	for i := 0; i < 4; i++ {
+	start := make(chan struct{})
+	for w := 0; w < 4; w++ {
 		wg.Add(2)
 		go func() { // writers
 			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-					c.Inc()
-					r.Capture(time.Now())
+			<-start
+			for i := 0; i < ops; i++ {
+				c.Inc()
+				if i%8 == 0 { // a fresh instrument: the next capture rebuilds the table
+					r.Counter("operator", fmt.Sprintf("w%d/%d", w, i), "records_in").Inc()
 				}
+				r.Capture(time.Now())
 			}
 		}()
 		go func() { // readers: the sys.history / statusz access paths
 			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-					for _, s := range r.History() {
-						_ = len(s.Values)
-					}
-					_ = r.Values("operator")
+			<-start
+			for i := 0; i < ops; i++ {
+				for _, s := range r.History() {
+					_ = len(s.Values)
 				}
+				_ = r.Values("operator")
 			}
 		}()
 	}
-	time.Sleep(30 * time.Millisecond)
-	close(stop)
+	close(start)
 	wg.Wait()
+	if got := r.Values("operator")["s/0"]["records_in"]; got != 4*ops {
+		t.Fatalf("records_in = %d, want %d", got, 4*ops)
+	}
 }
 
 func TestPrometheusHelpLines(t *testing.T) {

@@ -41,14 +41,17 @@ func (m *Meter) Count() uint64 { return m.win.Load().count.Load() }
 
 // Rate returns events per second since the window start. The count and the
 // window start are read from the same window, so a concurrent Reset can
-// never pair one window's count with the other's start.
+// never pair one window's count with the other's start; the count is read
+// before the clock, so events recorded while the reader is descheduled
+// between the two reads never divide by an interval that excludes them.
 func (m *Meter) Rate() float64 {
 	w := m.win.Load()
+	count := w.count.Load()
 	elapsed := time.Since(time.Unix(0, w.start))
 	if elapsed <= 0 {
 		return 0
 	}
-	return float64(w.count.Load()) / elapsed.Seconds()
+	return float64(count) / elapsed.Seconds()
 }
 
 // Reset zeroes the counter and restarts the window by installing a fresh

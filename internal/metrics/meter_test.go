@@ -43,42 +43,36 @@ func TestMeterResetRace(t *testing.T) {
 		batch   = 1 << 20
 		ceiling = 1e16
 	)
+	const ops, resets = 200_000, 50
 	m := NewMeter()
 
 	var wg sync.WaitGroup
-	stop := make(chan struct{})
+	start := make(chan struct{})
 	for w := 0; w < 2; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-					m.Add(batch)
-				}
+			<-start
+			for i := 0; i < ops; i++ {
+				m.Add(batch)
 			}
 		}()
 	}
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-				time.Sleep(time.Millisecond) // let the window accumulate
-				m.Reset()
-			}
+		<-start
+		for i := 0; i < resets; i++ {
+			time.Sleep(time.Millisecond) // let the window accumulate
+			m.Reset()
 		}
 	}()
 	for r := 0; r < 4; r++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := 0; i < 200_000; i++ {
+			<-start
+			for i := 0; i < ops; i++ {
 				rate := m.Rate()
 				if math.IsNaN(rate) || math.IsInf(rate, 0) || rate < 0 || rate > ceiling {
 					t.Errorf("implausible Rate observed: %g events/s", rate)
@@ -87,7 +81,6 @@ func TestMeterResetRace(t *testing.T) {
 			}
 		}()
 	}
-	time.Sleep(100 * time.Millisecond)
-	close(stop)
+	close(start)
 	wg.Wait()
 }

@@ -1,10 +1,11 @@
 package metrics
 
 import (
-	"fmt"
-	"sort"
+	"cmp"
+	"slices"
 	"strconv"
 	"strings"
+	"time"
 )
 
 // PrometheusText renders every instrument in the registry as Prometheus
@@ -45,64 +46,97 @@ var promHelp = map[string]string{
 }
 
 func (r *Registry) PrometheusText() string {
-	type family struct {
-		typ   string
-		lines []string
+	if r == nil {
+		return ""
 	}
-	fams := map[string]*family{}
-	add := func(name, typ, line string) {
-		f := fams[name]
-		if f == nil {
-			f = &family{typ: typ}
-			fams[name] = f
+	t := r.seriesTable()
+	qv := make([]time.Duration, len(PaperPercentiles))
+	b := make([]byte, 0, 64*len(t.series))
+	for _, l := range t.promLayout() {
+		b = append(b, l.head...)
+		h := t.hists[l.series]
+		if h == nil {
+			b = strconv.AppendInt(appendSample(b, l.name, "", l.label, ""), t.read[l.series](), 10)
+			b = append(b, '\n')
+			continue
 		}
-		f.lines = append(f.lines, line)
+		count, sum := h.paperQuantiles(qv)
+		for j, q := range promQuantiles {
+			b = strconv.AppendFloat(appendSample(b, l.name, "", l.label, q), qv[j+1].Seconds(), 'g', -1, 64)
+			b = append(b, '\n')
+		}
+		b = strconv.AppendFloat(appendSample(b, l.name, "_sum", l.label, ""), sum.Seconds(), 'g', -1, 64)
+		b = append(b, '\n')
+		b = strconv.AppendUint(appendSample(b, l.name, "_count", l.label, ""), count, 10)
+		b = append(b, '\n')
 	}
-	for _, p := range r.Points() {
-		base := "squery_" + promName(p.Key.Subsystem) + "_" + promName(p.Key.Metric)
-		label := `{id="` + promLabel(p.Key.ID) + `"}`
-		switch p.Kind {
-		case "counter":
-			name := base + "_total"
-			add(name, "counter", fmt.Sprintf("%s%s %d", name, label, p.Value))
-		case "gauge":
-			add(base, "gauge", fmt.Sprintf("%s%s %d", base, label, p.Value))
-		case "histogram":
-			name := base + "_seconds"
-			s := p.Summary
-			qs := make([]float64, 0, len(s.Quantiles))
-			for q := range s.Quantiles {
-				if q > 0 { // p0 (the minimum) has no summary-quantile analogue
-					qs = append(qs, q)
-				}
+	return string(b)
+}
+
+// promLine is one series' place in the exposition: its family's name, its
+// escaped id label and, on a family's first series, the family's # HELP
+// and # TYPE lines.
+type promLine struct {
+	series            int
+	name, label, head string
+}
+
+// promQuantiles are the quantile-label tails of a summary's series, in
+// PaperPercentiles[1:] order: p0 (the minimum) has no summary-quantile
+// analogue.
+var promQuantiles = func() []string {
+	qs := make([]string, len(PaperPercentiles)-1)
+	for i, q := range PaperPercentiles[1:] {
+		qs[i] = `",quantile="` + strconv.FormatFloat(q, 'g', -1, 64)
+	}
+	return qs
+}()
+
+// promLayout returns the table's series in exposition order, computing it
+// on the table's first scrape: families sorted by name, a family's series
+// in table order. A series' family name is its subsystem and metric,
+// sanitized, with a suffix per kind; series whose names sanitize alike
+// share one family, typed by its first series.
+func (t *seriesTable) promLayout() []promLine {
+	t.promOnce.Do(func() {
+		ls := make([]promLine, len(t.series))
+		for i, s := range t.series {
+			name := "squery_" + promName(s.Key.Subsystem) + "_" + promName(s.Key.Metric) + promSuffix[s.Kind]
+			ls[i] = promLine{series: i, name: name, label: promLabel(s.Key.ID)}
+		}
+		slices.SortFunc(ls, func(a, b promLine) int { return cmp.Or(strings.Compare(a.name, b.name), a.series-b.series) })
+		for j := range ls {
+			l := &ls[j]
+			if j > 0 && l.name == ls[j-1].name {
+				l.name = ls[j-1].name // one copy of the name per family
+				continue
 			}
-			sort.Float64s(qs)
-			for _, q := range qs {
-				add(name, "summary", fmt.Sprintf(`%s{id="%s",quantile="%s"} %s`,
-					name, promLabel(p.Key.ID), strconv.FormatFloat(q, 'g', -1, 64),
-					promFloat(s.Quantiles[q].Seconds())))
+			l.head = "# TYPE " + l.name + " " + promType[t.series[l.series].Kind] + "\n"
+			if help := promHelp[l.name]; help != "" {
+				l.head = "# HELP " + l.name + " " + help + "\n" + l.head
 			}
-			add(name, "summary", fmt.Sprintf("%s_sum%s %s", name, label, promFloat(s.Sum.Seconds())))
-			add(name, "summary", fmt.Sprintf("%s_count%s %d", name, label, s.Count))
 		}
-	}
-	names := make([]string, 0, len(fams))
-	for n := range fams {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	var b strings.Builder
-	for _, n := range names {
-		if help := promHelp[n]; help != "" {
-			fmt.Fprintf(&b, "# HELP %s %s\n", n, help)
-		}
-		fmt.Fprintf(&b, "# TYPE %s %s\n", n, fams[n].typ)
-		for _, l := range fams[n].lines {
-			b.WriteString(l)
-			b.WriteByte('\n')
-		}
-	}
-	return b.String()
+		t.prom = ls
+	})
+	return t.prom
+}
+
+// promSuffix and promType map a series kind onto its family-name suffix
+// and Prometheus metric type.
+var (
+	promSuffix = map[string]string{"counter": "_total", "gauge": "", "histogram": "_seconds"}
+	promType   = map[string]string{"counter": "counter", "gauge": "gauge", "histogram": "summary"}
+)
+
+// appendSample appends a sample line's `name{id="label"} ` prefix, extra
+// being the label set's tail after the id.
+func appendSample(b []byte, name, suffix, label, extra string) []byte {
+	b = append(b, name...)
+	b = append(b, suffix...)
+	b = append(b, `{id="`...)
+	b = append(b, label...)
+	b = append(b, extra...)
+	return append(b, `"} `...)
 }
 
 // promName maps an internal subsystem/metric name onto the Prometheus
@@ -140,10 +174,4 @@ func promLabel(s string) string {
 		}
 	}
 	return b.String()
-}
-
-// promFloat renders a float sample value ('g' keeps it compact and the
-// exposition parser accepts scientific notation).
-func promFloat(f float64) string {
-	return strconv.FormatFloat(f, 'g', -1, 64)
 }

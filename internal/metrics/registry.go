@@ -1,11 +1,15 @@
 package metrics
 
 import (
+	"cmp"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
 // This file applies the paper's own thesis to the processor itself: the
@@ -91,6 +95,12 @@ func (g *Gauge) Value() int64 {
 	return g.v.Load()
 }
 
+// IdleAfter is how long without a processed record an operator instance
+// must be before sys.watermarks and /statusz report it idle. Idleness is
+// judged at read time from the last_record_us gauge, so a stalled stage
+// flips to idle without any hot-path bookkeeping.
+const IdleAfter = time.Second
+
 // Event is one entry of an EventLog: an opaque field set plus a
 // registry-assigned monotone sequence number.
 type Event struct {
@@ -164,28 +174,24 @@ func (l *EventLog) append(fields any) {
 	l.mu.Unlock()
 }
 
-// Events returns the retained events, oldest first.
+// Events returns the retained events, oldest first. The raw events are
+// copied under the log's lock and materialized after it, so appenders never
+// wait on a Fielder building its field map.
 func (l *EventLog) Events() []Event {
 	if l == nil {
 		return nil
 	}
 	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := make([]Event, 0, l.n)
-	for i := 0; i < l.n; i++ {
-		out = append(out, l.buf[(l.start+i)%l.cap].materialize())
+	raw := make([]rawEvent, l.n)
+	for i := range raw {
+		raw[i] = l.buf[(l.start+i)%l.cap]
+	}
+	l.mu.Unlock()
+	out := make([]Event, len(raw))
+	for i, e := range raw {
+		out[i] = e.materialize()
 	}
 	return out
-}
-
-// Len returns the number of retained events.
-func (l *EventLog) Len() int {
-	if l == nil {
-		return 0
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.n
 }
 
 // Registry is a concurrent get-or-create registry of counters, gauges,
@@ -198,10 +204,12 @@ type Registry struct {
 	derived  map[InstrumentKey]func() int64
 	hists    map[InstrumentKey]*Histogram
 	logs     map[string]*EventLog
-	// version counts instrument creations and derived-gauge
-	// registrations, so history captures know when to re-read the
-	// instrument set.
+	// version counts instrument and log creations and derived-gauge
+	// registrations, so readers know when to rebuild the series table.
 	version uint64
+
+	tmu   sync.Mutex   // guards table
+	table *seriesTable // the instrument set at the last read
 
 	hist historyRing // periodic snapshot ring behind Retain / sys.history
 }
@@ -218,7 +226,7 @@ func NewRegistry() *Registry {
 }
 
 // GaugeFunc registers a derived gauge: fn is evaluated at read time
-// (Values, Points, history snapshots, the Prometheus exposition), so the
+// (Values, Dump, history captures, the Prometheus exposition), so the
 // reported value is always current without any hot-path writes — the
 // instrument behind freshness-sensitive series like watermark lag and
 // queue depth. Re-registering the same key replaces the function (workers
@@ -231,7 +239,7 @@ func (r *Registry) GaugeFunc(subsystem, id, metric string, fn func() int64) {
 	k := InstrumentKey{subsystem, id, metric}
 	r.mu.Lock()
 	r.derived[k] = fn
-	r.version++ // the history's series table holds the function
+	r.version++ // the series table holds the function
 	r.mu.Unlock()
 }
 
@@ -240,21 +248,7 @@ func (r *Registry) Counter(subsystem, id, metric string) *Counter {
 	if r == nil {
 		return nil
 	}
-	k := InstrumentKey{subsystem, id, metric}
-	r.mu.RLock()
-	c := r.counters[k]
-	r.mu.RUnlock()
-	if c != nil {
-		return c
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if c = r.counters[k]; c == nil {
-		c = &Counter{}
-		r.counters[k] = c
-		r.version++
-	}
-	return c
+	return getOrCreate(r, r.counters, InstrumentKey{subsystem, id, metric}, func() *Counter { return &Counter{} })
 }
 
 // Gauge returns (creating if absent) the gauge for the key.
@@ -262,21 +256,7 @@ func (r *Registry) Gauge(subsystem, id, metric string) *Gauge {
 	if r == nil {
 		return nil
 	}
-	k := InstrumentKey{subsystem, id, metric}
-	r.mu.RLock()
-	g := r.gauges[k]
-	r.mu.RUnlock()
-	if g != nil {
-		return g
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if g = r.gauges[k]; g == nil {
-		g = &Gauge{}
-		r.gauges[k] = g
-		r.version++
-	}
-	return g
+	return getOrCreate(r, r.gauges, InstrumentKey{subsystem, id, metric}, func() *Gauge { return &Gauge{} })
 }
 
 // Histogram returns (creating if absent) the histogram for the key.
@@ -284,21 +264,7 @@ func (r *Registry) Histogram(subsystem, id, metric string) *Histogram {
 	if r == nil {
 		return nil
 	}
-	k := InstrumentKey{subsystem, id, metric}
-	r.mu.RLock()
-	h := r.hists[k]
-	r.mu.RUnlock()
-	if h != nil {
-		return h
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if h = r.hists[k]; h == nil {
-		h = NewHistogram()
-		r.hists[k] = h
-		r.version++
-	}
-	return h
+	return getOrCreate(r, r.hists, InstrumentKey{subsystem, id, metric}, NewHistogram)
 }
 
 // Log returns (creating if absent) the named event log. The capacity is
@@ -307,22 +273,106 @@ func (r *Registry) Log(name string, capacity int) *EventLog {
 	if r == nil {
 		return nil
 	}
+	return getOrCreate(r, r.logs, name, func() *EventLog {
+		if capacity < 1 {
+			capacity = 128
+		}
+		return &EventLog{cap: capacity, buf: make([]rawEvent, capacity)}
+	})
+}
+
+// getOrCreate returns m[k], creating it with mk if absent. A creation bumps
+// the registry's version.
+func getOrCreate[K comparable, V any](r *Registry, m map[K]*V, k K, mk func() *V) *V {
 	r.mu.RLock()
-	l := r.logs[name]
+	v := m[k]
 	r.mu.RUnlock()
-	if l != nil {
-		return l
-	}
-	if capacity < 1 {
-		capacity = 128
+	if v != nil {
+		return v
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if l = r.logs[name]; l == nil {
-		l = &EventLog{cap: capacity, buf: make([]rawEvent, capacity)}
-		r.logs[name] = l
+	if v = m[k]; v == nil {
+		v = mk()
+		m[k] = v
+		r.version++
 	}
-	return l
+	return v
+}
+
+// seriesTable is the registry's instrument set at one version: its series
+// sorted by key (equal keys by kind: counter, gauge, derived gauge,
+// histogram), a reader of each series' current value, and each histogram
+// series' histogram. Every reader that enumerates instruments walks it. It
+// is never mutated after its build, so readers walk it, and evaluate
+// derived gauges, without any registry lock.
+type seriesTable struct {
+	version uint64
+	series  []Series
+	read    []func() int64
+	hists   []*Histogram // nil for counters and gauges
+
+	promOnce sync.Once
+	prom     []promLine // the exposition order, computed by the first scrape
+}
+
+// seriesTable returns the table of the registry's current version,
+// rebuilding it if an instrument or log was created or a derived gauge
+// registered since the last read. A rebuild whose series equal the
+// previous table's (a re-registered derived gauge) keeps the previous
+// series slice, so the history captures on either side of it still share
+// it.
+func (r *Registry) seriesTable() *seriesTable {
+	r.tmu.Lock()
+	defer r.tmu.Unlock()
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	prev := r.table
+	if prev != nil && prev.version == r.version {
+		return prev
+	}
+	type entry struct {
+		s    Series
+		rank int // orders equal keys, so a later entry shadows an earlier one in Values
+		read func() int64
+		h    *Histogram
+	}
+	es := make([]entry, 0, len(r.counters)+len(r.gauges)+len(r.derived)+len(r.hists))
+	for k, c := range r.counters {
+		es = append(es, entry{Series{k, "counter"}, 0, c.Value, nil})
+	}
+	for k, g := range r.gauges {
+		es = append(es, entry{Series{k, "gauge"}, 1, g.Value, nil})
+	}
+	for k, fn := range r.derived {
+		es = append(es, entry{Series{k, "gauge"}, 2, fn, nil})
+	}
+	for k, h := range r.hists {
+		es = append(es, entry{Series{k, "histogram"}, 3, func() int64 { return int64(h.Count()) }, h})
+	}
+	slices.SortFunc(es, func(a, b entry) int { return cmp.Or(keyCompare(a.s.Key, b.s.Key), a.rank-b.rank) })
+	t := &seriesTable{version: r.version, series: make([]Series, len(es)),
+		read: make([]func() int64, len(es)), hists: make([]*Histogram, len(es))}
+	for i, e := range es {
+		t.series[i], t.read[i], t.hists[i] = e.s, e.read, e.h
+	}
+	if prev != nil && slices.Equal(prev.series, t.series) {
+		t.series = prev.series
+	}
+	r.table = t
+	return t
+}
+
+// span returns the index range of the subsystem's series.
+func (t *seriesTable) span(subsystem string) (lo, hi int) {
+	lo = sort.Search(len(t.series), func(i int) bool { return t.series[i].Key.Subsystem >= subsystem })
+	hi = sort.Search(len(t.series), func(i int) bool { return t.series[i].Key.Subsystem > subsystem })
+	return lo, hi
+}
+
+// keyCompare orders instrument keys by subsystem, then id, then metric.
+func keyCompare(a, b InstrumentKey) int {
+	return cmp.Or(strings.Compare(a.Subsystem, b.Subsystem), strings.Compare(a.ID, b.ID), strings.Compare(a.Metric, b.Metric))
 }
 
 // Values returns a point-in-time copy of every counter and gauge value in
@@ -332,36 +382,13 @@ func (r *Registry) Values(subsystem string) map[string]map[string]int64 {
 	if r == nil {
 		return nil
 	}
+	t := r.seriesTable()
 	out := make(map[string]map[string]int64)
-	put := func(k InstrumentKey, v int64) {
-		m := out[k.ID]
-		if m == nil {
-			m = make(map[string]int64)
-			out[k.ID] = m
+	lo, hi := t.span(subsystem)
+	for i := lo; i < hi; i++ {
+		if t.hists[i] == nil {
+			put(out, t.series[i].Key, t.read[i]())
 		}
-		m[k.Metric] = v
-	}
-	r.mu.RLock()
-	for k, c := range r.counters {
-		if k.Subsystem == subsystem {
-			put(k, c.Value())
-		}
-	}
-	for k, g := range r.gauges {
-		if k.Subsystem == subsystem {
-			put(k, g.Value())
-		}
-	}
-	fns := make(map[InstrumentKey]func() int64)
-	for k, fn := range r.derived {
-		if k.Subsystem == subsystem {
-			fns[k] = fn
-		}
-	}
-	r.mu.RUnlock()
-	// Derived gauges run user code; evaluate them outside the registry lock.
-	for k, fn := range fns {
-		put(k, fn())
 	}
 	return out
 }
@@ -372,128 +399,68 @@ func (r *Registry) HistogramsIn(subsystem string) map[string]map[string]*Histogr
 	if r == nil {
 		return nil
 	}
+	t := r.seriesTable()
 	out := make(map[string]map[string]*Histogram)
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	for k, h := range r.hists {
-		if k.Subsystem != subsystem {
-			continue
+	lo, hi := t.span(subsystem)
+	for i := lo; i < hi; i++ {
+		if h := t.hists[i]; h != nil {
+			put(out, t.series[i].Key, h)
 		}
-		m := out[k.ID]
-		if m == nil {
-			m = make(map[string]*Histogram)
-			out[k.ID] = m
-		}
-		m[k.Metric] = h
 	}
 	return out
 }
 
-// Point is one instrument's snapshot in a registry dump.
-type Point struct {
-	Key  InstrumentKey
-	Kind string // "counter", "gauge" or "histogram"
-	// Value is the counter/gauge value; for histograms it is the
-	// observation count.
-	Value int64
-	// Summary is the percentile snapshot of a histogram (nil otherwise).
-	Summary *Summary
-}
-
-// Points returns a deterministic (sorted by key) snapshot of every
-// instrument in the registry. Histograms with zero observations are
-// included — an instrument's existence is itself information.
-func (r *Registry) Points() []Point {
-	if r == nil {
-		return nil
+// put sets out[k.ID][k.Metric] = v.
+func put[V any](out map[string]map[string]V, k InstrumentKey, v V) {
+	m := out[k.ID]
+	if m == nil {
+		m = make(map[string]V)
+		out[k.ID] = m
 	}
-	r.mu.RLock()
-	pts := make([]Point, 0, len(r.counters)+len(r.gauges)+len(r.derived)+len(r.hists))
-	for k, c := range r.counters {
-		pts = append(pts, Point{Key: k, Kind: "counter", Value: c.Value()})
-	}
-	for k, g := range r.gauges {
-		pts = append(pts, Point{Key: k, Kind: "gauge", Value: g.Value()})
-	}
-	fns := make(map[InstrumentKey]func() int64, len(r.derived))
-	for k, fn := range r.derived {
-		fns[k] = fn
-	}
-	hists := make(map[InstrumentKey]*Histogram, len(r.hists))
-	for k, h := range r.hists {
-		hists[k] = h
-	}
-	r.mu.RUnlock()
-	// Derived gauges run user code (channel length reads, clock reads);
-	// evaluate them outside the registry lock for the same reason as
-	// histogram snapshots below.
-	for k, fn := range fns {
-		pts = append(pts, Point{Key: k, Kind: "gauge", Value: fn()})
-	}
-	// Histogram snapshots take the histogram's own lock; do it outside the
-	// registry lock so a slow summary never blocks instrument creation.
-	for k, h := range hists {
-		s := h.Snapshot()
-		pts = append(pts, Point{Key: k, Kind: "histogram", Value: int64(s.Count), Summary: &s})
-	}
-	sort.Slice(pts, func(i, j int) bool { return keyLess(pts[i].Key, pts[j].Key) })
-	return pts
-}
-
-// keyLess orders instrument keys by subsystem, then id, then metric.
-func keyLess(a, b InstrumentKey) bool {
-	if a.Subsystem != b.Subsystem {
-		return a.Subsystem < b.Subsystem
-	}
-	if a.ID != b.ID {
-		return a.ID < b.ID
-	}
-	return a.Metric < b.Metric
+	m[k.Metric] = v
 }
 
 // Dump renders the full registry as plain text: one line per counter and
-// gauge, one summary line per histogram, then each event log. This is the
-// format the -metrics flags of cmd/squery, cmd/squery-bench and
-// cmd/squery-soak emit.
+// gauge, one summary line per histogram (including histograms with no
+// observations: an instrument's existence is itself information), in key
+// order, then each event log. This is the format the -metrics flags of
+// cmd/squery, cmd/squery-bench and cmd/squery-soak emit.
 func (r *Registry) Dump() string {
 	if r == nil {
 		return "(metrics disabled)\n"
 	}
 	var b strings.Builder
-	for _, p := range r.Points() {
-		switch p.Kind {
-		case "histogram":
-			fmt.Fprintf(&b, "%-48s %s\n", p.Key, p.Summary)
-		default:
-			fmt.Fprintf(&b, "%-48s %d\n", p.Key, p.Value)
+	t := r.seriesTable()
+	for i, s := range t.series {
+		if h := t.hists[i]; h != nil {
+			fmt.Fprintf(&b, "%-48s %s\n", s.Key, h.Snapshot())
+		} else {
+			fmt.Fprintf(&b, "%-48s %d\n", s.Key, t.read[i]())
 		}
 	}
 	r.mu.RLock()
-	names := make([]string, 0, len(r.logs))
-	for n := range r.logs {
-		names = append(names, n)
-	}
-	logs := make(map[string]*EventLog, len(r.logs))
-	for n, l := range r.logs {
-		logs[n] = l
-	}
+	logs := maps.Clone(r.logs)
 	r.mu.RUnlock()
-	sort.Strings(names)
-	for _, n := range names {
+	for _, n := range sortedKeys(logs) {
 		events := logs[n].Events()
 		fmt.Fprintf(&b, "log %s (%d events):\n", n, len(events))
 		for _, e := range events {
-			keys := make([]string, 0, len(e.Fields))
-			for k := range e.Fields {
-				keys = append(keys, k)
-			}
-			sort.Strings(keys)
 			fmt.Fprintf(&b, "  #%d", e.Seq)
-			for _, k := range keys {
+			for _, k := range sortedKeys(e.Fields) {
 				fmt.Fprintf(&b, " %s=%v", k, e.Fields[k])
 			}
 			b.WriteByte('\n')
 		}
 	}
 	return b.String()
+}
+
+// sortedKeys returns m's keys in order.
+func sortedKeys[V any](m map[string]V) []string {
+	ks := make([]string, 0, len(m))
+	for k := range m {
+		ks = append(ks, k)
+	}
+	slices.Sort(ks)
+	return ks
 }

@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -37,10 +38,10 @@ func TestNilRegistryAndInstrumentsAreNoOps(t *testing.T) {
 	g.Add(1)
 	h.Record(time.Second)
 	l.Append(map[string]any{"k": 1})
-	if c.Value() != 0 || g.Value() != 0 || l.Len() != 0 {
+	if c.Value() != 0 || g.Value() != 0 || len(l.Events()) != 0 {
 		t.Fatal("nil instruments retained state")
 	}
-	if r.Points() != nil || r.Values("a") != nil || r.HistogramsIn("a") != nil {
+	if r.PrometheusText() != "" || r.Values("a") != nil || r.HistogramsIn("a") != nil {
 		t.Fatal("nil registry produced snapshots")
 	}
 	if !strings.Contains(r.Dump(), "disabled") {
@@ -80,46 +81,46 @@ func TestRegistryValuesAndDump(t *testing.T) {
 	if len(r.Values("operator")) != 1 || len(r.HistogramsIn("sql")) != 1 {
 		t.Fatal("subsystem filtering broken")
 	}
-	pts := r.Points()
-	if len(pts) != 3 {
-		t.Fatalf("Points len = %d, want 3", len(pts))
-	}
-	// Points are sorted by (subsystem, id, metric).
-	if pts[0].Key.Subsystem != "kv" || pts[1].Key.Subsystem != "operator" || pts[2].Key.Subsystem != "sql" {
-		t.Fatalf("Points order = %v", pts)
-	}
+	// Dump lists the instruments sorted by (subsystem, id, metric), then
+	// the logs.
 	d := r.Dump()
+	last := -1
 	for _, want := range []string{"kv/p3/gets", "operator/map/0/node", "sql/exec/latency", "log queries (1 events)", "q=SELECT 1"} {
-		if !strings.Contains(d, want) {
-			t.Fatalf("Dump missing %q:\n%s", want, d)
+		at := strings.Index(d, want)
+		if at <= last {
+			t.Fatalf("Dump missing %q, or out of order:\n%s", want, d)
 		}
+		last = at
 	}
 }
 
 // TestRegistryHammer races get-or-create, instrument updates, and snapshots
-// against each other; it exists to be run under -race (the `make race` gate).
-// The cross-layer variant that also scans sys.partitions through SQL lives
-// at the repo root (registry_race_test.go) to avoid an import cycle.
+// against each other, each goroutine for a fixed number of operations; it
+// exists to be run under -race (the `make race` gate). Writers create a
+// fresh instrument every few operations to the end, so series-table
+// rebuilds race the readers. The cross-layer variant that also scans
+// sys.partitions through SQL lives at the repo root (registry_race_test.go)
+// to avoid an import cycle.
 func TestRegistryHammer(t *testing.T) {
+	const writerOps, readerOps = 2000, 100
 	r := NewRegistry()
 	var wg sync.WaitGroup
-	stop := make(chan struct{})
+	start := make(chan struct{})
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			<-start
 			ids := []string{"p0", "p1", "p2", "p3"}
-			for i := 0; ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
+			for i := 0; i < writerOps; i++ {
 				id := ids[i%len(ids)]
 				r.Counter("kv", id, "gets").Inc()
 				r.Gauge("kv", id, "node").Set(int64(w))
 				r.Histogram("kv", id, "lat").Record(time.Duration(i))
 				r.Log("events", 64).Append(map[string]any{"w": w, "i": i})
+				if i%16 == 0 {
+					r.Gauge("kv", fmt.Sprintf("w%d/%d", w, i), "fresh").Set(1)
+				}
 			}
 		}(w)
 	}
@@ -127,22 +128,20 @@ func TestRegistryHammer(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-					_ = r.Points()
-					_ = r.Values("kv")
-					_ = r.Dump()
-				}
+			<-start
+			for i := 0; i < readerOps; i++ {
+				r.Capture(time.Now())
+				_ = r.History()
+				_ = r.Values("kv")
+				_ = r.HistogramsIn("kv")
+				_ = r.Dump()
+				_ = r.PrometheusText()
 			}
 		}()
 	}
-	time.Sleep(100 * time.Millisecond)
-	close(stop)
+	close(start)
 	wg.Wait()
-	if r.Counter("kv", "p0", "gets").Value() == 0 {
-		t.Fatal("no updates recorded")
+	if got := r.Counter("kv", "p0", "gets").Value(); got != 8*writerOps/4 {
+		t.Fatalf("p0 gets = %d, want %d", got, 8*writerOps/4)
 	}
 }

@@ -22,10 +22,6 @@ import (
 // stage is flagged in the backpressure section.
 const pressureWarn = 500
 
-// statuszIdleAfter mirrors the sys.watermarks idle threshold: an instance
-// whose last record is older than this reads as idle.
-const statuszIdleAfter = time.Second
-
 // WriteStatus renders the health summary. A nil registry (metrics
 // disabled) renders a one-line notice.
 func WriteStatus(w io.Writer, reg *metrics.Registry) {
@@ -84,7 +80,7 @@ func writeWatermarkStatus(w io.Writer, vals map[string]map[string]int64, now tim
 		last := r.v["last_record_us"]
 		if last == 0 {
 			state = " idle"
-		} else if age := now.Sub(time.UnixMicro(last)); age >= statuszIdleAfter {
+		} else if age := now.Sub(time.UnixMicro(last)); age >= metrics.IdleAfter {
 			state = fmt.Sprintf(" idle (last record %s ago)", age.Round(time.Millisecond))
 		}
 		wm := "none"

@@ -271,12 +271,6 @@ func (e *Engine) sysOperators() []core.TableRow {
 	return rows
 }
 
-// idleAfter is how long without a processed record an operator instance
-// must be before sys.watermarks reports it idle. Idleness is judged at
-// query time from the last_record_us gauge, so a stalled stage flips to
-// idle without any hot-path bookkeeping.
-const idleAfter = time.Second
-
 // operatorID splits a per-instance instrument id ("vertex/3") into its
 // vertex name and instance number.
 func operatorID(id string) (vertex string, instance int) {
@@ -328,7 +322,7 @@ func (e *Engine) sysWatermarks() []core.TableRow {
 			"lagUs":        v["watermark_lag_us"],
 			"lastRecordUs": last,
 			"idleUs":       idleUs,
-			"idle":         last == 0 || idleUs >= idleAfter.Microseconds(),
+			"idle":         last == 0 || idleUs >= metrics.IdleAfter.Microseconds(),
 		}})
 	}
 	return rows

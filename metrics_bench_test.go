@@ -139,3 +139,29 @@ func BenchmarkCapture(b *testing.B) {
 		reg.Capture(at.Add(time.Duration(i) * time.Second))
 	}
 }
+
+// BenchmarkPrometheusText: one op is one /metrics exposition of a bare
+// three-node engine's registry.
+func BenchmarkPrometheusText(b *testing.B) {
+	eng := New(Config{Nodes: 3, DisableHistory: true})
+	defer eng.Close()
+	reg := eng.Metrics()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.SetBytes(int64(len(reg.PrometheusText())))
+	}
+}
+
+// BenchmarkDump: one op is one plain-text dump (the -metrics flags) of a
+// bare three-node engine's registry.
+func BenchmarkDump(b *testing.B) {
+	eng := New(Config{Nodes: 3, DisableHistory: true})
+	defer eng.Close()
+	reg := eng.Metrics()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.SetBytes(int64(len(reg.Dump())))
+	}
+}

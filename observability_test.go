@@ -47,8 +47,8 @@ func TestObservabilityHeapBudget(t *testing.T) {
 
 // TestHistoryCaptureSharesSeries checks that captures share one series
 // table while the instrument set is unchanged, and that sys.history over
-// value-only captures reads exactly what it read when every capture was a
-// full Points copy (the oracle below is that reader).
+// value-only captures reads exactly what the subsystem readers read at
+// each capture (the oracle below).
 func TestHistoryCaptureSharesSeries(t *testing.T) {
 	eng := New(Config{Nodes: 3, DisableHistory: true})
 	defer eng.Close()
@@ -57,14 +57,27 @@ func TestHistoryCaptureSharesSeries(t *testing.T) {
 
 	at := time.Unix(1_000, 0)
 	var ats []time.Time
-	var points [][]metrics.Point // what each capture read, in the Points shape
+	// What each capture read, by the subsystem readers Values and
+	// HistogramsIn; the test's instruments have one kind per metric name.
+	type point struct {
+		Key   metrics.InstrumentKey
+		Kind  string
+		Value int64
+	}
+	kinds := map[string]string{"events": "counter", "depth": "gauge", "queued": "gauge", "lat": "histogram"}
+	var points [][]point
 	capture := func(step time.Duration) {
 		at = at.Add(step)
 		reg.Capture(at)
-		var pts []metrics.Point
-		for _, p := range reg.Points() {
-			if p.Key.Subsystem == sub {
-				pts = append(pts, p)
+		var pts []point
+		for id, ms := range reg.Values(sub) {
+			for m, v := range ms {
+				pts = append(pts, point{metrics.InstrumentKey{Subsystem: sub, ID: id, Metric: m}, kinds[m], v})
+			}
+		}
+		for id, ms := range reg.HistogramsIn(sub) {
+			for m, h := range ms {
+				pts = append(pts, point{metrics.InstrumentKey{Subsystem: sub, ID: id, Metric: m}, kinds[m], int64(h.Count())})
 			}
 		}
 		ats = append(ats, at)
@@ -150,6 +163,6 @@ func TestHistoryCaptureSharesSeries(t *testing.T) {
 	sort.Strings(want)
 	sort.Strings(got)
 	if fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatalf("sys.history rows differ from the Points-based reader:\ngot  %v\nwant %v", got, want)
+		t.Fatalf("sys.history rows differ from the Values/HistogramsIn reader:\ngot  %v\nwant %v", got, want)
 	}
 }

@@ -11,10 +11,13 @@ import (
 
 // TestRegistryConcurrentReadersAndWriters hammers one registry from many
 // writer goroutines — creating and bumping instruments, appending events —
-// while readers continuously take snapshots (Points, Values, Dump) and a
-// separate set of goroutines scans sys.partitions through the full SQL
-// path of a live engine sharing the same registry. Run under -race this
-// is the regression wall for every lock in the metrics layer.
+// while readers take snapshots (history captures, Values, Dump, the
+// Prometheus exposition) and a separate set of goroutines scans
+// sys.partitions through the full SQL path of a live engine sharing the
+// same registry. Every goroutine runs a fixed number of operations, and the
+// writers create fresh instruments to the end, so series-table rebuilds
+// race the readers. Run under -race this is the regression wall for every
+// lock in the metrics layer.
 func TestRegistryConcurrentReadersAndWriters(t *testing.T) {
 	eng := New(Config{Nodes: 3, Partitions: 16})
 	reg := eng.Metrics()
@@ -26,12 +29,15 @@ func TestRegistryConcurrentReadersAndWriters(t *testing.T) {
 		writers    = 8
 		readers    = 4
 		sqlReaders = 3
+		writerOps  = 4000
+		readerOps  = 10
+		sqlOps     = 20
 	)
-	stop := make(chan struct{})
+	start := make(chan struct{})
 	var wg sync.WaitGroup
 
 	// Writers: mix of hot-path instrument reuse and fresh-instrument
-	// creation, so the map-grow path races against readers too.
+	// creation, so the map-grow path and table rebuilds race readers too.
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -39,39 +45,32 @@ func TestRegistryConcurrentReadersAndWriters(t *testing.T) {
 			hot := reg.Counter("race", fmt.Sprintf("w%d", w), "hits")
 			hist := reg.Histogram("race", fmt.Sprintf("w%d", w), "lat")
 			log := reg.Log("race-events", 64)
-			for i := 0; ; i++ {
-				// Check stop at the bottom so every writer records at
-				// least once even if it is scheduled after close(stop).
+			<-start
+			for i := 0; i < writerOps; i++ {
 				hot.Inc()
 				hist.Record(time.Duration(i%1000) * time.Microsecond)
 				reg.Gauge("race", fmt.Sprintf("w%d/%d", w, i%17), "g").Set(int64(i))
 				if i%32 == 0 {
 					log.Append(map[string]any{"writer": w, "i": i})
-				}
-				select {
-				case <-stop:
-					return
-				default:
+					reg.Counter("race", fmt.Sprintf("w%d/fresh%d", w, i), "n").Inc()
 				}
 			}
 		}(w)
 	}
 
-	// Snapshot readers: every read API, continuously.
+	// Snapshot readers: every read API.
 	for r := 0; r < readers; r++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				_ = reg.Points()
+			<-start
+			for i := 0; i < readerOps; i++ {
+				reg.Capture(time.Now())
+				_ = reg.History()
 				_ = reg.Values("race")
 				_ = reg.HistogramsIn("race")
 				_ = reg.Dump()
+				_ = reg.PrometheusText()
 				_ = reg.Log("race-events", 64).Events()
 			}
 		}()
@@ -84,12 +83,8 @@ func TestRegistryConcurrentReadersAndWriters(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
+			<-start
+			for i := 0; i < sqlOps; i++ {
 				if _, err := eng.Query(`SELECT COUNT(*), SUM(sets) FROM sys.partitions`); err != nil {
 					errs <- err
 					return
@@ -102,8 +97,7 @@ func TestRegistryConcurrentReadersAndWriters(t *testing.T) {
 		}()
 	}
 
-	time.Sleep(200 * time.Millisecond)
-	close(stop)
+	close(start)
 	wg.Wait()
 	select {
 	case err := <-errs:
@@ -114,13 +108,13 @@ func TestRegistryConcurrentReadersAndWriters(t *testing.T) {
 	// Sanity: the writers' counters are all visible and self-consistent.
 	vals := reg.Values("race")
 	for w := 0; w < writers; w++ {
-		if vals[fmt.Sprintf("w%d", w)]["hits"] == 0 {
-			t.Fatalf("writer %d recorded no hits", w)
+		if got := vals[fmt.Sprintf("w%d", w)]["hits"]; got != writerOps {
+			t.Fatalf("writer %d recorded %d hits, want %d", w, got, writerOps)
 		}
 	}
 }
 
-// TestRegistrySnapshotIsolation checks that a Points() snapshot taken
+// TestRegistrySnapshotIsolation checks that a Values snapshot taken
 // mid-write is internally consistent: instruments never go backwards
 // between two snapshots.
 func TestRegistrySnapshotIsolation(t *testing.T) {
