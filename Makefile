@@ -88,16 +88,24 @@ fuzz-short:
 # snapshot), the base+delta-chain vs full-restore parity across both
 # transports, and the ckpt-scale harness shape check (delta runs write
 # delta segments, the full baseline none, bytes/ckpt track the delta).
+# Under -race: a Live backend's state (the live map itself) against the
+# incremental model through checkpoints and restores, a restore handing
+# taps only the keys that differ, a resubmitted job starting empty, and an
+# undecodable snapshot failing recovery with an error and no goroutine
+# left.
 ckpt-smoke:
 	$(GO) test ./internal/persist -run 'TestCrash|FuzzDeltaChain' -count=1 -v
-	$(GO) test . -run 'TestIncrementalRecoveryParity' -race -count=1 -v
+	$(GO) test . -run 'TestIncrementalRecoveryParity|TestResubmittedJobStartsEmpty' -race -count=1 -v
+	$(GO) test ./internal/core -run 'TestIncrementalMatchesModel/live|TestRestoreHandsTapsOnlyChangedKeys' -race -count=1 -v
+	$(GO) test ./internal/dataflow -run 'TestRestoreErrorFailsRecovery' -race -count=1 -v
 	$(GO) test ./internal/experiments -run 'TestCkptScaleShape' -count=1 -v
 
 # Perf smoke over the serialization, join, index and read hot paths. The
 # allocation guards are hard gates (zero-alloc scalar and struct-row encode
 # in the wire codec, one allocation per decoded struct, zero-alloc delta
 # segments and mirror-flush batches, alloc-free key hashing, single-alloc
-# blob snapshot keys, indexed puts that add nothing for an unchanged column
+# blob snapshot keys, a Live backend holding no live heap beyond its live
+# map's, indexed puts that add nothing for an unchanged column
 # (MapRow and struct row) and at most 0.05 allocations for a moving one,
 # an indexed range probe over every partition that allocates nothing, a
 # GetAll that allocates its result only, Query 3 under 0.25 objects per
@@ -124,7 +132,7 @@ ckpt-smoke:
 # (BenchmarkIndexedPut/hash, and /moving with 1 000 and 100 000 entries in
 # one partition) so regressions show up in CI logs next to the gate.
 bench-smoke:
-	$(GO) test ./internal/wire ./internal/core -run 'TestZeroAllocScalarEncode|TestZeroAllocStructEncode|TestStructDecodeAllocs|TestBlobKeyAllocs' -count=1 -v
+	$(GO) test ./internal/wire ./internal/core -run 'TestZeroAllocScalarEncode|TestZeroAllocStructEncode|TestStructDecodeAllocs|TestBlobKeyAllocs|TestLiveStateHeldOnce' -count=1 -v
 	$(GO) test ./internal/persist -run 'TestDeltaEncodeAllocs' -count=1 -v
 	$(GO) test ./internal/kv -run 'TestIndexedPutAllocs|TestIndexProbeAllocs|TestPutBatchAllocs|TestGetAllAllocs' -count=1 -v
 	$(GO) test ./internal/kv -run 'TestSegmentLockWaitsCounted|TestApplyBatchConcurrentIncrements' -race -count=20

@@ -104,16 +104,33 @@ func (c *Catalog) RegisterVirtual(name string, rows func() []TableRow) {
 }
 
 // RegisterJob associates the stateful operators of a job with its
-// snapshot registry. Operator names must be unique across jobs.
+// snapshot registry. Operator names must be unique across jobs: on a clash
+// nothing is registered.
 func (c *Catalog) RegisterJob(reg *snapshot.Registry, operators ...string) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if err := c.checkFreeLocked(operators); err != nil {
+		return err
+	}
 	for _, op := range operators {
-		key := sanitize(op)
-		if _, dup := c.regs[key]; dup {
+		c.regs[sanitize(op)] = reg
+	}
+	return nil
+}
+
+// CheckFree returns the error RegisterJob would return for operators
+// without registering anything, so a job can be refused before it starts.
+func (c *Catalog) CheckFree(operators ...string) error {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return c.checkFreeLocked(operators)
+}
+
+func (c *Catalog) checkFreeLocked(operators []string) error {
+	for _, op := range operators {
+		if _, dup := c.regs[sanitize(op)]; dup {
 			return fmt.Errorf("core: operator %q already registered in catalog", op)
 		}
-		c.regs[key] = reg
 	}
 	return nil
 }

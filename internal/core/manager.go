@@ -59,9 +59,17 @@ func NewManager(store *kv.Store, retention int) *Manager {
 // whose snapshots this manager commits. It is the one place a backend is
 // tied to the changed-key index: Commit persists and prunes only keys
 // reported to it, so a backend writing snapshot chains under this manager
-// must be made here.
+// must be made here. The backend owns the instance's share of the
+// partitions by the registered parallelism (all of them for an operator
+// not registered).
 func (m *Manager) NewBackend(op string, instance int, view kv.NodeView, cfg Config) *Backend {
-	b := NewBackend(op, instance, view, cfg)
+	par := 1
+	m.mu.Lock()
+	if meta, ok := m.ops[sanitize(op)]; ok {
+		par = meta.Parallelism
+	}
+	m.mu.Unlock()
+	b := newBackend(op, instance, par, view, cfg)
 	b.onChange = m.noteChanged
 	return b
 }

@@ -89,7 +89,7 @@ func TestPersistedCommitAndColdStart(t *testing.T) {
 
 	// Restored state can also repopulate an operator backend.
 	b2 := mgr2.NewBackend("op", 0, store2.View(0), cfg)
-	if err := b2.Restore(2, ownsAll); err != nil {
+	if err := b2.Restore(2); err != nil {
 		t.Fatal(err)
 	}
 	if b2.Size() != 40 {
@@ -141,7 +141,7 @@ func TestImportedChainsSurviveNextCommit(t *testing.T) {
 	}
 	mgr2.SetPersister(p2)
 	b2 := mgr2.NewBackend("op", 0, store2.View(0), cfg)
-	if err := b2.Restore(1, ownsAll); err != nil {
+	if err := b2.Restore(1); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {

@@ -74,33 +74,43 @@ func blobMapName(op string) string { return "__jetsnap_" + sanitize(op) }
 // standbyMapName is the internal map holding the active-standby replica.
 func standbyMapName(op string) string { return "__standby_" + sanitize(op) }
 
+// StateMapNames returns every map holding state of the operator: the
+// live, snapshot, active-standby and blob maps.
+func StateMapNames(op string) []string {
+	return []string{LiveMapName(op), SnapshotMapName(op), standbyMapName(op), blobMapName(op)}
+}
+
 func sanitize(op string) string {
 	return strings.ToLower(strings.ReplaceAll(op, " ", ""))
 }
 
-// entry is one key's live state inside a Backend.
-type entry struct {
-	key   partition.Key
-	value any
-}
-
 // Backend is the state store of one parallel instance of a stateful
-// operator. The instance owns a disjoint set of keys (its partitions), so
-// the backend is single-writer by construction; reads from the query side
-// never touch it — they go to the KV maps it mirrors into.
+// operator. The instance owns a disjoint set of partitions — p with
+// p % parallelism == instance, the rule the dataflow routes keys by — so
+// the backend is single-writer by construction. With Config.Live set, the
+// instance's state is its partitions of the live map <op>: every key has
+// one copy, the one queries read and standing queries are fed from.
+// Writes queue in a write-behind batch of mirrorBatch operations, and Get
+// reads that batch before the map, so the instance always sees its own
+// writes. Without Live, the state is a private Go map — the plain Jet
+// state that Figure 8's "S-Query snap" and "Jet" series measure against.
 type Backend struct {
 	op       string
 	instance int
+	par      int // operator parallelism; 1 owns every partition
 	view     kv.NodeView
 	cfg      Config
 
-	data  map[string]entry
+	live  *kv.Map                  // the live map <op> when Live is set, else nil
+	data  map[string]kv.Entry      // the state when Live is off, else nil
 	dirty map[string]partition.Key // keys touched since the last checkpoint
 
-	// pending buffers live-map mirror operations between flushes (order
-	// preserved: a batch applies exactly like the same puts/deletes one
-	// by one); it flushes at mirrorBatch.
-	pending []kv.Op
+	// pending is a Live backend's write-behind batch: live-map operations
+	// not yet applied, in order (a batch applies exactly like the same
+	// puts/deletes one by one), with their keys' canonical strings at the
+	// same index of pendingKS. It flushes at mirrorBatch.
+	pending   []kv.Op
+	pendingKS []string
 
 	// Optional instruments (nil = disabled): update/delete count and
 	// latency, including the mirrored KV writes and their simulated
@@ -122,8 +132,14 @@ type Backend struct {
 
 // NewBackend creates the state backend for instance `instance` of
 // operator `op`, issuing KV operations from the node of view. A backend
-// whose snapshots a Manager commits comes from Manager.NewBackend instead.
+// made here stands alone and owns every partition; a backend whose
+// snapshots a Manager commits comes from Manager.NewBackend instead, which
+// also gives it its share of the partitions.
 func NewBackend(op string, instance int, view kv.NodeView, cfg Config) *Backend {
+	return newBackend(op, instance, 1, view, cfg)
+}
+
+func newBackend(op string, instance, par int, view kv.NodeView, cfg Config) *Backend {
 	if cfg.JetBlob && cfg.Snapshots {
 		panic("core: JetBlob and Snapshots are mutually exclusive")
 	}
@@ -131,19 +147,39 @@ func NewBackend(op string, instance int, view kv.NodeView, cfg Config) *Backend 
 	if cfg.LatencySampleEvery > 0 {
 		every = uint64(cfg.LatencySampleEvery)
 	}
-	return &Backend{
+	b := &Backend{
 		op:       op,
 		instance: instance,
+		par:      par,
 		view:     view,
 		cfg:      cfg,
-		data:     make(map[string]entry),
 		dirty:    make(map[string]partition.Key),
 		// Seeding offsets the sampling phase deterministically: which
 		// updates get timed depends only on (seed, update index).
 		updateSeq:   uint64(cfg.LatencySampleSeed) % every,
 		sampleEvery: every,
 	}
+	if cfg.Live {
+		b.live = view.Store().GetMap(LiveMapName(op))
+	} else {
+		b.data = make(map[string]kv.Entry)
+	}
+	return b
 }
+
+// eachPart calls fn for every partition the instance owns, ascending,
+// until fn returns false.
+func (b *Backend) eachPart(fn func(p int) bool) {
+	n := b.view.Store().Partitioner().Count()
+	for p := b.instance % b.par; p < n; p += b.par {
+		if !fn(p) {
+			return
+		}
+	}
+}
+
+// owns reports whether partition p is one of the instance's.
+func (b *Backend) owns(p int) bool { return p%b.par == b.instance%b.par }
 
 // SetInstruments installs the backend's state-update counter and latency
 // histogram (both may be nil to disable). Call before the owning worker
@@ -159,19 +195,34 @@ func (b *Backend) Op() string { return b.op }
 // Instance returns the instance index.
 func (b *Backend) Instance() int { return b.instance }
 
-// Get returns the instance-local state for key.
+// Get returns the instance's state for key: the newest write-behind
+// operation on it, else the live map's entry — or, without Live, the
+// private map's.
 func (b *Backend) Get(key partition.Key) (any, bool) {
-	e, ok := b.data[partition.KeyString(key)]
-	if !ok {
-		return nil, false
-	}
-	return e.value, true
+	return b.lookup(key, partition.KeyString(key))
 }
 
-// Update sets the state for key and, when live state is enabled, mirrors
-// it into the live map under the key's partition lock (the KV store holds
-// one lock per partition, shared by every map's segment of it, which
-// orders this write against concurrent query reads of the partition).
+// lookup is Get for a key whose canonical string ks is already known.
+func (b *Backend) lookup(key partition.Key, ks string) (any, bool) {
+	if b.live == nil {
+		e, ok := b.data[ks]
+		return e.Value, ok
+	}
+	for i := len(b.pendingKS) - 1; i >= 0; i-- {
+		if b.pendingKS[i] == ks {
+			op := b.pending[i]
+			return op.Value, !op.Delete
+		}
+	}
+	e, ok := b.live.Lookup(b.live.PartitionOf(key), ks, false)
+	return e.Value, ok
+}
+
+// Update sets the state for key. With Live set it queues the put in the
+// write-behind batch; the flush applies it to the live map under the key's
+// partition lock (the KV store holds one lock per partition, shared by
+// every map's segment of it, which orders the write against concurrent
+// query reads of the partition).
 func (b *Backend) Update(key partition.Key, value any) {
 	if b.updateLat == nil {
 		b.update(key, value)
@@ -190,10 +241,11 @@ func (b *Backend) Update(key partition.Key, value any) {
 
 func (b *Backend) update(key partition.Key, value any) {
 	ks := partition.KeyString(key)
-	b.data[ks] = entry{key: key, value: value}
 	b.dirty[ks] = key
-	if b.cfg.Live {
-		b.mirror(kv.Op{Key: key, Value: value})
+	if b.live != nil {
+		b.mirror(ks, kv.Op{Key: key, Value: value})
+	} else {
+		b.data[ks] = kv.Entry{Key: key, Value: value}
 	}
 	if b.cfg.ActiveStandby {
 		// The standby replica stays synchronous per record: promotion
@@ -222,10 +274,11 @@ func (b *Backend) Delete(key partition.Key) {
 
 func (b *Backend) del(key partition.Key) {
 	ks := partition.KeyString(key)
-	delete(b.data, ks)
 	b.dirty[ks] = key
-	if b.cfg.Live {
-		b.mirror(kv.Op{Key: key, Delete: true})
+	if b.live != nil {
+		b.mirror(ks, kv.Op{Key: key, Delete: true})
+	} else {
+		delete(b.data, ks)
 	}
 	if b.cfg.ActiveStandby {
 		b.view.Delete(standbyMapName(b.op), key)
@@ -233,35 +286,63 @@ func (b *Backend) del(key partition.Key) {
 }
 
 // mirror queues one live-map operation, flushing when the batch fills.
-func (b *Backend) mirror(op kv.Op) {
+func (b *Backend) mirror(ks string, op kv.Op) {
 	b.pending = append(b.pending, op)
+	b.pendingKS = append(b.pendingKS, ks)
 	if len(b.pending) >= mirrorBatch {
 		b.Flush()
 	}
 }
 
-// Flush writes any buffered live-map mirror operations as one
+// Flush applies the write-behind batch to the live map as one
 // partition-grouped batch. The owning worker calls it when its inbox
-// drains and before every checkpoint prepare; Restore and PromoteStandby
-// discard the buffer instead (resetLive rewrites the map wholesale).
+// drains and before every checkpoint pin, so live queries see the
+// instance's state whenever it is idle; Restore and PromoteStandby drop
+// the batch instead, since it belongs to the state they replace.
 func (b *Backend) Flush() {
 	if len(b.pending) == 0 {
 		return
 	}
-	b.view.PutBatch(LiveMapName(b.op), b.pending)
-	b.pending = b.pending[:0]
+	b.view.PutBatch(b.live.Name(), b.pending)
+	b.pending, b.pendingKS = b.pending[:0], b.pendingKS[:0]
 }
 
 // Size returns the number of keys held by this instance.
-func (b *Backend) Size() int { return len(b.data) }
-
-// ForEach visits every key-value pair of the instance's state.
-func (b *Backend) ForEach(fn func(key partition.Key, value any) bool) {
-	for _, e := range b.data {
-		if !fn(e.key, e.value) {
-			return
-		}
+func (b *Backend) Size() int {
+	if b.live == nil {
+		return len(b.data)
 	}
+	b.Flush()
+	n := 0
+	b.eachPart(func(p int) bool {
+		size, _, _ := b.live.Sample(p, nil)
+		n += size
+		return true
+	})
+	return n
+}
+
+// ForEach visits every key-value pair of the instance's state. With Live
+// set it visits a point-in-time copy of one owned partition at a time, so
+// fn may update the state it is handed.
+func (b *Backend) ForEach(fn func(key partition.Key, value any) bool) {
+	if b.live == nil {
+		for _, e := range b.data {
+			if !fn(e.Key, e.Value) {
+				return
+			}
+		}
+		return
+	}
+	b.Flush()
+	more := true
+	b.eachPart(func(p int) bool {
+		b.live.ScanPartition(p, func(e kv.Entry) bool {
+			more = fn(e.Key, e.Value)
+			return more
+		})
+		return more
+	})
 }
 
 // SnapshotPrepare runs phase 1 of the checkpoint for this instance to
@@ -372,18 +453,19 @@ func FoldPins(carry, next *SnapshotPin) *SnapshotPin {
 }
 
 func (b *Backend) allEntries() []keyedVersion {
-	out := make([]keyedVersion, 0, len(b.data))
-	for _, e := range b.data {
-		out = append(out, keyedVersion{key: e.key, value: e.value})
-	}
+	out := make([]keyedVersion, 0, b.Size())
+	b.ForEach(func(key partition.Key, value any) bool {
+		out = append(out, keyedVersion{key: key, value: value})
+		return true
+	})
 	return out
 }
 
 func (b *Backend) dirtyEntries() []keyedVersion {
 	out := make([]keyedVersion, 0, len(b.dirty))
 	for ks, key := range b.dirty {
-		if e, ok := b.data[ks]; ok {
-			out = append(out, keyedVersion{key: e.key, value: e.value})
+		if v, ok := b.lookup(key, ks); ok {
+			out = append(out, keyedVersion{key: key, value: v})
 		} else {
 			// Key was deleted since the last checkpoint; the tombstone
 			// must live under the original key so it lands in (and
@@ -399,7 +481,7 @@ func (b *Backend) dirtyEntries() []keyedVersion {
 func (b *Backend) deletedEntries() []keyedVersion {
 	var out []keyedVersion
 	for ks, key := range b.dirty {
-		if _, ok := b.data[ks]; !ok {
+		if _, ok := b.lookup(key, ks); !ok {
 			out = append(out, keyedVersion{key: key, tombstone: true})
 		}
 	}
@@ -448,128 +530,145 @@ func blobKey(instance int, ssid int64) string {
 var blobMagic = []byte("SQWB\x01")
 
 func (b *Backend) prepareBlob(ssid int64) error {
-	buf := make([]byte, 0, 64+24*len(b.data))
+	n := b.Size()
+	buf := make([]byte, 0, 64+24*n)
 	buf = append(buf, blobMagic...)
-	buf = wire.AppendUvarint(buf, uint64(len(b.data)))
+	buf = wire.AppendUvarint(buf, uint64(n))
 	var st wire.Stream
 	var err error
-	for _, e := range b.data {
-		if buf, err = st.AppendValue(buf, e.key); err != nil {
-			return fmt.Errorf("core: encoding blob snapshot of %s/%d: %w", b.op, b.instance, err)
+	b.ForEach(func(key partition.Key, value any) bool {
+		if buf, err = st.AppendValue(buf, key); err == nil {
+			buf, err = st.AppendValue(buf, value)
 		}
-		if buf, err = st.AppendValue(buf, e.value); err != nil {
-			return fmt.Errorf("core: encoding blob snapshot of %s/%d: %w", b.op, b.instance, err)
-		}
+		return err == nil
+	})
+	if err != nil {
+		return fmt.Errorf("core: encoding blob snapshot of %s/%d: %w", b.op, b.instance, err)
 	}
 	b.view.Put(blobMapName(b.op), blobKey(b.instance, ssid), buf)
 	b.dirty = make(map[string]partition.Key)
 	return nil
 }
 
-// Restore rebuilds the instance's state from snapshot ssid, keeping only
-// keys this instance owns according to ownsKey (recovery may reshuffle
-// instances, so ownership is decided by the router, not by what the
-// instance held before the failure). Live state is re-mirrored so queries
-// do not observe rolled-back keys as still live.
-func (b *Backend) Restore(ssid int64, ownsKey func(partition.Key) bool) error {
-	b.data = make(map[string]entry)
-	b.dirty = make(map[string]partition.Key)
-	// Mirror operations buffered before the failure belong to rolled-back
-	// state; resetLive rewrites the live map from the restored data.
-	b.pending = b.pending[:0]
+// Restore rebuilds the instance's state from snapshot ssid, reading only
+// the instance's own partitions of snapshot_<op> (or its own blob in the
+// JetBlob baseline). With Live set each owned partition of the live map is
+// replaced wholesale by its restored contents: keys written after the
+// checkpoint are the dirty reads of Figure 5 and go, and standing queries
+// are handed only the keys that differ.
+func (b *Backend) Restore(ssid int64) error {
 	if b.cfg.JetBlob {
-		if err := b.restoreBlob(ssid, ownsKey); err != nil {
+		parts, err := b.readBlob(ssid)
+		if err != nil {
 			return err
 		}
-	} else {
-		b.view.Scan(SnapshotMapName(b.op), func(e kv.Entry) bool {
-			if !ownsKey(e.Key) {
-				return true
-			}
-			if v, ok := e.Value.(*Chain).At(ssid); ok {
-				b.data[partition.KeyString(e.Key)] = entry{key: e.Key, value: v.Value}
-			}
-			return true
-		})
+		b.reset(func(p int) map[string]kv.Entry { return parts[p] })
+		return nil
 	}
-	if b.cfg.Live {
-		b.resetLive(ownsKey)
-	}
+	b.reset(b.readParts(SnapshotMapName(b.op), func(e kv.Entry) (kv.Entry, bool) {
+		v, ok := e.Value.(*Chain).At(ssid)
+		return kv.Entry{Key: e.Key, Value: v.Value}, ok
+	}))
 	return nil
 }
 
-func (b *Backend) restoreBlob(ssid int64, ownsKey func(partition.Key) bool) error {
+// readBlob decodes the instance's blob of snapshot ssid into the entries
+// of each owned partition. No blob means the instance had no state then.
+func (b *Backend) readBlob(ssid int64) (map[int]map[string]kv.Entry, error) {
+	parts := make(map[int]map[string]kv.Entry)
 	raw, ok := b.view.Get(blobMapName(b.op), blobKey(b.instance, ssid))
 	if !ok {
-		// No blob means the instance had no state at that snapshot.
-		return nil
+		return parts, nil
 	}
 	bs := raw.([]byte)
 	if !bytes.HasPrefix(bs, blobMagic) {
-		return fmt.Errorf("core: decoding blob snapshot of %s/%d: bad magic", b.op, b.instance)
+		return nil, fmt.Errorf("core: decoding blob snapshot of %s/%d: bad magic", b.op, b.instance)
 	}
 	bs = bs[len(blobMagic):]
 	n, used := binary.Uvarint(bs)
 	if used <= 0 {
-		return fmt.Errorf("core: decoding blob snapshot of %s/%d: truncated entry count", b.op, b.instance)
+		return nil, fmt.Errorf("core: decoding blob snapshot of %s/%d: truncated entry count", b.op, b.instance)
 	}
 	bs = bs[used:]
+	part := b.view.Store().Partitioner()
 	var err error
 	for i := uint64(0); i < n; i++ {
 		var k, v any
 		if k, bs, err = wire.DecodeValue(bs); err != nil {
-			return fmt.Errorf("core: decoding blob snapshot of %s/%d: %w", b.op, b.instance, err)
+			return nil, fmt.Errorf("core: decoding blob snapshot of %s/%d: %w", b.op, b.instance, err)
 		}
 		if v, bs, err = wire.DecodeValue(bs); err != nil {
-			return fmt.Errorf("core: decoding blob snapshot of %s/%d: %w", b.op, b.instance, err)
+			return nil, fmt.Errorf("core: decoding blob snapshot of %s/%d: %w", b.op, b.instance, err)
 		}
-		if ownsKey(k) {
-			b.data[partition.KeyString(k)] = entry{key: k, value: v}
+		p := part.Of(k)
+		if !b.owns(p) {
+			continue
 		}
+		if parts[p] == nil {
+			parts[p] = make(map[string]kv.Entry)
+		}
+		parts[p][partition.KeyString(k)] = kv.Entry{Key: k, Value: v}
 	}
-	return nil
+	return parts, nil
 }
 
-// PromoteStandby rebuilds the instance's state from the active-standby
-// replica — the failover path of §VII's read-committed setup. Unlike
-// Restore there is no rollback: the replica was updated synchronously
-// with the primary, so the promoted state is exactly the primary's state
-// at the moment of failure. Live state is re-mirrored for consistency.
-func (b *Backend) PromoteStandby(ownsKey func(partition.Key) bool) error {
+// PromoteStandby rebuilds the instance's state from its own partitions of
+// the active-standby replica — the failover path of §VII's read-committed
+// setup. Unlike Restore there is no rollback: the replica was updated
+// synchronously with the primary, so the promoted state is exactly the
+// primary's state at the moment of failure.
+func (b *Backend) PromoteStandby() error {
 	if !b.cfg.ActiveStandby {
 		return fmt.Errorf("core: operator %q has no active standby", b.op)
 	}
-	b.data = make(map[string]entry)
-	b.dirty = make(map[string]partition.Key)
-	b.pending = b.pending[:0]
-	b.view.Scan(standbyMapName(b.op), func(e kv.Entry) bool {
-		if ownsKey(e.Key) {
-			b.data[partition.KeyString(e.Key)] = entry{key: e.Key, value: e.Value}
-		}
-		return true
-	})
-	if b.cfg.Live {
-		b.resetLive(ownsKey)
-	}
+	b.reset(b.readParts(standbyMapName(b.op), func(e kv.Entry) (kv.Entry, bool) { return e, true }))
 	return nil
 }
 
-// resetLive replaces this instance's keys in the live map with the
-// restored state. Keys that existed live but not in the snapshot must be
-// removed — they are the dirty reads of Figure 5. Only keys this instance
-// owns are touched; sibling instances reset theirs.
-func (b *Backend) resetLive(ownsKey func(partition.Key) bool) {
-	name := LiveMapName(b.op)
-	ops := make([]kv.Op, 0, len(b.data))
-	b.view.Scan(name, func(e kv.Entry) bool {
-		ks := partition.KeyString(e.Key)
-		if _, ok := b.data[ks]; !ok && ownsKey(e.Key) {
-			ops = append(ops, kv.Op{Key: e.Key, Delete: true})
+// reset replaces the instance's state with read(p) for every owned
+// partition p (nil reads as empty). With Live set each partition goes to
+// the live map through kv's wholesale replacement; otherwise the private
+// map is rebuilt. The dirty set and the write-behind batch are dropped:
+// they belong to the state being replaced.
+func (b *Backend) reset(read func(p int) map[string]kv.Entry) {
+	b.dirty = make(map[string]partition.Key)
+	b.pending, b.pendingKS = b.pending[:0], b.pendingKS[:0]
+	if b.live == nil {
+		b.data = make(map[string]kv.Entry)
+	}
+	b.eachPart(func(p int) bool {
+		entries := read(p)
+		if b.live == nil {
+			for ks, e := range entries {
+				b.data[ks] = e
+			}
+			return true
 		}
+		if entries == nil {
+			entries = make(map[string]kv.Entry)
+		}
+		b.view.ResetPartition(b.live.Name(), p, entries)
 		return true
 	})
-	for _, e := range b.data {
-		ops = append(ops, kv.Op{Key: e.key, Value: e.value})
+}
+
+// readParts returns reset's reader over the named map: partition p reads
+// as the state entries keep makes of a point-in-time copy of the map's
+// partition p, charging one hop when p lives on another node than the
+// instance's.
+func (b *Backend) readParts(mapName string, keep func(kv.Entry) (kv.Entry, bool)) func(p int) map[string]kv.Entry {
+	m := b.view.Store().GetMap(mapName)
+	return func(p int) map[string]kv.Entry {
+		if owner := b.view.Store().Assignment().Owner(p); owner != b.view.Node() {
+			b.view.ChargeHop(owner)
+		}
+		out := make(map[string]kv.Entry)
+		m.ScanPartition(p, func(e kv.Entry) bool {
+			if e, ok := keep(e); ok {
+				out[partition.KeyString(e.Key)] = e
+			}
+			return true
+		})
+		return out
 	}
-	b.view.PutBatch(name, ops)
 }

@@ -23,8 +23,6 @@ func newTestStore() *kv.Store {
 	return kv.NewStore(p, partition.Assign(16, 1), nil)
 }
 
-func ownsAll(partition.Key) bool { return true }
-
 func TestBackendLiveMirroring(t *testing.T) {
 	store := newTestStore()
 	b := NewBackend("average", 0, store.View(0), Config{Live: true})
@@ -191,7 +189,7 @@ func TestBlobSnapshotAndRestore(t *testing.T) {
 	}
 
 	restored := NewBackend("op", 0, store.View(0), Config{JetBlob: true})
-	if err := restored.Restore(1, ownsAll); err != nil {
+	if err := restored.Restore(1); err != nil {
 		t.Fatal(err)
 	}
 	if restored.Size() != 20 {
@@ -206,7 +204,7 @@ func TestBlobSnapshotAndRestore(t *testing.T) {
 func TestBlobRestoreMissingSnapshotIsEmpty(t *testing.T) {
 	store := newTestStore()
 	b := NewBackend("op", 0, store.View(0), Config{JetBlob: true})
-	if err := b.Restore(99, ownsAll); err != nil {
+	if err := b.Restore(99); err != nil {
 		t.Fatal(err)
 	}
 	if b.Size() != 0 {
@@ -227,7 +225,7 @@ func TestRestoreFromChains(t *testing.T) {
 	b.Update(50, 50) // a brand-new uncommitted key
 
 	restored := NewBackend("op", 0, store.View(0), cfg)
-	if err := restored.Restore(1, ownsAll); err != nil {
+	if err := restored.Restore(1); err != nil {
 		t.Fatal(err)
 	}
 	if got, _ := restored.Get(3); got != 3 {
@@ -245,22 +243,56 @@ func TestRestoreFromChains(t *testing.T) {
 	}
 }
 
+// TestRestoreRespectsOwnership: an instance of a two-instance operator
+// restores exactly the keys of its own partitions (p % 2 == instance), in
+// the private map and in the live map alike, and leaves its sibling's
+// partitions of the live map alone.
 func TestRestoreRespectsOwnership(t *testing.T) {
-	store := newTestStore()
-	cfg := Config{Snapshots: true}
-	b := NewBackend("op", 0, store.View(0), cfg)
-	for i := 0; i < 10; i++ {
-		b.Update(i, i)
-	}
-	b.SnapshotPrepare(1)
-
-	even := NewBackend("op", 0, store.View(0), cfg)
-	even.Restore(1, func(k partition.Key) bool { return k.(int)%2 == 0 })
-	if even.Size() != 5 {
-		t.Fatalf("even instance restored %d keys, want 5", even.Size())
-	}
-	if _, ok := even.Get(3); ok {
-		t.Fatal("even instance restored an odd key")
+	for _, cfg := range []Config{{Snapshots: true}, {Live: true, Snapshots: true}} {
+		store := newTestStore()
+		mgr := NewManager(store, 2)
+		if err := mgr.RegisterOperator(OperatorMeta{Name: "op", Parallelism: 2, Config: cfg}); err != nil {
+			t.Fatal(err)
+		}
+		part := store.Partitioner()
+		inst := func(k int) int { return part.Of(k) % 2 }
+		bs := []*Backend{mgr.NewBackend("op", 0, store.View(0), cfg), mgr.NewBackend("op", 1, store.View(0), cfg)}
+		want := [2]int{}
+		for i := 0; i < 40; i++ {
+			bs[inst(i)].Update(i, i)
+			want[inst(i)]++
+		}
+		for _, b := range bs {
+			if _, err := b.SnapshotPrepare(1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// Instance 1 writes past the checkpoint; instance 0's restore must
+		// not roll it back.
+		late := 1000
+		for inst(late) != 1 {
+			late++
+		}
+		bs[1].Update(late, late)
+		bs[1].Flush()
+		owner0 := mgr.NewBackend("op", 0, store.View(0), cfg)
+		if err := owner0.Restore(1); err != nil {
+			t.Fatal(err)
+		}
+		if got := owner0.Size(); got != want[0] {
+			t.Fatalf("live=%v: instance 0 restored %d keys, want %d", cfg.Live, got, want[0])
+		}
+		owner0.ForEach(func(k partition.Key, _ any) bool {
+			if inst(k.(int)) != 0 {
+				t.Fatalf("live=%v: instance 0 restored key %v of instance 1", cfg.Live, k)
+			}
+			return true
+		})
+		if cfg.Live {
+			if _, ok := store.View(0).Get(LiveMapName("op"), late); !ok {
+				t.Fatal("instance 0's restore removed instance 1's live key")
+			}
+		}
 	}
 }
 

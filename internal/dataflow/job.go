@@ -357,7 +357,10 @@ func Run(dag *DAG, cfg Config) (*Job, error) {
 			j.statefulOps = append(j.statefulOps, v.Name)
 		}
 	}
-	j.start(0, false)
+	j.clearState()
+	if err := j.start(0, false); err != nil {
+		return nil, err
+	}
 	// React to cluster membership changes: when a node joins or leaves
 	// (and its rebalance has completed), restart the workers over the new
 	// live topology so instances actually land on joined nodes and vacate
@@ -451,8 +454,10 @@ func (j *Job) SourceMeter() *metrics.Meter { return j.sourceOut }
 // rewind to the offsets captured by that snapshot before processing
 // begins. With standby set, instances instead promote their active
 // replicas and sources resume from their live offsets — the §VII
-// read-committed failover (no rollback).
-func (j *Job) start(restoreSSID int64, standby bool) {
+// read-committed failover (no rollback). A failed restore or promotion is
+// returned before any worker, drainer or coordinator starts, and the job
+// stays stopped.
+func (j *Job) start(restoreSSID int64, standby bool) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 
@@ -522,19 +527,14 @@ func (j *Job) start(restoreSSID int64, standby bool) {
 						reg.Counter("operator", id, "state_updates"),
 						reg.Histogram("operator", id, "state_update"))
 				}
-				par := v.Parallelism
-				inst := i
-				ownsKey := func(k partition.Key) bool {
-					return routeKey(j.part, k, par) == inst
-				}
 				switch {
 				case standby:
-					if err := backend.PromoteStandby(ownsKey); err != nil {
-						panic(fmt.Sprintf("dataflow: promote %s/%d: %v", v.Name, i, err))
+					if err := backend.PromoteStandby(); err != nil {
+						return fmt.Errorf("dataflow: promote %s/%d: %w", v.Name, i, err)
 					}
 				case restoreSSID > 0:
-					if err := backend.Restore(restoreSSID, ownsKey); err != nil {
-						panic(fmt.Sprintf("dataflow: restore %s/%d: %v", v.Name, i, err))
+					if err := backend.Restore(restoreSSID); err != nil {
+						return fmt.Errorf("dataflow: restore %s/%d: %w", v.Name, i, err)
 					}
 				}
 			}
@@ -581,8 +581,6 @@ func (j *Job) start(restoreSSID int64, standby bool) {
 					killCh:  j.killCh,
 					drainCh: j.drainCh,
 				}
-				j.drainWg.Add(1)
-				go w.drain.run()
 			}
 			w.proc = v.NewProcessor(ProcContext{
 				Vertex:      v.Name,
@@ -594,7 +592,13 @@ func (j *Job) start(restoreSSID int64, standby bool) {
 		}
 	}
 
+	// Every instance restored: only now does any goroutine start, so a
+	// failed restore leaves nothing running.
 	for _, w := range j.workers {
+		if w.drain != nil {
+			j.drainWg.Add(1)
+			go w.drain.run()
+		}
 		j.wg.Add(1)
 		go w.run()
 	}
@@ -609,6 +613,7 @@ func (j *Job) start(restoreSSID int64, standby bool) {
 		go j.coordinate(j.coordTkr.C, j.stopTick)
 	}
 	j.running = true
+	return nil
 }
 
 // Wait blocks until all workers have exited (finite sources drained, the

@@ -17,7 +17,9 @@ import (
 // before the failure may have observed state that "never happened".
 //
 // It returns the snapshot id recovered to, or 0 when no snapshot had
-// committed yet (the job restarts from scratch).
+// committed yet (the job restarts from scratch). A stateful instance that
+// cannot restore (an undecodable blob, say) fails the recovery: the error
+// is returned and the job stays stopped, with no worker running.
 func (j *Job) InjectFailure() (int64, error) {
 	j.mu.Lock()
 	if !j.running {
@@ -45,20 +47,17 @@ func (j *Job) InjectFailure() (int64, error) {
 	// masked by promoting the replicas: no rollback, sources resume from
 	// their live offsets.
 	if j.cfg.State.ActiveStandby {
-		j.start(0, true)
-		return j.mgr.Registry().LatestCommitted(), nil
+		return j.mgr.Registry().LatestCommitted(), j.start(0, true)
 	}
 
 	restoreSSID := j.mgr.Registry().LatestCommitted()
 	if restoreSSID == snapshot.NoSnapshot {
 		// Nothing ever committed: clear any live state the crashed run
-		// mirrored and start over.
+		// wrote and start over.
 		j.clearLiveState()
-		j.start(0, false)
-		return 0, nil
+		return 0, j.start(0, false)
 	}
-	j.start(restoreSSID, false)
-	return restoreSSID, nil
+	return restoreSSID, j.start(restoreSSID, false)
 }
 
 // crashAndRecover realizes an injected coordinator crash between phase 1
@@ -87,6 +86,20 @@ func (j *Job) clearLiveState() {
 	for _, meta := range j.mgr.Operators() {
 		if meta.Config.Live {
 			j.clu.Store().ClearMap(core.LiveMapName(meta.Name))
+		}
+	}
+}
+
+// clearState wipes every map a fresh run's stateful operators own — live,
+// snapshot, standby and blob — so a job resubmitted under a stopped job's
+// operator names neither computes on nor serves the stopped job's state:
+// its snapshot ids restart at 1 and would otherwise resolve the old
+// chains. ClearMap keeps the tables' indexes, as in clearLiveState.
+func (j *Job) clearState() {
+	store := j.clu.Store()
+	for _, op := range j.statefulOps {
+		for _, name := range core.StateMapNames(op) {
+			store.ClearMap(name)
 		}
 	}
 }

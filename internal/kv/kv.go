@@ -499,6 +499,50 @@ func (m *Map) resetPartitionLocked(p int, seg *segment, entries map[string]Entry
 	}
 }
 
+// ResetPartition replaces partition p of the named map wholesale with
+// entries, keyed by canonical key string; the map takes ownership of
+// entries. It is resetPartitionLocked behind the epoch fence, retried the
+// way PutBatch retries a rejected group: taps receive only the keys that
+// differ, indexes are rebuilt, and with replication the backup copy
+// follows in one hop. Recovery installs an instance's restored partitions
+// through it.
+func (v NodeView) ResetPartition(mapName string, p int, entries map[string]Entry) {
+	m := v.store.GetMap(mapName)
+	s := v.store
+	var cp map[string]Entry // the backup's copy, taken while entries is still the caller's
+	if s.replicated {
+		cp = make(map[string]Entry, len(entries))
+		for ks, e := range entries {
+			cp[ks] = e
+		}
+	}
+	if owner := v.ownerOf(p); v.node != owner {
+		s.tr.Send(transport.Msg{From: v.node, To: owner, Ops: len(entries)})
+	}
+	seg := m.segs[p]
+	v.fenced(func(force bool) error {
+		lockWith(seg.mu, s.statsFor(p))
+		defer seg.mu.Unlock()
+		if !force {
+			if err := s.checkFence(v.fence, p); err != nil {
+				return err
+			}
+		}
+		m.resetPartitionLocked(p, seg, entries)
+		return nil
+	})
+	if cp == nil {
+		return
+	}
+	if owner, backup := s.assign.Owner(p), s.assign.Backup(p); owner != backup {
+		s.tr.Send(transport.Msg{From: owner, To: backup, Ops: len(cp)})
+	}
+	bak := m.backups[p]
+	bak.mu.Lock()
+	bak.entries = cp
+	bak.mu.Unlock()
+}
+
 // diffLocked returns the deltas that take partition p from its current
 // entries to next.
 func (m *Map) diffLocked(p int, seg *segment, next map[string]Entry) []Delta {
@@ -676,11 +720,12 @@ func (v NodeView) Delete(mapName string, key partition.Key) bool {
 
 // GetAll loads the values for all keys, preserving order; missing keys
 // yield nil entries in the result. It is the batched read path: one
-// network hop per distinct remote node touched and one lock acquisition
-// per partition rather than per key — the getAll batching a distributed
-// map offers. (Reads only need the segment read-lock: a writer holds the
-// segment write-lock for its whole read-modify-write, so a reader can
-// never observe a torn entry.)
+// network hop per distinct remote node touched rather than per key — the
+// getAll batching a distributed map offers. Locking stays per key: each
+// lookup takes its partition's read lock for that one map access, so a
+// long key list never holds a partition against its writers. (The read
+// lock suffices: a writer holds the write lock for its whole
+// read-modify-write, so a reader can never observe a torn entry.)
 func (v NodeView) GetAll(mapName string, keys []partition.Key) []any {
 	m := v.store.GetMap(mapName)
 	// One pass, one hash per key: read the key and count it against its

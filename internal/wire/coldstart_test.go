@@ -101,7 +101,7 @@ func TestColdStartRestore(t *testing.T) {
 
 	wire.ResetTypeTable()
 	b2 := core.NewBackend("op", 0, store.View(0), cfg)
-	if err := b2.Restore(7, func(partition.Key) bool { return true }); err != nil {
+	if err := b2.Restore(7); err != nil {
 		t.Fatalf("cold restore of the Jet blob: %v", err)
 	}
 	if b2.Size() != len(want) {

@@ -239,6 +239,11 @@ type Engine struct {
 	mu   sync.Mutex
 	jobs map[string]*Job
 
+	// submitMu serialises catalog registration (SubmitJob, OpenArchive),
+	// so a job whose operator names are free when checked still has them
+	// when it registers.
+	submitMu sync.Mutex
+
 	// Standing-query registry (see subscribe.go).
 	subMu  sync.Mutex
 	subs   map[int64]*Subscription
@@ -450,8 +455,21 @@ type JobSpec struct {
 
 // SubmitJob starts a job and registers its stateful operators' live and
 // snapshot tables with the query catalog. Operator names must be unique
-// across all running jobs — they are the SQL table names.
+// across all running jobs — they are the SQL table names — and a clash is
+// refused before the job starts, so the refused job never touches the
+// running one's tables.
 func (e *Engine) SubmitJob(dag *DAG, spec JobSpec) (*Job, error) {
+	var stateful []string
+	for _, v := range dag.Vertices() {
+		if v.Stateful {
+			stateful = append(stateful, v.Name)
+		}
+	}
+	e.submitMu.Lock()
+	defer e.submitMu.Unlock()
+	if err := e.cat.CheckFree(stateful...); err != nil {
+		return nil, err
+	}
 	job, err := dataflow.Run(dag, dataflow.Config{
 		Name:              spec.Name,
 		Cluster:           e.clu,
@@ -502,6 +520,8 @@ func (e *Engine) OpenArchive(dir string) (int64, []string, error) {
 	if err != nil {
 		return 0, nil, err
 	}
+	e.submitMu.Lock()
+	defer e.submitMu.Unlock()
 	mgr := core.NewManager(e.clu.Store(), 0)
 	ssid, err := mgr.ImportPersisted(p)
 	if err != nil {

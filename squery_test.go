@@ -2,6 +2,8 @@ package squery
 
 import (
 	"encoding/gob"
+	"fmt"
+	"sort"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -309,13 +311,22 @@ func TestScanLiveVisitsAllKeys(t *testing.T) {
 func TestDuplicateOperatorNamesAcrossJobsRejected(t *testing.T) {
 	eng := New(Config{Nodes: 1, Partitions: 8})
 	j1, err := eng.SubmitJob(averagingJob([]Record{{Key: 1, Value: 1}}), JobSpec{
-		Name: "a", State: StateConfig{Snapshots: true}})
+		Name: "a", State: StateConfig{Live: true, Snapshots: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer j1.Stop()
-	if _, err := eng.SubmitJob(averagingJob(nil), JobSpec{Name: "b", State: StateConfig{Snapshots: true}}); err == nil {
+	j1.Wait()
+	before := sortedRows(t, eng, `SELECT partitionKey, count FROM average`)
+	// The refused job carries records of its own: refused before it
+	// starts, it must not have written them into the running job's table.
+	if _, err := eng.SubmitJob(averagingJob([]Record{{Key: 1, Value: 7}, {Key: 9, Value: 9}}),
+		JobSpec{Name: "b", State: StateConfig{Live: true, Snapshots: true}}); err == nil {
 		t.Fatal("duplicate operator name across jobs accepted")
+	}
+	time.Sleep(20 * time.Millisecond) // a refused job that did start would have written by now
+	if after := sortedRows(t, eng, `SELECT partitionKey, count FROM average`); after != before {
+		t.Fatalf("a refused duplicate changed job a's rows: %s, was %s", after, before)
 	}
 	// After stopping the first job its tables free up.
 	j1.Stop()
@@ -324,6 +335,96 @@ func TestDuplicateOperatorNamesAcrossJobsRejected(t *testing.T) {
 		t.Fatalf("resubmission after stop failed: %v", err)
 	}
 	j2.Stop()
+}
+
+// idleAfter emits its records once and then idles, keeping its job live
+// for checkpoints.
+type idleAfter struct {
+	recs []Record
+	pos  int64
+}
+
+func (s *idleAfter) Next() (Record, SourceStatus) {
+	if s.pos < int64(len(s.recs)) {
+		s.pos++
+		return s.recs[s.pos-1], SourceOK
+	}
+	return Record{}, SourceIdle
+}
+
+func (s *idleAfter) Offset() int64  { return s.pos }
+func (s *idleAfter) Rewind(o int64) { s.pos = o }
+
+// TestResubmittedJobStartsEmpty: a job submitted under a stopped job's
+// operator name starts from empty state — its live table holds only its
+// own keys, and its snapshot ids, which restart at 1, resolve none of the
+// stopped job's chains.
+func TestResubmittedJobStartsEmpty(t *testing.T) {
+	eng := New(Config{Nodes: 1, Partitions: 8})
+	run := func(name string, keys ...int) *Job {
+		var recs []Record
+		for _, k := range keys {
+			recs = append(recs, Record{Key: k, Value: 10})
+		}
+		dag := NewDAG().
+			AddVertex(&Vertex{Name: "source", Kind: KindSource, Parallelism: 1,
+				NewSource: func(int, int) SourceInstance { return &idleAfter{recs: recs} }}).
+			AddVertex(StatefulMapVertex("average", 2, averageFn)).
+			AddVertex(SinkVertex("sink", 1, func(Record) {})).
+			Connect("source", "average", EdgePartitioned).
+			Connect("average", "sink", EdgePartitioned)
+		job, err := eng.SubmitJob(dag, JobSpec{Name: name, State: StateConfig{Live: true, Snapshots: true}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitFor(t, func() bool {
+			for _, k := range keys {
+				res, err := eng.Query(fmt.Sprintf(`SELECT count FROM average WHERE partitionKey = %d`, k))
+				if err != nil || len(res.Rows) != 1 {
+					return false
+				}
+			}
+			return true
+		}, name+"'s records processed")
+		return job
+	}
+	a := run("a", 1, 2)
+	for i := 0; i < 3; i++ {
+		if err := a.CheckpointNow(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a.Stop()
+
+	c := run("c", 3)
+	defer c.Stop()
+	if got := sortedRows(t, eng, `SELECT partitionKey, count FROM average`); got != "[[3 1]]" {
+		t.Fatalf("resubmitted job's live rows = %s, want [[3 1]]", got)
+	}
+	if err := c.CheckpointNow(); err != nil {
+		t.Fatal(err)
+	}
+	if got := c.LatestSnapshotID(); got != 1 {
+		t.Fatalf("resubmitted job's first snapshot id = %d, want 1", got)
+	}
+	if got := sortedRows(t, eng, `SELECT partitionKey, count FROM snapshot_average WHERE ssid = 1`); got != "[[3 1]]" {
+		t.Fatalf("resubmitted job's snapshot rows at ssid 1 = %s, want [[3 1]]", got)
+	}
+}
+
+// sortedRows runs q and returns its rows, sorted, as text.
+func sortedRows(t *testing.T, eng *Engine, q string) string {
+	t.Helper()
+	res, err := eng.Query(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := make([]string, len(res.Rows))
+	for i, r := range res.Rows {
+		rows[i] = fmt.Sprint(r)
+	}
+	sort.Strings(rows)
+	return "[" + strings.Join(rows, " ") + "]"
 }
 
 func waitFor(t *testing.T, cond func() bool, what string) {
