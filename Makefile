@@ -82,6 +82,7 @@ fuzz-short:
 	$(GO) test ./internal/persist -fuzz FuzzDeltaChain -fuzztime 30s -run '^$$'
 	$(GO) test ./internal/wire -fuzz FuzzWire -fuzztime 30s -run '^$$'
 	$(GO) test ./internal/kv -fuzz FuzzIndexModel -fuzztime 30s -run '^$$'
+	$(GO) test ./internal/core -fuzz FuzzSnapshotRuns -fuzztime 30s -run '^$$'
 
 # Incremental-checkpoint smoke: the crash-recovery suite (every crash
 # point of the segment/manifest protocol restores the last committed
@@ -90,13 +91,17 @@ fuzz-short:
 # delta segments, the full baseline none, bytes/ckpt track the delta).
 # Under -race: a Live backend's state (the live map itself) against the
 # incremental model through checkpoints and restores, a restore handing
-# taps only the keys that differ, a resubmitted job starting empty, and an
-# undecodable snapshot failing recovery with an error and no goroutine
-# left.
+# taps only the keys that differ, a resubmitted job starting empty, an
+# archive opened under a running job's operator name refused before it
+# imports anything, the snapshot run sets against the naive version model
+# (scan, point lookup, hash and B-tree probes, backup replica) through
+# drains, commits, aborts, merges and restores, a failover keeping the
+# keys changed since the last snapshot, and an undecodable snapshot
+# failing recovery with an error and no goroutine left.
 ckpt-smoke:
 	$(GO) test ./internal/persist -run 'TestCrash|FuzzDeltaChain' -count=1 -v
-	$(GO) test . -run 'TestIncrementalRecoveryParity|TestResubmittedJobStartsEmpty' -race -count=1 -v
-	$(GO) test ./internal/core -run 'TestIncrementalMatchesModel/live|TestRestoreHandsTapsOnlyChangedKeys' -race -count=1 -v
+	$(GO) test . -run 'TestIncrementalRecoveryParity|TestResubmittedJobStartsEmpty|TestOpenArchiveRefusesRunningOperator' -race -count=1 -v
+	$(GO) test ./internal/core -run 'TestIncrementalMatchesModel/live|TestRestoreHandsTapsOnlyChangedKeys|TestSnapshotRunsMatchModel|TestPromoteStandbyKeepsChangedKeys' -race -count=1 -v
 	$(GO) test ./internal/dataflow -run 'TestRestoreErrorFailsRecovery' -race -count=1 -v
 	$(GO) test ./internal/experiments -run 'TestCkptScaleShape' -count=1 -v
 
@@ -105,7 +110,7 @@ ckpt-smoke:
 # in the wire codec, one allocation per decoded struct, zero-alloc delta
 # segments and mirror-flush batches, alloc-free key hashing, single-alloc
 # blob snapshot keys, a Live backend holding no live heap beyond its live
-# map's, indexed puts that add nothing for an unchanged column
+# map's, snapshot state held in at most 76 B per key, indexed puts that add nothing for an unchanged column
 # (MapRow and struct row) and at most 0.05 allocations for a moving one,
 # an indexed range probe over every partition that allocates nothing, a
 # GetAll that allocates its result only, Query 3 under 0.25 objects per
@@ -132,7 +137,7 @@ ckpt-smoke:
 # (BenchmarkIndexedPut/hash, and /moving with 1 000 and 100 000 entries in
 # one partition) so regressions show up in CI logs next to the gate.
 bench-smoke:
-	$(GO) test ./internal/wire ./internal/core -run 'TestZeroAllocScalarEncode|TestZeroAllocStructEncode|TestStructDecodeAllocs|TestBlobKeyAllocs|TestLiveStateHeldOnce' -count=1 -v
+	$(GO) test ./internal/wire ./internal/core -run 'TestZeroAllocScalarEncode|TestZeroAllocStructEncode|TestStructDecodeAllocs|TestBlobKeyAllocs|TestLiveStateHeldOnce|TestSnapshotHeldCompactly' -count=1 -v
 	$(GO) test ./internal/persist -run 'TestDeltaEncodeAllocs' -count=1 -v
 	$(GO) test ./internal/kv -run 'TestIndexedPutAllocs|TestIndexProbeAllocs|TestPutBatchAllocs|TestGetAllAllocs' -count=1 -v
 	$(GO) test ./internal/kv -run 'TestSegmentLockWaitsCounted|TestApplyBatchConcurrentIncrements' -race -count=20

@@ -71,19 +71,25 @@ func benchBackendUpdate(b *testing.B, cfg core.Config) {
 	}
 }
 
-// BenchmarkChainResolution measures Chain.At as incremental chains grow —
-// the read-side cost of incremental snapshots.
+// BenchmarkChainResolution measures a snapshot point read as a key's
+// version history grows — the read-side cost of incremental snapshots:
+// depth drains rewrite the key, and the read resolves the newest version.
 func BenchmarkChainResolution(b *testing.B) {
 	for _, depth := range []int{1, 2, 8, 32} {
 		b.Run(fmt.Sprintf("depth%d", depth), func(b *testing.B) {
-			c := core.NewChain()
+			p := partition.New(partition.DefaultCount)
+			store := kv.NewStore(p, partition.Assign(p.Count(), 1), nil)
+			backend := core.NewBackend("bench", 0, store.View(0), core.Config{Snapshots: true, Incremental: true})
 			for v := 1; v <= depth; v++ {
-				c = c.With(core.Versioned{SSID: int64(v), Value: v})
+				backend.Update("k", v)
+				if _, err := backend.SnapshotPrepare(int64(v)); err != nil {
+					b.Fatal(err)
+				}
 			}
 			target := int64(depth)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, ok := c.At(target); !ok {
+				if _, ok := core.SnapshotAt(store, "bench", "k", target); !ok {
 					b.Fatal("resolution failed")
 				}
 			}

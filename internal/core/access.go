@@ -97,38 +97,13 @@ func (a *AccessPath) lookup() (kv.IndexLookup, bool) {
 	}
 }
 
-// ChainValueIndexer extracts a column from every live version of a
-// snapshot map's version chain — the multi-valued extractor that makes
-// one index serve *all* snapshot ids: the candidate set for any probe is
-// the union over versions, a superset of the rows resolvable at any
-// particular SSID (the At() re-resolution and the pushed filter narrow it
-// back down). Chains whose versions are all tombstones index nowhere —
-// a full scan never examines them either.
-func ChainValueIndexer(value any, col string) (vals []any, complete bool) {
-	ch, ok := value.(*Chain)
-	if !ok {
-		return nil, false
-	}
-	complete = true
-	for _, v := range ch.items {
-		if v.Tombstone {
-			continue
-		}
-		f, ok := kv.AsRow(v.Value).Field(col)
-		if !ok || f == nil {
-			complete = false
-			continue
-		}
-		vals = append(vals, f)
-	}
-	return vals, complete
-}
-
 // CreateIndex builds a secondary index on one column of a state table and
 // registers it for inline maintenance on the update path. The table name
-// follows the catalog convention: <op> indexes live state,
-// snapshot_<op> indexes the snapshot version chains (via
-// ChainValueIndexer, so the index stays valid for every queryable SSID).
+// follows the catalog convention: <op> indexes live state, snapshot_<op>
+// defines an index every snapshot run written or merged from then on
+// carries — sorted (value, row) arrays over the run's versions, so the
+// index stays valid for every queryable SSID (a run written before has
+// none, and a probe examines all of its keys).
 // Virtual (sys.*) tables cannot be indexed. Creating an index twice is
 // idempotent; the operator does not need to be registered yet — indexes
 // are usually created right after job registration, before data flows.
@@ -143,11 +118,7 @@ func (c *Catalog) CreateIndex(table, column string, kind IndexKind) error {
 	if column == ColPartitionKey || column == ColSSID {
 		return fmt.Errorf("core: cannot index pseudo-column %q (partition pruning and snapshot pinning already serve it)", column)
 	}
-	var extract kv.ValueIndexer
-	if strings.HasPrefix(name, "snapshot_") {
-		extract = ChainValueIndexer
-	}
-	_, err := c.store.GetMap(name).CreateIndex(column, kind, extract)
+	_, err := c.store.GetMap(name).CreateIndex(column, kind, nil)
 	return err
 }
 
@@ -178,11 +149,24 @@ func (t *TableRef) EstimatePathIn(part int, path *AccessPath) (int64, bool) {
 	if path != nil && path.Kind == KeyLookup {
 		return 1, true
 	}
-	if lk, ok := path.lookup(); ok {
+	lk, ok := path.lookup()
+	if !ok {
+		n, _, _ := t.m.Sample(part)
+		return int64(n), true
+	}
+	if !t.snapshot {
 		return t.m.EstimateLookupIn(part, lk)
 	}
-	n, _, _ := t.m.Sample(part, nil)
-	return int64(n), true
+	if !t.m.HasIndex(lk.Col, lk.Range) {
+		return 0, false
+	}
+	var n int64
+	for q := range t.Partitions() {
+		if part < 0 || q == part {
+			n += int64(asRuns(t.m.PeekFrozen(q)).estimate(lk))
+		}
+	}
+	return n, true
 }
 
 // mapRef returns the kv map backing this (non-virtual) table.

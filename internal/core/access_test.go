@@ -142,30 +142,12 @@ func TestSnapshotIndexPathParity(t *testing.T) {
 	if got := len(scanWithPath(ref, s2, pathNew, eqZone("new"))); got != 30 {
 		t.Fatalf("ssid %d zone=new: %d rows, want 30", s2, got)
 	}
-}
-
-// TestChainValueIndexer pins the extractor contract directly.
-func TestChainValueIndexer(t *testing.T) {
-	ch := NewChain(
-		Versioned{SSID: 1, Value: map[string]any{"zone": "a"}},
-		Versioned{SSID: 2, Value: map[string]any{"zone": "b"}},
-		Versioned{SSID: 3, Tombstone: true},
-	)
-	vals, complete := ChainValueIndexer(ch, "zone")
-	if !complete || len(vals) != 2 {
-		t.Fatalf("ChainValueIndexer = %v, %v; want [a b], true", vals, complete)
-	}
-	// A version missing the column makes extraction incomplete.
-	ch2 := NewChain(
-		Versioned{SSID: 1, Value: map[string]any{"zone": "a"}},
-		Versioned{SSID: 2, Value: map[string]any{"other": 1}},
-	)
-	if _, complete := ChainValueIndexer(ch2, "zone"); complete {
-		t.Fatal("missing column did not mark extraction incomplete")
-	}
-	// Non-chain values (should never happen in a snapshot map) are odd.
-	if _, complete := ChainValueIndexer(42, "zone"); complete {
-		t.Fatal("non-chain value claimed complete extraction")
+	// sys.indexes counts the runs' references — one per version that is
+	// not a tombstone: 60 at s1, the 55 live keys of the full snapshot at
+	// s2 — and the probes they served.
+	infos := store.IndexInfos()
+	if len(infos) != 1 || infos[0].Entries != 115 || infos[0].Bytes == 0 || infos[0].Lookups == 0 {
+		t.Fatalf("IndexInfos = %+v; want one index with 115 entries, bytes and lookups", infos)
 	}
 }
 

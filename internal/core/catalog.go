@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 
@@ -316,9 +317,9 @@ func (t *TableRef) ScanPartition(ssid int64, p int, fn func(TableRow) bool) {
 }
 
 // ScanPartitionSpec reads one partition under the spec, handing fn the
-// rows a chunk at a time: each chunk of at most kv.ScanBatch copied entries
-// is decoded in one loop — every snapshot chain resolved at the spec's
-// SSID — before fn sees any of its rows. false from fn stops the read.
+// rows a chunk of at most kv.ScanBatch rows at a time — every snapshot key
+// resolved at the spec's SSID — before fn sees any of its rows. false from
+// fn stops the read.
 func (t *TableRef) ScanPartitionSpec(p int, spec ScanSpec, fn func([]TableRow) bool) {
 	t.scanPartition(p, spec, false, fn)
 }
@@ -359,28 +360,51 @@ func (t *TableRef) Seed(seed func(p int, rows []TableRow)) {
 // it after Detach returns, though one already in flight may complete.
 func (t *TableRef) Detach(tap kv.Tap) { t.m.DetachTap(tap) }
 
-// decode turns one stored entry into the table row a query sees at ssid;
-// ok is false when a snapshot key did not exist at that version.
-func (t *TableRef) decode(e kv.Entry, ssid int64) (TableRow, bool) {
-	if !t.snapshot {
-		return TableRow{Key: e.Key, Raw: e.Value}, true
-	}
-	v, ok := e.Value.(*Chain).At(ssid)
-	if !ok {
-		return TableRow{}, false
-	}
-	return TableRow{Key: e.Key, SSID: v.SSID, Raw: v.Value}, true
-}
-
-// decodeChunk decodes a chunk of copied entries into rows, reused.
-func (t *TableRef) decodeChunk(es []kv.Entry, ssid int64, rows []TableRow) []TableRow {
+// decodeChunk decodes a chunk of a live partition's copied entries into
+// rows, reused.
+func decodeChunk(es []kv.Entry, rows []TableRow) []TableRow {
 	rows = rows[:0]
 	for _, e := range es {
-		if r, ok := t.decode(e, ssid); ok {
-			rows = append(rows, r)
-		}
+		rows = append(rows, TableRow{Key: e.Key, Raw: e.Value})
 	}
 	return rows
+}
+
+// runTableRow returns row i of run r as a snapshot table row.
+func runTableRow(r *run, i int) TableRow {
+	return TableRow{Key: r.keys[i], SSID: r.ssid[i], Raw: r.vals[i]}
+}
+
+// chunker hands a scan's rows to its callback at most kv.ScanBatch at a
+// time, polling done before each chunk.
+type chunker struct {
+	rows []TableRow
+	done <-chan struct{}
+	fn   func([]TableRow) bool
+}
+
+// add appends one row, handing over a full chunk; false stops the scan.
+func (c *chunker) add(r TableRow) bool {
+	c.rows = append(c.rows, r)
+	return len(c.rows) < kv.ScanBatch || c.flush()
+}
+
+// flush hands over the rows gathered so far.
+func (c *chunker) flush() bool {
+	if len(c.rows) == 0 {
+		return true
+	}
+	if c.done != nil {
+		select {
+		case <-c.done:
+			return false
+		default:
+		}
+	}
+	n := len(c.rows)
+	more := c.fn(c.rows[:n:n])
+	c.rows = c.rows[:0]
+	return more
 }
 
 func (t *TableRef) scanPartition(p int, spec ScanSpec, backup bool, fn func([]TableRow) bool) {
@@ -414,9 +438,24 @@ func (t *TableRef) scanPartition(p int, spec ScanSpec, backup bool, fn func([]Ta
 		return
 	}
 	m := t.mapRef()
+	if t.snapshot {
+		c := chunker{rows: buf.rows[:0], done: spec.Done, fn: fn}
+		rs := asRuns(m.Frozen(p, backup))
+		// The degraded read is never indexed, like the backup replica it
+		// reads. An index serves only when the map defines a ready one.
+		if lk, ok := spec.Path.lookup(); ok && !backup && m.HasIndex(lk.Col, lk.Range) {
+			m.IndexServed(lk)
+			rs.eachIndexed(lk, spec.SSID, func(r *run, i int) bool { return c.add(runTableRow(r, i)) })
+		} else {
+			rs.each(spec.SSID, func(r *run, i int) bool { return c.add(runTableRow(r, i)) })
+		}
+		c.flush()
+		buf.rows = c.rows
+		return
+	}
 	opts := kv.ScanOpts{Done: spec.Done, Buf: &buf.entries}
 	each := func(es []kv.Entry) bool {
-		buf.rows = t.decodeChunk(es, spec.SSID, buf.rows)
+		buf.rows = decodeChunk(es, buf.rows)
 		return len(buf.rows) == 0 || fn(buf.rows)
 	}
 	if backup {
@@ -424,9 +463,6 @@ func (t *TableRef) scanPartition(p int, spec ScanSpec, backup bool, fn func([]Ta
 		m.ScanPartitionBackupWith(p, opts, each)
 		return
 	}
-	// Index-served scan. On a snapshot table the chain-union index yields
-	// every key whose *any* version could match — a superset for any SSID
-	// — and decodeChunk re-resolves At(SSID) exactly like the full scan.
 	if lk, ok := spec.Path.lookup(); ok {
 		if m.ScanPartitionIndexedWith(p, lk, opts, each) {
 			return
@@ -437,11 +473,8 @@ func (t *TableRef) scanPartition(p int, spec ScanSpec, backup bool, fn func([]Ta
 
 // Lookup is the keyed partition read: the row stored in partition p under
 // the canonical key string ks (partition.KeyString), as of snapshot ssid
-// for a snapshot table. A co-partitioned join probes it with the driving
-// row's key — both sides of a key live in the same partition (§II), so
-// the probe is local to the fragment and holds the segment read-lock no
-// longer than a Get does. Virtual tables have no keyed storage and report
-// nothing.
+// for a snapshot table — one Probe of partition p, read once. Virtual
+// tables have no keyed storage and report nothing.
 func (t *TableRef) Lookup(p int, ks string, ssid int64) (TableRow, bool) {
 	return t.lookup(p, ks, ssid, false)
 }
@@ -459,21 +492,87 @@ func (t *TableRef) LookupLocked(p int, ks string) (TableRow, bool) {
 // names one table twice.
 func (t *TableRef) SameState(o *TableRef) bool { return t.m != nil && t.m == o.m }
 
-// LookupFallback is Lookup against the partition's backup replica of the
-// snapshot table — the probe half of a degraded (PolicyFallback) read.
-func (t *TableRef) LookupFallback(p int, ks string, ssid int64) (TableRow, bool) {
-	return t.fallback().lookup(p, ks, ssid, true)
-}
-
 func (t *TableRef) lookup(p int, ks string, ssid int64, backup bool) (TableRow, bool) {
 	if t.virtual != nil {
 		return TableRow{}, false
 	}
+	if t.snapshot {
+		return lookupRuns(asRuns(t.m.Frozen(p, backup)), ks, ssid)
+	}
 	e, ok := t.mapRef().Lookup(p, ks, backup)
+	return TableRow{Key: e.Key, Raw: e.Value}, ok
+}
+
+// lookupRuns resolves ks in a snapshot partition's runs at ssid.
+func lookupRuns(rs *runSet, ks string, ssid int64) (TableRow, bool) {
+	r, i, ok := rs.get(ks, ssid)
 	if !ok {
 		return TableRow{}, false
 	}
-	return t.decode(e, ssid)
+	return runTableRow(r, i), true
+}
+
+// GetAll returns the state objects stored under keys as of snapshot ssid
+// (ignored live), nil where a key did not exist then, charging one hop per
+// node the keys live on, in first-touch order — the batched read of the
+// direct object interface.
+func (t *TableRef) GetAll(ssid int64, keys []partition.Key) []any {
+	out := make([]any, len(keys))
+	var nodes []int
+	for i, k := range keys {
+		p := t.store.Partitioner().Of(k)
+		if owner := t.PartitionOwner(p); !slices.Contains(nodes, owner) {
+			nodes = append(nodes, owner)
+		}
+		if r, ok := t.lookup(p, partition.KeyString(k), ssid, false); ok {
+			out[i] = r.Raw
+		}
+	}
+	for _, node := range nodes {
+		t.view.ChargeHop(node)
+	}
+	return out
+}
+
+// PartitionProbe is one partition of a table held for a fragment's keyed
+// reads at one snapshot id: a snapshot table's run set is read once, when
+// the probe is made, and every Lookup searches it with no lock taken.
+// A live table's Lookup reads the partition as TableRef.Lookup does.
+type PartitionProbe struct {
+	t      *TableRef
+	p      int
+	ssid   int64
+	backup bool
+	rs     *runSet
+}
+
+// Probe holds partition p of the table for keyed reads at ssid — what a
+// co-partitioned join probes the other table's copy of the partition it
+// reads through.
+func (t *TableRef) Probe(p int, ssid int64) PartitionProbe {
+	return t.probe(p, ssid, false)
+}
+
+// ProbeFallback is Probe against the partition's backup replica of the
+// snapshot table — the probe half of a degraded (PolicyFallback) read.
+func (t *TableRef) ProbeFallback(p int, ssid int64) PartitionProbe {
+	return t.fallback().probe(p, ssid, true)
+}
+
+func (t *TableRef) probe(p int, ssid int64, backup bool) PartitionProbe {
+	pr := PartitionProbe{t: t, p: p, ssid: ssid, backup: backup}
+	if t.snapshot && t.virtual == nil {
+		pr.rs = asRuns(t.m.Frozen(p, backup))
+	}
+	return pr
+}
+
+// Lookup returns the row held under the canonical key string ks.
+func (pr *PartitionProbe) Lookup(ks string) (TableRow, bool) {
+	if pr.t.snapshot && pr.t.virtual == nil {
+		return lookupRuns(pr.rs, ks, pr.ssid)
+	}
+	return pr.t.lookup(pr.p, ks, pr.ssid, pr.backup)
 }
 
 // fallback returns the table's degraded-read view: its snapshot map, the
@@ -504,24 +603,37 @@ func (t *TableRef) Sample(part int) (rows int64, schema *wire.Schema, ok bool) {
 	if t.virtual != nil {
 		return 0, nil, false
 	}
-	var usable func(kv.Entry) bool
 	if t.snapshot {
-		// A chain of tombstones alone says nothing about the rows.
-		usable = func(e kv.Entry) bool { _, live := e.Value.(*Chain).newest(); return live }
+		return t.sampleRuns(part)
 	}
-	n, e, found := t.m.Sample(part, usable)
+	n, e, found := t.m.Sample(part)
 	if !found && part >= 0 {
 		// The pruned partition holds no row to take the schema from, but
 		// the table's rows still have one: a plan must not bind
 		// differently because one partition is empty.
-		e, found = t.m.Find(usable)
+		e, found = t.m.Find()
 	}
 	if !found {
 		return int64(n), nil, true
 	}
-	v := e.Value
-	if t.snapshot {
-		v, _ = v.(*Chain).newest()
+	return int64(n), wire.FlatSchemaOf(e.Value), true
+}
+
+// sampleRuns is Sample for a snapshot table: its rows are its keys, and
+// its schema is read off a version that is not a tombstone.
+func (t *TableRef) sampleRuns(part int) (rows int64, schema *wire.Schema, ok bool) {
+	n, _, _ := t.m.Sample(part)
+	var v any
+	found := false
+	if part >= 0 {
+		v, found = asRuns(t.m.PeekFrozen(part)).sample()
+	}
+	// A pruned partition with no row still binds like the rest.
+	for q := 0; !found && q < t.Partitions(); q++ {
+		v, found = asRuns(t.m.PeekFrozen(q)).sample()
+	}
+	if !found {
+		return int64(n), nil, true
 	}
 	return int64(n), wire.FlatSchemaOf(v), true
 }
@@ -646,32 +758,31 @@ func (t *TableRef) Scan(ssid int64, fn func(TableRow) bool) {
 		t.ScanPartition(ssid, 0, fn)
 		return
 	}
-	mapName := LiveMapName(t.op)
-	if t.snapshot {
-		mapName = SnapshotMapName(t.op)
+	if !t.snapshot {
+		t.view.Scan(LiveMapName(t.op), func(e kv.Entry) bool {
+			return fn(TableRow{Key: e.Key, Raw: e.Value})
+		})
+		return
 	}
-	// Charge hops through the view by scanning via it, but decode
-	// chains ourselves for snapshot tables.
-	stop := false
-	t.view.Scan(mapName, func(e kv.Entry) bool {
-		if stop {
-			return false
+	// One message per remote node, in first-touch order, as a client scan
+	// of a live map pays.
+	var nodes []int
+	for p := 0; p < t.Partitions(); p++ {
+		if owner := t.PartitionOwner(p); !slices.Contains(nodes, owner) {
+			nodes = append(nodes, owner)
 		}
-		if t.snapshot {
-			v, ok := e.Value.(*Chain).At(ssid)
-			if !ok {
-				return true
-			}
-			if !fn(TableRow{Key: e.Key, SSID: v.SSID, Raw: v.Value}) {
-				stop = true
-				return false
-			}
-			return true
+	}
+	for _, node := range nodes {
+		t.view.ChargeHop(node)
+	}
+	for p := 0; p < t.Partitions(); p++ {
+		more := true
+		asRuns(t.m.Frozen(p, false)).each(ssid, func(r *run, i int) bool {
+			more = fn(runTableRow(r, i))
+			return more
+		})
+		if !more {
+			return
 		}
-		if !fn(TableRow{Key: e.Key, Raw: e.Value}) {
-			stop = true
-			return false
-		}
-		return true
-	})
+	}
 }

@@ -3,10 +3,11 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync"
+	"sync/atomic"
 
 	"squery/internal/kv"
-	"squery/internal/partition"
 	"squery/internal/persist"
 	"squery/internal/snapshot"
 )
@@ -19,8 +20,8 @@ type OperatorMeta struct {
 }
 
 // Manager owns the snapshot lifecycle of one job: the version registry,
-// the atomic publication of the latest committed id, and the pruning of
-// evicted versions from the state store. The dataflow checkpoint
+// the atomic publication of the latest committed id, and the retention
+// window and durable horizon its backends' snapshot merges obey. The dataflow checkpoint
 // coordinator drives it: Begin → (operators prepare) → Commit.
 type Manager struct {
 	store *kv.Store
@@ -32,36 +33,31 @@ type Manager struct {
 	persistPolicy PersistPolicy
 	lastPersist   PersistInfo
 
-	// Changed-key index: every snapshot-chain write of a backend this
-	// manager made (see NewBackend) is reported here, so commit-time work —
-	// collecting the persisted delta and compacting version chains — walks
-	// just the keys that changed, never whole maps. `changed` holds keys
-	// not yet persisted durably; `pruneDue` holds keys whose chains may
-	// still compact further.
-	changeMu sync.Mutex
-	changed  map[string]map[string]partition.Key
-	pruneDue map[string]map[string]partition.Key
+	// durable is the last snapshot id stable storage holds while a
+	// persister is attached, MaxInt64 otherwise: snapshot runs above it
+	// stay unmerged until it reaches them (runSet.plan), so a persisted
+	// commit finds its delta in runs of its own.
+	durable atomic.Int64
 }
 
 // NewManager creates a manager over the store retaining `retention`
 // committed snapshot versions (<1 selects the paper's default of 2).
 func NewManager(store *kv.Store, retention int) *Manager {
-	return &Manager{
-		store:    store,
-		reg:      snapshot.NewRegistry(retention),
-		ops:      make(map[string]OperatorMeta),
-		changed:  make(map[string]map[string]partition.Key),
-		pruneDue: make(map[string]map[string]partition.Key),
+	m := &Manager{
+		store: store,
+		reg:   snapshot.NewRegistry(retention),
+		ops:   make(map[string]OperatorMeta),
 	}
+	m.durable.Store(math.MaxInt64)
+	return m
 }
 
 // NewBackend creates the state backend of one instance of an operator
-// whose snapshots this manager commits. It is the one place a backend is
-// tied to the changed-key index: Commit persists and prunes only keys
-// reported to it, so a backend writing snapshot chains under this manager
-// must be made here. The backend owns the instance's share of the
-// partitions by the registered parallelism (all of them for an operator
-// not registered).
+// whose snapshots this manager commits. Its drains merge snapshot runs
+// against the manager's retention window and durable horizon, so a
+// backend writing snapshots under this manager must be made here. The
+// backend owns the instance's share of the partitions by the registered
+// parallelism (all of them for an operator not registered).
 func (m *Manager) NewBackend(op string, instance int, view kv.NodeView, cfg Config) *Backend {
 	par := 1
 	m.mu.Lock()
@@ -70,103 +66,13 @@ func (m *Manager) NewBackend(op string, instance int, view kv.NodeView, cfg Conf
 	}
 	m.mu.Unlock()
 	b := newBackend(op, instance, par, view, cfg)
-	b.onChange = m.noteChanged
+	b.horizon = m.horizon
 	return b
 }
 
-// noteChanged records that snapshot-chain versions were written for keys
-// of op — the commit-side half of O(delta) checkpoints.
-func (m *Manager) noteChanged(op string, keys []partition.Key) {
-	if len(keys) == 0 {
-		return
-	}
-	so := sanitize(op)
-	m.changeMu.Lock()
-	defer m.changeMu.Unlock()
-	cm := m.changed[so]
-	if cm == nil {
-		cm = make(map[string]partition.Key, len(keys))
-		m.changed[so] = cm
-	}
-	pm := m.pruneDue[so]
-	if pm == nil {
-		pm = make(map[string]partition.Key, len(keys))
-		m.pruneDue[so] = pm
-	}
-	for _, k := range keys {
-		ks := partition.KeyString(k)
-		cm[ks] = k
-		pm[ks] = k
-	}
-}
-
-// takeChanged removes and returns op's not-yet-durable key set.
-func (m *Manager) takeChanged(op string) map[string]partition.Key {
-	m.changeMu.Lock()
-	defer m.changeMu.Unlock()
-	out := m.changed[op]
-	delete(m.changed, op)
-	return out
-}
-
-// mergeChanged re-files keys whose chains were not fully covered by the
-// snapshot just persisted (versions beyond the cut). Writes noted since
-// takeChanged win.
-func (m *Manager) mergeChanged(op string, keys map[string]partition.Key) {
-	if len(keys) == 0 {
-		return
-	}
-	m.changeMu.Lock()
-	defer m.changeMu.Unlock()
-	cm := m.changed[op]
-	if cm == nil {
-		m.changed[op] = keys
-		return
-	}
-	for ks, k := range keys {
-		if _, ok := cm[ks]; !ok {
-			cm[ks] = k
-		}
-	}
-}
-
-// takePruneDue removes and returns op's may-compact-further key set.
-func (m *Manager) takePruneDue(op string) map[string]partition.Key {
-	m.changeMu.Lock()
-	defer m.changeMu.Unlock()
-	out := m.pruneDue[op]
-	delete(m.pruneDue, op)
-	return out
-}
-
-// mergePruneDue re-files keys whose chains still hold more than their
-// stable base version.
-func (m *Manager) mergePruneDue(op string, keys map[string]partition.Key) {
-	if len(keys) == 0 {
-		return
-	}
-	m.changeMu.Lock()
-	defer m.changeMu.Unlock()
-	pm := m.pruneDue[op]
-	if pm == nil {
-		m.pruneDue[op] = keys
-		return
-	}
-	for ks, k := range keys {
-		if _, ok := pm[ks]; !ok {
-			pm[ks] = k
-		}
-	}
-}
-
-// dropChanged empties the whole not-yet-durable index — called when no
-// persister is attached, so the index cannot grow without a consumer.
-func (m *Manager) dropChanged() {
-	m.changeMu.Lock()
-	defer m.changeMu.Unlock()
-	for op := range m.changed {
-		delete(m.changed, op)
-	}
+// horizon returns the oldest retained snapshot id and the durable one.
+func (m *Manager) horizon() (oldest, durable int64) {
+	return m.reg.OldestRetained(), m.durable.Load()
 }
 
 // Registry exposes the snapshot version registry.
@@ -214,11 +120,11 @@ func (m *Manager) Abort(ssid int64) { m.reg.Abort(ssid) }
 var ErrPruneFailed = errors.New("core: pruning persisted snapshots failed")
 
 // Commit atomically publishes ssid as the latest committed snapshot
-// (phase 2 of the paper's 2PC) and prunes versions evicted by the
-// retention policy from every registered operator's snapshot state. It
-// returns the evicted ids. When the durable copy cannot be written the
-// error is returned with nothing published — the caller aborts the id, and
-// the keys the commit would have persisted stay filed for the next one. An
+// (phase 2 of the paper's 2PC) and drops the Jet-baseline blobs and the
+// persisted snapshots the retention policy evicts. It returns the evicted
+// ids. When the durable copy cannot be written the error is returned with
+// nothing published — the caller aborts the id, and the versions the
+// commit would have persisted stay in unmerged runs for the next one. An
 // error wrapping ErrPruneFailed is the one failure after publication.
 func (m *Manager) Commit(ssid int64) ([]int64, error) {
 	// Stable storage first: once the registry publishes the id, queries
@@ -241,13 +147,10 @@ func (m *Manager) Commit(ssid int64) ([]int64, error) {
 	return evicted, nil
 }
 
-// prune removes evicted snapshot versions. Chains are compacted against
-// the oldest retained id (keeping one base version per key); blob
-// snapshots are deleted outright. All writes are issued from the owning
-// node — pruning, like snapshotting, is local work — and the walk is
-// O(delta): it visits the chains the changed-key index filed.
+// prune deletes the Jet-baseline blobs of evicted snapshot ids. Snapshot
+// runs need no pass here: the drains merge them against the retention
+// window, off the commit path. All writes are issued from the owning node.
 func (m *Manager) prune(evicted []int64) {
-	oldest := m.reg.OldestRetained()
 	m.mu.Lock()
 	ops := make([]OperatorMeta, 0, len(m.ops))
 	for _, meta := range m.ops {
@@ -257,53 +160,15 @@ func (m *Manager) prune(evicted []int64) {
 
 	assign := m.store.Assignment()
 	for _, meta := range ops {
-		if meta.Config.JetBlob {
-			for inst := 0; inst < meta.Parallelism; inst++ {
-				for _, ev := range evicted {
-					key := blobKey(inst, ev)
-					owner := assign.Owner(m.store.Partitioner().Of(key))
-					m.store.View(owner).Delete(blobMapName(meta.Name), key)
-				}
-			}
+		if !meta.Config.JetBlob {
 			continue
 		}
-		if !meta.Config.Snapshots {
-			continue
-		}
-		name := SnapshotMapName(meta.Name)
-		if !m.store.HasMap(name) {
-			continue
-		}
-		// Only chains written since the last prune can have anything left
-		// to compact — untouched chains were already reduced to a stable
-		// base (or hold a single version pruning would keep anyway).
-		op := sanitize(meta.Name)
-		idx := m.takePruneDue(op)
-		keep := make(map[string]partition.Key)
-		for ks, key := range idx {
-			view := m.store.View(assign.Owner(m.store.Partitioner().Of(key)))
-			cur, ok := view.Get(name, key)
-			if !ok {
-				continue
-			}
-			chain := cur.(*Chain)
-			if pruned := chain.Prune(oldest); pruned != chain {
-				if pruned.Len() == 0 {
-					view.Delete(name, key)
-				} else {
-					view.Put(name, key, pruned)
-				}
-				chain = pruned
-			}
-			// A chain is stable — no future prune changes it — once it
-			// holds just one version at or below the horizon; everything
-			// else stays filed for the next pass.
-			if chain.Len() > 1 {
-				keep[ks] = key
-			} else if nw, ok := chain.Newest(); ok && nw.SSID > oldest {
-				keep[ks] = key
+		for inst := 0; inst < meta.Parallelism; inst++ {
+			for _, ev := range evicted {
+				key := blobKey(inst, ev)
+				owner := assign.Owner(m.store.Partitioner().Of(key))
+				m.store.View(owner).Delete(blobMapName(meta.Name), key)
 			}
 		}
-		m.mergePruneDue(op, keep)
 	}
 }

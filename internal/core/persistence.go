@@ -2,9 +2,9 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"squery/internal/kv"
-	"squery/internal/partition"
 	"squery/internal/persist"
 )
 
@@ -16,11 +16,13 @@ import (
 // Snapshots persist incrementally: each commit writes, per operator, a
 // delta segment holding only the versions minted since the last durable
 // snapshot (upserts and tombstones), chained to that snapshot as its
-// base. The delta window is computed from the version chains, not the
-// backends' in-memory dirty sets — chains survive aborted checkpoint
-// rounds (a version written at an aborted id still governs later reads),
-// so the durable delta never loses a key to an abort between commits.
-// The chains are bounded: when one would grow past deltaChainCap, or the
+// base. The delta window is computed from the snapshot runs, not the
+// backends' in-memory dirty sets — runs survive aborted checkpoint rounds
+// (a version written at an aborted id still governs later reads), so the
+// durable delta never loses a key to an abort between commits; and since
+// no merge folds a run above the last durable id, the window's versions
+// sit in the few runs drained since, and collecting them is O(delta).
+// The persisted chains are bounded: when one would grow past deltaChainCap, or the
 // delta stops being small relative to the live state (compactRatio), the
 // commit folds everything into a fresh full segment instead (compaction)
 // and the chain restarts.
@@ -30,7 +32,7 @@ const (
 	// before a commit folds them into a new full segment.
 	deltaChainCap = 8
 	// compactRatio folds to a full segment when the delta holds at least
-	// this fraction of the operator's chains — at that size the delta stops
+	// this fraction of the operator's keys — at that size the delta stops
 	// being cheaper than a compacting full write.
 	compactRatio = 0.5
 )
@@ -68,6 +70,11 @@ func (m *Manager) SetPersister(p *persist.Store) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.persister = p
+	durable := int64(math.MaxInt64)
+	if p != nil {
+		durable, _ = p.Latest()
+	}
+	m.durable.Store(durable)
 }
 
 // SetPersistPolicy overrides the full-vs-delta policy for persisted
@@ -107,22 +114,8 @@ func (m *Manager) persistCommitted(ssid int64) (err error) {
 	}
 	m.mu.Unlock()
 	if p == nil {
-		// No consumer for the not-yet-durable index: drop it, or it would
-		// accumulate every key ever snapshotted.
-		m.dropChanged()
 		return nil
 	}
-	// Key sets taken off the changed-key index below are durable only
-	// once the manifest commits: on any failure they are filed back, or
-	// the next successful delta would silently lack them.
-	taken := make(map[string]map[string]partition.Key)
-	defer func() {
-		if err != nil {
-			for op, idx := range taken {
-				m.mergeChanged(op, idx)
-			}
-		}
-	}()
 	statsBefore := p.Stats()
 	lastDurable, err := p.Latest()
 	if err != nil {
@@ -151,33 +144,7 @@ func (m *Manager) persistCommitted(ssid int64) (err error) {
 		}
 		op := sanitize(meta.Name)
 		snapMap := m.store.GetMap(name)
-
-		// Collect the delta window (lastDurable, ssid] — every version
-		// minted since the last durable snapshot, tombstones included — by
-		// walking the keys written since the last durable commit.
-		idx := m.takeChanged(op)
-		taken[op] = idx
-		deltas := make([]persist.DeltaEntry, 0, len(idx))
-		carry := make(map[string]partition.Key)
-		assign := m.store.Assignment()
-		for ks, key := range idx {
-			cur, ok := m.store.View(assign.Owner(m.store.Partitioner().Of(key))).Get(name, key)
-			if !ok {
-				continue
-			}
-			chain := cur.(*Chain)
-			// Versions beyond this cut are not made durable here; the
-			// key stays filed for the next commit.
-			if nw, ok := chain.Newest(); ok && nw.SSID > ssid {
-				carry[ks] = key
-			}
-			v, ok := chain.Governing(ssid)
-			if !ok || v.SSID <= lastDurable {
-				continue
-			}
-			deltas = append(deltas, persist.DeltaEntry{Key: key, Value: v.Value, Tombstone: v.Tombstone})
-		}
-		m.mergeChanged(op, carry)
+		deltas := deltaWindow(snapMap, lastDurable, ssid)
 
 		full := pol.FullOnly || lastDurable == 0 || !baseOps[op]
 		chainLen := 0
@@ -188,9 +155,8 @@ func (m *Manager) persistCommitted(ssid int64) (err error) {
 			}
 			// Compaction triggers: the chain is at its length cap, or the
 			// delta is no longer small relative to the live state. Size
-			// counts chains, including pure-tombstone ones — a slight
-			// overcount of the live set that only delays the trigger
-			// marginally.
+			// counts keys, including tombstoned ones — a slight overcount
+			// of the live set that only delays the trigger marginally.
 			if chainLen >= deltaChainCap || float64(len(deltas)) >= compactRatio*float64(snapMap.Size()) {
 				full = true
 				info.Compactions++
@@ -199,10 +165,8 @@ func (m *Manager) persistCommitted(ssid int64) (err error) {
 		if full {
 			entries := make([]persist.Entry, 0, snapMap.Size())
 			for part := 0; part < m.store.Partitioner().Count(); part++ {
-				snapMap.ScanPartition(part, func(e kv.Entry) bool {
-					if v, ok := e.Value.(*Chain).At(ssid); ok {
-						entries = append(entries, persist.Entry{Key: e.Key, Value: v.Value})
-					}
+				asRuns(snapMap.PeekFrozen(part)).each(ssid, func(r *run, i int) bool {
+					entries = append(entries, persist.Entry{Key: r.keys[i], Value: r.vals[i]})
 					return true
 				})
 			}
@@ -225,6 +189,7 @@ func (m *Manager) persistCommitted(ssid int64) (err error) {
 	if err := p.Commit(ssid); err != nil {
 		return err
 	}
+	m.durable.Store(ssid)
 	switch {
 	case info.DeltaSegs > 0 && info.FullSegs > 0:
 		info.Mode = "mixed"
@@ -240,10 +205,61 @@ func (m *Manager) persistCommitted(ssid int64) (err error) {
 	return nil
 }
 
+// ownerView returns the view of partition p's owner: the manager's own
+// writes are local work, like a drain's.
+func (m *Manager) ownerView(p int) kv.NodeView {
+	return m.store.View(m.store.Assignment().Owner(p))
+}
+
+// deltaWindow collects the delta window (lastDurable, ssid] of a snapshot
+// map — every key whose version governing reads at ssid was minted after
+// the last durable snapshot, tombstones included — from the runs of each
+// partition that hold a version above lastDurable.
+func deltaWindow(snapMap *kv.Map, lastDurable, ssid int64) []persist.DeltaEntry {
+	var deltas []persist.DeltaEntry
+	var seen map[string]struct{}
+	for part := 0; part < snapMap.Store().Partitioner().Count(); part++ {
+		rs := asRuns(snapMap.PeekFrozen(part))
+		if rs == nil {
+			continue
+		}
+		var recent []*run
+		for _, r := range rs.runs {
+			if r.hi > lastDurable && r.lo <= ssid {
+				recent = append(recent, r)
+			}
+		}
+		if len(recent) > 1 {
+			clear(seen)
+			if seen == nil {
+				seen = make(map[string]struct{})
+			}
+		}
+		for _, r := range recent {
+			for i := 0; i < r.len(); i = r.groupEnd(i) {
+				ks := r.ks(i)
+				if len(recent) > 1 {
+					if _, dup := seen[ks]; dup {
+						continue
+					}
+					seen[ks] = struct{}{}
+				}
+				g, gi := rs.governing(r.hash[i], ks, ssid)
+				if gi < 0 || g.ssid[gi] <= lastDurable {
+					continue
+				}
+				deltas = append(deltas, persist.DeltaEntry{Key: g.keys[gi], Value: g.vals[gi], Tombstone: g.tombstone(gi)})
+			}
+		}
+	}
+	return deltas
+}
+
 // ImportPersisted cold-starts the manager's registry and snapshot maps
 // from the latest snapshot in stable storage, replaying base + delta
-// chain when the snapshot was persisted incrementally. It must be called
-// on a fresh manager, with the target operators already registered,
+// chain when the snapshot was persisted incrementally: each operator's
+// state becomes one run per partition at the imported id. It must be
+// called on a fresh manager, with the target operators already registered,
 // before any checkpoint runs. It returns the imported snapshot id (0
 // when the store is empty).
 func (m *Manager) ImportPersisted(p *persist.Store) (int64, error) {
@@ -258,22 +274,16 @@ func (m *Manager) ImportPersisted(p *persist.Store) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	assign := m.store.Assignment()
 	for _, op := range ops {
 		entries, err := p.ReadState(latest, op)
 		if err != nil {
 			return 0, err
 		}
-		name := SnapshotMapName(op)
-		for _, e := range entries {
-			owner := assign.Owner(m.store.Partitioner().Of(e.Key))
-			view := m.store.View(owner)
-			var chain *Chain
-			if cur, ok := view.Get(name, e.Key); ok {
-				chain = cur.(*Chain)
-			}
-			view.Put(name, e.Key, chain.With(Versioned{SSID: latest, Value: e.Value}))
+		kvs := make([]keyedVersion, len(entries))
+		for i, e := range entries {
+			kvs[i] = keyedVersion{key: e.Key, value: e.Value}
 		}
+		writeRuns(m.ownerView, m.store.GetMap(SnapshotMapName(op)), latest, kvs)
 	}
 	if err := m.reg.Seed([]int64{latest}); err != nil {
 		return 0, fmt.Errorf("core: importing persisted snapshot: %w", err)

@@ -2,8 +2,12 @@ package core
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"fmt"
+	"math"
+	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -124,10 +128,12 @@ type Backend struct {
 	updateSeq   uint64
 	sampleEvery uint64
 
-	// onChange is told about every snapshot-chain write: the changed-key
-	// index of the manager that made this backend (Manager.NewBackend), nil
-	// for a backend that stands alone.
-	onChange func(op string, keys []partition.Key)
+	// horizon returns the oldest retained snapshot id and the last durable
+	// one — what a merge of the snapshot runs may drop and fold (see
+	// runSet.plan). A backend made by Manager.NewBackend reads them from
+	// its manager; one that stands alone prunes nothing and has no
+	// persister to wait for.
+	horizon func() (oldest, durable int64)
 }
 
 // NewBackend creates the state backend for instance `instance` of
@@ -158,6 +164,7 @@ func newBackend(op string, instance, par int, view kv.NodeView, cfg Config) *Bac
 		// updates get timed depends only on (seed, update index).
 		updateSeq:   uint64(cfg.LatencySampleSeed) % every,
 		sampleEvery: every,
+		horizon:     func() (int64, int64) { return 0, math.MaxInt64 },
 	}
 	if cfg.Live {
 		b.live = view.Store().GetMap(LiveMapName(op))
@@ -214,7 +221,7 @@ func (b *Backend) lookup(key partition.Key, ks string) (any, bool) {
 			return op.Value, !op.Delete
 		}
 	}
-	e, ok := b.live.Lookup(b.live.PartitionOf(key), ks, false)
+	e, ok := b.live.Peek(b.live.PartitionOf(key), ks)
 	return e.Value, ok
 }
 
@@ -315,7 +322,7 @@ func (b *Backend) Size() int {
 	b.Flush()
 	n := 0
 	b.eachPart(func(p int) bool {
-		size, _, _ := b.live.Sample(p, nil)
+		size, _, _ := b.live.Sample(p)
 		n += size
 		return true
 	})
@@ -370,7 +377,7 @@ type keyedVersion struct {
 // the barrier, captured without serializing or shipping anything. A
 // drainer later writes it into the snapshot store via DrainPin, off the
 // barrier path. Values referenced by a pin are treated as immutable —
-// the same convention that makes version chains safe to share with
+// the same convention that makes snapshot runs safe to share with
 // concurrent queries.
 type SnapshotPin struct {
 	SSID    int64
@@ -415,13 +422,122 @@ func (b *Backend) SnapshotPin(ssid int64) (*SnapshotPin, error) {
 	return &SnapshotPin{SSID: ssid, entries: entries, pinned: time.Now()}, nil
 }
 
-// DrainPin serializes and ships a pinned version set into the snapshot
-// store — the deferred half of phase 1. Safe to call from a
-// drainer goroutine concurrent with the owning worker: the KV store's
-// partition locks order the writes, pinned values are immutable, and
-// the pin's entries are no longer referenced by the backend.
+// DrainPin writes a pinned version set into the snapshot store — the
+// deferred half of phase 1: the pin's versions are grouped by partition
+// and sorted into one run per partition outside any lock, and each run is
+// swapped in under its partition's write lock. The drain then merges the
+// runs of every owned partition that is due (runSet.plan). Safe to call
+// from a drainer goroutine concurrent with the owning worker: pinned
+// values are immutable, and the pin's entries are no longer referenced by
+// the backend.
 func (b *Backend) DrainPin(pin *SnapshotPin) int {
-	return b.writeVersions(pin.SSID, pin.entries)
+	name := SnapshotMapName(b.op)
+	store := b.view.Store()
+	if len(pin.entries) == 0 && !store.HasMap(name) {
+		return 0
+	}
+	m := store.GetMap(name)
+	writeRuns(func(int) kv.NodeView { return b.view }, m, pin.SSID, pin.entries)
+	b.compact(m)
+	return len(pin.entries)
+}
+
+// writeRuns writes versions at ssid into the snapshot map m as one new run
+// per partition p they touch, through view(p): one round trip per remote
+// partition group. Within a partition a key listed twice keeps its last
+// version.
+func writeRuns(view func(p int) kv.NodeView, m *kv.Map, ssid int64, kvs []keyedVersion) {
+	if len(kvs) == 0 {
+		return
+	}
+	part := m.Store().Partitioner()
+	count := part.Count()
+	rows := make([]runRow, len(kvs))
+	parts := make([]int, len(kvs))
+	starts := make([]int, count+1)
+	for i, e := range kvs {
+		ks := partition.KeyString(e.key)
+		h := hashKey(ks)
+		// A string key is its own canonical string, so its partition
+		// (partition.Of: the key's hash modulo the count) is at hand.
+		if _, ok := e.key.(string); ok {
+			parts[i] = int(h % uint64(count))
+		} else {
+			parts[i] = part.Of(e.key)
+		}
+		starts[parts[i]+1]++
+		rows[i] = runRow{hash: h, key: e.key, ks: ks, ssid: ssid, tomb: e.tombstone, val: e.value}
+	}
+	for p := 1; p <= count; p++ {
+		starts[p] += starts[p-1]
+	}
+	byPart := make([]runRow, len(rows))
+	next := append([]int(nil), starts[:count]...)
+	for i, p := range parts {
+		byPart[next[p]] = rows[i]
+		next[p]++
+	}
+	ixs := m.Indexes()
+	for p := 0; p < count; p++ {
+		g := byPart[starts[p]:starts[p+1]]
+		if len(g) == 0 {
+			continue
+		}
+		slices.SortStableFunc(g, func(a, b runRow) int {
+			if c := cmp.Compare(a.hash, b.hash); c != 0 {
+				return c
+			}
+			return strings.Compare(a.ks, b.ks)
+		})
+		g = dedupLast(g)
+		r := newRun(g, ixs)
+		keys, all := rowSizes(g)
+		view(p).SwapFrozen(m.Name(), p, len(g), keys, all, func(cur kv.Frozen) (kv.Frozen, bool) {
+			return asRuns(cur).with(r), true
+		})
+	}
+}
+
+// dedupLast drops all but the last of each run of rows with one key.
+func dedupLast(g []runRow) []runRow {
+	out := g[:0]
+	for i := range g {
+		if i+1 < len(g) && g[i+1].hash == g[i].hash && g[i+1].ks == g[i].ks {
+			continue
+		}
+		out = append(out, g[i])
+	}
+	return out
+}
+
+// Compact runs every merge the instance's partitions of its snapshot map
+// are due — what a drain does after writing its runs, for a drainer to run
+// after a commit moved the retention window and the durable id. Safe to
+// call from the goroutine that drains the instance's pins.
+func (b *Backend) Compact() {
+	name := SnapshotMapName(b.op)
+	if b.cfg.Snapshots && b.view.Store().HasMap(name) {
+		b.compact(b.view.Store().GetMap(name))
+	}
+}
+
+// compact runs every merge the instance's partitions of the snapshot map
+// m are due, off the commit path. A merge is computed outside the lock
+// and swapped in only if the partition still holds the runs it merged.
+func (b *Backend) compact(m *kv.Map) {
+	oldest, durable := b.horizon()
+	ixs := m.Indexes()
+	b.eachPart(func(p int) bool {
+		at, ws, ok := asRuns(m.PeekFrozen(p)).plan(oldest, durable)
+		if !ok {
+			return true
+		}
+		merged, dropped := mergeRuns(ws, oldest, at == 0, ixs)
+		b.view.SwapFrozen(m.Name(), p, 0, nil, nil, func(cur kv.Frozen) (kv.Frozen, bool) {
+			return asRuns(cur).replaced(at, ws, merged, dropped)
+		})
+		return true
+	})
 }
 
 // FoldPins merges an abandoned pin (its checkpoint round aborted before
@@ -469,7 +585,7 @@ func (b *Backend) dirtyEntries() []keyedVersion {
 		} else {
 			// Key was deleted since the last checkpoint; the tombstone
 			// must live under the original key so it lands in (and
-			// shadows) the same chain as earlier versions.
+			// shadows) the key's earlier versions.
 			out = append(out, keyedVersion{key: key, tombstone: true})
 		}
 	}
@@ -486,31 +602,6 @@ func (b *Backend) deletedEntries() []keyedVersion {
 		}
 	}
 	return out
-}
-
-func (b *Backend) writeVersions(ssid int64, kvs []keyedVersion) int {
-	if len(kvs) == 0 {
-		return 0
-	}
-	name := SnapshotMapName(b.op)
-	keys := make([]partition.Key, len(kvs))
-	for i := range kvs {
-		keys[i] = kvs[i].key
-	}
-	// The chain extension runs where the partition lives: one round trip
-	// per remote partition group, not a Get and a Put per key.
-	b.view.ApplyBatch(name, keys, func(i int, _ partition.Key, cur any, ok bool) (any, bool) {
-		var chain *Chain
-		if ok {
-			chain = cur.(*Chain)
-		}
-		e := kvs[i]
-		return chain.With(Versioned{SSID: ssid, Value: e.value, Tombstone: e.tombstone}), true
-	})
-	if b.onChange != nil {
-		b.onChange(b.op, keys)
-	}
-	return len(kvs)
 }
 
 // blobKey addresses one instance's blob for one snapshot. Append-based:
@@ -565,9 +656,14 @@ func (b *Backend) Restore(ssid int64) error {
 		b.reset(func(p int) map[string]kv.Entry { return parts[p] })
 		return nil
 	}
-	b.reset(b.readParts(SnapshotMapName(b.op), func(e kv.Entry) (kv.Entry, bool) {
-		v, ok := e.Value.(*Chain).At(ssid)
-		return kv.Entry{Key: e.Key, Value: v.Value}, ok
+	snap := b.view.Store().GetMap(SnapshotMapName(b.op))
+	b.reset(b.readParts(func(p int) map[string]kv.Entry {
+		out := make(map[string]kv.Entry)
+		asRuns(snap.Frozen(p, false)).each(ssid, func(r *run, i int) bool {
+			out[r.ks(i)] = kv.Entry{Key: r.keys[i], Value: r.vals[i]}
+			return true
+		})
+		return out
 	}))
 	return nil
 }
@@ -616,20 +712,64 @@ func (b *Backend) readBlob(ssid int64) (map[int]map[string]kv.Entry, error) {
 // the active-standby replica — the failover path of §VII's read-committed
 // setup. Unlike Restore there is no rollback: the replica was updated
 // synchronously with the primary, so the promoted state is exactly the
-// primary's state at the moment of failure.
+// primary's state at the moment of failure. The keys changed since the
+// last pin went with the failed primary's dirty set, so with Snapshots set
+// every owned key whose promoted value differs from its newest snapshot
+// version is marked dirty again, and every key the snapshot holds and the
+// replica lacks is marked for a tombstone: the next snapshot then carries
+// every change the failover kept.
 func (b *Backend) PromoteStandby() error {
 	if !b.cfg.ActiveStandby {
 		return fmt.Errorf("core: operator %q has no active standby", b.op)
 	}
-	b.reset(b.readParts(standbyMapName(b.op), func(e kv.Entry) (kv.Entry, bool) { return e, true }))
+	standby := b.view.Store().GetMap(standbyMapName(b.op))
+	snapName := SnapshotMapName(b.op)
+	var snap *kv.Map
+	if b.cfg.Snapshots && b.view.Store().HasMap(snapName) {
+		snap = b.view.Store().GetMap(snapName)
+	}
+	b.reset(b.readParts(func(p int) map[string]kv.Entry {
+		entries := make(map[string]kv.Entry)
+		standby.ScanPartition(p, func(e kv.Entry) bool {
+			entries[partition.KeyString(e.Key)] = e
+			return true
+		})
+		if snap != nil {
+			b.markChanged(asRuns(snap.PeekFrozen(p)), entries)
+		}
+		return entries
+	}))
 	return nil
+}
+
+// markChanged files as dirty every key of a promoted partition's entries
+// whose value differs from its newest version in the partition's snapshot
+// runs rs, and every key rs holds that entries lacks.
+func (b *Backend) markChanged(rs *runSet, entries map[string]kv.Entry) {
+	for ks, e := range entries {
+		r, i := rs.governing(hashKey(ks), ks, math.MaxInt64)
+		if i < 0 || r.tombstone(i) || !reflect.DeepEqual(r.vals[i], e.Value) {
+			b.dirty[ks] = e.Key
+		}
+	}
+	rs.each(math.MaxInt64, func(r *run, i int) bool {
+		if ks := r.ks(i); !hasEntry(entries, ks) {
+			b.dirty[ks] = r.keys[i]
+		}
+		return true
+	})
+}
+
+func hasEntry(entries map[string]kv.Entry, ks string) bool {
+	_, ok := entries[ks]
+	return ok
 }
 
 // reset replaces the instance's state with read(p) for every owned
 // partition p (nil reads as empty). With Live set each partition goes to
 // the live map through kv's wholesale replacement; otherwise the private
-// map is rebuilt. The dirty set and the write-behind batch are dropped:
-// they belong to the state being replaced.
+// map is rebuilt. The dirty set and the write-behind batch are dropped
+// before the first read: they belong to the state being replaced.
 func (b *Backend) reset(read func(p int) map[string]kv.Entry) {
 	b.dirty = make(map[string]partition.Key)
 	b.pending, b.pendingKS = b.pending[:0], b.pendingKS[:0]
@@ -652,23 +792,13 @@ func (b *Backend) reset(read func(p int) map[string]kv.Entry) {
 	})
 }
 
-// readParts returns reset's reader over the named map: partition p reads
-// as the state entries keep makes of a point-in-time copy of the map's
-// partition p, charging one hop when p lives on another node than the
-// instance's.
-func (b *Backend) readParts(mapName string, keep func(kv.Entry) (kv.Entry, bool)) func(p int) map[string]kv.Entry {
-	m := b.view.Store().GetMap(mapName)
+// readParts returns reset's reader: partition p reads as read(p), charging
+// one hop when p lives on another node than the instance's.
+func (b *Backend) readParts(read func(p int) map[string]kv.Entry) func(p int) map[string]kv.Entry {
 	return func(p int) map[string]kv.Entry {
 		if owner := b.view.Store().Assignment().Owner(p); owner != b.view.Node() {
 			b.view.ChargeHop(owner)
 		}
-		out := make(map[string]kv.Entry)
-		m.ScanPartition(p, func(e kv.Entry) bool {
-			if e, ok := keep(e); ok {
-				out[partition.KeyString(e.Key)] = e
-			}
-			return true
-		})
-		return out
+		return read(p)
 	}
 }

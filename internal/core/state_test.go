@@ -101,12 +101,12 @@ func TestFullSnapshotWritesAllKeys(t *testing.T) {
 		t.Fatalf("second full snapshot wrote %d, want 10", n)
 	}
 	// Each key's chain now has two versions.
-	v, ok := store.View(0).Get(SnapshotMapName("op"), 3)
-	if !ok {
+	vs := SnapshotVersions(store, "op", 3)
+	if len(vs) == 0 {
 		t.Fatal("snapshot entry missing")
 	}
-	if c := v.(*Chain); c.Len() != 2 {
-		t.Fatalf("chain Len = %d, want 2", c.Len())
+	if len(vs) != 2 {
+		t.Fatalf("versions = %d, want 2", len(vs))
 	}
 }
 
@@ -127,14 +127,12 @@ func TestIncrementalSnapshotWritesOnlyDirty(t *testing.T) {
 		t.Fatalf("second incremental wrote %d, want 7", n)
 	}
 	// An unchanged key resolves at ssid 2 through its ssid-1 version.
-	v, _ := store.View(0).Get(SnapshotMapName("op"), 50)
-	got, ok := v.(*Chain).At(2)
+	got, ok := SnapshotAt(store, "op", 50, 2)
 	if !ok || got.Value != 50 || got.SSID != 1 {
 		t.Fatalf("At(2) for unchanged key = %+v, %v", got, ok)
 	}
 	// A changed key resolves to its new version.
-	v, _ = store.View(0).Get(SnapshotMapName("op"), 3)
-	got, _ = v.(*Chain).At(2)
+	got, _ = SnapshotAt(store, "op", 3, 2)
 	if got.Value != 1003 || got.SSID != 2 {
 		t.Fatalf("At(2) for changed key = %+v", got)
 	}
@@ -149,11 +147,10 @@ func TestIncrementalSnapshotTombstone(t *testing.T) {
 	if n, _ := b.SnapshotPrepare(2); n != 1 {
 		t.Fatalf("tombstone snapshot wrote %d entries, want 1", n)
 	}
-	v, _ := store.View(0).Get(SnapshotMapName("op"), "gone")
-	if _, ok := v.(*Chain).At(2); ok {
+	if _, ok := SnapshotAt(store, "op", "gone", 2); ok {
 		t.Fatal("deleted key visible at ssid 2")
 	}
-	if got, ok := v.(*Chain).At(1); !ok || got.Value != 1 {
+	if got, ok := SnapshotAt(store, "op", "gone", 1); !ok || got.Value != 1 {
 		t.Fatal("key missing at ssid 1")
 	}
 }
@@ -349,15 +346,13 @@ func TestFullSnapshotTombstonesDeletedKeys(t *testing.T) {
 	b.Delete("gone")
 	b.SnapshotPrepare(2)
 
-	v, _ := store.View(0).Get(SnapshotMapName("op"), "gone")
-	if _, ok := v.(*Chain).At(2); ok {
+	if _, ok := SnapshotAt(store, "op", "gone", 2); ok {
 		t.Fatal("deleted key visible at ssid 2 in full mode")
 	}
-	if got, ok := v.(*Chain).At(1); !ok || got.Value != 1 {
+	if got, ok := SnapshotAt(store, "op", "gone", 1); !ok || got.Value != 1 {
 		t.Fatal("key missing at ssid 1")
 	}
-	v, _ = store.View(0).Get(SnapshotMapName("op"), "kept")
-	if got, ok := v.(*Chain).At(2); !ok || got.Value != 2 {
+	if got, ok := SnapshotAt(store, "op", "kept", 2); !ok || got.Value != 2 {
 		t.Fatal("kept key wrong at ssid 2")
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"squery/internal/chaos"
 	"squery/internal/core"
 	"squery/internal/kv"
+	"squery/internal/partition"
 )
 
 // TestSnapshotIsConsistentCut verifies the serializable-isolation claim
@@ -136,14 +137,9 @@ func TestKillDuringCheckpointAbortsExactlyOnce(t *testing.T) {
 
 func snapshotCounts(clu interface{ Store() *kv.Store }, op string, ssid int64) map[string]int {
 	out := map[string]int{}
-	store := clu.Store()
-	for p := 0; p < store.Partitioner().Count(); p++ {
-		store.GetMap(core.SnapshotMapName(op)).ScanPartition(p, func(e kv.Entry) bool {
-			if v, ok := e.Value.(*core.Chain).At(ssid); ok {
-				out[fmt.Sprintf("%v", e.Key)] = v.Value.(countingState).Count
-			}
-			return true
-		})
-	}
+	core.SnapshotScan(clu.Store(), op, ssid, func(key partition.Key, v core.Versioned) bool {
+		out[fmt.Sprintf("%v", key)] = v.Value.(countingState).Count
+		return true
+	})
 	return out
 }

@@ -422,6 +422,7 @@ func (j *Job) checkpointOnce(st *coordState, attempt int) (ckptOutcome, error) {
 	}
 	j.dropOffsets(evicted)
 	total := time.Since(start)
+	j.requestCompaction()
 
 	j.phase1Hist.Record(phase1)
 	j.totalHist.Record(total)
@@ -492,5 +493,23 @@ func (j *Job) retire(vertex string, instance int, offset int64) {
 	case j.retiredCh <- retireMsg{id: offsetKey(vertex, instance), offset: offset}:
 	default:
 		// Buffer full can only mean the job is tearing down.
+	}
+}
+
+// requestCompaction asks every drainer to merge its instance's snapshot
+// runs against the window a commit just moved — the versions the commit
+// evicted go, and the runs it made durable may fold — off the commit path.
+func (j *Job) requestCompaction() {
+	j.mu.Lock()
+	workers := j.workers
+	j.mu.Unlock()
+	for _, w := range workers {
+		if w.drain == nil {
+			continue
+		}
+		select {
+		case w.drain.compact <- struct{}{}:
+		default:
+		}
 	}
 }

@@ -38,6 +38,10 @@ type drainer struct {
 	queue   chan *core.SnapshotPin
 	killCh  chan struct{}
 	drainCh chan drainMsg
+	// compact asks for a merge pass over the instance's snapshot runs
+	// after a commit moved the retention window and the durable id; a
+	// request already pending absorbs the next.
+	compact chan struct{}
 	// carry accumulates pins whose checkpoint round aborted before their
 	// drain ran; they fold into the next live round's drain (see
 	// core.FoldPins — dropping them would lose committed-state updates).
@@ -52,6 +56,8 @@ func (d *drainer) run() {
 			return
 		case pin := <-d.queue:
 			d.process(pin)
+		case <-d.compact:
+			d.backend.Compact()
 		}
 	}
 }

@@ -580,6 +580,7 @@ func (j *Job) start(restoreSSID int64, standby bool) error {
 					queue:   make(chan *core.SnapshotPin, 4),
 					killCh:  j.killCh,
 					drainCh: j.drainCh,
+					compact: make(chan struct{}, 1),
 				}
 			}
 			w.proc = v.NewProcessor(ProcContext{

@@ -7,7 +7,6 @@ import (
 
 	"squery/internal/cluster"
 	"squery/internal/core"
-	"squery/internal/kv"
 	"squery/internal/partition"
 )
 
@@ -144,11 +143,7 @@ func TestCheckpointMidStream(t *testing.T) {
 	// Snapshot state must reflect exactly the first 50 records: keys
 	// 0..9, count 5 each.
 	total := 0
-	clu.ClientView().Scan(core.SnapshotMapName("counter"), func(e kv.Entry) bool {
-		v, ok := e.Value.(*core.Chain).At(ssid)
-		if !ok {
-			t.Fatalf("key %v missing at ssid %d", e.Key, ssid)
-		}
+	core.SnapshotScan(clu.Store(), "counter", ssid, func(_ partition.Key, v core.Versioned) bool {
 		total += v.Value.(countingState).Count
 		return true
 	})

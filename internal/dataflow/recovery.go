@@ -94,7 +94,7 @@ func (j *Job) clearLiveState() {
 // snapshot, standby and blob — so a job resubmitted under a stopped job's
 // operator names neither computes on nor serves the stopped job's state:
 // its snapshot ids restart at 1 and would otherwise resolve the old
-// chains. ClearMap keeps the tables' indexes, as in clearLiveState.
+// versions. ClearMap keeps the tables' indexes, as in clearLiveState.
 func (j *Job) clearState() {
 	store := j.clu.Store()
 	for _, op := range j.statefulOps {

@@ -128,7 +128,7 @@ func (p *windowProc) Process(rec Record, emit Emit) {
 }
 
 // copyOnWrite clones the Open map before the first mutation of this call
-// so that snapshot chains holding the previous WindowState stay frozen.
+// so that snapshot versions holding the previous WindowState stay frozen.
 func (p *windowProc) copyOnWrite(st *WindowState) {
 	cp := make(map[int64]any, len(st.Open)+1)
 	for k, v := range st.Open {

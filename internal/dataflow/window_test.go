@@ -271,11 +271,10 @@ func TestWindowStateIsQueryable(t *testing.T) {
 	if err := job.CheckpointNow(); err != nil {
 		t.Fatal(err)
 	}
-	snap, ok := clu.ClientView().Get(core.SnapshotMapName("win"), "k1")
-	if !ok {
+	if len(core.SnapshotVersions(clu.Store(), "win", "k1")) == 0 {
 		t.Fatal("window state missing from snapshot map")
 	}
-	got, ok := snap.(*core.Chain).At(1)
+	got, ok := core.SnapshotAt(clu.Store(), "win", "k1", 1)
 	if !ok || got.Value.(WindowState).OpenWindows != 2 {
 		t.Fatalf("snapshot window state = %+v, %v", got, ok)
 	}

@@ -159,7 +159,7 @@ func (o Options) deltaMeasure() time.Duration {
 
 // Fig12 — 2PC latency of incremental snapshots at 1%/10%/100% delta
 // ratios vs full snapshots (Figure 12). Expected shape: small deltas are
-// much cheaper than full snapshots; at 100% delta the per-key chain
+// much cheaper than full snapshots; at 100% delta the per-key version
 // housekeeping makes incremental comparable to (or more expensive than) a
 // full snapshot. The key count and interval are chosen so the offered
 // update rate actually touches the whole hot set between checkpoints —
@@ -265,7 +265,7 @@ func runDeltaWorkload(o Options, keys int, delta float64, state core.Config) qco
 // Fig13 — Query-1 execution latency on full vs incremental snapshots for
 // the key sweep (Figure 13). Expected shape: identical at small key
 // counts; incremental pays a multiple at the largest count because the
-// differential read walks version chains.
+// differential read resolves each key across its versions.
 func Fig13(o Options) []Series {
 	var out []Series
 	for _, keys := range o.keySweeps() {

@@ -18,9 +18,10 @@ import (
 // Secondary indexes over state-map columns, maintained inline on the
 // write path (put / delete / batched apply) under the same segment lock
 // as the entries map — so an index read under the segment read-lock is
-// always consistent with the entries it points at, for live reads and for
-// snapshot maps alike (a snapshot map's values are version chains; its
-// index is maintained on the same chain upserts).
+// always consistent with the entries it points at. A snapshot map's
+// partitions are frozen images instead (frozen.go): its index definitions
+// live here, and each immutable run of an image carries a FrozenIndex
+// built when the run is written, under the same contract.
 //
 // Correctness contract: an index lookup returns a SUPERSET of the entries
 // a full scan would have examined for the same predicate, never a subset.
@@ -69,7 +70,7 @@ func (k IndexKind) String() string {
 // value. It returns the values to index and whether extraction was
 // complete; incomplete entries (complete == false) are kept in the index's
 // odd set so every lookup still surfaces them. A multi-valued extractor
-// (e.g. over a snapshot version chain) returns one value per version.
+// returns one value per indexed item.
 // A nil ValueIndexer defaults to AsRow(value).Field(col).
 type ValueIndexer func(value any, col string) (vals []any, complete bool)
 
@@ -705,6 +706,10 @@ func (s *Store) IndexInfos() []IndexInfo {
 			for p, seg := range m.segs {
 				rlockWith(seg.mu, s.statsFor(p))
 				refs, bytes := ix.parts[p].stats()
+				if seg.frozen != nil {
+					fr, fb := seg.frozen.IndexStats(ix.col)
+					refs, bytes = refs+fr, bytes+fb
+				}
 				info.Entries += refs
 				info.Bytes += bytes
 				info.MaintOps += ix.parts[p].maintOps

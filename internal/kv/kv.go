@@ -301,6 +301,7 @@ type Entry struct {
 type segment struct {
 	mu      *sync.RWMutex
 	entries map[string]Entry // canonical key string -> entry
+	frozen  Frozen           // a snapshot map's immutable image (frozen.go)
 }
 
 // newBackups returns a map's backup segments, each with its own lock.
@@ -361,9 +362,10 @@ func (m *Map) get(v NodeView, key partition.Key) (any, bool) {
 	return e.Value, ok
 }
 
-// Size returns the total number of entries across all partitions.
+// Size returns the total number of entries across all partitions, a
+// frozen image counting its distinct keys.
 func (m *Map) Size() int {
-	n, _, _ := m.Sample(-1, nil)
+	n, _, _ := m.Sample(-1)
 	return n
 }
 
@@ -385,6 +387,15 @@ func (m *Map) Lookup(p int, ks string, backup bool) (Entry, bool) {
 		st.gets.Inc()
 	}
 	return readSeg(m.segs[p], st, ks)
+}
+
+// Peek is Lookup on the primary copy without counting a get: an operator
+// instance reading its own state, which is no store operation of the
+// partition's accounting — whether a read finds the key in the instance's
+// write-behind batch or here depends on when the batch last flushed, and
+// the counters must not.
+func (m *Map) Peek(p int, ks string) (Entry, bool) {
+	return readSeg(m.segs[p], m.store.statsFor(p), ks)
 }
 
 // LookupLocked is Lookup on the primary copy for a caller that already
@@ -409,12 +420,11 @@ func readSeg(seg *segment, st *partStats, ks string) (Entry, bool) {
 }
 
 // Sample returns, in one pass, the number of entries in partition p — in
-// the whole map when p is negative — and one of them that usable accepts
-// (any entry when usable is nil), for callers that need to know how much a
-// scan will visit and what kind of value it will find there. ok is false
-// when there is no such entry. A pruned plan pays one segment read-lock
-// for both answers.
-func (m *Map) Sample(p int, usable func(Entry) bool) (size int, e Entry, ok bool) {
+// the whole map when p is negative, a frozen image counting its keys — and
+// one of its entries, for callers that need to know how much a scan will
+// visit and what kind of value it will find there. ok is false when there
+// is no entry. A pruned plan pays one segment read-lock for both answers.
+func (m *Map) Sample(p int) (size int, e Entry, ok bool) {
 	lo, hi := 0, len(m.segs)
 	if p >= 0 {
 		lo, hi = p, p+1
@@ -422,22 +432,22 @@ func (m *Map) Sample(p int, usable func(Entry) bool) (size int, e Entry, ok bool
 	for q := lo; q < hi; q++ {
 		seg := m.segs[q]
 		rlockWith(seg.mu, m.store.statsFor(q))
-		size += len(seg.entries)
+		size += len(seg.entries) + frozenKeys(seg.frozen)
 		if !ok {
-			e, ok = seg.find(usable)
+			e, ok = seg.one()
 		}
 		seg.mu.RUnlock()
 	}
 	return size, e, ok
 }
 
-// Find returns an entry that usable accepts (any entry when usable is nil)
-// from the first partition that holds one, read-locking one segment at a
-// time and stopping there. ok is false when the map holds none.
-func (m *Map) Find(usable func(Entry) bool) (e Entry, ok bool) {
+// Find returns an entry from the first partition that holds one,
+// read-locking one segment at a time and stopping there. ok is false when
+// the map holds none.
+func (m *Map) Find() (e Entry, ok bool) {
 	for q, seg := range m.segs {
 		rlockWith(seg.mu, m.store.statsFor(q))
-		e, ok = seg.find(usable)
+		e, ok = seg.one()
 		seg.mu.RUnlock()
 		if ok {
 			break
@@ -446,27 +456,26 @@ func (m *Map) Find(usable func(Entry) bool) (e Entry, ok bool) {
 	return e, ok
 }
 
-// find returns one of seg's entries that usable accepts; the caller holds
-// seg's lock.
-func (seg *segment) find(usable func(Entry) bool) (Entry, bool) {
+// one returns one of seg's entries; the caller holds seg's lock.
+func (seg *segment) one() (Entry, bool) {
 	for _, c := range seg.entries {
-		if usable == nil || usable(c) {
-			return c, true
-		}
+		return c, true
 	}
 	return Entry{}, false
 }
 
-// Clear removes all entries (and their backup copies).
+// Clear removes all entries and frozen images (and their backup copies).
 func (m *Map) Clear() {
 	for p, seg := range m.segs {
 		seg.mu.Lock()
 		m.resetPartitionLocked(p, seg, make(map[string]Entry))
+		seg.frozen = nil
 		seg.mu.Unlock()
 	}
 	for _, bak := range m.backups {
 		bak.mu.Lock()
 		bak.entries = make(map[string]Entry)
+		bak.frozen = nil
 		bak.mu.Unlock()
 	}
 }

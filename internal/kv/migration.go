@@ -192,12 +192,12 @@ func (s *Store) EndPartitionMigration(p int) {
 // Migrating reports whether partition p is currently frozen.
 func (s *Store) Migrating(p int) bool { return s.migrating[p].Load() }
 
-// ShipPartition encodes every map's slice of partition p with the wire
-// codec and sends it from → to, one message per non-empty map, with a
-// real payload frame — over the loopback transport the state bytes
-// actually cross a TCP socket. It returns total entry and byte counts for
-// the caller's handoff accounting (e.g. charging the new backup's seed
-// copy). Entries whose key or value the codec cannot encode are still
+// ShipPartition encodes every map's slice of partition p — its entries and
+// every row of its frozen image — with the wire codec and sends it from →
+// to, one message per non-empty map, with a real payload frame — over the
+// loopback transport the state bytes actually cross a TCP socket. It
+// returns total entry and byte counts for the caller's handoff accounting
+// (e.g. charging the new backup's seed copy). Entries whose key or value the codec cannot encode are still
 // counted by wire.Size but omitted from the frame, keeping the accounting
 // transport-independent.
 func (s *Store) ShipPartition(p, from, to int) (ops, bytes int) {
@@ -222,7 +222,13 @@ func (s *Store) ShipPartition(p, from, to int) (ops, bytes int) {
 		for _, e := range seg.entries {
 			entries = append(entries, e)
 		}
+		img := seg.frozen
 		seg.mu.RUnlock()
+		if img != nil {
+			img.Rows(func(key partition.Key, value any) {
+				entries = append(entries, Entry{Key: key, Value: value})
+			})
+		}
 		if len(entries) == 0 {
 			continue
 		}

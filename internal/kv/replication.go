@@ -39,13 +39,13 @@ func (s *Store) Replicated() bool { return s.replicated }
 func (m *Map) sizeLocked() int {
 	n := 0
 	for _, seg := range m.segs {
-		n += len(seg.entries)
+		n += len(seg.entries) + frozenKeys(seg.frozen)
 	}
 	return n
 }
 
 // FailNode simulates the memory loss of a node: the primary copies of
-// the given partitions vanish. With replication enabled each partition's
+// the given partitions — entries and frozen images — vanish. With replication enabled each partition's
 // backup copy is promoted to primary and re-seeded as a fresh backup;
 // without replication the partitions come back empty. The caller
 // (cluster.Fail) updates the partition table separately.
@@ -55,10 +55,13 @@ func (s *Store) FailNode(partitions []int) {
 			seg := m.segs[p]
 			seg.mu.Lock()
 			var next map[string]Entry
+			seg.frozen = nil
 			if s.replicated {
 				bak := m.backups[p]
 				bak.mu.Lock()
 				next = bak.entries
+				// An image is immutable: primary and backup share it.
+				seg.frozen = bak.frozen
 				// Re-seed the backup with a fresh copy for the next
 				// failure.
 				cp := make(map[string]Entry, len(next))
@@ -76,7 +79,8 @@ func (s *Store) FailNode(partitions []int) {
 	}
 }
 
-// BackupSize returns the number of entries in backup copies of the map —
+// BackupSize returns the number of entries (a frozen image counting its
+// keys) in backup copies of the map —
 // diagnostics and tests only.
 func (m *Map) BackupSize() int {
 	if !m.store.replicated {
@@ -85,7 +89,7 @@ func (m *Map) BackupSize() int {
 	n := 0
 	for _, seg := range m.backups {
 		seg.mu.RLock()
-		n += len(seg.entries)
+		n += len(seg.entries) + frozenKeys(seg.frozen)
 		seg.mu.RUnlock()
 	}
 	return n

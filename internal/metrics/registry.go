@@ -6,10 +6,12 @@ import (
 	"maps"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
+	"unicode/utf8"
 )
 
 // This file applies the paper's own thesis to the processor itself: the
@@ -424,35 +426,90 @@ func put[V any](out map[string]map[string]V, k InstrumentKey, v V) {
 // gauge, one summary line per histogram (including histograms with no
 // observations: an instrument's existence is itself information), in key
 // order, then each event log. This is the format the -metrics flags of
-// cmd/squery, cmd/squery-bench and cmd/squery-soak emit.
+// cmd/squery, cmd/squery-bench and cmd/squery-soak emit. The instrument
+// lines are appended into one buffer — a histogram's fields read through
+// one lock and formatted as Summary.String formats them — so a dump costs
+// a handful of allocations, not several per line.
 func (r *Registry) Dump() string {
 	if r == nil {
 		return "(metrics disabled)\n"
 	}
-	var b strings.Builder
 	t := r.seriesTable()
+	b := make([]byte, 0, 96*len(t.series))
+	qv := make([]time.Duration, len(PaperPercentiles))
 	for i, s := range t.series {
+		b = appendKey(b, s.Key)
+		b = append(b, ' ')
 		if h := t.hists[i]; h != nil {
-			fmt.Fprintf(&b, "%-48s %s\n", s.Key, h.Snapshot())
+			count, sum := h.paperQuantiles(qv)
+			b = appendSummary(b, count, sum, qv)
 		} else {
-			fmt.Fprintf(&b, "%-48s %d\n", s.Key, t.read[i]())
+			b = strconv.AppendInt(b, t.read[i](), 10)
 		}
+		b = append(b, '\n')
 	}
 	r.mu.RLock()
 	logs := maps.Clone(r.logs)
 	r.mu.RUnlock()
 	for _, n := range sortedKeys(logs) {
 		events := logs[n].Events()
-		fmt.Fprintf(&b, "log %s (%d events):\n", n, len(events))
+		b = fmt.Appendf(b, "log %s (%d events):\n", n, len(events))
 		for _, e := range events {
-			fmt.Fprintf(&b, "  #%d", e.Seq)
+			b = fmt.Appendf(b, "  #%d", e.Seq)
 			for _, k := range sortedKeys(e.Fields) {
-				fmt.Fprintf(&b, " %s=%v", k, e.Fields[k])
+				b = fmt.Appendf(b, " %s=%v", k, e.Fields[k])
 			}
-			b.WriteByte('\n')
+			b = append(b, '\n')
 		}
 	}
-	return b.String()
+	return string(b)
+}
+
+// dumpKeyWidth is the width a dump line pads its key to.
+const dumpKeyWidth = 48
+
+// appendKey appends k as InstrumentKey.String renders it, padded with
+// spaces to dumpKeyWidth characters.
+func appendKey(b []byte, k InstrumentKey) []byte {
+	n := len(b)
+	b = append(b, k.Subsystem...)
+	b = append(b, '/')
+	b = append(b, k.ID...)
+	b = append(b, '/')
+	b = append(b, k.Metric...)
+	for w := utf8.RuneCount(b[n:]); w < dumpKeyWidth; w++ {
+		b = append(b, ' ')
+	}
+	return b
+}
+
+// paperLabels holds " p<percentile>=" for each of PaperPercentiles, as
+// Summary.String labels them.
+var paperLabels = func() []string {
+	out := make([]string, len(PaperPercentiles))
+	for i, q := range PaperPercentiles {
+		out[i] = " p" + trimPct(q) + "="
+	}
+	return out
+}()
+
+// appendSummary appends what Summary.String renders for a histogram of
+// count observations summing to sum, with qv[i] its value at
+// PaperPercentiles[i].
+func appendSummary(b []byte, count uint64, sum time.Duration, qv []time.Duration) []byte {
+	var mean time.Duration
+	if count > 0 {
+		mean = sum / time.Duration(count)
+	}
+	b = append(b, "count="...)
+	b = strconv.AppendUint(b, count, 10)
+	b = append(b, " mean="...)
+	b = append(b, round(mean).String()...)
+	for i, label := range paperLabels {
+		b = append(b, label...)
+		b = append(b, round(qv[i]).String()...)
+	}
+	return b
 }
 
 // sortedKeys returns m's keys in order.

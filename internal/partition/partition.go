@@ -85,6 +85,10 @@ const (
 	fnvPrime  uint64 = 1099511628211
 )
 
+// HashString is Hash of a string key, for callers holding a key's
+// canonical string (KeyString): unlike Hash it boxes nothing.
+func HashString(s string) uint64 { return hashString(s) }
+
 func hashString(s string) uint64 {
 	h := fnvOffset
 	for i := 0; i < len(s); i++ {

@@ -112,10 +112,12 @@ type pipe struct {
 	read func([]core.TableRow) bool
 	err  error
 
-	// The partition being read, and the degraded read's snapshot ids when
-	// it is served from the backup replica.
-	part int
-	fb   []int64
+	// The partition being read, the degraded read's snapshot ids when it
+	// is served from the backup replica, and — for a co-partitioned join —
+	// the other table's copy of the partition, held for the probes.
+	part    int
+	fb      []int64
+	partner core.PartitionProbe
 
 	st pipeStats
 	tm stageTimes
@@ -255,17 +257,11 @@ func (pi *pipe) drive(sel []int32) (bool, error) {
 func (pi *pipe) coProbe(sel []int32) (bool, error) {
 	b, d := &pi.b, pi.pp.drive
 	o := 1 - d
-	os := &pi.pp.srcs[o]
 	pi.probe = grow(pi.probe, b.n)
 	pi.probeMiss = grow(pi.probeMiss, b.n)
 	probe, found, drv := pi.probe, pi.probeMiss, b.cols[d]
 	for _, i := range sel {
-		ks := partition.KeyString(drv[i].Key)
-		if pi.fb != nil {
-			probe[i], found[i] = os.ref.LookupFallback(pi.part, ks, pi.fb[o])
-		} else {
-			probe[i], found[i] = os.ref.Lookup(pi.part, ks, os.ssid)
-		}
+		probe[i], found[i] = pi.partner.Lookup(partition.KeyString(drv[i].Key))
 	}
 	b.cols[o] = probe
 	hits := pi.sc.sel(len(sel))
@@ -414,6 +410,14 @@ func (pi *pipe) flushTimes() {
 func (pi *pipe) readPartition(p int, fb []int64) error {
 	s := &pi.pp.srcs[pi.src]
 	pi.part, pi.fb, pi.err = p, fb, nil
+	if pi.whole && pi.pp.coPart {
+		o := &pi.pp.srcs[1-pi.pp.drive]
+		if fb != nil {
+			pi.partner = o.ref.ProbeFallback(p, fb[1-pi.pp.drive])
+		} else {
+			pi.partner = o.ref.Probe(p, o.ssid)
+		}
+	}
 	spec := core.ScanSpec{SSID: s.ssid, Path: s.path, Done: pi.rc.done, Buf: &pi.scan}
 	if fb != nil {
 		spec.SSID = fb[pi.src]

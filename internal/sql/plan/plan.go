@@ -68,7 +68,7 @@ type ScanMode int
 const (
 	// Live reads the operator's live map (read uncommitted).
 	Live ScanMode = iota
-	// Snapshot reads a committed snapshot version chain.
+	// Snapshot reads the operator's snapshot state at a committed id.
 	Snapshot
 	// Virtual reads a provider-backed sys.* table.
 	Virtual

@@ -165,18 +165,7 @@ func (v ObjectView) GetSnapshot(ssid int64, keys ...Key) ([]any, error) {
 	if err != nil {
 		return nil, err
 	}
-	view := v.engine.clu.ClientView()
-	raw := view.GetAll(core.SnapshotMapName(v.operator), keys)
-	out := make([]any, len(raw))
-	for i, c := range raw {
-		if c == nil {
-			continue
-		}
-		if ver, ok := c.(*core.Chain).At(target); ok {
-			out[i] = ver.Value
-		}
-	}
-	return out, nil
+	return tab.GetAll(target, keys), nil
 }
 
 // ScanLive streams every live state entry of the operator.

@@ -522,15 +522,24 @@ func (e *Engine) OpenArchive(dir string) (int64, []string, error) {
 	}
 	e.submitMu.Lock()
 	defer e.submitMu.Unlock()
-	mgr := core.NewManager(e.clu.Store(), 0)
-	ssid, err := mgr.ImportPersisted(p)
+	// Refuse before importing: the import writes into snapshot_<op>, which
+	// a running job under the same operator name owns.
+	latest, err := p.Latest()
 	if err != nil {
 		return 0, nil, err
 	}
-	if ssid == 0 {
+	if latest == 0 {
 		return 0, nil, fmt.Errorf("squery: no committed snapshot in archive %s", dir)
 	}
-	ops, err := p.Operators(ssid)
+	ops, err := p.Operators(latest)
+	if err != nil {
+		return 0, nil, err
+	}
+	if err := e.cat.CheckFree(ops...); err != nil {
+		return 0, nil, err
+	}
+	mgr := core.NewManager(e.clu.Store(), 0)
+	ssid, err := mgr.ImportPersisted(p)
 	if err != nil {
 		return 0, nil, err
 	}

@@ -1,6 +1,7 @@
 package squery
 
 import (
+	"fmt"
 	"testing"
 	"time"
 )
@@ -268,5 +269,76 @@ func TestPersistedArchiveQueries(t *testing.T) {
 	// Opening an empty archive fails cleanly.
 	if _, _, err := eng2.OpenArchive(t.TempDir()); err == nil {
 		t.Fatal("empty archive opened")
+	}
+}
+
+// TestOpenArchiveRefusesRunningOperator: opening an archive whose operator
+// name a running job holds fails before anything is imported, so the
+// job's snapshot rows stay as its own checkpoint wrote them.
+func TestOpenArchiveRefusesRunningOperator(t *testing.T) {
+	tallies := func(per int) (*DAG, chan struct{}) {
+		gate := make(chan struct{})
+		src := GeneratorSource("src", 1, 0, func(instance int, seq int64) (Record, bool) {
+			if seq < 60 {
+				return Record{Key: int(seq % 6), Value: per}, true
+			}
+			select {
+			case <-gate:
+				return Record{}, false
+			default:
+			}
+			time.Sleep(100 * time.Microsecond)
+			return Record{Key: 0, Value: 0}, true
+		})
+		dag := NewDAG().
+			AddVertex(src).
+			AddVertex(StatefulMapVertex("tallies", 2, func(state any, rec Record) (any, []Record) {
+				n := 0
+				if state != nil {
+					n = state.(int)
+				}
+				return n + rec.Value.(int), nil
+			})).
+			AddVertex(SinkVertex("sink", 1, func(Record) {})).
+			Connect("src", "tallies", EdgePartitioned).
+			Connect("tallies", "sink", EdgePartitioned)
+		return dag, gate
+	}
+	run := func(eng *Engine, per int, dir string) (*Job, chan struct{}) {
+		dag, gate := tallies(per)
+		job, err := eng.SubmitJob(dag, JobSpec{Name: "tallies", State: StateConfig{Snapshots: true}, PersistDir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitFor(t, func() bool { return job.SourceRecords() >= 60 }, "records")
+		if err := job.CheckpointNow(); err != nil {
+			t.Fatal(err)
+		}
+		return job, gate
+	}
+	dir := t.TempDir()
+	eng := New(Config{Nodes: 3, Partitions: 27})
+	job, gate := run(eng, 1, dir)
+	close(gate)
+	job.Wait()
+	job.Stop()
+
+	eng2 := New(Config{Nodes: 2, Partitions: 16})
+	defer eng2.Close()
+	job2, gate2 := run(eng2, 100, "")
+	defer func() { close(gate2); job2.Wait(); job2.Stop() }()
+	rows := func() string {
+		res, err := eng2.Query(`SELECT partitionKey, value FROM snapshot_tallies ORDER BY partitionKey`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fmt.Sprint(res.Rows)
+	}
+	before := rows()
+	if _, _, err := eng2.OpenArchive(dir); err == nil {
+		t.Fatal("archive opened under a running job's operator name")
+	}
+	if after := rows(); after != before {
+		t.Fatalf("snapshot rows changed by a refused archive: %s, then %s", before, after)
 	}
 }
