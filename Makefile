@@ -96,13 +96,17 @@ fuzz-short:
 # imports anything, the snapshot run sets against the naive version model
 # (scan, point lookup, hash and B-tree probes, backup replica) through
 # drains, commits, aborts, merges and restores, a failover keeping the
-# keys changed since the last snapshot, and an undecodable snapshot
-# failing recovery with an error and no goroutine left.
+# keys changed since the last snapshot, a restore past a drained but
+# aborted round shadowing that round's runs (in core, and through a
+# pre-commit crash in a running job), an aborted round's blobs dropped, a
+# standby failover over a failed node's kv backups with no standby map,
+# and an undecodable snapshot failing recovery with an error and no
+# goroutine left.
 ckpt-smoke:
 	$(GO) test ./internal/persist -run 'TestCrash|FuzzDeltaChain' -count=1 -v
 	$(GO) test . -run 'TestIncrementalRecoveryParity|TestResubmittedJobStartsEmpty|TestOpenArchiveRefusesRunningOperator' -race -count=1 -v
-	$(GO) test ./internal/core -run 'TestIncrementalMatchesModel/live|TestRestoreHandsTapsOnlyChangedKeys|TestSnapshotRunsMatchModel|TestPromoteStandbyKeepsChangedKeys' -race -count=1 -v
-	$(GO) test ./internal/dataflow -run 'TestRestoreErrorFailsRecovery' -race -count=1 -v
+	$(GO) test ./internal/core -run 'TestIncrementalMatchesModel/live|TestRestoreHandsTapsOnlyChangedKeys|TestSnapshotRunsMatchModel|TestPromoteStandbyKeepsChangedKeys|TestRestoreShadowsAbortedRound|TestManagerAbortDropsBlobs' -race -count=1 -v
+	$(GO) test ./internal/dataflow -run 'TestRestoreErrorFailsRecovery|TestPreCommitCrashRestoreShadowsDrainedRound|TestStandbyFailoverNoRollback' -race -count=1 -v
 	$(GO) test ./internal/experiments -run 'TestCkptScaleShape' -count=1 -v
 
 # Perf smoke over the serialization, join, index and read hot paths. The

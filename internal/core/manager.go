@@ -79,13 +79,17 @@ func (m *Manager) horizon() (oldest, durable int64) {
 func (m *Manager) Registry() *snapshot.Registry { return m.reg }
 
 // RegisterOperator records a stateful operator. Names must be unique: the
-// operator name is the SQL table name (§V.B).
+// operator name is the SQL table name (§V.B). A configuration no backend
+// can honour is refused here, before any instance runs.
 func (m *Manager) RegisterOperator(meta OperatorMeta) error {
 	if meta.Name == "" {
 		return fmt.Errorf("core: operator name must not be empty")
 	}
 	if meta.Parallelism < 1 {
 		return fmt.Errorf("core: operator %q has parallelism %d", meta.Name, meta.Parallelism)
+	}
+	if err := meta.Config.validate(); err != nil {
+		return fmt.Errorf("core: operator %q: %w", meta.Name, err)
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -111,8 +115,12 @@ func (m *Manager) Operators() []OperatorMeta {
 // Begin starts a checkpoint, returning its snapshot id.
 func (m *Manager) Begin() (int64, error) { return m.reg.Begin() }
 
-// Abort cancels an in-flight checkpoint after a failure.
-func (m *Manager) Abort(ssid int64) { m.reg.Abort(ssid) }
+// Abort cancels the in-flight checkpoint ssid after a failure and drops
+// the Jet-baseline blobs its instances wrote: no restore reads them.
+func (m *Manager) Abort(ssid int64) {
+	m.reg.Abort(ssid)
+	m.prune([]int64{ssid})
+}
 
 // ErrPruneFailed marks a Commit error raised after publication: the
 // snapshot is committed, durable and queryable, but stable storage could
@@ -147,9 +155,10 @@ func (m *Manager) Commit(ssid int64) ([]int64, error) {
 	return evicted, nil
 }
 
-// prune deletes the Jet-baseline blobs of evicted snapshot ids. Snapshot
-// runs need no pass here: the drains merge them against the retention
-// window, off the commit path. All writes are issued from the owning node.
+// prune deletes the Jet-baseline blobs of evicted or aborted snapshot
+// ids. Snapshot runs need no pass here: the drains merge them against the
+// retention window, off the commit path. All writes are issued from the
+// owning node.
 func (m *Manager) prune(evicted []int64) {
 	m.mu.Lock()
 	ops := make([]OperatorMeta, 0, len(m.ops))

@@ -43,6 +43,14 @@ func TestManagerRegisterValidation(t *testing.T) {
 	if len(m.Operators()) != 1 {
 		t.Errorf("Operators() = %d entries", len(m.Operators()))
 	}
+	for name, cfg := range map[string]Config{
+		"standby": {ActiveStandby: true, Snapshots: true},
+		"blob":    {JetBlob: true, Snapshots: true},
+	} {
+		if err := m.RegisterOperator(OperatorMeta{Name: name, Parallelism: 1, Config: cfg}); err == nil {
+			t.Errorf("operator with config %+v accepted", cfg)
+		}
+	}
 }
 
 func TestManagerCommitPrunesChains(t *testing.T) {
@@ -106,6 +114,38 @@ func TestManagerPrunesBlobSnapshots(t *testing.T) {
 	// 4 snapshots, retention 2 → blobs for ssids 3,4 remain: 2 insts × 2.
 	if n := store.GetMap(blobMapName("op")).Size(); n != 4 {
 		t.Fatalf("blob map has %d entries, want 4", n)
+	}
+}
+
+// TestManagerAbortDropsBlobs: an aborted round's blobs go with it, so ten
+// JetBlob rounds, half of them aborted, leave only the retained ones.
+func TestManagerAbortDropsBlobs(t *testing.T) {
+	store := newTestStore()
+	m := NewManager(store, 2)
+	cfg := Config{JetBlob: true}
+	if err := m.RegisterOperator(OperatorMeta{Name: "op", Parallelism: 1, Config: cfg}); err != nil {
+		t.Fatal(err)
+	}
+	b := m.NewBackend("op", 0, store.View(0), cfg)
+	b.Update("a", 1)
+	for round := 0; round < 10; round++ {
+		ssid, err := m.Begin()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := b.SnapshotPrepare(ssid); err != nil {
+			t.Fatal(err)
+		}
+		if round%2 == 1 {
+			m.Abort(ssid)
+			continue
+		}
+		if _, err := m.Commit(ssid); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := store.GetMap(blobMapName("op")).Size(); n != 2 {
+		t.Fatalf("blob map holds %d blobs after 5 commits and 5 aborts, want the 2 retained", n)
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -139,8 +140,20 @@ func modelRun(t testing.TB, steps int, next func(n int) int) {
 			if err := b.Restore(s); err != nil {
 				t.Fatal(err)
 			}
+			// The runs may hold newer versions than s's (drained by
+			// aborted rounds, or committed after s): the restore re-files
+			// every key whose restored value differs from its newest
+			// drained version, a key present on one side only included.
 			live = model.state(s)
 			clear(dirty)
+			newest := model.state(math.MaxInt64)
+			for ks := range model {
+				v, ok := live[ks]
+				w, wok := newest[ks]
+				if ok != wok || ok && !reflect.DeepEqual(v, w) {
+					dirty[ks] = true
+				}
+			}
 		default:
 			continue
 		}
@@ -281,6 +294,46 @@ func TestPromoteStandbyKeepsChangedKeys(t *testing.T) {
 	}
 	if got, ok := SnapshotAt(store, "op", 3, ssid); ok {
 		t.Fatalf("key 3 at ssid %d = %v; want absent (deleted before the failover)", ssid, got.Value)
+	}
+}
+
+// TestRestoreShadowsAbortedRound: a round drains its pin and aborts, and
+// the state is restored to the commit before it. The aborted round's runs
+// stay in the store, so the next committed snapshot must shadow them: it
+// reads the restored state, not the aborted round's.
+func TestRestoreShadowsAbortedRound(t *testing.T) {
+	for _, incremental := range []bool{true, false} {
+		t.Run(fmt.Sprint("incremental=", incremental), func(t *testing.T) {
+			store := newTestStore()
+			m := NewManager(store, 2)
+			cfg := Config{Live: true, Snapshots: true, Incremental: incremental}
+			if err := m.RegisterOperator(OperatorMeta{Name: "op", Parallelism: 1, Config: cfg}); err != nil {
+				t.Fatal(err)
+			}
+			b := m.NewBackend("op", 0, store.View(0), cfg)
+			b.Update("k", 1)
+			committed := checkpoint(t, m, b) // ssid 1
+			b.Update("k", 2)
+			b.Update("new", 7)
+			aborted, err := m.Begin() // ssid 2: drained, never committed
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := b.SnapshotPrepare(aborted); err != nil {
+				t.Fatal(err)
+			}
+			m.Abort(aborted)
+			if err := b.Restore(committed); err != nil {
+				t.Fatal(err)
+			}
+			ssid := checkpoint(t, m, b) // ssid 3
+			if got, ok := SnapshotAt(store, "op", "k", ssid); !ok || got.Value != 1 {
+				t.Fatalf("k at ssid %d = %v, %v; want 1 (its restored value)", ssid, got.Value, ok)
+			}
+			if got, ok := SnapshotAt(store, "op", "new", ssid); ok {
+				t.Fatalf("new at ssid %d = %v; want absent (written after ssid %d only)", ssid, got.Value, committed)
+			}
+		})
 	}
 }
 

@@ -1,9 +1,8 @@
 package core
 
 import (
-	"bytes"
 	"cmp"
-	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"reflect"
@@ -15,7 +14,7 @@ import (
 	"squery/internal/kv"
 	"squery/internal/metrics"
 	"squery/internal/partition"
-	"squery/internal/wire"
+	"squery/internal/persist"
 )
 
 // Config selects which state representations S-QUERY maintains for an
@@ -45,13 +44,26 @@ type Config struct {
 	// with the same seed and workload sample the same updates — what
 	// keeps chaos-soak latency output reproducible run to run.
 	LatencySampleSeed int64
-	// ActiveStandby maintains a synchronously updated replica of every
-	// instance's state (§VII, read committed): on failure the replica is
-	// promoted instead of rolling back to the last checkpoint, so live
-	// queries never observe state regressing — the high-availability
-	// setup the paper describes for raising live queries to the read
-	// committed isolation level.
+	// ActiveStandby keeps a synchronously updated replica of every
+	// instance's state (§VII, read committed): the live map is written
+	// through, one operation at a time, so its kv backup (the cluster's
+	// ReplicateState) is the replica. On failure the live map is taken
+	// over as it stands instead of rolling back to the last checkpoint,
+	// so live queries never observe state regressing — the
+	// high-availability setup the paper describes for raising live
+	// queries to the read committed isolation level. Requires Live.
 	ActiveStandby bool
+}
+
+// validate rejects the combinations no backend can honour.
+func (c Config) validate() error {
+	switch {
+	case c.JetBlob && c.Snapshots:
+		return errors.New("JetBlob and Snapshots are mutually exclusive")
+	case c.ActiveStandby && !c.Live:
+		return errors.New("ActiveStandby needs Live: the standby replica is the live map's backup")
+	}
+	return nil
 }
 
 // mirrorBatch is how many live-map mirror operations buffer before an
@@ -75,13 +87,10 @@ func SnapshotMapName(op string) string { return "snapshot_" + sanitize(op) }
 // snapshots.
 func blobMapName(op string) string { return "__jetsnap_" + sanitize(op) }
 
-// standbyMapName is the internal map holding the active-standby replica.
-func standbyMapName(op string) string { return "__standby_" + sanitize(op) }
-
 // StateMapNames returns every map holding state of the operator: the
-// live, snapshot, active-standby and blob maps.
+// live, snapshot and blob maps.
 func StateMapNames(op string) []string {
-	return []string{LiveMapName(op), SnapshotMapName(op), standbyMapName(op), blobMapName(op)}
+	return []string{LiveMapName(op), SnapshotMapName(op), blobMapName(op)}
 }
 
 func sanitize(op string) string {
@@ -146,8 +155,8 @@ func NewBackend(op string, instance int, view kv.NodeView, cfg Config) *Backend 
 }
 
 func newBackend(op string, instance, par int, view kv.NodeView, cfg Config) *Backend {
-	if cfg.JetBlob && cfg.Snapshots {
-		panic("core: JetBlob and Snapshots are mutually exclusive")
+	if err := cfg.validate(); err != nil {
+		panic("core: " + err.Error())
 	}
 	every := uint64(8)
 	if cfg.LatencySampleEvery > 0 {
@@ -254,12 +263,6 @@ func (b *Backend) update(key partition.Key, value any) {
 	} else {
 		b.data[ks] = kv.Entry{Key: key, Value: value}
 	}
-	if b.cfg.ActiveStandby {
-		// The standby replica stays synchronous per record: promotion
-		// must see exactly the primary's state at the instant of failure,
-		// with no buffered tail (§VII's read-committed failover).
-		b.view.Put(standbyMapName(b.op), key, value)
-	}
 }
 
 // Delete removes the state for key.
@@ -287,16 +290,15 @@ func (b *Backend) del(key partition.Key) {
 	} else {
 		delete(b.data, ks)
 	}
-	if b.cfg.ActiveStandby {
-		b.view.Delete(standbyMapName(b.op), key)
-	}
 }
 
-// mirror queues one live-map operation, flushing when the batch fills.
+// mirror queues one live-map operation, flushing when the batch fills —
+// or at once with ActiveStandby, whose failover takes the live map over
+// exactly as the primary left it, with no buffered tail.
 func (b *Backend) mirror(ks string, op kv.Op) {
 	b.pending = append(b.pending, op)
 	b.pendingKS = append(b.pendingKS, ks)
-	if len(b.pending) >= mirrorBatch {
+	if len(b.pending) >= mirrorBatch || b.cfg.ActiveStandby {
 		b.Flush()
 	}
 }
@@ -304,8 +306,8 @@ func (b *Backend) mirror(ks string, op kv.Op) {
 // Flush applies the write-behind batch to the live map as one
 // partition-grouped batch. The owning worker calls it when its inbox
 // drains and before every checkpoint pin, so live queries see the
-// instance's state whenever it is idle; Restore and PromoteStandby drop
-// the batch instead, since it belongs to the state they replace.
+// instance's state whenever it is idle; Restore drops the batch instead,
+// since it belongs to the state it replaces.
 func (b *Backend) Flush() {
 	if len(b.pending) == 0 {
 		return
@@ -540,34 +542,6 @@ func (b *Backend) compact(m *kv.Map) {
 	})
 }
 
-// FoldPins merges an abandoned pin (its checkpoint round aborted before
-// the drain ran) into a newer round's pin. The carried entries were
-// already cleared from the backend's dirty tracking when they were
-// pinned, so dropping them would lose every pre-barrier update from the
-// next committed snapshot — they must ride the next drain instead,
-// re-stamped at its snapshot id. Where both pins touch a key, the newer
-// version wins.
-func FoldPins(carry, next *SnapshotPin) *SnapshotPin {
-	if carry == nil {
-		return next
-	}
-	if next == nil {
-		return carry
-	}
-	seen := make(map[string]bool, len(next.entries))
-	for _, e := range next.entries {
-		seen[partition.KeyString(e.key)] = true
-	}
-	merged := make([]keyedVersion, 0, len(carry.entries)+len(next.entries))
-	for _, e := range carry.entries {
-		if !seen[partition.KeyString(e.key)] {
-			merged = append(merged, e)
-		}
-	}
-	merged = append(merged, next.entries...)
-	return &SnapshotPin{SSID: next.SSID, entries: merged, pinned: next.pinned}
-}
-
 func (b *Backend) allEntries() []keyedVersion {
 	out := make([]keyedVersion, 0, b.Size())
 	b.ForEach(func(key partition.Key, value any) bool {
@@ -616,22 +590,12 @@ func blobKey(instance int, ssid int64) string {
 	return string(buf)
 }
 
-// blobMagic prefixes wire-encoded blob snapshots. A blob is one
-// wire.Stream, so it carries the definition of each struct type it holds.
-var blobMagic = []byte("SQWB\x01")
-
+// prepareBlob writes the instance's whole state as one persist image, the
+// blob of snapshot ssid.
 func (b *Backend) prepareBlob(ssid int64) error {
 	n := b.Size()
-	buf := make([]byte, 0, 64+24*n)
-	buf = append(buf, blobMagic...)
-	buf = wire.AppendUvarint(buf, uint64(n))
-	var st wire.Stream
-	var err error
-	b.ForEach(func(key partition.Key, value any) bool {
-		if buf, err = st.AppendValue(buf, key); err == nil {
-			buf, err = st.AppendValue(buf, value)
-		}
-		return err == nil
+	buf, err := persist.AppendImage(make([]byte, 0, 64+24*n), n, func(emit func(key, value any) bool) {
+		b.ForEach(func(key partition.Key, value any) bool { return emit(key, value) })
 	})
 	if err != nil {
 		return fmt.Errorf("core: encoding blob snapshot of %s/%d: %w", b.op, b.instance, err)
@@ -646,7 +610,10 @@ func (b *Backend) prepareBlob(ssid int64) error {
 // JetBlob baseline). With Live set each owned partition of the live map is
 // replaced wholesale by its restored contents: keys written after the
 // checkpoint are the dirty reads of Figure 5 and go, and standing queries
-// are handed only the keys that differ.
+// are handed only the keys that differ. The snapshot runs may hold newer
+// versions than ssid's — drained by rounds that aborted, or committed past
+// it — so the restored keys they disagree with are marked changed
+// (markChanged), and the next snapshot files them again.
 func (b *Backend) Restore(ssid int64) error {
 	if b.cfg.JetBlob {
 		parts, err := b.readBlob(ssid)
@@ -659,10 +626,12 @@ func (b *Backend) Restore(ssid int64) error {
 	snap := b.view.Store().GetMap(SnapshotMapName(b.op))
 	b.reset(b.readParts(func(p int) map[string]kv.Entry {
 		out := make(map[string]kv.Entry)
-		asRuns(snap.Frozen(p, false)).each(ssid, func(r *run, i int) bool {
+		rs := asRuns(snap.Frozen(p, false))
+		rs.each(ssid, func(r *run, i int) bool {
 			out[r.ks(i)] = kv.Entry{Key: r.keys[i], Value: r.vals[i]}
 			return true
 		})
+		b.markChanged(rs, out)
 		return out
 	}))
 	return nil
@@ -676,75 +645,61 @@ func (b *Backend) readBlob(ssid int64) (map[int]map[string]kv.Entry, error) {
 	if !ok {
 		return parts, nil
 	}
-	bs := raw.([]byte)
-	if !bytes.HasPrefix(bs, blobMagic) {
-		return nil, fmt.Errorf("core: decoding blob snapshot of %s/%d: bad magic", b.op, b.instance)
+	entries, err := persist.DecodeImage(raw.([]byte))
+	if err != nil {
+		return nil, fmt.Errorf("core: decoding blob snapshot of %s/%d: %w", b.op, b.instance, err)
 	}
-	bs = bs[len(blobMagic):]
-	n, used := binary.Uvarint(bs)
-	if used <= 0 {
-		return nil, fmt.Errorf("core: decoding blob snapshot of %s/%d: truncated entry count", b.op, b.instance)
-	}
-	bs = bs[used:]
 	part := b.view.Store().Partitioner()
-	var err error
-	for i := uint64(0); i < n; i++ {
-		var k, v any
-		if k, bs, err = wire.DecodeValue(bs); err != nil {
-			return nil, fmt.Errorf("core: decoding blob snapshot of %s/%d: %w", b.op, b.instance, err)
-		}
-		if v, bs, err = wire.DecodeValue(bs); err != nil {
-			return nil, fmt.Errorf("core: decoding blob snapshot of %s/%d: %w", b.op, b.instance, err)
-		}
-		p := part.Of(k)
+	for _, e := range entries {
+		p := part.Of(e.Key)
 		if !b.owns(p) {
 			continue
 		}
 		if parts[p] == nil {
 			parts[p] = make(map[string]kv.Entry)
 		}
-		parts[p][partition.KeyString(k)] = kv.Entry{Key: k, Value: v}
+		parts[p][partition.KeyString(e.Key)] = kv.Entry{Key: e.Key, Value: e.Value}
 	}
 	return parts, nil
 }
 
-// PromoteStandby rebuilds the instance's state from its own partitions of
-// the active-standby replica — the failover path of §VII's read-committed
-// setup. Unlike Restore there is no rollback: the replica was updated
-// synchronously with the primary, so the promoted state is exactly the
-// primary's state at the moment of failure. The keys changed since the
-// last pin went with the failed primary's dirty set, so with Snapshots set
-// every owned key whose promoted value differs from its newest snapshot
-// version is marked dirty again, and every key the snapshot holds and the
-// replica lacks is marked for a tombstone: the next snapshot then carries
-// every change the failover kept.
+// PromoteStandby takes over the instance's partitions of the live map as
+// they stand — the failover path of §VII's read-committed setup. With
+// ActiveStandby the live map is written through, and a failed node's
+// partitions come back from their kv backups, so the state is exactly the
+// primary's at the moment of failure: there is no rollback. The keys
+// changed since the last pin went with the failed primary's dirty set, so
+// with Snapshots set they are marked changed again (markChanged), and the
+// next snapshot carries every change the failover kept.
 func (b *Backend) PromoteStandby() error {
 	if !b.cfg.ActiveStandby {
 		return fmt.Errorf("core: operator %q has no active standby", b.op)
 	}
-	standby := b.view.Store().GetMap(standbyMapName(b.op))
-	snapName := SnapshotMapName(b.op)
-	var snap *kv.Map
-	if b.cfg.Snapshots && b.view.Store().HasMap(snapName) {
-		snap = b.view.Store().GetMap(snapName)
+	name := SnapshotMapName(b.op)
+	if !b.cfg.Snapshots || !b.view.Store().HasMap(name) {
+		return nil
 	}
-	b.reset(b.readParts(func(p int) map[string]kv.Entry {
+	snap := b.view.Store().GetMap(name)
+	read := b.readParts(func(p int) map[string]kv.Entry {
 		entries := make(map[string]kv.Entry)
-		standby.ScanPartition(p, func(e kv.Entry) bool {
+		b.live.ScanPartition(p, func(e kv.Entry) bool {
 			entries[partition.KeyString(e.Key)] = e
 			return true
 		})
-		if snap != nil {
-			b.markChanged(asRuns(snap.PeekFrozen(p)), entries)
-		}
 		return entries
-	}))
+	})
+	b.eachPart(func(p int) bool {
+		b.markChanged(asRuns(snap.PeekFrozen(p)), read(p))
+		return true
+	})
 	return nil
 }
 
-// markChanged files as dirty every key of a promoted partition's entries
+// markChanged files as dirty every key of a partition's state entries
 // whose value differs from its newest version in the partition's snapshot
-// runs rs, and every key rs holds that entries lacks.
+// runs rs, and every key rs holds that entries lacks — the rule every
+// replacement of the instance's state (Restore, PromoteStandby) follows,
+// so the next snapshot agrees with the state whatever the runs hold.
 func (b *Backend) markChanged(rs *runSet, entries map[string]kv.Entry) {
 	for ks, e := range entries {
 		r, i := rs.governing(hashKey(ks), ks, math.MaxInt64)

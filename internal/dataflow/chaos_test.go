@@ -2,6 +2,7 @@ package dataflow
 
 import (
 	"errors"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -189,6 +190,97 @@ func TestPreCommitCrashNeverPublishes(t *testing.T) {
 	}
 	close(release)
 	waitLiveCounts(t, clu, 20)
+}
+
+// scriptedSource emits recs in order up to the offset limit, which every
+// instance the job builds shares, and idles beyond it — so a test holds a
+// post-crash replay back by lowering the limit before the crash.
+type scriptedSource struct {
+	recs  []Record
+	limit *atomic.Int64
+	pos   int64
+}
+
+func (s *scriptedSource) Next() (Record, SourceStatus) {
+	if s.pos >= s.limit.Load() || s.pos >= int64(len(s.recs)) {
+		return Record{}, SourceIdle
+	}
+	s.pos++
+	return s.recs[s.pos-1], SourceOK
+}
+
+func (s *scriptedSource) Offset() int64  { return s.pos }
+func (s *scriptedSource) Rewind(o int64) { s.pos = o }
+
+// TestPreCommitCrashRestoreShadowsDrainedRound: a round drains its pins
+// and the job crashes before it commits, so recovery restores the commit
+// before it while the round's runs stay in the store. The next commit,
+// taken before the source replays anything, must read the restored state
+// and not the crashed round's.
+func TestPreCommitCrashRestoreShadowsDrainedRound(t *testing.T) {
+	clu := testCluster()
+	inj := chaos.New(1).Add(chaos.Rule{
+		Kind: chaos.CrashPreCommit, SSIDFrom: 2,
+		Instance: chaos.Any, Node: chaos.Any, Partition: chaos.Any,
+		CrashNode: chaos.Any, MaxFires: 1,
+	})
+	var limit atomic.Int64
+	limit.Store(1)
+	recs := []Record{{Key: "k", Value: 1}, {Key: "k", Value: 2}, {Key: "new", Value: 7}}
+	dag := NewDAG().
+		AddVertex(&Vertex{Name: "src", Kind: KindSource, Parallelism: 1,
+			NewSource: func(int, int) SourceInstance { return &scriptedSource{recs: recs, limit: &limit} }}).
+		AddVertex(StatefulMapVertex("last", 2, func(_ any, rec Record) (any, []Record) { return rec.Value, nil })).
+		AddVertex(LatencySinkVertexForTest("sink", 1)).
+		Connect("src", "last", EdgePartitioned).
+		Connect("last", "sink", EdgePartitioned)
+	job, err := Run(dag, Config{
+		Cluster: clu,
+		State:   core.Config{Live: true, Snapshots: true, Incremental: true},
+		Chaos:   inj,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer job.Stop()
+	live := func(key string, want int) func() bool {
+		return func() bool {
+			v, ok := clu.ClientView().Get(core.LiveMapName("last"), key)
+			return ok && v == want
+		}
+	}
+
+	waitFor(t, live("k", 1), "k = 1")
+	if err := job.CheckpointNow(); err != nil { // ssid 1
+		t.Fatal(err)
+	}
+	limit.Store(3)
+	waitFor(t, func() bool { return live("k", 2)() && live("new", 7)() }, "k = 2, new = 7")
+	// The running source has emitted every record; the one recovery
+	// builds rewinds to offset 1 and must stay there until released.
+	limit.Store(1)
+	if err := job.CheckpointNow(); err == nil { // ssid 2: drains, then crashes
+		t.Fatal("checkpoint committed despite the injected pre-commit crash")
+	}
+	reg := job.Manager().Registry()
+	waitFor(t, func() bool {
+		job.mu.Lock()
+		restarted := job.running
+		job.mu.Unlock()
+		return reg.InProgress() == 0 && restarted
+	}, "crash recovery")
+	if err := job.CheckpointNow(); err != nil { // ssid 3
+		t.Fatal(err)
+	}
+	ssid := reg.LatestCommitted()
+	if got, ok := core.SnapshotAt(clu.Store(), "last", "k", ssid); !ok || got.Value != 1 {
+		t.Fatalf("k at ssid %d = %v, %v; want 1 (the restored value)", ssid, got.Value, ok)
+	}
+	if got, ok := core.SnapshotAt(clu.Store(), "last", "new", ssid); ok {
+		t.Fatalf("new at ssid %d = %v; want absent (only the crashed round wrote it)", ssid, got.Value)
+	}
+	limit.Store(3)
+	waitFor(t, func() bool { return live("k", 2)() && live("new", 7)() }, "replay to k = 2, new = 7")
 }
 
 // TestConcurrentCheckpointNow: a second CheckpointNow while one is in

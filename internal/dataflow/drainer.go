@@ -17,7 +17,12 @@ import (
 //
 // The queue is FIFO, which is what makes per-key version ordering hold
 // without locks: pins of the same instance drain in pin order, and
-// instances own disjoint key sets.
+// instances own disjoint key sets. Every pin drains at its own snapshot
+// id, a pin of an aborted round included: its versions were cleared from
+// the instance's dirty set when it was pinned, and they govern reads at
+// every later id until a newer version shadows them. Should a recovery
+// roll the state back past them instead, Restore marks the keys they
+// disagree on changed, and the next snapshot shadows them.
 type drainMsg struct {
 	vertex   string
 	instance int
@@ -42,10 +47,6 @@ type drainer struct {
 	// after a commit moved the retention window and the durable id; a
 	// request already pending absorbs the next.
 	compact chan struct{}
-	// carry accumulates pins whose checkpoint round aborted before their
-	// drain ran; they fold into the next live round's drain (see
-	// core.FoldPins — dropping them would lose committed-state updates).
-	carry *core.SnapshotPin
 }
 
 func (d *drainer) run() {
@@ -63,23 +64,6 @@ func (d *drainer) run() {
 }
 
 func (d *drainer) process(pin *core.SnapshotPin) {
-	// Abort/supersession cancels the in-flight drain: when the pin's
-	// round is no longer the in-flight checkpoint (the coordinator
-	// aborted it, and possibly began a retry under a fresh id), the
-	// serialization work is skipped — but the pinned versions are folded
-	// into the next round, not dropped. The race with a concurrent abort
-	// is benign in both directions: draining an about-to-abort pin writes
-	// versions at an id that never publishes (invisible to every query
-	// and restore target), and carrying it is the normal cancel path.
-	if d.job.mgr.Registry().InProgress() != pin.SSID {
-		d.carry = core.FoldPins(d.carry, pin)
-		d.job.ckptIns.drainsAbandoned.Inc()
-		return
-	}
-	if d.carry != nil {
-		pin = core.FoldPins(d.carry, pin)
-		d.carry = nil
-	}
 	start := time.Now()
 	written := d.backend.DrainPin(pin)
 	d.emitSpan(pin.SSID, start)

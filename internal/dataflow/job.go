@@ -179,14 +179,13 @@ type ckptInstruments struct {
 	log     *metrics.EventLog
 
 	// Asynchronous-drain and incremental-persistence telemetry: how long
-	// pinned deltas take to land (pin -> drained), drains cancelled by
-	// aborted rounds, and the cumulative segment mix the persister wrote.
-	drainLag        *metrics.Histogram
-	drainsAbandoned *metrics.Counter
-	deltaSegs       *metrics.Counter
-	fullSegs        *metrics.Counter
-	compactions     *metrics.Counter
-	chainLen        *metrics.Gauge
+	// pinned deltas take to land (pin -> drained) and the cumulative
+	// segment mix the persister wrote.
+	drainLag    *metrics.Histogram
+	deltaSegs   *metrics.Counter
+	fullSegs    *metrics.Counter
+	compactions *metrics.Counter
+	chainLen    *metrics.Gauge
 }
 
 // opInstruments is one operator instance's registry-backed instrument set,
@@ -324,12 +323,11 @@ func Run(dag *DAG, cfg Config) (*Job, error) {
 			total:   reg.Histogram("checkpoint", cfg.Name, "total"),
 			log:     reg.Log("checkpoints", 256),
 
-			drainLag:        reg.Histogram("checkpoint", cfg.Name, "drain_lag"),
-			drainsAbandoned: reg.Counter("checkpoint", cfg.Name, "drains_abandoned"),
-			deltaSegs:       reg.Counter("checkpoint", cfg.Name, "delta_segments"),
-			fullSegs:        reg.Counter("checkpoint", cfg.Name, "full_segments"),
-			compactions:     reg.Counter("checkpoint", cfg.Name, "compactions"),
-			chainLen:        reg.Gauge("checkpoint", cfg.Name, "chain_len"),
+			drainLag:    reg.Histogram("checkpoint", cfg.Name, "drain_lag"),
+			deltaSegs:   reg.Counter("checkpoint", cfg.Name, "delta_segments"),
+			fullSegs:    reg.Counter("checkpoint", cfg.Name, "full_segments"),
+			compactions: reg.Counter("checkpoint", cfg.Name, "compactions"),
+			chainLen:    reg.Gauge("checkpoint", cfg.Name, "chain_len"),
 		}
 	}
 	if cfg.PersistDir != "" {
@@ -452,8 +450,8 @@ func (j *Job) SourceMeter() *metrics.Meter { return j.sourceOut }
 // start builds channels, workers and sources and launches them. When
 // restoreSSID > 0, stateful instances restore their state and sources
 // rewind to the offsets captured by that snapshot before processing
-// begins. With standby set, instances instead promote their active
-// replicas and sources resume from their live offsets — the §VII
+// begins. With standby set, instances instead take their written-through
+// live state over and sources resume from their live offsets — the §VII
 // read-committed failover (no rollback). A failed restore or promotion is
 // returned before any worker, drainer or coordinator starts, and the job
 // stays stopped.

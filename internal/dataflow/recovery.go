@@ -43,9 +43,9 @@ func (j *Job) InjectFailure() (int64, error) {
 		j.ckptAborts.Add(1)
 	}
 
-	// With active standby replicas (§VII, read committed) the failure is
-	// masked by promoting the replicas: no rollback, sources resume from
-	// their live offsets.
+	// With active standby (§VII, read committed) the failure is masked by
+	// taking the written-through live maps over as they stand: no
+	// rollback, sources resume from their live offsets.
 	if j.cfg.State.ActiveStandby {
 		return j.mgr.Registry().LatestCommitted(), j.start(0, true)
 	}
@@ -91,7 +91,7 @@ func (j *Job) clearLiveState() {
 }
 
 // clearState wipes every map a fresh run's stateful operators own — live,
-// snapshot, standby and blob — so a job resubmitted under a stopped job's
+// snapshot and blob — so a job resubmitted under a stopped job's
 // operator names neither computes on nor serves the stopped job's state:
 // its snapshot ids restart at 1 and would otherwise resolve the old
 // versions. ClearMap keeps the tables' indexes, as in clearLiveState.

@@ -1,6 +1,8 @@
 package dataflow
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"squery/internal/cluster"
@@ -19,61 +21,81 @@ func liveTotal(clu *cluster.Cluster) int {
 }
 
 // TestStandbyFailoverNoRollback exercises the §VII read-committed setup:
-// with active standby replicas, a failure promotes the replica instead of
-// rolling back to the last checkpoint, so observed state never regresses.
+// with active standby, a failure takes the written-through live state
+// over instead of rolling back to the last checkpoint, so observed state
+// never regresses. In the failed-node arm the node's live partitions come
+// back from their kv backups: the backup is the replica, and the store
+// holds no map of its own for it.
 func TestStandbyFailoverNoRollback(t *testing.T) {
-	clu := testCluster()
-	const perInstance = 300
-	// Throttled so the stream outlives the mid-stream checkpoint and
-	// failure injection below.
-	src := GeneratorSource("src", 2, 2000, func(instance int, seq int64) (Record, bool) {
-		if seq >= perInstance {
-			return Record{}, false
-		}
-		return Record{Key: int(seq % 10), Value: seq}, true
-	})
-	dag := NewDAG().
-		AddVertex(src).
-		AddVertex(StatefulMapVertex("counter", 2, countFn)).
-		AddVertex(LatencySinkVertexForTest("sink", 2)).
-		Connect("src", "counter", EdgePartitioned).
-		Connect("counter", "sink", EdgePartitioned)
-	job, err := Run(dag, Config{
-		Cluster: clu,
-		State:   core.Config{Live: true, Snapshots: true, ActiveStandby: true},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer job.Stop()
+	for _, failNode := range []bool{false, true} {
+		t.Run(fmt.Sprint("failNode=", failNode), func(t *testing.T) {
+			clu := testCluster()
+			if failNode {
+				clu = cluster.New(cluster.Config{Nodes: 3, Partitions: 27, ReplicateState: true})
+			}
+			const perInstance = 300
+			// Throttled so the stream outlives the mid-stream checkpoint and
+			// failure injection below.
+			src := GeneratorSource("src", 2, 2000, func(instance int, seq int64) (Record, bool) {
+				if seq >= perInstance {
+					return Record{}, false
+				}
+				return Record{Key: int(seq % 10), Value: seq}, true
+			})
+			dag := NewDAG().
+				AddVertex(src).
+				AddVertex(StatefulMapVertex("counter", 2, countFn)).
+				AddVertex(LatencySinkVertexForTest("sink", 2)).
+				Connect("src", "counter", EdgePartitioned).
+				Connect("counter", "sink", EdgePartitioned)
+			job, err := Run(dag, Config{
+				Cluster: clu,
+				State:   core.Config{Live: true, Snapshots: true, ActiveStandby: true},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer job.Stop()
 
-	waitFor(t, func() bool { return job.SourceMeter().Count() > 50 }, "records flowing")
-	if err := job.CheckpointNow(); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, func() bool { return job.SourceMeter().Count() > 200 }, "more records")
+			waitFor(t, func() bool { return job.SourceMeter().Count() > 50 }, "records flowing")
+			if err := job.CheckpointNow(); err != nil {
+				t.Fatal(err)
+			}
+			waitFor(t, func() bool { return job.SourceMeter().Count() > 200 }, "more records")
 
-	// Observe live totals just before the crash.
-	before := liveTotal(clu)
+			// Observe live totals just before the crash.
+			before := liveTotal(clu)
 
-	if _, err := job.InjectFailure(); err != nil {
-		t.Fatal(err)
-	}
-	// Promoted state must not be behind what was already observable: no
-	// rollback means no dirty reads.
-	after := liveTotal(clu)
-	if after < before {
-		t.Fatalf("live state regressed after standby failover: %d -> %d", before, after)
-	}
-	job.Wait()
+			if failNode {
+				if err := clu.Fail(1); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := job.InjectFailure(); err != nil {
+				t.Fatal(err)
+			}
+			// Promoted state must not be behind what was already observable:
+			// no rollback means no dirty reads.
+			after := liveTotal(clu)
+			if after < before {
+				t.Fatalf("live state regressed after standby failover: %d -> %d", before, after)
+			}
+			job.Wait()
 
-	// The final total can be at most the full stream (no duplicates) and
-	// must include everything processed before the crash.
-	final := liveTotal(clu)
-	if final > perInstance*2 {
-		t.Fatalf("duplicates after failover: total %d > %d", final, perInstance*2)
-	}
-	if final < before {
-		t.Fatalf("final total %d below pre-crash observation %d", final, before)
+			// The final total can be at most the full stream (no duplicates)
+			// and must include everything processed before the crash.
+			final := liveTotal(clu)
+			if final > perInstance*2 {
+				t.Fatalf("duplicates after failover: total %d > %d", final, perInstance*2)
+			}
+			if final < before {
+				t.Fatalf("final total %d below pre-crash observation %d", final, before)
+			}
+			for _, name := range clu.Store().MapNames() {
+				if strings.HasPrefix(name, "__standby_") {
+					t.Fatalf("the store holds a standby map %q", name)
+				}
+			}
+		})
 	}
 }

@@ -115,24 +115,67 @@ func (s *Store) manifestPath() string { return filepath.Join(s.dir, "MANIFEST") 
 // operators; the snapshot becomes durable only at Commit.
 func (s *Store) WriteSegment(ssid int64, op string, entries []Entry) error {
 	file := op + ".seg"
-	buf := s.segmentBuf(file, len(entries))
-	buf = append(buf, segMagic...)
-	buf = wire.AppendUvarint(buf, uint64(len(entries)))
-	var st wire.Stream
-	var err error
-	for _, e := range entries {
-		if buf, err = st.AppendValue(buf, e.Key); err != nil {
-			return fmt.Errorf("persist: encoding segment %s/ss-%d: %w", op, ssid, err)
+	buf, err := AppendImage(s.segmentBuf(file, len(entries)), len(entries), func(emit func(key, value any) bool) {
+		for _, e := range entries {
+			if !emit(e.Key, e.Value) {
+				return
+			}
 		}
-		if buf, err = st.AppendValue(buf, e.Value); err != nil {
-			return fmt.Errorf("persist: encoding segment %s/ss-%d: %w", op, ssid, err)
-		}
+	})
+	if err != nil {
+		return fmt.Errorf("persist: encoding segment %s/ss-%d: %w", op, ssid, err)
 	}
 	if err := s.publish(ssid, file, buf); err != nil {
 		return err
 	}
 	s.noteSegment(&s.fullSegs, file, len(buf), len(entries))
 	return nil
+}
+
+// AppendImage encodes a whole-state image into buf: segMagic, the entry
+// count n, then each entry's key and value, one wire.Stream over them all.
+// It is the body of a full segment and of the Jet baseline's blob. each
+// hands emit the entries, stopping once emit returns false (an entry
+// failed to encode); it must hand exactly n.
+func AppendImage(buf []byte, n int, each func(emit func(key, value any) bool)) ([]byte, error) {
+	buf = append(buf, segMagic...)
+	buf = wire.AppendUvarint(buf, uint64(n))
+	var st wire.Stream
+	var err error
+	each(func(key, value any) bool {
+		if buf, err = st.AppendValue(buf, key); err == nil {
+			buf, err = st.AppendValue(buf, value)
+		}
+		return err == nil
+	})
+	return buf, err
+}
+
+// DecodeImage decodes an image AppendImage wrote. Its errors name only
+// what was wrong; callers add which image it was.
+func DecodeImage(raw []byte) ([]Entry, error) {
+	if !bytes.HasPrefix(raw, segMagic) {
+		return nil, errors.New("bad magic")
+	}
+	raw = raw[len(segMagic):]
+	n, used := binary.Uvarint(raw)
+	if used <= 0 {
+		return nil, errors.New("truncated entry count")
+	}
+	raw = raw[used:]
+	entries := make([]Entry, 0, min(n, uint64(len(raw))))
+	for i := uint64(0); i < n; i++ {
+		var e Entry
+		var err error
+		if e.Key, raw, err = wire.DecodeValue(raw); err != nil {
+			return nil, err
+		}
+		if e.Value, raw, err = wire.DecodeValue(raw); err != nil {
+			return nil, err
+		}
+		entries = append(entries, e)
+	}
+	return entries, nil
 }
 
 // publish writes one segment file under its snapshot directory with the
@@ -174,25 +217,9 @@ func (s *Store) ReadSegment(ssid int64, op string) ([]Entry, error) {
 	if err != nil {
 		return nil, fmt.Errorf("persist: opening segment %s/ss-%d: %w", op, ssid, err)
 	}
-	if !bytes.HasPrefix(raw, segMagic) {
-		return nil, fmt.Errorf("persist: segment %s/ss-%d: bad magic", op, ssid)
-	}
-	raw = raw[len(segMagic):]
-	n, used := binary.Uvarint(raw)
-	if used <= 0 {
-		return nil, fmt.Errorf("persist: segment %s/ss-%d: truncated entry count", op, ssid)
-	}
-	raw = raw[used:]
-	entries := make([]Entry, 0, n)
-	for i := uint64(0); i < n; i++ {
-		var e Entry
-		if e.Key, raw, err = wire.DecodeValue(raw); err != nil {
-			return nil, fmt.Errorf("persist: decoding segment %s/ss-%d: %w", op, ssid, err)
-		}
-		if e.Value, raw, err = wire.DecodeValue(raw); err != nil {
-			return nil, fmt.Errorf("persist: decoding segment %s/ss-%d: %w", op, ssid, err)
-		}
-		entries = append(entries, e)
+	entries, err := DecodeImage(raw)
+	if err != nil {
+		return nil, fmt.Errorf("persist: decoding segment %s/ss-%d: %w", op, ssid, err)
 	}
 	return entries, nil
 }

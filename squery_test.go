@@ -308,6 +308,25 @@ func TestScanLiveVisitsAllKeys(t *testing.T) {
 	}
 }
 
+// TestSubmitJobRefusesConflictingState: a state configuration no backend
+// can honour is refused at submission, and leaves the operator names free.
+func TestSubmitJobRefusesConflictingState(t *testing.T) {
+	eng := New(Config{Nodes: 1, Partitions: 8})
+	for _, state := range []StateConfig{
+		{Snapshots: true, ActiveStandby: true},
+		{JetBlob: true, Snapshots: true},
+	} {
+		if _, err := eng.SubmitJob(averagingJob(nil), JobSpec{Name: "bad", State: state}); err == nil {
+			t.Fatalf("job with state %+v accepted", state)
+		}
+	}
+	job, err := eng.SubmitJob(averagingJob(nil), JobSpec{Name: "good", State: StateConfig{Live: true, ActiveStandby: true}})
+	if err != nil {
+		t.Fatalf("valid job refused after the refused ones: %v", err)
+	}
+	job.Stop()
+}
+
 func TestDuplicateOperatorNamesAcrossJobsRejected(t *testing.T) {
 	eng := New(Config{Nodes: 1, Partitions: 8})
 	j1, err := eng.SubmitJob(averagingJob([]Record{{Key: 1, Value: 1}}), JobSpec{
