@@ -100,13 +100,22 @@ fuzz-short:
 # aborted round shadowing that round's runs (in core, and through a
 # pre-commit crash in a running job), an aborted round's blobs dropped, a
 # standby failover over a failed node's kv backups with no standby map,
-# and an undecodable snapshot failing recovery with an error and no
-# goroutine left.
+# the standby choice taken from the stateful vertices (a DAG whose
+# vertices disagree refused), a backend without Snapshots keeping no dirty
+# set, a bottom snapshot run shedding evicted versions under newer runs, a
+# run spanning 2^40 snapshot ids, and an undecodable snapshot failing
+# recovery with an error and no goroutine left. Phase-1 acks come from the
+# drainers of stateful instances: a lost, a duplicated and a
+# killed-in-flight ack, a source's ack delayed past its retirement (never
+# counted), and, repeated, an instance that acks and retires before the
+# coordinator reads either (its retirement must arrive behind its ack, or
+# the round aborts).
 ckpt-smoke:
 	$(GO) test ./internal/persist -run 'TestCrash|FuzzDeltaChain' -count=1 -v
 	$(GO) test . -run 'TestIncrementalRecoveryParity|TestResubmittedJobStartsEmpty|TestOpenArchiveRefusesRunningOperator' -race -count=1 -v
-	$(GO) test ./internal/core -run 'TestIncrementalMatchesModel/live|TestRestoreHandsTapsOnlyChangedKeys|TestSnapshotRunsMatchModel|TestPromoteStandbyKeepsChangedKeys|TestRestoreShadowsAbortedRound|TestManagerAbortDropsBlobs' -race -count=1 -v
-	$(GO) test ./internal/dataflow -run 'TestRestoreErrorFailsRecovery|TestPreCommitCrashRestoreShadowsDrainedRound|TestStandbyFailoverNoRollback' -race -count=1 -v
+	$(GO) test ./internal/core -run 'TestIncrementalMatchesModel/live|TestRestoreHandsTapsOnlyChangedKeys|TestSnapshotRunsMatchModel|TestPromoteStandbyKeepsChangedKeys|TestRestoreShadowsAbortedRound|TestManagerAbortDropsBlobs|TestDirtySetOnlyWithSnapshots|TestPlanEvictsBottomUnderNewerRuns|TestRunWideSpan' -race -count=1 -v
+	$(GO) test ./internal/dataflow -run 'TestRestoreErrorFailsRecovery|TestPreCommitCrashRestoreShadowsDrainedRound|TestStandbyFailoverNoRollback|TestStandbyChosenByVertices|TestAckLossAbortsAndRetries|TestDuplicatedAckIsDeduped|TestKillDuringCheckpointAbortsExactlyOnce|TestDelayedAckAfterRetirementNotCounted' -race -count=1 -v
+	$(GO) test ./internal/dataflow -run 'TestAckThenRetireCommits' -race -count=20
 	$(GO) test ./internal/experiments -run 'TestCkptScaleShape' -count=1 -v
 
 # Perf smoke over the serialization, join, index and read hot paths. The

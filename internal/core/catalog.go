@@ -372,7 +372,7 @@ func decodeChunk(es []kv.Entry, rows []TableRow) []TableRow {
 
 // runTableRow returns row i of run r as a snapshot table row.
 func runTableRow(r *run, i int) TableRow {
-	return TableRow{Key: r.keys[i], SSID: r.ssid[i], Raw: r.vals[i]}
+	return TableRow{Key: r.keys[i], SSID: r.ssid(i), Raw: r.vals[i]}
 }
 
 // chunker hands a scan's rows to its callback at most kv.ScanBatch at a

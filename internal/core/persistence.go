@@ -245,7 +245,7 @@ func deltaWindow(snapMap *kv.Map, lastDurable, ssid int64) []persist.DeltaEntry 
 					seen[ks] = struct{}{}
 				}
 				g, gi := rs.governing(r.hash[i], ks, ssid)
-				if gi < 0 || g.ssid[gi] <= lastDurable {
+				if gi < 0 || g.ssid(gi) <= lastDurable {
 					continue
 				}
 				deltas = append(deltas, persist.DeltaEntry{Key: g.keys[gi], Value: g.vals[gi], Tombstone: g.tombstone(gi)})

@@ -52,11 +52,14 @@ const mergeFactor = 4
 // parallel arrays: a version is one row. All versions of a key in a run are
 // adjacent, ascending by ssid — a key group.
 type run struct {
-	hash  []uint64
-	keys  []partition.Key
-	ssid  []int64
-	flags []uint8 // rowTomb, rowCont
-	vals  []any
+	hash []uint32 // hashKey of each row's key
+	keys []partition.Key
+	// meta holds each row's flags (rowTomb, rowCont) and, above rowShift,
+	// its ssid less lo — unless wide holds every row's ssid, which a run
+	// spanning maxOffset ids or more needs.
+	meta []uint32
+	wide []int64
+	vals []any
 
 	lo, hi int64 // least and greatest ssid of any row
 	nkeys  int   // key groups
@@ -66,24 +69,43 @@ type run struct {
 	// version's ssid of a key whose oldest version is a tombstone.
 	// MaxInt64 when no such id exists.
 	dropAt int64
+	// spare counts the rows a merge of this run alone as the bottom can
+	// drop at some later oldest-retained id: every version but its key's
+	// newest, and a newest version that is a tombstone.
+	spare int
 	// ixs are the run's secondary indexes, one per index defined on the
 	// snapshot map when the run was written or merged.
 	ixs []*kv.FrozenIndex
 }
 
-// Row flags.
+// Row flags, in the low bits of a row's meta word.
 const (
 	// rowTomb marks a tombstone: the key was deleted as of the row's ssid.
-	rowTomb uint8 = 1 << iota
+	rowTomb uint32 = 1 << iota
 	// rowCont marks a row of the same key as the row before it, so a key
 	// group's end is found without reading a key.
 	rowCont
 )
 
+// rowShift places a row's ssid offset above its flags; maxOffset is the
+// least span of ids a run keeps in wide instead.
+const (
+	rowShift  = 2
+	maxOffset = 1 << (32 - rowShift)
+)
+
 func (r *run) len() int { return len(r.hash) }
 
 // tombstone reports whether row i is a tombstone.
-func (r *run) tombstone(i int) bool { return r.flags[i]&rowTomb != 0 }
+func (r *run) tombstone(i int) bool { return r.meta[i]&rowTomb != 0 }
+
+// ssid returns row i's snapshot id.
+func (r *run) ssid(i int) int64 {
+	if r.wide != nil {
+		return r.wide[i]
+	}
+	return r.lo + int64(r.meta[i]>>rowShift)
+}
 
 // ks returns row i's canonical key string.
 func (r *run) ks(i int) string { return partition.KeyString(r.keys[i]) }
@@ -100,7 +122,7 @@ func sameKey(key partition.Key, ks string) bool {
 // groupEnd returns the row after the key group that starts at row i.
 func (r *run) groupEnd(i int) int {
 	j := i + 1
-	for j < len(r.flags) && r.flags[j]&rowCont != 0 {
+	for j < len(r.meta) && r.meta[j]&rowCont != 0 {
 		j++
 	}
 	return j
@@ -108,7 +130,7 @@ func (r *run) groupEnd(i int) int {
 
 // find returns the rows [lo, hi) of the key group of ks, whose hash is h;
 // lo is -1 when the run does not hold the key.
-func (r *run) find(h uint64, ks string) (lo, hi int) {
+func (r *run) find(h uint32, ks string) (lo, hi int) {
 	i, j := 0, len(r.hash)
 	for i < j {
 		mid := int(uint(i+j) >> 1)
@@ -132,7 +154,7 @@ func (r *run) find(h uint64, ks string) (lo, hi int) {
 // n — the one with the largest ssid ≤ n — or -1.
 func (r *run) at(lo, hi int, n int64) int {
 	for i := hi - 1; i >= lo; i-- {
-		if r.ssid[i] <= n {
+		if r.ssid(i) <= n {
 			return i
 		}
 	}
@@ -141,7 +163,7 @@ func (r *run) at(lo, hi int, n int64) int {
 
 // version returns row i as a Versioned.
 func (r *run) version(i int) Versioned {
-	return Versioned{SSID: r.ssid[i], Value: r.vals[i], Tombstone: r.tombstone(i)}
+	return Versioned{SSID: r.ssid(i), Value: r.vals[i], Tombstone: r.tombstone(i)}
 }
 
 // index returns the run's index on col, nil when it has none.
@@ -156,7 +178,7 @@ func (r *run) index(col string) *kv.FrozenIndex {
 
 // runRow is one version on its way into a run.
 type runRow struct {
-	hash uint64
+	hash uint32
 	key  partition.Key
 	ks   string
 	ssid int64
@@ -169,20 +191,33 @@ type runRow struct {
 func newRun(rows []runRow, ixs []*kv.Index) *run {
 	n := len(rows)
 	r := &run{
-		hash: make([]uint64, n), keys: make([]partition.Key, n),
-		ssid: make([]int64, n), flags: make([]uint8, n), vals: make([]any, n),
+		hash: make([]uint32, n), keys: make([]partition.Key, n),
+		meta: make([]uint32, n), vals: make([]any, n),
 		lo: math.MaxInt64, hi: math.MinInt64, dropAt: math.MaxInt64,
 	}
 	for i := range rows {
+		r.lo, r.hi = min(r.lo, rows[i].ssid), max(r.hi, rows[i].ssid)
+	}
+	if n > 0 && uint64(r.hi-r.lo) >= maxOffset {
+		r.wide = make([]int64, n)
+	}
+	for i := range rows {
 		w := &rows[i]
-		r.hash[i], r.keys[i], r.ssid[i], r.vals[i] = w.hash, w.key, w.ssid, w.val
-		if w.tomb {
-			r.flags[i] = rowTomb
+		r.hash[i], r.keys[i], r.vals[i] = w.hash, w.key, w.val
+		if r.wide != nil {
+			r.wide[i] = w.ssid
+		} else {
+			r.meta[i] = uint32(w.ssid-r.lo) << rowShift
 		}
-		r.lo, r.hi = min(r.lo, w.ssid), max(r.hi, w.ssid)
+		if w.tomb {
+			r.meta[i] |= rowTomb
+		}
 		first := i == 0 || w.hash != rows[i-1].hash || w.ks != rows[i-1].ks
 		if !first {
-			r.flags[i] |= rowCont
+			r.meta[i] |= rowCont
+		}
+		if last := i+1 == n || rows[i+1].hash != w.hash || rows[i+1].ks != w.ks; !last || w.tomb {
+			r.spare++
 		}
 		switch {
 		case first:
@@ -244,15 +279,19 @@ func (s *runSet) IndexStats(col string) (refs, bytes int64) {
 	return refs, bytes
 }
 
-// hashKey is the hash a run sorts ks by.
-func hashKey(ks string) uint64 { return partition.HashString(ks) }
+// hashKey is the hash a run sorts ks by: the high 32 bits of the key's
+// partition hash.
+func hashKey(ks string) uint32 { return rowHash(partition.HashString(ks)) }
+
+// rowHash is hashKey of a key whose partition hash is h.
+func rowHash(h uint64) uint32 { return uint32(h >> 32) }
 
 // governing returns the run and row that govern reads of ks at ssid n —
 // the version with the largest ssid ≤ n, a newer run shadowing an older
 // one at the same ssid — tombstones included; row is -1 when the
 // partition holds no such version. Runs are searched newest first, and a
 // run whose versions are all older than the best found is skipped.
-func (s *runSet) governing(h uint64, ks string, n int64) (*run, int) {
+func (s *runSet) governing(h uint32, ks string, n int64) (*run, int) {
 	if s == nil {
 		return nil, -1
 	}
@@ -260,14 +299,14 @@ func (s *runSet) governing(h uint64, ks string, n int64) (*run, int) {
 	bi := -1
 	for j := len(s.runs) - 1; j >= 0; j-- {
 		r := s.runs[j]
-		if r.lo > n || best != nil && r.hi <= best.ssid[bi] {
+		if r.lo > n || best != nil && r.hi <= best.ssid(bi) {
 			continue
 		}
 		lo, hi := r.find(h, ks)
 		if lo < 0 {
 			continue
 		}
-		if i := r.at(lo, hi, n); i >= 0 && (best == nil || r.ssid[i] > best.ssid[bi]) {
+		if i := r.at(lo, hi, n); i >= 0 && (best == nil || r.ssid(i) > best.ssid(bi)) {
 			best, bi = r, i
 		}
 	}
@@ -402,7 +441,7 @@ func (s *runSet) each(n int64, fn func(r *run, i int) bool) {
 		var best *run
 		bi := -1
 		for j, r := range s.runs {
-			if g := r.at(lo[j], hi[j], n); g >= 0 && (best == nil || r.ssid[g] >= best.ssid[bi]) {
+			if g := r.at(lo[j], hi[j], n); g >= 0 && (best == nil || r.ssid(g) >= best.ssid(bi)) {
 				best, bi = r, g
 			}
 		}
@@ -484,7 +523,7 @@ func (s *runSet) sample() (any, bool) {
 	}
 	for j := len(s.runs) - 1; j >= 0; j-- {
 		r := s.runs[j]
-		for i := range r.flags {
+		for i := range r.meta {
 			if !r.tombstone(i) {
 				return r.vals[i], true
 			}
@@ -521,7 +560,7 @@ func mergeRuns(ws []*run, oldest int64, bottom bool, ixs []*kv.Index) (*run, []r
 		vs = vs[:0]
 		for j, r := range ws {
 			for i := lo[j]; i < hi[j]; i++ {
-				vs = insertBySSID(vs, runRow{hash: r.hash[i], key: r.keys[i], ks: ks, ssid: r.ssid[i], tomb: r.tombstone(i), val: r.vals[i]})
+				vs = insertBySSID(vs, runRow{hash: r.hash[i], key: r.keys[i], ks: ks, ssid: r.ssid(i), tomb: r.tombstone(i), val: r.vals[i]})
 			}
 		}
 		first := 0
@@ -560,7 +599,7 @@ func (s *runSet) with(r *run) *runSet {
 }
 
 // holds reports whether any run of the set other than skip holds ks.
-func (s *runSet) holds(h uint64, ks string, skip []*run) bool {
+func (s *runSet) holds(h uint32, ks string, skip []*run) bool {
 	if s == nil {
 		return false
 	}
@@ -602,8 +641,10 @@ func (s *runSet) replaced(at int, ws []*run, merged *run, dropped []runRow) (*ru
 }
 
 // plan picks the merge a partition's set is due: the window of runs the
-// geometric rule folds together, or the bottom run alone when a merge
-// would drop some of its rows. Only runs whose versions are all at or
+// geometric rule folds together, or else the bottom run alone once a merge
+// would drop some of its rows and at least a mergeFactor-th of its rows
+// are spare, so the rewrite's cost stays in proportion to what it can
+// reclaim, whatever runs sit above it. Only runs whose versions are all at or
 // below durable (the last durable snapshot id, while stable storage is
 // attached) take part, so the versions a persisted commit still has to
 // write stay in runs of their own. ok is false when nothing is due.
@@ -623,8 +664,11 @@ func (s *runSet) plan(oldest, durable int64) (at int, ws []*run, ok bool) {
 		j--
 		sum += s.runs[j].len()
 	}
-	if j < m-1 || j == 0 && s.runs[0].dropAt <= oldest {
+	if j < m-1 {
 		return j, s.runs[j:m], true
+	}
+	if b := s.runs[0]; b.dropAt <= oldest && mergeFactor*b.spare >= b.len() {
+		return 0, s.runs[:1], true
 	}
 	return 0, nil, false
 }

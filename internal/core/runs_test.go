@@ -1,7 +1,12 @@
 package core
 
 import (
+	"cmp"
+	"fmt"
+	"math"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -310,5 +315,87 @@ func TestChainValueIndexer(t *testing.T) {
 	// A range probe is declined by a hash index.
 	if _, ok := fi.Gather(kv.IndexLookup{Col: "zone", Range: true, Lo: "a"}, nil); ok {
 		t.Fatal("hash index served a range probe")
+	}
+}
+
+// keysRun returns one run holding, for each of n keys, a version at every
+// id of ids.
+func keysRun(n int, ids ...int64) *run {
+	var rows []runRow
+	for i := 0; i < n; i++ {
+		ks := fmt.Sprintf("k%d", i)
+		for _, id := range ids {
+			rows = append(rows, runRow{hash: hashKey(ks), key: ks, ks: ks, ssid: id, val: id})
+		}
+	}
+	slices.SortStableFunc(rows, func(a, b runRow) int {
+		if c := cmp.Compare(a.hash, b.hash); c != 0 {
+			return c
+		}
+		return strings.Compare(a.ks, b.ks)
+	})
+	return newRun(rows, nil)
+}
+
+// TestPlanEvictsBottomUnderNewerRuns: the bottom run sheds its evicted
+// versions even when a newer run sits above it that the geometric rule
+// leaves alone — but only once enough of its rows are spare to pay for
+// the rewrite.
+func TestPlanEvictsBottomUnderNewerRuns(t *testing.T) {
+	// Eight keys at ids 1 and 2 (8 of 16 rows spare), under a run too
+	// small for the geometric rule to merge into it.
+	rs := (*runSet)(nil).with(keysRun(8, 1, 2)).with(keysRun(2, 3))
+	if _, _, ok := rs.plan(2, math.MaxInt64); ok {
+		t.Fatal("planned a merge before any version left the window")
+	}
+	at, ws, ok := rs.plan(3, math.MaxInt64)
+	if !ok || at != 0 || len(ws) != 1 || ws[0] != rs.runs[0] {
+		t.Fatalf("plan(3) = %d, %d runs, %v; want the bottom run alone", at, len(ws), ok)
+	}
+	merged, dropped := mergeRuns(ws, 3, true, nil)
+	if merged.len() != 8 || len(dropped) != 0 {
+		t.Fatalf("bottom merged at 3 holds %d rows (dropped %d keys); want 8, 0", merged.len(), len(dropped))
+	}
+
+	// One spare row of nine: a merge at 3 would drop it, but the rewrite
+	// waits for the next geometric merge.
+	few, _ := mergeRuns([]*run{keysRun(8, 1), keysRun(1, 2)}, 0, true, nil)
+	rs = (*runSet)(nil).with(few).with(keysRun(2, 3))
+	if few.spare != 1 || few.dropAt != 3 {
+		t.Fatalf("spare %d, dropAt %d; want 1, 3", few.spare, few.dropAt)
+	}
+	if _, _, ok := rs.plan(3, math.MaxInt64); ok {
+		t.Fatal("rewrote a bottom run to drop one row of nine")
+	}
+}
+
+// TestRunWideSpan: a run whose ids span more than a row's offset can hold
+// keeps them whole and reads like any other.
+func TestRunWideSpan(t *testing.T) {
+	const far = int64(1) << 40
+	rs := keyRuns(
+		Versioned{SSID: 1, Value: "v1"},
+		Versioned{SSID: far, Tombstone: true},
+		Versioned{SSID: far + 1, Value: "v2"},
+	)
+	if rs.runs[0].wide != nil {
+		t.Fatal("a one-version run keeps wide ids")
+	}
+	merged, _ := mergeRuns(rs.runs, 0, true, nil)
+	if merged.wide == nil {
+		t.Fatal("a run spanning 2^40 ids has no wide ids")
+	}
+	wide := (*runSet)(nil).with(merged)
+	for _, c := range []struct {
+		n    int64
+		want any
+	}{{1, "v1"}, {far - 1, "v1"}, {far, nil}, {far + 1, "v2"}, {math.MaxInt64, "v2"}} {
+		v, ok := at(wide, c.n)
+		if c.want == nil && ok || c.want != nil && (!ok || v.Value != c.want) {
+			t.Errorf("at(%d) = %v, %v; want %v", c.n, v.Value, ok, c.want)
+		}
+	}
+	if got := wide.versions("k"); len(got) != 3 || got[1].SSID != far || !got[1].Tombstone {
+		t.Errorf("versions = %+v", got)
 	}
 }

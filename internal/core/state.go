@@ -116,7 +116,7 @@ type Backend struct {
 
 	live  *kv.Map                  // the live map <op> when Live is set, else nil
 	data  map[string]kv.Entry      // the state when Live is off, else nil
-	dirty map[string]partition.Key // keys touched since the last checkpoint
+	dirty map[string]partition.Key // keys touched since the last pin; kept only with Snapshots
 
 	// pending is a Live backend's write-behind batch: live-map operations
 	// not yet applied, in order (a batch applies exactly like the same
@@ -257,7 +257,7 @@ func (b *Backend) Update(key partition.Key, value any) {
 
 func (b *Backend) update(key partition.Key, value any) {
 	ks := partition.KeyString(key)
-	b.dirty[ks] = key
+	b.touch(ks, key)
 	if b.live != nil {
 		b.mirror(ks, kv.Op{Key: key, Value: value})
 	} else {
@@ -284,11 +284,19 @@ func (b *Backend) Delete(key partition.Key) {
 
 func (b *Backend) del(key partition.Key) {
 	ks := partition.KeyString(key)
-	b.dirty[ks] = key
+	b.touch(ks, key)
 	if b.live != nil {
 		b.mirror(ks, kv.Op{Key: key, Delete: true})
 	} else {
 		delete(b.data, ks)
+	}
+}
+
+// touch files key in the dirty set the next pin reads. Only snapshots
+// read it: without Snapshots nothing pins, and the set would only grow.
+func (b *Backend) touch(ks string, key partition.Key) {
+	if b.cfg.Snapshots {
+		b.dirty[ks] = key
 	}
 }
 
@@ -459,7 +467,7 @@ func writeRuns(view func(p int) kv.NodeView, m *kv.Map, ssid int64, kvs []keyedV
 	starts := make([]int, count+1)
 	for i, e := range kvs {
 		ks := partition.KeyString(e.key)
-		h := hashKey(ks)
+		h := partition.HashString(ks)
 		// A string key is its own canonical string, so its partition
 		// (partition.Of: the key's hash modulo the count) is at hand.
 		if _, ok := e.key.(string); ok {
@@ -468,7 +476,7 @@ func writeRuns(view func(p int) kv.NodeView, m *kv.Map, ssid int64, kvs []keyedV
 			parts[i] = part.Of(e.key)
 		}
 		starts[parts[i]+1]++
-		rows[i] = runRow{hash: h, key: e.key, ks: ks, ssid: ssid, tomb: e.tombstone, val: e.value}
+		rows[i] = runRow{hash: rowHash(h), key: e.key, ks: ks, ssid: ssid, tomb: e.tombstone, val: e.value}
 	}
 	for p := 1; p <= count; p++ {
 		starts[p] += starts[p-1]
@@ -601,7 +609,6 @@ func (b *Backend) prepareBlob(ssid int64) error {
 		return fmt.Errorf("core: encoding blob snapshot of %s/%d: %w", b.op, b.instance, err)
 	}
 	b.view.Put(blobMapName(b.op), blobKey(b.instance, ssid), buf)
-	b.dirty = make(map[string]partition.Key)
 	return nil
 }
 

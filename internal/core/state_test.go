@@ -440,3 +440,21 @@ func TestWriteVersionsHopCount(t *testing.T) {
 		t.Fatalf("checkpoint not >=4x cheaper than Get+Put per key: %d vs %d messages", sent, perKey)
 	}
 }
+
+// TestDirtySetOnlyWithSnapshots: without Snapshots nothing pins the dirty
+// set, so a backend must not keep one — a {Live} backend writing new keys
+// between checkpoints would otherwise grow it without bound.
+func TestDirtySetOnlyWithSnapshots(t *testing.T) {
+	b := NewBackend("op", 0, newTestStore().View(0), Config{Live: true})
+	for round := 0; round < 5; round++ {
+		for i := 0; i < 1000; i++ {
+			b.Update(fmt.Sprintf("k%d-%d", round, i), i)
+		}
+		if pin, err := b.SnapshotPin(int64(round + 1)); pin != nil || err != nil {
+			t.Fatalf("pin without Snapshots = %v, %v; want nothing to drain", pin, err)
+		}
+	}
+	if n := len(b.dirty); n != 0 {
+		t.Fatalf("a {Live} backend holds %d dirty keys after 5 pins, want 0", n)
+	}
+}

@@ -48,31 +48,25 @@ const (
 	ckptSkipped
 )
 
-// retireMsg signals that an instance exited naturally (finite source
-// drained); the coordinator stops expecting acks from it. For sources the
-// message carries the final replay offset, which later checkpoints must
-// still record: a snapshot taken after a source drained is only a
-// consistent cut if recovery knows not to replay that source from zero.
-type retireMsg struct {
-	id     string
-	offset int64 // final source offset; -1 for non-sources
-}
-
 // coordState is the per-run bookkeeping of whichever driver runs
-// checkpoints (the ticker goroutine or manual CheckpointNow calls).
+// checkpoints (the ticker goroutine or manual CheckpointNow calls): the
+// instances that exited naturally, whose acks it stops expecting, and the
+// retired sources' final offsets, which later checkpoints must still
+// record — recovery must not replay a drained source from zero.
 type coordState struct {
 	retired    map[string]bool
-	srcOffsets map[string]int64 // final offsets of retired sources
+	srcOffsets map[string]int64
 }
 
 func newCoordState() *coordState {
 	return &coordState{retired: map[string]bool{}, srcOffsets: map[string]int64{}}
 }
 
-func (c *coordState) note(r retireMsg) {
-	c.retired[r.id] = true
+func (c *coordState) note(r ack) {
+	id := offsetKey(r.vertex, r.instance)
+	c.retired[id] = true
 	if r.offset >= 0 {
-		c.srcOffsets[r.id] = r.offset
+		c.srcOffsets[id] = r.offset
 	}
 }
 
@@ -163,10 +157,7 @@ func (j *Job) checkpointWithRetry(st *coordState) (ckptOutcome, error) {
 // back; with ckptCommitted only the pruning of evicted snapshots from
 // stable storage failed.
 func (j *Job) checkpointOnce(st *coordState, attempt int) (ckptOutcome, error) {
-	// Collect retirements that happened since the last checkpoint, and
-	// purge drain acknowledgements left over from aborted rounds.
-	j.drainRetired(st)
-	j.purgeDrains()
+	j.collectRetired(st)
 	needed := j.acksNeeded - len(st.retired)
 	if needed <= 0 {
 		return ckptSkipped, nil
@@ -290,20 +281,46 @@ func (j *Job) checkpointOnce(st *coordState, attempt int) (ckptOutcome, error) {
 	}
 	child("barrier_inject", injStart, time.Since(injStart), j.cfg.Name, -1, false)
 
-	// Phase 1: wait for every live instance to pin.
+	// Phase 1: wait for every live instance's ack; a stateful instance's
+	// drainer sends it once the pin is in the state store. Phase 1 proper
+	// ends when the last instance pinned (or acked, without a drainer);
+	// the rest of the wait is the drains'.
 	offsets := map[string]int64{}
 	acked := map[string]bool{}
 	got := 0
-	drainsExpected := 0
+	pinned := start
+	drained := false
+	deltaKeys := 0
 	for got < needed {
 		select {
 		case a := <-j.ackCh:
-			if a.ssid != ssid {
-				continue // stale ack from an aborted checkpoint
-			}
 			id := offsetKey(a.vertex, a.instance)
-			if acked[id] {
-				continue // duplicate delivery
+			if a.retired {
+				// An instance's ack precedes its retirement, so one retiring
+				// unacked never acks this round (unless chaos delayed the
+				// ack). A stateful instance that finished before acking never
+				// snapshotted its tail state — the versions written since the
+				// last checkpoint exist only in its (now gone) live run.
+				// Publishing this cut would pair post-retirement source
+				// offsets with pre-retirement state and silently lose records
+				// on recovery. The instance is not coming back, so a retry
+				// cannot help either: give up on the id.
+				st.note(a)
+				switch {
+				case acked[id]:
+				case j.statefulIDs[id]:
+					noteAbort("stateful instance retired mid-checkpoint")
+					return ckptSkipped, nil
+				default:
+					needed--
+				}
+				continue
+			}
+			if a.ssid != ssid || acked[id] || st.retired[id] {
+				// A stale ack from an aborted checkpoint, a duplicate, or an
+				// ack chaos delayed past its instance's retirement, which
+				// already left the count.
+				continue
 			}
 			if a.err != nil {
 				// The instance could not pin its state: abort the id like a
@@ -314,30 +331,20 @@ func (j *Job) checkpointOnce(st *coordState, attempt int) (ckptOutcome, error) {
 			}
 			acked[id] = true
 			got++
-			if a.drains {
-				drainsExpected++
+			at := a.pinnedAt
+			if at.IsZero() {
+				at = time.Now()
+			} else {
+				drained = true
+				deltaKeys += a.written
+				j.ckptIns.drainLag.Record(a.lag)
+			}
+			if at.After(pinned) {
+				pinned = at
 			}
 			if a.offset >= 0 {
 				offsets[id] = a.offset
 			}
-		case r := <-j.retiredCh:
-			if !st.retired[r.id] {
-				st.note(r)
-				if !acked[r.id] {
-					// A stateful instance that finished before acking never
-					// snapshotted its tail state — the versions written since
-					// the last checkpoint exist only in its (now gone) live
-					// run. Publishing this cut would pair post-retirement
-					// source offsets with pre-retirement state and silently
-					// lose records on recovery. The instance is not coming
-					// back, so a retry cannot help either: give up on the id.
-					if j.statefulIDs[r.id] {
-						noteAbort("stateful instance retired mid-checkpoint")
-						return ckptSkipped, nil
-					}
-					needed--
-				}
-			}
 		case <-deadline:
 			return abort(), nil
 		case <-j.killCh:
@@ -345,45 +352,9 @@ func (j *Job) checkpointOnce(st *coordState, attempt int) (ckptOutcome, error) {
 			return ckptStopped, nil
 		}
 	}
-	phase1 := time.Since(start)
-
-	// Drain gate: instances that pinned instead of serializing resumed
-	// processing at the barrier, but their deltas are still in flight —
-	// commit must not publish until every drain has landed in the state
-	// store. The drain wait shares the phase-1 deadline budget; a stall
-	// here aborts and retries like a lost ack would.
-	drained := map[string]bool{}
-	deltaKeys := 0
+	phase1 := pinned.Sub(start)
 	var drainDur time.Duration
-	for drainsGot := 0; drainsGot < drainsExpected; {
-		select {
-		case d := <-j.drainCh:
-			if d.ssid != ssid {
-				continue // late drain of an aborted round
-			}
-			id := offsetKey(d.vertex, d.instance)
-			if drained[id] {
-				continue
-			}
-			drained[id] = true
-			drainsGot++
-			deltaKeys += d.written
-			j.ckptIns.drainLag.Record(d.lag)
-		case r := <-j.retiredCh:
-			// A retiring instance's drainer outlives it (drainers are
-			// job-scoped), so its expected drain still arrives; just record
-			// the retirement for the next round.
-			if !st.retired[r.id] {
-				st.note(r)
-			}
-		case <-deadline:
-			return abort(), nil
-		case <-j.killCh:
-			noteAbort("stopped")
-			return ckptStopped, nil
-		}
-	}
-	if drainsExpected > 0 {
+	if drained {
 		drainDur = time.Since(start) - phase1
 	}
 
@@ -462,38 +433,27 @@ func (j *Job) checkpointOnce(st *coordState, attempt int) (ckptOutcome, error) {
 	return ckptCommitted, commitErr
 }
 
-// purgeDrains discards drain acknowledgements queued by rounds that no
-// longer matter (aborted checkpoints whose drains completed late), so
-// the channel never fills between checkpoints.
-func (j *Job) purgeDrains() {
+// collectRetired empties the ack channel as a checkpoint begins: it notes
+// the retirements queued since the last checkpoint and drops the acks of
+// rounds that no longer matter (aborted rounds whose drains completed
+// late, duplicates), so the channel never fills between checkpoints.
+func (j *Job) collectRetired(st *coordState) {
 	for {
 		select {
-		case <-j.drainCh:
+		case a := <-j.ackCh:
+			if a.retired {
+				st.note(a)
+			}
 		default:
 			return
 		}
 	}
 }
 
-func (j *Job) drainRetired(st *coordState) {
-	for {
-		select {
-		case r := <-j.retiredCh:
-			st.note(r)
-		default:
-			return
-		}
-	}
-}
-
-// retire notifies the coordinator that an instance exited naturally.
-// Sources pass their final offset; other instances pass -1.
+// retire tells the coordinator that an instance exited naturally. Sources
+// pass their final offset; other instances pass -1.
 func (j *Job) retire(vertex string, instance int, offset int64) {
-	select {
-	case j.retiredCh <- retireMsg{id: offsetKey(vertex, instance), offset: offset}:
-	default:
-		// Buffer full can only mean the job is tearing down.
-	}
+	j.deliverAck(ack{vertex: vertex, instance: instance, offset: offset, retired: true})
 }
 
 // requestCompaction asks every drainer to merge its instance's snapshot

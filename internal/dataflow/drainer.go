@@ -11,9 +11,8 @@ import (
 // state store off the barrier path — the asynchronous half of Carbone et
 // al.'s lightweight snapshots. The owning worker's phase 1 shrinks to a
 // version pin; the drainer serializes and writes the pinned delta while
-// processing resumes, and the coordinator gates phase 2 on the drain
-// acknowledgements, so a committed snapshot is always fully in the
-// store.
+// processing resumes, and only then sends the instance's phase-1 ack, so
+// a committed snapshot is always fully in the store.
 //
 // The queue is FIFO, which is what makes per-key version ordering hold
 // without locks: pins of the same instance drain in pin order, and
@@ -22,27 +21,22 @@ import (
 // the instance's dirty set when it was pinned, and they govern reads at
 // every later id until a newer version shadows them. Should a recovery
 // roll the state back past them instead, Restore marks the keys they
-// disagree on changed, and the next snapshot shadows them.
-type drainMsg struct {
-	vertex   string
-	instance int
-	ssid     int64
-	written  int
-	lag      time.Duration // pin taken -> drain complete
-}
-
+// disagree on changed, and the next snapshot shadows them. The worker's
+// retirement takes the same queue (a nil pin), so it reaches the
+// coordinator behind the ack of every pin the instance took.
 type drainer struct {
 	job      *Job
 	backend  *core.Backend
 	vertex   string
 	instance int
 	node     int
-	// queue, killCh and drainCh are captured at creation: after a
-	// crash-and-restart a stale drainer must observe the closed old kill
-	// channel, never the new run's channels.
-	queue   chan *core.SnapshotPin
-	killCh  chan struct{}
-	drainCh chan drainMsg
+	// queue and killCh are captured at creation: after a crash-and-restart
+	// a stale drainer must observe the closed old kill channel, never the
+	// new run's.
+	queue  chan *core.SnapshotPin
+	killCh chan struct{}
+	// retired closes once the drainer has sent the instance's retirement.
+	retired chan struct{}
 	// compact asks for a merge pass over the instance's snapshot runs
 	// after a commit moved the retention window and the durable id; a
 	// request already pending absorbs the next.
@@ -56,6 +50,11 @@ func (d *drainer) run() {
 		case <-d.killCh:
 			return
 		case pin := <-d.queue:
+			if pin == nil {
+				d.job.retire(d.vertex, d.instance, -1)
+				close(d.retired)
+				continue
+			}
 			d.process(pin)
 		case <-d.compact:
 			d.backend.Compact()
@@ -67,13 +66,10 @@ func (d *drainer) process(pin *core.SnapshotPin) {
 	start := time.Now()
 	written := d.backend.DrainPin(pin)
 	d.emitSpan(pin.SSID, start)
-	select {
-	case d.drainCh <- drainMsg{
-		vertex: d.vertex, instance: d.instance, ssid: pin.SSID,
-		written: written, lag: time.Since(pin.PinnedAt()),
-	}:
-	case <-d.killCh:
-	}
+	d.job.sendAck(ack{
+		vertex: d.vertex, instance: d.instance, ssid: pin.SSID, offset: -1,
+		pinnedAt: pin.PinnedAt(), lag: time.Since(pin.PinnedAt()), written: written,
+	}, d.node)
 }
 
 // emitSpan attaches the drain as a child span of the checkpoint trace,

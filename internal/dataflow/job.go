@@ -89,16 +89,24 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// ack is one instance's phase-1 acknowledgement of a checkpoint barrier.
+// ack is one instance's message to the coordinator: its phase-1
+// acknowledgement of checkpoint ssid or, with retired set, its natural
+// exit. An instance's messages arrive in the order it sent them.
 type ack struct {
 	vertex   string
 	instance int
 	ssid     int64
-	offset   int64 // source replay offset; -1 for non-sources
-	// drains marks that the instance pinned its state instead of writing
-	// it: a drain acknowledgement will follow, and commit must wait for
-	// it.
-	drains bool
+	offset   int64 // source replay offset (the final one on retirement); -1 for non-sources
+	// pinnedAt is when a stateful instance pinned its state for ssid. Its
+	// drainer sends the ack once the pin is in the state store, with the
+	// drain's lag (pin -> stored) and the keys it wrote. Zero for an
+	// instance that acks from its worker.
+	pinnedAt time.Time
+	lag      time.Duration
+	written  int
+	// retired marks the instance's exit: it sends nothing more, and the
+	// coordinator stops expecting its acks.
+	retired bool
 	// err is a failed pin: the instance captured nothing for this id, so
 	// the id must not commit.
 	err error
@@ -120,6 +128,10 @@ type Job struct {
 	// in-flight barrier takes its un-snapshotted tail state with it, so
 	// the round must not commit (see checkpointOnce).
 	statefulIDs map[string]bool
+	// standby is the ActiveStandby every stateful vertex's state agrees on
+	// (the job-wide one without stateful vertices): a recovery fails the
+	// whole job over or rolls it all back (see InjectFailure).
+	standby bool
 
 	phase1Hist *metrics.Histogram // barrier injection -> all prepared
 	totalHist  *metrics.Histogram // barrier injection -> committed
@@ -154,8 +166,6 @@ type Job struct {
 	running     bool
 	killCh      chan struct{}
 	ackCh       chan ack
-	retiredCh   chan retireMsg
-	drainCh     chan drainMsg
 	manualCoord *coordState
 	workers     []*worker
 	sources     []*sourceWorker
@@ -339,9 +349,18 @@ func Run(dag *DAG, cfg Config) (*Job, error) {
 		j.mgr.SetPersistPolicy(cfg.Persist)
 	}
 	j.statefulIDs = map[string]bool{}
+	j.standby = cfg.State.ActiveStandby
+	standbyOf := "" // the first stateful vertex, whose ActiveStandby the others must share
 	for _, v := range dag.Vertices() {
 		j.acksNeeded += v.Parallelism
 		if v.Stateful {
+			switch sc := j.stateConfigFor(v); {
+			case standbyOf == "":
+				j.standby, standbyOf = sc.ActiveStandby, v.Name
+			case sc.ActiveStandby != j.standby:
+				return nil, fmt.Errorf("dataflow: stateful vertices %q and %q disagree on ActiveStandby; a recovery fails every instance over one way",
+					standbyOf, v.Name)
+			}
 			for i := 0; i < v.Parallelism; i++ {
 				j.statefulIDs[offsetKey(v.Name, i)] = true
 			}
@@ -460,12 +479,10 @@ func (j *Job) start(restoreSSID int64, standby bool) error {
 	defer j.mu.Unlock()
 
 	j.killCh = make(chan struct{})
-	j.ackCh = make(chan ack, j.acksNeeded)
-	j.retiredCh = make(chan retireMsg, j.acksNeeded)
-	// Sized so every drainer can deposit a few acknowledgements without
-	// blocking even when no coordinator is waiting (stale ones are purged
-	// at the next checkpoint).
-	j.drainCh = make(chan drainMsg, 4*j.acksNeeded+4)
+	// Sized for every instance's retirement plus a few acks each, so a
+	// drainer acking an aborted round does not block while no coordinator
+	// reads (stale acks are dropped at the next checkpoint).
+	j.ackCh = make(chan ack, 5*j.acksNeeded+4)
 	j.manualCoord = nil
 	j.workers = nil
 	j.sources = nil
@@ -569,15 +586,16 @@ func (j *Job) start(restoreSSID int64, standby bool) error {
 			w.emitFn = w.emit
 			if backend != nil {
 				// Asynchronous phase 1: the worker pins at the barrier and
-				// this drainer ships the pinned delta in the background.
-				// Drainers live until the run's kill channel closes (not in
-				// j.wg: a finite job's Wait must not hang on them).
+				// this drainer ships the pinned delta in the background,
+				// then acks. Drainers live until the run's kill channel
+				// closes (not in j.wg: a finite job's Wait must not hang on
+				// them).
 				w.drain = &drainer{
 					job: j, backend: backend,
 					vertex: v.Name, instance: i, node: node,
 					queue:   make(chan *core.SnapshotPin, 4),
+					retired: make(chan struct{}),
 					killCh:  j.killCh,
-					drainCh: j.drainCh,
 					compact: make(chan struct{}, 1),
 				}
 			}

@@ -46,7 +46,7 @@ func (j *Job) InjectFailure() (int64, error) {
 	// With active standby (§VII, read committed) the failure is masked by
 	// taking the written-through live maps over as they stand: no
 	// rollback, sources resume from their live offsets.
-	if j.cfg.State.ActiveStandby {
+	if j.standby {
 		return j.mgr.Registry().LatestCommitted(), j.start(0, true)
 	}
 

@@ -99,3 +99,55 @@ func TestStandbyFailoverNoRollback(t *testing.T) {
 		})
 	}
 }
+
+// TestStandbyChosenByVertices: recovery fails over to the standby that the
+// stateful vertices' own state configurations agree on, whatever the
+// job-wide one says, and a DAG whose stateful vertices disagree on it is
+// refused at submission instead of failing its recovery.
+func TestStandbyChosenByVertices(t *testing.T) {
+	plain := &core.Config{Live: true, Snapshots: true}
+	standby := &core.Config{Live: true, Snapshots: true, ActiveStandby: true}
+	build := func(counterCfg, doubleCfg *core.Config) *DAG {
+		src := GeneratorSource("src", 2, 2000, func(instance int, seq int64) (Record, bool) {
+			if seq >= 300 {
+				return Record{}, false
+			}
+			return Record{Key: int(seq % 10), Value: seq}, true
+		})
+		counter := StatefulMapVertex("counter", 2, countFn)
+		counter.StateOverride = counterCfg
+		double := StatefulMapVertex("double", 2, countFn)
+		double.StateOverride = doubleCfg
+		return NewDAG().
+			AddVertex(src).AddVertex(counter).AddVertex(double).
+			AddVertex(LatencySinkVertexForTest("sink", 2)).
+			Connect("src", "counter", EdgePartitioned).
+			Connect("counter", "double", EdgePartitioned).
+			Connect("double", "sink", EdgePartitioned)
+	}
+
+	if job, err := Run(build(nil, plain), Config{Cluster: testCluster(), State: *standby}); err == nil {
+		job.Stop()
+		t.Fatal("a DAG whose stateful vertices disagree on ActiveStandby was accepted")
+	}
+
+	clu := testCluster()
+	job, err := Run(build(standby, standby), Config{Cluster: clu, State: *plain})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer job.Stop()
+	waitFor(t, func() bool { return job.SourceMeter().Count() > 50 }, "records flowing")
+	if err := job.CheckpointNow(); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, func() bool { return job.SourceMeter().Count() > 200 }, "more records")
+	before := liveTotal(clu)
+	if _, err := job.InjectFailure(); err != nil {
+		t.Fatal(err)
+	}
+	if after := liveTotal(clu); after < before {
+		t.Fatalf("live state rolled back on failover: %d -> %d", before, after)
+	}
+	job.Wait()
+}

@@ -82,7 +82,7 @@ func (w *worker) run() {
 				return
 			}
 			if done {
-				w.job.retire(w.vertex, w.instance, -1)
+				w.retire()
 				return
 			}
 			if w.backend != nil && len(w.inbox) == 0 {
@@ -241,40 +241,62 @@ func (w *worker) alignmentComplete() bool {
 }
 
 // completeCheckpoint runs phase 1 for this instance: snapshot the state,
-// ack the coordinator, forward the barrier downstream (Figure 3c), then
-// replay the stashed items. It reports whether the worker finished while
-// replaying.
+// ack the coordinator (a pin's drainer acks for it), forward the barrier
+// downstream (Figure 3c), then replay the stashed items. It reports
+// whether the worker finished while replaying.
 func (w *worker) completeCheckpoint() bool {
 	w.ins.barrierWait.Record(time.Since(w.barrierStart))
 	w.ins.checkpoints.Inc()
 	// Per-worker alignment wait as a child of the checkpoint trace: the
 	// stall Figure 3's top channel pays at the marker, per instance.
 	w.emitCkptSpan("align", w.curSSID, w.barrierStart, false)
-	drains := false
-	var pinErr error
+	a := ack{ssid: w.curSSID, offset: -1}
+	var pin *core.SnapshotPin
 	if w.backend != nil {
 		// Phase 1 is a pin: capture the version set (cheap — no
-		// serialization, no KV writes) and hand it to the drainer; the
-		// coordinator gates commit on the drain acknowledgement. A failed
-		// pin is acked as the error, which aborts the id; the barrier is
-		// forwarded all the same, so downstream alignment completes.
+		// serialization, no KV writes) and hand it to the drainer, which
+		// acks once it is stored. A failed pin is acked as the error,
+		// which aborts the id; the barrier is forwarded all the same, so
+		// downstream alignment completes.
 		pinStart := time.Now()
-		var pin *core.SnapshotPin
-		pin, pinErr = w.backend.SnapshotPin(w.curSSID)
+		pin, a.err = w.backend.SnapshotPin(w.curSSID)
 		if pin != nil {
 			select {
 			case w.drain.queue <- pin:
-				drains = true
 			case <-w.killCh:
 				w.killed = true
 				return true
 			}
 		}
-		w.emitCkptSpan("pin", w.curSSID, pinStart, pinErr != nil)
+		w.emitCkptSpan("pin", w.curSSID, pinStart, a.err != nil)
 	}
-	w.passBarrier(ack{ssid: w.curSSID, offset: -1, drains: drains, err: pinErr})
+	if pin == nil {
+		w.passBarrier(a)
+	} else {
+		w.broadcast(item{kind: kindBarrier, ssid: w.curSSID})
+	}
 	w.lastCkpt = w.curSSID
 	return w.resetAlignment()
+}
+
+// retire tells the coordinator the worker exited naturally. A stateful
+// worker's retirement goes through its drainer, behind the ack of every
+// pin the worker queued, and the worker waits until it is sent, so that
+// Wait returning means every retirement is on its way to the coordinator.
+func (w *worker) retire() {
+	if w.drain == nil {
+		w.job.retire(w.vertex, w.instance, -1)
+		return
+	}
+	select {
+	case w.drain.queue <- nil:
+	case <-w.killCh:
+		return
+	}
+	select {
+	case <-w.drain.retired:
+	case <-w.killCh:
+	}
 }
 
 // emitCkptSpan attaches a completed child span for this instance to the
@@ -547,9 +569,9 @@ func (s *sourceWorker) drainBarriers() {
 }
 
 // sendAck delivers a phase-1 ack to the coordinator without blocking the
-// worker if the job is being torn down. The chaos hook can drop, delay or
-// duplicate the ack — the control-plane message loss the checkpoint
-// deadline exists to survive.
+// sender (a worker, or a stateful instance's drainer) if the job is being
+// torn down. The chaos hook can drop, delay or duplicate the ack — the
+// control-plane message loss the checkpoint deadline exists to survive.
 func (j *Job) sendAck(a ack, node int) {
 	if hook := j.cfg.Chaos; hook != nil {
 		fate := hook.AckFate(a.ssid, a.vertex, a.instance, node)
@@ -588,6 +610,9 @@ func (j *Job) sendAck(a ack, node int) {
 	j.deliverAck(a)
 }
 
+// deliverAck queues a on the coordinator's channel, blocking until there
+// is room or the job is killed: a lost retirement would stall every later
+// checkpoint.
 func (j *Job) deliverAck(a ack) {
 	select {
 	case j.ackCh <- a:
