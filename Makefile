@@ -112,8 +112,9 @@ fuzz-short:
 # the round aborts).
 ckpt-smoke:
 	$(GO) test ./internal/persist -run 'TestCrash|FuzzDeltaChain' -count=1 -v
-	$(GO) test . -run 'TestIncrementalRecoveryParity|TestResubmittedJobStartsEmpty|TestOpenArchiveRefusesRunningOperator' -race -count=1 -v
-	$(GO) test ./internal/core -run 'TestIncrementalMatchesModel/live|TestRestoreHandsTapsOnlyChangedKeys|TestSnapshotRunsMatchModel|TestPromoteStandbyKeepsChangedKeys|TestRestoreShadowsAbortedRound|TestManagerAbortDropsBlobs|TestDirtySetOnlyWithSnapshots|TestPlanEvictsBottomUnderNewerRuns|TestRunWideSpan' -race -count=1 -v
+	$(GO) test . -run 'TestIncrementalRecoveryParity|TestResubmittedJobStartsEmpty|TestOpenArchiveRefusesRunningOperator|TestSnapshotJoinHoldsItsIDsAcrossCommits' -race -count=1 -v
+	$(GO) test ./internal/core -run 'TestIncrementalMatchesModel/live|TestRestoreHandsTapsOnlyChangedKeys|TestSnapshotRunsMatchModel|TestPromoteStandbyKeepsChangedKeys|TestRestoreShadowsAbortedRound|TestManagerAbortDropsBlobs|TestDirtySetOnlyWithSnapshots|TestPlanEvictsBottomUnderNewerRuns|TestRunWideSpan|TestLeaseKeepsRetiredIDReadable|TestSnapshotHeldCompactly|TestChainPrune' -race -count=1 -v
+	$(GO) test ./internal/snapshot -run 'TestHoldLeasesRetainedIDs|TestHoldRacesEviction|TestCommitWrongIDFails' -race -count=1 -v
 	$(GO) test ./internal/dataflow -run 'TestRestoreErrorFailsRecovery|TestPreCommitCrashRestoreShadowsDrainedRound|TestStandbyFailoverNoRollback|TestStandbyChosenByVertices|TestAckLossAbortsAndRetries|TestDuplicatedAckIsDeduped|TestKillDuringCheckpointAbortsExactlyOnce|TestDelayedAckAfterRetirementNotCounted' -race -count=1 -v
 	$(GO) test ./internal/dataflow -run 'TestAckThenRetireCommits' -race -count=20
 	$(GO) test ./internal/experiments -run 'TestCkptScaleShape' -count=1 -v

@@ -249,24 +249,51 @@ func (t *TableRef) PartitionOf(key any) (int, bool) {
 	return 0, false
 }
 
-// ResolveSSID validates and defaults the snapshot id a query targets.
-// pinned == 0 means "latest committed" (the paper's default). For live
-// tables it always returns 0.
+// ResolveSSID validates and defaults the snapshot id a query targets,
+// holding nothing: what EXPLAIN shows. pinned == 0 means "latest
+// committed" (the paper's default). For live tables it always returns 0.
 func (t *TableRef) ResolveSSID(pinned int64) (int64, error) {
+	return t.resolve(pinned, false)
+}
+
+// HoldSSID is ResolveSSID for a read: the snapshot id it returns is leased
+// in the job's registry until ReleaseSSID, so no merge drops a version the
+// read needs however long it runs, and an id that has already retired is
+// refused. A live or virtual table holds nothing and returns 0.
+func (t *TableRef) HoldSSID(pinned int64) (int64, error) {
+	return t.resolve(pinned, true)
+}
+
+func (t *TableRef) resolve(pinned int64, hold bool) (int64, error) {
 	if t.virtual != nil || !t.snapshot {
 		return 0, nil
 	}
 	if pinned == 0 {
 		latest := t.reg.LatestCommitted()
+		if hold {
+			latest = t.reg.HoldLatest()
+		}
 		if latest == snapshot.NoSnapshot {
 			return 0, fmt.Errorf("core: no committed snapshot for table %q yet", t.name)
 		}
 		return latest, nil
 	}
-	if !t.reg.IsQueryable(pinned) {
+	ok := t.reg.IsQueryable(pinned)
+	if hold {
+		ok = t.reg.Hold(pinned)
+	}
+	if !ok {
 		return 0, fmt.Errorf("core: snapshot %d of %q is not queryable (not committed or already pruned)", pinned, t.name)
 	}
 	return pinned, nil
+}
+
+// ReleaseSSID drops the lease HoldSSID or HoldLatestSSID took on ssid; 0
+// releases nothing.
+func (t *TableRef) ReleaseSSID(ssid int64) {
+	if ssid != 0 && t.reg != nil {
+		t.reg.Release(ssid)
+	}
 }
 
 // ScanSpec is the state layer's half of the partition-fragment contract:
@@ -577,7 +604,7 @@ func (pr *PartitionProbe) Lookup(ks string) (TableRow, bool) {
 
 // fallback returns the table's degraded-read view: its snapshot map, the
 // only state a backup replica serves reads from. A live table falls back
-// to the committed id the caller resolved (LatestCommittedSSID).
+// to the committed id the caller holds (HoldLatestSSID).
 func (t *TableRef) fallback() *TableRef {
 	snap := *t
 	snap.snapshot = true
@@ -723,18 +750,15 @@ func (t *TableRef) CheckBackupPartition(p int) error {
 // replication.
 var errNotReplicated = errors.New("core: the store keeps no backup replica (state replication is off)")
 
-// LatestCommittedSSID returns the operator's latest committed snapshot id,
-// or 0 when no checkpoint has committed yet — the version a degraded query
-// falls back to when live state is unreachable.
-func (t *TableRef) LatestCommittedSSID() int64 {
+// HoldLatestSSID leases the operator's latest committed snapshot id and
+// returns it, or returns 0, holding nothing, when no checkpoint has
+// committed yet — the version a degraded read falls back to when live
+// state is unreachable. ReleaseSSID drops the lease.
+func (t *TableRef) HoldLatestSSID() int64 {
 	if t.virtual != nil {
 		return 0
 	}
-	latest := t.reg.LatestCommitted()
-	if latest == snapshot.NoSnapshot {
-		return 0
-	}
-	return latest
+	return t.reg.HoldLatest()
 }
 
 // ScanPartitionFallbackSpec reads partition p under the spec from the

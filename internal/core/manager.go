@@ -67,12 +67,14 @@ func (m *Manager) NewBackend(op string, instance int, view kv.NodeView, cfg Conf
 	m.mu.Unlock()
 	b := newBackend(op, instance, par, view, cfg)
 	b.horizon = m.horizon
+	b.reg = m.reg
 	return b
 }
 
-// horizon returns the oldest retained snapshot id and the durable one.
-func (m *Manager) horizon() (oldest, durable int64) {
-	return m.reg.OldestRetained(), m.durable.Load()
+// horizon returns the registry's floor — the oldest id still retained or
+// held by a reader — and the durable id.
+func (m *Manager) horizon() (floor, durable int64) {
+	return m.reg.Floor(), m.durable.Load()
 }
 
 // Registry exposes the snapshot version registry.
@@ -134,13 +136,21 @@ var ErrPruneFailed = errors.New("core: pruning persisted snapshots failed")
 // nothing published — the caller aborts the id, and the versions the
 // commit would have persisted stay in unmerged runs for the next one. An
 // error wrapping ErrPruneFailed is the one failure after publication.
+// Committing an id that is not the one in progress fails with nothing
+// persisted or published.
 func (m *Manager) Commit(ssid int64) ([]int64, error) {
+	if cur := m.reg.InProgress(); cur != ssid {
+		return nil, fmt.Errorf("core: commit of snapshot %d but %d is in progress", ssid, cur)
+	}
 	// Stable storage first: once the registry publishes the id, queries
 	// may rely on it, so the durable copy must already exist.
 	if err := m.persistCommitted(ssid); err != nil {
 		return nil, fmt.Errorf("core: persisting snapshot %d: %w", ssid, err)
 	}
-	evicted := m.reg.Commit(ssid)
+	evicted, err := m.reg.Commit(ssid)
+	if err != nil {
+		return nil, fmt.Errorf("core: %w", err)
+	}
 	if len(evicted) > 0 {
 		m.prune(evicted)
 		m.mu.Lock()

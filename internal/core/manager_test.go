@@ -287,3 +287,100 @@ func TableRowValue(name string, r TableRow) any {
 	v, _ := r.Field(name)
 	return v
 }
+
+// TestManagerCommitWrongIDFails: committing an id that is not in progress
+// fails with nothing published, and the id in progress still commits.
+func TestManagerCommitWrongIDFails(t *testing.T) {
+	m := NewManager(newTestStore(), 2)
+	id, err := m.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Commit(id + 1); err == nil {
+		t.Fatal("Commit of an id not in progress succeeded")
+	}
+	if m.Registry().LatestCommitted() != 0 || m.Registry().InProgress() != id {
+		t.Fatalf("after a refused commit: latest %d, in progress %d", m.Registry().LatestCommitted(), m.Registry().InProgress())
+	}
+	if _, err := m.Commit(id); err != nil {
+		t.Fatalf("Commit of the id in progress: %v", err)
+	}
+}
+
+// TestLeaseKeepsRetiredIDReadable: a read that holds snapshot n reads it
+// correctly after n retires and the drains merge past it; once released,
+// the next commit's merges keep only what the retention window needs.
+func TestLeaseKeepsRetiredIDReadable(t *testing.T) {
+	const keys = 200
+	store := newTestStore()
+	m := NewManager(store, 2)
+	cfg := Config{Live: true, Snapshots: true, Incremental: true}
+	if err := m.RegisterOperator(OperatorMeta{Name: "op", Parallelism: 1, Config: cfg}); err != nil {
+		t.Fatal(err)
+	}
+	cat := NewCatalog(store)
+	if err := cat.RegisterJob(m.Registry(), "op"); err != nil {
+		t.Fatal(err)
+	}
+	ref, err := cat.Table("snapshot_op")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := m.NewBackend("op", 0, store.View(0), cfg)
+	// Every key changes before every checkpoint: key k holds 1000*ssid+k
+	// at ssid.
+	round := func() int64 {
+		next := m.Registry().LatestCommitted() + 1
+		for k := 0; k < keys; k++ {
+			b.Update(k, int(1000*next)+k)
+		}
+		return checkpoint(t, m, b)
+	}
+	read := func(n int64) map[int]int {
+		got := make(map[int]int)
+		ref.Scan(n, func(r TableRow) bool {
+			got[r.Key.(int)] = r.Raw.(int)
+			return true
+		})
+		return got
+	}
+	rows := func() int {
+		snap, n := store.GetMap(SnapshotMapName("op")), 0
+		for p := 0; p < store.Partitioner().Count(); p++ {
+			n += asRuns(snap.PeekFrozen(p)).rows()
+		}
+		return n
+	}
+	round()
+	round()
+	n, err := ref.HoldSSID(m.Registry().OldestRetained())
+	if err != nil {
+		t.Fatal(err)
+	}
+	round()
+	round() // n retires; the drains merge at floor n
+	if m.Registry().IsQueryable(n) {
+		t.Fatalf("snapshot %d still retained", n)
+	}
+	b.Compact()
+	got := read(n)
+	if len(got) != keys {
+		t.Fatalf("read at held %d found %d keys, want %d", n, len(got), keys)
+	}
+	for k, v := range got {
+		if want := int(1000*n) + k; v != want {
+			t.Fatalf("key %d at held %d = %d, want %d", k, n, v, want)
+		}
+	}
+	if _, err := ref.HoldSSID(n); err == nil {
+		t.Fatalf("a new read could hold retired snapshot %d", n)
+	}
+	ref.ReleaseSSID(n)
+	round()
+	b.Compact()
+	// The window [5, 6] needs each key's versions at 5 and 6 only: 5
+	// shadows every older version for every retained read.
+	if got := rows(); got != 2*keys {
+		t.Fatalf("after the release the store holds %d rows, want %d", got, 2*keys)
+	}
+}

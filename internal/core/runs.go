@@ -13,9 +13,10 @@
 //	               by key hash and stored as parallel arrays, one row per
 //	               (key, snapshot id) version; a checkpoint's drain adds
 //	               one run per partition it touched, and runs merge at
-//	               geometrically growing sizes, dropping what no retained
-//	               snapshot id can read. All versions of a key stay in the
-//	               key's partition, preserving co-location.
+//	               geometrically growing sizes, dropping what no read at
+//	               or above the registry's floor — the oldest id retained
+//	               or leased by a reader — can reach. All versions of a key
+//	               stay in the key's partition, preserving co-location.
 //
 // In the Jet-baseline mode ("blob"), snapshots are written the way Jet
 // writes them without S-QUERY: one opaque serialized blob per operator
@@ -63,15 +64,16 @@ type run struct {
 
 	lo, hi int64 // least and greatest ssid of any row
 	nkeys  int   // key groups
-	// dropAt is the least oldest-retained id at which this run, merged
-	// alone as the bottom of its partition, would lose a row: one past the
-	// second version's ssid of a key that has two, or one past the first
-	// version's ssid of a key whose oldest version is a tombstone.
-	// MaxInt64 when no such id exists.
+	// dropAt is the least floor at which this run, merged alone as the
+	// bottom of its partition, would lose a row by its own versions: the
+	// second version's ssid of a key that has two (at that floor it
+	// shadows the first), or one past the first version's ssid of a key
+	// whose oldest version is a tombstone. MaxInt64 when no such id
+	// exists. Rows a newer run shadows are counted by runSet.shadowed.
 	dropAt int64
 	// spare counts the rows a merge of this run alone as the bottom can
-	// drop at some later oldest-retained id: every version but its key's
-	// newest, and a newest version that is a tombstone.
+	// drop at some later floor by its own versions: every version but its
+	// key's newest, and a newest version that is a tombstone.
 	spare int
 	// ixs are the run's secondary indexes, one per index defined on the
 	// snapshot map when the run was written or merged.
@@ -226,7 +228,7 @@ func newRun(rows []runRow, ixs []*kv.Index) *run {
 				r.dropAt = min(r.dropAt, w.ssid+1)
 			}
 		case i < 2 || w.hash != rows[i-2].hash || w.ks != rows[i-2].ks:
-			r.dropAt = min(r.dropAt, w.ssid+1) // the key's second version
+			r.dropAt = min(r.dropAt, w.ssid) // the key's second version
 		}
 	}
 	for _, ix := range ixs {
@@ -533,18 +535,27 @@ func (s *runSet) sample() (any, bool) {
 }
 
 // mergeRuns merges the window ws of a partition's runs (oldest first) into
-// one run, dropping every version no snapshot id at or above oldest can
-// read: every version at or above oldest is kept, plus the newest one
-// below it as the base reads fall back to. When the window is the bottom
-// of the partition (no older run left under it), a tombstone base reads
-// the same as no version and goes too; above older runs it stays, since it
-// shadows their versions. It also returns the keys the merge dropped
-// entirely.
-func mergeRuns(ws []*run, oldest int64, bottom bool, ixs []*kv.Index) (*run, []runRow) {
+// one run, dropping every version no read at or above floor can reach:
+// every version at or above floor is kept, and the newest one below it is
+// kept as the base reads at floor fall back to — unless a version of the
+// key sits at exactly floor, in the window or in a run of above (the runs
+// newer than the window), which shadows it for every such read. When the
+// window is the bottom of the partition (no older run left under it), a
+// tombstone base reads the same as no version and goes too; above older
+// runs it stays, since it shadows their versions. It also returns the keys
+// the merge dropped entirely.
+func mergeRuns(ws, above []*run, floor int64, bottom bool, ixs []*kv.Index) (*run, []runRow) {
 	c, lo, hi := newCursors(ws, nil)
 	n := 0
 	for _, r := range ws {
 		n += r.len()
+	}
+	// Only a newer run whose ids span floor can hold a version at it.
+	var spans []*run
+	for _, r := range above {
+		if r.lo <= floor && floor <= r.hi {
+			spans = append(spans, r)
+		}
 	}
 	out := make([]runRow, 0, n)
 	var dropped []runRow
@@ -564,10 +575,11 @@ func mergeRuns(ws []*run, oldest int64, bottom bool, ixs []*kv.Index) (*run, []r
 			}
 		}
 		first := 0
-		for first < len(vs) && vs[first].ssid < oldest {
+		for first < len(vs) && vs[first].ssid < floor {
 			first++
 		}
-		if first > 0 && !(bottom && vs[first-1].tomb) {
+		if first > 0 && !(bottom && vs[first-1].tomb) &&
+			!(first < len(vs) && vs[first].ssid == floor) && !holdsAt(spans, vs[0].hash, ks, floor) {
 			first-- // the base
 		}
 		if first == len(vs) {
@@ -580,6 +592,20 @@ func mergeRuns(ws []*run, oldest int64, bottom bool, ixs []*kv.Index) (*run, []r
 		return nil, dropped
 	}
 	return newRun(out, ixs), dropped
+}
+
+// holdsAt reports whether any of runs holds a version of ks, whose hash is
+// h, at exactly ssid n.
+func holdsAt(runs []*run, h uint32, ks string, n int64) bool {
+	for _, r := range runs {
+		lo, hi := r.find(h, ks)
+		for i := lo; i >= 0 && i < hi; i++ {
+			if r.ssid(i) == n {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // with returns the set with r appended as its newest run.
@@ -642,13 +668,15 @@ func (s *runSet) replaced(at int, ws []*run, merged *run, dropped []runRow) (*ru
 
 // plan picks the merge a partition's set is due: the window of runs the
 // geometric rule folds together, or else the bottom run alone once a merge
-// would drop some of its rows and at least a mergeFactor-th of its rows
-// are spare, so the rewrite's cost stays in proportion to what it can
-// reclaim, whatever runs sit above it. Only runs whose versions are all at or
+// at floor would drop some of its rows and at least a mergeFactor-th of
+// its rows are spare, so the rewrite's cost stays in proportion to what it
+// can reclaim, whatever runs sit above it. The bottom run's droppable rows
+// are its own (run.dropAt, run.spare) and those a newer run's version at
+// exactly floor shadows (shadowed). Only runs whose versions are all at or
 // below durable (the last durable snapshot id, while stable storage is
 // attached) take part, so the versions a persisted commit still has to
 // write stay in runs of their own. ok is false when nothing is due.
-func (s *runSet) plan(oldest, durable int64) (at int, ws []*run, ok bool) {
+func (s *runSet) plan(floor, durable int64) (at int, ws []*run, ok bool) {
 	if s == nil {
 		return 0, nil, false
 	}
@@ -667,10 +695,53 @@ func (s *runSet) plan(oldest, durable int64) (at int, ws []*run, ok bool) {
 	if j < m-1 {
 		return j, s.runs[j:m], true
 	}
-	if b := s.runs[0]; b.dropAt <= oldest && mergeFactor*b.spare >= b.len() {
+	b := s.runs[0]
+	if b.dropAt <= floor && mergeFactor*b.spare >= b.len() {
+		return 0, s.runs[:1], true
+	}
+	if mergeFactor*(b.spare+s.shadowable(floor)) < b.len() {
+		return 0, nil, false // too few rows to pay for the rewrite, whatever shadows them
+	}
+	if sh := s.shadowed(floor); sh > 0 && mergeFactor*(b.spare+sh) >= b.len() {
 		return 0, s.runs[:1], true
 	}
 	return 0, nil, false
+}
+
+// shadowable bounds shadowed(floor) from above without reading a key: the
+// rows of the newer runs whose ids span floor.
+func (s *runSet) shadowable(floor int64) int {
+	n := 0
+	for _, r := range s.runs[1:] {
+		if r.lo <= floor && floor <= r.hi {
+			n += r.len()
+		}
+	}
+	return n
+}
+
+// shadowed counts the bottom run's keys whose newest version there is no
+// tombstone, is older than floor, and is shadowed by a newer run's version
+// at exactly floor: rows a merge of the bottom alone at floor drops beyond
+// its spare ones. A key two newer runs hold at floor counts twice; the
+// count only times the rewrite.
+func (s *runSet) shadowed(floor int64) int {
+	b, n := s.runs[0], 0
+	for _, r := range s.runs[1:] {
+		if r.lo > floor || floor > r.hi {
+			continue
+		}
+		for i := 0; i < r.len(); i++ {
+			if r.ssid(i) != floor {
+				continue
+			}
+			lo, hi := b.find(r.hash[i], r.ks(i))
+			if lo >= 0 && !b.tombstone(hi-1) && b.ssid(hi-1) < floor {
+				n++
+			}
+		}
+	}
+	return n
 }
 
 // rowSizes returns the wire sizes of rows' keys, and of keys and values.

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"squery/internal/kv"
@@ -55,8 +56,10 @@ func (sm snapModel) state(n int64) map[string]any {
 
 // modelRun drives a Manager-made backend and the model through the same
 // random sequence of updates, drains (two at one ssid included), commits,
-// aborts, merges and restores, taking each choice from next, and compares
-// every read path against the model after each step.
+// aborts, merges, restores and read leases taken and released on retained
+// ids, taking each choice from next, and compares every read path against
+// the model after each step — at every retained id, the newest drained one
+// and every held one, retired or not.
 func modelRun(t testing.TB, steps int, next func(n int) int) {
 	const parts, keys = 8, 24
 	p := partition.New(parts)
@@ -88,7 +91,7 @@ func modelRun(t testing.TB, steps int, next func(n int) int) {
 	live := map[string]any{}
 	dirty := map[string]bool{}
 	var inflight, newest int64
-	var committed []int64
+	var committed, held []int64
 
 	drain := func() {
 		for ks := range dirty {
@@ -154,6 +157,17 @@ func modelRun(t testing.TB, steps int, next func(n int) int) {
 					dirty[ks] = true
 				}
 			}
+		case op == 9 && len(held) > 0 && next(2) == 0:
+			i := next(len(held))
+			mgr.Registry().Release(held[i])
+			held = slices.Delete(held, i, i+1)
+		case op == 9 && len(committed) > 0:
+			retained := committed[max(0, len(committed)-2):]
+			s := retained[next(len(retained))]
+			if !mgr.Registry().Hold(s) {
+				t.Fatalf("step %d: could not hold retained snapshot %d", step, s)
+			}
+			held = append(held, s)
 		default:
 			continue
 		}
@@ -161,6 +175,7 @@ func modelRun(t testing.TB, steps int, next func(n int) int) {
 		if newest > 0 {
 			reads = append(reads, newest)
 		}
+		reads = append(reads, held...)
 		for _, n := range reads {
 			checkModel(t, ref, model, n, keys, fmt.Sprintf("step %d", step))
 		}
@@ -340,11 +355,15 @@ func TestRestoreShadowsAbortedRound(t *testing.T) {
 // TestSnapshotHeldCompactly is the heap gate of the snapshot store: a
 // Live+Snapshots+Incremental backend with 100 000 string keys, under a
 // manager with retention 2, runs four committed checkpoints with a third
-// of the keys changed before each of the last three. Its snapshot side —
-// the heap it holds above the same engine with Snapshots off — must stay
-// within 76 B per key (it holds 1.67 rows per key here, what the
-// retention window needs). Keys and values are built before the measurement and stay reachable, so
-// only the structure is counted.
+// of the keys changed before each of the last three. The retention window
+// [3, 4] then needs 1.33 rows per key: a key changed at 2 keeps its
+// version at 2, one changed at 3 its version at 3 (which shadows its
+// version at 1 for every retained read), and one changed at 4 its
+// versions at 1 and 4. The store must hold no more rows than that after
+// the compaction passes, and its snapshot side — the heap it holds above
+// the same engine with Snapshots off — must stay within 61 B per key. Keys
+// and values are built before the measurement and stay reachable, so only
+// the structure is counted.
 func TestSnapshotHeldCompactly(t *testing.T) {
 	const n = 100_000
 	keys := make([]any, n)
@@ -358,6 +377,7 @@ func TestSnapshotHeldCompactly(t *testing.T) {
 			vals[r][i] = modelRow{Zone: "z", Amount: r*n + i}
 		}
 	}
+	rows := 0
 	held := func(snapshots bool) float64 {
 		return heapHeld(func() any {
 			p := partition.New(partition.DefaultCount)
@@ -378,6 +398,12 @@ func TestSnapshotHeldCompactly(t *testing.T) {
 				}
 				checkpoint(t, m, b)
 			}
+			if snapshots {
+				snap := store.GetMap(SnapshotMapName("op"))
+				for q := 0; q < p.Count(); q++ {
+					rows += asRuns(snap.PeekFrozen(q)).rows()
+				}
+			}
 			return []any{store, m, b}
 		})
 	}
@@ -386,8 +412,11 @@ func TestSnapshotHeldCompactly(t *testing.T) {
 	runtime.KeepAlive(keys)
 	runtime.KeepAlive(vals)
 	perKey := (on - off) / n
-	t.Logf("snapshot side %.1f B/key (Snapshots on %.1f, off %.1f B/key)", perKey, on/n, off/n)
-	if perKey > 76 {
-		t.Fatalf("the snapshot side holds %.1f B/key; want at most 76", perKey)
+	t.Logf("snapshot side %.1f B/key (Snapshots on %.1f, off %.1f B/key), %d rows", perKey, on/n, off/n, rows)
+	if rows > 133_334 {
+		t.Fatalf("the snapshot store holds %d rows; want at most 133 334 (1.33 per key)", rows)
+	}
+	if perKey > 61 {
+		t.Fatalf("the snapshot side holds %.1f B/key; want at most 61", perKey)
 	}
 }

@@ -12,6 +12,7 @@ import (
 
 	"squery/internal/kv"
 	"squery/internal/partition"
+	"squery/internal/snapshot"
 )
 
 // keyRuns returns a partition's run set holding the versions of one key,
@@ -52,9 +53,9 @@ func at(rs *runSet, n int64) (Versioned, bool) {
 }
 
 // pruned merges every run of rs as the bottom of its partition against
-// oldest.
-func pruned(rs *runSet, oldest int64) *runSet {
-	merged, dropped := mergeRuns(rs.runs, oldest, true, nil)
+// floor.
+func pruned(rs *runSet, floor int64) *runSet {
+	merged, dropped := mergeRuns(rs.runs, nil, floor, true, nil)
 	next, _ := rs.replaced(0, rs.runs, merged, dropped)
 	return next
 }
@@ -167,21 +168,57 @@ func TestChainPrune(t *testing.T) {
 		Versioned{SSID: 4, Value: "v4"},
 		Versioned{SSID: 6, Value: "v6"},
 	)
-	p := pruned(rs, 4)
-	// v2 becomes the base (newest < 4), v1 is dropped.
+	reg := snapshot.NewRegistry(2)
+	commit := func() int64 {
+		t.Helper()
+		id, err := reg.Begin()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := reg.Commit(id); err != nil {
+			t.Fatal(err)
+		}
+		return id
+	}
+	for commit() < 3 {
+	}
+	if !reg.Hold(3) {
+		t.Fatal("could not hold 3")
+	}
+	commit()
+	commit() // 3 retires; 4 is the oldest retained id
+	if reg.OldestRetained() != 4 || reg.Floor() != 3 {
+		t.Fatalf("oldest retained %d, floor %d; want 4, 3", reg.OldestRetained(), reg.Floor())
+	}
+
+	// Leased: a read at 3 may still run, so v2 stays as the base it falls
+	// back to, and v1 is dropped.
+	p := pruned(rs, reg.Floor())
 	if n := len(p.versions("k")); n != 3 {
 		t.Fatalf("pruned versions = %d, want 3", n)
 	}
 	if _, ok := at(p, 1); ok {
 		t.Error("pruned run set still answers below base")
 	}
-	// At the oldest retained id, the base must still answer for keys
-	// unchanged since before it.
 	if v, ok := at(p, 3); !ok || v.Value != "v2" {
 		t.Errorf("at(3) after prune = %v, %v; want v2", v.Value, ok)
 	}
 	if v, ok := at(p, 6); !ok || v.Value != "v6" {
 		t.Errorf("at(6) after prune = %v, %v", v.Value, ok)
+	}
+
+	// Unleased: the floor is the oldest retained id, 4, where v4 shadows
+	// v2 for every read, so v2 goes too.
+	reg.Release(3)
+	p = pruned(rs, reg.Floor())
+	if got := p.versions("k"); len(got) != 2 || got[0].Value != "v4" || got[1].Value != "v6" {
+		t.Fatalf("pruned versions = %+v, want v4 and v6", got)
+	}
+	if _, ok := at(p, 3); ok {
+		t.Error("at(3) answers after its lease was released and v2 pruned")
+	}
+	if v, ok := at(p, 4); !ok || v.Value != "v4" {
+		t.Errorf("at(4) after prune = %v, %v; want v4", v.Value, ok)
 	}
 }
 
@@ -223,8 +260,10 @@ func TestChainPruneTombstoneBaseDropped(t *testing.T) {
 }
 
 // Property: for any random version set spread over runs, and any target ≥
-// oldest retained, neither a bottom merge of every run nor a merge of the
-// newer half above the rest changes the result of a read.
+// the floor, no merge changes the result of a read: a bottom merge of every
+// run, a merge of the newer half above the rest, or — over runs written in
+// id order, as drains write them — a merge of the older half under the
+// rest.
 func TestChainPrunePreservesReads(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -238,14 +277,23 @@ func TestChainPrunePreservesReads(t *testing.T) {
 			})
 		}
 		rs := keyRuns(vs...)
-		oldest := int64(1 + rng.Intn(20))
+		floor := int64(1 + rng.Intn(20))
 		half := len(rs.runs) / 2
-		merged, dropped := mergeRuns(rs.runs[half:], oldest, half == 0, nil)
+		merged, dropped := mergeRuns(rs.runs[half:], nil, floor, half == 0, nil)
 		upper, _ := rs.replaced(half, rs.runs[half:], merged, dropped)
-		for _, p := range []*runSet{pruned(rs, oldest), upper} {
-			for target := oldest; target <= 21; target++ {
-				v1, ok1 := at(rs, target)
-				v2, ok2 := at(p, target)
+		inOrder := slices.Clone(vs)
+		slices.SortStableFunc(inOrder, func(a, b Versioned) int { return cmp.Compare(a.SSID, b.SSID) })
+		ordered := keyRuns(inOrder...)
+		half = len(ordered.runs) / 2
+		merged, dropped = mergeRuns(ordered.runs[:half], ordered.runs[half:], floor, true, nil)
+		lower, _ := ordered.replaced(0, ordered.runs[:half], merged, dropped)
+		for _, c := range []struct{ from, p *runSet }{{rs, pruned(rs, floor)}, {rs, upper}, {ordered, lower}} {
+			if (c.p.rows() > 0) != (c.p.Keys() == 1) {
+				return false // the set miscounts its one key
+			}
+			for target := floor; target <= 21; target++ {
+				v1, ok1 := at(c.from, target)
+				v2, ok2 := at(c.p, target)
 				if ok1 != ok2 || (ok1 && v1.Value != v2.Value) {
 					return false
 				}
@@ -340,32 +388,61 @@ func keysRun(n int, ids ...int64) *run {
 // TestPlanEvictsBottomUnderNewerRuns: the bottom run sheds its evicted
 // versions even when a newer run sits above it that the geometric rule
 // leaves alone — but only once enough of its rows are spare to pay for
-// the rewrite.
+// the rewrite. Rows a newer run's version at exactly the floor shadows
+// count as spare.
 func TestPlanEvictsBottomUnderNewerRuns(t *testing.T) {
 	// Eight keys at ids 1 and 2 (8 of 16 rows spare), under a run too
 	// small for the geometric rule to merge into it.
 	rs := (*runSet)(nil).with(keysRun(8, 1, 2)).with(keysRun(2, 3))
-	if _, _, ok := rs.plan(2, math.MaxInt64); ok {
+	if _, _, ok := rs.plan(1, math.MaxInt64); ok {
 		t.Fatal("planned a merge before any version left the window")
 	}
-	at, ws, ok := rs.plan(3, math.MaxInt64)
+	// At floor 2 each key's version at 2 shadows its version at 1.
+	at, ws, ok := rs.plan(2, math.MaxInt64)
 	if !ok || at != 0 || len(ws) != 1 || ws[0] != rs.runs[0] {
-		t.Fatalf("plan(3) = %d, %d runs, %v; want the bottom run alone", at, len(ws), ok)
+		t.Fatalf("plan(2) = %d, %d runs, %v; want the bottom run alone", at, len(ws), ok)
 	}
-	merged, dropped := mergeRuns(ws, 3, true, nil)
+	merged, dropped := mergeRuns(ws, rs.runs[1:], 2, true, nil)
 	if merged.len() != 8 || len(dropped) != 0 {
-		t.Fatalf("bottom merged at 3 holds %d rows (dropped %d keys); want 8, 0", merged.len(), len(dropped))
+		t.Fatalf("bottom merged at 2 holds %d rows (dropped %d keys); want 8, 0", merged.len(), len(dropped))
 	}
 
 	// One spare row of nine: a merge at 3 would drop it, but the rewrite
 	// waits for the next geometric merge.
-	few, _ := mergeRuns([]*run{keysRun(8, 1), keysRun(1, 2)}, 0, true, nil)
-	rs = (*runSet)(nil).with(few).with(keysRun(2, 3))
-	if few.spare != 1 || few.dropAt != 3 {
-		t.Fatalf("spare %d, dropAt %d; want 1, 3", few.spare, few.dropAt)
+	few, _ := mergeRuns([]*run{keysRun(8, 1), keysRun(1, 2)}, nil, 0, true, nil)
+	rs = (*runSet)(nil).with(few).with(keysRun(2, 4))
+	if few.spare != 1 || few.dropAt != 2 {
+		t.Fatalf("spare %d, dropAt %d; want 1, 2", few.spare, few.dropAt)
 	}
 	if _, _, ok := rs.plan(3, math.MaxInt64); ok {
 		t.Fatal("rewrote a bottom run to drop one row of nine")
+	}
+
+	// The same bottom run under two keys' versions at exactly the floor:
+	// their rows are shadowed too, three of nine rows are spare, and the
+	// merge drops the two keys from the bottom run.
+	rs = (*runSet)(nil).with(few).with(keysRun(2, 3))
+	if got := rs.shadowed(3); got != 2 {
+		t.Fatalf("shadowed(3) = %d, want 2", got)
+	}
+	at, ws, ok = rs.plan(3, math.MaxInt64)
+	if !ok || at != 0 || len(ws) != 1 || ws[0] != few {
+		t.Fatalf("plan(3) = %d, %d runs, %v; want the bottom run alone", at, len(ws), ok)
+	}
+	merged, dropped = mergeRuns(ws, rs.runs[1:], 3, true, nil)
+	next, _ := rs.replaced(0, ws, merged, dropped)
+	if merged.len() != 6 || len(dropped) != 2 || next.Keys() != 8 {
+		t.Fatalf("bottom merged at 3 holds %d rows, dropped %d keys, set keys %d; want 6, 2, 8", merged.len(), len(dropped), next.Keys())
+	}
+	for i := 0; i < 8; i++ {
+		ks := fmt.Sprintf("k%d", i)
+		want := int64(1)
+		if i < 2 {
+			want = 3
+		}
+		if r, j, ok := next.get(ks, 3); !ok || r.vals[j] != want {
+			t.Fatalf("%s at 3 after the merge = %v, %v; want %d", ks, r, ok, want)
+		}
 	}
 }
 
@@ -381,7 +458,7 @@ func TestRunWideSpan(t *testing.T) {
 	if rs.runs[0].wide != nil {
 		t.Fatal("a one-version run keeps wide ids")
 	}
-	merged, _ := mergeRuns(rs.runs, 0, true, nil)
+	merged, _ := mergeRuns(rs.runs, nil, 0, true, nil)
 	if merged.wide == nil {
 		t.Fatal("a run spanning 2^40 ids has no wide ids")
 	}

@@ -15,6 +15,7 @@ import (
 	"squery/internal/metrics"
 	"squery/internal/partition"
 	"squery/internal/persist"
+	"squery/internal/snapshot"
 )
 
 // Config selects which state representations S-QUERY maintains for an
@@ -137,12 +138,15 @@ type Backend struct {
 	updateSeq   uint64
 	sampleEvery uint64
 
-	// horizon returns the oldest retained snapshot id and the last durable
-	// one — what a merge of the snapshot runs may drop and fold (see
-	// runSet.plan). A backend made by Manager.NewBackend reads them from
-	// its manager; one that stands alone prunes nothing and has no
-	// persister to wait for.
-	horizon func() (oldest, durable int64)
+	// horizon returns the floor — the oldest snapshot id still retained
+	// or held by a reader — and the last durable id: what a merge of the
+	// snapshot runs may drop and fold (see runSet.plan). A backend made by
+	// Manager.NewBackend reads them from its manager; one that stands
+	// alone prunes nothing and has no persister to wait for.
+	horizon func() (floor, durable int64)
+	// reg is the registry of the manager that made the backend, nil for
+	// one that stands alone: Restore holds the id it reads there.
+	reg *snapshot.Registry
 }
 
 // NewBackend creates the state backend for instance `instance` of
@@ -535,14 +539,15 @@ func (b *Backend) Compact() {
 // m are due, off the commit path. A merge is computed outside the lock
 // and swapped in only if the partition still holds the runs it merged.
 func (b *Backend) compact(m *kv.Map) {
-	oldest, durable := b.horizon()
+	floor, durable := b.horizon()
 	ixs := m.Indexes()
 	b.eachPart(func(p int) bool {
-		at, ws, ok := asRuns(m.PeekFrozen(p)).plan(oldest, durable)
+		rs := asRuns(m.PeekFrozen(p))
+		at, ws, ok := rs.plan(floor, durable)
 		if !ok {
 			return true
 		}
-		merged, dropped := mergeRuns(ws, oldest, at == 0, ixs)
+		merged, dropped := mergeRuns(ws, rs.runs[at+len(ws):], floor, at == 0, ixs)
 		b.view.SwapFrozen(m.Name(), p, 0, nil, nil, func(cur kv.Frozen) (kv.Frozen, bool) {
 			return asRuns(cur).replaced(at, ws, merged, dropped)
 		})
@@ -620,8 +625,15 @@ func (b *Backend) prepareBlob(ssid int64) error {
 // are handed only the keys that differ. The snapshot runs may hold newer
 // versions than ssid's — drained by rounds that aborted, or committed past
 // it — so the restored keys they disagree with are marked changed
-// (markChanged), and the next snapshot files them again.
+// (markChanged), and the next snapshot files them again. Under a manager
+// the read holds ssid in its registry, so only a retained id restores.
 func (b *Backend) Restore(ssid int64) error {
+	if b.reg != nil {
+		if !b.reg.Hold(ssid) {
+			return fmt.Errorf("core: restore of %s/%d: snapshot %d is not retained", b.op, b.instance, ssid)
+		}
+		defer b.reg.Release(ssid)
+	}
 	if b.cfg.JetBlob {
 		parts, err := b.readBlob(ssid)
 		if err != nil {

@@ -259,11 +259,7 @@ func TestRestoreRespectsOwnership(t *testing.T) {
 			bs[inst(i)].Update(i, i)
 			want[inst(i)]++
 		}
-		for _, b := range bs {
-			if _, err := b.SnapshotPrepare(1); err != nil {
-				t.Fatal(err)
-			}
-		}
+		checkpoint(t, mgr, bs...) // ssid 1
 		// Instance 1 writes past the checkpoint; instance 0's restore must
 		// not roll it back.
 		late := 1000

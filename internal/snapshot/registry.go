@@ -4,10 +4,17 @@
 // pruned. The paper's default of keeping the two most recent versions —
 // constant memory, always one version queryable while the next is in
 // flight — is the default here too (§VI.A, "Snapshot Versions").
+//
+// A reader holds a lease on the id it reads (Hold, HoldLatest, Release)
+// for as long as it reads, like a trace handle of Shared Arrangements: the
+// store may forget only what no read at or above Floor — the oldest
+// retained or held id — can reach, so a read whose id retires while it
+// runs still reads that id.
 package snapshot
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 )
 
@@ -18,14 +25,15 @@ const NoSnapshot int64 = 0
 const DefaultRetention = 2
 
 // Registry tracks the snapshot lifecycle of one job. All methods are safe
-// for concurrent use; LatestCommitted is the hot read path used by every
-// snapshot query to resolve "the latest snapshot id" atomically.
+// for concurrent use; HoldLatest is the hot read path used by every
+// snapshot query to resolve and lease "the latest snapshot id" atomically.
 type Registry struct {
 	mu         sync.RWMutex
 	retention  int
 	next       int64
 	inProgress int64 // 0 when no checkpoint is running
 	committed  []int64
+	held       map[int64]int // leased id -> holds
 }
 
 // NewRegistry creates a registry retaining the given number of committed
@@ -68,13 +76,13 @@ func (r *Registry) InProgress() int64 {
 
 // Commit atomically publishes ssid as the latest committed snapshot and
 // returns the ids evicted by the retention policy (to be pruned from the
-// state store). Committing an id that is not the in-progress checkpoint is
-// a programming error and panics.
-func (r *Registry) Commit(ssid int64) (evicted []int64) {
+// state store). Committing an id that is not the in-progress checkpoint
+// fails and leaves the registry as it was.
+func (r *Registry) Commit(ssid int64) (evicted []int64, err error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.inProgress != ssid {
-		panic(fmt.Sprintf("snapshot: commit of %d but %d is in progress", ssid, r.inProgress))
+		return nil, fmt.Errorf("snapshot: commit of %d but %d is in progress", ssid, r.inProgress)
 	}
 	r.inProgress = 0
 	r.committed = append(r.committed, ssid)
@@ -82,7 +90,7 @@ func (r *Registry) Commit(ssid int64) (evicted []int64) {
 		evicted = append(evicted, r.committed[0])
 		r.committed = r.committed[1:]
 	}
-	return evicted
+	return evicted, nil
 }
 
 // Abort cancels the in-progress checkpoint (e.g. the job failed mid-2PC).
@@ -117,16 +125,76 @@ func (r *Registry) Committed() []int64 {
 }
 
 // IsQueryable reports whether ssid is a committed, retained snapshot that a
-// query may pin.
+// query may pin. The answer may be stale by the time it is used: a reader
+// takes Hold instead, which checks and leases in one step.
 func (r *Registry) IsQueryable(ssid int64) bool {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	for _, c := range r.committed {
-		if c == ssid {
-			return true
-		}
+	return slices.Contains(r.committed, ssid)
+}
+
+// Hold leases ssid for a reader and reports whether it could: only a
+// committed, retained id can be held. The check and the hold happen under
+// one lock, so no commit can evict ssid between them; once held, ssid
+// keeps Floor at or below it until Release.
+func (r *Registry) Hold(ssid int64) bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if !slices.Contains(r.committed, ssid) {
+		return false
 	}
-	return false
+	r.hold(ssid)
+	return true
+}
+
+// HoldLatest leases the latest committed id and returns it, or returns
+// NoSnapshot, holding nothing, before any commit.
+func (r *Registry) HoldLatest() int64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if len(r.committed) == 0 {
+		return NoSnapshot
+	}
+	id := r.committed[len(r.committed)-1]
+	r.hold(id)
+	return id
+}
+
+func (r *Registry) hold(ssid int64) {
+	if r.held == nil {
+		r.held = make(map[int64]int)
+	}
+	r.held[ssid]++
+}
+
+// Release drops one hold on ssid taken by Hold or HoldLatest. Releasing an
+// id that is not held does nothing.
+func (r *Registry) Release(ssid int64) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	switch n := r.held[ssid]; {
+	case n > 1:
+		r.held[ssid] = n - 1
+	case n == 1:
+		delete(r.held, ssid)
+	}
+}
+
+// Floor returns the least snapshot id a read may still need: the oldest
+// retained id, or the oldest held id when that is older. NoSnapshot before
+// any commit. Snapshot state below the floor that no read at or above it
+// reaches may be dropped.
+func (r *Registry) Floor() int64 {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	if len(r.committed) == 0 {
+		return NoSnapshot
+	}
+	floor := r.committed[0]
+	for id := range r.held {
+		floor = min(floor, id)
+	}
+	return floor
 }
 
 // Seed initializes a fresh registry with externally committed snapshot

@@ -36,8 +36,8 @@ func TestBeginCommitCycle(t *testing.T) {
 	if r.IsQueryable(1) {
 		t.Error("in-progress snapshot is queryable")
 	}
-	if evicted := r.Commit(1); len(evicted) != 0 {
-		t.Fatalf("evicted %v on first commit", evicted)
+	if evicted, err := r.Commit(1); err != nil || len(evicted) != 0 {
+		t.Fatalf("first commit evicted %v, %v", evicted, err)
 	}
 	if r.LatestCommitted() != 1 || !r.IsQueryable(1) {
 		t.Fatal("snapshot 1 not committed")
@@ -64,7 +64,11 @@ func TestRetentionEvictsOldest(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		allEvicted = append(allEvicted, r.Commit(id)...)
+		evicted, err := r.Commit(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		allEvicted = append(allEvicted, evicted...)
 	}
 	// ids 1..5 committed, retention 2 → 1,2,3 evicted; 4,5 retained.
 	want := []int64{1, 2, 3}
@@ -109,15 +113,111 @@ func TestAbort(t *testing.T) {
 	}
 }
 
-func TestCommitWrongIDPanics(t *testing.T) {
+func TestCommitWrongIDFails(t *testing.T) {
 	r := NewRegistry(2)
-	r.Begin()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Commit of wrong id did not panic")
+	first, _ := r.Begin()
+	r.Commit(first)
+	id, _ := r.Begin()
+	if evicted, err := r.Commit(99); err == nil || evicted != nil {
+		t.Fatalf("Commit of wrong id = %v, %v; want an error", evicted, err)
+	}
+	// The registry is unchanged: the right id is still in progress and
+	// commits, and nothing was published or evicted.
+	if r.InProgress() != id || r.LatestCommitted() != first || r.IsQueryable(99) {
+		t.Fatalf("after a refused commit: in progress %d, latest %d", r.InProgress(), r.LatestCommitted())
+	}
+	if got := r.Committed(); len(got) != 1 || got[0] != first {
+		t.Fatalf("committed = %v, want [%d]", got, first)
+	}
+	if _, err := r.Commit(id); err != nil {
+		t.Fatalf("Commit of the in-progress id after a refused one: %v", err)
+	}
+}
+
+// TestHoldLeasesRetainedIDs: only a retained id can be held, and a held id
+// keeps the floor at or below it after it retires, until its last hold is
+// released.
+func TestHoldLeasesRetainedIDs(t *testing.T) {
+	r := NewRegistry(2)
+	if r.HoldLatest() != NoSnapshot || r.Floor() != NoSnapshot {
+		t.Fatal("an empty registry held or floored an id")
+	}
+	commit := func() int64 {
+		t.Helper()
+		id, err := r.Begin()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.Commit(id); err != nil {
+			t.Fatal(err)
+		}
+		return id
+	}
+	one, two := commit(), commit()
+	if r.Hold(99) || r.Hold(0) {
+		t.Fatal("held an id never committed")
+	}
+	if !r.Hold(one) || !r.Hold(one) {
+		t.Fatal("could not hold the oldest retained id")
+	}
+	if got := r.HoldLatest(); got != two {
+		t.Fatalf("HoldLatest = %d, want %d", got, two)
+	}
+	commit()
+	commit() // one and two retire
+	if r.IsQueryable(one) || r.Hold(one) {
+		t.Fatal("a retired id is queryable or could be held again")
+	}
+	if got := r.Floor(); got != one {
+		t.Fatalf("Floor with %d held = %d", one, got)
+	}
+	r.Release(one)
+	if got := r.Floor(); got != one {
+		t.Fatalf("Floor with one of two holds on %d released = %d", one, got)
+	}
+	r.Release(one)
+	if got := r.Floor(); got != two {
+		t.Fatalf("Floor with %d held = %d", two, got)
+	}
+	r.Release(two)
+	r.Release(two) // not held: nothing happens
+	if got, want := r.Floor(), r.OldestRetained(); got != want {
+		t.Fatalf("Floor with nothing held = %d, want the oldest retained %d", got, want)
+	}
+}
+
+// TestHoldRacesEviction: a hold taken while commits evict ids either fails
+// or holds an id the floor then covers — never an id already retired.
+func TestHoldRacesEviction(t *testing.T) {
+	r := NewRegistry(2)
+	id, _ := r.Begin()
+	r.Commit(id)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 2000; i++ {
+			id, err := r.Begin()
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			r.Commit(id)
 		}
 	}()
-	r.Commit(99)
+	for {
+		select {
+		case <-done:
+			return
+		default:
+		}
+		n := r.LatestCommitted() - 1
+		if r.Hold(n) {
+			if f := r.Floor(); f > n {
+				t.Fatalf("held %d but the floor is %d", n, f)
+			}
+			r.Release(n)
+		}
+	}
 }
 
 func TestRetentionDefault(t *testing.T) {

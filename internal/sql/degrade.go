@@ -192,9 +192,11 @@ func (ex *Executor) guardPartition(pi *pipe, p int) error {
 			return nil
 		}
 		// Degrade: serve the latest committed snapshot (or, for a snapshot
-		// table, the queried id) from the partition's backup replica —
-		// every table the fragment reads there, the probed side of a
-		// co-partitioned join included. The fragment is the same fragment.
+		// table, the queried id, which the plan holds) from the
+		// partition's backup replica — every table the fragment reads
+		// there, the probed side of a co-partitioned join included. A live
+		// table's fallback id is held for as long as the read runs. The
+		// fragment is the same fragment.
 		reads := []int{pi.src}
 		if pi.whole && pi.pp.coPart {
 			reads = append(reads, 1-pi.src)
@@ -204,7 +206,8 @@ func (ex *Executor) guardPartition(pi *pipe, p int) error {
 			t := &pi.pp.srcs[si]
 			fb[si] = t.ssid
 			if !t.ref.IsSnapshot() {
-				fb[si] = t.ref.LatestCommittedSSID()
+				fb[si] = t.ref.HoldLatestSSID()
+				defer t.ref.ReleaseSSID(fb[si])
 			}
 			if fb[si] == 0 {
 				return fail(fmt.Errorf("no committed snapshot to fall back to: %w", availErr))

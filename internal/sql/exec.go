@@ -227,6 +227,9 @@ type tableSrc struct {
 	name  string // name as written
 	alias string // qualifier used in expressions
 	ssid  int64  // resolved snapshot id (0 for live)
+	// held: ssid is leased in the job's registry (TableRef.HoldSSID)
+	// until the plan is released.
+	held bool
 	// partHint, when >= 0, is the only partition that can hold rows
 	// satisfying the query's `partitionKey = <literal>` predicate; every
 	// other partition is pruned from the scan.
@@ -313,6 +316,7 @@ func (ex *Executor) execTraced(stmt *Select, opts ExecOpts, query string) (*Resu
 	}
 	rc := newRunCtx(opts)
 	res, err := ex.run(pp, rc)
+	pp.release()
 	pp.total = sw.Elapsed()
 	pp.degraded = len(rc.deg.list)
 	pp.bytesShipped = rc.shippedBytes.Load()

@@ -114,10 +114,17 @@ const unknownSelectivity = 3
 // each table for its rows' schema, split the WHERE clause into pushed and
 // residual parts by attributing every column to a source, choose access
 // paths and the join's driving side, bind the expressions, and build the
-// plan tree. With planOnly (EXPLAIN) an unresolvable snapshot id is
-// reported on the scan node instead of failing the whole plan.
-func (ex *Executor) compile(stmt *Select, opts ExecOpts, planOnly bool) (*physPlan, error) {
+// plan tree. A plan to execute holds every snapshot id it resolves until
+// release. With planOnly (EXPLAIN) it holds nothing, and an unresolvable
+// snapshot id is reported on the scan node instead of failing the whole
+// plan.
+func (ex *Executor) compile(stmt *Select, opts ExecOpts, planOnly bool) (_ *physPlan, err error) {
 	pp := &physPlan{stmt: stmt, clientSide: opts.DisablePushdown}
+	defer func() {
+		if err != nil {
+			pp.release()
+		}
+	}()
 
 	pp.srcs = make([]tableSrc, 0, 1+len(stmt.Joins))
 	addSrc := func(t TableName) error {
@@ -157,7 +164,9 @@ func (ex *Executor) compile(stmt *Select, opts ExecOpts, planOnly bool) (*physPl
 		!pp.srcs[0].ref.IsVirtual() && !pp.srcs[1].ref.IsVirtual()
 
 	// One Scan leaf per source, snapshot ids resolved atomically now
-	// (§VI.A): concurrent checkpoints never tear a result set.
+	// (§VI.A) and held until the execution returns: concurrent
+	// checkpoints never tear a result set, and the merges they trigger
+	// keep every version the held ids read.
 	pp.scans = make([]*plan.Scan, len(pp.srcs))
 	for i := range pp.srcs {
 		s := &pp.srcs[i]
@@ -177,14 +186,18 @@ func (ex *Executor) compile(stmt *Select, opts ExecOpts, planOnly bool) (*physPl
 		}
 		pinned := pins.forTable(s.alias, s.name)
 		sc.Pinned = pinned != 0
-		ssid, err := s.ref.ResolveSSID(pinned)
+		resolve := s.ref.HoldSSID
+		if planOnly {
+			resolve = s.ref.ResolveSSID
+		}
+		ssid, err := resolve(pinned)
 		if err != nil {
 			if !planOnly {
 				return nil, err
 			}
 			sc.Unresolved = err.Error()
 		}
-		s.ssid = ssid
+		s.ssid, s.held = ssid, !planOnly
 		sc.SSID = ssid
 		if s.partHint >= 0 && !s.ref.IsVirtual() {
 			sc.PartHint = s.partHint
@@ -307,6 +320,17 @@ func (ex *Executor) compile(stmt *Select, opts ExecOpts, planOnly bool) (*physPl
 	}
 	pp.root = node
 	return pp, nil
+}
+
+// release drops the leases the plan holds on its sources' snapshot ids;
+// a second call releases nothing.
+func (pp *physPlan) release() {
+	for i := range pp.srcs {
+		if s := &pp.srcs[i]; s.held {
+			s.ref.ReleaseSSID(s.ssid)
+			s.held = false
+		}
+	}
 }
 
 // bindAll binds every expression the plan evaluates. The WHERE parts bind

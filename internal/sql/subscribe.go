@@ -424,6 +424,7 @@ func (ex *Executor) SubscribeQuery(query string, bind func(*StandingQuery) func(
 	if err != nil {
 		return nil, err
 	}
+	pp.release() // a standing query reads no snapshot
 	for _, s := range pp.srcs {
 		if s.ref.IsVirtual() {
 			return nil, fmt.Errorf("sql: cannot SUBSCRIBE to virtual table %q (no change stream — poll it)", s.name)

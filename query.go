@@ -154,17 +154,18 @@ func (v ObjectView) GetLive(keys ...Key) []any {
 }
 
 // GetSnapshot fetches the state objects for the given keys as of snapshot
-// ssid (0 = latest committed), providing snapshot isolation. Missing keys
-// yield nil entries.
+// ssid (0 = latest committed), providing snapshot isolation; the id is
+// held for as long as the read runs. Missing keys yield nil entries.
 func (v ObjectView) GetSnapshot(ssid int64, keys ...Key) ([]any, error) {
 	tab, err := v.engine.cat.Table("snapshot_" + v.operator)
 	if err != nil {
 		return nil, err
 	}
-	target, err := tab.ResolveSSID(ssid)
+	target, err := tab.HoldSSID(ssid)
 	if err != nil {
 		return nil, err
 	}
+	defer tab.ReleaseSSID(target)
 	return tab.GetAll(target, keys), nil
 }
 
@@ -177,16 +178,17 @@ func (v ObjectView) ScanLive(fn func(key Key, value any) bool) {
 }
 
 // ScanSnapshot streams every state entry of the operator as of snapshot
-// ssid (0 = latest committed).
+// ssid (0 = latest committed), holding the id until the scan returns.
 func (v ObjectView) ScanSnapshot(ssid int64, fn func(key Key, value any, versionSSID int64) bool) error {
 	tab, err := v.engine.cat.Table("snapshot_" + v.operator)
 	if err != nil {
 		return err
 	}
-	target, err := tab.ResolveSSID(ssid)
+	target, err := tab.HoldSSID(ssid)
 	if err != nil {
 		return err
 	}
+	defer tab.ReleaseSSID(target)
 	tab.Scan(target, func(r core.TableRow) bool {
 		return fn(r.Key, r.Raw, r.SSID)
 	})
