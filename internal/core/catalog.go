@@ -269,18 +269,22 @@ func (t *TableRef) resolve(pinned int64, hold bool) (int64, error) {
 		return 0, nil
 	}
 	if pinned == 0 {
-		latest := t.reg.LatestCommitted()
+		var latest int64
 		if hold {
 			latest = t.reg.HoldLatest()
+		} else {
+			latest = t.reg.LatestCommitted()
 		}
 		if latest == snapshot.NoSnapshot {
 			return 0, fmt.Errorf("core: no committed snapshot for table %q yet", t.name)
 		}
 		return latest, nil
 	}
-	ok := t.reg.IsQueryable(pinned)
+	var ok bool
 	if hold {
 		ok = t.reg.Hold(pinned)
+	} else {
+		ok = t.reg.IsQueryable(pinned)
 	}
 	if !ok {
 		return 0, fmt.Errorf("core: snapshot %d of %q is not queryable (not committed or already pruned)", pinned, t.name)
