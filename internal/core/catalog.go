@@ -249,44 +249,23 @@ func (t *TableRef) PartitionOf(key any) (int, bool) {
 	return 0, false
 }
 
-// ResolveSSID validates and defaults the snapshot id a query targets,
-// holding nothing: what EXPLAIN shows. pinned == 0 means "latest
-// committed" (the paper's default). For live tables it always returns 0.
-func (t *TableRef) ResolveSSID(pinned int64) (int64, error) {
-	return t.resolve(pinned, false)
-}
-
-// HoldSSID is ResolveSSID for a read: the snapshot id it returns is leased
-// in the job's registry until ReleaseSSID, so no merge drops a version the
-// read needs however long it runs, and an id that has already retired is
-// refused. A live or virtual table holds nothing and returns 0.
+// HoldSSID validates and defaults the snapshot id a query targets and
+// leases it in the job's registry until ReleaseSSID, so no merge drops a
+// version the read needs however long it runs, and an id that has already
+// retired is refused. pinned == 0 means "latest committed" (the paper's
+// default). A live or virtual table holds nothing and returns 0.
 func (t *TableRef) HoldSSID(pinned int64) (int64, error) {
-	return t.resolve(pinned, true)
-}
-
-func (t *TableRef) resolve(pinned int64, hold bool) (int64, error) {
 	if t.virtual != nil || !t.snapshot {
 		return 0, nil
 	}
 	if pinned == 0 {
-		var latest int64
-		if hold {
-			latest = t.reg.HoldLatest()
-		} else {
-			latest = t.reg.LatestCommitted()
-		}
+		latest := t.reg.HoldLatest()
 		if latest == snapshot.NoSnapshot {
 			return 0, fmt.Errorf("core: no committed snapshot for table %q yet", t.name)
 		}
 		return latest, nil
 	}
-	var ok bool
-	if hold {
-		ok = t.reg.Hold(pinned)
-	} else {
-		ok = t.reg.IsQueryable(pinned)
-	}
-	if !ok {
+	if !t.reg.Hold(pinned) {
 		return 0, fmt.Errorf("core: snapshot %d of %q is not queryable (not committed or already pruned)", pinned, t.name)
 	}
 	return pinned, nil
@@ -307,7 +286,7 @@ func (t *TableRef) ReleaseSSID(ssid int64) {
 // rows at a time; what the spec fixes is the version read, the access path,
 // cancellation and the scratch the partition is read into.
 type ScanSpec struct {
-	// SSID is the snapshot id to read (from ResolveSSID; ignored live).
+	// SSID is the snapshot id to read (from HoldSSID; ignored live).
 	SSID int64
 	// Path, when non-nil, asks the scan to find its candidate rows through
 	// a key lookup or a secondary index instead of iterating the
@@ -334,7 +313,7 @@ type ScanBuf struct {
 }
 
 // ScanPartition streams the rows of one partition as of snapshot ssid
-// (which the caller obtained from ResolveSSID; ignored for live tables).
+// (which the caller obtained from HoldSSID; ignored for live tables).
 // The charge for reaching the partition's node is paid by the view.
 func (t *TableRef) ScanPartition(ssid int64, p int, fn func(TableRow) bool) {
 	t.ScanPartitionSpec(p, ScanSpec{SSID: ssid}, func(rows []TableRow) bool {

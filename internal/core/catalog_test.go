@@ -50,10 +50,11 @@ func TestScanPartitionSpecFilterAndProjection(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ssid, err := ref.ResolveSSID(0)
+		ssid, err := ref.HoldSSID(0)
 		if err != nil {
 			t.Fatal(err)
 		}
+		defer ref.ReleaseSSID(ssid)
 		var rows []TableRow
 		for _, r := range scanAllSpec(t, ref, ScanSpec{SSID: ssid}) {
 			if v, _ := r.Field("val"); v.(int) < 10 {

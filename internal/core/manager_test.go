@@ -188,21 +188,22 @@ func TestCatalogResolution(t *testing.T) {
 	}
 
 	// No committed snapshot yet: unpinned snapshot queries must fail.
-	if _, err := snap.ResolveSSID(0); err == nil {
-		t.Fatal("ResolveSSID(0) with no committed snapshot succeeded")
+	if _, err := snap.HoldSSID(0); err == nil {
+		t.Fatal("HoldSSID(0) with no committed snapshot succeeded")
 	}
 	id, _ := reg.Begin()
 	reg.Commit(id)
-	got, err := snap.ResolveSSID(0)
+	got, err := snap.HoldSSID(0)
 	if err != nil || got != id {
-		t.Fatalf("ResolveSSID(0) = %d, %v; want %d", got, err, id)
+		t.Fatalf("HoldSSID(0) = %d, %v; want %d", got, err, id)
 	}
-	if _, err := snap.ResolveSSID(99); err == nil {
-		t.Fatal("ResolveSSID of uncommitted id succeeded")
+	snap.ReleaseSSID(got)
+	if _, err := snap.HoldSSID(99); err == nil {
+		t.Fatal("HoldSSID of uncommitted id succeeded")
 	}
 	// Live tables ignore pinning.
-	if got, err := live.ResolveSSID(42); err != nil || got != 0 {
-		t.Fatalf("live ResolveSSID = %d, %v", got, err)
+	if got, err := live.HoldSSID(42); err != nil || got != 0 {
+		t.Fatalf("live HoldSSID = %d, %v", got, err)
 	}
 
 	cat.UnregisterJob("average", "orderinfo")
@@ -243,10 +244,11 @@ func TestTableScanLiveAndSnapshot(t *testing.T) {
 	})
 	t.Run("snapshot sees the committed version", func(t *testing.T) {
 		snapTab, _ := cat.Table("snapshot_op")
-		target, err := snapTab.ResolveSSID(0)
+		target, err := snapTab.HoldSSID(0)
 		if err != nil {
 			t.Fatal(err)
 		}
+		defer snapTab.ReleaseSSID(target)
 		var got int
 		var gotSSID int64
 		snapTab.Scan(target, func(r TableRow) bool {

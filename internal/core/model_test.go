@@ -116,7 +116,7 @@ func runModel(seed int64, incremental, live bool) error {
 		if err != nil {
 			return err
 		}
-		target, err := tab.ResolveSSID(ssid)
+		target, err := tab.HoldSSID(ssid)
 		if err != nil {
 			return err
 		}
@@ -124,6 +124,7 @@ func runModel(seed int64, incremental, live bool) error {
 			got[r.Key.(int)] = r.Raw.(int)
 			return true
 		})
+		tab.ReleaseSSID(target)
 		if err := sameState(got, want); err != nil {
 			return fmt.Errorf("%s ssid %d: %w", where, ssid, err)
 		}

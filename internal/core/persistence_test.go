@@ -71,10 +71,11 @@ func TestPersistedCommitAndColdStart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	target, err := tab.ResolveSSID(0)
+	target, err := tab.HoldSSID(0)
 	if err != nil || target != 2 {
-		t.Fatalf("ResolveSSID = %d, %v", target, err)
+		t.Fatalf("HoldSSID = %d, %v", target, err)
 	}
+	defer tab.ReleaseSSID(target)
 	got := map[int]int{}
 	tab.Scan(target, func(r TableRow) bool {
 		got[r.Key.(int)] = r.Raw.(int)

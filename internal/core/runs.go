@@ -541,21 +541,26 @@ func (s *runSet) sample() (any, bool) {
 // key sits at exactly floor, in the window or in a run of above (the runs
 // newer than the window), which shadows it for every such read. When the
 // window is the bottom of the partition (no older run left under it), a
-// tombstone base reads the same as no version and goes too; above older
-// runs it stays, since it shadows their versions. It also returns the keys
-// the merge dropped entirely.
+// tombstone base reads the same as no version and goes too, provided no
+// newer run holds an id below it; above older runs, or under a newer run
+// that holds older ids (drains write runs in id order, so only a set built
+// otherwise has one), it stays, since it shadows their versions. It also
+// returns the keys the merge dropped entirely.
 func mergeRuns(ws, above []*run, floor int64, bottom bool, ixs []*kv.Index) (*run, []runRow) {
 	c, lo, hi := newCursors(ws, nil)
 	n := 0
 	for _, r := range ws {
 		n += r.len()
 	}
-	// Only a newer run whose ids span floor can hold a version at it.
+	// Only a newer run whose ids span floor can hold a version at it, and
+	// none holds an id below aboveLo.
 	var spans []*run
+	aboveLo := int64(math.MaxInt64)
 	for _, r := range above {
 		if r.lo <= floor && floor <= r.hi {
 			spans = append(spans, r)
 		}
+		aboveLo = min(aboveLo, r.lo)
 	}
 	out := make([]runRow, 0, n)
 	var dropped []runRow
@@ -578,7 +583,7 @@ func mergeRuns(ws, above []*run, floor int64, bottom bool, ixs []*kv.Index) (*ru
 		for first < len(vs) && vs[first].ssid < floor {
 			first++
 		}
-		if first > 0 && !(bottom && vs[first-1].tomb) &&
+		if first > 0 && !(bottom && vs[first-1].tomb && vs[first-1].ssid <= aboveLo) &&
 			!(first < len(vs) && vs[first].ssid == floor) && !holdsAt(spans, vs[0].hash, ks, floor) {
 			first-- // the base
 		}

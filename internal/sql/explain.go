@@ -20,5 +20,6 @@ func (ex *Executor) Explain(query string) (string, error) {
 	if err != nil {
 		return "", err
 	}
+	pp.release() // EXPLAIN reads no snapshot
 	return pp.render(ex.clusterNodes(), false), nil
 }

@@ -114,10 +114,9 @@ const unknownSelectivity = 3
 // each table for its rows' schema, split the WHERE clause into pushed and
 // residual parts by attributing every column to a source, choose access
 // paths and the join's driving side, bind the expressions, and build the
-// plan tree. A plan to execute holds every snapshot id it resolves until
-// release. With planOnly (EXPLAIN) it holds nothing, and an unresolvable
-// snapshot id is reported on the scan node instead of failing the whole
-// plan.
+// plan tree. The plan holds every snapshot id it resolves until release.
+// With planOnly (EXPLAIN) an unresolvable snapshot id is reported on the
+// scan node instead of failing the whole plan.
 func (ex *Executor) compile(stmt *Select, opts ExecOpts, planOnly bool) (_ *physPlan, err error) {
 	pp := &physPlan{stmt: stmt, clientSide: opts.DisablePushdown}
 	defer func() {
@@ -186,18 +185,14 @@ func (ex *Executor) compile(stmt *Select, opts ExecOpts, planOnly bool) (_ *phys
 		}
 		pinned := pins.forTable(s.alias, s.name)
 		sc.Pinned = pinned != 0
-		resolve := s.ref.HoldSSID
-		if planOnly {
-			resolve = s.ref.ResolveSSID
-		}
-		ssid, err := resolve(pinned)
+		ssid, err := s.ref.HoldSSID(pinned)
 		if err != nil {
 			if !planOnly {
 				return nil, err
 			}
 			sc.Unresolved = err.Error()
 		}
-		s.ssid, s.held = ssid, !planOnly
+		s.ssid, s.held = ssid, err == nil
 		sc.SSID = ssid
 		if s.partHint >= 0 && !s.ref.IsVirtual() {
 			sc.PartHint = s.partHint
